@@ -73,7 +73,7 @@ class RuCvarLp:
 @dataclass(frozen=True, slots=True)
 class LpSolution:
     """weights are dollar allocations (risky assets then bond); alpha is the
-    VaR level of the optimum, NaN for LPs without that structure."""
+    VaR level of the optimum, NaN when the LP has no optimum."""
 
     weights: np.ndarray | None
     alpha: float
@@ -134,7 +134,8 @@ def build_ru_lp(
     )
 
 
-def _solve_ru_dual(lp: RuCvarLp) -> LpSolution:
+def simplex_solve(lp: RuCvarLp) -> LpSolution:
+    """Solve the CVaR LP through its dual and recover (w, alpha) from the duals."""
     r = lp.returns
     n_scen, n_cols = r.shape
     y_cap = 1.0 / ((1.0 - lp.beta) * n_scen)
@@ -192,25 +193,6 @@ def _check_primal(lp, weights, alpha, cvar):
             f"|budget|={budget_gap:.2e}, mean shortfall={mean_gap:.2e}, "
             f"|cvar-recomputed|={cvar_gap:.2e}"
         )
-
-
-def simplex_solve(lp) -> LpSolution:
-    """Solve a CVaR LP by its dual, or any LinearProgram directly.
-
-    For a bare LinearProgram the weights field carries the full variable
-    vector and alpha is NaN.
-    """
-    if isinstance(lp, RuCvarLp):
-        return _solve_ru_dual(lp)
-    if isinstance(lp, simplex.LinearProgram):
-        result = simplex.solve_dense(lp)
-        return LpSolution(
-            weights=result.x,
-            alpha=math.nan,
-            objective=result.objective,
-            status=result.status,
-        )
-    raise DomainError(f"unsupported LP carrier {type(lp).__name__}")
 
 
 def solve_static_cvar(

@@ -103,6 +103,19 @@ def _build_problem(block: dict, model: market.MarketModel):
     )
 
 
+def _validate_run(run: dict, horizon: float) -> None:
+    """Reject run-block values no command can use, before any solve starts."""
+    for name, low in (("seed", 0), ("paths", 1), ("steps", 1), ("scenarios", 1)):
+        value = run[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"run.{name} must be an integer >= {low}, got {value!r}")
+    if run["seed"] >= 2**64:  # the seed keys a Philox stream of uint64 words
+        raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
+    t = run.get("t", 0.0)
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= horizon:
+        raise ConfigError(f"run.t must be a finite time in [0, {horizon}], got {t!r}")
+
+
 def load_config(path, overrides: dict) -> RunConfig:
     """Read the JSON config, apply flag overrides, build model and problem.
 
@@ -133,6 +146,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise
     except (CapfolioError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
+    _validate_run(run, model.horizon)
     return RunConfig(
         market_block=raw["market"],
         problem_block=problem_block,
@@ -269,7 +283,7 @@ def load_solution(path):
     rebuilt = lpm.PolicySolution(
         problem=problem,
         model=model,
-        context=lpm._context(model),
+        context=market.deflator_context(model),
         multipliers=mult,
         delta=sol["delta"],
         rho=sol["rho"],

@@ -7,9 +7,19 @@ alpha, so
 
     J(alpha) = alpha + E[(gamma_alpha - X*)_+] / (1 - beta)
 
-and CVaR_beta(f) = min_alpha J(alpha).  J is convex in alpha; the search is
-golden section over [xbar - B, xbar] by default, with the finite-difference
-gradient walk available behind an option for cross-checking.
+and CVaR_beta(f) = min_alpha J(alpha), attained where alpha is the VaR of
+the optimal loss (Rockafellar & Uryasev 2000, Thm 1).  J is convex in alpha.
+With (lam, eta) the multipliers of the embedded solution and delta < h =
+delta + rho its thresholds, the envelope theorem on the q=1 Lagrangian gives
+the derivative in closed form:
+
+    J'(alpha) = 1 - [1 - H_0(h) + eta (H_1(h) - H_1(delta))
+                     - lam (H_0(h) - H_0(delta))] / (1 - beta)
+
+The two multiplier terms account for the middle branch X* = gamma, which
+moves with the benchmark.  J' = 1 where the embedded instance is
+DegenerateRich and for alpha >= xbar.  alpha* is the root of the monotone J'
+on [xbar - B, xbar], or xbar - B when J'(xbar - B) >= 0.
 """
 
 from __future__ import annotations
@@ -19,15 +29,10 @@ import math
 from dataclasses import dataclass
 
 from . import lpm
-from .errors import DomainError, InfeasibleBudget, MaxIterations, TargetTooHigh
+from .errors import DomainError, InfeasibleBudget, TargetTooHigh
+from .kernels import partial_moment_H
 from .market import MarketModel, expected_deflator
-from .solvers import SolveReport, minimize_scalar_convex
-
-GOLDEN_SECTION = "GoldenSection"
-PAPER_GRADIENT = "PaperGradient"
-
-# alpha values are quantized on this grid when caching embedded solves
-_ALPHA_QUANTUM = 1e-12
+from .solvers import find_root_1d
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,29 +80,16 @@ class AlphaSearchTrace:
     evaluated: tuple  # ordered (alpha, J(alpha)) pairs, every evaluation
     alpha_star: float
     j_star: float
-    method: str
-
-
-@dataclass(frozen=True, slots=True)
-class AlphaSearchOptions:
-    """Knobs for search_alpha; defaults reproduce the golden-section path."""
-
-    method: str = GOLDEN_SECTION
-    alpha0: float = 0.0
-    fd_step: float | None = None  # None -> 1e-5 * safe level
-    step: float = 1.0
-    grad_tol: float = 1e-7
-    golden_tol: float = 1e-8
-    max_iter: int = 500
 
 
 @dataclass(frozen=True, slots=True)
 class CvarSolution:
     """Solved mean-CVaR instance.
 
-    policy is the embedded shortfall solution at alpha_star (benchmark
-    xbar - alpha_star, q=1); pass it to the downside module's wealth and
-    policy evaluators unchanged.  cvar equals trace.j_star.
+    alpha_star is the VaR of the optimal loss.  policy is the embedded
+    shortfall solution at alpha_star (benchmark xbar - alpha_star, q=1);
+    pass it to the downside module's wealth and policy evaluators
+    unchanged.  cvar equals trace.j_star.
     """
 
     problem: CvarProblem
@@ -120,51 +112,51 @@ def safe_level(problem: CvarProblem, model: MarketModel) -> float:
     return grown
 
 
-class _EmbeddedFamily:
-    """Shortfall instances gamma = xbar - alpha, cached on a quantized alpha grid."""
+def _embedded(problem: CvarProblem, xbar: float, alpha: float) -> lpm.LpmProblem:
+    """The q=1 shortfall instance with benchmark gamma = xbar - alpha."""
+    return lpm.LpmProblem(
+        x0=problem.x0,
+        d=problem.d,
+        gamma=xbar - alpha,
+        cap=problem.cap,
+        q=1.0,
+        horizon=problem.horizon,
+    )
 
-    def __init__(self, problem: CvarProblem, model: MarketModel):
-        self.problem = problem
-        self.model = model
-        self.xbar = safe_level(problem, model)
-        self._cache: dict[int, object] = {}
 
-    def _embedded(self, alpha: float) -> lpm.LpmProblem:
-        return lpm.LpmProblem(
-            x0=self.problem.x0,
-            d=self.problem.d,
-            gamma=self.xbar - alpha,
-            cap=self.problem.cap,
-            q=1.0,
-            horizon=self.problem.horizon,
-        )
+def _shortfall_slope(sol: lpm.PolicySolution) -> float:
+    """dV/dgamma of the optimal shortfall V(gamma) = E[(gamma - X*)_+].
 
-    def solution(self, alpha: float):
-        """Solved embedded instance, None when the benchmark is nonpositive."""
-        if alpha >= self.xbar:
-            return None
-        key = round(alpha / _ALPHA_QUANTUM)
-        if key not in self._cache:
-            try:
-                self._cache[key] = lpm.solve_lpm(self._embedded(alpha), self.model)
-            except TargetTooHigh:
-                self._cache[key] = TargetTooHigh
-        found = self._cache[key]
-        if found is TargetTooHigh:
-            raise TargetTooHigh(
-                f"mean target {self.problem.d} unattainable in the embedded "
-                f"shortfall problem at alpha={alpha}"
-            )
-        return found
+    Envelope theorem on the q=1 Lagrangian: the tail {z > h} pays 1 per
+    unit of gamma, and the middle branch X* = gamma on {delta < z <= h}
+    shifts the mean and budget constraints, priced by lam and eta.
+    """
+    if sol.multipliers.case == lpm.DEGENERATE_RICH:
+        return 0.0
+    ctx = sol.context
+    lo, hi = sol.delta, sol.delta + sol.rho
+    h0_lo = partial_moment_H(ctx, 0.0, lo) if lo > 0.0 else 0.0
+    h1_lo = partial_moment_H(ctx, 1.0, lo) if lo > 0.0 else 0.0
+    h0_hi = partial_moment_H(ctx, 0.0, hi)
+    h1_hi = partial_moment_H(ctx, 1.0, hi)
+    lam, eta = sol.multipliers.mean, sol.multipliers.budget
+    return 1.0 - h0_hi + eta * (h1_hi - h1_lo) - lam * (h0_hi - h0_lo)
 
-    def j(self, alpha: float) -> float:
-        if alpha >= self.xbar:
-            return alpha
-        try:
-            sol = self.solution(alpha)
-        except TargetTooHigh:
-            return math.inf
-        return alpha + sol.objective_value / (1.0 - self.problem.beta)
+
+def _evaluate(problem: CvarProblem, model: MarketModel, xbar: float, alpha: float):
+    """(J, J', embedded solution) at alpha; the solution is None at or above xbar.
+
+    Raises TargetTooHigh when the mean target is unattainable.
+    """
+    if alpha >= xbar:
+        return alpha, 1.0, None
+    sol = lpm.solve_lpm(_embedded(problem, xbar, alpha), model)
+    scale = 1.0 / (1.0 - problem.beta)
+    return (
+        alpha + sol.objective_value * scale,
+        1.0 - _shortfall_slope(sol) * scale,
+        sol,
+    )
 
 
 def underline_d_of_alpha(problem: CvarProblem, model: MarketModel, alpha) -> float:
@@ -173,128 +165,99 @@ def underline_d_of_alpha(problem: CvarProblem, model: MarketModel, alpha) -> flo
     Returns 0 once the benchmark xbar - alpha is nonpositive, where no
     shortfall is possible and the mean constraint never conflicts.
     """
-    family = _EmbeddedFamily(problem, model)
-    if alpha >= family.xbar:
+    xbar = safe_level(problem, model)
+    if alpha >= xbar:
         return 0.0
-    return lpm.d_bounds(family._embedded(alpha), model)[0]
+    return lpm.d_bounds(_embedded(problem, xbar, alpha), model)[0]
 
 
 def j_value(problem: CvarProblem, model: MarketModel, alpha) -> float:
     """Objective J(alpha); +inf sentinel when the mean target is unattainable."""
-    return _EmbeddedFamily(problem, model).j(float(alpha))
+    try:
+        return _evaluate(problem, model, safe_level(problem, model), float(alpha))[0]
+    except TargetTooHigh:
+        return math.inf
 
 
-def search_alpha(
-    problem: CvarProblem,
-    model: MarketModel,
-    options: AlphaSearchOptions | None = None,
-) -> AlphaSearchTrace:
-    """Minimize J over alpha in [xbar - cap, xbar] and record the trace.
+def j_derivative(problem: CvarProblem, model: MarketModel, alpha) -> float:
+    """Exact J'(alpha) from the embedded solution (module docstring).
 
-    GoldenSection brackets the convex J directly.  PaperGradient walks a
-    forward-difference gradient kappa = (J(a + zeta) - J(a)) / zeta with
-    backtracking on the step so J never increases; iteration stops when
-    |kappa| <= grad_tol.  The descent update is alpha - step * kappa (the
-    sign that decreases J).  Raises MaxIterations with the best alpha so
-    far in the report when the gradient walk exhausts max_iter.
+    Raises TargetTooHigh when the mean target is unattainable.
     """
-    opts = options or AlphaSearchOptions()
-    family = _EmbeddedFamily(problem, model)
-    lo = family.xbar - problem.cap
-    hi = family.xbar
-    record: list[tuple[float, float]] = []
+    return _evaluate(problem, model, safe_level(problem, model), float(alpha))[1]
 
-    def j(alpha: float) -> float:
-        value = family.j(alpha)
-        record.append((alpha, value))
-        return value
 
-    if opts.method == GOLDEN_SECTION:
-        alpha_star = float(minimize_scalar_convex(j, lo, hi, tol=opts.golden_tol).root)
-        j_star = j(alpha_star)
-        return AlphaSearchTrace(
-            evaluated=tuple(record),
-            alpha_star=alpha_star,
-            j_star=j_star,
-            method=GOLDEN_SECTION,
-        )
-    if opts.method != PAPER_GRADIENT:
-        raise DomainError(f"unknown search method {opts.method!r}")
+def _search(problem: CvarProblem, model: MarketModel, xbar: float):
+    """(trace, embedded solution at alpha*) of the root search on J'."""
+    lo = xbar - problem.cap
+    evaluated = {}  # alpha -> (J, J', solution), in evaluation order
 
-    zeta = opts.fd_step if opts.fd_step is not None else 1e-5 * family.xbar
-    # keep alpha + zeta inside the window so the probe stays meaningful
-    clip = lambda a: min(max(a, lo), hi - zeta)
-    alpha = clip(opts.alpha0)
-    j_here = j(alpha)
-    kappa = math.inf
-    for _ in range(opts.max_iter):
-        kappa = (j(alpha + zeta) - j_here) / zeta
-        if abs(kappa) <= opts.grad_tol:
-            return AlphaSearchTrace(
-                evaluated=tuple(record),
-                alpha_star=alpha,
-                j_star=j_here,
-                method=PAPER_GRADIENT,
-            )
-        step = opts.step
-        moved = False
-        while step * abs(kappa) > 1e-15:
-            candidate = clip(alpha - step * kappa)
-            j_cand = j(candidate)
-            if j_cand <= j_here:
-                alpha, j_here, moved = candidate, j_cand, True
-                break
-            step *= 0.5
-        if not moved:
-            # no descent at any step length: alpha sits at the minimum
-            # within finite-difference resolution
-            return AlphaSearchTrace(
-                evaluated=tuple(record),
-                alpha_star=alpha,
-                j_star=j_here,
-                method=PAPER_GRADIENT,
-            )
-    raise MaxIterations(
-        f"gradient search for alpha* did not converge in {opts.max_iter} "
-        f"iterations (last |kappa|={abs(kappa):.3e})",
-        report=SolveReport(
-            root=alpha,
-            residual_norm=abs(kappa),
-            iterations=opts.max_iter,
-            converged=False,
-        ),
+    def slope(alpha: float) -> float:
+        if alpha not in evaluated:
+            evaluated[alpha] = _evaluate(problem, model, xbar, alpha)
+        return evaluated[alpha][1]
+
+    if slope(lo) >= 0.0:
+        alpha_star = lo
+    else:
+        # J' is monotone, negative at lo and 1 at xbar; where it jumps
+        # between embedded cases the root is the jump point
+        alpha_star = find_root_1d(slope, lo, xbar, tol=1e-12).root
+    j_star, _, embedded = evaluated[alpha_star]
+    trace = AlphaSearchTrace(
+        evaluated=tuple((a, v[0]) for a, v in evaluated.items()),
+        alpha_star=alpha_star,
+        j_star=j_star,
     )
+    return trace, embedded
 
 
-def solve_cvar(
-    problem: CvarProblem,
-    model: MarketModel,
-    options: AlphaSearchOptions | None = None,
-) -> CvarSolution:
+def search_alpha(problem: CvarProblem, model: MarketModel) -> AlphaSearchTrace:
+    """Find alpha* = argmin J over [xbar - cap, xbar] and record the trace.
+
+    alpha* is the VaR of the optimal loss.  It is the root of the exact
+    derivative
+
+        J'(alpha) = 1 - [1 - H_0(h) + eta (H_1(h) - H_1(delta))
+                         - lam (H_0(h) - H_0(delta))] / (1 - beta)
+
+    of the embedded solution at alpha, found by a bracketed 1-D root solve,
+    or xbar - cap when J'(xbar - cap) >= 0.  Raises TargetTooHigh when the
+    mean target is unattainable.
+    """
+    return _search(problem, model, safe_level(problem, model))[0]
+
+
+def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     """Solve the mean-CVaR problem end to end.
 
-    Searches for alpha*, then re-solves the embedded shortfall problem at
-    alpha* so the returned policy carries its multipliers, thresholds, and
-    case tag.  Raises TargetTooHigh when d is unattainable at the cap and
-    InfeasibleBudget when the budget already exceeds the capped payoff.
+    alpha* is the VaR of the optimal loss, found as the root of
+
+        J'(alpha) = 1 - [1 - H_0(h) + eta (H_1(h) - H_1(delta))
+                         - lam (H_0(h) - H_0(delta))] / (1 - beta)
+
+    on [xbar - cap, xbar].  The returned policy is the embedded shortfall
+    solution the search produced at alpha*, with its multipliers,
+    thresholds and case tag.  Raises TargetTooHigh when d is unattainable
+    at the cap and InfeasibleBudget when the budget already exceeds the
+    capped payoff.
     """
-    family = _EmbeddedFamily(problem, model)
-    probe = family._embedded(family.xbar - problem.cap)
-    d_low, d_high = lpm.d_bounds(probe, model)  # d_high does not depend on alpha
+    xbar = safe_level(problem, model)
+    probe = _embedded(problem, xbar, xbar - problem.cap)
+    d_high = lpm.d_bounds(probe, model)[1]  # does not depend on alpha
     if problem.d >= d_high:
         raise TargetTooHigh(
             f"mean target {problem.d} is not attainable below the cap "
             f"{problem.cap} (supremum {d_high:.6g})"
         )
-    trace = search_alpha(problem, model, options)
-    embedded = family.solution(trace.alpha_star)
+    trace, embedded = _search(problem, model, xbar)
     if embedded is None:
         raise DomainError(
             f"search returned alpha={trace.alpha_star} at or above the safe level"
         )
     return CvarSolution(
         problem=problem,
-        xbar=family.xbar,
+        xbar=xbar,
         alpha_star=trace.alpha_star,
         cvar=trace.j_star,
         policy=embedded,
@@ -315,7 +278,6 @@ def frontier(
     model: MarketModel,
     d_grid,
     beta: float | None = None,
-    options: AlphaSearchOptions | None = None,
 ) -> list[FrontierRow]:
     """One solve per mean target; infeasible rows keep a status, NaN values."""
     rows = []
@@ -324,7 +286,7 @@ def frontier(
             problem, d=float(d), beta=problem.beta if beta is None else beta
         )
         try:
-            solved = solve_cvar(instance, model, options)
+            solved = solve_cvar(instance, model)
         except (TargetTooHigh, InfeasibleBudget) as exc:
             rows.append(
                 FrontierRow(

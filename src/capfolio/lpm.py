@@ -45,7 +45,13 @@ from .errors import (
     TargetTooHigh,
 )
 from .kernels import PartialMomentContext, std_normal_pdf, truncated_exp_moment
-from .market import MarketModel, deflator_moments, expected_deflator
+from .market import (
+    MarketModel,
+    deflator_context,
+    deflator_moments,
+    expected_deflator,
+    gram_inverse_excess,
+)
 from .solvers import find_root_1d, solve_2d
 
 __all__ = [
@@ -189,11 +195,6 @@ def _h(ctx: PartialMomentContext, p: float, y: float) -> float:
     return kernels.partial_moment_H(ctx, p, y)
 
 
-def _context(model: MarketModel) -> PartialMomentContext:
-    mom = deflator_moments(model, 0.0)
-    return PartialMomentContext(mom.m, mom.nu)
-
-
 def _check_horizon(problem, model):
     if abs(problem.horizon - model.horizon) > 1e-12:
         raise ValueError(
@@ -212,7 +213,7 @@ def d_bounds(problem: LpmProblem, model: MarketModel):
     Raises InfeasibleBudget when x0 >= cap * E[z(T)].
     """
     _check_horizon(problem, model)
-    ctx = _context(model)
+    ctx = deflator_context(model)
     x0, gamma, cap, q = problem.x0, problem.gamma, problem.cap, problem.q
     ez = ctx.mean
     if x0 >= cap * ez:
@@ -247,7 +248,7 @@ def classify(problem: LpmProblem, model: MarketModel, bounds=None) -> str:
         )
     if problem.d > d_lower:
         return REGULAR
-    ctx = _context(model)
+    ctx = deflator_context(model)
     if problem.x0 < problem.gamma * ctx.mean:
         return DEGENERATE_LOW_TARGET
     return DEGENERATE_RICH
@@ -343,8 +344,10 @@ def _solve_regular_nested_q_le1(ctx, problem):
         )
 
     if x0 > gamma * ez:
+        # the rich threshold itself, as d_bounds computes it: there the upper
+        # threshold diverges and the mean gap is d_lower - d < 0, however
+        # close d sits to d_lower
         lo = kernels.invert_H1(ctx, (x0 - gamma * ez) / (cap - gamma))
-        lo *= 1.0 + 1e-11
     else:
         lo = delta_bar * 1e-13
     hi = delta_bar * (1.0 - 1e-11)
@@ -414,7 +417,7 @@ def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
 
 def _solve_case(problem, model):
     """(multipliers, delta, rho) for any case; rho None for DegenerateRich."""
-    ctx = _context(model)
+    ctx = deflator_context(model)
     bounds = d_bounds(problem, model)
     case = classify(problem, model, bounds)
     gamma, q, x0 = problem.gamma, problem.q, problem.x0
@@ -476,7 +479,7 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     """Full solve: bounds, classification, multipliers, objective, hit
     probability, assembled into an immutable PolicySolution."""
     _check_horizon(problem, model)
-    ctx = _context(model)
+    ctx = deflator_context(model)
     bounds = d_bounds(problem, model)
     mult, delta, rho = _solve_case(problem, model)
     gamma, q = problem.gamma, problem.q
@@ -613,14 +616,6 @@ def wealth(solution: PolicySolution, t, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _gram_inverse_excess(model, t):
-    """(sigma sigma')^{-1} (mu - r 1) at time t."""
-    s = model.segment_index(t)
-    vol = model.vol[s]
-    excess = model.drift[s] - model.rate[s]
-    return np.linalg.solve(vol @ vol.T, excess)
-
-
 def _standardized_levels(m, nu, z, level):
     """(ln(level / z) - m) / nu; -inf when level <= 0."""
     z = np.asarray(z, dtype=float)
@@ -673,7 +668,7 @@ def policy(solution: PolicySolution, t, z):
             (prob.cap - prob.gamma) * std_normal_pdf(u_lo - nu)
             + prob.gamma * std_normal_pdf(u_hi - nu)
         )
-    direction = _gram_inverse_excess(solution.model, t)
+    direction = gram_inverse_excess(solution.model, t)
     return np.multiply.outer(scale, direction)
 
 

@@ -25,6 +25,7 @@ from .errors import (
     NonpositiveHorizon,
     SingularVolatility,
 )
+from .kernels import PartialMomentContext
 
 __all__ = [
     "MarketModel",
@@ -33,7 +34,9 @@ __all__ = [
     "market_from_config",
     "market_price_of_risk",
     "deflator_moments",
+    "deflator_context",
     "expected_deflator",
+    "gram_inverse_excess",
 ]
 
 
@@ -221,6 +224,20 @@ def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
         m -= length * (model.rate[s] + 0.5 * theta_sq)
         nu_sq += length * theta_sq
     return DeflatorMoments(m=m, nu=math.sqrt(nu_sq), t=t)
+
+
+def deflator_context(model: MarketModel) -> PartialMomentContext:
+    """Partial-moment context of the terminal deflator, ln z(T) ~ N(m(0), nu(0)^2)."""
+    mom = deflator_moments(model, 0.0)
+    return PartialMomentContext(m0=mom.m, nu0=mom.nu)
+
+
+def gram_inverse_excess(model: MarketModel, t: float) -> np.ndarray:
+    """(sigma sigma')^{-1} (mu - r 1) at time t, the direction of every policy."""
+    s = model.segment_index(t)
+    vol = model.vol[s]
+    excess = model.drift[s] - model.rate[s]
+    return np.linalg.solve(vol @ vol.T, excess)
 
 
 def expected_deflator(model: MarketModel, t0: float, t1: float) -> float:

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PolicyUndefinedAtTerminal, SolverDiverged
-from .kernels import (
-    PartialMomentContext,
-    partial_moment_H,
-    std_normal_cdf,
-    truncated_exp_moment,
+from .kernels import partial_moment_H, std_normal_cdf, truncated_exp_moment
+from .lpm import TERMINAL_NU, Multipliers
+from .market import (
+    MarketModel,
+    deflator_context,
+    deflator_moments,
+    expected_deflator,
+    gram_inverse_excess,
 )
-from .lpm import TERMINAL_NU, Multipliers, _gram_inverse_excess
-from .market import MarketModel, deflator_moments, expected_deflator
 from .solvers import solve_2d
 
 MEAN_VARIANCE = "MeanVariance"
@@ -47,11 +48,6 @@ class MvProblem:
             raise DomainError(f"mean target must be positive, got {self.d}")
         if self.horizon <= 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
-
-
-def _context(model: MarketModel) -> PartialMomentContext:
-    mom = deflator_moments(model, 0.0)
-    return PartialMomentContext(m0=mom.m, nu0=mom.nu)
 
 
 def _residuals(ctx, x0, d, lam, eta):
@@ -79,7 +75,7 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
         raise DomainError(
             f"problem horizon {problem.horizon} != market horizon {model.horizon}"
         )
-    ctx = _context(model)
+    ctx = deflator_context(model)
     ez = expected_deflator(model, 0.0, model.horizon)
     if problem.d * ez <= problem.x0:
         raise DomainError(
@@ -117,7 +113,7 @@ def mv_terminal_wealth(mult: Multipliers, z):
 
 def mv_second_moment(mult: Multipliers, model: MarketModel) -> float:
     """E[(X*)^2] in closed form from partial moments of order 0, 1, 2."""
-    ctx = _context(model)
+    ctx = deflator_context(model)
     delta = mult.mean / mult.budget
     h0 = partial_moment_H(ctx, 0.0, delta)
     h1 = partial_moment_H(ctx, 1.0, delta)
@@ -168,5 +164,5 @@ def mv_policy(mult: Multipliers, model: MarketModel, t, z):
     u = (math.log(delta) - np.log(z) - mom.m) / mom.nu
     c2 = math.exp(2.0 * mom.m + 2.0 * mom.nu * mom.nu)
     scale = 0.5 * mult.budget * z * c2 * std_normal_cdf(u - 2.0 * mom.nu)
-    direction = _gram_inverse_excess(model, t)
+    direction = gram_inverse_excess(model, t)
     return np.multiply.outer(scale, direction)

@@ -1,6 +1,6 @@
-"""Generic numeric kernels: 1-D bracketed roots, damped 2-D Newton, golden
-section. Nothing in here knows about portfolios; the policy modules feed in
-their residual functions.
+"""Generic numeric kernels: 1-D bracketed roots and damped 2-D Newton.
+Nothing in here knows about portfolios; the policy modules feed in their
+residual functions.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import MaxIterations, NoSignChange, SingularJacobian
 
-__all__ = ["SolveReport", "find_root_1d", "solve_2d", "minimize_scalar_convex"]
+__all__ = ["SolveReport", "find_root_1d", "solve_2d"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -153,37 +153,3 @@ def solve_2d(F, x_init, tol=1e-10, max_iter=100):
         report=SolveReport(x, norm, max_iter, False),
     )
 
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_scalar_convex(g, lo, hi, tol=1e-8, max_iter=500):
-    """Golden-section minimization of a unimodal g on [lo, hi].
-
-    Shrinks the bracket geometrically until its width is at most tol and
-    returns the midpoint of the final interval.
-    """
-    a, b = float(lo), float(hi)
-    if not b > a:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    gc, gd = g(c), g(d)
-    it = 0
-    while b - a > tol:
-        it += 1
-        if it > max_iter:
-            raise MaxIterations(
-                f"bracket width {b - a:.3e} > {tol} after {max_iter} iterations",
-                report=SolveReport(0.5 * (a + b), b - a, it, False),
-            )
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _INV_PHI * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INV_PHI * (b - a)
-            gd = g(d)
-    mid = 0.5 * (a + b)
-    return SolveReport(mid, b - a, it, True)

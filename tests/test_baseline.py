@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from capfolio import baseline, simplex
+from capfolio import baseline
 from capfolio.errors import DomainError
 from capfolio.market import validate_market
 
@@ -141,17 +141,6 @@ def test_unreachable_mean_reported_infeasible():
     assert sol.status == baseline.INFEASIBLE
     assert sol.weights is None
     assert math.isnan(sol.objective)
-
-
-def test_bare_program_passthrough():
-    lp = simplex.make_lp([-1.0, -2.0], [[1.0, 1.0]], [1.0], upper=[1.0, 1.0])
-    sol = baseline.simplex_solve(lp)
-    assert sol.status == baseline.OPTIMAL
-    assert math.isnan(sol.alpha)
-    np.testing.assert_allclose(sol.weights, [0.0, 1.0], atol=1e-10)
-    assert sol.objective == pytest.approx(-2.0, abs=1e-10)
-    with pytest.raises(DomainError):
-        baseline.simplex_solve({"not": "an lp"})
 
 
 def test_solve_static_end_to_end(example1):

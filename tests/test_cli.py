@@ -313,6 +313,29 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, run",
+    [
+        (["--seed", "-1"], {}),
+        (["--seed", str(2**64)], {}),
+        (["--paths", "0"], {}),
+        (["--steps", "0"], {}),
+        (["--scenarios", "0"], {}),
+        ([], {"seed": 1.5}),
+        ([], {"t": -0.1}),
+        ([], {"t": 1.5}),
+        ([], {"t": "half"}),
+    ],
+)
+def test_exit_code_bad_run_block(tmp_path, capsys, flags, run):
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path), **run})
+    assert cli.main(["--config", cfg, "--cmd", "simulate", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "simulation.json").exists()
+
+
 def test_out_flag_redirects_artifacts(tmp_path):
     cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path / "ignored")})
     target = tmp_path / "chosen"

@@ -1,4 +1,4 @@
-"""Mean-CVaR reduction: embedded shortfall family, alpha search, frontier."""
+"""Mean-CVaR reduction: embedded shortfall family, exact J', alpha search, frontier."""
 import math
 
 import numpy as np
@@ -14,7 +14,6 @@ X0, CAP = 10.0, 100.0
 FROZEN_ALPHA = 0.235932
 FROZEN_CVAR = 0.242288
 FROZEN_EMBEDDED = (0.008962, 0.059872)
-FROZEN_GRADIENT_ALPHA = 0.235889
 
 FROZEN_XBAR = 10.161287  # x0 e^{rT} at r=0.016
 FROZEN_D_UPPER = 31.415302  # frozen independent-probe value
@@ -75,24 +74,51 @@ def test_budget_identity_of_embedded_policy(example2):
     assert lpm.expected_terminal_wealth(sol.policy) == pytest.approx(12.0, abs=1e-7)
 
 
-def test_gradient_search_agrees_with_golden_section(example2):
-    golden = cvar.solve_cvar(_problem(), example2)
-    grad = cvar.solve_cvar(
-        _problem(),
-        example2,
-        cvar.AlphaSearchOptions(method=cvar.PAPER_GRADIENT),
+@pytest.mark.parametrize(
+    "alpha", [-20.0, -5.0, 0.0, FROZEN_ALPHA - 0.05, FROZEN_ALPHA + 0.05]
+)
+def test_derivative_matches_central_differences(example2, alpha):
+    # covers the DegenerateLowTarget, Regular and DegenerateRich embedded cases
+    prob = _problem()
+    h = 1e-4
+    central = (
+        cvar.j_value(prob, example2, alpha + h) - cvar.j_value(prob, example2, alpha - h)
+    ) / (2.0 * h)
+    assert cvar.j_derivative(prob, example2, alpha) == pytest.approx(
+        central, rel=1e-6, abs=1e-6
     )
-    assert grad.trace.method == cvar.PAPER_GRADIENT
-    assert grad.alpha_star == pytest.approx(FROZEN_GRADIENT_ALPHA, abs=1e-4)
-    assert abs(grad.alpha_star - golden.alpha_star) < 5e-4
-    assert grad.cvar == pytest.approx(golden.cvar, abs=1e-6)
 
 
-def test_unknown_search_method_rejected(example2):
-    with pytest.raises(DomainError):
-        cvar.search_alpha(
-            _problem(), example2, cvar.AlphaSearchOptions(method="Bisection")
-        )
+def test_derivative_is_one_where_j_is_linear(example2):
+    # DegenerateRich embedded instances, then alpha beyond the safe level
+    prob = _problem()
+    for alpha in (1.0, 2.0, 5.0, FROZEN_XBAR + 1.0):
+        assert cvar.j_derivative(prob, example2, alpha) == 1.0
+
+
+def _assert_alpha_star_minimizes(prob, model):
+    sol = cvar.solve_cvar(prob, model)
+    lo, hi = sol.xbar - prob.cap, sol.xbar
+    assert cvar.j_value(prob, model, sol.alpha_star) == pytest.approx(sol.cvar, abs=1e-12)
+    for scale in (1e-6, 1e-4, 1e-2):
+        h = scale * sol.xbar
+        for probe in (sol.alpha_star - h, sol.alpha_star + h):
+            if lo <= probe <= hi:
+                assert cvar.j_value(prob, model, probe) >= sol.cvar
+
+
+@pytest.mark.parametrize("beta", [0.90, 0.95, 0.99])
+@pytest.mark.parametrize("d", [11.0, 12.0, 13.0])
+def test_alpha_star_minimizes_j(example2, beta, d):
+    _assert_alpha_star_minimizes(_problem(d=d, beta=beta), example2)
+
+
+@pytest.mark.parametrize("beta", [0.90, 0.99])
+def test_alpha_star_minimizes_j_single_asset(example1, beta):
+    # at beta = 0.99 the optimum sits on the jump of J' where the embedded
+    # instance turns rich
+    prob = cvar.CvarProblem(x0=1.0, d=1.2, cap=10.0, beta=beta, horizon=1.0)
+    _assert_alpha_star_minimizes(prob, example1)
 
 
 def test_j_value_convex_around_optimum(example2):
@@ -161,12 +187,11 @@ def test_target_too_high_is_alpha_independent(example2):
 
 def test_trace_records_evaluations(example2):
     sol = cvar.solve_cvar(_problem(), example2)
-    assert sol.trace.method == cvar.GOLDEN_SECTION
-    assert len(sol.trace.evaluated) > 10
     assert sol.trace.j_star == sol.cvar
+    assert (sol.alpha_star, sol.cvar) in sol.trace.evaluated
     alphas = [a for a, _ in sol.trace.evaluated]
-    assert min(alphas) >= FROZEN_XBAR - CAP - 1e-9
-    assert max(alphas) <= FROZEN_XBAR + 1e-9
+    assert min(alphas) >= sol.xbar - CAP
+    assert max(alphas) <= sol.xbar
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,18 @@ def test_degenerate_rich_case(example1):
     assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("rel", [1e-13, 1e-12, 3e-12, 1e-10])
+def test_target_just_above_rich_d_lower_solves(example1, rel):
+    # x0 > gamma E[z]: as d falls to d_lower the upper threshold diverges;
+    # the mean-CVaR search probes such targets at its case boundary
+    low, _ = lpm.d_bounds(_problem(1.0, gamma=1.0), example1)
+    prob = _problem(1.0, gamma=1.0, d=low * (1.0 + rel))
+    sol = lpm.solve_lpm(prob, example1)
+    assert sol.multipliers.case == lpm.REGULAR
+    assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=1e-10)
+    assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_rich_boundary_has_unique_solution(example1):
     # x0 == gamma E[z] exactly: rich case but no slack to randomize
     prob = _problem(1.0, d=1.0)

@@ -1,4 +1,4 @@
-"""Root finding, 2-D Newton, and golden-section behavior."""
+"""Root finding and 2-D Newton behavior."""
 import math
 
 import numpy as np
@@ -99,28 +99,6 @@ def test_solve_2d_budget_exhausted_keeps_best_iterate():
     assert exc_info.value.report.iterations == 2
 
 
-def test_golden_section_quadratic():
-    rep = solvers.minimize_scalar_convex(lambda x: (x - 1.3) ** 2, 0.0, 3.0)
-    assert rep.converged
-    assert rep.root == pytest.approx(1.3, abs=1e-7)
-    assert rep.residual_norm <= 1e-8
-
-
-def test_golden_section_boundary_minimum():
-    rep = solvers.minimize_scalar_convex(lambda x: x, 0.0, 1.0, tol=1e-10)
-    assert rep.root == pytest.approx(0.0, abs=1e-9)
-
-
-def test_golden_section_bad_bracket():
-    with pytest.raises(ValueError):
-        solvers.minimize_scalar_convex(lambda x: x * x, 1.0, 1.0)
-
-
-def test_golden_section_iteration_budget():
-    with pytest.raises(MaxIterations):
-        solvers.minimize_scalar_convex(lambda x: x * x, -1.0, 1.0, tol=1e-12, max_iter=3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(0.2, 3.0),
@@ -136,11 +114,3 @@ def test_find_root_monotone_cubic(a, b, c):
     assert rep.converged
     assert abs(f(rep.root)) < 1e-6
 
-
-@settings(max_examples=40, deadline=None)
-@given(center=st.floats(-4.0, 4.0), scale=st.floats(0.1, 5.0))
-def test_golden_section_finds_known_center(center, scale):
-    rep = solvers.minimize_scalar_convex(
-        lambda x: scale * (x - center) ** 2 + 1.0, -6.0, 6.0, tol=1e-9
-    )
-    assert rep.root == pytest.approx(max(-6.0, min(6.0, center)), abs=1e-6)
