@@ -1,4 +1,4 @@
-"""Scalar special functions underlying every closed form in the suite.
+"""Special functions underlying every closed form in the suite.
 
 The terminal deflator z(T) is lognormal, ln z(T) ~ N(m0, nu0^2). Everything
 the multiplier systems and wealth formulas need reduces to the standard
@@ -13,9 +13,15 @@ and the partial moments of z(T) built from it:
     K_p(y) = H_1(y) - H_{p+1}(y) / y^p
     J_p(y) = H_0(y) - H_p(y) / y^p
 
+Each function has one path. The scalar functions take and return floats and
+run on `math`; the multiplier solves, the inverses and every other quantity
+of one instance call them. The `*_array` functions take ndarrays and run on
+numpy and scipy's erfc; only the wealth and policy surfaces over a grid of
+deflator levels call them.
+
 H_p, K_p, J_p are nondecreasing in y (K_p and J_p are expectations of
 nonnegative integrands z(1-(z/y)^p)1 and (1-(z/y)^p)1), which makes the
-bracketed-bisection inverses below safe.
+bracketed Newton inverses below safe.
 """
 from __future__ import annotations
 
@@ -25,14 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .errors import DomainError, TargetOutOfRange
+from .errors import DomainError, MaxIterations, TargetOutOfRange
 
 __all__ = [
     "PartialMomentContext",
     "std_normal_cdf",
+    "std_normal_cdf_array",
     "std_normal_quantile",
     "std_normal_pdf",
+    "std_normal_pdf_array",
     "truncated_exp_moment",
+    "truncated_exp_moment_array",
     "partial_moment_H",
     "partial_moment_K",
     "partial_moment_J",
@@ -42,28 +51,38 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Newton iterations of one inversion before it gives up
+_MAX_NEWTON = 100
+#: |ln y| beyond which an inversion iterate is not taken; e^700 ~ 1e304
+_MAX_LOG_LEVEL = 700.0
 
 
-def std_normal_cdf(y):
+def std_normal_cdf(y: float) -> float:
     """Standard normal CDF via the complementary error function.
 
     Accurate to about 1e-15 relative in the body and deep into both tails,
     because erfc avoids the cancellation Phi(y) = 1 - Phi(-y) would cause.
-    Accepts scalars or arrays.
     """
-    y = np.asarray(y, dtype=float)
-    out = 0.5 * erfc(-y / _SQRT2)
-    return float(out) if np.ndim(out) == 0 else out
+    return 0.5 * math.erfc(-y / _SQRT2)
 
 
-def std_normal_pdf(y):
+def std_normal_cdf_array(y) -> np.ndarray:
+    """std_normal_cdf elementwise over an array."""
+    return 0.5 * erfc(-np.asarray(y, dtype=float) / _SQRT2)
+
+
+def std_normal_pdf(y: float) -> float:
     """Standard normal density."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * y * y)
+
+
+def std_normal_pdf_array(y) -> np.ndarray:
+    """std_normal_pdf elementwise over an array."""
     y = np.asarray(y, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * y * y)
-    return float(out) if np.ndim(out) == 0 else out
+    return _INV_SQRT_2PI * np.exp(-0.5 * y * y)
 
 
-def std_normal_quantile(p):
+def std_normal_quantile(p) -> float:
     """Inverse of std_normal_cdf on (0, 1).
 
     Raises DomainError outside the open interval.
@@ -74,7 +93,7 @@ def std_normal_quantile(p):
     return float(ndtri(p))
 
 
-def truncated_exp_moment(a, mu, v, dcut):
+def truncated_exp_moment(a: float, mu: float, v: float, dcut: float) -> float:
     """E[e^{aY} 1_{Y <= dcut}] for Y ~ N(mu, v^2).
 
     Parameters
@@ -83,25 +102,34 @@ def truncated_exp_moment(a, mu, v, dcut):
         Exponential tilt.
     mu, v : float
         Mean and standard deviation of Y, v >= 0.
-    dcut : float or ndarray
+    dcut : float
         Truncation point; +inf gives the untruncated moment
-        e^{a mu + a^2 v^2/2}, -inf gives 0. Broadcasts over arrays.
+        e^{a mu + a^2 v^2/2}, -inf gives 0.
 
     Notes
     -----
     At v = 0 the law is a point mass, so the value is e^{a mu} if mu <= dcut
-    and 0 otherwise.
+    and 0 otherwise. The upper moment E[e^{aY} 1_{Y > dcut}] is
+    truncated_exp_moment(-a, -mu, v, -dcut), the lower moment of -Y.
     """
+    if v < 0.0:
+        raise DomainError(f"standard deviation must be >= 0, got {v}")
+    if v == 0.0:
+        return math.exp(a * mu) if mu <= dcut else 0.0
+    full = math.exp(a * mu + 0.5 * a * a * v * v)
+    # (dcut - mu)/v - a*v evaluates fine at +-inf and the CDF saturates
+    return full * std_normal_cdf((dcut - mu) / v - a * v)
+
+
+def truncated_exp_moment_array(a: float, mu: float, v: float, dcut) -> np.ndarray:
+    """truncated_exp_moment elementwise over an array of truncation points."""
     if v < 0.0:
         raise DomainError(f"standard deviation must be >= 0, got {v}")
     dcut = np.asarray(dcut, dtype=float)
     if v == 0.0:
-        out = np.where(mu <= dcut, math.exp(a * mu), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(mu <= dcut, math.exp(a * mu), 0.0)
     full = math.exp(a * mu + 0.5 * a * a * v * v)
-    # (dcut - mu)/v - a*v evaluates fine at +-inf and the CDF saturates
-    out = full * std_normal_cdf((dcut - mu) / v - a * v)
-    return float(out) if np.ndim(out) == 0 else out
+    return full * std_normal_cdf_array((dcut - mu) / v - a * v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,11 +147,9 @@ class PartialMomentContext:
         if not self.nu0 > 0.0:
             raise DomainError(f"nu0 must be positive, got {self.nu0}")
 
-    def standardize(self, y):
-        """F(y) = (ln y - m0) / nu0, the z-score of the deflator level y."""
-        with np.errstate(divide="ignore"):
-            out = (np.log(np.asarray(y, dtype=float)) - self.m0) / self.nu0
-        return float(out) if np.ndim(out) == 0 else out
+    def standardize(self, y: float) -> float:
+        """F(y) = (ln y - m0) / nu0, the z-score of the deflator level y > 0."""
+        return (math.log(y) - self.m0) / self.nu0
 
     @property
     def mean(self) -> float:
@@ -131,22 +157,20 @@ class PartialMomentContext:
         return math.exp(self.m0 + 0.5 * self.nu0 * self.nu0)
 
 
-def partial_moment_H(ctx: PartialMomentContext, p, y):
+def partial_moment_H(ctx: PartialMomentContext, p: float, y: float) -> float:
     """H_p(y) = E[z^p 1_{z <= y}] = truncated_exp_moment(p, m0, nu0, ln y).
 
-    H_0 is the CDF of z(T). Requires y > 0 (DomainError otherwise) except
-    that y = +inf is allowed and gives the full moment.
+    H_0 is the CDF of z(T). Requires y > 0 (DomainError otherwise); y = +inf
+    gives the full moment.
     """
     if p < 0.0:
         raise DomainError(f"partial moment order must be >= 0, got {p}")
-    if y == math.inf:
-        return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.inf)
     if not y > 0.0:
         raise DomainError(f"partial moment level must be positive, got {y}")
     return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
 
 
-def partial_moment_K(ctx: PartialMomentContext, p, y):
+def partial_moment_K(ctx: PartialMomentContext, p: float, y: float) -> float:
     """K_p(y) = H_1(y) - H_{p+1}(y)/y^p, nondecreasing with sup E[z(T)]."""
     if not p > 0.0:
         raise DomainError(f"K_p needs p > 0, got {p}")
@@ -157,7 +181,7 @@ def partial_moment_K(ctx: PartialMomentContext, p, y):
     return partial_moment_H(ctx, 1.0, y) - partial_moment_H(ctx, p + 1.0, y) / y**p
 
 
-def partial_moment_J(ctx: PartialMomentContext, p, y):
+def partial_moment_J(ctx: PartialMomentContext, p: float, y: float) -> float:
     """J_p(y) = H_0(y) - H_p(y)/y^p, nondecreasing with sup 1."""
     if not p > 0.0:
         raise DomainError(f"J_p needs p > 0, got {p}")
@@ -168,57 +192,109 @@ def partial_moment_J(ctx: PartialMomentContext, p, y):
     return partial_moment_H(ctx, 0.0, y) - partial_moment_H(ctx, p, y) / y**p
 
 
-def _invert_monotone(f, target, sup, ctx, what):
-    """Invert a nondecreasing f with range (0, sup) by bracketed bisection.
+def _h1_start(ctx: PartialMomentContext, target: float) -> float:
+    """ln y with H_1(y) = target in closed form, H_1(y) = E[z] Phi(F(y) - nu0).
 
-    The bracket is seeded around the deflator's median e^{m0} and expanded
-    geometrically (4 log-spaced probes per side) until it straddles the
-    target; monotonicity guarantees this terminates for targets in range.
+    The quantile is taken of the smaller tail mass, so it keeps its accuracy
+    near both ends of the range.
     """
+    mass = target / ctx.mean
+    w = float(ndtri(mass)) if mass <= 0.5 else -float(ndtri(1.0 - mass))
+    return ctx.m0 + ctx.nu0 * (ctx.nu0 + w)
+
+
+def _invert_monotone(f, target, ctx, what):
+    """Solve f(y) = target for a nondecreasing f with range (0, E[z(T)]).
+
+    f(x, upper) takes x = ln y and returns (g, s): g = f(y), or the
+    complement E[z(T)] - f(y) when upper is set, each computed without
+    cancellation, and s = y f'(y). The solve is Newton in x on ln f for
+    targets up to half the range and on -ln(E[z] - f) above, each close to
+    linear or quadratic in the tail it serves. It starts from the
+    closed-form H_1 inverse of the target. Every evaluation narrows a
+    bracket [lo, hi] that starts as the whole axis, which is safe because f
+    runs from 0 to E[z]. A Newton step that leaves the bracket falls back to
+    bisection in x; while one side is still open, steps are capped by a
+    stride that starts at nu0 and doubles, the geometric bracket expansion.
+    Stops when the Newton step or the bracket is below 1e-12 in x, i.e.
+    1e-12 relative in y.
+
+    Raises TargetOutOfRange outside (0, E[z]) and MaxIterations when the
+    iteration budget runs out.
+    """
+    sup = ctx.mean
     if not 0.0 < target < sup:
         raise TargetOutOfRange(
             f"{what} target {target} outside the open range (0, {sup})"
         )
-    lo = hi = math.exp(ctx.m0)
-    flo = fhi = f(lo)
-    step = math.exp(ctx.nu0)
-    for _ in range(64):
-        if flo < target:
-            break
-        hi, fhi = lo, flo
-        lo /= step
-        flo = f(lo)
-        step *= step
-    step = math.exp(ctx.nu0)
-    for _ in range(64):
-        if fhi > target:
-            break
-        lo, flo = hi, fhi
-        hi *= step
-        fhi = f(hi)
-        step *= step
-    if not (flo < target < fhi or flo == target or fhi == target):
-        raise TargetOutOfRange(f"{what}: could not bracket target {target}")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # bisect in log space
-        if f(mid) < target:
-            lo = mid
+    upper = target > 0.5 * sup
+    level = math.log(sup - target) if upper else math.log(target)
+    lo, hi = -math.inf, math.inf
+    x = min(max(_h1_start(ctx, target), -_MAX_LOG_LEVEL), _MAX_LOG_LEVEL)
+    stride = ctx.nu0
+    for _ in range(_MAX_NEWTON):
+        g, s = f(x, upper)
+        if g > 0.0:
+            h = level - math.log(g) if upper else math.log(g) - level
+            step = -h * g / s if s > 0.0 else math.nan  # dh/dx = s / g
+        else:  # g underflowed: far left of the root (far right if upper)
+            h = math.inf if upper else -math.inf
+            step = math.nan
+        if h < 0.0:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+            hi = x
+        if abs(step) <= 1e-12:
+            return math.exp(x + step)
+        if math.isinf(lo) or math.isinf(hi):
+            if not abs(step) <= stride:
+                step = stride if h < 0.0 else -stride
+                stride *= 2.0
+            x = min(max(x + step, -_MAX_LOG_LEVEL), _MAX_LOG_LEVEL)
+        elif lo < x + step < hi:
+            x += step
+        else:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12:
+            return math.exp(x)
+    raise MaxIterations(f"{what}: no convergence for target {target}")
 
 
-def invert_K(ctx: PartialMomentContext, p, target):
-    """Unique y with K_p(y) = target, for target in (0, E[z(T)])."""
-    return _invert_monotone(
-        lambda y: partial_moment_K(ctx, p, y), target, ctx.mean, ctx, "invert_K"
-    )
+def invert_K(ctx: PartialMomentContext, p: float, target: float) -> float:
+    """Unique y with K_p(y) = target, for target in (0, E[z(T)]).
+
+    Newton uses dK_p/dy = p H_{p+1}(y) / y^{p+1}; the complement of K_p is
+    E[z 1_{z > y}] + H_{p+1}(y) / y^p. The H_1 start is a lower bound of the
+    root because K_p <= H_1, so the iterates never go below it.
+    """
+    if not p > 0.0:
+        raise DomainError(f"K_p needs p > 0, got {p}")
+    m0, nu0 = ctx.m0, ctx.nu0
+
+    def k_and_slope(x, upper):
+        tail = truncated_exp_moment(p + 1.0, m0, nu0, x) * math.exp(-p * x)
+        if upper:
+            return truncated_exp_moment(-1.0, -m0, nu0, -x) + tail, p * tail
+        return truncated_exp_moment(1.0, m0, nu0, x) - tail, p * tail
+
+    return _invert_monotone(k_and_slope, target, ctx, "invert_K")
 
 
-def invert_H1(ctx: PartialMomentContext, target):
-    """Unique y with H_1(y) = target, for target in (0, E[z(T)])."""
-    return _invert_monotone(
-        lambda y: partial_moment_H(ctx, 1.0, y), target, ctx.mean, ctx, "invert_H1"
-    )
+def invert_H1(ctx: PartialMomentContext, target: float) -> float:
+    """Unique y with H_1(y) = target, for target in (0, E[z(T)]).
+
+    Newton uses dH_1/dy = phi(F(y)) / nu0. It starts from the closed form,
+    so it mostly stops after one evaluation, at the root of H_1 as
+    partial_moment_H computes it.
+    """
+    m0, nu0, mean = ctx.m0, ctx.nu0, ctx.mean
+
+    def h1_and_slope(x, upper):
+        w = (x - m0) / nu0 - nu0
+        # y H_1'(y) = y phi(F(y)) / nu0 = E[z] phi(F(y) - nu0) / nu0
+        slope = mean * _INV_SQRT_2PI * math.exp(-0.5 * w * w) / nu0
+        if upper:
+            return truncated_exp_moment(-1.0, -m0, nu0, -x), slope
+        return truncated_exp_moment(1.0, m0, nu0, x), slope
+
+    return _invert_monotone(h1_and_slope, target, ctx, "invert_H1")

@@ -44,7 +44,12 @@ from .errors import (
     TargetOutOfRange,
     TargetTooHigh,
 )
-from .kernels import PartialMomentContext, std_normal_pdf, truncated_exp_moment
+from .kernels import (
+    PartialMomentContext,
+    std_normal_pdf_array,
+    truncated_exp_moment,
+    truncated_exp_moment_array,
+)
 from .market import (
     MarketModel,
     deflator_context,
@@ -192,7 +197,7 @@ def _h(ctx: PartialMomentContext, p: float, y: float) -> float:
     """Partial moment H_p(y) extended by H_p(y) = 0 for y <= 0."""
     if y <= 0.0:
         return 0.0
-    return kernels.partial_moment_H(ctx, p, y)
+    return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
 
 
 def _check_horizon(problem, model):
@@ -213,7 +218,11 @@ def d_bounds(problem: LpmProblem, model: MarketModel):
     Raises InfeasibleBudget when x0 >= cap * E[z(T)].
     """
     _check_horizon(problem, model)
-    ctx = deflator_context(model)
+    return _bounds(deflator_context(model), problem)
+
+
+def _bounds(ctx: PartialMomentContext, problem: LpmProblem):
+    """d_bounds on a prebuilt deflator context."""
     x0, gamma, cap, q = problem.x0, problem.gamma, problem.cap, problem.q
     ez = ctx.mean
     if x0 >= cap * ez:
@@ -239,16 +248,21 @@ def d_bounds(problem: LpmProblem, model: MarketModel):
     return d_lower, d_upper
 
 
-def classify(problem: LpmProblem, model: MarketModel, bounds=None) -> str:
+def classify(problem: LpmProblem, model: MarketModel) -> str:
     """Case tag for the instance; raises TargetTooHigh when d >= d_upper."""
-    d_lower, d_upper = bounds if bounds is not None else d_bounds(problem, model)
+    _check_horizon(problem, model)
+    ctx = deflator_context(model)
+    return _classify(ctx, problem, _bounds(ctx, problem))
+
+
+def _classify(ctx: PartialMomentContext, problem: LpmProblem, bounds) -> str:
+    d_lower, d_upper = bounds
     if problem.d >= d_upper:
         raise TargetTooHigh(
             f"target d = {problem.d} is not below d_upper = {d_upper}"
         )
     if problem.d > d_lower:
         return REGULAR
-    ctx = deflator_context(model)
     if problem.x0 < problem.gamma * ctx.mean:
         return DEGENERATE_LOW_TARGET
     return DEGENERATE_RICH
@@ -404,22 +418,35 @@ def _solve_regular_nested_q2(ctx, problem):
 def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
     """Solve for the Lagrange pair of the classified instance.
 
-    Regular instances run a damped Newton on the threshold coordinates
-    (delta, rho), in logs so both stay positive, from the starting point
-    delta = H_1^{-1}(x0 / cap), rho = 1; a monotone nested 1-D solve is the
-    fallback. Degenerate instances have one-line closed forms.
+    Regular instances with q <= 1 are solved by the exact monotone 1-D
+    reduction: the budget equation pins the upper threshold given delta, and
+    the mean equation is bracketed in delta. For q = 2 a damped Newton runs
+    on the threshold coordinates (delta, rho), in logs so both stay
+    positive, from delta = H_1^{-1}(x0 / cap), rho = 1; a nested 1-D solve
+    is its fallback. Degenerate instances have one-line closed forms.
 
-    Raises SolverDiverged when both Regular paths fail.
+    Raises SolverDiverged when the Regular solve fails.
     """
-    mult, _, _ = _solve_case(problem, model)
+    _check_horizon(problem, model)
+    ctx = deflator_context(model)
+    mult, _, _ = _solve_case(problem, ctx, _bounds(ctx, problem))
     return mult
 
 
-def _solve_case(problem, model):
+def _solve_regular_q2(ctx, problem):
+    """Damped Newton for q = 2, falling back to the nested 1-D solve."""
+    try:
+        delta, rho = _solve_regular_newton(ctx, problem)
+        if _residuals_ok(ctx, problem, delta, rho):
+            return delta, rho
+    except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange):
+        pass
+    return _solve_regular_nested_q2(ctx, problem)
+
+
+def _solve_case(problem, ctx, bounds):
     """(multipliers, delta, rho) for any case; rho None for DegenerateRich."""
-    ctx = deflator_context(model)
-    bounds = d_bounds(problem, model)
-    case = classify(problem, model, bounds)
+    case = _classify(ctx, problem, bounds)
     gamma, q, x0 = problem.gamma, problem.q, problem.x0
 
     if case == DEGENERATE_RICH:
@@ -440,30 +467,18 @@ def _solve_case(problem, model):
         _, budget_mult = _thresholds_to_multipliers(problem, 0.0, rho)
         return Multipliers(0.0, budget_mult, case), 0.0, rho
 
-    # Regular
-    last_exc = None
     try:
-        delta, rho = _solve_regular_newton(ctx, problem)
-    except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange) as exc:
-        last_exc = exc
-        delta = None
-    if delta is not None and not _residuals_ok(ctx, problem, delta, rho):
-        delta = None
-    if delta is None:
-        try:
-            if q == 2.0:
-                delta, rho = _solve_regular_nested_q2(ctx, problem)
-            else:
-                delta, rho = _solve_regular_nested_q_le1(ctx, problem)
-        except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
-            raise SolverDiverged(
-                f"multiplier solve failed for {problem}: {exc}",
-                report=getattr(exc, "report", None),
-            ) from (last_exc or exc)
-        if not _residuals_ok(ctx, problem, delta, rho):
-            raise SolverDiverged(
-                f"fallback residuals too large for {problem}"
-            )
+        if q == 2.0:
+            delta, rho = _solve_regular_q2(ctx, problem)
+        else:
+            delta, rho = _solve_regular_nested_q_le1(ctx, problem)
+    except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
+        raise SolverDiverged(
+            f"multiplier solve failed for {problem}: {exc}",
+            report=getattr(exc, "report", None),
+        ) from exc
+    if not _residuals_ok(ctx, problem, delta, rho):
+        raise SolverDiverged(f"residuals too large for {problem}")
     mean_mult, budget_mult = _thresholds_to_multipliers(problem, delta, rho)
     return Multipliers(mean_mult, budget_mult, case), delta, rho
 
@@ -480,8 +495,8 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     probability, assembled into an immutable PolicySolution."""
     _check_horizon(problem, model)
     ctx = deflator_context(model)
-    bounds = d_bounds(problem, model)
-    mult, delta, rho = _solve_case(problem, model)
+    bounds = _bounds(ctx, problem)
+    mult, delta, rho = _solve_case(problem, ctx, bounds)
     gamma, q = problem.gamma, problem.q
 
     if mult.case == DEGENERATE_RICH:
@@ -519,28 +534,25 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     )
 
 
-def terminal_wealth(solution: PolicySolution, z):
-    """Optimal terminal wealth X*(z); broadcasts over z arrays."""
+def terminal_wealth(solution: PolicySolution, z) -> np.ndarray:
+    """Optimal terminal wealth X*(z), an array of the shape of z."""
     z = np.asarray(z, dtype=float)
     prob = solution.problem
     delta = solution.delta
     if solution.multipliers.case == DEGENERATE_RICH:
-        out = np.where(z <= delta, prob.cap, prob.gamma)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(z <= delta, prob.cap, prob.gamma)
     hi = delta + solution.rho
     if prob.q == 2.0:
         eta = solution.multipliers.budget
         mid = prob.gamma - 0.5 * eta * (z - delta)
-        out = np.select(
+        return np.select(
             [z <= delta, z <= hi], [np.full_like(z, prob.cap), mid], default=0.0
         )
-    else:
-        out = np.select(
-            [z <= delta, z <= hi],
-            [np.full_like(z, prob.cap), np.full_like(z, prob.gamma)],
-            default=0.0,
-        )
-    return float(out) if np.ndim(out) == 0 else out
+    return np.select(
+        [z <= delta, z <= hi],
+        [np.full_like(z, prob.cap), np.full_like(z, prob.gamma)],
+        default=0.0,
+    )
 
 
 def expected_terminal_wealth(solution: PolicySolution) -> float:
@@ -573,11 +585,11 @@ def _tilted_mass(a, m, nu, z, level):
         return np.zeros_like(np.asarray(z, dtype=float))
     with np.errstate(divide="ignore"):
         cut = math.log(level) - np.log(np.asarray(z, dtype=float))
-    return truncated_exp_moment(a, m, nu, cut)
+    return truncated_exp_moment_array(a, m, nu, cut)
 
 
-def wealth(solution: PolicySolution, t, z):
-    """Optimal wealth x*(t, z) for 0 <= t <= T; broadcasts over z.
+def wealth(solution: PolicySolution, t, z) -> np.ndarray:
+    """Optimal wealth x*(t, z) for 0 <= t <= T, an array of the shape of z.
 
     Within TERMINAL_NU of the horizon the formula degenerates to the
     terminal payoff and that limit is returned.
@@ -591,10 +603,9 @@ def wealth(solution: PolicySolution, t, z):
 
     if solution.multipliers.case == DEGENERATE_RICH:
         disc = expected_deflator(solution.model, t, solution.model.horizon)
-        out = (prob.cap - prob.gamma) * _tilted_mass(
+        return (prob.cap - prob.gamma) * _tilted_mass(
             1.0, m, nu, z, delta
         ) + prob.gamma * disc
-        return float(out) if np.ndim(out) == 0 else out
 
     hi = delta + solution.rho
     if prob.q == 2.0:
@@ -604,16 +615,14 @@ def wealth(solution: PolicySolution, t, z):
         g2_lo = _tilted_mass(2.0, m, nu, z, delta)
         g2_hi = _tilted_mass(2.0, m, nu, z, hi)
         mid = prob.gamma + 0.5 * eta * delta
-        out = (
+        return (
             prob.cap * g1_lo
             + mid * (g1_hi - g1_lo)
             - 0.5 * eta * z * (g2_hi - g2_lo)
         )
-    else:
-        out = (prob.cap - prob.gamma) * _tilted_mass(
-            1.0, m, nu, z, delta
-        ) + prob.gamma * _tilted_mass(1.0, m, nu, z, hi)
-    return float(out) if np.ndim(out) == 0 else out
+    return (prob.cap - prob.gamma) * _tilted_mass(
+        1.0, m, nu, z, delta
+    ) + prob.gamma * _tilted_mass(1.0, m, nu, z, hi)
 
 
 def _standardized_levels(m, nu, z, level):
@@ -644,7 +653,7 @@ def policy(solution: PolicySolution, t, z):
 
     if solution.multipliers.case == DEGENERATE_RICH:
         u_lo = _standardized_levels(m, nu, z, delta)
-        scale = (c1 / nu) * (prob.cap - prob.gamma) * std_normal_pdf(u_lo - nu)
+        scale = (c1 / nu) * (prob.cap - prob.gamma) * std_normal_pdf_array(u_lo - nu)
     elif prob.q == 2.0:
         eta = solution.multipliers.budget
         hi = delta + solution.rho
@@ -656,8 +665,8 @@ def policy(solution: PolicySolution, t, z):
         scale = (
             (c1 / nu)
             * (prob.cap - prob.gamma - 0.5 * eta * delta)
-            * std_normal_pdf(u_lo - nu)
-            + 0.5 * eta * z * (c2 / nu) * std_normal_pdf(u_lo - 2.0 * nu)
+            * std_normal_pdf_array(u_lo - nu)
+            + 0.5 * eta * z * (c2 / nu) * std_normal_pdf_array(u_lo - 2.0 * nu)
             + 0.5 * eta * z * g2_gap
         )
     else:
@@ -665,8 +674,8 @@ def policy(solution: PolicySolution, t, z):
         u_lo = _standardized_levels(m, nu, z, delta)
         u_hi = _standardized_levels(m, nu, z, hi)
         scale = (c1 / nu) * (
-            (prob.cap - prob.gamma) * std_normal_pdf(u_lo - nu)
-            + prob.gamma * std_normal_pdf(u_hi - nu)
+            (prob.cap - prob.gamma) * std_normal_pdf_array(u_lo - nu)
+            + prob.gamma * std_normal_pdf_array(u_hi - nu)
         )
     direction = gram_inverse_excess(solution.model, t)
     return np.multiply.outer(scale, direction)

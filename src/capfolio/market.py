@@ -221,8 +221,8 @@ def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
             continue
         theta = _segment_theta(model, s)
         theta_sq = float(theta @ theta)
-        m -= length * (model.rate[s] + 0.5 * theta_sq)
-        nu_sq += length * theta_sq
+        m -= float(length * (model.rate[s] + 0.5 * theta_sq))
+        nu_sq += float(length * theta_sq)
     return DeflatorMoments(m=m, nu=math.sqrt(nu_sq), t=t)
 
 

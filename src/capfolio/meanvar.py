@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PolicyUndefinedAtTerminal, SolverDiverged
-from .kernels import partial_moment_H, std_normal_cdf, truncated_exp_moment
+from .kernels import (
+    partial_moment_H,
+    std_normal_cdf_array,
+    truncated_exp_moment_array,
+)
 from .lpm import TERMINAL_NU, Multipliers
 from .market import (
     MarketModel,
@@ -104,11 +108,10 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     return Multipliers(mean=lam, budget=eta, case=MEAN_VARIANCE)
 
 
-def mv_terminal_wealth(mult: Multipliers, z):
-    """Optimal terminal payoff (lam - eta z)^+ / 2; broadcasts over z."""
+def mv_terminal_wealth(mult: Multipliers, z) -> np.ndarray:
+    """Optimal terminal payoff (lam - eta z)^+ / 2, an array of the shape of z."""
     z = np.asarray(z, dtype=float)
-    out = np.maximum(0.5 * (mult.mean - mult.budget * z), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.maximum(0.5 * (mult.mean - mult.budget * z), 0.0)
 
 
 def mv_second_moment(mult: Multipliers, model: MarketModel) -> float:
@@ -127,8 +130,8 @@ def mv_variance(mult: Multipliers, model: MarketModel, d: float) -> float:
     return mv_second_moment(mult, model) - d * d
 
 
-def mv_wealth(mult: Multipliers, model: MarketModel, t, z):
-    """Wealth x*(t, z) of the mean-variance policy; broadcasts over z.
+def mv_wealth(mult: Multipliers, model: MarketModel, t, z) -> np.ndarray:
+    """Wealth x*(t, z) of the mean-variance policy, an array of the shape of z.
 
     Within TERMINAL_NU of the horizon the terminal payoff is returned.
     """
@@ -139,10 +142,9 @@ def mv_wealth(mult: Multipliers, model: MarketModel, t, z):
     delta = mult.mean / mult.budget
     with np.errstate(divide="ignore"):
         cut = math.log(delta) - np.log(z)
-    g1 = truncated_exp_moment(1.0, mom.m, mom.nu, cut)
-    g2 = truncated_exp_moment(2.0, mom.m, mom.nu, cut)
-    out = 0.5 * (mult.mean * g1 - mult.budget * z * g2)
-    return float(out) if np.ndim(out) == 0 else out
+    g1 = truncated_exp_moment_array(1.0, mom.m, mom.nu, cut)
+    g2 = truncated_exp_moment_array(2.0, mom.m, mom.nu, cut)
+    return 0.5 * (mult.mean * g1 - mult.budget * z * g2)
 
 
 def mv_policy(mult: Multipliers, model: MarketModel, t, z):
@@ -163,6 +165,6 @@ def mv_policy(mult: Multipliers, model: MarketModel, t, z):
     delta = mult.mean / mult.budget
     u = (math.log(delta) - np.log(z) - mom.m) / mom.nu
     c2 = math.exp(2.0 * mom.m + 2.0 * mom.nu * mom.nu)
-    scale = 0.5 * mult.budget * z * c2 * std_normal_cdf(u - 2.0 * mom.nu)
+    scale = 0.5 * mult.budget * z * c2 * std_normal_cdf_array(u - 2.0 * mom.nu)
     direction = gram_inverse_excess(model, t)
     return np.multiply.outer(scale, direction)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from capfolio import kernels
+from capfolio import kernels, market
 from capfolio.errors import DomainError, TargetOutOfRange
 
 # Standard normal CDF at 64 fixed probes, frozen from a 50-digit
@@ -90,7 +90,11 @@ def test_normal_cdf_against_frozen_reference():
 def test_normal_cdf_vectorized_matches_scalar():
     ys = np.array([y for y, _ in _PHI_TABLE])
     refs = np.array([v for _, v in _PHI_TABLE])
-    np.testing.assert_allclose(kernels.std_normal_cdf(ys), refs, atol=1e-14)
+    vec = kernels.std_normal_cdf_array(ys)
+    np.testing.assert_allclose(vec, refs, atol=1e-14)
+    for y, got in zip(ys, vec):
+        want = kernels.std_normal_cdf(float(y))
+        assert want == pytest.approx(got, rel=1e-13, abs=0.0), y
 
 
 def test_normal_cdf_deep_tail_relative_accuracy():
@@ -167,10 +171,41 @@ def test_truncated_exp_moment_point_mass():
 
 def test_truncated_exp_moment_broadcasts():
     cuts = np.array([-math.inf, 0.0, 1.0, math.inf])
-    out = kernels.truncated_exp_moment(1.0, 0.0, 1.0, cuts)
+    out = kernels.truncated_exp_moment_array(1.0, 0.0, 1.0, cuts)
     assert out.shape == (4,)
     assert out[0] == 0.0
     assert np.all(np.diff(out) > 0.0)
+
+
+def test_truncated_exp_moment_scalar_matches_array():
+    # math.erfc and scipy's erfc differ by at most ~7e-14 relative, in the
+    # tails; below 1e-300 the two may round a subnormal result differently
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        a = rng.uniform(-3.0, 3.0)
+        mu = rng.uniform(-2.0, 2.0)
+        v = rng.choice([0.0, rng.uniform(0.01, 3.0)])
+        z = np.concatenate([rng.uniform(-30.0, 30.0, 20), [-8.0, 8.0]])
+        cuts = np.concatenate([mu + z * max(v, 0.1), [-math.inf, math.inf, mu]])
+        vec = kernels.truncated_exp_moment_array(a, mu, v, cuts)
+        for cut, got in zip(cuts, vec):
+            want = kernels.truncated_exp_moment(a, mu, v, float(cut))
+            assert want == pytest.approx(got, rel=1e-13, abs=1e-300), (a, mu, v, cut)
+
+
+def test_partial_moment_h_scalar_matches_array():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        ctx = kernels.PartialMomentContext(
+            m0=rng.uniform(-4.5, 0.5), nu0=rng.uniform(0.05, 3.0)
+        )
+        p = rng.choice([0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)])
+        u = np.concatenate([rng.uniform(-12.0, 12.0, 20), [-38.0, 38.0]])
+        ys = np.concatenate([np.exp(ctx.m0 + ctx.nu0 * u), [math.inf]])
+        vec = kernels.truncated_exp_moment_array(p, ctx.m0, ctx.nu0, np.log(ys))
+        for y, got in zip(ys, vec):
+            want = kernels.partial_moment_H(ctx, p, float(y))
+            assert want == pytest.approx(got, rel=1e-13, abs=1e-300), (ctx, p, y)
 
 
 def test_context_rejects_degenerate_sd():
@@ -257,6 +292,60 @@ def test_invert_k_round_trip():
         for y0 in [0.4, 0.9, 1.8]:
             target = kernels.partial_moment_K(_CTX, p, y0)
             assert kernels.invert_K(_CTX, p, target) == pytest.approx(y0, rel=1e-9)
+
+
+def _contexts():
+    """Deflator laws of examples 1 and 2 and of the high-Sharpe stress market."""
+    ex2_mu = [0.1346, 0.0530, 0.1722]
+    ex2_sigma = [
+        [0.1428, 0.0094, 0.1002],
+        [0.0094, 0.0728, 0.0031],
+        [0.1002, 0.0031, 0.2353],
+    ]
+    models = [
+        market.validate_market(1.0, 0.06, 0.12, 0.15),
+        market.validate_market(1.0, 0.016, ex2_mu, ex2_sigma),
+        market.validate_market(1.0, 0.02, 0.6, 0.2),
+    ]
+    return [_CTX] + [market.deflator_context(m) for m in models]
+
+
+def test_invert_round_trip_to_rounding():
+    for ctx in _contexts():
+        for u in [-4.0, -2.0, -0.5, 0.0, 1.0, 2.0, 4.0]:
+            y0 = math.exp(ctx.m0 + ctx.nu0 * u)
+            target = kernels.partial_moment_H(ctx, 1.0, y0)
+            assert kernels.invert_H1(ctx, target) == pytest.approx(y0, rel=1e-12)
+            for p in [0.5, 1.0, 2.0]:
+                target = kernels.partial_moment_K(ctx, p, y0)
+                assert kernels.invert_K(ctx, p, target) == pytest.approx(
+                    y0, rel=1e-12
+                )
+
+
+def test_invert_kernel_evaluations_per_inversion(monkeypatch):
+    calls = []
+    original = kernels.truncated_exp_moment
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # every H_p evaluation of the inverses runs through this kernel
+    monkeypatch.setattr(kernels, "truncated_exp_moment", counted)
+    fractions = np.concatenate(
+        [np.geomspace(1e-6, 0.5, 25), 1.0 - np.geomspace(0.5, 1e-9, 25)[1:]]
+    )
+    for ctx in _contexts()[1:]:
+        for frac in fractions:
+            target = frac * ctx.mean
+            calls.clear()
+            kernels.invert_H1(ctx, target)
+            assert 1 <= len(calls) <= 3, (ctx, frac, len(calls))  # closed-form start
+            for p in [0.5, 1.0, 2.0]:
+                calls.clear()
+                kernels.invert_K(ctx, p, target)
+                assert 2 <= len(calls) <= 20, (ctx, p, frac, len(calls))
 
 
 def test_invert_rejects_out_of_range_targets():
