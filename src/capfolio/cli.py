@@ -103,6 +103,19 @@ def _build_problem(block: dict, model: market.MarketModel):
     )
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (booleans excluded)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+    )
+
+
+def _number_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
 def _validate_run(run: dict, horizon: float) -> None:
     """Reject run-block values no command can use, before any solve starts."""
     for name, low in (("seed", 0), ("paths", 1), ("steps", 1), ("scenarios", 1)):
@@ -111,9 +124,37 @@ def _validate_run(run: dict, horizon: float) -> None:
             raise ConfigError(f"run.{name} must be an integer >= {low}, got {value!r}")
     if run["seed"] >= 2**64:  # the seed keys a Philox stream of uint64 words
         raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
+    if not isinstance(run["out"], str):
+        raise ConfigError(f"run.out must be a directory path, got {run['out']!r}")
     t = run.get("t", 0.0)
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= horizon:
+    if not (_is_number(t) and 0.0 <= t <= horizon):
         raise ConfigError(f"run.t must be a finite time in [0, {horizon}], got {t!r}")
+    d_grid = run.get("d_grid", [])
+    if not _number_list(d_grid):
+        raise ConfigError(f"run.d_grid must be a list of finite numbers, got {d_grid!r}")
+    betas = run.get("betas") or []
+    if not (_number_list(betas) and all(0.0 < b < 1.0 for b in betas)):
+        raise ConfigError(f"run.betas must be a list of levels in (0, 1), got {betas!r}")
+    window = run.get("z_grid") or {}
+    if not isinstance(window, dict):
+        raise ConfigError(f"run.z_grid must be an object, got {window!r}")
+    points = window.get("points", [])
+    if not (_number_list(points) and all(z > 0.0 for z in points)):
+        raise ConfigError(f"run.z_grid.points must be positive numbers, got {points!r}")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ConfigError("run.z_grid.points must be strictly ascending")
+    for name in ("lo", "hi"):
+        if name in window and not (_is_number(window[name]) and window[name] > 0.0):
+            raise ConfigError(
+                f"run.z_grid.{name} must be a positive number, got {window[name]!r}"
+            )
+    count = window.get("count", 400)
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(f"run.z_grid.count must be an integer >= 1, got {count!r}")
+    if window.get("spacing", "log") not in ("log", "linear"):
+        raise ConfigError(
+            f"run.z_grid.spacing must be 'log' or 'linear', got {window['spacing']!r}"
+        )
 
 
 def load_config(path, overrides: dict) -> RunConfig:
@@ -129,6 +170,9 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "market" not in raw or "problem" not in raw:
         raise ConfigError("config needs 'market' and 'problem' blocks")
+    for name in ("problem", "run"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ConfigError(f"{name} must be an object, got {raw[name]!r}")
 
     problem_block = dict(raw["problem"])
     run = {**_RUN_DEFAULTS, **raw.get("run", {})}
@@ -303,10 +347,7 @@ def _policy_time(config: RunConfig) -> float:
 def _z_grid(config: RunConfig, t: float) -> np.ndarray:
     window = config.run.get("z_grid") or {}
     if "points" in window:
-        grid = np.asarray(window["points"], dtype=float).ravel()
-        if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-            raise ConfigError("z_grid.points must be strictly ascending")
-        return grid
+        return np.asarray(window["points"], dtype=float)
     # default window: +-4 standard deviations of ln z(t)
     full = market.deflator_moments(config.model, 0.0)
     rest = market.deflator_moments(config.model, t)
@@ -314,17 +355,14 @@ def _z_grid(config: RunConfig, t: float) -> np.ndarray:
     sd_t = math.sqrt(max(full.nu**2 - rest.nu**2, 0.0))
     lo = float(window.get("lo", math.exp(mean_t - 4.0 * sd_t)))
     hi = float(window.get("hi", math.exp(mean_t + 4.0 * sd_t)))
-    count = int(window.get("count", 400))
-    spacing = window.get("spacing", "log")
-    if count < 1 or hi < lo or lo <= 0.0:
-        raise ConfigError(f"bad z_grid window [{lo}, {hi}] with count {count}")
+    count = window.get("count", 400)
+    if hi < lo:
+        raise ConfigError(f"bad z_grid window [{lo}, {hi}]")
     if hi == lo or count == 1:
         return np.array([lo])
-    if spacing == "log":
+    if window.get("spacing", "log") == "log":
         return np.geomspace(lo, hi, count)
-    if spacing == "linear":
-        return np.linspace(lo, hi, count)
-    raise ConfigError(f"z_grid.spacing must be 'log' or 'linear', got {spacing!r}")
+    return np.linspace(lo, hi, count)
 
 
 def cmd_policy_table(config: RunConfig) -> int:

@@ -170,6 +170,16 @@ def partial_moment_H(ctx: PartialMomentContext, p: float, y: float) -> float:
     return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
 
 
+def _h_over_power(ctx: PartialMomentContext, a: float, p: float, x: float) -> float:
+    """H_a(y) / y^p at x = ln y, for a in {p, p + 1}.
+
+    It is taken through ln H_a(y), so it stays finite where y^p underflows
+    or overflows; the quotient itself never exceeds H_0(y) or H_1(y).
+    """
+    h = truncated_exp_moment(a, ctx.m0, ctx.nu0, x)
+    return math.exp(math.log(h) - p * x) if h > 0.0 else 0.0
+
+
 def partial_moment_K(ctx: PartialMomentContext, p: float, y: float) -> float:
     """K_p(y) = H_1(y) - H_{p+1}(y)/y^p, nondecreasing with sup E[z(T)]."""
     if not p > 0.0:
@@ -178,7 +188,7 @@ def partial_moment_K(ctx: PartialMomentContext, p: float, y: float) -> float:
         return ctx.mean
     if not y > 0.0:
         raise DomainError(f"level must be positive, got {y}")
-    return partial_moment_H(ctx, 1.0, y) - partial_moment_H(ctx, p + 1.0, y) / y**p
+    return partial_moment_H(ctx, 1.0, y) - _h_over_power(ctx, p + 1.0, p, math.log(y))
 
 
 def partial_moment_J(ctx: PartialMomentContext, p: float, y: float) -> float:
@@ -189,7 +199,7 @@ def partial_moment_J(ctx: PartialMomentContext, p: float, y: float) -> float:
         return 1.0
     if not y > 0.0:
         raise DomainError(f"level must be positive, got {y}")
-    return partial_moment_H(ctx, 0.0, y) - partial_moment_H(ctx, p, y) / y**p
+    return partial_moment_H(ctx, 0.0, y) - _h_over_power(ctx, p, p, math.log(y))
 
 
 def _h1_start(ctx: PartialMomentContext, target: float) -> float:
@@ -272,7 +282,7 @@ def invert_K(ctx: PartialMomentContext, p: float, target: float) -> float:
     m0, nu0 = ctx.m0, ctx.nu0
 
     def k_and_slope(x, upper):
-        tail = truncated_exp_moment(p + 1.0, m0, nu0, x) * math.exp(-p * x)
+        tail = _h_over_power(ctx, p + 1.0, p, x)
         if upper:
             return truncated_exp_moment(-1.0, -m0, nu0, -x) + tail, p * tail
         return truncated_exp_moment(1.0, m0, nu0, x) - tail, p * tail

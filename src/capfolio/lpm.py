@@ -17,9 +17,13 @@ The optimal X takes at most three values/branches in the deflator z:
              {lam < eta z <= lam + 2 gamma}, 0 beyond
 
 where (lam, eta) are the multipliers of the mean and budget constraints.
-Internally the solve runs in the substituted thresholds delta = lam/eta and
-rho = (upper threshold) - delta, which are monotone coordinates for the two
-constraint equations.
+Internally the solve runs in the thresholds delta = lam/eta and
+rho = (upper threshold) - delta. Given delta, the budget equation fixes rho
+(in closed form for q <= 1, as a root bracketed in closed form for q = 2),
+and the mean of the resulting payoff rises with delta from d_lower at the
+rich threshold (or delta = 0) to d_upper at delta_bar = H_1^{-1}(x0/cap).
+So every Regular instance is one bracketed root in delta with a guaranteed
+sign change; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
 
 Case tags: Regular (both multipliers positive), DegenerateLowTarget (mean
 constraint slack, lam = 0), DegenerateRich (budget alone already funds
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import kernels
 from .errors import (
@@ -46,6 +51,7 @@ from .errors import (
 )
 from .kernels import (
     PartialMomentContext,
+    std_normal_pdf,
     std_normal_pdf_array,
     truncated_exp_moment,
     truncated_exp_moment_array,
@@ -87,6 +93,11 @@ DEGENERATE_RICH = "DegenerateRich"
 #: below this remaining deflator volatility the wealth formulas switch to
 #: their terminal limit and the policy is reported undefined
 TERMINAL_NU = 1e-8
+
+#: eight-point Gauss-Legendre (node, weight) pairs on [0, 1]
+_RAMP_RULE = tuple(
+    (0.5 * (float(x) + 1.0), 0.5 * float(w)) for x, w in zip(*leggauss(8))
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,12 +251,18 @@ def _bounds(ctx: PartialMomentContext, problem: LpmProblem):
         else:
             rho_hat = kernels.invert_H1(ctx, x0 / gamma)
             d_lower = gamma * _h(ctx, 0.0, rho_hat)
-    elif x0 == gamma * ez:
-        d_lower = gamma
     else:
-        delta_low = kernels.invert_H1(ctx, (x0 - gamma * ez) / (cap - gamma))
-        d_lower = (cap - gamma) * _h(ctx, 0.0, delta_low) + gamma
+        d_lower = (cap - gamma) * _h(ctx, 0.0, _rich_threshold(ctx, problem)) + gamma
     return d_lower, d_upper
+
+
+def _rich_threshold(ctx: PartialMomentContext, problem: LpmProblem) -> float:
+    """delta with (cap - gamma) H_1(delta) + gamma E[z] = x0: the cap branch
+    of the payoff that is gamma everywhere else; 0 when x0 <= gamma E[z]."""
+    x0, gamma, ez = problem.x0, problem.gamma, ctx.mean
+    if x0 <= gamma * ez:
+        return 0.0
+    return kernels.invert_H1(ctx, (x0 - gamma * ez) / (problem.cap - gamma))
 
 
 def classify(problem: LpmProblem, model: MarketModel) -> str:
@@ -268,43 +285,57 @@ def _classify(ctx: PartialMomentContext, problem: LpmProblem, bounds) -> str:
     return DEGENERATE_RICH
 
 
-def _regular_residuals(ctx, problem):
-    """Constraint residuals as a function of (delta, rho), scaled."""
-    x0, d, gamma, cap, q = (
-        problem.x0,
-        problem.d,
-        problem.gamma,
-        problem.cap,
-        problem.q,
+def _ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float:
+    """E[z^p (delta + rho - z) 1{delta < z <= delta + rho}] / rho, p in {0, 1}.
+
+    On the q = 2 middle branch X* falls linearly from gamma at delta to 0 at
+    delta + rho, so gamma times this is the branch's share of E[z^p X*].
+    rho = inf gives the limit E[z^p 1{z > delta}] and rho <= 0 gives 0. The
+    closed form ((delta + rho) dH_p - dH_{p+1}) / rho loses about
+    eps (delta + rho) / rho to cancellation. A branch that is short on the
+    scale of the deflator law, rho (1 + (1 + |F(delta)|) / nu0) <= delta, is
+    integrated by Gauss-Legendre instead: there the log of its positive
+    integrand has a slope below 2 in the branch fraction s, which eight
+    nodes integrate to rounding. Outside it the cancellation amplifies
+    rounding by less than 2 + (1 + |F(delta)|) / nu0.
+    """
+    if rho <= 0.0:
+        return 0.0
+    if rho == math.inf:  # E[z^p 1{z > delta}], without cancellation
+        cut = -math.log(delta) if delta > 0.0 else math.inf
+        return truncated_exp_moment(-p, -ctx.m0, ctx.nu0, cut)
+    if delta > 0.0 and (
+        rho * (1.0 + (1.0 + abs(ctx.standardize(delta))) / ctx.nu0) <= delta
+    ):
+        total = 0.0
+        for s, w in _RAMP_RULE:
+            z = delta + rho * s
+            # z^(p-1) phi(F(z)) / nu0 is z^p times the density of z(T) at z
+            total += w * (1.0 - s) * z ** (p - 1.0) * std_normal_pdf(ctx.standardize(z))
+        return rho * total / ctx.nu0
+    hi = delta + rho
+    dh = _h(ctx, p, hi) - _h(ctx, p, delta)
+    return (hi * dh - (_h(ctx, p + 1.0, hi) - _h(ctx, p + 1.0, delta))) / rho
+
+
+def _payoff_moment(ctx, problem, p, delta, rho):
+    """E[z^p X] for p in {0, 1}, the mean (p = 0) or the price (p = 1) of the
+    Regular payoff with cap branch {z <= delta} and middle branch
+    {delta < z <= delta + rho}."""
+    cap, gamma = problem.cap, problem.gamma
+    if problem.q == 2.0:
+        return cap * _h(ctx, p, delta) + gamma * _ramp(ctx, p, delta, rho)
+    return (cap - gamma) * _h(ctx, p, delta) + gamma * _h(ctx, p, delta + rho)
+
+
+def _regular_residuals(ctx, problem, delta, rho):
+    """Mean and budget residuals of the thresholds (delta, rho), scaled."""
+    mean = _payoff_moment(ctx, problem, 0.0, delta, rho)
+    price = _payoff_moment(ctx, problem, 1.0, delta, rho)
+    return (
+        (mean - problem.d) / max(1.0, abs(problem.d)),
+        (price - problem.x0) / max(1.0, problem.x0),
     )
-    sd = max(1.0, abs(d))
-    sx = max(1.0, x0)
-
-    if q == 2.0:
-
-        def residuals(delta, rho):
-            hi = delta + rho
-            dh0 = _h(ctx, 0.0, hi) - _h(ctx, 0.0, delta)
-            dh1 = _h(ctx, 1.0, hi) - _h(ctx, 1.0, delta)
-            dh2 = _h(ctx, 2.0, hi) - _h(ctx, 2.0, delta)
-            mid = gamma * (1.0 + delta / rho)
-            mean_res = cap * _h(ctx, 0.0, delta) + mid * dh0 - (gamma / rho) * dh1 - d
-            bud_res = cap * _h(ctx, 1.0, delta) + mid * dh1 - (gamma / rho) * dh2 - x0
-            return mean_res / sd, bud_res / sx
-
-    else:
-
-        def residuals(delta, rho):
-            hi = delta + rho
-            mean_res = (
-                (cap - gamma) * _h(ctx, 0.0, delta) + gamma * _h(ctx, 0.0, hi) - d
-            )
-            bud_res = (
-                (cap - gamma) * _h(ctx, 1.0, delta) + gamma * _h(ctx, 1.0, hi) - x0
-            )
-            return mean_res / sd, bud_res / sx
-
-    return residuals
 
 
 def _thresholds_to_multipliers(problem, delta, rho):
@@ -315,12 +346,12 @@ def _thresholds_to_multipliers(problem, delta, rho):
 
 
 def _solve_regular_newton(ctx, problem):
-    residuals = _regular_residuals(ctx, problem)
-
     def system(u):
         # clamp so wild trial steps of the damped Newton stay finite; the
         # clamp is far outside any meaningful deflator quantile
-        return residuals(
+        return _regular_residuals(
+            ctx,
+            problem,
             math.exp(min(max(u[0], -600.0), 600.0)),
             math.exp(min(max(u[1], -600.0), 600.0)),
         )
@@ -331,99 +362,76 @@ def _solve_regular_newton(ctx, problem):
     return delta, rho
 
 
-def _solve_regular_nested_q_le1(ctx, problem):
-    """Exact 1-D reduction for q <= 1.
+def _branch_width(ctx, problem, delta):
+    """rho such that the middle branch spends the budget the cap branch
+    {z <= delta} leaves, E[z X] = x0: 0 at delta_bar, unbounded at the rich
+    threshold.
 
-    The budget equation pins the upper threshold given delta:
-
-        H_1(delta + rho) = (x0 - (cap - gamma) H_1(delta)) / gamma
-
-    so the mean equation becomes a monotone scalar residual in delta with a
-    sign change guaranteed on (delta_floor, delta_bar).
+    The flat branch (q <= 1) inverts H_1 in closed form. The ramp (q = 2)
+    funds more as rho grows, and two closed-form widths bracket its root:
+    X* < gamma on the ramp, so the flat width funds at most the budget left;
+    X* >= gamma (1 - s) on the first s of the ramp, so the width w / s funds
+    at least it when gamma (1 - s) (H_1(delta + w) - H_1(delta)) is the
+    budget left.
     """
-    x0, d, gamma, cap = problem.x0, problem.d, problem.gamma, problem.cap
-    ez = ctx.mean
-    delta_bar = kernels.invert_H1(ctx, x0 / cap)
+    x0, cap, gamma = problem.x0, problem.cap, problem.gamma
+    h1 = _h(ctx, 1.0, delta)
+    left = (x0 - cap * h1) / gamma
+    if left <= 0.0:
+        return 0.0
+    # H_1 stops 1e-15 E[z] short of its supremum here, where its inverse is
+    # still defined after rounding; a flat branch that would reach further
+    # ends there, a ramp is unbounded
+    room = ctx.mean * (1.0 - 1e-15) - h1
+    if left >= room:
+        if problem.q == 2.0:
+            return math.inf
+        left = room
+    flat = kernels.invert_H1(ctx, h1 + left) - delta
+    if problem.q != 2.0 or flat <= 0.0:
+        return max(flat, 0.0)
+    s = (room - left) / (room + left)  # puts left / (1 - s) midway to room
+    most = (kernels.invert_H1(ctx, h1 + left / (1.0 - s)) - delta) / s
 
-    def upper(delta):
-        target = (x0 - (cap - gamma) * _h(ctx, 1.0, delta)) / gamma
-        target = min(max(target, 1e-300), ez * (1.0 - 1e-15))
-        return kernels.invert_H1(ctx, target)
+    def price_gap(x):
+        return _ramp(ctx, 1.0, delta, math.exp(x)) / left - 1.0
+
+    x = find_root_1d(price_gap, math.log(flat), math.log(most), tol=1e-13).root
+    return math.exp(x)
+
+
+def _solve_regular_nested(ctx, problem):
+    """Exact 1-D reduction of the Regular system, for every q.
+
+    _branch_width pins rho given delta through the budget equation, and the
+    mean gap E[X] - d is bracketed in delta on [delta_low, delta_bar]. At
+    delta_bar the cap branch spends the whole budget (rho = 0) and the gap
+    is d_upper - d > 0. At the rich threshold delta_low, or at 0 when
+    x0 <= gamma E[z], the gap is d_lower - d < 0. Along the budget curve the
+    multiplier lam = delta eta rises with delta, so the root is unique.
+    """
+    delta_bar = kernels.invert_H1(ctx, problem.x0 / problem.cap)
 
     def mean_gap(delta):
-        return (
-            (cap - gamma) * _h(ctx, 0.0, delta)
-            + gamma * _h(ctx, 0.0, upper(delta))
-            - d
-        )
+        rho = _branch_width(ctx, problem, delta)
+        return _payoff_moment(ctx, problem, 0.0, delta, rho) - problem.d
 
-    if x0 > gamma * ez:
-        # the rich threshold itself, as d_bounds computes it: there the upper
-        # threshold diverges and the mean gap is d_lower - d < 0, however
-        # close d sits to d_lower
-        lo = kernels.invert_H1(ctx, (x0 - gamma * ez) / (cap - gamma))
-    else:
-        lo = delta_bar * 1e-13
-    hi = delta_bar * (1.0 - 1e-11)
-    report = find_root_1d(mean_gap, lo, hi, tol=1e-13)
-    delta = report.root
-    return delta, upper(delta) - delta
-
-
-def _solve_regular_nested_q2(ctx, problem):
-    """Nested 1-D fallback for q = 2.
-
-    Inner: for fixed rho, the mean equation is monotone increasing in delta
-    (mass moves to the cap), solved on (0, delta_bar]. Outer: the budget
-    residual at delta(rho) changes sign in rho; located by geometric scan
-    then Brent.
-    """
-    x0, d, cap = problem.x0, problem.d, problem.cap
-    delta_bar = kernels.invert_H1(ctx, x0 / cap)
-    residuals = _regular_residuals(ctx, problem)
-
-    def delta_of_rho(rho):
-        def gap(delta):
-            return residuals(delta, rho)[0]
-
-        lo, hi = delta_bar * 1e-14, delta_bar * 8.0
-        if gap(lo) > 0.0 or gap(hi) < 0.0:
-            return None
-        return find_root_1d(gap, lo, hi, tol=1e-13).root
-
-    def budget_gap(rho):
-        delta = delta_of_rho(rho)
-        if delta is None:
-            return None
-        return residuals(delta, rho)[1]
-
-    grid = [math.exp(k) for k in np.linspace(-12.0, 12.0, 49)]
-    prev_rho = prev_gap = None
-    bracket = None
-    for rho in grid:
-        gap = budget_gap(rho)
-        if gap is None:
-            prev_rho = prev_gap = None
-            continue
-        if prev_gap is not None and (gap > 0.0) != (prev_gap > 0.0):
-            bracket = (prev_rho, rho)
-            break
-        prev_rho, prev_gap = rho, gap
-    if bracket is None:
-        raise NoSignChange("no budget sign change over the rho scan")
-    rho = find_root_1d(lambda r: budget_gap(r), *bracket, tol=1e-13).root
-    return delta_of_rho(rho), rho
+    lo = _rich_threshold(ctx, problem)
+    delta = find_root_1d(mean_gap, lo, delta_bar, tol=0.0).root
+    return delta, _branch_width(ctx, problem, delta)
 
 
 def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
     """Solve for the Lagrange pair of the classified instance.
 
-    Regular instances with q <= 1 are solved by the exact monotone 1-D
-    reduction: the budget equation pins the upper threshold given delta, and
-    the mean equation is bracketed in delta. For q = 2 a damped Newton runs
-    on the threshold coordinates (delta, rho), in logs so both stay
-    positive, from delta = H_1^{-1}(x0 / cap), rho = 1; a nested 1-D solve
-    is its fallback. Degenerate instances have one-line closed forms.
+    Regular instances are solved by one exact monotone 1-D reduction for
+    every q: the budget equation pins the width rho of the middle branch
+    given the cap threshold delta (closed form for q <= 1, a root bracketed
+    in closed form for q = 2), and the mean equation is bracketed in delta
+    between the thresholds of d_lower and d_upper. For q = 2 a damped Newton
+    on (ln delta, ln rho) from delta = H_1^{-1}(x0 / cap), rho = 1 runs
+    first and the reduction is its fallback. Degenerate instances have
+    one-line closed forms.
 
     Raises SolverDiverged when the Regular solve fails.
     """
@@ -433,15 +441,16 @@ def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
     return mult
 
 
-def _solve_regular_q2(ctx, problem):
-    """Damped Newton for q = 2, falling back to the nested 1-D solve."""
-    try:
-        delta, rho = _solve_regular_newton(ctx, problem)
-        if _residuals_ok(ctx, problem, delta, rho):
-            return delta, rho
-    except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange):
-        pass
-    return _solve_regular_nested_q2(ctx, problem)
+def _solve_regular(ctx, problem):
+    """(delta, rho) of a Regular instance."""
+    if problem.q == 2.0:
+        try:
+            delta, rho = _solve_regular_newton(ctx, problem)
+            if _residuals_ok(ctx, problem, delta, rho):
+                return delta, rho
+        except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange):
+            pass
+    return _solve_regular_nested(ctx, problem)
 
 
 def _solve_case(problem, ctx, bounds):
@@ -450,14 +459,7 @@ def _solve_case(problem, ctx, bounds):
     gamma, q, x0 = problem.gamma, problem.q, problem.x0
 
     if case == DEGENERATE_RICH:
-        ez = ctx.mean
-        if x0 == gamma * ez:
-            delta_low = 0.0
-        else:
-            delta_low = kernels.invert_H1(
-                ctx, (x0 - gamma * ez) / (problem.cap - gamma)
-            )
-        return Multipliers(0.0, 0.0, case), delta_low, None
+        return Multipliers(0.0, 0.0, case), _rich_threshold(ctx, problem), None
 
     if case == DEGENERATE_LOW_TARGET:
         if q == 2.0:
@@ -468,10 +470,7 @@ def _solve_case(problem, ctx, bounds):
         return Multipliers(0.0, budget_mult, case), 0.0, rho
 
     try:
-        if q == 2.0:
-            delta, rho = _solve_regular_q2(ctx, problem)
-        else:
-            delta, rho = _solve_regular_nested_q_le1(ctx, problem)
+        delta, rho = _solve_regular(ctx, problem)
     except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
         raise SolverDiverged(
             f"multiplier solve failed for {problem}: {exc}",
@@ -486,7 +485,7 @@ def _solve_case(problem, ctx, bounds):
 def _residuals_ok(ctx, problem, delta, rho, tol=1e-8):
     if not (delta > 0.0 and rho > 0.0 and math.isfinite(delta + rho)):
         return False
-    r1, r2 = _regular_residuals(ctx, problem)(delta, rho)
+    r1, r2 = _regular_residuals(ctx, problem, delta, rho)
     return abs(r1) <= tol and abs(r2) <= tol
 
 
@@ -562,16 +561,7 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
     delta = solution.delta
     if solution.multipliers.case == DEGENERATE_RICH:
         return (prob.cap - prob.gamma) * _h(ctx, 0.0, delta) + prob.gamma
-    hi = delta + solution.rho
-    if prob.q == 2.0:
-        rho = solution.rho
-        dh0 = _h(ctx, 0.0, hi) - _h(ctx, 0.0, delta)
-        dh1 = _h(ctx, 1.0, hi) - _h(ctx, 1.0, delta)
-        mid = prob.gamma * (1.0 + delta / rho)
-        return prob.cap * _h(ctx, 0.0, delta) + mid * dh0 - (prob.gamma / rho) * dh1
-    return (prob.cap - prob.gamma) * _h(ctx, 0.0, delta) + prob.gamma * _h(
-        ctx, 0.0, hi
-    )
+    return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
 
 
 def _remaining_moments(solution, t):

@@ -281,7 +281,16 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "breakage",
-    ["missing_file", "bad_json", "no_problem", "bad_kind", "flat_vol", "bad_cmd", "no_args"],
+    [
+        "missing_file",
+        "bad_json",
+        "no_problem",
+        "bad_kind",
+        "flat_vol",
+        "bad_cmd",
+        "no_args",
+        "problem_list",
+    ],
 )
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     if breakage == "missing_file":
@@ -307,10 +316,15 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     elif breakage == "bad_cmd":
         cfg = _cfg(tmp_path, EX1_MARKET, LPM1)
         argv = ["--config", cfg, "--cmd", "dance"]
+    elif breakage == "problem_list":
+        cfg = _cfg(tmp_path, EX1_MARKET, [1, 2])
+        argv = ["--config", cfg, "--cmd", "solve"]
     else:
         argv = []
     assert cli.main(argv) == 3
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -325,15 +339,29 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         ([], {"t": -0.1}),
         ([], {"t": 1.5}),
         ([], {"t": "half"}),
+        ([], {"z_grid": [0.5, 1.0]}),
+        ([], {"z_grid": {"count": "abc"}}),
+        ([], {"z_grid": {"lo": "x"}}),
+        ([], {"z_grid": {"points": ["a"]}}),
+        ([], {"z_grid": {"points": [1.0, 0.5]}}),
+        ([], {"z_grid": {"spacing": "cubic"}}),
+        ([], {"d_grid": ["x"]}),
+        ([], {"d_grid": 12.0}),
+        ([], {"betas": [1.5]}),
+        ([], {"out": 5}),
+        ([], [1, 2]),
     ],
 )
-def test_exit_code_bad_run_block(tmp_path, capsys, flags, run):
-    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path), **run})
-    assert cli.main(["--config", cfg, "--cmd", "simulate", *flags]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("config error: run.")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "simulation.json").exists()
+def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):
+    monkeypatch.chdir(tmp_path)  # where a run block without "out" would write
+    block = {"out": str(tmp_path), **run} if isinstance(run, dict) else run
+    cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run=block)
+    for cmd in ("simulate", "policy_table", "frontier", "compare_static"):
+        assert cli.main(["--config", cfg, "--cmd", cmd, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_out_flag_redirects_artifacts(tmp_path):

@@ -310,6 +310,19 @@ def _contexts():
     return [_CTX] + [market.deflator_context(m) for m in models]
 
 
+@pytest.mark.parametrize("y", [1e-170, 1e-320])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_k_and_j_stay_in_range_where_y_power_underflows(p, y):
+    # y^p is 0 or subnormal here; the quotients H_{p+1}/y^p and H_p/y^p are
+    # not, as they are bounded by H_1 and H_0
+    for ctx in _contexts():
+        kv = kernels.partial_moment_K(ctx, p, y)
+        jv = kernels.partial_moment_J(ctx, p, y)
+        assert math.isfinite(kv) and math.isfinite(jv)
+        assert 0.0 <= kv <= kernels.partial_moment_H(ctx, 1.0, y)
+        assert 0.0 <= jv <= kernels.partial_moment_H(ctx, 0.0, y)
+
+
 def test_invert_round_trip_to_rounding():
     for ctx in _contexts():
         for u in [-4.0, -2.0, -0.5, 0.0, 1.0, 2.0, 4.0]:

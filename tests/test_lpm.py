@@ -7,10 +7,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from capfolio import lpm
+from capfolio import lpm, market
 from capfolio.errors import (
     InfeasibleBudget,
     PolicyUndefinedAtTerminal,
+    SolverDiverged,
     TargetTooHigh,
 )
 
@@ -409,3 +410,83 @@ def test_solution_carries_bounds(example1):
     assert sol.d_lower == lo
     assert sol.d_upper == hi
     assert lpm.hit_probability(sol) == sol.hit_prob
+
+
+# The three markets of the benchmark sweep: the two calibrated examples and a
+# high-Sharpe stress market (nu0 = 2.9) where the q = 2 Newton solve stalls.
+GRID_QS = (0.0, 0.3, 1.0, 2.0)
+GRID_PAIRS = ((1.0, 1.2), (1.05, 2.0), (1.1, 10.0), (0.95, 3.0))  # (gamma, cap)
+
+
+@pytest.fixture(scope="module")
+def grid_markets(example1, example2):
+    stress = market.validate_market(1.0, 0.02, 0.6, 0.2)
+    return {"example1": example1, "example2": example2, "stress": stress}
+
+
+def _families(model):
+    """(q, gamma, cap, d_lower, d_upper) for every swept family at x0 = 1."""
+    out = []
+    for q in GRID_QS:
+        for gamma, cap in GRID_PAIRS:
+            lo, hi = lpm.d_bounds(_problem(q, cap=cap, d=1.0, gamma=gamma), model)
+            out.append((q, gamma, cap, lo, hi))
+    return out
+
+
+def _assert_constraints(sol, prob, model, tol=1e-8):
+    # the mean from the solver's closed form, the budget from the wealth
+    # surface at t = 0, whose formulas the solver does not use
+    assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=tol)
+    assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(prob.x0, abs=tol)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "stress"])
+def test_multiplier_grid_solves_everywhere(grid_markets, name):
+    # 16 families x 31 evenly spaced targets on (d_lower, d_upper) per market,
+    # 1488 instances over the three, each a Regular solve that must converge
+    model = grid_markets[name]
+    for q, gamma, cap, lo, hi in _families(model):
+        for k in range(1, 32):
+            prob = _problem(q, cap=cap, d=lo + (hi - lo) * k / 32, gamma=gamma)
+            sol = lpm.solve_lpm(prob, model)
+            assert sol.multipliers.case == lpm.REGULAR
+            assert sol.multipliers.mean > 0.0 and sol.multipliers.budget > 0.0
+            _assert_constraints(sol, prob, model)
+
+
+def _near_bound_targets(model, rel):
+    for q, gamma, cap, lo, hi in _families(model):
+        for d in (lo + rel * (hi - lo), hi - rel * (hi - lo)):
+            yield _problem(q, cap=cap, d=d, gamma=gamma)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "stress"])
+def test_targets_near_either_bound_solve(grid_markets, name):
+    # 1e-6 of the feasible range from d_lower or d_upper: the thresholds
+    # approach the rich threshold or delta_bar, where rho runs to inf or 0
+    model = grid_markets[name]
+    for prob in _near_bound_targets(model, 1e-6):
+        sol = lpm.solve_lpm(prob, model)
+        assert sol.multipliers.case == lpm.REGULAR
+        _assert_constraints(sol, prob, model)
+
+
+@pytest.mark.parametrize(
+    "name,rel",
+    [(n, r) for n in ("example1", "example2", "stress") for r in (1e-9, 1e-12)]
+    + [("low_sharpe", r) for r in (1e-6, 1e-9, 1e-12)],
+)
+def test_targets_at_rounding_distance_solve_or_raise(grid_markets, name, rel):
+    # within rounding of a bound, and on a market whose whole feasible range
+    # is 5e-4 wide, a solve converges or raises a documented error
+    if name == "low_sharpe":
+        model = market.validate_market(1.0, 0.05, 0.0501, 0.2)
+    else:
+        model = grid_markets[name]
+    for prob in _near_bound_targets(model, rel):
+        try:
+            sol = lpm.solve_lpm(prob, model)
+        except (SolverDiverged, TargetTooHigh):
+            continue
+        _assert_constraints(sol, prob, model)
