@@ -2,23 +2,42 @@
 
 Gross returns over [0, horizon] are sampled from the exact lognormal law of
 the asset prices, a bond column is appended, and the CVaR of the terminal
-loss against the safe level is minimized over dollar allocations w subject
-to the budget and a mean-return floor (Rockafellar-Uryasev form):
+loss L_k = xbar - R_k'w against the safe level is minimized over dollar
+allocations w subject to the budget and a mean-return floor
+(Rockafellar-Uryasev form):
 
-    min  alpha + (1/((1-beta) N)) sum_k u_k
-    s.t. u_k >= xbar - R_k'w - alpha,  u_k >= 0,
-         sum_j w_j = x0,   (1/N) sum_k R_k'w >= d,   w and alpha free.
+    min  alpha + E[(L - alpha)+] / (1 - beta)
+    s.t. sum_j w_j = x0,   (1/N) sum_k R_k'w >= d,   w and alpha free.
 
-With 1e5 scenarios the u-block dwarfs dense-tableau methods, so the solver
-works on the LP dual, which has only n_assets + 2 rows:
+E[(L - alpha)+] is the largest over scenario sets S of the linear functions
+(|S|/N)(xbar - alpha) - (sum_{k in S} R_k / N)'w, attained at the tail
+S = {k : L_k > alpha}.  Kelley's cutting-plane method (Kuenzi-Bay and Mayer
+2006) solves a master LP over (w, alpha, theta >= 0) with one cut per tail
+seen so far,
 
-    max  xbar sum_k y_k + x0 p + d mu
-    s.t. sum_k R_kj y_k + p + mu mean_k(R_kj) = 0   for every column j,
-         sum_k y_k = 1,   0 <= y_k <= 1/((1-beta) N),   mu >= 0,  p free.
+    min  alpha + theta / (1 - beta)
+    s.t. budget, mean floor, |w_j| <= box,
+         theta >= (|S|/N)(xbar - alpha) - (sum_{k in S} R_k / N)'w  per cut,
 
-The row multipliers at the dual optimum are exactly (-w, -alpha), which is
-how the portfolio is recovered; every solve re-checks the primal residuals
-and the recomputed scenario CVaR before returning.
+whose value bounds the optimum from below, while the LP objective at the
+master point bounds it from above; each round adds the cut of that point's
+tail.  The all-scenario cut seeds the master and bounds alpha.  Rounds stop
+when the bounds meet to 1e-12 relative, or when the point's tail has its
+cut already: the master then holds the exact value at its point, so the
+bounds agree up to rounding.  There are finitely many tails, so this
+happens after finitely many cuts, at the exact LP optimum.  The master is
+solved through its dual, which has n_assets + 3 rows and a column per cut:
+a new cut appends a column, so the last optimal basis warm-starts the next
+round.
+
+The box starts at 100 x0 (wider if the mean floor needs more leverage) and
+grows 100-fold while the best portfolio touches it.  The boxed optimum is
+convex and non-increasing in the box size, so a growth that does not lower
+it proves the optimum.  While it falls, the homogeneous program
+(x0 = d = xbar = 0) decides: a negative optimum in the box is a costless
+direction whose loss tail keeps falling, a tail arbitrage, and the LP is
+reported unbounded.  Every solve re-checks the primal residuals and the
+recomputed scenario CVaR before returning.
 """
 
 from __future__ import annotations
@@ -36,6 +55,11 @@ from .montecarlo import estimate_cvar
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = simplex.INFEASIBLE
 UNBOUNDED = simplex.UNBOUNDED
+
+_BOX = 100.0  # the master starts in the box |w_j| <= _BOX * x0
+_GROW = 100.0  # and grows it by this factor while it binds
+_GAP = 1e-12  # relative gap between the bounds at which the cuts stop
+_MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,49 +159,108 @@ def build_ru_lp(
 
 
 def simplex_solve(lp: RuCvarLp) -> LpSolution:
-    """Solve the CVaR LP through its dual and recover (w, alpha) from the duals."""
-    r = lp.returns
-    n_scen, n_cols = r.shape
-    y_cap = 1.0 / ((1.0 - lp.beta) * n_scen)
-    col_mean = r.mean(axis=0)
-    # variables: y_1..y_N, p, mu
-    a = np.zeros((n_cols + 1, n_scen + 2))
-    a[:n_cols, :n_scen] = r.T
-    a[:n_cols, n_scen] = 1.0
-    a[:n_cols, n_scen + 1] = col_mean
-    a[n_cols, :n_scen] = 1.0
-    b = np.zeros(n_cols + 1)
-    b[n_cols] = 1.0
-    cost = np.empty(n_scen + 2)
-    cost[:n_scen] = -lp.xbar
-    cost[n_scen] = -lp.x0
-    cost[n_scen + 1] = -lp.d
-    lower = np.zeros(n_scen + 2)
-    lower[n_scen] = -math.inf
-    upper = np.full(n_scen + 2, math.inf)
-    upper[:n_scen] = y_cap
-    # crash start: preload the tail risk mass on the scenarios an equal-weight
-    # portfolio loses most on, so phase 1 skips building it in box-sized steps
-    start = np.full(n_scen + 2, simplex.AT_LO, dtype=np.int8)
-    start[n_scen] = simplex.FREE_ZERO
-    heuristic_value = r @ np.full(n_cols, lp.x0 / n_cols)
-    k_tail = int(math.floor((1.0 - lp.beta) * n_scen))
-    if k_tail > 0:
-        start[np.argsort(heuristic_value)[:k_tail]] = simplex.AT_UP
-    result = simplex.solve_dense(
-        simplex.LinearProgram(cost, a, b, lower, upper), start_status=start
-    )
-    if result.status == INFEASIBLE:
-        # dual infeasibility means the primal CVaR is unbounded below
-        # (the scenario set admits a costless tail-arbitrage direction)
-        return LpSolution(None, math.nan, -math.inf, UNBOUNDED)
-    if result.status == UNBOUNDED:
-        return LpSolution(None, math.nan, math.nan, INFEASIBLE)
-    weights = -result.duals[:n_cols]
-    alpha = -float(result.duals[n_cols])
-    cvar = -result.objective
+    """Solve the CVaR LP by cutting planes, growing the box while it binds."""
+    col_mean = lp.returns.mean(axis=0)
+    spread = float(col_mean.max() - col_mean.min())
+    # leverage t on the best-minus-worst mean spread meets the mean floor
+    lever = max(lp.d - lp.x0 * float(col_mean.max()), 0.0) / spread if spread else 0.0
+    box = max(_BOX * lp.x0, 2.0 * (lp.x0 + lever))
+    master = _Master(lp)
+    previous = None
+    while True:
+        best = _cut_rounds(lp, master, box)
+        if best is None:
+            return LpSolution(None, math.nan, math.nan, INFEASIBLE)
+        if np.max(np.abs(best[0])) < (1.0 - 1e-9) * box:
+            break
+        if previous is not None:
+            if best[2] >= previous[2] - _GAP * max(1.0, abs(best[2])):
+                best = previous  # a wider box did not help: this is the optimum
+                break
+            # the homogeneous program; w = 0 is feasible, so it never fails
+            cone = RuCvarLp(returns=lp.returns, beta=lp.beta, d=0.0, x0=0.0, xbar=0.0)
+            if _cut_rounds(cone, _Master(cone), box)[2] < -1e-9 * box:
+                return LpSolution(None, math.nan, -math.inf, UNBOUNDED)
+        previous = best
+        box *= _GROW
+    weights, alpha, cvar = best
     _check_primal(lp, weights, alpha, cvar)
     return LpSolution(weights=weights, alpha=alpha, objective=cvar, status=OPTIMAL)
+
+
+def _cut_rounds(lp, master, box):
+    """Kelley's method at a fixed box: (weights, alpha, cvar) of the best
+    portfolio seen once it meets the master's lower bound, or None when the
+    budget and mean rows admit no portfolio in the box."""
+    r = lp.returns
+    best = None
+    for _ in range(_MAX_ROUNDS):
+        found = master.solve(box)
+        if found is None:
+            return None
+        weights, alpha, lower = found
+        losses = lp.xbar - r @ weights
+        tail = losses > alpha
+        # the LP objective at the master point bounds the optimum from above
+        upper = alpha + float((losses[tail] - alpha).sum()) / ((1.0 - lp.beta) * losses.size)
+        if best is None or upper < best[2]:
+            best = (weights, alpha, upper)
+        if best[2] - lower <= _GAP * max(1.0, abs(best[2])) or not master.add_cut(tail):
+            return best
+    raise NumericalBreakdown(f"cutting planes left a gap after {_MAX_ROUNDS} rounds")
+
+
+class _Master:
+    """Dual of the master LP, one column per cut, warm-started each round.
+
+    Rows are w_1..w_n, alpha and theta.  Columns are the budget multiplier
+    (free), the mean-floor multiplier, the multipliers of w_j <= box and of
+    -w_j <= box, the slack of sum(y) <= 1/(1-beta), then y_i >= 0 per cut.
+    """
+
+    def __init__(self, lp: RuCvarLp):
+        r = lp.returns
+        n = r.shape[1]
+        self.lp = lp
+        self.a = np.zeros((n + 2, 2 * n + 3))
+        self.a[:n, : 2 * n + 2] = np.column_stack(
+            [np.ones(n), r.mean(axis=0), -np.eye(n), np.eye(n)]
+        )
+        self.a[n + 1, 2 * n + 2] = 1.0
+        self.b = np.append(np.zeros(n), (1.0, 1.0 / (1.0 - lp.beta)))
+        self.cost = np.append((-lp.x0, -lp.d), np.zeros(2 * n + 1))
+        self.basis = None
+        self.tails = set()
+        self.add_cut(np.ones(r.shape[0], dtype=bool))  # bounds alpha
+
+    def add_cut(self, tail):
+        """Add theta >= (|S|/N)(xbar - alpha) - (sum_{k in S} R_k / N)'w for
+        the tail S; False when S has its cut already."""
+        key = np.packbits(tail).tobytes()
+        if key in self.tails:
+            return False
+        self.tails.add(key)
+        n_scen = self.lp.returns.shape[0]
+        share = np.count_nonzero(tail) / n_scen
+        column = np.append(tail @ self.lp.returns / n_scen, (share, 1.0))
+        self.a = np.column_stack([self.a, column])
+        self.cost = np.append(self.cost, -self.lp.xbar * share)
+        return True
+
+    def solve(self, box):
+        """(weights, alpha, lower bound) at the master optimum, or None."""
+        n = self.a.shape[0] - 2
+        self.cost[2 : 2 * n + 2] = box
+        lower = np.append(-math.inf, np.zeros(self.cost.size - 1))
+        upper = np.full(self.cost.size, math.inf)
+        result = simplex.solve_dense(
+            simplex.LinearProgram(self.cost, self.a, self.b, lower, upper),
+            basis=self.basis,
+        )
+        if result.status != OPTIMAL:
+            return None  # an unbounded dual: no portfolio meets the rows
+        self.basis = result.basis
+        return -result.duals[:n], -float(result.duals[n]), -result.objective
 
 
 def _check_primal(lp, weights, alpha, cvar):

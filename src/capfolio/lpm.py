@@ -292,30 +292,58 @@ def _ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> floa
     delta + rho, so gamma times this is the branch's share of E[z^p X*].
     rho = inf gives the limit E[z^p 1{z > delta}] and rho <= 0 gives 0. The
     closed form ((delta + rho) dH_p - dH_{p+1}) / rho loses about
-    eps (delta + rho) / rho to cancellation. A branch that is short on the
-    scale of the deflator law, rho (1 + (1 + |F(delta)|) / nu0) <= delta, is
-    integrated by Gauss-Legendre instead: there the log of its positive
-    integrand has a slope below 2 in the branch fraction s, which eight
-    nodes integrate to rounding. Outside it the cancellation amplifies
-    rounding by less than 2 + (1 + |F(delta)|) / nu0.
+    eps (delta + rho) / rho to cancellation, so a short branch (see
+    `_short_branch`) is integrated by Gauss-Legendre instead.
     """
     if rho <= 0.0:
         return 0.0
     if rho == math.inf:  # E[z^p 1{z > delta}], without cancellation
         cut = -math.log(delta) if delta > 0.0 else math.inf
         return truncated_exp_moment(-p, -ctx.m0, ctx.nu0, cut)
-    if delta > 0.0 and (
-        rho * (1.0 + (1.0 + abs(ctx.standardize(delta))) / ctx.nu0) <= delta
-    ):
-        total = 0.0
-        for s, w in _RAMP_RULE:
-            z = delta + rho * s
-            # z^(p-1) phi(F(z)) / nu0 is z^p times the density of z(T) at z
-            total += w * (1.0 - s) * z ** (p - 1.0) * std_normal_pdf(ctx.standardize(z))
-        return rho * total / ctx.nu0
+    if _short_branch(ctx, delta, rho):
+        return _branch_rule(ctx, p, delta, rho, lambda s: 1.0 - s)
     hi = delta + rho
     dh = _h(ctx, p, hi) - _h(ctx, p, delta)
     return (hi * dh - (_h(ctx, p + 1.0, hi) - _h(ctx, p + 1.0, delta))) / rho
+
+
+def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float:
+    """E[(z - delta)^2 1{delta < z <= delta + rho}], the q = 2 middle branch's
+    share of the objective up to (eta / 2)^2.
+
+    The closed form dH_2 - 2 delta dH_1 + delta^2 dH_0 loses about
+    eps (delta / rho)^2 to cancellation, so a short branch is integrated by
+    Gauss-Legendre instead.
+    """
+    if _short_branch(ctx, delta, rho):
+        return rho * rho * _branch_rule(ctx, 0.0, delta, rho, lambda s: s * s)
+    hi = delta + rho
+    dh0, dh1, dh2 = (_h(ctx, p, hi) - _h(ctx, p, delta) for p in (0.0, 1.0, 2.0))
+    return dh2 - 2.0 * delta * dh1 + delta * delta * dh0
+
+
+def _short_branch(ctx: PartialMomentContext, delta: float, rho: float) -> bool:
+    """Whether (delta, delta + rho] is short on the scale of the deflator law:
+    rho (1 + (1 + |F(delta)|) / nu0) <= delta.  There the log of the density
+    of z(T) has a slope below 2 in the branch fraction s, which eight
+    Gauss-Legendre nodes integrate to rounding; outside it the closed forms
+    amplify rounding by less than 2 + (1 + |F(delta)|) / nu0, squared for
+    `_branch_square`.
+    """
+    return delta > 0.0 and (
+        rho * (1.0 + (1.0 + abs(ctx.standardize(delta))) / ctx.nu0) <= delta
+    )
+
+
+def _branch_rule(ctx, p, delta, rho, weight):
+    """E[z^p weight(s) 1{delta < z <= delta + rho}] with s = (z - delta) / rho,
+    by eight-point Gauss-Legendre in s on the positive integrand."""
+    total = 0.0
+    for s, w in _RAMP_RULE:
+        z = delta + rho * s
+        # z^(p-1) phi(F(z)) / nu0 is z^p times the density of z(T) at z
+        total += w * weight(s) * z ** (p - 1.0) * std_normal_pdf(ctx.standardize(z))
+    return rho * total / ctx.nu0
 
 
 def _payoff_moment(ctx, problem, p, delta, rho):
@@ -506,13 +534,9 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         hi = delta + rho
         tail = 1.0 - _h(ctx, 0.0, hi)
         if q == 2.0:
-            eta = mult.budget
-            dh0 = _h(ctx, 0.0, hi) - _h(ctx, 0.0, delta)
-            dh1 = _h(ctx, 1.0, hi) - _h(ctx, 1.0, delta)
-            dh2 = _h(ctx, 2.0, hi) - _h(ctx, 2.0, delta)
-            objective = (eta * eta / 4.0) * (
-                dh2 - 2.0 * delta * dh1 + delta * delta * dh0
-            ) + gamma * gamma * tail
+            half_eta = 0.5 * mult.budget
+            branch = half_eta * half_eta * _branch_square(ctx, delta, rho)
+            objective = branch + gamma * gamma * tail
         else:
             objective = gamma**q * tail
         hit = _h(ctx, 0.0, delta) if mult.mean > 0.0 else 0.0

@@ -28,7 +28,7 @@ from .market import (
     expected_deflator,
     gram_inverse_excess,
 )
-from .solvers import solve_2d
+from .solvers import find_root_1d
 
 MEAN_VARIANCE = "MeanVariance"
 
@@ -67,13 +67,21 @@ def _residuals(ctx, x0, d, lam, eta):
 def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     """Find the multipliers (lam, eta) of the truncated linear payoff.
 
-    The 2x2 system matches the mean and budget constraints.  Newton runs in
-    log coordinates so both multipliers stay positive; the starting point is
-    the solution of the unconstrained linear problem (no positive part),
-    which is exact when the truncation barely binds.
+    With the truncation point delta = lam/eta the mean equation gives
+    eta = 2 d / E[(delta - z)+], and the budget equation becomes the single
+    equation E_w[z] = x0/d, where E_w[z] = E[z (delta - z)+] / E[(delta - z)+]
+    is the mean of z under the weight (delta - z)+.  E_w[z] rises from 0 at
+    delta = 0 to E[z] as delta grows (its derivative is
+    (H_0 H_2 - H_1^2) / E[(delta - z)+]^2 > 0 by Cauchy-Schwarz, H_p at
+    delta), so d E[z] > x0 gives exactly one root,
+    bracketed in closed form: E_w[z] < delta puts the root above x0/d, and
+    E[(delta - z)(z - x0/d)] <= E[(delta - z)+ (z - x0/d)] for delta >= x0/d
+    puts it below the untruncated solution
+    (E[z^2] - E[z] x0/d) / (E[z] - x0/d).  A bracketed root in ln delta
+    solves it to rounding.
 
-    Raises SolverDiverged if the residuals cannot be pushed below 1e-8 and
-    DomainError when d does not exceed risk-free growth of the budget.
+    Raises SolverDiverged if the residuals end above 1e-8 and DomainError
+    when d does not exceed risk-free growth of the budget.
     """
     if abs(problem.horizon - model.horizon) > 1e-12:
         raise DomainError(
@@ -87,20 +95,34 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
             f"(d={problem.d}, x0/E[z]={problem.x0 / ez:.6g})"
         )
     x0, d = problem.x0, problem.d
-    # E[z] and E[z^2] give the linear (untruncated) solve in closed form
+    ratio = x0 / d
     a_mom = partial_moment_H(ctx, 1.0, math.inf)
     c_mom = partial_moment_H(ctx, 2.0, math.inf)
-    eta0 = 2.0 * (d * a_mom - x0) / (c_mom - a_mom * a_mom)
-    lam0 = 2.0 * d + a_mom * eta0
 
-    def system(u):
-        r1, r2 = _residuals(ctx, x0, d, math.exp(u[0]), math.exp(u[1]))
-        return np.array([r1, r2])
+    def shortfall(delta):  # E[(delta - z)+]
+        return delta * partial_moment_H(ctx, 0.0, delta) - partial_moment_H(ctx, 1.0, delta)
 
-    report = solve_2d(system, np.array([math.log(lam0), math.log(eta0)]), tol=1e-11)
-    lam, eta = math.exp(report.root[0]), math.exp(report.root[1])
+    def weighted_mean_gap(u):
+        delta = math.exp(u)
+        below = shortfall(delta)
+        if not below > 0.0:
+            raise SolverDiverged(
+                f"mean-variance truncation point {delta:.3e} lies where E[(delta - z)+] underflows"
+            )
+        z_below = delta * partial_moment_H(ctx, 1.0, delta) - partial_moment_H(ctx, 2.0, delta)
+        return z_below / below - ratio
+
+    report = find_root_1d(
+        weighted_mean_gap,
+        math.log(ratio),
+        math.log((c_mom - a_mom * ratio) / (a_mom - ratio)),
+        tol=0.0,
+    )
+    delta = math.exp(report.root)
+    eta = 2.0 * d / shortfall(delta)
+    lam = delta * eta
     r1, r2 = _residuals(ctx, x0, d, lam, eta)
-    if max(abs(r1), abs(r2)) > 1e-8:
+    if not max(abs(r1), abs(r2)) <= 1e-8:  # NaN residuals fail too
         raise SolverDiverged(
             f"mean-variance multiplier solve stalled at residuals ({r1:.3e}, {r2:.3e})",
             report=report,

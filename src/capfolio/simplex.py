@@ -8,11 +8,16 @@ absolute row residuals; artificials that remain basic at zero are frozen to
 the [0, 0] box for phase 2 instead of being pivoted out, which keeps the
 logic short and the basis nonsingular.  Pricing is Dantzig, falling back to
 Bland's rule while the objective stalls (which protects against cycling on
-the heavily degenerate scenario LPs this package feeds in) and reverting to
+the heavily degenerate LPs this package feeds in) and reverting to
 Dantzig as soon as the value moves again.
 
-The basis matrix is refactorized with a fresh LU at every pivot; at the
-few hundred rows used here that is cheaper than maintaining an update.
+A warm start from a given basis skips phase 1: appending columns or
+changing costs leaves an optimal basis feasible, which is how the cutting-
+plane master of `baseline` is re-solved after each cut.
+
+Every iteration solves with the basis matrix afresh: the programs here
+have a handful of rows, where that costs less than keeping a factorization
+up to date and leaves no drift to wash out.
 """
 
 from __future__ import annotations
@@ -21,21 +26,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from .errors import DimensionMismatch, NumericalBreakdown
 
-AT_LO = 0
-AT_UP = 1
-FREE_ZERO = 2
-IN_BASIS = 3
+AT_LO, AT_UP, FREE_ZERO, IN_BASIS = range(4)  # column status in the tableau
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 
 _PIVOT_TOL = 1e-9
-_COST_TOL = 1e-9
+_COST_TOL = 1e-12
 # consecutive non-improving iterations before pricing falls back to Bland
 _STALL_LIMIT = 100
 
@@ -82,262 +83,175 @@ class SimplexResult:
     objective: float
     duals: np.ndarray | None
     iterations: int
+    basis: np.ndarray | None = None  # basic columns at the optimum, if all structural
 
 
 class _Tableau:
     """Mutable working state shared by the two phases."""
 
     def __init__(self, a, b, lo, up):
-        self.a = a
-        self.b = b
-        self.lo = lo
-        self.up = up
+        self.a, self.b, self.lo, self.up = a, b, lo, up
         self.m, self.n = a.shape
         self.status = np.where(
             np.isfinite(lo), AT_LO, np.where(np.isfinite(up), AT_UP, FREE_ZERO)
         ).astype(np.int8)
         self.basis = np.empty(0, dtype=int)
-        self.x = np.empty(self.n)
         self.iterations = 0
-        # pricing scratch: masks hold 0.0 where the move is allowed, -inf
-        # where it is not, so `mask - rc` disables forbidden moves in one pass
-        self._mask_up = np.empty(self.n)
-        self._mask_dn = np.empty(self.n)
-        self._gain_up = np.empty(self.n)
-        self._gain_dn = np.empty(self.n)
-        self._gain = np.empty(self.n)
-        self._rc = np.empty(self.n)
-        self.rebuild_masks()
 
-    def rebuild_masks(self):
-        """Recompute the pricing masks after any bulk edit of `status`."""
-        raisable = (self.status == AT_LO) | (self.status == FREE_ZERO)
-        lowerable = (self.status == AT_UP) | (self.status == FREE_ZERO)
-        self._mask_up[:] = np.where(raisable, 0.0, -math.inf)
-        self._mask_dn[:] = np.where(lowerable, 0.0, -math.inf)
-
-    def _set_status(self, j, s):
-        self.status[j] = s
-        self._mask_up[j] = 0.0 if s == AT_LO or s == FREE_ZERO else -math.inf
-        self._mask_dn[j] = 0.0 if s == AT_UP or s == FREE_ZERO else -math.inf
-
-    def nonbasic_values(self):
+    def bound_values(self):
+        """Every column on the bound its status names (0 for free and basic)."""
         x = np.where(self.status == AT_LO, self.lo, 0.0)
-        x = np.where(self.status == AT_UP, self.up, x)
-        return np.where(self.status == FREE_ZERO, 0.0, x)
+        return np.where(self.status == AT_UP, self.up, x)
 
-    def refresh(self, values_only=False):
-        """Recompute basic values from scratch, refactorizing unless told not to."""
-        self.x = self.nonbasic_values()
-        self.x[self.basis] = 0.0
-        rhs = self.b - self.a @ self.x
-        if self.m == 0:
-            self.factors = None
-            return
-        if not values_only:
-            self.refactor()
-        x_b = lu_solve(self.factors, rhs, check_finite=False)
-        if not np.all(np.isfinite(x_b)):
-            raise NumericalBreakdown("singular basis: non-finite basic values")
-        self.x[self.basis] = x_b
-
-    def refactor(self):
+    def solve(self, rhs, trans=False):
+        """B^-1 rhs, or B^-T rhs, for the basis matrix B."""
+        mat = self.a[:, self.basis]
         try:
-            self.factors = lu_factor(self.a[:, self.basis], check_finite=False)
-        except (LinAlgError, ValueError) as exc:
+            out = np.linalg.solve(mat.T if trans else mat, rhs)
+        except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"singular basis: {exc}") from exc
+        if not np.all(np.isfinite(out)):
+            raise NumericalBreakdown("singular basis: non-finite basic values")
+        return out
 
-    def duals_for(self, cost):
-        if self.m == 0:
-            return np.zeros(0)
-        return lu_solve(self.factors, cost[self.basis], trans=1, check_finite=False)
-
-    def reduced_costs(self, cost):
-        if self.m:
-            pi = self.duals_for(cost)
-            np.dot(pi, self.a, out=self._rc)
-            np.subtract(cost, self._rc, out=self._rc)
-        else:
-            np.copyto(self._rc, cost)
-        return self._rc
+    def refresh(self):
+        """Nonbasic columns on their bounds, basic values solved from the rows."""
+        x = self.bound_values()
+        x[self.basis] = 0.0
+        x[self.basis] = self.solve(self.b - self.a @ x)
+        self.x = x
 
     def run_phase(self, cost, max_iter, allow_unbounded):
-        """Iterate to optimality of `cost`; returns UNBOUNDED or OPTIMAL.
-
-        Bound flips leave the basis, the duals, and every reduced cost
-        untouched, so those are recomputed only after a genuine pivot.  The
-        variable values and the objective are patched incrementally on every
-        step (the exact update is rc[j] times the displacement) and recomputed
-        from scratch every so often to wash out float drift.
-        """
-        bland = False
-        stall = 0
-        best = math.inf
-        steps_since_refresh = 0
-        self.refresh()
-        value = float(cost @ self.x)
-        rc = None
+        """Iterate to optimality of `cost`; returns UNBOUNDED or OPTIMAL."""
+        bland, stall, best = False, 0, math.inf
         while True:
             self.iterations += 1
             if self.iterations > max_iter:
                 raise NumericalBreakdown(
                     f"simplex exceeded {max_iter} iterations (degenerate cycling?)"
                 )
+            self.refresh()
+            value = float(cost @ self.x)
             if value < best - 1e-12 * max(1.0, abs(best)):
                 # progress resumed, so drop back to the fast Dantzig pricing
                 best, stall, bland = value, 0, False
             else:
                 stall += 1
-                if stall > _STALL_LIMIT:
-                    bland = True
-            if rc is None:
-                rc = self.reduced_costs(cost)
-            entering, direction = self._pick_entering(rc, bland)
+                bland = stall > _STALL_LIMIT
+            rc = cost - self.solve(cost[self.basis], trans=True) @ self.a
+            # reduced costs carry rounding on the scale of the basic costs
+            tol = _COST_TOL * max(1.0, float(np.max(np.abs(cost[self.basis]), initial=0.0)))
+            entering, direction = self._pick_entering(rc, bland, tol)
             if entering < 0:
-                self.refresh(values_only=True)
                 return OPTIMAL
-            outcome, moved = self._pivot(entering, direction, allow_unbounded, bland)
-            if outcome == "unbounded":
-                return UNBOUNDED
-            value += float(rc[entering]) * moved
-            steps_since_refresh += 1
-            if outcome == "pivot":
-                if steps_since_refresh >= 512:
-                    self.refresh()
-                    value = float(cost @ self.x)
-                    steps_since_refresh = 0
-                else:
-                    self.refactor()
-                rc = None
-            elif steps_since_refresh >= 512:
-                self.refresh(values_only=True)
-                value = float(cost @ self.x)
-                steps_since_refresh = 0
+            if not self._move(entering, direction, bland):
+                if allow_unbounded:
+                    return UNBOUNDED
+                raise NumericalBreakdown("phase-1 objective unbounded; inconsistent data")
 
-    def _pick_entering(self, rc, bland):
+    def _pick_entering(self, rc, bland, tol):
         # gain > 0 marks a profitable move; direction +1 raises the variable
-        gain_up = np.subtract(self._mask_up, rc, out=self._gain_up)
-        gain_dn = np.add(self._mask_dn, rc, out=self._gain_dn)
-        gain = np.maximum(gain_up, gain_dn, out=self._gain)
+        free = self.status == FREE_ZERO
+        gain_up = np.where((self.status == AT_LO) | free, -rc, -math.inf)
+        gain_dn = np.where((self.status == AT_UP) | free, rc, -math.inf)
+        gain = np.maximum(gain_up, gain_dn)
         if bland:
-            j = int(np.argmax(gain > _COST_TOL))  # first profitable index
+            j = int(np.argmax(gain > tol))  # first profitable index
         else:
             j = int(np.argmax(gain))
-        if gain[j] <= _COST_TOL:
+        if gain[j] <= tol:
             return -1, 0
         return j, 1 if gain_up[j] >= gain_dn[j] else -1
 
-    def _pivot(self, j, direction, allow_unbounded, bland):
-        """Move variable j in +-1 `direction`.
-
-        Returns a pair (outcome, moved) where outcome is "flip" (bound flip,
-        basis intact), "pivot" (basis changed, caller must refactorize), or
-        "unbounded", and moved is the signed displacement of variable j.
-        Values are patched in place for both flips and pivots.
-        """
-        if self.m:
-            d = lu_solve(self.factors, self.a[:, j], check_finite=False) * direction
-        else:
-            d = np.zeros(0)
-        span = self.up[j] - self.lo[j]  # may be inf
-        t_max, leaving, leave_to = span, -1, AT_LO
+    def _move(self, j, direction, bland):
+        """Move variable j in +-1 `direction` until a bound stops it: a basic
+        variable leaves, or j flips to its other bound.  False if no bound
+        stops it."""
+        d = self.solve(self.a[:, j]) * direction
         x_b = self.x[self.basis]
         lo_b, up_b = self.lo[self.basis], self.up[self.basis]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_lo = np.where(d > _PIVOT_TOL, (x_b - lo_b) / d, math.inf)
             t_up = np.where(d < -_PIVOT_TOL, (up_b - x_b) / (-d), math.inf)
         t_basic = np.minimum(t_lo, t_up)
-        if t_basic.size:
-            t_star = float(t_basic.min())
-            if t_star < t_max:
-                ties = np.flatnonzero(t_basic <= t_star + 1e-12)
-                if bland:
-                    # Bland breaks ratio ties by smallest variable index
-                    i = int(ties[np.argmin(self.basis[ties])])
-                else:
-                    # otherwise prefer the largest pivot element for stability
-                    i = int(ties[np.argmax(np.abs(d[ties]))])
-                t_max = float(max(t_basic[i], 0.0))
-                leaving = i
-                leave_to = AT_LO if t_lo[i] <= t_up[i] else AT_UP
-        if math.isinf(t_max):
-            if allow_unbounded:
-                return "unbounded", 0.0
-            raise NumericalBreakdown("phase-1 objective unbounded; inconsistent data")
-        if leaving < 0:
-            # the entering variable crosses its whole box: plain bound flip
-            self._set_status(j, AT_UP if direction > 0 else AT_LO)
-            self.x[j] = self.up[j] if direction > 0 else self.lo[j]
-            self.x[self.basis] = x_b - t_max * d
-            return "flip", direction * t_max
-        out = self.basis[leaving]
-        new_b = x_b - t_max * d
-        # snap the leaving variable onto its bound to kill roundoff residue
-        new_b[leaving] = self.lo[out] if leave_to == AT_LO else self.up[out]
-        self.x[self.basis] = new_b
-        self.x[j] += direction * t_max
-        self._set_status(out, leave_to)
-        self._set_status(j, IN_BASIS)
-        self.basis[leaving] = j
-        return "pivot", direction * t_max
+        span = self.up[j] - self.lo[j]  # may be inf
+        if t_basic.size and t_basic.min() < span:
+            ties = np.flatnonzero(t_basic <= t_basic.min() + 1e-12)
+            if bland:
+                # Bland breaks ratio ties by smallest variable index
+                i = int(ties[np.argmin(self.basis[ties])])
+            else:
+                # otherwise prefer the largest pivot element for stability
+                i = int(ties[np.argmax(np.abs(d[ties]))])
+            self.status[self.basis[i]] = AT_LO if t_lo[i] <= t_up[i] else AT_UP
+            self.status[j] = IN_BASIS
+            self.basis[i] = j
+            return True
+        if math.isinf(span):
+            return False
+        self.status[j] = AT_UP if direction > 0 else AT_LO
+        return True
 
 
-def solve_dense(lp: LinearProgram, start_status=None) -> SimplexResult:
+def solve_dense(lp: LinearProgram, basis=None) -> SimplexResult:
     """Two-phase bounded-variable revised simplex on dense arrays.
 
-    `start_status` optionally places each structural variable at AT_LO,
-    AT_UP, or FREE_ZERO before phase 1 (a crash start).  Phase 1 repairs
-    whatever infeasibility the placement leaves, so a good guess only saves
-    iterations and a bad one costs nothing but iterations.
+    `basis` optionally names m structural columns to start phase 2 from,
+    with every nonbasic column at its default bound: an earlier
+    `SimplexResult.basis` stays a valid warm start after columns are
+    appended or costs change.  A start that is singular or infeasible falls
+    back to the cold two-phase start.
     """
     a, b = lp.a_eq, lp.b_eq
     m, n = a.shape
     scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
     max_iter = 2000 + 50 * (m + n)
 
-    # phase 1: signed artificials make the start feasible
-    tab = _Tableau(
-        np.hstack([a, np.zeros((m, m))]) if m else a.copy(),
-        b,
-        np.concatenate([lp.lower, np.zeros(m)]),
-        np.concatenate([lp.upper, np.full(m, math.inf)]),
-    )
-    if start_status is not None:
-        placed = np.asarray(start_status, dtype=np.int8)
-        if placed.shape != (n,):
-            raise DimensionMismatch(f"start_status has shape {placed.shape}, want ({n},)")
-        bad = (
-            ((placed == AT_LO) & ~np.isfinite(lp.lower))
-            | ((placed == AT_UP) & ~np.isfinite(lp.upper))
-            | ((placed == FREE_ZERO) & (np.isfinite(lp.lower) | np.isfinite(lp.upper)))
-            | ~np.isin(placed, (AT_LO, AT_UP, FREE_ZERO))
+    tab = None if basis is None else _warm_tableau(lp, basis, scale)
+    if tab is None:
+        # phase 1: signed artificials make the start feasible
+        tab = _Tableau(
+            np.hstack([a, np.zeros((m, m))]),
+            b,
+            np.concatenate([lp.lower, np.zeros(m)]),
+            np.concatenate([lp.upper, np.full(m, math.inf)]),
         )
-        if np.any(bad):
-            raise DimensionMismatch("start_status places a variable at a missing bound")
-        tab.status[:n] = placed
-    start = tab.nonbasic_values()[:n]
-    residual = b - a @ start
-    for i in range(m):
-        tab.a[i, n + i] = 1.0 if residual[i] >= 0.0 else -1.0
-    tab.basis = np.arange(n, n + m)
-    tab.status[n:] = IN_BASIS
-    tab.rebuild_masks()
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    tab.run_phase(phase1_cost, max_iter, allow_unbounded=False)
-    if float(phase1_cost @ tab.x) > 1e-7 * scale:
-        return SimplexResult(INFEASIBLE, None, math.nan, None, tab.iterations)
+        tab.a[:, n:] = np.diag(np.where(b >= a @ tab.bound_values()[:n], 1.0, -1.0))
+        tab.basis = np.arange(n, n + m)
+        tab.status[n:] = IN_BASIS
+        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+        tab.run_phase(phase1_cost, max_iter, allow_unbounded=False)
+        if float(phase1_cost @ tab.x) > 1e-7 * scale:
+            return SimplexResult(INFEASIBLE, None, math.nan, None, tab.iterations)
 
-    # freeze artificials at zero; any still basic are degenerate and harmless
-    tab.lo[n:] = 0.0
-    tab.up[n:] = 0.0
-    artificial = tab.status[n:] != IN_BASIS
-    tab.status[n:][artificial] = AT_LO
-    tab.rebuild_masks()
+        # freeze artificials at zero; any still basic are degenerate and harmless
+        tab.up[n:] = 0.0
+        tab.status[n:][tab.status[n:] != IN_BASIS] = AT_LO
 
-    phase2_cost = np.concatenate([lp.cost, np.zeros(m)])
+    phase2_cost = np.concatenate([lp.cost, np.zeros(tab.n - n)])
     status = tab.run_phase(phase2_cost, max_iter, allow_unbounded=True)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, -math.inf, None, tab.iterations)
     x = tab.x[:n].copy()
-    duals = np.asarray(tab.duals_for(phase2_cost))
-    return SimplexResult(OPTIMAL, x, float(lp.cost @ x), duals, tab.iterations)
+    duals = tab.solve(phase2_cost[tab.basis], trans=True)
+    final = tab.basis.copy() if np.all(tab.basis < n) else None
+    return SimplexResult(OPTIMAL, x, float(lp.cost @ x), duals, tab.iterations, final)
+
+
+def _warm_tableau(lp, basis, scale):
+    """Tableau at `basis` without artificials, or None if that start fails."""
+    m, n = lp.a_eq.shape
+    basis = np.array(basis, dtype=int)
+    if basis.shape != (m,) or np.any((basis < 0) | (basis >= n)):
+        raise DimensionMismatch(f"basis must hold {m} column indices below {n}")
+    tab = _Tableau(lp.a_eq, lp.b_eq, lp.lower, lp.upper)
+    tab.basis = basis
+    tab.status[basis] = IN_BASIS
+    try:
+        tab.refresh()
+    except NumericalBreakdown:
+        return None
+    x_b, tol = tab.x[basis], 1e-9 * scale
+    if np.any(x_b < lp.lower[basis] - tol) or np.any(x_b > lp.upper[basis] + tol):
+        return None
+    return tab

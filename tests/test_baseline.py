@@ -165,3 +165,95 @@ def test_single_asset_market_promotion():
         (0.08 - 0.5 * 0.25**2) * 0.5, abs=5 * 0.25 * math.sqrt(0.5) / math.sqrt(5000)
     )
     np.testing.assert_allclose(scen.returns[:, 1], math.exp(0.01), rtol=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.90, 0.95, 0.99])
+def test_cuts_match_highs_on_criterion_grid(example2, beta):
+    scen = baseline.generate_scenarios(example2, 2000, seed=12345)
+    for d in (11.0, 12.0, 13.0):
+        lp = baseline.build_ru_lp(scen, beta=beta, d=d, x0=10.0)
+        sol = baseline.simplex_solve(lp)
+        ref = _primal_reference(lp)
+        assert sol.status == baseline.OPTIMAL and ref.status == 0
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+        np.testing.assert_allclose(sol.weights, ref.x[:4], rtol=0, atol=1e-6)
+
+
+def _hedge_scenarios(n, spread_mean, spread_sd):
+    """Bond 1.02, a risky asset, and a near copy that beats it by a small
+    noisy spread: the cheapest tail risk is a large long-short position."""
+    rng = np.random.default_rng(3)
+    risky = 1.02 + rng.normal(0.05, 0.2, n)
+    copy = risky + rng.normal(spread_mean, spread_sd, n)
+    returns = np.column_stack([risky, copy, np.full(n, 1.02)])
+    return baseline.ScenarioSet(returns=returns, probabilities=np.full(n, 1 / n), seed=0)
+
+
+def _record_boxes(monkeypatch):
+    boxes = []
+    rounds = baseline._cut_rounds
+
+    def recorded(lp, master, box):
+        boxes.append(box)
+        return rounds(lp, master, box)
+
+    monkeypatch.setattr(baseline, "_cut_rounds", recorded)
+    return boxes
+
+
+def test_box_grows_to_an_optimum_beyond_it(monkeypatch):
+    boxes = _record_boxes(monkeypatch)
+    lp = baseline.build_ru_lp(_hedge_scenarios(400, 1e-3, 2e-3), beta=0.9, d=1.52, x0=1.0)
+    sol = baseline.simplex_solve(lp)
+    assert sol.status == baseline.OPTIMAL
+    assert np.max(np.abs(sol.weights)) > 100.0 * lp.x0
+    assert max(boxes) > 100.0 * lp.x0
+    ref = _primal_reference(lp)
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+    np.testing.assert_allclose(sol.weights, ref.x[:3], rtol=1e-8)
+
+
+def test_tail_arbitrage_reported_after_the_box_grew(monkeypatch):
+    # the copy beats the risky asset in every scenario by at least 3e-4
+    scen = _hedge_scenarios(400, 1e-3, 2e-4)
+    assert np.min(scen.returns[:, 1] - scen.returns[:, 0]) > 3e-4
+    boxes = _record_boxes(monkeypatch)
+    lp = baseline.build_ru_lp(scen, beta=0.9, d=1.52, x0=1.0)
+    sol = baseline.simplex_solve(lp)
+    assert sol.status == baseline.UNBOUNDED
+    assert sol.weights is None and sol.objective == -math.inf
+    assert boxes[0] == 100.0 * lp.x0 and max(boxes) > boxes[0]
+    assert _primal_reference(lp).status == 3
+
+
+def test_duplicate_asset_keeps_the_first_box_optimum(monkeypatch):
+    # two identical columns leave the optimum on an unbounded face: the box
+    # binds, a wider one gives the same value, and the narrower is kept
+    risky = 1.02 + np.random.default_rng(3).normal(0.05, 0.2, 50)
+    returns = np.column_stack([risky, risky, np.full(50, 1.02)])
+    scen = baseline.ScenarioSet(returns=returns, probabilities=np.full(50, 1 / 50), seed=0)
+    boxes = _record_boxes(monkeypatch)
+    lp = baseline.build_ru_lp(scen, beta=0.5, d=1.1, x0=1.0)
+    sol = baseline.simplex_solve(lp)
+    assert sol.status == baseline.OPTIMAL
+    assert boxes == [100.0, 10000.0]
+    assert np.max(np.abs(sol.weights)) <= 100.0 * (1 + 1e-12)
+    assert sol.objective == pytest.approx(_primal_reference(lp).fun, rel=1e-9)
+
+
+def test_non_unique_var_level(example1):
+    # (1 - beta) N = 100 scenarios exactly: every alpha between the 300th
+    # and 301st smallest loss is optimal, so only the value is pinned
+    scen = baseline.generate_scenarios(example1, 400, seed=9)
+    lp = baseline.build_ru_lp(scen, beta=0.75, d=1.09, x0=1.0)
+    assert (1.0 - lp.beta) * scen.n_scenarios == 100.0
+    sol = baseline.simplex_solve(lp)
+    assert sol.status == baseline.OPTIMAL
+    ref = _primal_reference(lp)
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (scen.returns @ sol.weights).mean() >= 1.09 - 1e-12
+    losses = np.sort(lp.xbar - scen.returns @ sol.weights)
+    assert losses[299] - 1e-9 <= sol.alpha <= losses[300] + 1e-9

@@ -97,6 +97,19 @@ def test_solve_mean_variance(tmp_path):
     assert float(evaluate(0.0, 1.0)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_solve_mean_variance_on_stress_market(tmp_path, capsys):
+    # d = 5 lies where a Newton step on (ln lam, ln eta) overflowed math.exp
+    stress = {
+        "horizon": 1.0,
+        "segments": [{"t_start": 0.0, "r": 0.02, "mu": [0.6], "sigma": [[0.2]]}],
+    }
+    cfg = _cfg(tmp_path, stress, {"kind": "mv", "x0": 1.0, "d": 5.0}, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    model, evaluate = cli.load_solution(tmp_path / "solution.json")
+    assert float(evaluate(0.0, 1.0)) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_solve_cvar_cell(tmp_path):
     cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run={"out": str(tmp_path)})
     assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0

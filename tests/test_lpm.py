@@ -490,3 +490,33 @@ def test_targets_at_rounding_distance_solve_or_raise(grid_markets, name, rel):
         except (SolverDiverged, TargetTooHigh):
             continue
         _assert_constraints(sol, prob, model)
+
+
+def _q2_objective_mpmath(sol):
+    """(eta/2)^2 E[(z - delta)^2 1{delta < z <= delta + rho}] + gamma^2 P(z > delta + rho)
+    at the solved thresholds, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m0, nu0 = mpmath.mpf(sol.context.m0), mpmath.mpf(sol.context.nu0)
+        delta, rho = mpmath.mpf(sol.delta), mpmath.mpf(sol.rho)
+        half_eta, gamma = mpmath.mpf(sol.multipliers.budget) / 2, mpmath.mpf(sol.problem.gamma)
+        branch = mpmath.quad(
+            lambda u: (mpmath.exp(u) - delta) ** 2 * mpmath.npdf((u - m0) / nu0) / nu0,
+            [mpmath.log(delta), mpmath.log(delta + rho)],
+        )
+        tail = 1 - mpmath.ncdf((mpmath.log(delta + rho) - m0) / nu0)
+        return float(half_eta**2 * branch + gamma**2 * tail)
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-9])
+def test_q2_objective_matches_mpmath_below_d_upper(example1, rel):
+    # the middle branch is short there (rho / delta down to 5e-5), where the
+    # closed form dH_2 - 2 delta dH_1 + delta^2 dH_0 cancels
+    for gamma, cap in ((1.0, 1.2), (1.05, 2.0), (1.1, 10.0), (0.95, 3.0)):
+        probe = lpm.LpmProblem(x0=1.0, d=1.0, gamma=gamma, cap=cap, q=2.0, horizon=1.0)
+        lo, hi = lpm.d_bounds(probe, example1)
+        problem = lpm.LpmProblem(
+            x0=1.0, d=hi - rel * (hi - lo), gamma=gamma, cap=cap, q=2.0, horizon=1.0
+        )
+        sol = lpm.solve_lpm(problem, example1)
+        assert sol.objective_value == pytest.approx(_q2_objective_mpmath(sol), rel=0, abs=1e-14)

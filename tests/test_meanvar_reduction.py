@@ -1,0 +1,37 @@
+"""Mean-variance multipliers by the 1-D reduction in the truncation point,
+on a market steep enough to break a 2-D Newton on (ln lam, ln eta)."""
+import numpy as np
+import pytest
+
+from capfolio import meanvar
+from capfolio.errors import SolverDiverged
+from capfolio.kernels import partial_moment_H
+from capfolio.market import deflator_context, validate_market
+
+STRESS = validate_market(1.0, 0.02, 0.6, 0.2)  # Sharpe ratio 2.9
+
+
+def _solve(d, market=STRESS):
+    return meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=d, horizon=1.0), market)
+
+
+def test_stress_market_grid_solves():
+    # a 2-D Newton overflowed math.exp on 24 of these 200 targets, at d near
+    # 4.5-7.7 and 16.7-17.9
+    ctx = deflator_context(STRESS)
+    for d in np.linspace(1.0, 40.0, 200)[1:]:  # d = 1 is below x0 / E[z]
+        mult = _solve(float(d))
+        cut = mult.mean / mult.budget
+        h0, h1 = (partial_moment_H(ctx, p, cut) for p in (0.0, 1.0))
+        assert 0.5 * (mult.mean * h0 - mult.budget * h1) == pytest.approx(d, rel=1e-10)
+        # the budget through the wealth surface at t = 0, z = 1
+        assert float(meanvar.mv_wealth(mult, STRESS, 0.0, 1.0)) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_unrepresentable_truncation_point_raises():
+    # d = 1e12 puts lam / eta near 1e-12, far below where E[(delta - z)+]
+    # underflows on this market; the solve reports it instead of dividing by 0
+    example1 = validate_market(1.0, 0.06, 0.12, 0.15)
+    assert _solve(1e6, example1).budget > 1e268
+    with pytest.raises(SolverDiverged):
+        _solve(1e12, example1)

@@ -180,45 +180,50 @@ def test_random_sweep_against_reference_solver():
     assert checked >= 25
 
 
-def test_start_status_validation():
-    lp = simplex.make_lp(
-        cost=[1.0, 1.0],
-        a_eq=[[1.0, 1.0]],
-        b_eq=[1.0],
-        lower=[0.0, -math.inf],
-        upper=[1.0, math.inf],
-    )
-    ok = np.array([simplex.AT_LO, simplex.FREE_ZERO], dtype=np.int8)
-    assert simplex.solve_dense(lp, start_status=ok).status == simplex.OPTIMAL
-    with pytest.raises(DimensionMismatch):
-        simplex.solve_dense(lp, start_status=ok[:1])
-    for bad in (
-        [simplex.AT_LO, simplex.AT_LO],  # no finite lower on column 2
-        [simplex.AT_LO, simplex.AT_UP],  # no finite upper on column 2
-        [simplex.FREE_ZERO, simplex.FREE_ZERO],  # column 1 has finite bounds
-        [simplex.IN_BASIS, simplex.FREE_ZERO],  # basis membership not allowed
-        [7, simplex.FREE_ZERO],
-    ):
-        with pytest.raises(DimensionMismatch):
-            simplex.solve_dense(lp, start_status=np.array(bad, dtype=np.int8))
-
-
-def test_crash_start_reaches_same_optimum():
+def test_warm_start_after_appending_columns():
+    # a cutting-plane master: the optimal basis of the smaller program is a
+    # feasible start once columns are appended, so phase 1 is skipped
     rng = np.random.default_rng(99)
     for _ in range(10):
-        n = 8
-        a = rng.normal(size=(2, n))
-        lower = np.zeros(n)
-        upper = rng.uniform(0.5, 2.0, n)
-        anchor = lower + rng.random(n) * (upper - lower)
-        lp = simplex.make_lp(rng.normal(size=n), a, a @ anchor, lower, upper)
-        cold = simplex.solve_dense(lp)
-        start = np.where(
-            rng.random(n) < 0.5, simplex.AT_LO, simplex.AT_UP
-        ).astype(np.int8)
-        warm = simplex.solve_dense(lp, start_status=start)
-        assert cold.status == warm.status == simplex.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+        m, n = 3, 8
+        a = rng.normal(size=(m, n + 4))
+        lower = np.zeros(n + 4)
+        upper = np.where(rng.random(n + 4) < 0.5, rng.uniform(0.5, 2.0, n + 4), math.inf)
+        anchor = rng.random(n) * np.minimum(upper[:n], 1.0)
+        cost = rng.uniform(0.1, 2.0, n + 4) * rng.choice([-1.0, 1.0], n + 4)
+        small = simplex.make_lp(cost[:n], a[:, :n], a[:, :n] @ anchor, lower[:n], upper[:n])
+        first = simplex.solve_dense(small)
+        if first.status != simplex.OPTIMAL or first.basis is None:
+            continue
+        big = simplex.make_lp(cost, a, small.b_eq, lower, upper)
+        cold = simplex.solve_dense(big)
+        warm = simplex.solve_dense(big, basis=first.basis)
+        assert warm.status == cold.status
+        if cold.status == simplex.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+            np.testing.assert_allclose(a @ warm.x, big.b_eq, atol=1e-8)
+
+
+def test_warm_start_falls_back_on_a_bad_basis():
+    lp = simplex.make_lp([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0]], [1.0])
+    cold = simplex.solve_dense(lp)
+    assert cold.status == simplex.OPTIMAL and cold.basis is not None
+    # the optimal basis needs only the final pricing pass; starts at x_0 = 1
+    # or x_1 = 1 are feasible but not optimal
+    assert simplex.solve_dense(lp, basis=cold.basis).iterations == 1 < cold.iterations
+    for start in ([0], [1], [2]):
+        res = simplex.solve_dense(lp, basis=start)
+        assert res.status == simplex.OPTIMAL
+        assert res.objective == pytest.approx(cold.objective, abs=1e-12)
+    # here basis [0] puts x_0 = -1 below its bound, so the cold start runs
+    flipped = simplex.make_lp([1.0, 2.0, 0.0], [[1.0, -1.0, 1.0]], [-1.0])
+    assert simplex.solve_dense(flipped, basis=[0]).objective == pytest.approx(
+        simplex.solve_dense(flipped).objective, abs=1e-12
+    )
+    with pytest.raises(DimensionMismatch):
+        simplex.solve_dense(lp, basis=[0, 1])
+    with pytest.raises(DimensionMismatch):
+        simplex.solve_dense(lp, basis=[3])
 
 
 def test_iteration_count_reported():
