@@ -116,7 +116,7 @@ def _number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _validate_run(run: dict, horizon: float) -> None:
+def _validate_run(run: dict, model: market.MarketModel) -> None:
     """Reject run-block values no command can use, before any solve starts."""
     for name, low in (("seed", 0), ("paths", 1), ("steps", 1), ("scenarios", 1)):
         value = run[name]
@@ -126,9 +126,18 @@ def _validate_run(run: dict, horizon: float) -> None:
         raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
     if not isinstance(run["out"], str):
         raise ConfigError(f"run.out must be a directory path, got {run['out']!r}")
-    t = run.get("t", 0.0)
-    if not (_is_number(t) and 0.0 <= t <= horizon):
-        raise ConfigError(f"run.t must be a finite time in [0, {horizon}], got {t!r}")
+    if "t" in run:
+        t = run["t"]
+        if not (_is_number(t) and 0.0 <= t <= model.horizon):
+            raise ConfigError(
+                f"run.t must be a finite time in [0, {model.horizon}], got {t!r}"
+            )
+        nu = market.deflator_moments(model, t).nu
+        if nu < lpm.TERMINAL_NU:
+            raise ConfigError(
+                f"run.t = {t!r} leaves deflator volatility {nu:.2e} before the "
+                f"horizon, below {lpm.TERMINAL_NU:g}: the policy is undefined there"
+            )
     d_grid = run.get("d_grid", [])
     if not _number_list(d_grid):
         raise ConfigError(f"run.d_grid must be a list of finite numbers, got {d_grid!r}")
@@ -190,7 +199,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise
     except (CapfolioError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
-    _validate_run(run, model.horizon)
+    _validate_run(run, model)
     return RunConfig(
         market_block=raw["market"],
         problem_block=problem_block,
@@ -318,7 +327,8 @@ def load_solution(path):
         case=sol["case"],
     )
     if sol["kind"] == "mv":
-        return model, lambda t, z: meanvar.mv_wealth(mult, model, t, z)
+        payoff = meanvar.mv_payoff(mult, model)
+        return model, lambda t, z: lpm.wealth(payoff, t, z)
     pb = sol["problem"]
     problem = lpm.LpmProblem(
         x0=pb["x0"], d=pb["d"], gamma=pb["gamma"], cap=pb["cap"], q=pb["q"],
@@ -337,7 +347,8 @@ def load_solution(path):
         d_upper=sol["d_bounds"]["upper"],
         multiple_solutions=sol["multiple_solutions"],
     )
-    return model, lambda t, z: lpm.wealth(rebuilt, t, z)
+    payoff = lpm.payoff(rebuilt)
+    return model, lambda t, z: lpm.wealth(payoff, t, z)
 
 
 def _policy_time(config: RunConfig) -> float:
@@ -368,22 +379,8 @@ def _z_grid(config: RunConfig, t: float) -> np.ndarray:
 def cmd_policy_table(config: RunConfig) -> int:
     """Write the feedback table z,x,pi_i,w_i at one policy time."""
     t = _policy_time(config)
-    grid = _z_grid(config, t)
-    if config.kind == "mv":
-        mult = meanvar.solve_mv(config.instance, config.model)
-        x = np.atleast_1d(meanvar.mv_wealth(mult, config.model, t, grid))
-        pi = np.atleast_2d(meanvar.mv_policy(mult, config.model, t, grid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = np.where(x[:, None] != 0.0, pi / x[:, None], np.nan)
-        order = np.argsort(x, kind="stable")
-        z, x, pi, weights = grid[order], x[order], pi[order], weights[order]
-    else:
-        if config.kind == "cvar":
-            sol = cvar.solve_cvar(config.instance, config.model).policy
-        else:
-            sol = lpm.solve_lpm(config.instance, config.model)
-        curve = lpm.feedback_curve(sol, t, grid)
-        z, x, pi, weights = curve.z, curve.x, curve.pi, curve.weights
+    curve = lpm.feedback_curve(_solved_policy(config), t, _z_grid(config, t))
+    z, x, pi, weights = curve.z, curve.x, curve.pi, curve.weights
     n = pi.shape[1]
     header = (
         ["z", "x"]
@@ -412,20 +409,30 @@ def cmd_frontier(config: RunConfig) -> int:
     return 0
 
 
-def _solved_policy(config: RunConfig):
-    """Solve the configured problem down to something run_policy accepts."""
-    if config.kind == "lpm":
-        return lpm.solve_lpm(config.instance, config.model), None
-    if config.kind == "cvar":
-        csol = cvar.solve_cvar(config.instance, config.model)
-        return csol.policy, csol
-    return meanvar.solve_mv(config.instance, config.model), None
+def _lpm_payoff(problem, model) -> lpm.Payoff:
+    return lpm.payoff(lpm.solve_lpm(problem, model))
+
+
+def _cvar_payoff(problem, model) -> lpm.Payoff:
+    return lpm.payoff(cvar.solve_cvar(problem, model).policy)
+
+
+def _mv_payoff(problem, model) -> lpm.Payoff:
+    return meanvar.mv_payoff(meanvar.solve_mv(problem, model), model)
+
+
+_PAYOFFS = {"lpm": _lpm_payoff, "cvar": _cvar_payoff, "mv": _mv_payoff}
+
+
+def _solved_policy(config: RunConfig) -> lpm.Payoff:
+    """Solve the configured problem down to its optimal terminal payoff."""
+    return _PAYOFFS[config.kind](config.instance, config.model)
 
 
 def cmd_simulate(config: RunConfig) -> int:
     """Monte-Carlo replication: deflator paths, Euler wealth, estimates."""
     run = config.run
-    policy, csol = _solved_policy(config)
+    policy = _solved_policy(config)
     ensemble = montecarlo.simulate_deflator(
         config.model, int(run["paths"]), int(run["steps"]), int(run["seed"])
     )
@@ -437,8 +444,9 @@ def cmd_simulate(config: RunConfig) -> int:
             montecarlo.estimate_lpm(x_t, config.instance.gamma, config.instance.q)
         )
     elif config.kind == "cvar":
+        xbar = cvar.safe_level(config.instance, config.model)
         estimates["cvar"] = dataclasses.asdict(
-            montecarlo.estimate_cvar(x_t, config.instance.beta, csol.xbar)
+            montecarlo.estimate_cvar(x_t, config.instance.beta, xbar)
         )
     else:
         estimates["sample_variance"] = {

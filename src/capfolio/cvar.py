@@ -88,8 +88,8 @@ class CvarSolution:
 
     alpha_star is the VaR of the optimal loss.  policy is the embedded
     shortfall solution at alpha_star (benchmark xbar - alpha_star, q=1);
-    pass it to the downside module's wealth and policy evaluators
-    unchanged.  cvar equals trace.j_star.
+    lpm.payoff(policy) is the payoff the wealth and policy evaluators of
+    the downside module take.  cvar equals trace.j_star.
     """
 
     problem: CvarProblem
@@ -212,31 +212,12 @@ def _search(problem: CvarProblem, model: MarketModel, xbar: float):
     return trace, embedded
 
 
-def search_alpha(problem: CvarProblem, model: MarketModel) -> AlphaSearchTrace:
-    """Find alpha* = argmin J over [xbar - cap, xbar] and record the trace.
-
-    alpha* is the VaR of the optimal loss.  It is the root of the exact
-    derivative
-
-        J'(alpha) = 1 - [1 - H_0(h) + eta (H_1(h) - H_1(delta))
-                         - lam (H_0(h) - H_0(delta))] / (1 - beta)
-
-    of the embedded solution at alpha, found by a bracketed 1-D root solve,
-    or xbar - cap when J'(xbar - cap) >= 0.  Raises TargetTooHigh when the
-    mean target is unattainable.
-    """
-    return _search(problem, model, safe_level(problem, model))[0]
-
-
 def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     """Solve the mean-CVaR problem end to end.
 
-    alpha* is the VaR of the optimal loss, found as the root of
-
-        J'(alpha) = 1 - [1 - H_0(h) + eta (H_1(h) - H_1(delta))
-                         - lam (H_0(h) - H_0(delta))] / (1 - beta)
-
-    on [xbar - cap, xbar].  The returned policy is the embedded shortfall
+    alpha* is the VaR of the optimal loss, found as the root of the exact
+    J'(alpha) of the module docstring on [xbar - cap, xbar], or xbar - cap
+    when J'(xbar - cap) >= 0.  The returned policy is the embedded shortfall
     solution the search produced at alpha*, with its multipliers,
     thresholds and case tag.  Raises TargetTooHigh when d is unattainable
     at the cap and InfeasibleBudget when the budget already exceeds the

@@ -25,6 +25,10 @@ rich threshold (or delta = 0) to d_upper at delta_bar = H_1^{-1}(x0/cap).
 So every Regular instance is one bracketed root in delta with a guaranteed
 sign change; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
 
+`payoff` turns a solution into a piecewise-linear Payoff, and `wealth`,
+`policy` and `feedback_curve` replicate any Payoff (Cox & Huang 1989), the
+mean-variance one of `meanvar.mv_payoff` included.
+
 Case tags: Regular (both multipliers positive), DegenerateLowTarget (mean
 constraint slack, lam = 0), DegenerateRich (budget alone already funds
 X >= gamma; objective 0, solution not unique).
@@ -72,11 +76,13 @@ __all__ = [
     "LpmProblem",
     "Multipliers",
     "PolicySolution",
+    "Payoff",
     "FeedbackCurve",
     "d_bounds",
     "classify",
     "solve_multipliers",
     "solve_lpm",
+    "payoff",
     "terminal_wealth",
     "expected_terminal_wealth",
     "wealth",
@@ -166,7 +172,7 @@ class Multipliers:
 
 @dataclass(frozen=True, slots=True)
 class PolicySolution:
-    """Everything needed to evaluate the optimal wealth and policy.
+    """A solved instance; `payoff(solution)` is its optimal terminal wealth.
 
     `delta` and `rho` are the solved thresholds in z: the cap branch is
     {z <= delta} and the benchmark branch ends at delta + rho. For
@@ -202,6 +208,23 @@ class FeedbackCurve:
     pi: np.ndarray
     weights: np.ndarray
     monotone_warning: bool
+
+
+@dataclass(frozen=True, slots=True)
+class Payoff:
+    """Piecewise-linear terminal wealth in the terminal deflator z.
+
+    X(z) = constants[k] + slopes[k] z on (levels[k-1], levels[k]], with the
+    first branch starting at 0, and X(z) = 0 beyond the last level, which
+    may be +inf. Levels ascend; an empty branch repeats its lower level.
+    The wealth surface, policy and feedback curve of every solved problem
+    are read off this one type (`payoff`, `meanvar.mv_payoff`).
+    """
+
+    model: MarketModel
+    levels: tuple
+    constants: tuple
+    slopes: tuple
 
 
 def _h(ctx: PartialMomentContext, p: float, y: float) -> float:
@@ -557,23 +580,36 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     )
 
 
-def terminal_wealth(solution: PolicySolution, z) -> np.ndarray:
-    """Optimal terminal wealth X*(z), an array of the shape of z."""
-    z = np.asarray(z, dtype=float)
-    prob = solution.problem
-    delta = solution.delta
+def payoff(solution: PolicySolution) -> Payoff:
+    """The solved terminal wealth X*(z) as a Payoff with two branches.
+
+    Both branches start at the cap threshold delta: the cap branch
+    {z <= delta} pays the cap, and the benchmark branch pays gamma up to
+    delta + rho for q <= 1, or falls from gamma at delta with slope -eta/2
+    for q = 2. The rich case pays gamma on every z > delta, and delta = 0
+    (DegenerateLowTarget) leaves the cap branch empty.
+    """
+    prob, delta = solution.problem, solution.delta
     if solution.multipliers.case == DEGENERATE_RICH:
-        return np.where(z <= delta, prob.cap, prob.gamma)
-    hi = delta + solution.rho
-    if prob.q == 2.0:
-        eta = solution.multipliers.budget
-        mid = prob.gamma - 0.5 * eta * (z - delta)
-        return np.select(
-            [z <= delta, z <= hi], [np.full_like(z, prob.cap), mid], default=0.0
-        )
+        hi = math.inf
+    else:
+        hi = delta + solution.rho
+    # the rich case has eta = 0, so its q = 2 branch is flat as well
+    half_eta = 0.5 * solution.multipliers.budget if prob.q == 2.0 else 0.0
+    return Payoff(
+        model=solution.model,
+        levels=(delta, hi),
+        constants=(prob.cap, prob.gamma + half_eta * delta),
+        slopes=(0.0, -half_eta),
+    )
+
+
+def terminal_wealth(payoff: Payoff, z) -> np.ndarray:
+    """Terminal wealth X(z) of the payoff, an array of the shape of z."""
+    z = np.asarray(z, dtype=float)
     return np.select(
-        [z <= delta, z <= hi],
-        [np.full_like(z, prob.cap), np.full_like(z, prob.gamma)],
+        [z <= level for level in payoff.levels],
+        [a + b * z for a, b in zip(payoff.constants, payoff.slopes)],
         default=0.0,
     )
 
@@ -588,125 +624,90 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
     return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
 
 
-def _remaining_moments(solution, t):
-    mom = deflator_moments(solution.model, t)
-    return mom.m, mom.nu
+def _branch_sum(payoff: Payoff, a, m, nu, log_z, weights, factor):
+    """sum_k weights[k] factor dG_a over the payoff branches.
+
+    G_a(y) = E[e^{aY} 1{z e^Y <= y}] for Y ~ N(m, nu^2), and dG_a is its
+    difference between the branch ends y_{k-1} and y_k (y_0 = 0).
+    Branches of weight 0 add nothing, so all-zero weights cost nothing.
+    """
+    total = below = 0.0
+    if not any(weights):
+        return total
+    for y, w in zip(payoff.levels, weights):
+        mass = truncated_exp_moment_array(a, m, nu, math.log(y) - log_z) if y > 0.0 else 0.0
+        if w != 0.0:
+            total = total + w * factor * (mass - below)
+        below = mass
+    return total
 
 
-def _tilted_mass(a, m, nu, z, level):
-    """E[e^{aY} 1_{z e^Y <= level}] for Y ~ N(m, nu^2); broadcasts over z."""
-    if level <= 0.0:
-        return np.zeros_like(np.asarray(z, dtype=float))
-    with np.errstate(divide="ignore"):
-        cut = math.log(level) - np.log(np.asarray(z, dtype=float))
-    return truncated_exp_moment_array(a, m, nu, cut)
+def wealth(payoff: Payoff, t, z) -> np.ndarray:
+    """Wealth x(t, z) that replicates the payoff, an array of the shape of z.
 
-
-def wealth(solution: PolicySolution, t, z) -> np.ndarray:
-    """Optimal wealth x*(t, z) for 0 <= t <= T, an array of the shape of z.
-
-    Within TERMINAL_NU of the horizon the formula degenerates to the
-    terminal payoff and that limit is returned.
+    x(t, z) = E[X(z Y) Y] with Y = z(T)/z(t), lognormal with log-moments
+    (m, nu) of the remaining horizon, and branch k contributes
+    a_k dG_1 + b_k z dG_2 (see _branch_sum). Within TERMINAL_NU of the
+    horizon the formula degenerates to the terminal payoff and that limit
+    is returned.
     """
     z = np.asarray(z, dtype=float)
-    m, nu = _remaining_moments(solution, t)
-    if nu < TERMINAL_NU:
-        return terminal_wealth(solution, z)
-    prob = solution.problem
-    delta = solution.delta
-
-    if solution.multipliers.case == DEGENERATE_RICH:
-        disc = expected_deflator(solution.model, t, solution.model.horizon)
-        return (prob.cap - prob.gamma) * _tilted_mass(
-            1.0, m, nu, z, delta
-        ) + prob.gamma * disc
-
-    hi = delta + solution.rho
-    if prob.q == 2.0:
-        eta = solution.multipliers.budget
-        g1_lo = _tilted_mass(1.0, m, nu, z, delta)
-        g1_hi = _tilted_mass(1.0, m, nu, z, hi)
-        g2_lo = _tilted_mass(2.0, m, nu, z, delta)
-        g2_hi = _tilted_mass(2.0, m, nu, z, hi)
-        mid = prob.gamma + 0.5 * eta * delta
-        return (
-            prob.cap * g1_lo
-            + mid * (g1_hi - g1_lo)
-            - 0.5 * eta * z * (g2_hi - g2_lo)
-        )
-    return (prob.cap - prob.gamma) * _tilted_mass(
-        1.0, m, nu, z, delta
-    ) + prob.gamma * _tilted_mass(1.0, m, nu, z, hi)
-
-
-def _standardized_levels(m, nu, z, level):
-    """(ln(level / z) - m) / nu; -inf when level <= 0."""
-    z = np.asarray(z, dtype=float)
-    if level <= 0.0:
-        return np.full_like(z, -math.inf)
+    mom = deflator_moments(payoff.model, t)
+    if mom.nu < TERMINAL_NU:
+        return terminal_wealth(payoff, z)
     with np.errstate(divide="ignore"):
-        return (math.log(level) - np.log(z) - m) / nu
+        log_z = np.log(z)
+    flat = _branch_sum(payoff, 1.0, mom.m, mom.nu, log_z, payoff.constants, 1.0)
+    return flat + _branch_sum(payoff, 2.0, mom.m, mom.nu, log_z, payoff.slopes, z)
 
 
-def policy(solution: PolicySolution, t, z):
-    """Dollar allocation pi*(t, z) to the risky assets, shape z.shape + (n,).
+def policy(payoff: Payoff, t, z):
+    """Dollar allocation pi(t, z) to the risky assets, shape z.shape + (n,).
 
-    Equals -z dx*/dz (sigma sigma')^{-1}(mu - r 1); here the scalar factor
-    is in closed form. Raises PolicyUndefinedAtTerminal once the remaining
-    volatility is below TERMINAL_NU.
+    Equals -z dx/dz (sigma sigma')^{-1}(mu - r 1), with the scalar factor
+
+        -z dx/dz = (c1 / nu) sum_k J_k phi(u_k - nu) - z sum_k b_k dG_2
+
+    in closed form: J_k is the downward jump of X at the finite level y_k,
+    c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu. Raises
+    PolicyUndefinedAtTerminal once the remaining volatility is below
+    TERMINAL_NU.
     """
     z = np.asarray(z, dtype=float)
-    m, nu = _remaining_moments(solution, t)
+    mom = deflator_moments(payoff.model, t)
+    m, nu = mom.m, mom.nu
     if nu < TERMINAL_NU:
         raise PolicyUndefinedAtTerminal(
             f"policy has no limit at t = {t} (remaining nu = {nu:.2e})"
         )
-    prob = solution.problem
-    delta = solution.delta
-    c1 = math.exp(m + 0.5 * nu * nu)
-
-    if solution.multipliers.case == DEGENERATE_RICH:
-        u_lo = _standardized_levels(m, nu, z, delta)
-        scale = (c1 / nu) * (prob.cap - prob.gamma) * std_normal_pdf_array(u_lo - nu)
-    elif prob.q == 2.0:
-        eta = solution.multipliers.budget
-        hi = delta + solution.rho
-        c2 = math.exp(2.0 * m + 2.0 * nu * nu)
-        u_lo = _standardized_levels(m, nu, z, delta)
-        g2_gap = _tilted_mass(2.0, m, nu, z, hi) - _tilted_mass(2.0, m, nu, z, delta)
-        # the upper-threshold phi terms of the cap and middle branches cancel
-        # exactly, leaving the lower-threshold terms plus the integral term
-        scale = (
-            (c1 / nu)
-            * (prob.cap - prob.gamma - 0.5 * eta * delta)
-            * std_normal_pdf_array(u_lo - nu)
-            + 0.5 * eta * z * (c2 / nu) * std_normal_pdf_array(u_lo - 2.0 * nu)
-            + 0.5 * eta * z * g2_gap
-        )
-    else:
-        hi = delta + solution.rho
-        u_lo = _standardized_levels(m, nu, z, delta)
-        u_hi = _standardized_levels(m, nu, z, hi)
-        scale = (c1 / nu) * (
-            (prob.cap - prob.gamma) * std_normal_pdf_array(u_lo - nu)
-            + prob.gamma * std_normal_pdf_array(u_hi - nu)
-        )
-    direction = gram_inverse_excess(solution.model, t)
+    constants, slopes = payoff.constants, payoff.slopes
+    with np.errstate(divide="ignore"):
+        log_z = np.log(z)
+    beyond = [*zip(constants[1:], slopes[1:]), (0.0, 0.0)]
+    jumps = np.zeros_like(z)
+    for y, a, b, (a_next, b_next) in zip(payoff.levels, constants, slopes, beyond):
+        if 0.0 < y < math.inf:  # phi vanishes at y = 0
+            jump = a + b * y - (a_next + b_next * y)
+            u = (math.log(y) - log_z - m) / nu
+            jumps = jumps + jump * std_normal_pdf_array(u - nu)
+    scale = (math.exp(m + 0.5 * nu * nu) / nu) * jumps
+    scale = scale - _branch_sum(payoff, 2.0, m, nu, log_z, slopes, z)
+    direction = gram_inverse_excess(payoff.model, t)
     return np.multiply.outer(scale, direction)
 
 
-def feedback_curve(solution: PolicySolution, t, z_grid) -> FeedbackCurve:
+def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
     """Wealth/policy/weight rows over a z grid, sorted by wealth.
 
     Weights are pi / x per asset (NaN where x is zero). A monotonicity
-    warning is flagged when x*(t, .) is not strictly decreasing in z on the
+    warning is flagged when x(t, .) is not strictly decreasing in z on the
     grid, since only then is the policy a function of wealth.
     """
     z = np.asarray(z_grid, dtype=float).ravel()
     if z.size and np.any(np.diff(z) <= 0.0):
         raise ValueError("z_grid must be strictly ascending")
-    x = np.atleast_1d(wealth(solution, t, z))
-    pi = np.atleast_2d(policy(solution, t, z))
+    x = np.atleast_1d(wealth(payoff, t, z))
+    pi = np.atleast_2d(policy(payoff, t, z))
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(x[:, None] != 0.0, pi / x[:, None], np.nan)
     monotone_warning = bool(z.size > 1 and np.any(np.diff(x) >= 0.0))

@@ -15,7 +15,7 @@ Both are evaluated exactly here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = [
     "gram_inverse_excess",
 ]
 
+#: floor on the smallest eigenvalue of vol vol' in every segment
+MIN_GRAM_EIGENVALUE = 1e-10
+
 
 @dataclass(frozen=True, slots=True)
 class MarketModel:
@@ -58,8 +61,6 @@ class MarketModel:
         Asset drift vector per year on each segment.
     vol : ndarray, shape (S, n, n)
         Volatility matrix per sqrt-year on each segment.
-    eps_nd : float
-        Nondegeneracy floor for the smallest eigenvalue of vol vol'.
     """
 
     horizon: float
@@ -67,7 +68,6 @@ class MarketModel:
     rate: np.ndarray
     drift: np.ndarray
     vol: np.ndarray
-    eps_nd: float = field(default=1e-10)
 
     @property
     def n_assets(self) -> int:
@@ -96,7 +96,7 @@ class DeflatorMoments:
     t: float
 
 
-def validate_market(horizon, rate, drift, vol, breakpoints=None, eps_nd=1e-10):
+def validate_market(horizon, rate, drift, vol, breakpoints=None):
     """Validate raw coefficients and return an immutable MarketModel.
 
     Scalar or single-segment input is promoted: ``validate_market(1.0, 0.06,
@@ -104,7 +104,8 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None, eps_nd=1e-10):
     segment input passes arrays whose leading axis indexes segments together
     with `breakpoints` (sorted, starting at 0).
 
-    Raises NonpositiveHorizon, DimensionMismatch, or DegenerateVolatility.
+    Raises NonpositiveHorizon, DimensionMismatch, or DegenerateVolatility
+    when the smallest eigenvalue of vol vol' is below MIN_GRAM_EIGENVALUE.
     """
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0.0:
@@ -156,21 +157,20 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None, eps_nd=1e-10):
         if not np.all(np.isfinite(arr)):
             raise DimensionMismatch(f"non-finite value in {name}")
 
-    eps_nd = float(eps_nd)
     for s in range(n_seg):
         gram = vol[s] @ vol[s].T
         lo_eig = float(np.linalg.eigvalsh(gram)[0])
-        if lo_eig < eps_nd:
+        if lo_eig < MIN_GRAM_EIGENVALUE:
             raise DegenerateVolatility(
                 f"segment {s}: min eigenvalue of vol vol' is {lo_eig:.3e}, "
-                f"below the floor {eps_nd:.3e}"
+                f"below the floor {MIN_GRAM_EIGENVALUE:.3e}"
             )
 
     rate.flags.writeable = False
     drift.flags.writeable = False
     vol.flags.writeable = False
     breakpoints.flags.writeable = False
-    return MarketModel(horizon, breakpoints, rate, drift, vol, eps_nd)
+    return MarketModel(horizon, breakpoints, rate, drift, vol)
 
 
 def market_from_config(block: dict) -> MarketModel:
@@ -180,6 +180,8 @@ def market_from_config(block: dict) -> MarketModel:
 
         {"horizon": 1.0,
          "segments": [{"t_start": 0.0, "r": 0.06, "mu": [...], "sigma": [[...]]}]}
+
+    A segment without "t_start" starts at 0, so a lone one covers [0, T].
     """
     segs = block["segments"]
     return validate_market(
@@ -187,8 +189,7 @@ def market_from_config(block: dict) -> MarketModel:
         [s["r"] for s in segs],
         [np.atleast_1d(s["mu"]) for s in segs],
         [np.atleast_2d(s["sigma"]) for s in segs],
-        breakpoints=[s["t_start"] for s in segs] if len(segs) > 1 else None,
-        eps_nd=block.get("eps_nd", 1e-10),
+        breakpoints=[s.get("t_start", 0.0) for s in segs],
     )
 
 

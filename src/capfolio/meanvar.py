@@ -3,7 +3,8 @@
 Minimize Var[X] over terminal payoffs X >= 0 subject to E[X] = d and the
 budget E[z(T) X] = x0.  The optimal payoff is the truncated linear rule
 X* = (lam - eta z)/2 on {z <= lam/eta} and 0 beyond, so everything reduces
-to lognormal partial moments of z(T).  No wealth cap applies here; the
+to lognormal partial moments of z(T), and the payoff is an `lpm.Payoff`
+whose wealth and policy `lpm` evaluates.  No wealth cap applies here; the
 module exists as a comparison point for the capped downside-risk policies.
 """
 
@@ -12,22 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, PolicyUndefinedAtTerminal, SolverDiverged
-from .kernels import (
-    partial_moment_H,
-    std_normal_cdf_array,
-    truncated_exp_moment_array,
-)
-from .lpm import TERMINAL_NU, Multipliers
-from .market import (
-    MarketModel,
-    deflator_context,
-    deflator_moments,
-    expected_deflator,
-    gram_inverse_excess,
-)
+from .errors import DomainError, SolverDiverged
+from .kernels import partial_moment_H
+from .lpm import Multipliers, Payoff
+from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d
 
 MEAN_VARIANCE = "MeanVariance"
@@ -130,10 +119,15 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     return Multipliers(mean=lam, budget=eta, case=MEAN_VARIANCE)
 
 
-def mv_terminal_wealth(mult: Multipliers, z) -> np.ndarray:
-    """Optimal terminal payoff (lam - eta z)^+ / 2, an array of the shape of z."""
-    z = np.asarray(z, dtype=float)
-    return np.maximum(0.5 * (mult.mean - mult.budget * z), 0.0)
+def mv_payoff(mult: Multipliers, model: MarketModel) -> Payoff:
+    """Optimal terminal payoff (lam - eta z)^+ / 2 as one branch below
+    lam / eta; `lpm.wealth`, `lpm.policy` and `lpm.feedback_curve` replicate it."""
+    return Payoff(
+        model=model,
+        levels=(mult.mean / mult.budget,),
+        constants=(0.5 * mult.mean,),
+        slopes=(-0.5 * mult.budget,),
+    )
 
 
 def mv_second_moment(mult: Multipliers, model: MarketModel) -> float:
@@ -150,43 +144,3 @@ def mv_second_moment(mult: Multipliers, model: MarketModel) -> float:
 def mv_variance(mult: Multipliers, model: MarketModel, d: float) -> float:
     """Objective value Var[X*] = E[(X*)^2] - d^2 at the solved multipliers."""
     return mv_second_moment(mult, model) - d * d
-
-
-def mv_wealth(mult: Multipliers, model: MarketModel, t, z) -> np.ndarray:
-    """Wealth x*(t, z) of the mean-variance policy, an array of the shape of z.
-
-    Within TERMINAL_NU of the horizon the terminal payoff is returned.
-    """
-    mom = deflator_moments(model, t)
-    z = np.asarray(z, dtype=float)
-    if mom.nu < TERMINAL_NU:
-        return mv_terminal_wealth(mult, z)
-    delta = mult.mean / mult.budget
-    with np.errstate(divide="ignore"):
-        cut = math.log(delta) - np.log(z)
-    g1 = truncated_exp_moment_array(1.0, mom.m, mom.nu, cut)
-    g2 = truncated_exp_moment_array(2.0, mom.m, mom.nu, cut)
-    return 0.5 * (mult.mean * g1 - mult.budget * z * g2)
-
-
-def mv_policy(mult: Multipliers, model: MarketModel, t, z):
-    """Risky allocation vector(s) of the mean-variance policy.
-
-    Shape (n,) for scalar z, (len(z), n) for a 1-d array.  The scalar
-    amount is -z dx*/dz; differentiating mv_wealth makes the density terms
-    of the two tilted masses cancel exactly (their prefactors differ by
-    lam - eta*delta = 0), leaving eta*z/2 * e^{2m+2nu^2} * Phi(u - 2nu)
-    with u the standardized log-distance to the truncation point.
-    """
-    mom = deflator_moments(model, t)
-    if mom.nu < TERMINAL_NU:
-        raise PolicyUndefinedAtTerminal(
-            f"policy requested at t={t} with remaining deflator volatility {mom.nu:.3e}"
-        )
-    z = np.asarray(z, dtype=float)
-    delta = mult.mean / mult.budget
-    u = (math.log(delta) - np.log(z) - mom.m) / mom.nu
-    c2 = math.exp(2.0 * mom.m + 2.0 * mom.nu * mom.nu)
-    scale = 0.5 * mult.budget * z * c2 * std_normal_cdf_array(u - 2.0 * mom.nu)
-    direction = gram_inverse_excess(model, t)
-    return np.multiply.outer(scale, direction)

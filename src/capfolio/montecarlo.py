@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lpm, meanvar
+from . import lpm
 from .errors import DimensionMismatch, DomainError, EmptySample
 from .market import MarketModel, market_price_of_risk
 
@@ -90,47 +90,41 @@ def simulate_deflator(
     )
 
 
-def _policy_evaluator(model: MarketModel, solution, x0):
-    """Adapt the supported policy carriers to (t, z_vector) -> allocations."""
-    if isinstance(solution, lpm.PolicySolution):
-        start = solution.problem.x0 if x0 is None else x0
+def _policy_evaluator(policy, x0):
+    """Adapt a payoff or a policy callable to (t, z_vector) -> allocations."""
+    if isinstance(policy, lpm.Payoff):
+        start = float(lpm.wealth(policy, 0.0, 1.0)) if x0 is None else x0
 
         def evaluate(t, z):
-            return lpm.policy(solution, t, z)
+            return lpm.policy(policy, t, z)
 
         return evaluate, start
-    if isinstance(solution, lpm.Multipliers) and solution.case == meanvar.MEAN_VARIANCE:
-        start = meanvar.mv_wealth(solution, model, 0.0, 1.0) if x0 is None else x0
-
-        def evaluate(t, z):
-            return meanvar.mv_policy(solution, model, t, z)
-
-        return evaluate, start
-    if callable(solution):
+    if callable(policy):
         if x0 is None:
             raise DomainError("a bare policy callable needs an explicit x0")
-        return solution, x0
-    raise DomainError(f"unsupported policy carrier {type(solution).__name__}")
+        return policy, x0
+    raise DomainError(f"unsupported policy carrier {type(policy).__name__}")
 
 
 def run_policy(
-    model: MarketModel, solution, ensemble: PathEnsemble, x0: float | None = None
+    model: MarketModel, policy, ensemble: PathEnsemble, x0: float | None = None
 ) -> PathEnsemble:
     """Euler-integrate wealth under a policy along the ensemble's paths.
 
     dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at each left
     endpoint from the simulated z there; the dW blocks are regenerated from
     (ensemble.seed, step), so the wealth rides the same Brownian driver as
-    the deflator.  solution may be a shortfall/CVaR policy solution, the
-    mean-variance multipliers, or a callable (t, z_vector) -> (n_paths, n)
-    allocation matrix (the latter needs x0).
+    the deflator.  policy is either an `lpm.Payoff` -- `lpm.payoff(solution)`
+    of a shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated
+    through `lpm.policy` from its wealth x(0, 1) unless x0 is given, or a
+    callable (t, z_vector) -> (n_paths, n) allocation matrix, which needs x0.
 
     The stepping is Euler-Maruyama, which has strong order 1/2.  For capped
     payoffs, whose terminal wealth jumps from the cap to gamma at z = delta,
     the L1 error of the terminal wealth against the closed form shrinks like
     about sqrt(dt): doubling the steps divides it by about sqrt(2), not 2.
     """
-    evaluate, start = _policy_evaluator(model, solution, x0)
+    evaluate, start = _policy_evaluator(policy, x0)
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     dt = model.horizon / n_steps
     x = np.full(n_paths, float(start))

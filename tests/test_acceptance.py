@@ -122,7 +122,7 @@ def test_criterion_04_solve_identities(example1, criterion):
             sol = lpm.solve_lpm(prob, example1)
             assert sol.multipliers.case == lpm.REGULAR
             worst_budget = max(
-                worst_budget, abs(float(lpm.wealth(sol, 0.0, 1.0)) - prob.x0)
+                worst_budget, abs(float(lpm.wealth(lpm.payoff(sol), 0.0, 1.0)) - prob.x0)
             )
             worst_mean = max(
                 worst_mean, abs(lpm.expected_terminal_wealth(sol) - prob.d)
@@ -158,23 +158,25 @@ def test_criterion_05_policy_gradient(example1, criterion):
         for q in (1.0, 2.0):
             sol = lpm.solve_lpm(_problem1(q), example1)
             kinks = [sol.delta, None if sol.rho is None else sol.delta + sol.rho]
+            pay = lpm.payoff(sol)
             for t in (0.2, 0.5, 0.8):
                 cases.append(
                     (
                         f"q={q:.0f} t={t}",
                         kinks,
-                        lambda z, s=sol, tt=t: lpm.wealth(s, tt, z),
-                        lambda z, s=sol, tt=t: np.ravel(lpm.policy(s, tt, z)),
+                        lambda z, s=pay, tt=t: lpm.wealth(s, tt, z),
+                        lambda z, s=pay, tt=t: np.ravel(lpm.policy(s, tt, z)),
                     )
                 )
         mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
+        mv_pay = meanvar.mv_payoff(mult, example1)
         for t in (0.2, 0.5, 0.8):
             cases.append(
                 (
                     f"mv t={t}",
                     [mult.mean / mult.budget],
-                    lambda z, tt=t: meanvar.mv_wealth(mult, example1, tt, z),
-                    lambda z, tt=t: np.ravel(meanvar.mv_policy(mult, example1, tt, z)),
+                    lambda z, tt=t: lpm.wealth(mv_pay, tt, z),
+                    lambda z, tt=t: np.ravel(lpm.policy(mv_pay, tt, z)),
                 )
             )
         worst = 0.0
@@ -197,14 +199,14 @@ def test_criterion_05_policy_gradient(example1, criterion):
 def test_criterion_06_euler_replication(example1, criterion):
     def check():
         t0 = time.perf_counter()
-        sol = lpm.solve_lpm(_problem1(2.0), example1)
+        pay = lpm.payoff(lpm.solve_lpm(_problem1(2.0), example1))
         errors = {}
         mean_est = None
         for steps in (128, 256):
             ens = montecarlo.simulate_deflator(example1, 10_000, steps, seed=77)
-            ens = montecarlo.run_policy(example1, sol, ens)
+            ens = montecarlo.run_policy(example1, pay, ens)
             x_t = ens.x_paths[:, -1]
-            target = lpm.terminal_wealth(sol, ens.z_paths[:, -1])
+            target = lpm.terminal_wealth(pay, ens.z_paths[:, -1])
             errors[steps] = float(np.mean(np.abs(x_t - target)))
             mean_est = montecarlo.estimate_mean(x_t)
         factor = errors[128] / errors[256]
@@ -327,7 +329,7 @@ def test_criterion_10_pointwise_optimality(example1, criterion):
             short = np.where(grid < gamma, 1.0, 0.0) if q == 0.0 else np.maximum(gamma - grid, 0.0) ** q
             integrand = short - (lam - eta * z) * grid
             best = grid[int(np.argmin(integrand))]
-            closed = float(lpm.terminal_wealth(sol, z))
+            closed = float(lpm.terminal_wealth(lpm.payoff(sol), z))
             step = cap / (grid_n - 1)
             worst_ratio = max(worst_ratio, abs(closed - best) / step)
         ok = worst_ratio <= 1.0 + 1e-9

@@ -136,7 +136,7 @@ def test_policy_table_matches_library_curve(tmp_path):
     got = np.array([[float(cell) for cell in row] for row in rows])
     model = validate_market(1.0, 0.06, 0.12, 0.15)
     sol = lpm.solve_lpm(lpm.LpmProblem(**{k: LPM1[k] for k in ("x0", "d", "gamma", "cap", "q")}, horizon=1.0), model)
-    curve = lpm.feedback_curve(sol, 0.5, np.asarray(points))
+    curve = lpm.feedback_curve(lpm.payoff(sol), 0.5, np.asarray(points))
     np.testing.assert_allclose(got[:, 0], curve.z, rtol=1e-10)
     np.testing.assert_allclose(got[:, 1], curve.x, rtol=1e-10)
     np.testing.assert_allclose(got[:, 2], curve.pi[:, 0], rtol=1e-10)
@@ -303,6 +303,8 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "bad_cmd",
         "no_args",
         "problem_list",
+        "late_lone_segment",
+        "riskless_tail_t",
     ],
 )
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
@@ -332,6 +334,17 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     elif breakage == "problem_list":
         cfg = _cfg(tmp_path, EX1_MARKET, [1, 2])
         argv = ["--config", cfg, "--cmd", "solve"]
+    elif breakage == "late_lone_segment":
+        # the only segment starts at 0.5, so [0, 0.5) has no coefficients
+        late = {"horizon": 1.0, "segments": [{**EX1_MARKET["segments"][0], "t_start": 0.5}]}
+        cfg = _cfg(tmp_path, late, LPM1)
+        argv = ["--config", cfg, "--cmd", "solve"]
+    elif breakage == "riskless_tail_t":
+        # mu = r after 0.5 leaves no deflator volatility, hence no policy, at t = 0.75
+        tail = {"t_start": 0.5, "r": 0.06, "mu": [0.06], "sigma": [[0.15]]}
+        split = {"horizon": 1.0, "segments": [EX1_MARKET["segments"][0], tail]}
+        cfg = _cfg(tmp_path, split, LPM1, run={"out": str(tmp_path), "t": 0.75})
+        argv = ["--config", cfg, "--cmd", "policy_table"]
     else:
         argv = []
     assert cli.main(argv) == 3
@@ -363,6 +376,7 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         ([], {"betas": [1.5]}),
         ([], {"out": 5}),
         ([], [1, 2]),
+        ([], {"t": 1.0}),
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):

@@ -70,7 +70,7 @@ def test_cvar_decomposes_into_alpha_plus_scaled_shortfall(example2):
 
 def test_budget_identity_of_embedded_policy(example2):
     sol = cvar.solve_cvar(_problem(), example2)
-    assert lpm.wealth(sol.policy, 0.0, 1.0) == pytest.approx(X0, abs=1e-8)
+    assert lpm.wealth(lpm.payoff(sol.policy), 0.0, 1.0) == pytest.approx(X0, abs=1e-8)
     assert lpm.expected_terminal_wealth(sol.policy) == pytest.approx(12.0, abs=1e-7)
 
 
@@ -220,4 +220,4 @@ def test_single_asset_instance_also_solves(example1):
     sol = cvar.solve_cvar(prob, example1)
     assert sol.cvar > 0.0
     assert sol.policy.problem.cap == 10.0
-    assert lpm.wealth(sol.policy, 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert lpm.wealth(lpm.payoff(sol.policy), 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from capfolio import lpm, market
+from capfolio import cvar, lpm, market
 from capfolio.errors import (
     InfeasibleBudget,
     PolicyUndefinedAtTerminal,
@@ -173,9 +173,10 @@ def test_q2_objective_value(example1):
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
 def test_constraints_hold_by_quadrature(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
+    pay = lpm.payoff(sol)
     kinks = _payoff_kinks(sol)
-    budget = _expect(lambda z: z * lpm.terminal_wealth(sol, z), kinks)
-    mean = _expect(lambda z: lpm.terminal_wealth(sol, z), kinks)
+    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), kinks)
+    mean = _expect(lambda z: lpm.terminal_wealth(pay, z), kinks)
     assert budget == pytest.approx(1.0, abs=1e-8)
     assert mean == pytest.approx(1.3, abs=1e-8)
 
@@ -183,14 +184,15 @@ def test_constraints_hold_by_quadrature(example1, q):
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
 def test_objective_matches_quadrature(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
+    pay = lpm.payoff(sol)
     kinks = _payoff_kinks(sol)
     if q == 0.0:
         want = _expect(
-            lambda z: 1.0 if lpm.terminal_wealth(sol, z) < GAMMA else 0.0, kinks
+            lambda z: 1.0 if lpm.terminal_wealth(pay, z) < GAMMA else 0.0, kinks
         )
     else:
         want = _expect(
-            lambda z: max(GAMMA - lpm.terminal_wealth(sol, z), 0.0) ** q, kinks
+            lambda z: max(GAMMA - lpm.terminal_wealth(pay, z), 0.0) ** q, kinks
         )
     assert sol.objective_value == pytest.approx(want, abs=1e-7)
 
@@ -198,7 +200,8 @@ def test_objective_matches_quadrature(example1, q):
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
 def test_expected_terminal_wealth_closed_form(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
-    want = _expect(lambda z: lpm.terminal_wealth(sol, z), _payoff_kinks(sol))
+    pay = lpm.payoff(sol)
+    want = _expect(lambda z: lpm.terminal_wealth(pay, z), _payoff_kinks(sol))
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(want, abs=1e-9)
 
 
@@ -213,39 +216,42 @@ def test_multiplier_threshold_identity(example1):
 
 def test_terminal_wealth_shape_flat_case(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
+    pay = lpm.payoff(sol)
     z = np.geomspace(1e-4, 1e3, 400)
-    x = lpm.terminal_wealth(sol, z)
+    x = lpm.terminal_wealth(pay, z)
     assert np.all(np.diff(x) <= 1e-12)
     assert np.all((x >= 0.0) & (x <= 10.0))
-    assert lpm.terminal_wealth(sol, sol.delta * 0.5) == 10.0
-    assert lpm.terminal_wealth(sol, sol.delta + 0.5 * sol.rho) == GAMMA
-    assert lpm.terminal_wealth(sol, (sol.delta + sol.rho) * 4.0) == 0.0
+    assert lpm.terminal_wealth(pay, sol.delta * 0.5) == 10.0
+    assert lpm.terminal_wealth(pay, sol.delta + 0.5 * sol.rho) == GAMMA
+    assert lpm.terminal_wealth(pay, (sol.delta + sol.rho) * 4.0) == 0.0
 
 
 def test_terminal_wealth_shape_smooth_case(example1):
     sol = lpm.solve_lpm(_problem(2.0), example1)
+    pay = lpm.payoff(sol)
     hi = sol.delta + sol.rho
     # the middle branch is linear in z and meets gamma at delta
-    assert lpm.terminal_wealth(sol, sol.delta + 1e-12) == pytest.approx(
+    assert lpm.terminal_wealth(pay, sol.delta + 1e-12) == pytest.approx(
         GAMMA, abs=1e-9
     )
     mid = 0.5 * (sol.delta + hi)
     want = GAMMA - 0.5 * sol.multipliers.budget * (mid - sol.delta)
-    assert lpm.terminal_wealth(sol, mid) == pytest.approx(want, rel=1e-12)
-    assert lpm.terminal_wealth(sol, hi * 1.0001) == 0.0
+    assert lpm.terminal_wealth(pay, mid) == pytest.approx(want, rel=1e-12)
+    assert lpm.terminal_wealth(pay, hi * 1.0001) == 0.0
 
 
 def test_wealth_at_start_recovers_budget(example1):
     for q in (0.0, 0.5, 1.0, 2.0):
         sol = lpm.solve_lpm(_problem(q), example1)
-        assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert lpm.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wealth_approaches_terminal_payoff(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
+    pay = lpm.payoff(sol)
     z = np.array([0.3, 0.8, 1.1])
-    near = lpm.wealth(sol, 1.0 - 1e-9, z)
-    np.testing.assert_allclose(near, lpm.terminal_wealth(sol, z), atol=1e-9)
+    near = lpm.wealth(pay, 1.0 - 1e-9, z)
+    np.testing.assert_allclose(near, lpm.terminal_wealth(pay, z), atol=1e-9)
 
 
 def test_wealth_stays_inside_envelope(example1):
@@ -253,27 +259,50 @@ def test_wealth_stays_inside_envelope(example1):
         sol = lpm.solve_lpm(_problem(q), example1)
         for t in (0.0, 0.4, 0.9):
             lo, hi = lpm.wealth_envelope(sol.problem, example1, t)
-            x = lpm.wealth(sol, t, np.geomspace(1e-3, 1e2, 200))
+            x = lpm.wealth(lpm.payoff(sol), t, np.geomspace(1e-3, 1e2, 200))
             # the open bounds saturate to machine precision deep in either tail
             assert np.all(x >= lo)
             assert np.all(x <= hi * (1.0 + 1e-12))
 
 
-def _fd_policy_scalar(sol, t, z, h=1e-6):
-    xm = lpm.wealth(sol, t, z * (1.0 - h))
-    xp = lpm.wealth(sol, t, z * (1.0 + h))
+def _fd_policy_scalar(pay, t, z, h=1e-6):
+    xm = lpm.wealth(pay, t, z * (1.0 - h))
+    xp = lpm.wealth(pay, t, z * (1.0 + h))
     dxdz = (xp - xm) / (2.0 * h * z)
     # single asset: pi = -z dx/dz (mu - r) / sigma^2
     return -z * dxdz * 0.06 / 0.15**2
 
 
-@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+# id -> (_problem keywords, case); the Regular ids are their q. The rich rows
+# pay gamma up to z = inf, the low-target rows have an empty cap branch.
+FD_CASES = {
+    "0.5": ({"q": 0.5}, lpm.REGULAR),
+    "1.0": ({"q": 1.0}, lpm.REGULAR),
+    "2.0": ({"q": 2.0}, lpm.REGULAR),
+    "rich-1.0": ({"q": 1.0, "x0": 1.2, "gamma": 1.0}, lpm.DEGENERATE_RICH),
+    "rich-2.0": ({"q": 2.0, "x0": 1.2, "gamma": 1.0}, lpm.DEGENERATE_RICH),
+    "low-1.0": ({"q": 1.0, "gamma": 1.1, "d": 0.5}, lpm.DEGENERATE_LOW_TARGET),
+    "low-2.0": ({"q": 2.0, "gamma": 1.1, "d": 0.5}, lpm.DEGENERATE_LOW_TARGET),
+}
+
+
+def _fd_solution(example1, case):
+    if case == "cvar":
+        prob = cvar.CvarProblem(x0=1.0, d=1.3, cap=10.0, beta=0.95, horizon=1.0)
+        return cvar.solve_cvar(prob, example1).policy
+    kwargs, tag = FD_CASES[case]
+    sol = lpm.solve_lpm(_problem(**kwargs), example1)
+    assert sol.multipliers.case == tag
+    return sol
+
+
+@pytest.mark.parametrize("case", [*FD_CASES, "cvar"])
 @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
-def test_policy_matches_finite_difference(example1, q, t):
-    sol = lpm.solve_lpm(_problem(q), example1)
+def test_policy_matches_finite_difference(example1, case, t):
+    pay = lpm.payoff(_fd_solution(example1, case))
     z = np.geomspace(0.05, 5.0, 60)
-    want = _fd_policy_scalar(sol, t, z)
-    got = lpm.policy(sol, t, z)[:, 0]
+    want = _fd_policy_scalar(pay, t, z)
+    got = lpm.policy(pay, t, z)[:, 0]
     # atol covers the roundoff floor of the central difference, about
     # eps * wealth / (2 h); the relative part is the real check
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-8)
@@ -282,12 +311,13 @@ def test_policy_matches_finite_difference(example1, q, t):
 def test_policy_undefined_at_horizon(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
     with pytest.raises(PolicyUndefinedAtTerminal):
-        lpm.policy(sol, 1.0, 1.0)
+        lpm.policy(lpm.payoff(sol), 1.0, 1.0)
 
 
 def test_feedback_curve_sorted_and_weighted(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
-    curve = lpm.feedback_curve(sol, 0.5, np.geomspace(0.05, 5.0, 80))
+    pay = lpm.payoff(sol)
+    curve = lpm.feedback_curve(pay, 0.5, np.geomspace(0.05, 5.0, 80))
     assert np.all(np.diff(curve.x) > 0.0)
     assert not curve.monotone_warning
     finite = curve.x != 0.0
@@ -295,7 +325,7 @@ def test_feedback_curve_sorted_and_weighted(example1):
         curve.weights[finite, 0], curve.pi[finite, 0] / curve.x[finite], rtol=1e-12
     )
     with pytest.raises(ValueError):
-        lpm.feedback_curve(sol, 0.5, [1.0, 0.5])
+        lpm.feedback_curve(pay, 0.5, [1.0, 0.5])
 
 
 def test_degenerate_low_target_case(example1):
@@ -303,6 +333,7 @@ def test_degenerate_low_target_case(example1):
     # the minimal-mean bound, so the mean constraint goes slack
     prob = _problem(1.0, gamma=1.2, d=1.05)
     sol = lpm.solve_lpm(prob, example1)
+    pay = lpm.payoff(sol)
     assert sol.multipliers.case == lpm.DEGENERATE_LOW_TARGET
     assert sol.multipliers.mean == 0.0
     assert sol.multipliers.budget > 0.0
@@ -310,10 +341,10 @@ def test_degenerate_low_target_case(example1):
     assert not sol.multiple_solutions
     # the solution ignores d and delivers the minimal-mean optimum d_lower
     kinks = _payoff_kinks(sol)
-    mean = _expect(lambda z: lpm.terminal_wealth(sol, z), kinks)
+    mean = _expect(lambda z: lpm.terminal_wealth(pay, z), kinks)
     assert mean == pytest.approx(sol.d_lower, abs=1e-8)
     assert mean > prob.d
-    budget = _expect(lambda z: z * lpm.terminal_wealth(sol, z), kinks)
+    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), kinks)
     assert budget == pytest.approx(1.0, abs=1e-8)
 
 
@@ -321,6 +352,7 @@ def test_degenerate_rich_case(example1):
     # gamma = 0.9 makes the benchmark affordable outright: x0 > gamma E[z]
     prob = _problem(1.0, gamma=0.9, d=0.95)
     sol = lpm.solve_lpm(prob, example1)
+    pay = lpm.payoff(sol)
     assert sol.multipliers.case == lpm.DEGENERATE_RICH
     assert sol.multipliers.mean == 0.0
     assert sol.multipliers.budget == 0.0
@@ -328,12 +360,12 @@ def test_degenerate_rich_case(example1):
     assert sol.objective_value == 0.0
     assert sol.rho is None
     # the canonical representative still prices back to the budget
-    budget = _expect(lambda z: z * lpm.terminal_wealth(sol, z), (sol.delta,))
+    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), (sol.delta,))
     assert budget == pytest.approx(1.0, abs=1e-8)
-    x = lpm.terminal_wealth(sol, np.array([sol.delta * 0.9, sol.delta * 1.1]))
+    x = lpm.terminal_wealth(pay, np.array([sol.delta * 0.9, sol.delta * 1.1]))
     assert x[0] == 10.0 and x[1] == 0.9
     # wealth stays defined for the rich branch too
-    assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert lpm.wealth(pay, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("rel", [1e-13, 1e-12, 3e-12, 1e-10])
@@ -345,7 +377,7 @@ def test_target_just_above_rich_d_lower_solves(example1, rel):
     sol = lpm.solve_lpm(prob, example1)
     assert sol.multipliers.case == lpm.REGULAR
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=1e-10)
-    assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert lpm.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rich_boundary_has_unique_solution(example1):
@@ -438,7 +470,7 @@ def _assert_constraints(sol, prob, model, tol=1e-8):
     # the mean from the solver's closed form, the budget from the wealth
     # surface at t = 0, whose formulas the solver does not use
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=tol)
-    assert lpm.wealth(sol, 0.0, 1.0) == pytest.approx(prob.x0, abs=tol)
+    assert lpm.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(prob.x0, abs=tol)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "stress"])

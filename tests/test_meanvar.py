@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capfolio import meanvar
+from capfolio import lpm, meanvar
 from capfolio.errors import DomainError
 
 M0, NU0 = -0.14, 0.4
@@ -46,9 +46,10 @@ def test_multipliers_match_frozen_probe(example1):
 
 def test_constraints_hold_by_quadrature(example1):
     mult = meanvar.solve_mv(_problem(), example1)
+    pay = meanvar.mv_payoff(mult, example1)
     cut = mult.mean / mult.budget
-    mean = _expect(lambda z: meanvar.mv_terminal_wealth(mult, z), (cut,))
-    budget = _expect(lambda z: z * meanvar.mv_terminal_wealth(mult, z), (cut,))
+    mean = _expect(lambda z: lpm.terminal_wealth(pay, z), (cut,))
+    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), (cut,))
     assert mean == pytest.approx(1.3, abs=1e-8)
     assert budget == pytest.approx(1.0, abs=1e-8)
 
@@ -62,7 +63,8 @@ def test_second_moment_and_variance(example1):
         FROZEN_VARIANCE, rel=1e-8
     )
     cut = mult.mean / mult.budget
-    want = _expect(lambda z: meanvar.mv_terminal_wealth(mult, z) ** 2, (cut,))
+    pay = meanvar.mv_payoff(mult, example1)
+    want = _expect(lambda z: lpm.terminal_wealth(pay, z) ** 2, (cut,))
     assert meanvar.mv_second_moment(mult, example1) == pytest.approx(want, abs=1e-8)
 
 
@@ -70,17 +72,19 @@ def test_terminal_payoff_formula(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     lam, eta = mult.mean, mult.budget
     z = np.array([0.2, 1.0, lam / eta, lam / eta + 0.5, 10.0])
-    x = meanvar.mv_terminal_wealth(mult, z)
+    pay = meanvar.mv_payoff(mult, example1)
+    x = lpm.terminal_wealth(pay, z)
     np.testing.assert_allclose(
         x, np.maximum(0.5 * (lam - eta * z), 0.0), rtol=1e-15
     )
     assert x[-1] == 0.0
-    assert meanvar.mv_terminal_wealth(mult, 0.5) == 0.5 * (lam - eta * 0.5)
+    assert lpm.terminal_wealth(pay, 0.5) == 0.5 * (lam - eta * 0.5)
 
 
 def test_wealth_at_start_recovers_budget(example1):
     mult = meanvar.solve_mv(_problem(), example1)
-    assert meanvar.mv_wealth(mult, example1, 0.0, 1.0) == pytest.approx(
+    pay = meanvar.mv_payoff(mult, example1)
+    assert lpm.wealth(pay, 0.0, 1.0) == pytest.approx(
         1.0, abs=1e-10
     )
 
@@ -88,16 +92,16 @@ def test_wealth_at_start_recovers_budget(example1):
 def test_wealth_approaches_terminal_payoff(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     z = np.array([0.4, 1.0, 2.5])
-    near = meanvar.mv_wealth(mult, example1, 1.0 - 1e-9, z)
-    np.testing.assert_allclose(
-        near, meanvar.mv_terminal_wealth(mult, z), atol=1e-9
-    )
+    pay = meanvar.mv_payoff(mult, example1)
+    near = lpm.wealth(pay, 1.0 - 1e-9, z)
+    np.testing.assert_allclose(near, lpm.terminal_wealth(pay, z), atol=1e-9)
 
 
 def test_wealth_vanishes_for_large_z(example1):
     mult = meanvar.solve_mv(_problem(), example1)
-    assert meanvar.mv_wealth(mult, example1, 0.5, 1e4) <= 1e-8
-    assert meanvar.mv_wealth(mult, example1, 0.5, 1e4) >= 0.0
+    pay = meanvar.mv_payoff(mult, example1)
+    assert lpm.wealth(pay, 0.5, 1e4) <= 1e-8
+    assert lpm.wealth(pay, 0.5, 1e4) >= 0.0
 
 
 @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
@@ -105,18 +109,20 @@ def test_policy_matches_finite_difference(example1, t):
     mult = meanvar.solve_mv(_problem(), example1)
     z = np.geomspace(0.1, 4.0, 50)
     h = 1e-6
-    xm = meanvar.mv_wealth(mult, example1, t, z * (1.0 - h))
-    xp = meanvar.mv_wealth(mult, example1, t, z * (1.0 + h))
+    pay = meanvar.mv_payoff(mult, example1)
+    xm = lpm.wealth(pay, t, z * (1.0 - h))
+    xp = lpm.wealth(pay, t, z * (1.0 + h))
     dxdz = (xp - xm) / (2.0 * h * z)
     want = -z * dxdz * 0.06 / 0.15**2
-    got = meanvar.mv_policy(mult, example1, t, z)[:, 0]
+    got = lpm.policy(pay, t, z)[:, 0]
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-8)
 
 
 def test_policy_shape_for_scalar_and_vector(example1):
     mult = meanvar.solve_mv(_problem(), example1)
-    assert meanvar.mv_policy(mult, example1, 0.5, 1.0).shape == (1,)
-    assert meanvar.mv_policy(mult, example1, 0.5, np.ones(7)).shape == (7, 1)
+    pay = meanvar.mv_payoff(mult, example1)
+    assert lpm.policy(pay, 0.5, 1.0).shape == (1,)
+    assert lpm.policy(pay, 0.5, np.ones(7)).shape == (7, 1)
 
 
 def test_target_must_beat_riskfree_growth(example1):

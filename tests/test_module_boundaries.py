@@ -1,0 +1,79 @@
+"""No module of the package imports or reads another module's private names.
+
+Shared helpers live under public names (for example `market.deflator_context`);
+a leading underscore means the name belongs to its own module alone.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import capfolio
+
+PACKAGE = "capfolio"
+SOURCES = sorted(Path(capfolio.__file__).parent.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(source: str) -> list[str]:
+    """Lines where the source imports or reads a private name of another
+    package module, through `from .mod import _x`, `from . import mod` then
+    `mod._x`, or `import capfolio.mod` then `capfolio.mod._x`."""
+    tree = ast.parse(source)
+    modules = set()  # local names bound to package modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != PACKAGE:
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif node.module is None or node.module == PACKAGE:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == PACKAGE:
+                    modules.add(alias.asname or PACKAGE)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"line {node.lineno}: reads {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_reads_another_modules_private_names(path):
+    assert _private_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .lpm import _ramp\n",
+        "from capfolio.kernels import _h1_start\n",
+        "from . import lpm\nlpm._ramp(ctx, 0.0, 1.0, 1.0)\n",
+        "from . import lpm as l\nf = l._h\n",
+        "import capfolio.lpm\ncapfolio.lpm._h(ctx, 0.0, 1.0)\n",
+    ],
+)
+def test_checker_flags_private_reads(source):
+    assert _private_reads(source)
+
+
+def test_checker_allows_public_and_own_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import lpm\n"
+        "from .lpm import TERMINAL_NU\n"
+        "import numpy as np\n"
+        "def _own(x):\n"
+        "    return lpm.payoff(x)._fields, np._NoValue, lpm.__name__\n"
+    )
+    assert _private_reads(source) == []

@@ -90,7 +90,7 @@ def test_shortfall_policy_replicates_target_mean(example1):
     prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
     sol = lpm.solve_lpm(prob, example1)
     ens = montecarlo.simulate_deflator(example1, 3000, 64, seed=9)
-    out = montecarlo.run_policy(example1, sol, ens)
+    out = montecarlo.run_policy(example1, lpm.payoff(sol), ens)
     assert out.x_paths is not None
     assert out.x_paths.shape == (3000, 65)
     np.testing.assert_allclose(out.x_paths[:, 0], 1.0)
@@ -103,7 +103,7 @@ def test_shortfall_policy_replicates_target_mean(example1):
 def test_meanvar_policy_starts_at_budget(example1):
     mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
     ens = montecarlo.simulate_deflator(example1, 500, 32, seed=13)
-    out = montecarlo.run_policy(example1, mult, ens)
+    out = montecarlo.run_policy(example1, meanvar.mv_payoff(mult, example1), ens)
     np.testing.assert_allclose(out.x_paths[:, 0], 1.0, atol=1e-10)
     est = montecarlo.estimate_mean(out.x_paths[:, -1])
     assert abs(est.value - 1.3) < 6.0 * est.std_error
