@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -116,8 +117,13 @@ def _number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _validate_run(run: dict, model: market.MarketModel) -> None:
-    """Reject run-block values no command can use, before any solve starts."""
+def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None:
+    """Reject run-block values no command can use, before any solve starts.
+
+    The policy needs deflator volatility left before the horizon at run.t
+    and, for a command `cmd`, at the last time it evaluates the policy: the
+    last Euler step for simulate, the default t = T/2 for policy_table.
+    """
     for name, low in (("seed", 0), ("paths", 1), ("steps", 1), ("scenarios", 1)):
         value = run[name]
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -126,17 +132,25 @@ def _validate_run(run: dict, model: market.MarketModel) -> None:
         raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
     if not isinstance(run["out"], str):
         raise ConfigError(f"run.out must be a directory path, got {run['out']!r}")
+    policy_times = {}
     if "t" in run:
         t = run["t"]
         if not (_is_number(t) and 0.0 <= t <= model.horizon):
             raise ConfigError(
                 f"run.t must be a finite time in [0, {model.horizon}], got {t!r}"
             )
+        policy_times[f"run.t = {t!r}"] = t
+    elif cmd == "policy_table":
+        policy_times["the default run.t = T/2"] = 0.5 * model.horizon
+    if cmd == "simulate":
+        last = model.horizon - model.horizon / run["steps"]
+        policy_times[f"the last Euler step (t = {last:g}) of run.steps = {run['steps']}"] = last
+    for what, t in policy_times.items():
         nu = market.deflator_moments(model, t).nu
         if nu < lpm.TERMINAL_NU:
             raise ConfigError(
-                f"run.t = {t!r} leaves deflator volatility {nu:.2e} before the "
-                f"horizon, below {lpm.TERMINAL_NU:g}: the policy is undefined there"
+                f"{what} leaves deflator volatility {nu:.2e} before the horizon, "
+                f"below {lpm.TERMINAL_NU:g}: the policy is undefined there"
             )
     d_grid = run.get("d_grid", [])
     if not _number_list(d_grid):
@@ -170,6 +184,8 @@ def load_config(path, overrides: dict) -> RunConfig:
     """Read the JSON config, apply flag overrides, build model and problem.
 
     Raises ConfigError for anything wrong with the file or its contents.
+    overrides["cmd"], when given, names the command whose policy times are
+    checked (see _validate_run).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -199,7 +215,9 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise
     except (CapfolioError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
-    _validate_run(run, model)
+    if not np.any(model.drift - model.rate[:, None]):
+        raise ConfigError("market has mu = r in every segment: no risk premium to price")
+    _validate_run(run, model, overrides.get("cmd"))
     return RunConfig(
         market_block=raw["market"],
         problem_block=problem_block,
@@ -213,21 +231,21 @@ def load_config(path, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------- artifacts
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".12g")
-
-
 def _out_dir(config: RunConfig) -> Path:
     out = Path(config.run["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], conversions: list[str], cells) -> None:
+    """Write row-major cells as CSV with one % operation.
+
+    conversions holds one per column: "%.12g" for floats (the text of
+    format(float(v), ".12g")), "%d" for integers, "%s" for strings.
+    """
+    row = ",".join(conversions) + "\n"
+    body = (row * (len(cells) // len(header))) % tuple(cells)
+    path.write_text(",".join(header) + "\n" + body)
     print(f"wrote {path}")
 
 
@@ -380,17 +398,11 @@ def cmd_policy_table(config: RunConfig) -> int:
     """Write the feedback table z,x,pi_i,w_i at one policy time."""
     t = _policy_time(config)
     curve = lpm.feedback_curve(_solved_policy(config), t, _z_grid(config, t))
-    z, x, pi, weights = curve.z, curve.x, curve.pi, curve.weights
-    n = pi.shape[1]
-    header = (
-        ["z", "x"]
-        + [f"pi_{i + 1}" for i in range(n)]
-        + [f"w_{i + 1}" for i in range(n)]
-    )
-    rows = (
-        [z[k], x[k], *pi[k], *weights[k]] for k in range(z.size)
-    )
-    _write_csv(_out_dir(config) / "policy_table.csv", header, rows)
+    n = curve.pi.shape[1]
+    header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
+    table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
+    path = _out_dir(config) / "policy_table.csv"
+    _write_csv(path, header, ["%.12g"] * len(header), table.ravel().tolist())
     return 0
 
 
@@ -404,7 +416,8 @@ def cmd_frontier(config: RunConfig) -> int:
     _write_csv(
         _out_dir(config) / "frontier.csv",
         ["d", "beta", "alpha_star", "cvar", "status"],
-        ([r.d, beta, r.alpha_star, r.cvar, r.status] for r in rows),
+        ["%.12g"] * 4 + ["%s"],
+        [cell for r in rows for cell in (r.d, beta, r.alpha_star, r.cvar, r.status)],
     )
     return 0
 
@@ -432,11 +445,13 @@ def _solved_policy(config: RunConfig) -> lpm.Payoff:
 def cmd_simulate(config: RunConfig) -> int:
     """Monte-Carlo replication: deflator paths, Euler wealth, estimates."""
     run = config.run
-    policy = _solved_policy(config)
-    ensemble = montecarlo.simulate_deflator(
-        config.model, int(run["paths"]), int(run["steps"]), int(run["seed"])
+    ensemble = montecarlo.run_policy(
+        config.model,
+        _solved_policy(config),
+        int(run["paths"]),
+        int(run["steps"]),
+        int(run["seed"]),
     )
-    ensemble = montecarlo.run_policy(config.model, policy, ensemble)
     x_t = ensemble.x_paths[:, -1]
     estimates = {"terminal_mean": dataclasses.asdict(montecarlo.estimate_mean(x_t))}
     if config.kind == "lpm":
@@ -465,7 +480,8 @@ def cmd_simulate(config: RunConfig) -> int:
     _write_csv(
         out / "simulation.csv",
         ["path", "z_terminal", "x_terminal"],
-        ([str(k), z_t[k], x_t[k]] for k in range(x_t.size)),
+        ["%d", "%.12g", "%.12g"],
+        list(itertools.chain.from_iterable(zip(range(x_t.size), z_t.tolist(), x_t.tolist()))),
     )
     return 0
 
@@ -480,7 +496,7 @@ def cmd_compare_static(config: RunConfig) -> int:
     scenarios = baseline.generate_scenarios(
         config.model, int(run["scenarios"]), int(run["seed"])
     )
-    rows = []
+    cells = []
     for beta in betas:
         for d in d_grid:
             notes = []
@@ -505,13 +521,12 @@ def cmd_compare_static(config: RunConfig) -> int:
                 dynamic_value = cvar.solve_cvar(instance, config.model).cvar
             except (TargetTooHigh, InfeasibleBudget) as exc:
                 notes.append(f"dynamic {type(exc).__name__}")
-            rows.append(
-                [d, beta, static_value, dynamic_value, "; ".join(notes) or "ok"]
-            )
+            cells += [d, beta, static_value, dynamic_value, "; ".join(notes) or "ok"]
     _write_csv(
         _out_dir(config) / "compare_static.csv",
         ["d", "beta", "static_cvar", "dynamic_cvar", "status"],
-        rows,
+        ["%.12g"] * 4 + ["%s"],
+        cells,
     )
     return 0
 

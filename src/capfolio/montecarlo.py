@@ -5,14 +5,15 @@ so only the controlled wealth carries Euler discretization error.  Noise is
 counter-based: step k draws from a Philox stream keyed (seed, k), and path
 i reads row i of that step's block, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
-run_policy regenerates the same increments from the ensemble's seed instead
-of storing the Brownian paths.
+One loop serves both entry points: each step draws its block once and
+advances ln z and, under a policy, the wealth from it, writing one
+contiguous row of the step-major (n_steps+1, n_paths) z and x arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +26,11 @@ MEASURE_MEAN = "Mean"
 
 @dataclass(frozen=True, slots=True)
 class PathEnsemble:
-    """Simulated paths on a uniform grid; x_paths is None until a policy runs.
+    """Simulated paths on a uniform grid; x_paths is None without a policy.
 
-    z_paths has shape (n_paths, n_steps+1) with z[:, 0] = 1; times has
-    length n_steps+1.  Instances are immutable; run_policy returns a new
-    ensemble with x_paths filled.
+    z_paths and x_paths have shape (n_paths, n_steps+1) with z[:, 0] = 1;
+    they are transposed views of step-major arrays, so a column (one time)
+    is contiguous.  times has length n_steps+1.
     """
 
     n_paths: int
@@ -55,6 +56,57 @@ def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt:
     return gen.standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
 
 
+def _simulate(model: MarketModel, n_paths: int, n_steps: int, seed: int, evaluate, x0):
+    """The stepping loop of simulate_deflator and, given `evaluate`, run_policy."""
+    if n_paths < 1 or n_steps < 1:
+        raise DomainError(
+            f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
+        )
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    dt = model.horizon / n_steps
+    # the closed-form policies are undefined exactly at the horizon
+    final_policy_time = model.horizon - dt
+    log_z = np.zeros(n_paths)
+    z = np.empty((n_steps + 1, n_paths))
+    z[0] = 1.0
+    if evaluate is not None:
+        x = np.full(n_paths, float(x0))
+        xs = np.empty((n_steps + 1, n_paths))
+        xs[0] = x
+    for k in range(n_steps):
+        t = times[k]
+        s = model.segment_index(t)
+        theta = market_price_of_risk(model, t)
+        rate = model.rate[s]
+        dw = _step_increments(model, seed, k, n_paths, dt)
+        if evaluate is not None:
+            pi = np.atleast_2d(evaluate(min(t, final_policy_time), z[k]))
+            if pi.shape != (n_paths, model.n_assets):
+                raise DimensionMismatch(
+                    f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
+                )
+            vol = model.vol[s]
+            # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
+            # same bits, without its per-call cost
+            noise = 0.0
+            for j in range(model.n_assets):
+                for i in range(model.n_assets):
+                    noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
+            x = x + (rate * x + pi @ (model.drift[s] - rate)) * dt + noise
+            xs[k + 1] = x
+        drift = -(rate + 0.5 * float(theta @ theta)) * dt
+        log_z = log_z + drift - dw @ theta
+        np.exp(log_z, out=z[k + 1])
+    return PathEnsemble(
+        n_paths=n_paths,
+        n_steps=n_steps,
+        seed=seed,
+        times=times,
+        z_paths=z.T,
+        x_paths=None if evaluate is None else xs.T,
+    )
+
+
 def simulate_deflator(
     model: MarketModel, n_paths: int, n_steps: int, seed: int
 ) -> PathEnsemble:
@@ -66,28 +118,7 @@ def simulate_deflator(
     grid refined enough to resolve the segments this is samplewise exact;
     there is no Euler bias in z itself.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise DomainError(
-            f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
-        )
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    dt = model.horizon / n_steps
-    log_z = np.zeros((n_paths, n_steps + 1))
-    for k in range(n_steps):
-        t = times[k]
-        s = model.segment_index(t)
-        theta = market_price_of_risk(model, t)
-        rate = model.rate[s]
-        dw = _step_increments(model, seed, k, n_paths, dt)
-        drift = -(rate + 0.5 * float(theta @ theta)) * dt
-        log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
-    return PathEnsemble(
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        times=times,
-        z_paths=np.exp(log_z),
-    )
+    return _simulate(model, n_paths, n_steps, seed, None, None)
 
 
 def _policy_evaluator(policy, x0):
@@ -107,17 +138,18 @@ def _policy_evaluator(policy, x0):
 
 
 def run_policy(
-    model: MarketModel, policy, ensemble: PathEnsemble, x0: float | None = None
+    model: MarketModel, policy, n_paths: int, n_steps: int, seed: int, x0: float | None = None
 ) -> PathEnsemble:
-    """Euler-integrate wealth under a policy along the ensemble's paths.
+    """Simulate the deflator and Euler-integrate wealth under a policy.
 
-    dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at each left
-    endpoint from the simulated z there; the dW blocks are regenerated from
-    (ensemble.seed, step), so the wealth rides the same Brownian driver as
-    the deflator.  policy is either an `lpm.Payoff` -- `lpm.payoff(solution)`
-    of a shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated
-    through `lpm.policy` from its wealth x(0, 1) unless x0 is given, or a
-    callable (t, z_vector) -> (n_paths, n) allocation matrix, which needs x0.
+    Runs the loop of simulate_deflator (same z paths, bit for bit) and, from
+    the same increment block of each step, advances
+    dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at the left
+    endpoint from the simulated z there; each step's block is drawn once.
+    policy is either an `lpm.Payoff` -- `lpm.payoff(solution)` of a
+    shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated through
+    `lpm.policy` from its wealth x(0, 1) unless x0 is given, or a callable
+    (t, z_vector) -> (n_paths, n) allocation matrix, which needs x0.
 
     The stepping is Euler-Maruyama, which has strong order 1/2.  For capped
     payoffs, whose terminal wealth jumps from the cap to gamma at z = delta,
@@ -125,28 +157,7 @@ def run_policy(
     about sqrt(dt): doubling the steps divides it by about sqrt(2), not 2.
     """
     evaluate, start = _policy_evaluator(policy, x0)
-    n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
-    dt = model.horizon / n_steps
-    x = np.full(n_paths, float(start))
-    x_paths = np.empty((n_paths, n_steps + 1))
-    x_paths[:, 0] = x
-    final_policy_time = model.horizon - dt
-    for k in range(n_steps):
-        t = ensemble.times[k]
-        s = model.segment_index(t)
-        rate = model.rate[s]
-        excess = model.drift[s] - rate
-        vol = model.vol[s]
-        # the closed-form policies are undefined exactly at the horizon
-        pi = np.atleast_2d(evaluate(min(t, final_policy_time), ensemble.z_paths[:, k]))
-        if pi.shape != (n_paths, model.n_assets):
-            raise DimensionMismatch(
-                f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
-            )
-        dw = _step_increments(model, ensemble.seed, k, n_paths, dt)
-        x = x + (rate * x + pi @ excess) * dt + np.einsum("ij,jk,ik->i", pi, vol, dw)
-        x_paths[:, k + 1] = x
-    return replace(ensemble, x_paths=x_paths)
+    return _simulate(model, n_paths, n_steps, seed, evaluate, start)
 
 
 def _as_samples(samples) -> np.ndarray:

@@ -203,8 +203,7 @@ def test_criterion_06_euler_replication(example1, criterion):
         errors = {}
         mean_est = None
         for steps in (128, 256):
-            ens = montecarlo.simulate_deflator(example1, 10_000, steps, seed=77)
-            ens = montecarlo.run_policy(example1, pay, ens)
+            ens = montecarlo.run_policy(example1, pay, 10_000, steps, seed=77)
             x_t = ens.x_paths[:, -1]
             target = lpm.terminal_wealth(pay, ens.z_paths[:, -1])
             errors[steps] = float(np.mean(np.abs(x_t - target)))

@@ -31,6 +31,19 @@ EX2_MARKET = {
 LPM1 = {"kind": "lpm", "x0": 1.0, "d": 1.3, "gamma": math.exp(0.06), "cap": 10.0, "q": 2.0}
 CVAR2 = {"kind": "cvar", "x0": 10.0, "d": 12.0, "cap": 100.0, "beta": 0.95}
 MV1 = {"kind": "mv", "x0": 1.0, "d": 1.3}
+# mu = r throughout: no market price of risk, so no deflator volatility at all
+RISKLESS_MARKET = {
+    "horizon": 1.0,
+    "segments": [{"t_start": 0.0, "r": 0.06, "mu": [0.06], "sigma": [[0.15]]}],
+}
+# mu = r from 0.4 on: no deflator volatility is left after t = 0.4
+RISKLESS_TAIL_MARKET = {
+    "horizon": 1.0,
+    "segments": [
+        EX1_MARKET["segments"][0],
+        {"t_start": 0.4, "r": 0.06, "mu": [0.06], "sigma": [[0.15]]},
+    ],
+}
 
 
 def _cfg(tmp_path, market, problem, run=None, name="config.json"):
@@ -305,6 +318,11 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "problem_list",
         "late_lone_segment",
         "riskless_tail_t",
+        "no_risk_premium_solve",
+        "no_risk_premium_simulate",
+        "no_risk_premium_policy_table",
+        "riskless_last_segment_simulate",
+        "riskless_last_segment_default_t",
     ],
 )
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
@@ -345,12 +363,32 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         split = {"horizon": 1.0, "segments": [EX1_MARKET["segments"][0], tail]}
         cfg = _cfg(tmp_path, split, LPM1, run={"out": str(tmp_path), "t": 0.75})
         argv = ["--config", cfg, "--cmd", "policy_table"]
+    elif breakage.startswith("no_risk_premium_"):
+        cfg = _cfg(tmp_path, RISKLESS_MARKET, LPM1, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", breakage.removeprefix("no_risk_premium_")]
+    elif breakage == "riskless_last_segment_simulate":
+        # the Euler loop evaluates the policy up to T - T/steps, inside [0.4, 1]
+        cfg = _cfg(tmp_path, RISKLESS_TAIL_MARKET, LPM1, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "simulate", "--paths", "10", "--steps", "8"]
+    elif breakage == "riskless_last_segment_default_t":
+        # without run.t the table is taken at T/2, inside [0.4, 1]
+        cfg = _cfg(tmp_path, RISKLESS_TAIL_MARKET, LPM1, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "policy_table"]
     else:
         argv = []
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_riskless_last_segment_still_solves(tmp_path):
+    # the policy is needed only at t = 0, where deflator volatility is left
+    cfg = _cfg(tmp_path, RISKLESS_TAIL_MARKET, LPM1, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+    # one Euler step evaluates the policy at t = 0 only
+    argv = ["--config", cfg, "--cmd", "simulate", "--paths", "10", "--steps", "1"]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize(
@@ -397,3 +435,30 @@ def test_out_flag_redirects_artifacts(tmp_path):
     assert cli.main(["--config", cfg, "--cmd", "solve", "--out", str(target)]) == 0
     assert (target / "solution.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def _reference_csv(header, rows):
+    """The per-cell writer the one-format-call writer must reproduce."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(v if isinstance(v, str) else format(float(v), ".12g") for v in row)
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+FLOAT_CELLS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 2.0, -3.0,
+    1e22, 1.0 / 3.0, 123456789012.5, np.float64(0.1) * 3, np.nextafter(1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, len(FLOAT_CELLS)])
+def test_csv_writer_matches_per_cell_format(tmp_path, capsys, n_rows):
+    floats = FLOAT_CELLS[:n_rows]
+    rows = [(k, a, b, f"s{k}; ok") for k, (a, b) in enumerate(zip(floats, floats[::-1]))]
+    header = ["path", "a", "b", "status"]
+    cells = [cell for row in rows for cell in row]
+    cli._write_csv(tmp_path / "t.csv", header, ["%d", "%.12g", "%.12g", "%s"], cells)
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, rows)
+    assert capsys.readouterr().out == f"wrote {tmp_path / 't.csv'}\n"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capfolio import lpm, market, meanvar, montecarlo
+from capfolio import cvar, lpm, market, meanvar, montecarlo
 from capfolio.errors import DimensionMismatch, DomainError, EmptySample
 
 GAMMA = math.exp(0.06)
@@ -59,9 +59,8 @@ def test_simulate_validates_sizes(example1):
 
 
 def test_bond_only_policy_compounds_at_short_rate(example1):
-    ens = montecarlo.simulate_deflator(example1, 20, 32, seed=2)
     zero = lambda t, z: np.zeros((z.size, 1))
-    out = montecarlo.run_policy(example1, zero, ens, x0=1.0)
+    out = montecarlo.run_policy(example1, zero, 20, 32, seed=2, x0=1.0)
     dt = 1.0 / 32
     want = (1.0 + 0.06 * dt) ** 32
     np.testing.assert_allclose(out.x_paths[:, -1], want, rtol=1e-13)
@@ -69,41 +68,40 @@ def test_bond_only_policy_compounds_at_short_rate(example1):
 
 
 def test_callable_policy_requires_budget(example1):
-    ens = montecarlo.simulate_deflator(example1, 4, 4, seed=2)
     with pytest.raises(DomainError):
-        montecarlo.run_policy(example1, lambda t, z: np.zeros((4, 1)), ens)
+        montecarlo.run_policy(example1, lambda t, z: np.zeros((4, 1)), 4, 4, seed=2)
 
 
 def test_policy_shape_checked(example1):
-    ens = montecarlo.simulate_deflator(example1, 4, 4, seed=2)
     with pytest.raises(DimensionMismatch):
-        montecarlo.run_policy(example1, lambda t, z: np.zeros((3, 2)), ens, x0=1.0)
+        montecarlo.run_policy(
+            example1, lambda t, z: np.zeros((3, 2)), 4, 4, seed=2, x0=1.0
+        )
 
 
 def test_unsupported_carrier_rejected(example1):
-    ens = montecarlo.simulate_deflator(example1, 4, 4, seed=2)
     with pytest.raises(DomainError):
-        montecarlo.run_policy(example1, object(), ens)
+        montecarlo.run_policy(example1, object(), 4, 4, seed=2)
 
 
 def test_shortfall_policy_replicates_target_mean(example1):
     prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
     sol = lpm.solve_lpm(prob, example1)
-    ens = montecarlo.simulate_deflator(example1, 3000, 64, seed=9)
-    out = montecarlo.run_policy(example1, lpm.payoff(sol), ens)
+    out = montecarlo.run_policy(example1, lpm.payoff(sol), 3000, 64, seed=9)
     assert out.x_paths is not None
     assert out.x_paths.shape == (3000, 65)
     np.testing.assert_allclose(out.x_paths[:, 0], 1.0)
     est = montecarlo.estimate_mean(out.x_paths[:, -1])
     assert abs(est.value - 1.3) < 5.0 * est.std_error
-    # the original ensemble is untouched
-    assert ens.x_paths is None
+    # a deflator-only run of the same seed carries no wealth
+    assert montecarlo.simulate_deflator(example1, 3000, 64, seed=9).x_paths is None
 
 
 def test_meanvar_policy_starts_at_budget(example1):
     mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
-    ens = montecarlo.simulate_deflator(example1, 500, 32, seed=13)
-    out = montecarlo.run_policy(example1, meanvar.mv_payoff(mult, example1), ens)
+    out = montecarlo.run_policy(
+        example1, meanvar.mv_payoff(mult, example1), 500, 32, seed=13
+    )
     np.testing.assert_allclose(out.x_paths[:, 0], 1.0, atol=1e-10)
     est = montecarlo.estimate_mean(out.x_paths[:, -1])
     assert abs(est.value - 1.3) < 6.0 * est.std_error
@@ -186,7 +184,7 @@ def test_ensemble_summary_fields(example1):
     assert summary["seed"] == 4
     assert "x_terminal_mean" not in summary
     zero = lambda t, z: np.zeros((z.size, 1))
-    out = montecarlo.run_policy(example1, zero, ens, x0=2.0)
+    out = montecarlo.run_policy(example1, zero, 50, 8, seed=4, x0=2.0)
     full = montecarlo.ensemble_summary(out)
     assert full["x_terminal_mean"] == pytest.approx(
         2.0 * (1.0 + 0.06 / 8) ** 8, rel=1e-12
@@ -194,3 +192,71 @@ def test_ensemble_summary_fields(example1):
     assert full["z_terminal_mean"] == pytest.approx(
         float(ens.z_paths[:, -1].mean()), rel=1e-15
     )
+
+
+def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
+    """Deflator loop first, then a wealth loop that draws every block again
+    and contracts pi' sigma dW with einsum; returns (z, x), path-major."""
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    dt = model.horizon / n_steps
+    log_z = np.zeros((n_paths, n_steps + 1))
+    for k in range(n_steps):
+        theta = market.market_price_of_risk(model, times[k])
+        rate = model.rate[model.segment_index(times[k])]
+        dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
+        drift = -(rate + 0.5 * float(theta @ theta)) * dt
+        log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
+    z = np.exp(log_z)
+    x = np.full(n_paths, float(lpm.wealth(payoff, 0.0, 1.0)))
+    x_paths = np.empty((n_paths, n_steps + 1))
+    x_paths[:, 0] = x
+    for k in range(n_steps):
+        s = model.segment_index(times[k])
+        rate = model.rate[s]
+        pi = lpm.policy(payoff, min(times[k], model.horizon - dt), z[:, k])
+        dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
+        noise = np.einsum("ij,jk,ik->i", pi, model.vol[s], dw)
+        x = x + (rate * x + pi @ (model.drift[s] - rate)) * dt + noise
+        x_paths[:, k + 1] = x
+    return z, x_paths
+
+
+def _example_payoffs(example1, example2):
+    lpm1 = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
+    cvar2 = cvar.CvarProblem(x0=10.0, d=12.0, cap=100.0, beta=0.95, horizon=1.0)
+    return [
+        (example1, lpm.payoff(lpm.solve_lpm(lpm1, example1))),
+        (example2, lpm.payoff(cvar.solve_cvar(cvar2, example2).policy)),
+    ]
+
+
+def test_run_policy_draws_each_step_once(example1, example2, monkeypatch):
+    calls = []
+    draw = montecarlo._step_increments
+
+    def counted(*args):
+        calls.append(args[2])
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_step_increments", counted)
+    for model, payoff in _example_payoffs(example1, example2):
+        calls.clear()
+        montecarlo.run_policy(model, payoff, 40, 12, seed=3)
+        assert calls == list(range(12))
+        calls.clear()
+        montecarlo.simulate_deflator(model, 40, 12, seed=3)
+        assert calls == list(range(12))
+
+
+def test_run_policy_matches_two_pass_reference_bit_for_bit(example1, example2):
+    for model, payoff in _example_payoffs(example1, example2):
+        out = montecarlo.run_policy(model, payoff, 257, 24, seed=19)
+        z_only = montecarlo.simulate_deflator(model, 257, 24, seed=19)
+        z_ref, x_ref = _two_pass_reference(model, payoff, 257, 24, 19)
+        np.testing.assert_array_equal(out.z_paths, z_only.z_paths)
+        np.testing.assert_array_equal(out.z_paths, z_ref)
+        np.testing.assert_array_equal(out.x_paths, x_ref)
+        # step-major storage: one time step is one contiguous row
+        assert out.z_paths.shape == out.x_paths.shape == (257, 25)
+        assert out.z_paths[:, 5].flags.c_contiguous
+        assert out.x_paths[:, -1].flags.c_contiguous
