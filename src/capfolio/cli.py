@@ -105,12 +105,13 @@ def _build_problem(block: dict, model: market.MarketModel):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number (booleans excluded)."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and math.isfinite(value)
-    )
+    """A finite JSON number within the float range (booleans excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _number_list(value) -> bool:
@@ -213,7 +214,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         instance = _build_problem(problem_block, model)
     except ConfigError:
         raise
-    except (CapfolioError, KeyError, TypeError, ValueError) as exc:
+    except (CapfolioError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
     if not np.any(model.drift - model.rate[:, None]):
         raise ConfigError("market has mu = r in every segment: no risk premium to price")
@@ -452,7 +453,7 @@ def cmd_simulate(config: RunConfig) -> int:
         int(run["steps"]),
         int(run["seed"]),
     )
-    x_t = ensemble.x_paths[:, -1]
+    z_t, x_t = ensemble.z_terminal, ensemble.x_terminal
     estimates = {"terminal_mean": dataclasses.asdict(montecarlo.estimate_mean(x_t))}
     if config.kind == "lpm":
         estimates["lpm"] = dataclasses.asdict(
@@ -476,7 +477,6 @@ def cmd_simulate(config: RunConfig) -> int:
     }
     out = _out_dir(config)
     _write_json(out / "simulation.json", payload)
-    z_t = ensemble.z_paths[:, -1]
     _write_csv(
         out / "simulation.csv",
         ["path", "z_terminal", "x_terminal"],

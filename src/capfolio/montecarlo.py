@@ -1,13 +1,13 @@
-"""Seeded Monte-Carlo engine: deflator paths, Euler policy runs, risk estimates.
+"""Seeded Monte-Carlo engine: replicated terminal wealth and risk estimates.
 
 The deflator is stepped in log space with its exact per-step Gaussian law,
 so only the controlled wealth carries Euler discretization error.  Noise is
 counter-based: step k draws from a Philox stream keyed (seed, k), and path
 i reads row i of that step's block, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
-One loop serves both entry points: each step draws its block once and
-advances ln z and, under a policy, the wealth from it, writing one
-contiguous row of the step-major (n_steps+1, n_paths) z and x arrays.
+`run_policy` is one loop over running state: each step draws its block once
+and advances the vectors ln z and x, so memory is O(n_paths) whatever
+n_steps is, and only the terminal values are kept.
 """
 
 from __future__ import annotations
@@ -26,19 +26,17 @@ MEASURE_MEAN = "Mean"
 
 @dataclass(frozen=True, slots=True)
 class PathEnsemble:
-    """Simulated paths on a uniform grid; x_paths is None without a policy.
+    """Terminal state of a simulated run, one entry per path.
 
-    z_paths and x_paths have shape (n_paths, n_steps+1) with z[:, 0] = 1;
-    they are transposed views of step-major arrays, so a column (one time)
-    is contiguous.  times has length n_steps+1.
+    z_terminal and x_terminal have shape (n_paths,): the deflator z(T) and
+    the replicated wealth x(T) after n_steps uniform steps from seed.
     """
 
     n_paths: int
     n_steps: int
     seed: int
-    times: np.ndarray
-    z_paths: np.ndarray
-    x_paths: np.ndarray | None = None
+    z_terminal: np.ndarray
+    x_terminal: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,71 +52,6 @@ def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt:
     key = np.array([seed, step], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
-
-
-def _simulate(model: MarketModel, n_paths: int, n_steps: int, seed: int, evaluate, x0):
-    """The stepping loop of simulate_deflator and, given `evaluate`, run_policy."""
-    if n_paths < 1 or n_steps < 1:
-        raise DomainError(
-            f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
-        )
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    dt = model.horizon / n_steps
-    # the closed-form policies are undefined exactly at the horizon
-    final_policy_time = model.horizon - dt
-    log_z = np.zeros(n_paths)
-    z = np.empty((n_steps + 1, n_paths))
-    z[0] = 1.0
-    if evaluate is not None:
-        x = np.full(n_paths, float(x0))
-        xs = np.empty((n_steps + 1, n_paths))
-        xs[0] = x
-    for k in range(n_steps):
-        t = times[k]
-        s = model.segment_index(t)
-        theta = market_price_of_risk(model, t)
-        rate = model.rate[s]
-        dw = _step_increments(model, seed, k, n_paths, dt)
-        if evaluate is not None:
-            pi = np.atleast_2d(evaluate(min(t, final_policy_time), z[k]))
-            if pi.shape != (n_paths, model.n_assets):
-                raise DimensionMismatch(
-                    f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
-                )
-            vol = model.vol[s]
-            # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
-            # same bits, without its per-call cost
-            noise = 0.0
-            for j in range(model.n_assets):
-                for i in range(model.n_assets):
-                    noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
-            x = x + (rate * x + pi @ (model.drift[s] - rate)) * dt + noise
-            xs[k + 1] = x
-        drift = -(rate + 0.5 * float(theta @ theta)) * dt
-        log_z = log_z + drift - dw @ theta
-        np.exp(log_z, out=z[k + 1])
-    return PathEnsemble(
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        times=times,
-        z_paths=z.T,
-        x_paths=None if evaluate is None else xs.T,
-    )
-
-
-def simulate_deflator(
-    model: MarketModel, n_paths: int, n_steps: int, seed: int
-) -> PathEnsemble:
-    """Simulate deflator paths on a uniform n_steps grid over [0, horizon].
-
-    Each step advances ln z by a Gaussian increment with mean
-    -(r + ||theta||^2 / 2) dt and variance ||theta||^2 dt, coefficients
-    taken at the left endpoint.  With piecewise-constant coefficients and a
-    grid refined enough to resolve the segments this is samplewise exact;
-    there is no Euler bias in z itself.
-    """
-    return _simulate(model, n_paths, n_steps, seed, None, None)
 
 
 def _policy_evaluator(policy, x0):
@@ -140,12 +73,16 @@ def _policy_evaluator(policy, x0):
 def run_policy(
     model: MarketModel, policy, n_paths: int, n_steps: int, seed: int, x0: float | None = None
 ) -> PathEnsemble:
-    """Simulate the deflator and Euler-integrate wealth under a policy.
+    """Simulate the deflator and Euler-integrate wealth under a policy to T.
 
-    Runs the loop of simulate_deflator (same z paths, bit for bit) and, from
-    the same increment block of each step, advances
+    One loop carries the running vectors ln z and x over a uniform n_steps
+    grid on [0, horizon].  Each step draws its increment block once; from
+    it, ln z moves by its exact Gaussian step, with mean
+    -(r + ||theta||^2 / 2) dt and variance ||theta||^2 dt (coefficients at
+    the left endpoint, so z itself has no Euler bias), and the wealth by
     dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at the left
-    endpoint from the simulated z there; each step's block is drawn once.
+    endpoint from z there.  Memory is O(n_paths) whatever n_steps is.
+
     policy is either an `lpm.Payoff` -- `lpm.payoff(solution)` of a
     shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated through
     `lpm.policy` from its wealth x(0, 1) unless x0 is given, or a callable
@@ -157,7 +94,44 @@ def run_policy(
     about sqrt(dt): doubling the steps divides it by about sqrt(2), not 2.
     """
     evaluate, start = _policy_evaluator(policy, x0)
-    return _simulate(model, n_paths, n_steps, seed, evaluate, start)
+    if n_paths < 1 or n_steps < 1:
+        raise DomainError(
+            f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
+        )
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    dt = model.horizon / n_steps
+    # the closed-form policies are undefined exactly at the horizon
+    final_policy_time = model.horizon - dt
+    log_z = np.zeros(n_paths)
+    x = np.full(n_paths, float(start))
+    for k in range(n_steps):
+        t = times[k]
+        s = model.segment_index(t)
+        theta = market_price_of_risk(model, t)
+        rate = model.rate[s]
+        dw = _step_increments(model, seed, k, n_paths, dt)
+        pi = np.atleast_2d(evaluate(min(t, final_policy_time), np.exp(log_z)))
+        if pi.shape != (n_paths, model.n_assets):
+            raise DimensionMismatch(
+                f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
+            )
+        vol = model.vol[s]
+        # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
+        # same bits, without its per-call cost
+        noise = 0.0
+        for j in range(model.n_assets):
+            for i in range(model.n_assets):
+                noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
+        x = x + (rate * x + pi @ (model.drift[s] - rate)) * dt + noise
+        drift = -(rate + 0.5 * float(theta @ theta)) * dt
+        log_z = log_z + drift - dw @ theta
+    return PathEnsemble(
+        n_paths=n_paths,
+        n_steps=n_steps,
+        seed=seed,
+        z_terminal=np.exp(log_z),
+        x_terminal=x,
+    )
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -237,17 +211,14 @@ def estimate_cvar(samples, beta: float, xbar: float) -> RiskEstimate:
 
 def ensemble_summary(ensemble: PathEnsemble) -> dict:
     """Plain-dict summary of terminal samples, consumed by the CLI."""
-    z_t = ensemble.z_paths[:, -1]
-    out = {
+    z_t, x_t = ensemble.z_terminal, ensemble.x_terminal
+    return {
         "n_paths": ensemble.n_paths,
         "n_steps": ensemble.n_steps,
         "seed": ensemble.seed,
         "z_terminal_mean": float(z_t.mean()),
         "z_terminal_std": float(z_t.std(ddof=1)),
         "log_z_terminal_mean": float(np.log(z_t).mean()),
+        "x_terminal_mean": float(x_t.mean()),
+        "x_terminal_std": float(x_t.std(ddof=1)),
     }
-    if ensemble.x_paths is not None:
-        x_t = ensemble.x_paths[:, -1]
-        out["x_terminal_mean"] = float(x_t.mean())
-        out["x_terminal_std"] = float(x_t.std(ddof=1))
-    return out

@@ -204,8 +204,8 @@ def test_criterion_06_euler_replication(example1, criterion):
         mean_est = None
         for steps in (128, 256):
             ens = montecarlo.run_policy(example1, pay, 10_000, steps, seed=77)
-            x_t = ens.x_paths[:, -1]
-            target = lpm.terminal_wealth(pay, ens.z_paths[:, -1])
+            x_t = ens.x_terminal
+            target = lpm.terminal_wealth(pay, ens.z_terminal)
             errors[steps] = float(np.mean(np.abs(x_t - target)))
             mean_est = montecarlo.estimate_mean(x_t)
         factor = errors[128] / errors[256]

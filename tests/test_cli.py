@@ -323,6 +323,7 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "no_risk_premium_policy_table",
         "riskless_last_segment_simulate",
         "riskless_last_segment_default_t",
+        "x0_beyond_float",
     ],
 )
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
@@ -374,6 +375,9 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         # without run.t the table is taken at T/2, inside [0.4, 1]
         cfg = _cfg(tmp_path, RISKLESS_TAIL_MARKET, LPM1, run={"out": str(tmp_path)})
         argv = ["--config", cfg, "--cmd", "policy_table"]
+    elif breakage == "x0_beyond_float":
+        cfg = _cfg(tmp_path, EX1_MARKET, {**LPM1, "x0": 10**400}, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "solve"]
     else:
         argv = []
     assert cli.main(argv) == 3
@@ -415,6 +419,8 @@ def test_riskless_last_segment_still_solves(tmp_path):
         ([], {"out": 5}),
         ([], [1, 2]),
         ([], {"t": 1.0}),
+        ([], {"t": 10**400}),
+        ([], {"d_grid": [10**400]}),
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):

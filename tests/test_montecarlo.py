@@ -1,5 +1,6 @@
 """Path simulation, policy replication, and risk estimators."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,55 +16,57 @@ def _flat_market():
     return market.validate_market(1.0, 0.04, 0.04, 0.2)
 
 
+def _zero(t, z):
+    return np.zeros((z.size, 1))
+
+
+def _deflator(model, n_paths, n_steps, seed):
+    """Terminal deflator of a bond-only run, which carries z unchanged."""
+    return montecarlo.run_policy(model, _zero, n_paths, n_steps, seed, x0=1.0).z_terminal
+
+
 def test_deflator_deterministic_when_theta_zero():
-    ens = montecarlo.simulate_deflator(_flat_market(), 50, 16, seed=3)
     np.testing.assert_allclose(
-        ens.z_paths[:, -1], math.exp(-0.04), rtol=1e-13
+        _deflator(_flat_market(), 50, 16, seed=3), math.exp(-0.04), rtol=1e-13
     )
-    assert ens.z_paths.shape == (50, 17)
-    np.testing.assert_array_equal(ens.z_paths[:, 0], 1.0)
-    np.testing.assert_allclose(ens.times, np.linspace(0.0, 1.0, 17), rtol=1e-15)
 
 
 def test_deflator_mean_matches_discount(example1):
-    ens = montecarlo.simulate_deflator(example1, 4000, 8, seed=11)
-    z_t = ens.z_paths[:, -1]
+    z_t = _deflator(example1, 4000, 8, seed=11)
     est = montecarlo.estimate_mean(z_t)
     assert abs(est.value - math.exp(-0.06)) < 4.0 * est.std_error
 
 
 def test_deflator_lognormal_moments(example1):
     # exact stepping: ln z(T) is N(-0.14, 0.16) regardless of the step count
-    ens = montecarlo.simulate_deflator(example1, 6000, 3, seed=5)
-    logs = np.log(ens.z_paths[:, -1])
+    logs = np.log(_deflator(example1, 6000, 3, seed=5))
     assert abs(logs.mean() + 0.14) < 4.0 * logs.std(ddof=1) / math.sqrt(6000)
     assert logs.std(ddof=1) == pytest.approx(0.4, rel=0.05)
 
 
 def test_paths_reproducible_and_prefix_stable(example1):
-    small = montecarlo.simulate_deflator(example1, 100, 12, seed=7)
-    again = montecarlo.simulate_deflator(example1, 100, 12, seed=7)
-    big = montecarlo.simulate_deflator(example1, 1000, 12, seed=7)
-    np.testing.assert_array_equal(small.z_paths, again.z_paths)
+    small = _deflator(example1, 100, 12, seed=7)
+    again = _deflator(example1, 100, 12, seed=7)
+    big = _deflator(example1, 1000, 12, seed=7)
+    np.testing.assert_array_equal(small, again)
     # the counter-based stream makes the first rows independent of n_paths
-    np.testing.assert_array_equal(big.z_paths[:100], small.z_paths)
-    other = montecarlo.simulate_deflator(example1, 100, 12, seed=8)
-    assert not np.array_equal(other.z_paths, small.z_paths)
+    np.testing.assert_array_equal(big[:100], small)
+    other = _deflator(example1, 100, 12, seed=8)
+    assert not np.array_equal(other, small)
 
 
 def test_simulate_validates_sizes(example1):
     with pytest.raises(DomainError):
-        montecarlo.simulate_deflator(example1, 0, 8, seed=1)
+        _deflator(example1, 0, 8, seed=1)
     with pytest.raises(DomainError):
-        montecarlo.simulate_deflator(example1, 8, 0, seed=1)
+        _deflator(example1, 8, 0, seed=1)
 
 
 def test_bond_only_policy_compounds_at_short_rate(example1):
-    zero = lambda t, z: np.zeros((z.size, 1))
-    out = montecarlo.run_policy(example1, zero, 20, 32, seed=2, x0=1.0)
+    out = montecarlo.run_policy(example1, _zero, 20, 32, seed=2, x0=1.0)
     dt = 1.0 / 32
     want = (1.0 + 0.06 * dt) ** 32
-    np.testing.assert_allclose(out.x_paths[:, -1], want, rtol=1e-13)
+    np.testing.assert_allclose(out.x_terminal, want, rtol=1e-13)
     assert want == pytest.approx(math.exp(0.06), rel=2e-4)
 
 
@@ -86,24 +89,20 @@ def test_unsupported_carrier_rejected(example1):
 
 def test_shortfall_policy_replicates_target_mean(example1):
     prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
-    sol = lpm.solve_lpm(prob, example1)
-    out = montecarlo.run_policy(example1, lpm.payoff(sol), 3000, 64, seed=9)
-    assert out.x_paths is not None
-    assert out.x_paths.shape == (3000, 65)
-    np.testing.assert_allclose(out.x_paths[:, 0], 1.0)
-    est = montecarlo.estimate_mean(out.x_paths[:, -1])
+    payoff = lpm.payoff(lpm.solve_lpm(prob, example1))
+    assert lpm.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=1e-7)
+    out = montecarlo.run_policy(example1, payoff, 3000, 64, seed=9)
+    assert out.x_terminal.shape == out.z_terminal.shape == (3000,)
+    est = montecarlo.estimate_mean(out.x_terminal)
     assert abs(est.value - 1.3) < 5.0 * est.std_error
-    # a deflator-only run of the same seed carries no wealth
-    assert montecarlo.simulate_deflator(example1, 3000, 64, seed=9).x_paths is None
 
 
 def test_meanvar_policy_starts_at_budget(example1):
     mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
-    out = montecarlo.run_policy(
-        example1, meanvar.mv_payoff(mult, example1), 500, 32, seed=13
-    )
-    np.testing.assert_allclose(out.x_paths[:, 0], 1.0, atol=1e-10)
-    est = montecarlo.estimate_mean(out.x_paths[:, -1])
+    payoff = meanvar.mv_payoff(mult, example1)
+    assert lpm.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=0.0, abs=1e-10)
+    out = montecarlo.run_policy(example1, payoff, 500, 32, seed=13)
+    est = montecarlo.estimate_mean(out.x_terminal)
     assert abs(est.value - 1.3) < 6.0 * est.std_error
 
 
@@ -177,20 +176,16 @@ def test_estimators_reject_degenerate_samples():
 
 
 def test_ensemble_summary_fields(example1):
-    ens = montecarlo.simulate_deflator(example1, 50, 8, seed=4)
-    summary = montecarlo.ensemble_summary(ens)
+    out = montecarlo.run_policy(example1, _zero, 50, 8, seed=4, x0=2.0)
+    summary = montecarlo.ensemble_summary(out)
     assert summary["n_paths"] == 50
     assert summary["n_steps"] == 8
     assert summary["seed"] == 4
-    assert "x_terminal_mean" not in summary
-    zero = lambda t, z: np.zeros((z.size, 1))
-    out = montecarlo.run_policy(example1, zero, 50, 8, seed=4, x0=2.0)
-    full = montecarlo.ensemble_summary(out)
-    assert full["x_terminal_mean"] == pytest.approx(
+    assert summary["x_terminal_mean"] == pytest.approx(
         2.0 * (1.0 + 0.06 / 8) ** 8, rel=1e-12
     )
-    assert full["z_terminal_mean"] == pytest.approx(
-        float(ens.z_paths[:, -1].mean()), rel=1e-15
+    assert summary["z_terminal_mean"] == pytest.approx(
+        float(out.z_terminal.mean()), rel=1e-15
     )
 
 
@@ -243,20 +238,30 @@ def test_run_policy_draws_each_step_once(example1, example2, monkeypatch):
         calls.clear()
         montecarlo.run_policy(model, payoff, 40, 12, seed=3)
         assert calls == list(range(12))
-        calls.clear()
-        montecarlo.simulate_deflator(model, 40, 12, seed=3)
-        assert calls == list(range(12))
 
 
 def test_run_policy_matches_two_pass_reference_bit_for_bit(example1, example2):
     for model, payoff in _example_payoffs(example1, example2):
         out = montecarlo.run_policy(model, payoff, 257, 24, seed=19)
-        z_only = montecarlo.simulate_deflator(model, 257, 24, seed=19)
         z_ref, x_ref = _two_pass_reference(model, payoff, 257, 24, 19)
-        np.testing.assert_array_equal(out.z_paths, z_only.z_paths)
-        np.testing.assert_array_equal(out.z_paths, z_ref)
-        np.testing.assert_array_equal(out.x_paths, x_ref)
-        # step-major storage: one time step is one contiguous row
-        assert out.z_paths.shape == out.x_paths.shape == (257, 25)
-        assert out.z_paths[:, 5].flags.c_contiguous
-        assert out.x_paths[:, -1].flags.c_contiguous
+        np.testing.assert_array_equal(out.z_terminal, z_ref[:, -1])
+        np.testing.assert_array_equal(out.x_terminal, x_ref[:, -1])
+
+
+def test_run_policy_memory_does_not_grow_with_steps(example1):
+    # running state only: the peak stays a few floats per path at 512 steps,
+    # where storing the paths would take (n_steps + 1) floats per path each
+    payoff = lpm.payoff(
+        lpm.solve_lpm(
+            lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0),
+            example1,
+        )
+    )
+    n_paths = 2000
+    tracemalloc.start()
+    try:
+        montecarlo.run_policy(example1, payoff, n_paths, 512, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n_paths * 8
