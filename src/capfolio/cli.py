@@ -25,6 +25,8 @@ Commands and their artifacts, all written under run.out:
     simulate        simulation.json summary + simulation.csv terminal rows
     compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar
 
+run.paths, run.steps and run.scenarios are integers from 1 to 10**9.
+
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
 hostnames, keys sorted, floats at 12 significant digits in CSV.
@@ -60,6 +62,16 @@ _RUN_DEFAULTS = {
 }
 
 _PROBLEM_KINDS = ("lpm", "cvar", "mv")
+
+#: inclusive ranges of the run block's integers: the seed keys a Philox stream
+#: of uint64 words; paths, steps and scenarios each size a float array (the
+#: path vectors, the time grid, the scenario matrix), 8 GB at the bound
+_RUN_INTEGERS = {
+    "seed": (0, 2**64 - 1),
+    "paths": (1, 10**9),
+    "steps": (1, 10**9),
+    "scenarios": (1, 10**9),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,12 +137,10 @@ def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None
     and, for a command `cmd`, at the last time it evaluates the policy: the
     last Euler step for simulate, the default t = T/2 for policy_table.
     """
-    for name, low in (("seed", 0), ("paths", 1), ("steps", 1), ("scenarios", 1)):
+    for name, (low, high) in _RUN_INTEGERS.items():
         value = run[name]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"run.{name} must be an integer >= {low}, got {value!r}")
-    if run["seed"] >= 2**64:  # the seed keys a Philox stream of uint64 words
-        raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
+        if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+            raise ConfigError(f"run.{name} must be an integer in [{low}, {high}], got {value!r}")
     if not isinstance(run["out"], str):
         raise ConfigError(f"run.out must be a directory path, got {run['out']!r}")
     policy_times = {}
@@ -547,22 +557,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# built once: every parse starts from a fresh namespace, so nothing one call
+# sets is seen by the next
+_PARSER = _Parser(
+    prog="capfolio",
+    description="Capped-terminal-wealth portfolio solvers and baselines.",
+)
+_PARSER.add_argument("--config", required=True, help="path to the JSON config")
+_PARSER.add_argument("--cmd", required=True, choices=sorted(_COMMANDS))
+_PARSER.add_argument("--q", type=float, help="override problem.q")
+_PARSER.add_argument("--beta", type=float, help="override problem.beta")
+_PARSER.add_argument("--d", type=float, help="override problem.d")
+_PARSER.add_argument("--seed", type=int, help="override run.seed")
+_PARSER.add_argument("--paths", type=int, help="override run.paths")
+_PARSER.add_argument("--steps", type=int, help="override run.steps")
+_PARSER.add_argument("--scenarios", type=int, help="override run.scenarios")
+_PARSER.add_argument("--out", help="override run.out (artifact directory)")
+
+
 def _parse_args(argv):
-    parser = _Parser(
-        prog="capfolio",
-        description="Capped-terminal-wealth portfolio solvers and baselines.",
-    )
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--cmd", required=True, choices=sorted(_COMMANDS))
-    parser.add_argument("--q", type=float, help="override problem.q")
-    parser.add_argument("--beta", type=float, help="override problem.beta")
-    parser.add_argument("--d", type=float, help="override problem.d")
-    parser.add_argument("--seed", type=int, help="override run.seed")
-    parser.add_argument("--paths", type=int, help="override run.paths")
-    parser.add_argument("--steps", type=int, help="override run.steps")
-    parser.add_argument("--scenarios", type=int, help="override run.scenarios")
-    parser.add_argument("--out", help="override run.out (artifact directory)")
-    return parser.parse_args(argv)
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:

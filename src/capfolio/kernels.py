@@ -14,10 +14,13 @@ and the partial moments of z(T) built from it:
     J_p(y) = H_0(y) - H_p(y) / y^p
 
 Each function has one path. The scalar functions take and return floats and
-run on `math`; the multiplier solves, the inverses and every other quantity
-of one instance call them. The `*_array` functions take ndarrays and run on
-numpy and scipy's erfc; only the wealth and policy surfaces over a grid of
-deflator levels call them.
+run on `math` and the standard library's `statistics.NormalDist` (the
+quantile, Wichura's AS241); the multiplier solves, the inverses and every
+other quantity of one instance call them. The `*_array` functions take
+ndarrays and run on numpy and scipy's erfc; only the wealth and policy
+surfaces over a grid of deflator levels call them. scipy is imported by
+`std_normal_cdf_array` on its first call, not with this module, so a command
+that evaluates no surface never loads it.
 
 H_p, K_p, J_p are nondecreasing in y (K_p and J_p are expectations of
 nonnegative integrands z(1-(z/y)^p)1 and (1-(z/y)^p)1), which makes the
@@ -27,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import DomainError, MaxIterations, TargetOutOfRange
 
@@ -51,6 +54,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 #: Newton iterations of one inversion before it gives up
 _MAX_NEWTON = 100
 #: |ln y| beyond which an inversion iterate is not taken; e^700 ~ 1e304
@@ -68,6 +72,8 @@ def std_normal_cdf(y: float) -> float:
 
 def std_normal_cdf_array(y) -> np.ndarray:
     """std_normal_cdf elementwise over an array."""
+    from scipy.special import erfc  # the one kernel that needs scipy
+
     return 0.5 * erfc(-np.asarray(y, dtype=float) / _SQRT2)
 
 
@@ -90,7 +96,7 @@ def std_normal_quantile(p) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile needs p in (0, 1), got {p}")
-    return float(ndtri(p))
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def truncated_exp_moment(a: float, mu: float, v: float, dcut: float) -> float:
@@ -206,11 +212,13 @@ def _h1_start(ctx: PartialMomentContext, target: float) -> float:
     """ln y with H_1(y) = target in closed form, H_1(y) = E[z] Phi(F(y) - nu0).
 
     The quantile is taken of the smaller tail mass, so it keeps its accuracy
-    near both ends of the range.
+    near both ends of the range. A tail mass that rounds to 0 has an
+    infinite quantile, which the caller clamps to the level range.
     """
     mass = target / ctx.mean
-    w = float(ndtri(mass)) if mass <= 0.5 else -float(ndtri(1.0 - mass))
-    return ctx.m0 + ctx.nu0 * (ctx.nu0 + w)
+    tail = min(mass, 1.0 - mass)
+    w = _STD_NORMAL.inv_cdf(tail) if tail > 0.0 else -math.inf
+    return ctx.m0 + ctx.nu0 * (ctx.nu0 + (w if mass <= 0.5 else -w))
 
 
 def _invert_monotone(f, target, ctx, what):

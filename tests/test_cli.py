@@ -2,6 +2,9 @@
 against reference values, determinism, and exit codes."""
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +424,13 @@ def test_riskless_last_segment_still_solves(tmp_path):
         ([], {"t": 1.0}),
         ([], {"t": 10**400}),
         ([], {"d_grid": [10**400]}),
+        # beyond any array the simulator or the scenario LP could hold; numpy
+        # rejects both sizes before allocating anything
+        (["--steps", str(10**400)], {}),
+        (["--paths", str(10**400)], {}),
+        (["--paths", str(2**63)], {}),
+        (["--scenarios", str(10**400)], {}),
+        (["--scenarios", str(2**63)], {}),
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):
@@ -433,6 +443,48 @@ def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):
         assert err.startswith("config error: run")
         assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1)
+    argv = ["--config", cfg, "--cmd", "solve", "--out"]
+    assert cli.main([*argv, str(tmp_path / "alone")]) == 0
+    assert cli.main([*argv, str(tmp_path / "q1"), "--q", "1"]) == 0
+    assert cli.main([*argv, str(tmp_path / "after")]) == 0
+    alone = (tmp_path / "alone" / "solution.json").read_bytes()
+    assert (tmp_path / "after" / "solution.json").read_bytes() == alone
+    assert (tmp_path / "q1" / "solution.json").read_bytes() != alone
+    capsys.readouterr()
+    for bad in (["--q", "one"], ["--bogus"], ["--cmd", "nope"]):
+        assert cli.main([*argv, str(tmp_path / "bad"), *bad]) == 3
+        assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "bad").exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from capfolio import cli
+argv = ["--config", sys.argv[2], "--cmd"]
+codes = [cli.main([*argv, "solve"])]
+after_solve = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(cli.main([*argv, "policy_table"]))
+print(json.dumps([codes, after_solve, "scipy.special" in sys.modules]))
+"""
+
+
+def test_solve_never_imports_scipy(tmp_path):
+    # scipy serves only the array kernels of the wealth and policy surfaces
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path)})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, src, cfg],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    codes, after_solve, special_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert after_solve == []
+    assert special_loaded
 
 
 def test_out_flag_redirects_artifacts(tmp_path):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from capfolio import kernels, market
-from capfolio.errors import DomainError, TargetOutOfRange
+from capfolio.errors import CapfolioError, DomainError, TargetOutOfRange
 
 # Standard normal CDF at 64 fixed probes, frozen from a 50-digit
 # arbitrary-precision evaluation and rounded to the nearest double.
@@ -108,6 +109,15 @@ def test_quantile_round_trip():
     for y in np.linspace(-5.0, 5.0, 41):
         p = kernels.std_normal_cdf(y)
         assert kernels.std_normal_quantile(p) == pytest.approx(y, abs=1e-9)
+
+
+def test_quantile_matches_ndtri_into_both_tails():
+    # log-spaced lower tails down to 1e-300, and their mirror images 1 - p
+    lower = np.geomspace(1e-300, 0.5, 20001)
+    upper = 1.0 - lower
+    for p in np.concatenate([lower, upper[upper < 1.0]]).tolist():
+        want = float(ndtri(p))
+        assert abs(kernels.std_normal_quantile(p) - want) <= 2e-15 * abs(want), p
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4, math.nan])
@@ -359,6 +369,19 @@ def test_invert_kernel_evaluations_per_inversion(monkeypatch):
                 calls.clear()
                 kernels.invert_K(ctx, p, target)
                 assert 2 <= len(calls) <= 20, (ctx, p, frac, len(calls))
+
+
+def test_invert_h1_where_the_start_mass_rounds_to_an_end():
+    # E[z] = 3.08: the mass 5e-324 / E[z] of the closed-form start rounds to 0,
+    # where the quantile is infinite; the start is clamped, not an error
+    ctx = kernels.PartialMomentContext(m0=1.0, nu0=0.5)
+    assert ctx.mean >= 2.0
+    for target in (5e-324, math.nextafter(ctx.mean, 0.0)):
+        try:
+            y = kernels.invert_H1(ctx, target)
+        except CapfolioError:
+            continue
+        assert 0.0 < y < math.inf, target
 
 
 def test_invert_rejects_out_of_range_targets():

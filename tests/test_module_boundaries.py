@@ -1,7 +1,10 @@
-"""No module of the package imports or reads another module's private names.
+"""No module of the package imports or reads another module's private names,
+and none imports scipy when it is itself imported.
 
 Shared helpers live under public names (for example `market.deflator_context`);
-a leading underscore means the name belongs to its own module alone.
+a leading underscore means the name belongs to its own module alone. scipy
+serves only the array kernels, which import it inside the function, so the
+commands that evaluate no surface never load it.
 """
 import ast
 from pathlib import Path
@@ -77,3 +80,50 @@ def test_checker_allows_public_and_own_names():
         "    return lpm.payoff(x)._fields, np._NoValue, lpm.__name__\n"
     )
     assert _private_reads(source) == []
+
+
+def _module_level_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level package) of every absolute import that runs when the
+    module is imported, i.e. every one outside a function body."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_imports_scipy_at_module_level(path):
+    imports = _module_level_imports(path.read_text())
+    assert [line for line, name in imports if name == "scipy"] == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from scipy.special import erfc\n",
+        "import numpy as np, scipy.linalg as la\n",
+        "try:\n    import scipy\nexcept ImportError:\n    scipy = None\n",
+        "class Solver:\n    from scipy import optimize\n",
+    ],
+)
+def test_checker_flags_module_level_scipy(source):
+    assert "scipy" in [name for _, name in _module_level_imports(source)]
+
+
+def test_checker_allows_scipy_inside_a_function():
+    source = (
+        "import numpy as np\n"
+        "from .errors import DomainError\n"
+        "def cdf(y):\n"
+        "    from scipy.special import erfc\n"
+        "    return erfc(y)\n"
+    )
+    assert _module_level_imports(source) == [(1, "numpy")]
