@@ -115,7 +115,9 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     """
     if n < 1:
         raise DomainError(f"need at least one scenario, got {n}")
+    # the market's coefficient tuples as arrays, once per call
     edges = np.append(model.breakpoints, model.horizon)
+    vols, drifts = np.asarray(model.vol), np.asarray(model.drift)
     n_assets = model.n_assets
     log_gross = np.zeros((n, n_assets))
     log_bond = 0.0
@@ -123,9 +125,9 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
         dt = edges[s + 1] - edges[s]
         if dt <= 0.0:
             continue
-        vol = model.vol[s]
+        vol = vols[s]
         diag_cov = np.einsum("ij,ij->i", vol, vol)
-        drift = (model.drift[s] - 0.5 * diag_cov) * dt
+        drift = (drifts[s] - 0.5 * diag_cov) * dt
         key = np.array([seed, s], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         shocks = gen.standard_normal((n, n_assets)) * math.sqrt(dt)

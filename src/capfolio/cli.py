@@ -43,9 +43,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import baseline, cvar, lpm, market, meanvar, montecarlo
+from . import cvar, lpm, market, meanvar
 from .errors import (
     CapfolioError,
     ConfigError,
@@ -116,18 +114,8 @@ def _build_problem(block: dict, model: market.MarketModel):
     )
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number within the float range (booleans excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _number_list(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
+    return isinstance(value, list) and all(map(market.is_number, value))
 
 
 def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None:
@@ -146,7 +134,7 @@ def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None
     policy_times = {}
     if "t" in run:
         t = run["t"]
-        if not (_is_number(t) and 0.0 <= t <= model.horizon):
+        if not (market.is_number(t) and 0.0 <= t <= model.horizon):
             raise ConfigError(
                 f"run.t must be a finite time in [0, {model.horizon}], got {t!r}"
             )
@@ -178,7 +166,7 @@ def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ConfigError("run.z_grid.points must be strictly ascending")
     for name in ("lo", "hi"):
-        if name in window and not (_is_number(window[name]) and window[name] > 0.0):
+        if name in window and not (market.is_number(window[name]) and window[name] > 0.0):
             raise ConfigError(
                 f"run.z_grid.{name} must be a positive number, got {window[name]!r}"
             )
@@ -226,7 +214,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise
     except (CapfolioError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
-    if not np.any(model.drift - model.rate[:, None]):
+    if all(mu == r for r, drift in zip(model.rate, model.drift) for mu in drift):
         raise ConfigError("market has mu = r in every segment: no risk premium to price")
     _validate_run(run, model, overrides.get("cmd"))
     return RunConfig(
@@ -347,6 +335,8 @@ def load_solution(path):
     so ``evaluate(0.0, 1.0)`` must return x0 up to roundoff; that is the
     round-trip check the artifacts promise.
     """
+    from . import surface
+
     data = json.loads(Path(path).read_text())
     model = market.market_from_config(data["config"]["market"])
     sol = data["solution"]
@@ -357,7 +347,7 @@ def load_solution(path):
     )
     if sol["kind"] == "mv":
         payoff = meanvar.mv_payoff(mult, model)
-        return model, lambda t, z: lpm.wealth(payoff, t, z)
+        return model, lambda t, z: surface.wealth(payoff, t, z)
     pb = sol["problem"]
     problem = lpm.LpmProblem(
         x0=pb["x0"], d=pb["d"], gamma=pb["gamma"], cap=pb["cap"], q=pb["q"],
@@ -377,14 +367,17 @@ def load_solution(path):
         multiple_solutions=sol["multiple_solutions"],
     )
     payoff = lpm.payoff(rebuilt)
-    return model, lambda t, z: lpm.wealth(payoff, t, z)
+    return model, lambda t, z: surface.wealth(payoff, t, z)
 
 
 def _policy_time(config: RunConfig) -> float:
     return float(config.run.get("t", 0.5 * config.model.horizon))
 
 
-def _z_grid(config: RunConfig, t: float) -> np.ndarray:
+def _z_grid(config: RunConfig, t: float):
+    """The ascending deflator levels of the policy table, an ndarray."""
+    import numpy as np
+
     window = config.run.get("z_grid") or {}
     if "points" in window:
         return np.asarray(window["points"], dtype=float)
@@ -407,8 +400,12 @@ def _z_grid(config: RunConfig, t: float) -> np.ndarray:
 
 def cmd_policy_table(config: RunConfig) -> int:
     """Write the feedback table z,x,pi_i,w_i at one policy time."""
+    import numpy as np
+
+    from . import surface
+
     t = _policy_time(config)
-    curve = lpm.feedback_curve(_solved_policy(config), t, _z_grid(config, t))
+    curve = surface.feedback_curve(_solved_policy(config), t, _z_grid(config, t))
     n = curve.pi.shape[1]
     header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
     table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
@@ -455,6 +452,8 @@ def _solved_policy(config: RunConfig) -> lpm.Payoff:
 
 def cmd_simulate(config: RunConfig) -> int:
     """Monte-Carlo replication: deflator paths, Euler wealth, estimates."""
+    from . import montecarlo
+
     run = config.run
     ensemble = montecarlo.run_policy(
         config.model,
@@ -476,7 +475,7 @@ def cmd_simulate(config: RunConfig) -> int:
         )
     else:
         estimates["sample_variance"] = {
-            "value": float(np.var(x_t, ddof=1)),
+            "value": float(x_t.var(ddof=1)),
             "n": int(x_t.size),
         }
     payload = {
@@ -500,6 +499,8 @@ def cmd_compare_static(config: RunConfig) -> int:
     """Static buy-and-hold CVaR against the dynamic optimum on a (d, beta) grid."""
     if config.kind != "cvar":
         raise ConfigError("compare_static needs problem.kind = 'cvar'")
+    from . import baseline
+
     run = config.run
     betas = run.get("betas") or [config.instance.beta]
     d_grid = run.get("d_grid", [])

@@ -89,7 +89,7 @@ class CvarSolution:
     alpha_star is the VaR of the optimal loss.  policy is the embedded
     shortfall solution at alpha_star (benchmark xbar - alpha_star, q=1);
     lpm.payoff(policy) is the payoff the wealth and policy evaluators of
-    the downside module take.  cvar equals trace.j_star.
+    `surface` take.  cvar equals trace.j_star.
     """
 
     problem: CvarProblem
@@ -112,12 +112,15 @@ def safe_level(problem: CvarProblem, model: MarketModel) -> float:
     return grown
 
 
-def _embedded(problem: CvarProblem, xbar: float, alpha: float) -> lpm.LpmProblem:
-    """The q=1 shortfall instance with benchmark gamma = xbar - alpha."""
+def _embedded(problem: CvarProblem, gamma: float) -> lpm.LpmProblem:
+    """The q=1 shortfall instance with benchmark gamma, xbar - alpha in the
+    search, clamped to the cap: at alpha = xbar - cap the difference
+    xbar - alpha can round above it.
+    """
     return lpm.LpmProblem(
         x0=problem.x0,
         d=problem.d,
-        gamma=xbar - alpha,
+        gamma=min(gamma, problem.cap),
         cap=problem.cap,
         q=1.0,
         horizon=problem.horizon,
@@ -150,7 +153,7 @@ def _evaluate(problem: CvarProblem, model: MarketModel, xbar: float, alpha: floa
     """
     if alpha >= xbar:
         return alpha, 1.0, None
-    sol = lpm.solve_lpm(_embedded(problem, xbar, alpha), model)
+    sol = lpm.solve_lpm(_embedded(problem, xbar - alpha), model)
     scale = 1.0 / (1.0 - problem.beta)
     return (
         alpha + sol.objective_value * scale,
@@ -168,7 +171,7 @@ def underline_d_of_alpha(problem: CvarProblem, model: MarketModel, alpha) -> flo
     xbar = safe_level(problem, model)
     if alpha >= xbar:
         return 0.0
-    return lpm.d_bounds(_embedded(problem, xbar, alpha), model)[0]
+    return lpm.d_bounds(_embedded(problem, xbar - alpha), model)[0]
 
 
 def j_value(problem: CvarProblem, model: MarketModel, alpha) -> float:
@@ -224,7 +227,7 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     capped payoff.
     """
     xbar = safe_level(problem, model)
-    probe = _embedded(problem, xbar, xbar - problem.cap)
+    probe = _embedded(problem, problem.cap)
     d_high = lpm.d_bounds(probe, model)[1]  # does not depend on alpha
     if problem.d >= d_high:
         raise TargetTooHigh(

@@ -10,7 +10,7 @@ class CapfolioError(Exception):
 
 
 class DimensionMismatch(CapfolioError):
-    """Coefficient arrays disagree on the number of assets or segments."""
+    """Coefficients are malformed or disagree on the number of assets or segments."""
 
 
 class NonpositiveHorizon(CapfolioError):

@@ -13,14 +13,12 @@ and the partial moments of z(T) built from it:
     K_p(y) = H_1(y) - H_{p+1}(y) / y^p
     J_p(y) = H_0(y) - H_p(y) / y^p
 
-Each function has one path. The scalar functions take and return floats and
-run on `math` and the standard library's `statistics.NormalDist` (the
-quantile, Wichura's AS241); the multiplier solves, the inverses and every
-other quantity of one instance call them. The `*_array` functions take
-ndarrays and run on numpy and scipy's erfc; only the wealth and policy
-surfaces over a grid of deflator levels call them. scipy is imported by
-`std_normal_cdf_array` on its first call, not with this module, so a command
-that evaluates no surface never loads it.
+Every function here takes and returns floats and runs on `math` and the
+standard library's `statistics.NormalDist` (the quantile, Wichura's AS241);
+the multiplier solves, the inverses and every other quantity of one
+instance call them, and none of them needs numpy. Their elementwise
+counterparts over arrays of deflator levels, which only the wealth and
+policy surfaces use, live in `surface` on numpy and scipy's erfc.
 
 H_p, K_p, J_p are nondecreasing in y (K_p and J_p are expectations of
 nonnegative integrands z(1-(z/y)^p)1 and (1-(z/y)^p)1), which makes the
@@ -32,19 +30,14 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-import numpy as np
-
 from .errors import DomainError, MaxIterations, TargetOutOfRange
 
 __all__ = [
     "PartialMomentContext",
     "std_normal_cdf",
-    "std_normal_cdf_array",
     "std_normal_quantile",
     "std_normal_pdf",
-    "std_normal_pdf_array",
     "truncated_exp_moment",
-    "truncated_exp_moment_array",
     "partial_moment_H",
     "partial_moment_K",
     "partial_moment_J",
@@ -70,22 +63,9 @@ def std_normal_cdf(y: float) -> float:
     return 0.5 * math.erfc(-y / _SQRT2)
 
 
-def std_normal_cdf_array(y) -> np.ndarray:
-    """std_normal_cdf elementwise over an array."""
-    from scipy.special import erfc  # the one kernel that needs scipy
-
-    return 0.5 * erfc(-np.asarray(y, dtype=float) / _SQRT2)
-
-
 def std_normal_pdf(y: float) -> float:
     """Standard normal density."""
     return _INV_SQRT_2PI * math.exp(-0.5 * y * y)
-
-
-def std_normal_pdf_array(y) -> np.ndarray:
-    """std_normal_pdf elementwise over an array."""
-    y = np.asarray(y, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * y * y)
 
 
 def std_normal_quantile(p) -> float:
@@ -125,17 +105,6 @@ def truncated_exp_moment(a: float, mu: float, v: float, dcut: float) -> float:
     full = math.exp(a * mu + 0.5 * a * a * v * v)
     # (dcut - mu)/v - a*v evaluates fine at +-inf and the CDF saturates
     return full * std_normal_cdf((dcut - mu) / v - a * v)
-
-
-def truncated_exp_moment_array(a: float, mu: float, v: float, dcut) -> np.ndarray:
-    """truncated_exp_moment elementwise over an array of truncation points."""
-    if v < 0.0:
-        raise DomainError(f"standard deviation must be >= 0, got {v}")
-    dcut = np.asarray(dcut, dtype=float)
-    if v == 0.0:
-        return np.where(mu <= dcut, math.exp(a * mu), 0.0)
-    full = math.exp(a * mu + 0.5 * a * a * v * v)
-    return full * std_normal_cdf_array((dcut - mu) / v - a * v)
 
 
 @dataclass(frozen=True, slots=True)

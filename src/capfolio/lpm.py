@@ -5,9 +5,9 @@ Solves
     min  E[((gamma - X)_+)^q]
     s.t. E[X] >= d,  E[z(T) X] = x0,  0 <= X <= B
 
-for q in {0} union (0, 1] union {2} over terminal wealth X, then evaluates
-the closed-form wealth process x*(t, z) and dollar policy pi*(t, z) that
-replicate the optimal X.
+for q in {0} union (0, 1] union {2} over terminal wealth X. Everything here
+runs on floats: a solve needs a few partial moments of the lognormal
+deflator and no arrays.
 
 The optimal X takes at most three values/branches in the deflator z:
 
@@ -25,9 +25,10 @@ rich threshold (or delta = 0) to d_upper at delta_bar = H_1^{-1}(x0/cap).
 So every Regular instance is one bracketed root in delta with a guaranteed
 sign change; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
 
-`payoff` turns a solution into a piecewise-linear Payoff, and `wealth`,
-`policy` and `feedback_curve` replicate any Payoff (Cox & Huang 1989), the
-mean-variance one of `meanvar.mv_payoff` included.
+`payoff` turns a solution into a piecewise-linear Payoff. The closed-form
+wealth process x*(t, z) and dollar policy pi*(t, z) that replicate any
+Payoff (Cox & Huang 1989), the mean-variance one of `meanvar.mv_payoff`
+included, are evaluated over arrays of deflator levels by `surface`.
 
 Case tags: Regular (both multipliers positive), DegenerateLowTarget (mean
 constraint slack, lam = 0), DegenerateRich (budget alone already funds
@@ -39,34 +40,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
 from . import kernels
 from .errors import (
     InfeasibleBudget,
     MaxIterations,
     NoSignChange,
-    PolicyUndefinedAtTerminal,
     SingularJacobian,
     SolverDiverged,
     TargetOutOfRange,
     TargetTooHigh,
 )
-from .kernels import (
-    PartialMomentContext,
-    std_normal_pdf,
-    std_normal_pdf_array,
-    truncated_exp_moment,
-    truncated_exp_moment_array,
-)
-from .market import (
-    MarketModel,
-    deflator_context,
-    deflator_moments,
-    expected_deflator,
-    gram_inverse_excess,
-)
+from .kernels import PartialMomentContext, std_normal_pdf, truncated_exp_moment
+from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d, solve_2d
 
 __all__ = [
@@ -77,17 +62,12 @@ __all__ = [
     "Multipliers",
     "PolicySolution",
     "Payoff",
-    "FeedbackCurve",
     "d_bounds",
     "classify",
     "solve_multipliers",
     "solve_lpm",
     "payoff",
-    "terminal_wealth",
     "expected_terminal_wealth",
-    "wealth",
-    "policy",
-    "feedback_curve",
     "hit_probability",
     "wealth_envelope",
 ]
@@ -100,9 +80,17 @@ DEGENERATE_RICH = "DegenerateRich"
 #: their terminal limit and the policy is reported undefined
 TERMINAL_NU = 1e-8
 
-#: eight-point Gauss-Legendre (node, weight) pairs on [0, 1]
-_RAMP_RULE = tuple(
-    (0.5 * (float(x) + 1.0), 0.5 * float(w)) for x, w in zip(*leggauss(8))
+#: eight-point Gauss-Legendre (node, weight) pairs on [0, 1]: the nodes and
+#: weights of the rule on [-1, 1] mapped by x -> (x + 1) / 2, w -> w / 2
+_RAMP_RULE = (
+    (0.019855071751231912, 0.05061426814518853),
+    (0.10166676129318664, 0.11119051722668721),
+    (0.2372337950418355, 0.15685332293894344),
+    (0.4082826787521751, 0.18134189168918083),
+    (0.5917173212478248, 0.18134189168918083),
+    (0.7627662049581645, 0.15685332293894344),
+    (0.8983332387068134, 0.11119051722668721),
+    (0.9801449282487681, 0.05061426814518853),
 )
 
 
@@ -195,22 +183,6 @@ class PolicySolution:
 
 
 @dataclass(frozen=True, slots=True)
-class FeedbackCurve:
-    """Rows of (z, x, pi, weights) sorted by wealth x.
-
-    `monotone_warning` is True when x*(t, .) failed to be strictly monotone
-    on the supplied grid, in which case the x-sorted rows interleave grid
-    points and the curve is not a function of x.
-    """
-
-    z: np.ndarray
-    x: np.ndarray
-    pi: np.ndarray
-    weights: np.ndarray
-    monotone_warning: bool
-
-
-@dataclass(frozen=True, slots=True)
 class Payoff:
     """Piecewise-linear terminal wealth in the terminal deflator z.
 
@@ -218,7 +190,8 @@ class Payoff:
     first branch starting at 0, and X(z) = 0 beyond the last level, which
     may be +inf. Levels ascend; an empty branch repeats its lower level.
     The wealth surface, policy and feedback curve of every solved problem
-    are read off this one type (`payoff`, `meanvar.mv_payoff`).
+    are read off this one type (`payoff`, `meanvar.mv_payoff`) by the
+    functions of `surface`.
     """
 
     model: MarketModel
@@ -441,8 +414,10 @@ def _branch_width(ctx, problem, delta):
     flat = kernels.invert_H1(ctx, h1 + left) - delta
     if problem.q != 2.0 or flat <= 0.0:
         return max(flat, 0.0)
-    s = (room - left) / (room + left)  # puts left / (1 - s) midway to room
-    most = (kernels.invert_H1(ctx, h1 + left / (1.0 - s)) - delta) / s
+    # s puts left / (1 - s) = (room + left) / 2 midway to room; the quotient
+    # is taken in that form, since 1 - s rounds to 0 when left < eps room / 2
+    s = (room - left) / (room + left)
+    most = (kernels.invert_H1(ctx, h1 + 0.5 * (room + left)) - delta) / s
 
     def price_gap(x):
         return _ramp(ctx, 1.0, delta, math.exp(x)) / left - 1.0
@@ -604,16 +579,6 @@ def payoff(solution: PolicySolution) -> Payoff:
     )
 
 
-def terminal_wealth(payoff: Payoff, z) -> np.ndarray:
-    """Terminal wealth X(z) of the payoff, an array of the shape of z."""
-    z = np.asarray(z, dtype=float)
-    return np.select(
-        [z <= level for level in payoff.levels],
-        [a + b * z for a, b in zip(payoff.constants, payoff.slopes)],
-        default=0.0,
-    )
-
-
 def expected_terminal_wealth(solution: PolicySolution) -> float:
     """E[X*] in closed form (the left side of the mean equation)."""
     ctx = solution.context
@@ -622,103 +587,6 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
     if solution.multipliers.case == DEGENERATE_RICH:
         return (prob.cap - prob.gamma) * _h(ctx, 0.0, delta) + prob.gamma
     return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
-
-
-def _branch_sum(payoff: Payoff, a, m, nu, log_z, weights, factor):
-    """sum_k weights[k] factor dG_a over the payoff branches.
-
-    G_a(y) = E[e^{aY} 1{z e^Y <= y}] for Y ~ N(m, nu^2), and dG_a is its
-    difference between the branch ends y_{k-1} and y_k (y_0 = 0).
-    Branches of weight 0 add nothing, so all-zero weights cost nothing.
-    """
-    total = below = 0.0
-    if not any(weights):
-        return total
-    for y, w in zip(payoff.levels, weights):
-        mass = truncated_exp_moment_array(a, m, nu, math.log(y) - log_z) if y > 0.0 else 0.0
-        if w != 0.0:
-            total = total + w * factor * (mass - below)
-        below = mass
-    return total
-
-
-def wealth(payoff: Payoff, t, z) -> np.ndarray:
-    """Wealth x(t, z) that replicates the payoff, an array of the shape of z.
-
-    x(t, z) = E[X(z Y) Y] with Y = z(T)/z(t), lognormal with log-moments
-    (m, nu) of the remaining horizon, and branch k contributes
-    a_k dG_1 + b_k z dG_2 (see _branch_sum). Within TERMINAL_NU of the
-    horizon the formula degenerates to the terminal payoff and that limit
-    is returned.
-    """
-    z = np.asarray(z, dtype=float)
-    mom = deflator_moments(payoff.model, t)
-    if mom.nu < TERMINAL_NU:
-        return terminal_wealth(payoff, z)
-    with np.errstate(divide="ignore"):
-        log_z = np.log(z)
-    flat = _branch_sum(payoff, 1.0, mom.m, mom.nu, log_z, payoff.constants, 1.0)
-    return flat + _branch_sum(payoff, 2.0, mom.m, mom.nu, log_z, payoff.slopes, z)
-
-
-def policy(payoff: Payoff, t, z):
-    """Dollar allocation pi(t, z) to the risky assets, shape z.shape + (n,).
-
-    Equals -z dx/dz (sigma sigma')^{-1}(mu - r 1), with the scalar factor
-
-        -z dx/dz = (c1 / nu) sum_k J_k phi(u_k - nu) - z sum_k b_k dG_2
-
-    in closed form: J_k is the downward jump of X at the finite level y_k,
-    c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu. Raises
-    PolicyUndefinedAtTerminal once the remaining volatility is below
-    TERMINAL_NU.
-    """
-    z = np.asarray(z, dtype=float)
-    mom = deflator_moments(payoff.model, t)
-    m, nu = mom.m, mom.nu
-    if nu < TERMINAL_NU:
-        raise PolicyUndefinedAtTerminal(
-            f"policy has no limit at t = {t} (remaining nu = {nu:.2e})"
-        )
-    constants, slopes = payoff.constants, payoff.slopes
-    with np.errstate(divide="ignore"):
-        log_z = np.log(z)
-    beyond = [*zip(constants[1:], slopes[1:]), (0.0, 0.0)]
-    jumps = np.zeros_like(z)
-    for y, a, b, (a_next, b_next) in zip(payoff.levels, constants, slopes, beyond):
-        if 0.0 < y < math.inf:  # phi vanishes at y = 0
-            jump = a + b * y - (a_next + b_next * y)
-            u = (math.log(y) - log_z - m) / nu
-            jumps = jumps + jump * std_normal_pdf_array(u - nu)
-    scale = (math.exp(m + 0.5 * nu * nu) / nu) * jumps
-    scale = scale - _branch_sum(payoff, 2.0, m, nu, log_z, slopes, z)
-    direction = gram_inverse_excess(payoff.model, t)
-    return np.multiply.outer(scale, direction)
-
-
-def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
-    """Wealth/policy/weight rows over a z grid, sorted by wealth.
-
-    Weights are pi / x per asset (NaN where x is zero). A monotonicity
-    warning is flagged when x(t, .) is not strictly decreasing in z on the
-    grid, since only then is the policy a function of wealth.
-    """
-    z = np.asarray(z_grid, dtype=float).ravel()
-    if z.size and np.any(np.diff(z) <= 0.0):
-        raise ValueError("z_grid must be strictly ascending")
-    x = np.atleast_1d(wealth(payoff, t, z))
-    pi = np.atleast_2d(policy(payoff, t, z))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(x[:, None] != 0.0, pi / x[:, None], np.nan)
-    monotone_warning = bool(z.size > 1 and np.any(np.diff(x) >= 0.0))
-    order = np.argsort(x, kind="stable")
-    return FeedbackCurve(
-        z=z[order],
-        x=x[order],
-        pi=pi[order],
-        weights=weights[order],
-        monotone_warning=monotone_warning,
-    )
 
 
 def hit_probability(solution: PolicySolution) -> float:

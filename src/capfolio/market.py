@@ -10,18 +10,22 @@ theta = sigma^{-1}(mu - r 1), so ln(z(T)/z(t)) is normal with
     m(t)    = -int_t^T (r(s) + 0.5 ||theta(s)||^2) ds
     nu(t)^2 =  int_t^T ||theta(s)||^2 ds
 
-Both are evaluated exactly here.
+Both are evaluated exactly here. The model holds tuples of floats and does
+its linear algebra on them, once per segment when it is validated: the
+scalar path (solve, frontier) needs a few sums over segments and no arrays.
 """
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
+    ConfigError,
     DegenerateVolatility,
     DimensionMismatch,
+    DomainError,
     NonpositiveHorizon,
     SingularVolatility,
 )
@@ -30,6 +34,7 @@ from .kernels import PartialMomentContext
 __all__ = [
     "MarketModel",
     "DeflatorMoments",
+    "is_number",
     "validate_market",
     "market_from_config",
     "market_price_of_risk",
@@ -47,44 +52,57 @@ MIN_GRAM_EIGENVALUE = 1e-10
 class MarketModel:
     """Validated piecewise-constant market on [0, horizon].
 
+    Every coefficient is a tuple of floats; S is the number of segments and
+    n the number of assets.
+
     Attributes
     ----------
     horizon : float
         Terminal time T in years, > 0.
-    breakpoints : ndarray, shape (S,)
-        Left endpoints of the S coefficient segments; breakpoints[0] == 0.
+    breakpoints : tuple, S floats
+        Left endpoints of the coefficient segments; breakpoints[0] == 0.
         Segment s covers [breakpoints[s], breakpoints[s+1]) and the last
         segment is closed at T.
-    rate : ndarray, shape (S,)
+    rate : tuple, S floats
         Risk-free rate per year on each segment.
-    drift : ndarray, shape (S, n)
+    drift : tuple, S tuples of n floats
         Asset drift vector per year on each segment.
-    vol : ndarray, shape (S, n, n)
+    vol : tuple, S tuples of n rows of n floats
         Volatility matrix per sqrt-year on each segment.
+    theta : tuple, S tuples of n floats
+        Market price of risk sigma^{-1}(mu - r 1) on each segment.
+    theta_sq : tuple, S floats
+        ||theta||^2 on each segment.
+    direction : tuple, S tuples of n floats
+        Policy direction (sigma sigma')^{-1}(mu - r 1) = sigma'^{-1} theta.
     """
 
     horizon: float
-    breakpoints: np.ndarray
-    rate: np.ndarray
-    drift: np.ndarray
-    vol: np.ndarray
+    breakpoints: tuple
+    rate: tuple
+    drift: tuple
+    vol: tuple
+    theta: tuple
+    theta_sq: tuple
+    direction: tuple
 
     @property
     def n_assets(self) -> int:
-        return self.drift.shape[1]
+        return len(self.drift[0])
 
     def segment_index(self, t: float) -> int:
         """Index of the segment containing time t (last segment at t = T)."""
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return int(np.searchsorted(self.breakpoints, t, side="right") - 1)
+        return bisect_right(self.breakpoints, t) - 1
 
-    def segment_lengths_between(self, t0: float, t1: float) -> np.ndarray:
+    def segment_lengths_between(self, t0: float, t1: float) -> tuple:
         """Overlap of [t0, t1] with each coefficient segment, in years."""
-        edges = np.append(self.breakpoints, self.horizon)
-        lo = np.clip(edges[:-1], t0, t1)
-        hi = np.clip(edges[1:], t0, t1)
-        return np.maximum(hi - lo, 0.0)
+        edges = (*self.breakpoints, self.horizon)
+        return tuple(
+            max(min(max(hi, t0), t1) - min(max(lo, t0), t1), 0.0)
+            for lo, hi in zip(edges, edges[1:])
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,81 +114,208 @@ class DeflatorMoments:
     t: float
 
 
+def is_number(value) -> bool:
+    """A finite real number within the float range (booleans excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _as_floats(value, name):
+    """(value as nested tuples of floats, its shape); a number has shape ().
+
+    numpy arrays and scalars come in through their `tolist`. Raises
+    DimensionMismatch for ragged nesting, non-numbers and non-finite values.
+    """
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        items = [_as_floats(v, name) for v in value]
+        shapes = {shape for _, shape in items}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"{name} is ragged")
+        inner = shapes.pop() if shapes else ()
+        return tuple(v for v, _ in items), (len(items), *inner)
+    if not is_number(value):
+        raise DimensionMismatch(f"non-finite value or non-number {value!r} in {name}")
+    return float(value), ()
+
+
+def _solve(a, b, s):
+    """x with a x = b, by Gaussian elimination with partial pivoting."""
+    n = len(b)
+    rows = [[*row, v] for row, v in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            raise SingularVolatility(f"segment {s}: singular volatility matrix")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / pivot[k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+    if not all(map(math.isfinite, x)):
+        raise SingularVolatility(f"segment {s}: non-finite market price of risk")
+    return tuple(x)
+
+
+def _above(gram, shift) -> bool:
+    """Whether gram - shift I has a Cholesky factor, i.e. whether the
+    smallest eigenvalue of the symmetric gram exceeds shift."""
+    n = len(gram)
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        d = gram[j][j] - shift - sum(v * v for v in low[j][:j])
+        if not d > 0.0:
+            return False
+        low[j][j] = math.sqrt(d)
+        for i in range(j + 1, n):
+            dot = sum(x * y for x, y in zip(low[i][:j], low[j][:j]))
+            low[i][j] = (gram[i][j] - dot) / low[j][j]
+    return True
+
+
+def _min_eigenvalue(gram) -> float:
+    """Smallest eigenvalue of the positive semidefinite gram, for an error
+    message: bisection on the Cholesky test from the Gershgorin bound down."""
+    lo = -max(sum(abs(v) for v in row) for row in gram) - MIN_GRAM_EIGENVALUE
+    hi = MIN_GRAM_EIGENVALUE
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _above(gram, mid):
+            lo = mid
+        else:
+            hi = mid
+    return max(0.5 * (lo + hi), 0.0)
+
+
 def validate_market(horizon, rate, drift, vol, breakpoints=None):
     """Validate raw coefficients and return an immutable MarketModel.
 
     Scalar or single-segment input is promoted: ``validate_market(1.0, 0.06,
     0.12, 0.15)`` builds a one-asset constant-coefficient market. Multi
-    segment input passes arrays whose leading axis indexes segments together
-    with `breakpoints` (sorted, starting at 0).
+    segment input passes nested lists whose leading axis indexes segments
+    together with `breakpoints` (sorted, starting at 0).
 
-    Raises NonpositiveHorizon, DimensionMismatch, or DegenerateVolatility
-    when the smallest eigenvalue of vol vol' is below MIN_GRAM_EIGENVALUE.
+    Per segment it checks that vol vol' - MIN_GRAM_EIGENVALUE I has a
+    Cholesky factor, which holds exactly when the smallest eigenvalue of
+    vol vol' is above the floor, and solves theta = vol^{-1}(mu - r 1) and
+    the policy direction vol'^{-1} theta by elimination with partial
+    pivoting.
+
+    Raises NonpositiveHorizon, DimensionMismatch (malformed or non-finite
+    coefficients), DegenerateVolatility when the smallest eigenvalue of
+    vol vol' is below MIN_GRAM_EIGENVALUE, and DomainError when the law of
+    the terminal deflator is not representable: E[z(T)] is not a positive
+    normal float, or m(0) or nu(0) is not finite.
     """
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0.0:
         raise NonpositiveHorizon(f"horizon must be positive, got {horizon}")
 
-    rate = np.atleast_1d(np.asarray(rate, dtype=float))
-    drift = np.asarray(drift, dtype=float)
-    vol = np.asarray(vol, dtype=float)
+    rate, shape = _as_floats(rate, "rate")
+    if not shape:
+        rate = (rate,)
+    elif len(shape) != 1:
+        raise DimensionMismatch(f"rate must be a number per segment, got shape {shape}")
+    n_seg = len(rate)
+    if n_seg == 0:
+        raise DimensionMismatch("the market needs at least one segment")
 
-    n_seg = rate.shape[0]
-    if drift.ndim == 0:
-        drift = drift.reshape(1, 1)
-    elif drift.ndim == 1:
+    drift, shape = _as_floats(drift, "drift")
+    if not shape:
+        drift = ((drift,),)
+    elif len(shape) == 1:
         # ambiguous: one segment with n assets when n_seg == 1, else
         # n_seg scalars for a single asset
-        drift = drift.reshape(1, -1) if n_seg == 1 else drift.reshape(-1, 1)
-    if drift.shape[0] != n_seg:
-        raise DimensionMismatch(
-            f"drift has {drift.shape[0]} segments, rate has {n_seg}"
-        )
-    n = drift.shape[1]
+        drift = (drift,) if n_seg == 1 else tuple((v,) for v in drift)
+    elif len(shape) != 2:
+        raise DimensionMismatch(f"drift must be segments x assets, got shape {shape}")
+    if len(drift) != n_seg:
+        raise DimensionMismatch(f"drift has {len(drift)} segments, rate has {n_seg}")
+    n = len(drift[0])
+    if n == 0:
+        raise DimensionMismatch("the market needs at least one asset")
 
-    if vol.ndim == 0:
-        vol = vol.reshape(1, 1, 1)
-    elif vol.ndim == 2 and n_seg == 1:
-        vol = vol.reshape(1, *vol.shape)
-    elif vol.ndim == 1 and n == 1:
-        vol = vol.reshape(-1, 1, 1)
-    if vol.shape != (n_seg, n, n):
+    vol, shape = _as_floats(vol, "vol")
+    if not shape:
+        vol, shape = (((vol,),),), (1, 1, 1)
+    elif len(shape) == 2 and n_seg == 1:
+        vol, shape = (vol,), (1, *shape)
+    elif len(shape) == 1 and n == 1:
+        vol, shape = tuple(((v,),) for v in vol), (shape[0], 1, 1)
+    if shape != (n_seg, n, n):
         raise DimensionMismatch(
-            f"vol shape {vol.shape} does not match {n_seg} segments x {n} assets"
+            f"vol shape {shape} does not match {n_seg} segments x {n} assets"
         )
 
     if breakpoints is None:
         if n_seg != 1:
             raise DimensionMismatch("multi-segment coefficients need breakpoints")
-        breakpoints = np.zeros(1)
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    if breakpoints.shape != (n_seg,):
-        raise DimensionMismatch(
-            f"{breakpoints.shape[0]} breakpoints for {n_seg} segments"
-        )
-    if breakpoints[0] != 0.0 or np.any(np.diff(breakpoints) <= 0.0):
+        breakpoints = (0.0,)
+    breakpoints, shape = _as_floats(breakpoints, "breakpoints")
+    if shape != (n_seg,):
+        raise DimensionMismatch(f"breakpoints of shape {shape} for {n_seg} segments")
+    if breakpoints[0] != 0.0 or any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
         raise DimensionMismatch("breakpoints must start at 0 and increase")
     if breakpoints[-1] >= horizon:
         raise DimensionMismatch("last breakpoint must lie before the horizon")
 
-    for arr, name in ((rate, "rate"), (drift, "drift"), (vol, "vol")):
-        if not np.all(np.isfinite(arr)):
-            raise DimensionMismatch(f"non-finite value in {name}")
-
-    for s in range(n_seg):
-        gram = vol[s] @ vol[s].T
-        lo_eig = float(np.linalg.eigvalsh(gram)[0])
-        if lo_eig < MIN_GRAM_EIGENVALUE:
+    theta, theta_sq, direction = [], [], []
+    for s, (r, mu, sigma) in enumerate(zip(rate, drift, vol)):
+        gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in sigma] for ri in sigma]
+        if not _above(gram, MIN_GRAM_EIGENVALUE):
             raise DegenerateVolatility(
-                f"segment {s}: min eigenvalue of vol vol' is {lo_eig:.3e}, "
+                f"segment {s}: min eigenvalue of vol vol' is {_min_eigenvalue(gram):.3e}, "
                 f"below the floor {MIN_GRAM_EIGENVALUE:.3e}"
             )
+        th = _solve(sigma, [v - r for v in mu], s)
+        theta.append(th)
+        theta_sq.append(sum(v * v for v in th))
+        direction.append(_solve(tuple(zip(*sigma)), th, s))
 
-    rate.flags.writeable = False
-    drift.flags.writeable = False
-    vol.flags.writeable = False
-    breakpoints.flags.writeable = False
-    return MarketModel(horizon, breakpoints, rate, drift, vol)
+    model = MarketModel(
+        horizon, breakpoints, rate, drift, vol, tuple(theta), tuple(theta_sq), tuple(direction)
+    )
+    mom = deflator_moments(model, 0.0)
+    try:
+        ez = expected_deflator(model, 0.0, horizon)
+    except OverflowError:
+        ez = math.inf
+    if not (sys.float_info.min <= ez < math.inf and math.isfinite(mom.m) and math.isfinite(mom.nu)):
+        raise DomainError(
+            f"deflator law not representable: E[z(T)] = {ez!r}, "
+            f"m(0) = {mom.m!r}, nu(0) = {mom.nu!r}"
+        )
+    return model
+
+
+def _config_vector(value, where):
+    """mu of a config segment: a list of finite numbers, or one number."""
+    value = [value] if is_number(value) else value
+    if not (isinstance(value, list) and value and all(map(is_number, value))):
+        raise ConfigError(f"{where}.mu must be a non-empty list of finite numbers, got {value!r}")
+    return value
+
+
+def _config_matrix(value, n, where):
+    """sigma of a config segment: an n x n list of finite numbers, or one
+    number when n = 1."""
+    value = [[value]] if is_number(value) else value
+    if not (
+        isinstance(value, list)
+        and len(value) == n
+        and all(isinstance(row, list) and len(row) == n and all(map(is_number, row)) for row in value)
+    ):
+        raise ConfigError(f"{where}.sigma must be a {n} x {n} list of finite numbers, got {value!r}")
+    return value
 
 
 def market_from_config(block: dict) -> MarketModel:
@@ -181,33 +326,40 @@ def market_from_config(block: dict) -> MarketModel:
         {"horizon": 1.0,
          "segments": [{"t_start": 0.0, "r": 0.06, "mu": [...], "sigma": [[...]]}]}
 
-    A segment without "t_start" starts at 0, so a lone one covers [0, T].
+    `segments` is a non-empty list of objects. In each, `r` is a finite
+    number, `mu` a list of n finite numbers and `sigma` an n x n list of
+    them; a bare number stands for a one-asset `mu` or `sigma`. A segment
+    without "t_start" starts at 0, so a lone one covers [0, T].
+
+    Raises ConfigError for a malformed block and the errors of
+    validate_market for coefficients it rejects.
     """
-    segs = block["segments"]
+    if not isinstance(block, dict):
+        raise ConfigError(f"market must be an object, got {block!r}")
+    horizon, segs = block["horizon"], block["segments"]
+    if not is_number(horizon):
+        raise ConfigError(f"market.horizon must be a finite number, got {horizon!r}")
+    if not (isinstance(segs, list) and segs and all(isinstance(s, dict) for s in segs)):
+        raise ConfigError(f"market.segments must be a non-empty list of objects, got {segs!r}")
+    drift, vol = [], []
+    for i, seg in enumerate(segs):
+        where = f"market.segments[{i}]"
+        if not is_number(seg["r"]):
+            raise ConfigError(f"{where}.r must be a finite number, got {seg['r']!r}")
+        drift.append(_config_vector(seg["mu"], where))
+        vol.append(_config_matrix(seg["sigma"], len(drift[-1]), where))
     return validate_market(
-        block["horizon"],
+        horizon,
         [s["r"] for s in segs],
-        [np.atleast_1d(s["mu"]) for s in segs],
-        [np.atleast_2d(s["sigma"]) for s in segs],
+        drift,
+        vol,
         breakpoints=[s.get("t_start", 0.0) for s in segs],
     )
 
 
-def market_price_of_risk(model: MarketModel, t: float) -> np.ndarray:
-    """theta(t) = sigma(t)^{-1} (mu(t) - r(t) 1), by dense linear solve."""
-    s = model.segment_index(t)
-    return _segment_theta(model, s)
-
-
-def _segment_theta(model: MarketModel, s: int) -> np.ndarray:
-    excess = model.drift[s] - model.rate[s]
-    try:
-        theta = np.linalg.solve(model.vol[s], excess)
-    except np.linalg.LinAlgError as exc:
-        raise SingularVolatility(f"segment {s}: {exc}") from exc
-    if not np.all(np.isfinite(theta)):
-        raise SingularVolatility(f"segment {s}: non-finite market price of risk")
-    return theta
+def market_price_of_risk(model: MarketModel, t: float) -> tuple:
+    """theta(t) = sigma(t)^{-1} (mu(t) - r(t) 1), solved at validation."""
+    return model.theta[model.segment_index(t)]
 
 
 def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
@@ -217,13 +369,11 @@ def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
     lengths = model.segment_lengths_between(t, model.horizon)
     m = 0.0
     nu_sq = 0.0
-    for s, length in enumerate(lengths):
+    for length, rate, theta_sq in zip(lengths, model.rate, model.theta_sq):
         if length == 0.0:
             continue
-        theta = _segment_theta(model, s)
-        theta_sq = float(theta @ theta)
-        m -= float(length * (model.rate[s] + 0.5 * theta_sq))
-        nu_sq += float(length * theta_sq)
+        m -= length * (rate + 0.5 * theta_sq)
+        nu_sq += length * theta_sq
     return DeflatorMoments(m=m, nu=math.sqrt(nu_sq), t=t)
 
 
@@ -233,12 +383,9 @@ def deflator_context(model: MarketModel) -> PartialMomentContext:
     return PartialMomentContext(m0=mom.m, nu0=mom.nu)
 
 
-def gram_inverse_excess(model: MarketModel, t: float) -> np.ndarray:
+def gram_inverse_excess(model: MarketModel, t: float) -> tuple:
     """(sigma sigma')^{-1} (mu - r 1) at time t, the direction of every policy."""
-    s = model.segment_index(t)
-    vol = model.vol[s]
-    excess = model.drift[s] - model.rate[s]
-    return np.linalg.solve(vol @ vol.T, excess)
+    return model.direction[model.segment_index(t)]
 
 
 def expected_deflator(model: MarketModel, t0: float, t1: float) -> float:
@@ -246,4 +393,4 @@ def expected_deflator(model: MarketModel, t0: float, t1: float) -> float:
     if not 0.0 <= t0 <= t1 <= model.horizon:
         raise ValueError(f"need 0 <= t0 <= t1 <= horizon, got ({t0}, {t1})")
     lengths = model.segment_lengths_between(t0, t1)
-    return math.exp(-float(lengths @ model.rate))
+    return math.exp(-sum(length * rate for length, rate in zip(lengths, model.rate)))

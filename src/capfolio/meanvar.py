@@ -4,7 +4,7 @@ Minimize Var[X] over terminal payoffs X >= 0 subject to E[X] = d and the
 budget E[z(T) X] = x0.  The optimal payoff is the truncated linear rule
 X* = (lam - eta z)/2 on {z <= lam/eta} and 0 beyond, so everything reduces
 to lognormal partial moments of z(T), and the payoff is an `lpm.Payoff`
-whose wealth and policy `lpm` evaluates.  No wealth cap applies here; the
+whose wealth and policy `surface` evaluates.  No wealth cap applies here; the
 module exists as a comparison point for the capped downside-risk policies.
 """
 
@@ -121,7 +121,8 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
 
 def mv_payoff(mult: Multipliers, model: MarketModel) -> Payoff:
     """Optimal terminal payoff (lam - eta z)^+ / 2 as one branch below
-    lam / eta; `lpm.wealth`, `lpm.policy` and `lpm.feedback_curve` replicate it."""
+    lam / eta; `surface.wealth`, `surface.policy` and `surface.feedback_curve`
+    replicate it."""
     return Payoff(
         model=model,
         levels=(mult.mean / mult.budget,),

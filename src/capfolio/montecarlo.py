@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lpm
+from . import surface
 from .errors import DimensionMismatch, DomainError, EmptySample
-from .market import MarketModel, market_price_of_risk
+from .lpm import Payoff
+from .market import MarketModel
 
 MEASURE_MEAN = "Mean"
 
@@ -56,11 +57,11 @@ def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt:
 
 def _policy_evaluator(policy, x0):
     """Adapt a payoff or a policy callable to (t, z_vector) -> allocations."""
-    if isinstance(policy, lpm.Payoff):
-        start = float(lpm.wealth(policy, 0.0, 1.0)) if x0 is None else x0
+    if isinstance(policy, Payoff):
+        start = float(surface.wealth(policy, 0.0, 1.0)) if x0 is None else x0
 
         def evaluate(t, z):
-            return lpm.policy(policy, t, z)
+            return surface.policy(policy, t, z)
 
         return evaluate, start
     if callable(policy):
@@ -85,7 +86,7 @@ def run_policy(
 
     policy is either an `lpm.Payoff` -- `lpm.payoff(solution)` of a
     shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated through
-    `lpm.policy` from its wealth x(0, 1) unless x0 is given, or a callable
+    `surface.policy` from its wealth x(0, 1) unless x0 is given, or a callable
     (t, z_vector) -> (n_paths, n) allocation matrix, which needs x0.
 
     The stepping is Euler-Maruyama, which has strong order 1/2.  For capped
@@ -102,12 +103,14 @@ def run_policy(
     dt = model.horizon / n_steps
     # the closed-form policies are undefined exactly at the horizon
     final_policy_time = model.horizon - dt
+    # the market's coefficient tuples as arrays, once per run
+    drifts, vols, thetas = np.asarray(model.drift), np.asarray(model.vol), np.asarray(model.theta)
     log_z = np.zeros(n_paths)
     x = np.full(n_paths, float(start))
     for k in range(n_steps):
         t = times[k]
         s = model.segment_index(t)
-        theta = market_price_of_risk(model, t)
+        theta = thetas[s]
         rate = model.rate[s]
         dw = _step_increments(model, seed, k, n_paths, dt)
         pi = np.atleast_2d(evaluate(min(t, final_policy_time), np.exp(log_z)))
@@ -115,14 +118,14 @@ def run_policy(
             raise DimensionMismatch(
                 f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
             )
-        vol = model.vol[s]
+        vol = vols[s]
         # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
         # same bits, without its per-call cost
         noise = 0.0
         for j in range(model.n_assets):
             for i in range(model.n_assets):
                 noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
-        x = x + (rate * x + pi @ (model.drift[s] - rate)) * dt + noise
+        x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
         drift = -(rate + 0.5 * float(theta @ theta)) * dt
         log_z = log_z + drift - dw @ theta
     return PathEnsemble(

@@ -1,25 +1,24 @@
-"""Generic numeric kernels: 1-D bracketed roots and damped 2-D Newton.
-Nothing in here knows about portfolios; the policy modules feed in their
-residual functions.
+"""Generic numeric kernels on floats: 1-D bracketed roots and damped 2-D
+Newton. Nothing in here knows about portfolios; the policy modules feed in
+their residual functions.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import MaxIterations, NoSignChange, SingularJacobian
 
 __all__ = ["SolveReport", "find_root_1d", "solve_2d"]
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, slots=True)
 class SolveReport:
     """Outcome of a solve. `root` is a float for the 1-D routines and a
-    length-2 array for solve_2d. `converged` means the stopping rule of the
+    pair of floats for solve_2d. `converged` means the stopping rule of the
     routine was met (residual small, or bracket narrower than tolerance)."""
 
     root: object
@@ -96,47 +95,61 @@ def find_root_1d(f, bracket_lo, bracket_hi, tol=1e-12, max_iter=200):
     )
 
 
-def _fd_jacobian(F, x, fx):
-    jac = np.empty((2, 2))
+def _sup_norm(f) -> float:
+    """max(|f_0|, |f_1|), NaN when either component is NaN."""
+    a, b = abs(f[0]), abs(f[1])
+    return math.nan if math.isnan(a + b) else max(a, b)
+
+
+def _evaluate(F, x):
+    f = F(x)
+    return float(f[0]), float(f[1])
+
+
+def _fd_jacobian(F, x):
+    """Central-difference Jacobian of F at the pair x, as rows (a, b), (c, d)."""
+    columns = []
     for i in range(2):
         h = 1e-6 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
+        xp, xm = list(x), list(x)
         xp[i] += h
         xm[i] -= h
-        jac[:, i] = (np.asarray(F(xp)) - np.asarray(F(xm))) / (2.0 * h)
-    return jac
+        fp, fm = _evaluate(F, tuple(xp)), _evaluate(F, tuple(xm))
+        columns.append(((fp[0] - fm[0]) / (2.0 * h), (fp[1] - fm[1]) / (2.0 * h)))
+    (a, c), (b, d) = columns
+    return a, b, c, d
 
 
 def solve_2d(F, x_init, tol=1e-10, max_iter=100):
     """Damped Newton for a 2-D system with central-difference Jacobian.
 
-    Backtracks by halving (at most 30 times) until the residual sup-norm
-    drops; converged when ||F||_inf <= tol.
+    F maps a pair of floats to a pair of residuals. The 2x2 Newton step is
+    solved on floats by Cramer's rule. Backtracks by halving (at most 30
+    times) until the residual sup-norm drops; converged when
+    ||F||_inf <= tol.
 
-    Raises SingularJacobian if a Newton step cannot be computed and
-    MaxIterations when the budget runs out (best iterate in the report).
+    Raises SingularJacobian on a zero or non-finite Jacobian determinant or
+    a non-finite step, and MaxIterations when the budget runs out (best
+    iterate in the report).
     """
-    x = np.asarray(x_init, dtype=float).copy()
-    fx = np.asarray(F(x), dtype=float)
-    norm = float(np.max(np.abs(fx)))
+    x = (float(x_init[0]), float(x_init[1]))
+    fx = _evaluate(F, x)
+    norm = _sup_norm(fx)
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return SolveReport(x, norm, it - 1, True)
-        jac = _fd_jacobian(F, x, fx)
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(
-                f"Jacobian singular at iterate {x.tolist()}"
-            ) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian(f"non-finite Newton step at {x.tolist()}")
+        a, b, c, d = _fd_jacobian(F, x)
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):
+            raise SingularJacobian(f"Jacobian determinant {det} at iterate {list(x)}")
+        step = ((b * fx[1] - d * fx[0]) / det, (c * fx[0] - a * fx[1]) / det)
+        if not (math.isfinite(step[0]) and math.isfinite(step[1])):
+            raise SingularJacobian(f"non-finite Newton step at {list(x)}")
         scale = 1.0
         for _ in range(30):
-            trial = x + scale * step
-            f_trial = np.asarray(F(trial), dtype=float)
-            trial_norm = float(np.max(np.abs(f_trial)))
+            trial = (x[0] + scale * step[0], x[1] + scale * step[1])
+            f_trial = _evaluate(F, trial)
+            trial_norm = _sup_norm(f_trial)
             if math.isfinite(trial_norm) and trial_norm < norm:
                 break
             scale *= 0.5
@@ -152,4 +165,3 @@ def solve_2d(F, x_init, tol=1e-10, max_iter=100):
         f"residual {norm:.3e} > {tol} after {max_iter} iterations",
         report=SolveReport(x, norm, max_iter, False),
     )
-

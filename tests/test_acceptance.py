@@ -15,7 +15,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from capfolio import baseline, cli, cvar, kernels, lpm, meanvar, montecarlo
+from capfolio import baseline, cli, cvar, kernels, lpm, meanvar, montecarlo, surface
 from test_kernels import _PHI_TABLE
 
 GAMMA1 = math.exp(0.06)
@@ -122,7 +122,7 @@ def test_criterion_04_solve_identities(example1, criterion):
             sol = lpm.solve_lpm(prob, example1)
             assert sol.multipliers.case == lpm.REGULAR
             worst_budget = max(
-                worst_budget, abs(float(lpm.wealth(lpm.payoff(sol), 0.0, 1.0)) - prob.x0)
+                worst_budget, abs(float(surface.wealth(lpm.payoff(sol), 0.0, 1.0)) - prob.x0)
             )
             worst_mean = max(
                 worst_mean, abs(lpm.expected_terminal_wealth(sol) - prob.d)
@@ -164,8 +164,8 @@ def test_criterion_05_policy_gradient(example1, criterion):
                     (
                         f"q={q:.0f} t={t}",
                         kinks,
-                        lambda z, s=pay, tt=t: lpm.wealth(s, tt, z),
-                        lambda z, s=pay, tt=t: np.ravel(lpm.policy(s, tt, z)),
+                        lambda z, s=pay, tt=t: surface.wealth(s, tt, z),
+                        lambda z, s=pay, tt=t: np.ravel(surface.policy(s, tt, z)),
                     )
                 )
         mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
@@ -175,8 +175,8 @@ def test_criterion_05_policy_gradient(example1, criterion):
                 (
                     f"mv t={t}",
                     [mult.mean / mult.budget],
-                    lambda z, tt=t: lpm.wealth(mv_pay, tt, z),
-                    lambda z, tt=t: np.ravel(lpm.policy(mv_pay, tt, z)),
+                    lambda z, tt=t: surface.wealth(mv_pay, tt, z),
+                    lambda z, tt=t: np.ravel(surface.policy(mv_pay, tt, z)),
                 )
             )
         worst = 0.0
@@ -205,7 +205,7 @@ def test_criterion_06_euler_replication(example1, criterion):
         for steps in (128, 256):
             ens = montecarlo.run_policy(example1, pay, 10_000, steps, seed=77)
             x_t = ens.x_terminal
-            target = lpm.terminal_wealth(pay, ens.z_terminal)
+            target = surface.terminal_wealth(pay, ens.z_terminal)
             errors[steps] = float(np.mean(np.abs(x_t - target)))
             mean_est = montecarlo.estimate_mean(x_t)
         factor = errors[128] / errors[256]
@@ -328,7 +328,7 @@ def test_criterion_10_pointwise_optimality(example1, criterion):
             short = np.where(grid < gamma, 1.0, 0.0) if q == 0.0 else np.maximum(gamma - grid, 0.0) ** q
             integrand = short - (lam - eta * z) * grid
             best = grid[int(np.argmin(integrand))]
-            closed = float(lpm.terminal_wealth(lpm.payoff(sol), z))
+            closed = float(surface.terminal_wealth(lpm.payoff(sol), z))
             step = cap / (grid_n - 1)
             worst_ratio = max(worst_ratio, abs(closed - best) / step)
         ok = worst_ratio <= 1.0 + 1e-9

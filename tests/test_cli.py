@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capfolio import cli, lpm
+from capfolio import cli, lpm, surface
 from capfolio.market import validate_market
 
 EX1_MARKET = {
@@ -46,6 +46,39 @@ RISKLESS_TAIL_MARKET = {
         EX1_MARKET["segments"][0],
         {"t_start": 0.4, "r": 0.06, "mu": [0.06], "sigma": [[0.15]]},
     ],
+}
+
+
+
+def _ex1_with(horizon=1.0, **segment):
+    return {"horizon": horizon, "segments": [{**EX1_MARKET["segments"][0], **segment}]}
+
+
+# market blocks the loader rejects: malformed segments, coefficients of the
+# wrong kind or nesting, and deflator laws that floats cannot represent
+BAD_MARKETS = {
+    "segments_empty_list": {"horizon": 1.0, "segments": []},
+    "segments_object": {"horizon": 1.0, "segments": {}},
+    "segments_string": {"horizon": 1.0, "segments": ""},
+    "segment_not_object": {"horizon": 1.0, "segments": [1]},
+    "horizon_string": _ex1_with(horizon="1.0"),
+    "r_list": _ex1_with(r=[0.06]),
+    "r_matrix": _ex1_with(r=[[0.06]]),
+    "r_string": _ex1_with(r="x"),
+    "r_null": _ex1_with(r=None),
+    "mu_nested": _ex1_with(mu=[[0.12]]),
+    "mu_nested_twice": _ex1_with(mu=[[[0.12]]]),
+    "mu_empty": _ex1_with(mu=[]),
+    "sigma_nested": _ex1_with(sigma=[[[0.15]]]),
+    "sigma_not_square": _ex1_with(sigma=[[0.15, 0.0]]),
+    "sigma_flat": _ex1_with(sigma=[0.15]),
+    # E[z(T)] = e^{-rT} underflows to 0, or overflows
+    "r_huge": _ex1_with(r=1e6),
+    "r_2_63": _ex1_with(r=2**63),
+    "r_negative_huge": _ex1_with(r=-1e6),
+    "horizon_huge": _ex1_with(horizon=1e300),
+    # ||theta||^2 overflows, so m0 and nu0 are not finite
+    "mu_1e200": _ex1_with(mu=[1e200]),
 }
 
 
@@ -152,7 +185,7 @@ def test_policy_table_matches_library_curve(tmp_path):
     got = np.array([[float(cell) for cell in row] for row in rows])
     model = validate_market(1.0, 0.06, 0.12, 0.15)
     sol = lpm.solve_lpm(lpm.LpmProblem(**{k: LPM1[k] for k in ("x0", "d", "gamma", "cap", "q")}, horizon=1.0), model)
-    curve = lpm.feedback_curve(lpm.payoff(sol), 0.5, np.asarray(points))
+    curve = surface.feedback_curve(lpm.payoff(sol), 0.5, np.asarray(points))
     np.testing.assert_allclose(got[:, 0], curve.z, rtol=1e-10)
     np.testing.assert_allclose(got[:, 1], curve.x, rtol=1e-10)
     np.testing.assert_allclose(got[:, 2], curve.pi[:, 0], rtol=1e-10)
@@ -327,6 +360,7 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "riskless_last_segment_simulate",
         "riskless_last_segment_default_t",
         "x0_beyond_float",
+        *(f"market_{name}" for name in BAD_MARKETS),
     ],
 )
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
@@ -380,6 +414,10 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         argv = ["--config", cfg, "--cmd", "policy_table"]
     elif breakage == "x0_beyond_float":
         cfg = _cfg(tmp_path, EX1_MARKET, {**LPM1, "x0": 10**400}, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "solve"]
+    elif breakage.startswith("market_"):
+        bad = BAD_MARKETS[breakage.removeprefix("market_")]
+        cfg = _cfg(tmp_path, bad, LPM1, run={"out": str(tmp_path)})
         argv = ["--config", cfg, "--cmd", "solve"]
     else:
         argv = []
@@ -462,29 +500,51 @@ def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
 
 
 _IMPORT_PROBE = """
-import json, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from capfolio import cli
-argv = ["--config", sys.argv[2], "--cmd"]
-codes = [cli.main([*argv, "solve"])]
-after_solve = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes.append(cli.main([*argv, "policy_table"]))
-print(json.dumps([codes, after_solve, "scipy.special" in sys.modules]))
+for cmd in sys.argv[3:]:
+    if cmd == "load_config":
+        cli.load_config(sys.argv[2], {})
+    else:
+        assert cli.main(["--config", sys.argv[2], "--cmd", cmd]) == 0, cmd
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 """
 
 
-def test_solve_never_imports_scipy(tmp_path):
-    # scipy serves only the array kernels of the wealth and policy surfaces
-    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path)})
+def _modules_after(cfg, *commands):
+    """The numpy and scipy modules a fresh interpreter holds after it imports
+    the CLI and runs `commands` on the config ("load_config" loads it only)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, src, cfg],
+        [sys.executable, "-c", _IMPORT_PROBE, src, cfg, *commands],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    codes, after_solve, special_loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
-    assert after_solve == []
-    assert special_loaded
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_solve_never_imports_scipy(tmp_path):
+    # scipy serves only the array kernels of the wealth and policy surfaces,
+    # numpy only the array path
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path)})
+    assert not any(m.startswith("scipy") for m in _modules_after(cfg, "solve"))
+    loaded = _modules_after(cfg, "solve", "policy_table")
+    assert "scipy.special" in loaded and "numpy" in loaded
+
+
+@pytest.mark.parametrize(
+    "problem,commands",
+    [
+        (LPM1, ("load_config",)),
+        (LPM1, ("solve",)),
+        ({"kind": "cvar", "x0": 1.0, "d": 1.2, "cap": 10.0, "beta": 0.95}, ("solve", "frontier")),
+        (MV1, ("solve",)),
+    ],
+    ids=["load_config", "solve_lpm", "solve_frontier_cvar", "solve_mv"],
+)
+def test_scalar_commands_load_neither_numpy_nor_scipy(tmp_path, problem, commands):
+    run = {"out": str(tmp_path), "d_grid": [1.1, 1.2]}
+    assert _modules_after(_cfg(tmp_path, EX1_MARKET, problem, run=run), *commands) == []
 
 
 def test_out_flag_redirects_artifacts(tmp_path):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from capfolio import cvar, lpm
-from capfolio.errors import DomainError, TargetTooHigh
+from capfolio import cvar, lpm, market, surface
+from capfolio.errors import CapfolioError, DomainError, TargetTooHigh
 
 # Three-asset instance: x0=10, cap B=100, T=1 on the example2 market.
 X0, CAP = 10.0, 100.0
@@ -70,7 +70,7 @@ def test_cvar_decomposes_into_alpha_plus_scaled_shortfall(example2):
 
 def test_budget_identity_of_embedded_policy(example2):
     sol = cvar.solve_cvar(_problem(), example2)
-    assert lpm.wealth(lpm.payoff(sol.policy), 0.0, 1.0) == pytest.approx(X0, abs=1e-8)
+    assert surface.wealth(lpm.payoff(sol.policy), 0.0, 1.0) == pytest.approx(X0, abs=1e-8)
     assert lpm.expected_terminal_wealth(sol.policy) == pytest.approx(12.0, abs=1e-7)
 
 
@@ -220,4 +220,23 @@ def test_single_asset_instance_also_solves(example1):
     sol = cvar.solve_cvar(prob, example1)
     assert sol.cvar > 0.0
     assert sol.policy.problem.cap == 10.0
-    assert lpm.wealth(lpm.payoff(sol.policy), 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert surface.wealth(lpm.payoff(sol.policy), 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_cap_probe_that_rounds_above_the_cap_still_solves():
+    # xbar - (xbar - cap) rounds above the cap here; the d_high probe and the
+    # search's left end both build that benchmark
+    r, horizon = 0.0940000182214618, 3.6701099516693647
+    model = market.validate_market(horizon, r, r + 0.06, 0.2)
+    prob = cvar.CvarProblem(
+        x0=1.0, d=1.01 * math.exp(r * horizon), cap=3.9919181092470093,
+        beta=0.95, horizon=horizon,
+    )
+    try:
+        sol = cvar.solve_cvar(prob, model)
+    except CapfolioError:
+        return
+    assert sol.policy.problem.gamma <= prob.cap
+    h = 1e-4 * max(1.0, abs(sol.xbar))
+    for alpha in (sol.alpha_star - h, sol.alpha_star + h):
+        assert cvar.j_value(prob, model, alpha) >= sol.cvar - 1e-12 * max(1.0, sol.cvar)

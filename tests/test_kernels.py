@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from capfolio import kernels, market
+from capfolio import kernels, market, surface
 from capfolio.errors import CapfolioError, DomainError, TargetOutOfRange
 
 # Standard normal CDF at 64 fixed probes, frozen from a 50-digit
@@ -91,7 +91,7 @@ def test_normal_cdf_against_frozen_reference():
 def test_normal_cdf_vectorized_matches_scalar():
     ys = np.array([y for y, _ in _PHI_TABLE])
     refs = np.array([v for _, v in _PHI_TABLE])
-    vec = kernels.std_normal_cdf_array(ys)
+    vec = surface.std_normal_cdf_array(ys)
     np.testing.assert_allclose(vec, refs, atol=1e-14)
     for y, got in zip(ys, vec):
         want = kernels.std_normal_cdf(float(y))
@@ -181,7 +181,7 @@ def test_truncated_exp_moment_point_mass():
 
 def test_truncated_exp_moment_broadcasts():
     cuts = np.array([-math.inf, 0.0, 1.0, math.inf])
-    out = kernels.truncated_exp_moment_array(1.0, 0.0, 1.0, cuts)
+    out = surface.truncated_exp_moment_array(1.0, 0.0, 1.0, cuts)
     assert out.shape == (4,)
     assert out[0] == 0.0
     assert np.all(np.diff(out) > 0.0)
@@ -197,7 +197,7 @@ def test_truncated_exp_moment_scalar_matches_array():
         v = rng.choice([0.0, rng.uniform(0.01, 3.0)])
         z = np.concatenate([rng.uniform(-30.0, 30.0, 20), [-8.0, 8.0]])
         cuts = np.concatenate([mu + z * max(v, 0.1), [-math.inf, math.inf, mu]])
-        vec = kernels.truncated_exp_moment_array(a, mu, v, cuts)
+        vec = surface.truncated_exp_moment_array(a, mu, v, cuts)
         for cut, got in zip(cuts, vec):
             want = kernels.truncated_exp_moment(a, mu, v, float(cut))
             assert want == pytest.approx(got, rel=1e-13, abs=1e-300), (a, mu, v, cut)
@@ -212,7 +212,7 @@ def test_partial_moment_h_scalar_matches_array():
         p = rng.choice([0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)])
         u = np.concatenate([rng.uniform(-12.0, 12.0, 20), [-38.0, 38.0]])
         ys = np.concatenate([np.exp(ctx.m0 + ctx.nu0 * u), [math.inf]])
-        vec = kernels.truncated_exp_moment_array(p, ctx.m0, ctx.nu0, np.log(ys))
+        vec = surface.truncated_exp_moment_array(p, ctx.m0, ctx.nu0, np.log(ys))
         for y, got in zip(ys, vec):
             want = kernels.partial_moment_H(ctx, p, float(y))
             assert want == pytest.approx(got, rel=1e-13, abs=1e-300), (ctx, p, y)

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from capfolio import cvar, lpm, market
+from capfolio import cvar, lpm, market, surface
 from capfolio.errors import (
+    CapfolioError,
     InfeasibleBudget,
     PolicyUndefinedAtTerminal,
     SolverDiverged,
@@ -175,8 +176,8 @@ def test_constraints_hold_by_quadrature(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
     pay = lpm.payoff(sol)
     kinks = _payoff_kinks(sol)
-    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), kinks)
-    mean = _expect(lambda z: lpm.terminal_wealth(pay, z), kinks)
+    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), kinks)
+    mean = _expect(lambda z: surface.terminal_wealth(pay, z), kinks)
     assert budget == pytest.approx(1.0, abs=1e-8)
     assert mean == pytest.approx(1.3, abs=1e-8)
 
@@ -188,11 +189,11 @@ def test_objective_matches_quadrature(example1, q):
     kinks = _payoff_kinks(sol)
     if q == 0.0:
         want = _expect(
-            lambda z: 1.0 if lpm.terminal_wealth(pay, z) < GAMMA else 0.0, kinks
+            lambda z: 1.0 if surface.terminal_wealth(pay, z) < GAMMA else 0.0, kinks
         )
     else:
         want = _expect(
-            lambda z: max(GAMMA - lpm.terminal_wealth(pay, z), 0.0) ** q, kinks
+            lambda z: max(GAMMA - surface.terminal_wealth(pay, z), 0.0) ** q, kinks
         )
     assert sol.objective_value == pytest.approx(want, abs=1e-7)
 
@@ -201,7 +202,7 @@ def test_objective_matches_quadrature(example1, q):
 def test_expected_terminal_wealth_closed_form(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
     pay = lpm.payoff(sol)
-    want = _expect(lambda z: lpm.terminal_wealth(pay, z), _payoff_kinks(sol))
+    want = _expect(lambda z: surface.terminal_wealth(pay, z), _payoff_kinks(sol))
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(want, abs=1e-9)
 
 
@@ -218,12 +219,12 @@ def test_terminal_wealth_shape_flat_case(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
     pay = lpm.payoff(sol)
     z = np.geomspace(1e-4, 1e3, 400)
-    x = lpm.terminal_wealth(pay, z)
+    x = surface.terminal_wealth(pay, z)
     assert np.all(np.diff(x) <= 1e-12)
     assert np.all((x >= 0.0) & (x <= 10.0))
-    assert lpm.terminal_wealth(pay, sol.delta * 0.5) == 10.0
-    assert lpm.terminal_wealth(pay, sol.delta + 0.5 * sol.rho) == GAMMA
-    assert lpm.terminal_wealth(pay, (sol.delta + sol.rho) * 4.0) == 0.0
+    assert surface.terminal_wealth(pay, sol.delta * 0.5) == 10.0
+    assert surface.terminal_wealth(pay, sol.delta + 0.5 * sol.rho) == GAMMA
+    assert surface.terminal_wealth(pay, (sol.delta + sol.rho) * 4.0) == 0.0
 
 
 def test_terminal_wealth_shape_smooth_case(example1):
@@ -231,27 +232,27 @@ def test_terminal_wealth_shape_smooth_case(example1):
     pay = lpm.payoff(sol)
     hi = sol.delta + sol.rho
     # the middle branch is linear in z and meets gamma at delta
-    assert lpm.terminal_wealth(pay, sol.delta + 1e-12) == pytest.approx(
+    assert surface.terminal_wealth(pay, sol.delta + 1e-12) == pytest.approx(
         GAMMA, abs=1e-9
     )
     mid = 0.5 * (sol.delta + hi)
     want = GAMMA - 0.5 * sol.multipliers.budget * (mid - sol.delta)
-    assert lpm.terminal_wealth(pay, mid) == pytest.approx(want, rel=1e-12)
-    assert lpm.terminal_wealth(pay, hi * 1.0001) == 0.0
+    assert surface.terminal_wealth(pay, mid) == pytest.approx(want, rel=1e-12)
+    assert surface.terminal_wealth(pay, hi * 1.0001) == 0.0
 
 
 def test_wealth_at_start_recovers_budget(example1):
     for q in (0.0, 0.5, 1.0, 2.0):
         sol = lpm.solve_lpm(_problem(q), example1)
-        assert lpm.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert surface.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wealth_approaches_terminal_payoff(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
     pay = lpm.payoff(sol)
     z = np.array([0.3, 0.8, 1.1])
-    near = lpm.wealth(pay, 1.0 - 1e-9, z)
-    np.testing.assert_allclose(near, lpm.terminal_wealth(pay, z), atol=1e-9)
+    near = surface.wealth(pay, 1.0 - 1e-9, z)
+    np.testing.assert_allclose(near, surface.terminal_wealth(pay, z), atol=1e-9)
 
 
 def test_wealth_stays_inside_envelope(example1):
@@ -259,15 +260,15 @@ def test_wealth_stays_inside_envelope(example1):
         sol = lpm.solve_lpm(_problem(q), example1)
         for t in (0.0, 0.4, 0.9):
             lo, hi = lpm.wealth_envelope(sol.problem, example1, t)
-            x = lpm.wealth(lpm.payoff(sol), t, np.geomspace(1e-3, 1e2, 200))
+            x = surface.wealth(lpm.payoff(sol), t, np.geomspace(1e-3, 1e2, 200))
             # the open bounds saturate to machine precision deep in either tail
             assert np.all(x >= lo)
             assert np.all(x <= hi * (1.0 + 1e-12))
 
 
 def _fd_policy_scalar(pay, t, z, h=1e-6):
-    xm = lpm.wealth(pay, t, z * (1.0 - h))
-    xp = lpm.wealth(pay, t, z * (1.0 + h))
+    xm = surface.wealth(pay, t, z * (1.0 - h))
+    xp = surface.wealth(pay, t, z * (1.0 + h))
     dxdz = (xp - xm) / (2.0 * h * z)
     # single asset: pi = -z dx/dz (mu - r) / sigma^2
     return -z * dxdz * 0.06 / 0.15**2
@@ -302,7 +303,7 @@ def test_policy_matches_finite_difference(example1, case, t):
     pay = lpm.payoff(_fd_solution(example1, case))
     z = np.geomspace(0.05, 5.0, 60)
     want = _fd_policy_scalar(pay, t, z)
-    got = lpm.policy(pay, t, z)[:, 0]
+    got = surface.policy(pay, t, z)[:, 0]
     # atol covers the roundoff floor of the central difference, about
     # eps * wealth / (2 h); the relative part is the real check
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-8)
@@ -311,13 +312,13 @@ def test_policy_matches_finite_difference(example1, case, t):
 def test_policy_undefined_at_horizon(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
     with pytest.raises(PolicyUndefinedAtTerminal):
-        lpm.policy(lpm.payoff(sol), 1.0, 1.0)
+        surface.policy(lpm.payoff(sol), 1.0, 1.0)
 
 
 def test_feedback_curve_sorted_and_weighted(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
     pay = lpm.payoff(sol)
-    curve = lpm.feedback_curve(pay, 0.5, np.geomspace(0.05, 5.0, 80))
+    curve = surface.feedback_curve(pay, 0.5, np.geomspace(0.05, 5.0, 80))
     assert np.all(np.diff(curve.x) > 0.0)
     assert not curve.monotone_warning
     finite = curve.x != 0.0
@@ -325,7 +326,7 @@ def test_feedback_curve_sorted_and_weighted(example1):
         curve.weights[finite, 0], curve.pi[finite, 0] / curve.x[finite], rtol=1e-12
     )
     with pytest.raises(ValueError):
-        lpm.feedback_curve(pay, 0.5, [1.0, 0.5])
+        surface.feedback_curve(pay, 0.5, [1.0, 0.5])
 
 
 def test_degenerate_low_target_case(example1):
@@ -341,10 +342,10 @@ def test_degenerate_low_target_case(example1):
     assert not sol.multiple_solutions
     # the solution ignores d and delivers the minimal-mean optimum d_lower
     kinks = _payoff_kinks(sol)
-    mean = _expect(lambda z: lpm.terminal_wealth(pay, z), kinks)
+    mean = _expect(lambda z: surface.terminal_wealth(pay, z), kinks)
     assert mean == pytest.approx(sol.d_lower, abs=1e-8)
     assert mean > prob.d
-    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), kinks)
+    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), kinks)
     assert budget == pytest.approx(1.0, abs=1e-8)
 
 
@@ -360,12 +361,12 @@ def test_degenerate_rich_case(example1):
     assert sol.objective_value == 0.0
     assert sol.rho is None
     # the canonical representative still prices back to the budget
-    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), (sol.delta,))
+    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), (sol.delta,))
     assert budget == pytest.approx(1.0, abs=1e-8)
-    x = lpm.terminal_wealth(pay, np.array([sol.delta * 0.9, sol.delta * 1.1]))
+    x = surface.terminal_wealth(pay, np.array([sol.delta * 0.9, sol.delta * 1.1]))
     assert x[0] == 10.0 and x[1] == 0.9
     # wealth stays defined for the rich branch too
-    assert lpm.wealth(pay, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert surface.wealth(pay, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("rel", [1e-13, 1e-12, 3e-12, 1e-10])
@@ -377,7 +378,7 @@ def test_target_just_above_rich_d_lower_solves(example1, rel):
     sol = lpm.solve_lpm(prob, example1)
     assert sol.multipliers.case == lpm.REGULAR
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=1e-10)
-    assert lpm.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert surface.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rich_boundary_has_unique_solution(example1):
@@ -470,7 +471,7 @@ def _assert_constraints(sol, prob, model, tol=1e-8):
     # the mean from the solver's closed form, the budget from the wealth
     # surface at t = 0, whose formulas the solver does not use
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=tol)
-    assert lpm.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(prob.x0, abs=tol)
+    assert surface.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(prob.x0, abs=tol)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "stress"])
@@ -552,3 +553,30 @@ def test_q2_objective_matches_mpmath_below_d_upper(example1, rel):
         )
         sol = lpm.solve_lpm(problem, example1)
         assert sol.objective_value == pytest.approx(_q2_objective_mpmath(sol), rel=0, abs=1e-14)
+
+
+def test_q2_budget_left_below_rounding_of_room_solves_or_raises():
+    # near d_lower the budget the cap branch leaves is below eps / 2 of the
+    # room under H_1's supremum, where 1 - s of the width bracket rounds to 0
+    horizon = 0.45308637828404413
+    model = market.validate_market(
+        horizon, 0.008751960181959447, 0.24613248449194777, 0.08229545252405247
+    )
+    prob = lpm.LpmProblem(
+        x0=1.0, d=2.0185524171926588, gamma=2.13626203554195,
+        cap=16.417556549140013, q=2.0, horizon=horizon,
+    )
+    try:
+        sol = lpm.solve_lpm(prob, model)
+    except CapfolioError:
+        return
+    _assert_constraints(sol, prob, model)
+
+
+def test_ramp_rule_matches_gauss_legendre():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(8)
+    rule = np.array(lpm._RAMP_RULE)
+    np.testing.assert_allclose(rule[:, 0], 0.5 * (nodes + 1.0), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rule[:, 1], 0.5 * weights, rtol=0, atol=1e-15)

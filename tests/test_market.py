@@ -17,22 +17,26 @@ from capfolio.errors import (
 def test_scalar_promotion_builds_single_segment_model():
     model = market.validate_market(1.0, 0.06, 0.12, 0.15)
     assert model.n_assets == 1
-    assert model.rate.shape == (1,)
-    assert model.drift.shape == (1, 1)
-    assert model.vol.shape == (1, 1, 1)
-    assert model.breakpoints.tolist() == [0.0]
+    assert model.rate == (0.06,)
+    assert model.drift == ((0.12,),)
+    assert model.vol == (((0.15,),),)
+    assert model.breakpoints == (0.0,)
     assert model.horizon == 1.0
 
 
 def test_vector_promotion_single_segment(example2):
     assert example2.n_assets == 3
-    assert example2.drift.shape == (1, 3)
-    assert example2.vol.shape == (1, 3, 3)
+    assert [len(mu) for mu in example2.drift] == [3]
+    assert [[len(row) for row in sigma] for sigma in example2.vol] == [[3, 3, 3]]
 
 
 def test_arrays_are_frozen(example1):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         example1.rate[0] = 0.0
+    with pytest.raises(TypeError):
+        example1.vol[0][0][0] = 0.0
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        example1.rate = (0.0,)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
@@ -87,7 +91,7 @@ def test_degenerate_volatility_rejected():
 def test_market_price_of_risk_example1(example1):
     # by hand: (0.12 - 0.06) / 0.15 = 0.4 exactly
     theta = market.market_price_of_risk(example1, 0.0)
-    assert theta.shape == (1,)
+    assert len(theta) == 1
     assert theta[0] == pytest.approx(0.4, abs=1e-15)
 
 
@@ -181,8 +185,8 @@ def test_market_from_config_single_segment(example1):
         }
     )
     assert model.rate[0] == example1.rate[0]
-    assert model.drift[0, 0] == example1.drift[0, 0]
-    assert model.vol[0, 0, 0] == example1.vol[0, 0, 0]
+    assert model.drift[0][0] == example1.drift[0][0]
+    assert model.vol[0][0][0] == example1.vol[0][0][0]
 
 
 def test_market_from_config_multi_segment():
@@ -196,7 +200,7 @@ def test_market_from_config_multi_segment():
         }
     )
     hand = _two_segment_model()
-    assert model.breakpoints.tolist() == hand.breakpoints.tolist()
+    assert model.breakpoints == hand.breakpoints
     assert market.deflator_moments(model, 0.3).m == pytest.approx(
         market.deflator_moments(hand, 0.3).m, rel=1e-15
     )

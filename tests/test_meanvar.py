@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capfolio import lpm, meanvar
+from capfolio import meanvar, surface
 from capfolio.errors import DomainError
 
 M0, NU0 = -0.14, 0.4
@@ -48,8 +48,8 @@ def test_constraints_hold_by_quadrature(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     pay = meanvar.mv_payoff(mult, example1)
     cut = mult.mean / mult.budget
-    mean = _expect(lambda z: lpm.terminal_wealth(pay, z), (cut,))
-    budget = _expect(lambda z: z * lpm.terminal_wealth(pay, z), (cut,))
+    mean = _expect(lambda z: surface.terminal_wealth(pay, z), (cut,))
+    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), (cut,))
     assert mean == pytest.approx(1.3, abs=1e-8)
     assert budget == pytest.approx(1.0, abs=1e-8)
 
@@ -64,7 +64,7 @@ def test_second_moment_and_variance(example1):
     )
     cut = mult.mean / mult.budget
     pay = meanvar.mv_payoff(mult, example1)
-    want = _expect(lambda z: lpm.terminal_wealth(pay, z) ** 2, (cut,))
+    want = _expect(lambda z: surface.terminal_wealth(pay, z) ** 2, (cut,))
     assert meanvar.mv_second_moment(mult, example1) == pytest.approx(want, abs=1e-8)
 
 
@@ -73,18 +73,18 @@ def test_terminal_payoff_formula(example1):
     lam, eta = mult.mean, mult.budget
     z = np.array([0.2, 1.0, lam / eta, lam / eta + 0.5, 10.0])
     pay = meanvar.mv_payoff(mult, example1)
-    x = lpm.terminal_wealth(pay, z)
+    x = surface.terminal_wealth(pay, z)
     np.testing.assert_allclose(
         x, np.maximum(0.5 * (lam - eta * z), 0.0), rtol=1e-15
     )
     assert x[-1] == 0.0
-    assert lpm.terminal_wealth(pay, 0.5) == 0.5 * (lam - eta * 0.5)
+    assert surface.terminal_wealth(pay, 0.5) == 0.5 * (lam - eta * 0.5)
 
 
 def test_wealth_at_start_recovers_budget(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     pay = meanvar.mv_payoff(mult, example1)
-    assert lpm.wealth(pay, 0.0, 1.0) == pytest.approx(
+    assert surface.wealth(pay, 0.0, 1.0) == pytest.approx(
         1.0, abs=1e-10
     )
 
@@ -93,15 +93,15 @@ def test_wealth_approaches_terminal_payoff(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     z = np.array([0.4, 1.0, 2.5])
     pay = meanvar.mv_payoff(mult, example1)
-    near = lpm.wealth(pay, 1.0 - 1e-9, z)
-    np.testing.assert_allclose(near, lpm.terminal_wealth(pay, z), atol=1e-9)
+    near = surface.wealth(pay, 1.0 - 1e-9, z)
+    np.testing.assert_allclose(near, surface.terminal_wealth(pay, z), atol=1e-9)
 
 
 def test_wealth_vanishes_for_large_z(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     pay = meanvar.mv_payoff(mult, example1)
-    assert lpm.wealth(pay, 0.5, 1e4) <= 1e-8
-    assert lpm.wealth(pay, 0.5, 1e4) >= 0.0
+    assert surface.wealth(pay, 0.5, 1e4) <= 1e-8
+    assert surface.wealth(pay, 0.5, 1e4) >= 0.0
 
 
 @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
@@ -110,19 +110,19 @@ def test_policy_matches_finite_difference(example1, t):
     z = np.geomspace(0.1, 4.0, 50)
     h = 1e-6
     pay = meanvar.mv_payoff(mult, example1)
-    xm = lpm.wealth(pay, t, z * (1.0 - h))
-    xp = lpm.wealth(pay, t, z * (1.0 + h))
+    xm = surface.wealth(pay, t, z * (1.0 - h))
+    xp = surface.wealth(pay, t, z * (1.0 + h))
     dxdz = (xp - xm) / (2.0 * h * z)
     want = -z * dxdz * 0.06 / 0.15**2
-    got = lpm.policy(pay, t, z)[:, 0]
+    got = surface.policy(pay, t, z)[:, 0]
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-8)
 
 
 def test_policy_shape_for_scalar_and_vector(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     pay = meanvar.mv_payoff(mult, example1)
-    assert lpm.policy(pay, 0.5, 1.0).shape == (1,)
-    assert lpm.policy(pay, 0.5, np.ones(7)).shape == (7, 1)
+    assert surface.policy(pay, 0.5, 1.0).shape == (1,)
+    assert surface.policy(pay, 0.5, np.ones(7)).shape == (7, 1)
 
 
 def test_target_must_beat_riskfree_growth(example1):

@@ -3,7 +3,7 @@ on a market steep enough to break a 2-D Newton on (ln lam, ln eta)."""
 import numpy as np
 import pytest
 
-from capfolio import lpm, meanvar
+from capfolio import meanvar, surface
 from capfolio.errors import SolverDiverged
 from capfolio.kernels import partial_moment_H
 from capfolio.market import deflator_context, validate_market
@@ -25,7 +25,7 @@ def test_stress_market_grid_solves():
         h0, h1 = (partial_moment_H(ctx, p, cut) for p in (0.0, 1.0))
         assert 0.5 * (mult.mean * h0 - mult.budget * h1) == pytest.approx(d, rel=1e-10)
         # the budget through the wealth surface at t = 0, z = 1
-        assert float(lpm.wealth(meanvar.mv_payoff(mult, STRESS), 0.0, 1.0)) == pytest.approx(1.0, rel=1e-10)
+        assert float(surface.wealth(meanvar.mv_payoff(mult, STRESS), 0.0, 1.0)) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_unrepresentable_truncation_point_raises():

@@ -1,10 +1,14 @@
 """No module of the package imports or reads another module's private names,
-and none imports scipy when it is itself imported.
+none imports scipy when it is itself imported, and the scalar modules do not
+import numpy.
 
 Shared helpers live under public names (for example `market.deflator_context`);
 a leading underscore means the name belongs to its own module alone. scipy
 serves only the array kernels, which import it inside the function, so the
-commands that evaluate no surface never load it.
+commands that evaluate no surface never load it. numpy serves only the array
+path (`surface`, `montecarlo`, `baseline`, `simplex`), which the CLI imports
+inside the commands that use it (`tests/test_cli.py` checks in a fresh
+interpreter that `solve` and `frontier` never load it).
 """
 import ast
 from pathlib import Path
@@ -15,6 +19,10 @@ import capfolio
 
 PACKAGE = "capfolio"
 SOURCES = sorted(Path(capfolio.__file__).parent.glob("*.py"))
+#: modules on the scalar path: they run on floats, with no numpy
+SCALAR_MODULES = (
+    "__init__", "cli", "cvar", "errors", "kernels", "lpm", "market", "meanvar", "solvers",
+)
 
 
 def _private(name: str) -> bool:
@@ -127,3 +135,15 @@ def test_checker_allows_scipy_inside_a_function():
         "    return erfc(y)\n"
     )
     assert _module_level_imports(source) == [(1, "numpy")]
+
+
+@pytest.mark.parametrize("name", SCALAR_MODULES)
+def test_scalar_modules_import_no_numpy_at_module_level(name):
+    path = Path(capfolio.__file__).parent / f"{name}.py"
+    imports = _module_level_imports(path.read_text())
+    assert [line for line, package in imports if package == "numpy"] == []
+
+
+def test_checker_flags_module_level_numpy():
+    source = "import math\nfrom numpy.polynomial.legendre import leggauss\n"
+    assert "numpy" in [name for _, name in _module_level_imports(source)]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capfolio import cvar, lpm, market, meanvar, montecarlo
+from capfolio import cvar, lpm, market, meanvar, montecarlo, surface
 from capfolio.errors import DimensionMismatch, DomainError, EmptySample
 
 GAMMA = math.exp(0.06)
@@ -90,7 +90,7 @@ def test_unsupported_carrier_rejected(example1):
 def test_shortfall_policy_replicates_target_mean(example1):
     prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
     payoff = lpm.payoff(lpm.solve_lpm(prob, example1))
-    assert lpm.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=1e-7)
+    assert surface.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=1e-7)
     out = montecarlo.run_policy(example1, payoff, 3000, 64, seed=9)
     assert out.x_terminal.shape == out.z_terminal.shape == (3000,)
     est = montecarlo.estimate_mean(out.x_terminal)
@@ -100,7 +100,7 @@ def test_shortfall_policy_replicates_target_mean(example1):
 def test_meanvar_policy_starts_at_budget(example1):
     mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
     payoff = meanvar.mv_payoff(mult, example1)
-    assert lpm.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=0.0, abs=1e-10)
+    assert surface.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=0.0, abs=1e-10)
     out = montecarlo.run_policy(example1, payoff, 500, 32, seed=13)
     est = montecarlo.estimate_mean(out.x_terminal)
     assert abs(est.value - 1.3) < 6.0 * est.std_error
@@ -195,23 +195,24 @@ def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     dt = model.horizon / n_steps
     log_z = np.zeros((n_paths, n_steps + 1))
+    drifts, vols = np.asarray(model.drift), np.asarray(model.vol)
     for k in range(n_steps):
-        theta = market.market_price_of_risk(model, times[k])
+        theta = np.asarray(market.market_price_of_risk(model, times[k]))
         rate = model.rate[model.segment_index(times[k])]
         dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
         drift = -(rate + 0.5 * float(theta @ theta)) * dt
         log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
     z = np.exp(log_z)
-    x = np.full(n_paths, float(lpm.wealth(payoff, 0.0, 1.0)))
+    x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     x_paths = np.empty((n_paths, n_steps + 1))
     x_paths[:, 0] = x
     for k in range(n_steps):
         s = model.segment_index(times[k])
         rate = model.rate[s]
-        pi = lpm.policy(payoff, min(times[k], model.horizon - dt), z[:, k])
+        pi = surface.policy(payoff, min(times[k], model.horizon - dt), z[:, k])
         dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
-        noise = np.einsum("ij,jk,ik->i", pi, model.vol[s], dw)
-        x = x + (rate * x + pi @ (model.drift[s] - rate)) * dt + noise
+        noise = np.einsum("ij,jk,ik->i", pi, vols[s], dw)
+        x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
         x_paths[:, k + 1] = x
     return z, x_paths
 
