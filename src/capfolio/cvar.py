@@ -1,25 +1,39 @@
 """Mean-CVaR policy via reduction to a family of first-order shortfall problems.
 
 The loss of a terminal wealth X against the safe level xbar is f = xbar - X.
-For a fixed auxiliary level alpha, minimizing E[(f - alpha)_+] is the same
-shortfall problem as the q=1 downside module with benchmark gamma = xbar -
-alpha, so
+For a fixed level alpha, minimizing E[(f - alpha)_+] is the q=1 shortfall
+problem of `lpm` with benchmark gamma = xbar - alpha, so
 
-    J(alpha) = alpha + E[(gamma_alpha - X*)_+] / (1 - beta)
+    J(alpha) = alpha + E[(gamma - X*)_+] / (1 - beta)
 
 and CVaR_beta(f) = min_alpha J(alpha), attained where alpha is the VaR of
-the optimal loss (Rockafellar & Uryasev 2000, Thm 1).  J is convex in alpha.
-With (lam, eta) the multipliers of the embedded solution and delta < h =
-delta + rho its thresholds, the envelope theorem on the q=1 Lagrangian gives
-the derivative in closed form:
+the optimal loss (Rockafellar & Uryasev 2000, Thm 1).  J is convex.
 
-    J'(alpha) = 1 - [1 - H_0(h) + eta (H_1(h) - H_1(delta))
-                     - lam (H_0(h) - H_0(delta))] / (1 - beta)
+The minimizer is one root in the cap threshold delta.  The q=1 solution
+pays B on {z <= delta}, gamma up to delta + rho and 0 beyond, with
+multipliers eta = 1/rho and lam = delta/rho, so J'(alpha) = 0 reads
+beta = H_0(delta) + lpm.ramp(delta, rho), free of gamma.  Below delta_beta,
+H_0(delta_beta) = beta, the ramp rises in rho from 0 to 1 - H_0(delta), so
+rho(delta) is one root in ln rho, and ramp(delta, rho) <= H_0(delta + rho)
+- H_0(delta) makes the flat width delta_beta - delta its lower end.  The
+budget fixes gamma = (x0 - B H_1(delta)) / (H_1(delta + rho) - H_1(delta)),
+and the mean gap B H_0(delta) + gamma (H_0(delta + rho) - H_0(delta)) - d
+rises in delta on [0, min(delta_beta, delta_bar)], H_1(delta_bar) = x0/B
+(tests/test_random_markets.py checks its signs on random markets).  At the
+top it is at least d_upper - d > 0; alpha* = xbar - gamma at its root.
+Three corners:
 
-The two multiplier terms account for the middle branch X* = gamma, which
-moves with the benchmark.  J' = 1 where the embedded instance is
-DegenerateRich and for alpha >= xbar.  alpha* is the root of the monotone J'
-on [xbar - B, xbar], or xbar - B when J'(xbar - B) >= 0.
+- gap >= 0 at delta = 0: the mean constraint is slack at alpha* (the
+  embedded case is DegenerateLowTarget), and gamma comes from the budget;
+- gamma >= B: alpha* = xbar - B, where J'(xbar - B) >= 0;
+- at delta_beta, rho = 0: the gap is not evaluated but taken at its limit,
+  where the gamma branch buys mean at the price delta.
+
+One `lpm.solve_lpm` at alpha* supplies the policy and J*, and its residual
+gate checks the reduction.  `j_value` and `j_derivative` stay as the
+independent check route: they solve the embedded instance at any alpha, and
+J' = 1 - V'(gamma) / (1 - beta) follows from the envelope theorem
+(`_shortfall_slope`); J' = 1 where that instance is DegenerateRich.
 """
 
 from __future__ import annotations
@@ -30,8 +44,8 @@ from dataclasses import dataclass
 
 from . import lpm
 from .errors import DomainError, InfeasibleBudget, TargetTooHigh
-from .kernels import partial_moment_H
-from .market import MarketModel, expected_deflator
+from .kernels import invert_H1, partial_moment_H, std_normal_quantile
+from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d
 
 
@@ -74,22 +88,13 @@ class CvarProblem:
 
 
 @dataclass(frozen=True, slots=True)
-class AlphaSearchTrace:
-    """Record of a one-dimensional search over the auxiliary level alpha."""
-
-    evaluated: tuple  # ordered (alpha, J(alpha)) pairs, every evaluation
-    alpha_star: float
-    j_star: float
-
-
-@dataclass(frozen=True, slots=True)
 class CvarSolution:
     """Solved mean-CVaR instance.
 
     alpha_star is the VaR of the optimal loss.  policy is the embedded
     shortfall solution at alpha_star (benchmark xbar - alpha_star, q=1);
     lpm.payoff(policy) is the payoff the wealth and policy evaluators of
-    `surface` take.  cvar equals trace.j_star.
+    `surface` take.  cvar = alpha_star + policy.objective_value / (1 - beta).
     """
 
     problem: CvarProblem
@@ -97,7 +102,6 @@ class CvarSolution:
     alpha_star: float
     cvar: float
     policy: lpm.PolicySolution
-    trace: AlphaSearchTrace
 
 
 def safe_level(problem: CvarProblem, model: MarketModel) -> float:
@@ -113,9 +117,9 @@ def safe_level(problem: CvarProblem, model: MarketModel) -> float:
 
 
 def _embedded(problem: CvarProblem, gamma: float) -> lpm.LpmProblem:
-    """The q=1 shortfall instance with benchmark gamma, xbar - alpha in the
-    search, clamped to the cap: at alpha = xbar - cap the difference
-    xbar - alpha can round above it.
+    """The q=1 shortfall instance with benchmark gamma = xbar - alpha,
+    clamped to the cap: at alpha = xbar - cap the difference xbar - alpha
+    can round above it.
     """
     return lpm.LpmProblem(
         x0=problem.x0,
@@ -125,6 +129,11 @@ def _embedded(problem: CvarProblem, gamma: float) -> lpm.LpmProblem:
         q=1.0,
         horizon=problem.horizon,
     )
+
+
+def _h(ctx, p: float, y: float) -> float:
+    """H_p(y), extended by 0 for y <= 0."""
+    return partial_moment_H(ctx, p, y) if y > 0.0 else 0.0
 
 
 def _shortfall_slope(sol: lpm.PolicySolution) -> float:
@@ -138,10 +147,8 @@ def _shortfall_slope(sol: lpm.PolicySolution) -> float:
         return 0.0
     ctx = sol.context
     lo, hi = sol.delta, sol.delta + sol.rho
-    h0_lo = partial_moment_H(ctx, 0.0, lo) if lo > 0.0 else 0.0
-    h1_lo = partial_moment_H(ctx, 1.0, lo) if lo > 0.0 else 0.0
-    h0_hi = partial_moment_H(ctx, 0.0, hi)
-    h1_hi = partial_moment_H(ctx, 1.0, hi)
+    h0_lo, h1_lo = _h(ctx, 0.0, lo), _h(ctx, 1.0, lo)
+    h0_hi, h1_hi = _h(ctx, 0.0, hi), _h(ctx, 1.0, hi)
     lam, eta = sol.multipliers.mean, sol.multipliers.budget
     return 1.0 - h0_hi + eta * (h1_hi - h1_lo) - lam * (h0_hi - h0_lo)
 
@@ -183,48 +190,54 @@ def j_value(problem: CvarProblem, model: MarketModel, alpha) -> float:
 
 
 def j_derivative(problem: CvarProblem, model: MarketModel, alpha) -> float:
-    """Exact J'(alpha) from the embedded solution (module docstring).
+    """Exact J'(alpha) from the embedded solution (`_shortfall_slope`).
 
     Raises TargetTooHigh when the mean target is unattainable.
     """
     return _evaluate(problem, model, safe_level(problem, model), float(alpha))[1]
 
 
-def _search(problem: CvarProblem, model: MarketModel, xbar: float):
-    """(trace, embedded solution at alpha*) of the root search on J'."""
-    lo = xbar - problem.cap
-    evaluated = {}  # alpha -> (J, J', solution), in evaluation order
+def _reduction(problem: CvarProblem, ctx):
+    """(curve, top): curve(delta) is (mean gap, gamma) where J'(alpha) = 0 at
+    the cap threshold delta in [0, top] (module docstring).
 
-    def slope(alpha: float) -> float:
-        if alpha not in evaluated:
-            evaluated[alpha] = _evaluate(problem, model, xbar, alpha)
-        return evaluated[alpha][1]
-
-    if slope(lo) >= 0.0:
-        alpha_star = lo
-    else:
-        # J' is monotone, negative at lo and 1 at xbar; where it jumps
-        # between embedded cases the root is the jump point
-        alpha_star = find_root_1d(slope, lo, xbar, tol=1e-12).root
-    j_star, _, embedded = evaluated[alpha_star]
-    trace = AlphaSearchTrace(
-        evaluated=tuple((a, v[0]) for a, v in evaluated.items()),
-        alpha_star=alpha_star,
-        j_star=j_star,
+    The ramp weight is at least 1 - s on the first s of the branch, so with
+    s = (room - need) / (room + need) the width w / s, H_0(delta + w) =
+    (1 + beta) / 2, funds at least need = beta - H_0(delta): the upper end.
+    """
+    x0, cap, beta = problem.x0, problem.cap, problem.beta
+    delta_beta, far = (
+        math.exp(ctx.m0 + ctx.nu0 * std_normal_quantile(p)) for p in (beta, 0.5 + 0.5 * beta)
     )
-    return trace, embedded
+
+    def curve(delta):
+        h0, h1 = _h(ctx, 0.0, delta), _h(ctx, 1.0, delta)
+        need, room = beta - h0, 1.0 - h0
+        rho = 0.0
+        if need > 0.0 and delta < delta_beta:
+            s = (room - need) / (room + need)
+            rho = math.exp(find_root_1d(
+                lambda x: lpm.ramp(ctx, 0.0, delta, math.exp(x)) / need - 1.0,
+                math.log(delta_beta - delta), math.log((far - delta) / s), tol=1e-13,
+            ).root)
+        dh1 = _h(ctx, 1.0, delta + rho) - h1
+        spare = x0 - cap * h1
+        if not dh1 > 0.0:  # the delta_beta limit
+            return cap * h0 + spare / delta - problem.d, math.inf
+        dh0 = _h(ctx, 0.0, delta + rho) - h0
+        return cap * h0 + spare * dh0 / dh1 - problem.d, spare / dh1
+
+    return curve, min(delta_beta, invert_H1(ctx, x0 / cap))
 
 
 def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
-    """Solve the mean-CVaR problem end to end.
+    """Solve the mean-CVaR problem end to end (module docstring).
 
-    alpha* is the VaR of the optimal loss, found as the root of the exact
-    J'(alpha) of the module docstring on [xbar - cap, xbar], or xbar - cap
-    when J'(xbar - cap) >= 0.  The returned policy is the embedded shortfall
-    solution the search produced at alpha*, with its multipliers,
-    thresholds and case tag.  Raises TargetTooHigh when d is unattainable
-    at the cap and InfeasibleBudget when the budget already exceeds the
-    capped payoff.
+    The policy is the embedded shortfall solution at alpha*.  Raises
+    TargetTooHigh when d is unattainable at the cap, InfeasibleBudget when
+    the budget already exceeds the capped payoff, NoSignChange when d lies
+    within rounding of that bound, and SolverDiverged when the embedded
+    solve misses its residual gate.
     """
     xbar = safe_level(problem, model)
     probe = _embedded(problem, problem.cap)
@@ -234,18 +247,16 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
             f"mean target {problem.d} is not attainable below the cap "
             f"{problem.cap} (supremum {d_high:.6g})"
         )
-    trace, embedded = _search(problem, model, xbar)
+    curve, top = _reduction(problem, deflator_context(model))
+    gap, gamma = curve(0.0)
+    if gap < 0.0:
+        gamma = curve(find_root_1d(lambda x: curve(x)[0], 0.0, top, tol=0.0).root)[1]
+    alpha_star = xbar - min(gamma, problem.cap)
+    j_star, _, embedded = _evaluate(problem, model, xbar, alpha_star)
     if embedded is None:
-        raise DomainError(
-            f"search returned alpha={trace.alpha_star} at or above the safe level"
-        )
+        raise DomainError(f"reduction returned alpha={alpha_star} at or above the safe level")
     return CvarSolution(
-        problem=problem,
-        xbar=xbar,
-        alpha_star=trace.alpha_star,
-        cvar=trace.j_star,
-        policy=embedded,
-        trace=trace,
+        problem=problem, xbar=xbar, alpha_star=alpha_star, cvar=j_star, policy=embedded
     )
 
 
@@ -272,21 +283,7 @@ def frontier(
         try:
             solved = solve_cvar(instance, model)
         except (TargetTooHigh, InfeasibleBudget) as exc:
-            rows.append(
-                FrontierRow(
-                    d=float(d),
-                    alpha_star=math.nan,
-                    cvar=math.nan,
-                    status=type(exc).__name__,
-                )
-            )
-            continue
-        rows.append(
-            FrontierRow(
-                d=float(d),
-                alpha_star=solved.alpha_star,
-                cvar=solved.cvar,
-                status="ok",
-            )
-        )
+            rows.append(FrontierRow(float(d), math.nan, math.nan, type(exc).__name__))
+        else:
+            rows.append(FrontierRow(float(d), solved.alpha_star, solved.cvar, "ok"))
     return rows

@@ -67,6 +67,7 @@ __all__ = [
     "solve_multipliers",
     "solve_lpm",
     "payoff",
+    "ramp",
     "expected_terminal_wealth",
     "hit_probability",
     "wealth_envelope",
@@ -281,15 +282,15 @@ def _classify(ctx: PartialMomentContext, problem: LpmProblem, bounds) -> str:
     return DEGENERATE_RICH
 
 
-def _ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float:
+def ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float:
     """E[z^p (delta + rho - z) 1{delta < z <= delta + rho}] / rho, p in {0, 1}.
 
     On the q = 2 middle branch X* falls linearly from gamma at delta to 0 at
-    delta + rho, so gamma times this is the branch's share of E[z^p X*].
-    rho = inf gives the limit E[z^p 1{z > delta}] and rho <= 0 gives 0. The
-    closed form ((delta + rho) dH_p - dH_{p+1}) / rho loses about
-    eps (delta + rho) / rho to cancellation, so a short branch (see
-    `_short_branch`) is integrated by Gauss-Legendre instead.
+    delta + rho, so gamma times this is the branch's share of E[z^p X*]; for
+    q = 1, `cvar` pins rho by it. rho = inf gives E[z^p 1{z > delta}], and
+    rho <= 0 gives 0. The closed form ((delta + rho) dH_p - dH_{p+1}) / rho
+    loses about eps (delta + rho) / rho to cancellation, so a short branch
+    (see `_short_branch`) is integrated by Gauss-Legendre instead.
     """
     if rho <= 0.0:
         return 0.0
@@ -348,7 +349,7 @@ def _payoff_moment(ctx, problem, p, delta, rho):
     {delta < z <= delta + rho}."""
     cap, gamma = problem.cap, problem.gamma
     if problem.q == 2.0:
-        return cap * _h(ctx, p, delta) + gamma * _ramp(ctx, p, delta, rho)
+        return cap * _h(ctx, p, delta) + gamma * ramp(ctx, p, delta, rho)
     return (cap - gamma) * _h(ctx, p, delta) + gamma * _h(ctx, p, delta + rho)
 
 
@@ -420,7 +421,7 @@ def _branch_width(ctx, problem, delta):
     most = (kernels.invert_H1(ctx, h1 + 0.5 * (room + left)) - delta) / s
 
     def price_gap(x):
-        return _ramp(ctx, 1.0, delta, math.exp(x)) / left - 1.0
+        return ramp(ctx, 1.0, delta, math.exp(x)) / left - 1.0
 
     x = find_root_1d(price_gap, math.log(flat), math.log(most), tol=1e-13).root
     return math.exp(x)

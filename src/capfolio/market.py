@@ -214,7 +214,10 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
     coefficients), DegenerateVolatility when the smallest eigenvalue of
     vol vol' is below MIN_GRAM_EIGENVALUE, and DomainError when the law of
     the terminal deflator is not representable: E[z(T)] is not a positive
-    normal float, or m(0) or nu(0) is not finite.
+    normal float, m(0) or nu(0) is not finite, or E[z(T)^2] =
+    e^{2 m(0) + 2 nu(0)^2}, the highest partial moment a solve takes,
+    overflows. That last check is the ceiling nu(0)^2 <= ln(max float) / 2
+    - m(0), about 354.9 - m(0).
     """
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0.0:
@@ -293,6 +296,11 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
         raise DomainError(
             f"deflator law not representable: E[z(T)] = {ez!r}, "
             f"m(0) = {mom.m!r}, nu(0) = {mom.nu!r}"
+        )
+    if 2.0 * (mom.m + mom.nu * mom.nu) > math.log(sys.float_info.max):
+        raise DomainError(
+            f"deflator law not representable: E[z(T)^2] overflows, "
+            f"m(0) = {mom.m!r}, nu(0) = {mom.nu!r} (nu(0)^2 + m(0) above 354.9)"
         )
     return model
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, SolverDiverged
 from .kernels import partial_moment_H
 from .lpm import Multipliers, Payoff
-from .market import MarketModel, deflator_context, expected_deflator
+from .market import MarketModel, deflator_context
 from .solvers import find_root_1d
 
 MEAN_VARIANCE = "MeanVariance"
@@ -65,27 +65,30 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     delta), so d E[z] > x0 gives exactly one root,
     bracketed in closed form: E_w[z] < delta puts the root above x0/d, and
     E[(delta - z)(z - x0/d)] <= E[(delta - z)+ (z - x0/d)] for delta >= x0/d
-    puts it below the untruncated solution
-    (E[z^2] - E[z] x0/d) / (E[z] - x0/d).  A bracketed root in ln delta
-    solves it to rounding.
+    puts it below twice the untruncated solution
+    u = (E[z^2] - E[z] x0/d) / (E[z] - x0/d): as E[(delta - z)+] <= delta,
+    E_w[z] - x0/d is at least (E[z] - x0/d) / 2 at delta = 2u, a margin the
+    cancellation in u cannot erase.  A bracketed root in ln delta solves it
+    to rounding.
 
-    Raises SolverDiverged if the residuals end above 1e-8 and DomainError
-    when d does not exceed risk-free growth of the budget.
+    Raises SolverDiverged if the multipliers overflow (a truncation point so
+    deep in the lower tail of z(T) that E[(delta - z)+] is below the float
+    range) or the residuals end above 1e-8, and DomainError when d does not
+    exceed risk-free growth of the budget.
     """
     if abs(problem.horizon - model.horizon) > 1e-12:
         raise DomainError(
             f"problem horizon {problem.horizon} != market horizon {model.horizon}"
         )
     ctx = deflator_context(model)
-    ez = expected_deflator(model, 0.0, model.horizon)
-    if problem.d * ez <= problem.x0:
+    a_mom = ctx.mean
+    if problem.d * a_mom <= problem.x0:
         raise DomainError(
             "mean target d must exceed the risk-free growth of the budget "
-            f"(d={problem.d}, x0/E[z]={problem.x0 / ez:.6g})"
+            f"(d={problem.d}, x0/E[z]={problem.x0 / a_mom:.6g})"
         )
     x0, d = problem.x0, problem.d
     ratio = x0 / d
-    a_mom = partial_moment_H(ctx, 1.0, math.inf)
     c_mom = partial_moment_H(ctx, 2.0, math.inf)
 
     def shortfall(delta):  # E[(delta - z)+]
@@ -104,11 +107,17 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     report = find_root_1d(
         weighted_mean_gap,
         math.log(ratio),
-        math.log((c_mom - a_mom * ratio) / (a_mom - ratio)),
+        math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)),
         tol=0.0,
     )
     delta = math.exp(report.root)
     eta = 2.0 * d / shortfall(delta)
+    if not math.isfinite(eta):
+        raise SolverDiverged(
+            f"mean-variance multipliers overflow: E[(delta - z)+] = {shortfall(delta):.3e} "
+            f"at the truncation point {delta:.6g} is below the float range",
+            report=report,
+        )
     lam = delta * eta
     r1, r2 = _residuals(ctx, x0, d, lam, eta)
     if not max(abs(r1), abs(r2)) <= 1e-8:  # NaN residuals fail too

@@ -360,6 +360,9 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "riskless_last_segment_simulate",
         "riskless_last_segment_default_t",
         "x0_beyond_float",
+        "huge_nu0_lpm",
+        "huge_nu0_cvar",
+        "huge_nu0_mv",
         *(f"market_{name}" for name in BAD_MARKETS),
     ],
 )
@@ -414,6 +417,11 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         argv = ["--config", cfg, "--cmd", "policy_table"]
     elif breakage == "x0_beyond_float":
         cfg = _cfg(tmp_path, EX1_MARKET, {**LPM1, "x0": 10**400}, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "solve"]
+    elif breakage.startswith("huge_nu0_"):
+        # mu = 1e6 gives nu0 = 6.7e6: E[z(T)] and m0 are fine, E[z(T)^2] overflows
+        problem = {"lpm": LPM1, "cvar": CVAR2, "mv": MV1}[breakage.removeprefix("huge_nu0_")]
+        cfg = _cfg(tmp_path, _ex1_with(mu=[1e6]), problem, run={"out": str(tmp_path)})
         argv = ["--config", cfg, "--cmd", "solve"]
     elif breakage.startswith("market_"):
         bad = BAD_MARKETS[breakage.removeprefix("market_")]

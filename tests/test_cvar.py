@@ -1,4 +1,4 @@
-"""Mean-CVaR reduction: embedded shortfall family, exact J', alpha search, frontier."""
+"""Mean-CVaR reduction: embedded shortfall family, exact J', one root for alpha*, frontier."""
 import math
 
 import numpy as np
@@ -185,13 +185,17 @@ def test_target_too_high_is_alpha_independent(example2):
         assert f"{FROZEN_D_UPPER:.4f}"[:6] in str(exc)
 
 
-def test_trace_records_evaluations(example2):
+def test_solve_makes_one_embedded_solve(example2, monkeypatch):
+    calls = []
+    solve_lpm = cvar.lpm.solve_lpm
+
+    def counted(problem, model):
+        calls.append(problem.gamma)
+        return solve_lpm(problem, model)
+
+    monkeypatch.setattr(cvar.lpm, "solve_lpm", counted)
     sol = cvar.solve_cvar(_problem(), example2)
-    assert sol.trace.j_star == sol.cvar
-    assert (sol.alpha_star, sol.cvar) in sol.trace.evaluated
-    alphas = [a for a, _ in sol.trace.evaluated]
-    assert min(alphas) >= sol.xbar - CAP
-    assert max(alphas) <= sol.xbar
+    assert calls == [sol.policy.problem.gamma]
 
 
 @pytest.mark.parametrize(

@@ -35,3 +35,25 @@ def test_unrepresentable_truncation_point_raises():
     assert _solve(1e6, example1).budget > 1e268
     with pytest.raises(SolverDiverged):
         _solve(1e12, example1)
+
+
+def test_target_just_above_riskfree_growth_solves():
+    # the untruncated end (E[z^2] - E[z] x0/d) / (E[z] - x0/d) cancels as d
+    # nears x0 e^{rT} = 1.0618365; its gap rounded to -1.1e-16 at d = 1.06201
+    example1 = validate_market(1.0, 0.06, 0.12, 0.15)
+    ctx = deflator_context(example1)
+    for d in (1.06201, 1.061862, 1.062449):
+        mult = _solve(d, example1)
+        cut = mult.mean / mult.budget
+        h0, h1, h2 = (partial_moment_H(ctx, p, cut) for p in (0.0, 1.0, 2.0))
+        assert 0.5 * (mult.mean * h0 - mult.budget * h1) == pytest.approx(d, rel=1e-10)
+        assert 0.5 * (mult.mean * h1 - mult.budget * h2) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_multiplier_overflow_names_its_cause():
+    # the root lies where E[(delta - z)+] is subnormal, so eta = 2d / E[...]
+    # overflows and lam / eta was NaN
+    horizon = 0.294
+    low_vol = validate_market(horizon, -0.0034, 0.0105, 0.183)
+    with pytest.raises(SolverDiverged, match="multipliers overflow"):
+        meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=4.708, horizon=horizon), low_vol)
