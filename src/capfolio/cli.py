@@ -25,7 +25,8 @@ Commands and their artifacts, all written under run.out:
     simulate        simulation.json summary + simulation.csv terminal rows
     compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar
 
-run.paths, run.steps and run.scenarios are integers from 1 to 10**9.
+run.paths, run.steps, run.scenarios and run.z_grid.count are integers from
+1 to 10**9.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -70,6 +71,8 @@ _RUN_INTEGERS = {
     "steps": (1, 10**9),
     "scenarios": (1, 10**9),
 }
+#: inclusive range of run.z_grid.count, the rows of the policy table
+_Z_GRID_COUNT = (1, 10**9)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,9 +173,11 @@ def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None
             raise ConfigError(
                 f"run.z_grid.{name} must be a positive number, got {window[name]!r}"
             )
-    count = window.get("count", 400)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"run.z_grid.count must be an integer >= 1, got {count!r}")
+    count, (low, high) = window.get("count", 400), _Z_GRID_COUNT
+    if isinstance(count, bool) or not isinstance(count, int) or not low <= count <= high:
+        raise ConfigError(
+            f"run.z_grid.count must be an integer in [{low}, {high}], got {count!r}"
+        )
     if window.get("spacing", "log") not in ("log", "linear"):
         raise ConfigError(
             f"run.z_grid.spacing must be 'log' or 'linear', got {window['spacing']!r}"

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from . import lpm
 from .errors import DomainError, InfeasibleBudget, TargetTooHigh
-from .kernels import invert_H1, partial_moment_H, std_normal_quantile
+from .kernels import invert_H1, partial_moment_H_ext, std_normal_quantile
 from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d
 
@@ -131,11 +131,6 @@ def _embedded(problem: CvarProblem, gamma: float) -> lpm.LpmProblem:
     )
 
 
-def _h(ctx, p: float, y: float) -> float:
-    """H_p(y), extended by 0 for y <= 0."""
-    return partial_moment_H(ctx, p, y) if y > 0.0 else 0.0
-
-
 def _shortfall_slope(sol: lpm.PolicySolution) -> float:
     """dV/dgamma of the optimal shortfall V(gamma) = E[(gamma - X*)_+].
 
@@ -147,8 +142,9 @@ def _shortfall_slope(sol: lpm.PolicySolution) -> float:
         return 0.0
     ctx = sol.context
     lo, hi = sol.delta, sol.delta + sol.rho
-    h0_lo, h1_lo = _h(ctx, 0.0, lo), _h(ctx, 1.0, lo)
-    h0_hi, h1_hi = _h(ctx, 0.0, hi), _h(ctx, 1.0, hi)
+    h0_lo, h1_lo, h0_hi, h1_hi = (
+        partial_moment_H_ext(ctx, p, y) for y in (lo, hi) for p in (0.0, 1.0)
+    )
     lam, eta = sol.multipliers.mean, sol.multipliers.budget
     return 1.0 - h0_hi + eta * (h1_hi - h1_lo) - lam * (h0_hi - h0_lo)
 
@@ -211,7 +207,7 @@ def _reduction(problem: CvarProblem, ctx):
     )
 
     def curve(delta):
-        h0, h1 = _h(ctx, 0.0, delta), _h(ctx, 1.0, delta)
+        h0, h1 = (partial_moment_H_ext(ctx, p, delta) for p in (0.0, 1.0))
         need, room = beta - h0, 1.0 - h0
         rho = 0.0
         if need > 0.0 and delta < delta_beta:
@@ -220,11 +216,11 @@ def _reduction(problem: CvarProblem, ctx):
                 lambda x: lpm.ramp(ctx, 0.0, delta, math.exp(x)) / need - 1.0,
                 math.log(delta_beta - delta), math.log((far - delta) / s), tol=1e-13,
             ).root)
-        dh1 = _h(ctx, 1.0, delta + rho) - h1
+        dh1 = partial_moment_H_ext(ctx, 1.0, delta + rho) - h1
         spare = x0 - cap * h1
         if not dh1 > 0.0:  # the delta_beta limit
             return cap * h0 + spare / delta - problem.d, math.inf
-        dh0 = _h(ctx, 0.0, delta + rho) - h0
+        dh0 = partial_moment_H_ext(ctx, 0.0, delta + rho) - h0
         return cap * h0 + spare * dh0 / dh1 - problem.d, spare / dh1
 
     return curve, min(delta_beta, invert_H1(ctx, x0 / cap))

@@ -7,11 +7,13 @@ normal CDF, its inverse, the truncated exponential moment
     E[e^{aY} 1_{Y <= d}] = exp(a mu + a^2 v^2 / 2) Phi((d - mu)/v - a v),
     Y ~ N(mu, v^2),
 
-and the partial moments of z(T) built from it:
+and the partial moments of z(T) built from it,
 
-    H_p(y) = E[z^p 1_{z <= y}]
-    K_p(y) = H_1(y) - H_{p+1}(y) / y^p
-    J_p(y) = H_0(y) - H_p(y) / y^p
+    H_p(y) = E[z^p 1_{z <= y}],
+
+with the inverse of H_1 and the eight-point Gauss-Legendre rule that
+integrates a partial moment over a branch too short for the difference of
+two closed-form values.
 
 Every function here takes and returns floats and runs on `math` and the
 standard library's `statistics.NormalDist` (the quantile, Wichura's AS241);
@@ -19,10 +21,6 @@ the multiplier solves, the inverses and every other quantity of one
 instance call them, and none of them needs numpy. Their elementwise
 counterparts over arrays of deflator levels, which only the wealth and
 policy surfaces use, live in `surface` on numpy and scipy's erfc.
-
-H_p, K_p, J_p are nondecreasing in y (K_p and J_p are expectations of
-nonnegative integrands z(1-(z/y)^p)1 and (1-(z/y)^p)1), which makes the
-bracketed Newton inverses below safe.
 """
 from __future__ import annotations
 
@@ -39,10 +37,9 @@ __all__ = [
     "std_normal_pdf",
     "truncated_exp_moment",
     "partial_moment_H",
-    "partial_moment_K",
-    "partial_moment_J",
-    "invert_K",
+    "partial_moment_H_ext",
     "invert_H1",
+    "GAUSS_LEGENDRE_8",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -52,6 +49,19 @@ _STD_NORMAL = NormalDist()
 _MAX_NEWTON = 100
 #: |ln y| beyond which an inversion iterate is not taken; e^700 ~ 1e304
 _MAX_LOG_LEVEL = 700.0
+
+#: eight-point Gauss-Legendre (node, weight) pairs on [0, 1]: the nodes and
+#: weights of the rule on [-1, 1] mapped by x -> (x + 1) / 2, w -> w / 2
+GAUSS_LEGENDRE_8 = (
+    (0.019855071751231912, 0.05061426814518853),
+    (0.10166676129318664, 0.11119051722668721),
+    (0.2372337950418355, 0.15685332293894344),
+    (0.4082826787521751, 0.18134189168918083),
+    (0.5917173212478248, 0.18134189168918083),
+    (0.7627662049581645, 0.15685332293894344),
+    (0.8983332387068134, 0.11119051722668721),
+    (0.9801449282487681, 0.05061426814518853),
+)
 
 
 def std_normal_cdf(y: float) -> float:
@@ -128,7 +138,7 @@ class PartialMomentContext:
 
     @property
     def mean(self) -> float:
-        """E[z(T)] = e^{m0 + nu0^2/2}; also the supremum of H_1 and K_p."""
+        """E[z(T)] = e^{m0 + nu0^2/2}; also the supremum of H_1."""
         return math.exp(self.m0 + 0.5 * self.nu0 * self.nu0)
 
 
@@ -145,36 +155,12 @@ def partial_moment_H(ctx: PartialMomentContext, p: float, y: float) -> float:
     return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
 
 
-def _h_over_power(ctx: PartialMomentContext, a: float, p: float, x: float) -> float:
-    """H_a(y) / y^p at x = ln y, for a in {p, p + 1}.
-
-    It is taken through ln H_a(y), so it stays finite where y^p underflows
-    or overflows; the quotient itself never exceeds H_0(y) or H_1(y).
-    """
-    h = truncated_exp_moment(a, ctx.m0, ctx.nu0, x)
-    return math.exp(math.log(h) - p * x) if h > 0.0 else 0.0
-
-
-def partial_moment_K(ctx: PartialMomentContext, p: float, y: float) -> float:
-    """K_p(y) = H_1(y) - H_{p+1}(y)/y^p, nondecreasing with sup E[z(T)]."""
-    if not p > 0.0:
-        raise DomainError(f"K_p needs p > 0, got {p}")
-    if y == math.inf:
-        return ctx.mean
-    if not y > 0.0:
-        raise DomainError(f"level must be positive, got {y}")
-    return partial_moment_H(ctx, 1.0, y) - _h_over_power(ctx, p + 1.0, p, math.log(y))
-
-
-def partial_moment_J(ctx: PartialMomentContext, p: float, y: float) -> float:
-    """J_p(y) = H_0(y) - H_p(y)/y^p, nondecreasing with sup 1."""
-    if not p > 0.0:
-        raise DomainError(f"J_p needs p > 0, got {p}")
-    if y == math.inf:
-        return 1.0
-    if not y > 0.0:
-        raise DomainError(f"level must be positive, got {y}")
-    return partial_moment_H(ctx, 0.0, y) - _h_over_power(ctx, p, p, math.log(y))
+def partial_moment_H_ext(ctx: PartialMomentContext, p: float, y: float) -> float:
+    """H_p(y) extended by H_p(y) = 0 for y <= 0, the form the payoff moments
+    take, whose branches may start at the level 0."""
+    if y <= 0.0:
+        return 0.0
+    return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
 
 
 def _h1_start(ctx: PartialMomentContext, target: float) -> float:
@@ -190,37 +176,42 @@ def _h1_start(ctx: PartialMomentContext, target: float) -> float:
     return ctx.m0 + ctx.nu0 * (ctx.nu0 + (w if mass <= 0.5 else -w))
 
 
-def _invert_monotone(f, target, ctx, what):
-    """Solve f(y) = target for a nondecreasing f with range (0, E[z(T)]).
+def invert_H1(ctx: PartialMomentContext, target: float) -> float:
+    """Unique y with H_1(y) = target, for target in (0, E[z(T)]).
 
-    f(x, upper) takes x = ln y and returns (g, s): g = f(y), or the
-    complement E[z(T)] - f(y) when upper is set, each computed without
-    cancellation, and s = y f'(y). The solve is Newton in x on ln f for
-    targets up to half the range and on -ln(E[z] - f) above, each close to
-    linear or quadratic in the tail it serves. It starts from the
-    closed-form H_1 inverse of the target. Every evaluation narrows a
-    bracket [lo, hi] that starts as the whole axis, which is safe because f
-    runs from 0 to E[z]. A Newton step that leaves the bracket falls back to
-    bisection in x; while one side is still open, steps are capped by a
-    stride that starts at nu0 and doubles, the geometric bracket expansion.
-    Stops when the Newton step or the bracket is below 1e-12 in x, i.e.
-    1e-12 relative in y.
+    The solve is Newton in x = ln y, on ln H_1 for targets up to half the
+    range and on -ln(E[z] - H_1) above, each close to linear or quadratic
+    in the tail it serves; both are computed without cancellation, and
+    dH_1/dy = phi(F(y)) / nu0. It starts from the closed form, so it mostly
+    stops after one evaluation, at the root of H_1 as partial_moment_H
+    computes it. Every evaluation narrows a bracket [lo, hi] that starts as
+    the whole axis, which is safe because H_1 runs from 0 to E[z]. A Newton
+    step that leaves the bracket falls back to bisection in x; while one
+    side is still open, steps are capped by a stride that starts at nu0 and
+    doubles, the geometric bracket expansion. Stops when the Newton step or
+    the bracket is below 1e-12 in x, i.e. 1e-12 relative in y.
 
     Raises TargetOutOfRange outside (0, E[z]) and MaxIterations when the
     iteration budget runs out.
     """
-    sup = ctx.mean
+    m0, nu0, sup = ctx.m0, ctx.nu0, ctx.mean
     if not 0.0 < target < sup:
         raise TargetOutOfRange(
-            f"{what} target {target} outside the open range (0, {sup})"
+            f"invert_H1 target {target} outside the open range (0, {sup})"
         )
     upper = target > 0.5 * sup
     level = math.log(sup - target) if upper else math.log(target)
     lo, hi = -math.inf, math.inf
     x = min(max(_h1_start(ctx, target), -_MAX_LOG_LEVEL), _MAX_LOG_LEVEL)
-    stride = ctx.nu0
+    stride = nu0
     for _ in range(_MAX_NEWTON):
-        g, s = f(x, upper)
+        w = (x - m0) / nu0 - nu0
+        # y H_1'(y) = y phi(F(y)) / nu0 = E[z] phi(F(y) - nu0) / nu0
+        s = sup * _INV_SQRT_2PI * math.exp(-0.5 * w * w) / nu0
+        if upper:  # E[z] - H_1(y) = E[z 1{z > y}]
+            g = truncated_exp_moment(-1.0, -m0, nu0, -x)
+        else:
+            g = truncated_exp_moment(1.0, m0, nu0, x)
         if g > 0.0:
             h = level - math.log(g) if upper else math.log(g) - level
             step = -h * g / s if s > 0.0 else math.nan  # dh/dx = s / g
@@ -244,44 +235,4 @@ def _invert_monotone(f, target, ctx, what):
             x = 0.5 * (lo + hi)
         if hi - lo <= 1e-12:
             return math.exp(x)
-    raise MaxIterations(f"{what}: no convergence for target {target}")
-
-
-def invert_K(ctx: PartialMomentContext, p: float, target: float) -> float:
-    """Unique y with K_p(y) = target, for target in (0, E[z(T)]).
-
-    Newton uses dK_p/dy = p H_{p+1}(y) / y^{p+1}; the complement of K_p is
-    E[z 1_{z > y}] + H_{p+1}(y) / y^p. The H_1 start is a lower bound of the
-    root because K_p <= H_1, so the iterates never go below it.
-    """
-    if not p > 0.0:
-        raise DomainError(f"K_p needs p > 0, got {p}")
-    m0, nu0 = ctx.m0, ctx.nu0
-
-    def k_and_slope(x, upper):
-        tail = _h_over_power(ctx, p + 1.0, p, x)
-        if upper:
-            return truncated_exp_moment(-1.0, -m0, nu0, -x) + tail, p * tail
-        return truncated_exp_moment(1.0, m0, nu0, x) - tail, p * tail
-
-    return _invert_monotone(k_and_slope, target, ctx, "invert_K")
-
-
-def invert_H1(ctx: PartialMomentContext, target: float) -> float:
-    """Unique y with H_1(y) = target, for target in (0, E[z(T)]).
-
-    Newton uses dH_1/dy = phi(F(y)) / nu0. It starts from the closed form,
-    so it mostly stops after one evaluation, at the root of H_1 as
-    partial_moment_H computes it.
-    """
-    m0, nu0, mean = ctx.m0, ctx.nu0, ctx.mean
-
-    def h1_and_slope(x, upper):
-        w = (x - m0) / nu0 - nu0
-        # y H_1'(y) = y phi(F(y)) / nu0 = E[z] phi(F(y) - nu0) / nu0
-        slope = mean * _INV_SQRT_2PI * math.exp(-0.5 * w * w) / nu0
-        if upper:
-            return truncated_exp_moment(-1.0, -m0, nu0, -x), slope
-        return truncated_exp_moment(1.0, m0, nu0, x), slope
-
-    return _invert_monotone(h1_and_slope, target, ctx, "invert_H1")
+    raise MaxIterations(f"invert_H1: no convergence for target {target}")

@@ -19,11 +19,14 @@ The optimal X takes at most three values/branches in the deflator z:
 where (lam, eta) are the multipliers of the mean and budget constraints.
 Internally the solve runs in the thresholds delta = lam/eta and
 rho = (upper threshold) - delta. Given delta, the budget equation fixes rho
-(in closed form for q <= 1, as a root bracketed in closed form for q = 2),
-and the mean of the resulting payoff rises with delta from d_lower at the
-rich threshold (or delta = 0) to d_upper at delta_bar = H_1^{-1}(x0/cap).
+(in closed form for q <= 1, as a root bracketed in closed form for q = 2):
+this is the budget curve, and the mean of its payoff rises with delta from
+its low end, the rich threshold (or delta = 0), to delta_bar =
+H_1^{-1}(x0/cap). Both bounds of the target are read off the curve: d_lower
+is the mean at the low end and d_upper the mean at delta_bar, where rho = 0.
 So every Regular instance is one bracketed root in delta with a guaranteed
-sign change; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
+sign change, and the DegenerateLowTarget solution is the low end itself;
+for q = 2 a damped Newton on (ln delta, ln rho) runs first.
 
 `payoff` turns a solution into a piecewise-linear Payoff. The closed-form
 wealth process x*(t, z) and dollar policy pi*(t, z) that replicate any
@@ -50,7 +53,13 @@ from .errors import (
     TargetOutOfRange,
     TargetTooHigh,
 )
-from .kernels import PartialMomentContext, std_normal_pdf, truncated_exp_moment
+from .kernels import (
+    GAUSS_LEGENDRE_8,
+    PartialMomentContext,
+    partial_moment_H_ext,
+    std_normal_pdf,
+    truncated_exp_moment,
+)
 from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d, solve_2d
 
@@ -80,19 +89,6 @@ DEGENERATE_RICH = "DegenerateRich"
 #: below this remaining deflator volatility the wealth formulas switch to
 #: their terminal limit and the policy is reported undefined
 TERMINAL_NU = 1e-8
-
-#: eight-point Gauss-Legendre (node, weight) pairs on [0, 1]: the nodes and
-#: weights of the rule on [-1, 1] mapped by x -> (x + 1) / 2, w -> w / 2
-_RAMP_RULE = (
-    (0.019855071751231912, 0.05061426814518853),
-    (0.10166676129318664, 0.11119051722668721),
-    (0.2372337950418355, 0.15685332293894344),
-    (0.4082826787521751, 0.18134189168918083),
-    (0.5917173212478248, 0.18134189168918083),
-    (0.7627662049581645, 0.15685332293894344),
-    (0.8983332387068134, 0.11119051722668721),
-    (0.9801449282487681, 0.05061426814518853),
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,11 +197,17 @@ class Payoff:
     slopes: tuple
 
 
-def _h(ctx: PartialMomentContext, p: float, y: float) -> float:
-    """Partial moment H_p(y) extended by H_p(y) = 0 for y <= 0."""
-    if y <= 0.0:
-        return 0.0
-    return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
+@dataclass(frozen=True, slots=True)
+class _Curve:
+    """Ends of the budget curve of one instance: the mean of its payoff is
+    d_lower at the low end (delta_low, rho_low) and d_upper at delta_bar,
+    where rho = 0."""
+
+    delta_low: float
+    rho_low: float
+    delta_bar: float
+    d_lower: float
+    d_upper: float
 
 
 def _check_horizon(problem, model):
@@ -218,39 +220,41 @@ def _check_horizon(problem, model):
 def d_bounds(problem: LpmProblem, model: MarketModel):
     """Feasible range (d_lower, d_upper) of the expected-wealth target.
 
-    d_upper is the largest achievable mean given the budget and the cap.
-    d_lower is the mean the budget-only optimum delivers; targets at or
-    below it leave the mean constraint slack. The lower branch depends on
-    whether the budget funds the benchmark outright (x0 >= gamma E[z]).
+    Both are ends of the budget curve. d_upper is the largest achievable
+    mean given the budget and the cap, the mean at delta_bar where the cap
+    branch spends the whole budget. d_lower is the mean the budget-only
+    optimum delivers, at the low end of the curve; targets at or below it
+    leave the mean constraint slack.
 
     Raises InfeasibleBudget when x0 >= cap * E[z(T)].
     """
     _check_horizon(problem, model)
-    return _bounds(deflator_context(model), problem)
+    curve = _budget_curve(deflator_context(model), problem)
+    return curve.d_lower, curve.d_upper
 
 
-def _bounds(ctx: PartialMomentContext, problem: LpmProblem):
-    """d_bounds on a prebuilt deflator context."""
-    x0, gamma, cap, q = problem.x0, problem.gamma, problem.cap, problem.q
-    ez = ctx.mean
-    if x0 >= cap * ez:
+def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
+    """The ends of the budget curve on a prebuilt deflator context.
+
+    The low end is the rich threshold (0 when x0 <= gamma E[z]) with the
+    width the budget leaves there, unbounded for q = 2 when the budget funds
+    the benchmark outright.
+    """
+    x0, cap = problem.x0, problem.cap
+    if x0 >= cap * ctx.mean:
         raise InfeasibleBudget(
-            f"x0 = {x0} cannot stay under the cap: cap * E[z] = {cap * ez}"
+            f"x0 = {x0} cannot stay under the cap: cap * E[z] = {cap * ctx.mean}"
         )
     delta_bar = kernels.invert_H1(ctx, x0 / cap)
-    d_upper = cap * _h(ctx, 0.0, delta_bar)
-
-    if x0 < gamma * ez:
-        if q == 2.0:
-            p = 1.0 / (q - 1.0)
-            rho_hat = kernels.invert_K(ctx, p, x0 / gamma)
-            d_lower = gamma * kernels.partial_moment_J(ctx, p, rho_hat)
-        else:
-            rho_hat = kernels.invert_H1(ctx, x0 / gamma)
-            d_lower = gamma * _h(ctx, 0.0, rho_hat)
-    else:
-        d_lower = (cap - gamma) * _h(ctx, 0.0, _rich_threshold(ctx, problem)) + gamma
-    return d_lower, d_upper
+    delta_low = _rich_threshold(ctx, problem)
+    rho_low = _branch_width(ctx, problem, delta_low)
+    return _Curve(
+        delta_low=delta_low,
+        rho_low=rho_low,
+        delta_bar=delta_bar,
+        d_lower=_payoff_moment(ctx, problem, 0.0, delta_low, rho_low),
+        d_upper=cap * partial_moment_H_ext(ctx, 0.0, delta_bar),
+    )
 
 
 def _rich_threshold(ctx: PartialMomentContext, problem: LpmProblem) -> float:
@@ -266,16 +270,15 @@ def classify(problem: LpmProblem, model: MarketModel) -> str:
     """Case tag for the instance; raises TargetTooHigh when d >= d_upper."""
     _check_horizon(problem, model)
     ctx = deflator_context(model)
-    return _classify(ctx, problem, _bounds(ctx, problem))
+    return _classify(ctx, problem, _budget_curve(ctx, problem))
 
 
-def _classify(ctx: PartialMomentContext, problem: LpmProblem, bounds) -> str:
-    d_lower, d_upper = bounds
-    if problem.d >= d_upper:
+def _classify(ctx: PartialMomentContext, problem: LpmProblem, curve: _Curve) -> str:
+    if problem.d >= curve.d_upper:
         raise TargetTooHigh(
-            f"target d = {problem.d} is not below d_upper = {d_upper}"
+            f"target d = {problem.d} is not below d_upper = {curve.d_upper}"
         )
-    if problem.d > d_lower:
+    if problem.d > curve.d_lower:
         return REGULAR
     if problem.x0 < problem.gamma * ctx.mean:
         return DEGENERATE_LOW_TARGET
@@ -300,8 +303,11 @@ def ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float
     if _short_branch(ctx, delta, rho):
         return _branch_rule(ctx, p, delta, rho, lambda s: 1.0 - s)
     hi = delta + rho
-    dh = _h(ctx, p, hi) - _h(ctx, p, delta)
-    return (hi * dh - (_h(ctx, p + 1.0, hi) - _h(ctx, p + 1.0, delta))) / rho
+    dh, dh_next = (
+        partial_moment_H_ext(ctx, a, hi) - partial_moment_H_ext(ctx, a, delta)
+        for a in (p, p + 1.0)
+    )
+    return (hi * dh - dh_next) / rho
 
 
 def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float:
@@ -315,7 +321,10 @@ def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float
     if _short_branch(ctx, delta, rho):
         return rho * rho * _branch_rule(ctx, 0.0, delta, rho, lambda s: s * s)
     hi = delta + rho
-    dh0, dh1, dh2 = (_h(ctx, p, hi) - _h(ctx, p, delta) for p in (0.0, 1.0, 2.0))
+    dh0, dh1, dh2 = (
+        partial_moment_H_ext(ctx, p, hi) - partial_moment_H_ext(ctx, p, delta)
+        for p in (0.0, 1.0, 2.0)
+    )
     return dh2 - 2.0 * delta * dh1 + delta * delta * dh0
 
 
@@ -336,7 +345,7 @@ def _branch_rule(ctx, p, delta, rho, weight):
     """E[z^p weight(s) 1{delta < z <= delta + rho}] with s = (z - delta) / rho,
     by eight-point Gauss-Legendre in s on the positive integrand."""
     total = 0.0
-    for s, w in _RAMP_RULE:
+    for s, w in GAUSS_LEGENDRE_8:
         z = delta + rho * s
         # z^(p-1) phi(F(z)) / nu0 is z^p times the density of z(T) at z
         total += w * weight(s) * z ** (p - 1.0) * std_normal_pdf(ctx.standardize(z))
@@ -348,9 +357,10 @@ def _payoff_moment(ctx, problem, p, delta, rho):
     Regular payoff with cap branch {z <= delta} and middle branch
     {delta < z <= delta + rho}."""
     cap, gamma = problem.cap, problem.gamma
+    below = partial_moment_H_ext(ctx, p, delta)
     if problem.q == 2.0:
-        return cap * _h(ctx, p, delta) + gamma * ramp(ctx, p, delta, rho)
-    return (cap - gamma) * _h(ctx, p, delta) + gamma * _h(ctx, p, delta + rho)
+        return cap * below + gamma * ramp(ctx, p, delta, rho)
+    return (cap - gamma) * below + gamma * partial_moment_H_ext(ctx, p, delta + rho)
 
 
 def _regular_residuals(ctx, problem, delta, rho):
@@ -370,7 +380,7 @@ def _thresholds_to_multipliers(problem, delta, rho):
     return budget_mult * delta, budget_mult
 
 
-def _solve_regular_newton(ctx, problem):
+def _solve_regular_newton(ctx, problem, delta0):
     def system(u):
         # clamp so wild trial steps of the damped Newton stay finite; the
         # clamp is far outside any meaningful deflator quantile
@@ -381,7 +391,6 @@ def _solve_regular_newton(ctx, problem):
             math.exp(min(max(u[1], -600.0), 600.0)),
         )
 
-    delta0 = kernels.invert_H1(ctx, problem.x0 / problem.cap)
     report = solve_2d(system, [math.log(delta0), 0.0], tol=1e-11)
     delta, rho = math.exp(report.root[0]), math.exp(report.root[1])
     return delta, rho
@@ -400,7 +409,7 @@ def _branch_width(ctx, problem, delta):
     budget left.
     """
     x0, cap, gamma = problem.x0, problem.cap, problem.gamma
-    h1 = _h(ctx, 1.0, delta)
+    h1 = partial_moment_H_ext(ctx, 1.0, delta)
     left = (x0 - cap * h1) / gamma
     if left <= 0.0:
         return 0.0
@@ -427,24 +436,26 @@ def _branch_width(ctx, problem, delta):
     return math.exp(x)
 
 
-def _solve_regular_nested(ctx, problem):
+def _solve_regular_nested(ctx, problem, curve):
     """Exact 1-D reduction of the Regular system, for every q.
 
     _branch_width pins rho given delta through the budget equation, and the
-    mean gap E[X] - d is bracketed in delta on [delta_low, delta_bar]. At
-    delta_bar the cap branch spends the whole budget (rho = 0) and the gap
-    is d_upper - d > 0. At the rich threshold delta_low, or at 0 when
-    x0 <= gamma E[z], the gap is d_lower - d < 0. Along the budget curve the
-    multiplier lam = delta eta rises with delta, so the root is unique.
+    mean gap E[X] - d is bracketed in delta on [delta_low, delta_bar], the
+    ends of the budget curve. At delta_bar the cap branch spends the whole
+    budget (rho = 0) and the gap is d_upper - d > 0; at delta_low it is
+    d_lower - d < 0, the same value the classification compared. Along the
+    curve the multiplier lam = delta eta rises with delta, so the root is
+    unique.
     """
-    delta_bar = kernels.invert_H1(ctx, problem.x0 / problem.cap)
 
     def mean_gap(delta):
-        rho = _branch_width(ctx, problem, delta)
+        if delta == curve.delta_low:
+            rho = curve.rho_low
+        else:
+            rho = _branch_width(ctx, problem, delta)
         return _payoff_moment(ctx, problem, 0.0, delta, rho) - problem.d
 
-    lo = _rich_threshold(ctx, problem)
-    delta = find_root_1d(mean_gap, lo, delta_bar, tol=0.0).root
+    delta = find_root_1d(mean_gap, curve.delta_low, curve.delta_bar, tol=0.0).root
     return delta, _branch_width(ctx, problem, delta)
 
 
@@ -464,40 +475,39 @@ def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
     """
     _check_horizon(problem, model)
     ctx = deflator_context(model)
-    mult, _, _ = _solve_case(problem, ctx, _bounds(ctx, problem))
+    mult, _, _ = _solve_case(problem, ctx, _budget_curve(ctx, problem))
     return mult
 
 
-def _solve_regular(ctx, problem):
+def _solve_regular(ctx, problem, curve):
     """(delta, rho) of a Regular instance."""
     if problem.q == 2.0:
         try:
-            delta, rho = _solve_regular_newton(ctx, problem)
+            delta, rho = _solve_regular_newton(ctx, problem, curve.delta_bar)
             if _residuals_ok(ctx, problem, delta, rho):
                 return delta, rho
         except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange):
             pass
-    return _solve_regular_nested(ctx, problem)
+    return _solve_regular_nested(ctx, problem, curve)
 
 
-def _solve_case(problem, ctx, bounds):
-    """(multipliers, delta, rho) for any case; rho None for DegenerateRich."""
-    case = _classify(ctx, problem, bounds)
-    gamma, q, x0 = problem.gamma, problem.q, problem.x0
+def _solve_case(problem, ctx, curve):
+    """(multipliers, delta, rho) for any case; rho None for DegenerateRich.
+
+    Both degenerate cases sit at the low end of the budget curve: the rich
+    threshold, and delta = 0 with the width rho_low for DegenerateLowTarget.
+    """
+    case = _classify(ctx, problem, curve)
 
     if case == DEGENERATE_RICH:
-        return Multipliers(0.0, 0.0, case), _rich_threshold(ctx, problem), None
+        return Multipliers(0.0, 0.0, case), curve.delta_low, None
 
     if case == DEGENERATE_LOW_TARGET:
-        if q == 2.0:
-            rho = kernels.invert_K(ctx, 1.0 / (q - 1.0), x0 / gamma)
-        else:
-            rho = kernels.invert_H1(ctx, x0 / gamma)
-        _, budget_mult = _thresholds_to_multipliers(problem, 0.0, rho)
-        return Multipliers(0.0, budget_mult, case), 0.0, rho
+        _, budget_mult = _thresholds_to_multipliers(problem, 0.0, curve.rho_low)
+        return Multipliers(0.0, budget_mult, case), 0.0, curve.rho_low
 
     try:
-        delta, rho = _solve_regular(ctx, problem)
+        delta, rho = _solve_regular(ctx, problem, curve)
     except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
         raise SolverDiverged(
             f"multiplier solve failed for {problem}: {exc}",
@@ -521,24 +531,24 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     probability, assembled into an immutable PolicySolution."""
     _check_horizon(problem, model)
     ctx = deflator_context(model)
-    bounds = _bounds(ctx, problem)
-    mult, delta, rho = _solve_case(problem, ctx, bounds)
+    curve = _budget_curve(ctx, problem)
+    mult, delta, rho = _solve_case(problem, ctx, curve)
     gamma, q = problem.gamma, problem.q
 
     if mult.case == DEGENERATE_RICH:
         objective = 0.0
-        hit = _h(ctx, 0.0, delta)
+        hit = partial_moment_H_ext(ctx, 0.0, delta)
         multiple = problem.x0 > gamma * ctx.mean
     else:
         hi = delta + rho
-        tail = 1.0 - _h(ctx, 0.0, hi)
+        tail = 1.0 - partial_moment_H_ext(ctx, 0.0, hi)
         if q == 2.0:
             half_eta = 0.5 * mult.budget
             branch = half_eta * half_eta * _branch_square(ctx, delta, rho)
             objective = branch + gamma * gamma * tail
         else:
             objective = gamma**q * tail
-        hit = _h(ctx, 0.0, delta) if mult.mean > 0.0 else 0.0
+        hit = partial_moment_H_ext(ctx, 0.0, delta) if mult.mean > 0.0 else 0.0
         multiple = False
 
     return PolicySolution(
@@ -550,8 +560,8 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         rho=rho,
         objective_value=objective,
         hit_prob=hit,
-        d_lower=bounds[0],
-        d_upper=bounds[1],
+        d_lower=curve.d_lower,
+        d_upper=curve.d_upper,
         multiple_solutions=multiple,
     )
 
@@ -586,7 +596,8 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
     prob = solution.problem
     delta = solution.delta
     if solution.multipliers.case == DEGENERATE_RICH:
-        return (prob.cap - prob.gamma) * _h(ctx, 0.0, delta) + prob.gamma
+        below = partial_moment_H_ext(ctx, 0.0, delta)
+        return (prob.cap - prob.gamma) * below + prob.gamma
     return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PolicyUndefinedAtTerminal
+from .kernels import GAUSS_LEGENDRE_8
 from .lpm import TERMINAL_NU, Payoff
 from .market import deflator_moments, gram_inverse_excess
 
@@ -35,6 +36,12 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: a branch (lo, hi] with ln(hi / lo) at most this share of the remaining
+#: deflator volatility is integrated by Gauss-Legendre (_short_mass): there
+#: the difference of the closed-form moments at its ends cancels, while the
+#: log of the normal density changes by less than 2 across it wherever the
+#: density does not underflow, which eight nodes integrate to rounding
+_SHORT_BRANCH = 0.05
 
 
 def std_normal_cdf_array(y) -> np.ndarray:
@@ -93,16 +100,33 @@ def _branch_sum(payoff: Payoff, a, m, nu, log_z, weights, factor):
     G_a(y) = E[e^{aY} 1{z e^Y <= y}] for Y ~ N(m, nu^2), and dG_a is its
     difference between the branch ends y_{k-1} and y_k (y_0 = 0).
     Branches of weight 0 add nothing, so all-zero weights cost nothing.
+    A short branch (see _SHORT_BRANCH) is integrated by _short_mass.
     """
     total = below = 0.0
     if not any(weights):
         return total
+    lo = 0.0
     for y, w in zip(payoff.levels, weights):
         mass = truncated_exp_moment_array(a, m, nu, math.log(y) - log_z) if y > 0.0 else 0.0
         if w != 0.0:
-            total = total + w * factor * (mass - below)
-        below = mass
+            if 0.0 < lo and y < math.inf and math.log(y / lo) <= _SHORT_BRANCH * nu:
+                total = total + w * factor * _short_mass(a, m, nu, log_z, lo, y)
+            else:
+                total = total + w * factor * (mass - below)
+        below, lo = mass, y
     return total
+
+
+def _short_mass(a, m, nu, log_z, lo, hi):
+    """dG_a between the levels lo <= hi of a short branch: the normal density
+    integrated over the z-score interval the branch spans, by eight-point
+    Gauss-Legendre."""
+    width = math.log(hi / lo) / nu
+    start = (math.log(lo) - log_z - m) / nu - a * nu
+    total = 0.0
+    for s, w in GAUSS_LEGENDRE_8:
+        total = total + w * std_normal_pdf_array(start + width * s)
+    return math.exp(a * m + 0.5 * a * a * nu * nu) * width * total
 
 
 def wealth(payoff: Payoff, t, z) -> np.ndarray:

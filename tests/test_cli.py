@@ -363,6 +363,8 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "huge_nu0_lpm",
         "huge_nu0_cvar",
         "huge_nu0_mv",
+        "z_grid_count_beyond_float",
+        "z_grid_count_above_bound",
         *(f"market_{name}" for name in BAD_MARKETS),
     ],
 )
@@ -423,6 +425,11 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         problem = {"lpm": LPM1, "cvar": CVAR2, "mv": MV1}[breakage.removeprefix("huge_nu0_")]
         cfg = _cfg(tmp_path, _ex1_with(mu=[1e6]), problem, run={"out": str(tmp_path)})
         argv = ["--config", cfg, "--cmd", "solve"]
+    elif breakage.startswith("z_grid_count_"):
+        # rejected at load: neither size reaches np.geomspace or allocates
+        count = 10**400 if breakage.endswith("beyond_float") else 10**9 + 1
+        run = {"out": str(tmp_path), "z_grid": {"count": count}}
+        argv = ["--config", _cfg(tmp_path, EX1_MARKET, LPM1, run=run), "--cmd", "policy_table"]
     elif breakage.startswith("market_"):
         bad = BAD_MARKETS[breakage.removeprefix("market_")]
         cfg = _cfg(tmp_path, bad, LPM1, run={"out": str(tmp_path)})
@@ -588,3 +595,67 @@ def test_csv_writer_matches_per_cell_format(tmp_path, capsys, n_rows):
     cli._write_csv(tmp_path / "t.csv", header, ["%d", "%.12g", "%.12g", "%s"], cells)
     assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, rows)
     assert capsys.readouterr().out == f"wrote {tmp_path / 't.csv'}\n"
+
+
+#: values a mutated leaf takes: out of range, beyond float, of the wrong type,
+#: empty, null, or nested one or two levels too deep
+MUTANTS = (-1, 0, 1e300, 10**400, "x", [], {}, None, [[1.0]], [[[0.5, 2.0]]])
+N_MUTATIONS = 150  # per base config
+COMMANDS = ("solve", "policy_table", "frontier", "simulate", "compare_static")
+
+
+def _leaves(node, path=()):
+    """Paths to the leaves of a JSON value; an empty container is a leaf."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(node, list) and node:
+        for index, value in enumerate(node):
+            yield from _leaves(value, (*path, index))
+    else:
+        yield path
+
+
+def _replaced(node, path, value):
+    """A copy of node with the leaf at path replaced by value."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize(
+    "market, problem, d_grid",
+    [(EX1_MARKET, LPM1, [1.2, 1.3]), (EX2_MARKET, CVAR2, [11.0, 12.0]), (EX1_MARKET, MV1, [1.2])],
+    ids=["lpm", "cvar", "mv"],
+)
+def test_mutated_configs_exit_with_a_code(tmp_path, capsys, monkeypatch, market, problem, d_grid):
+    # every command on 1-2 replaced leaves of a valid config returns an exit
+    # code and raises nothing; a mutated run.out writes below tmp_path
+    monkeypatch.chdir(tmp_path)
+    run = {
+        "out": str(tmp_path / "out"), "seed": 1, "paths": 16, "steps": 4, "scenarios": 64,
+        "t": 0.5, "z_grid": {"count": 5, "spacing": "log"}, "d_grid": d_grid, "betas": [0.9],
+    }
+    base = {"market": market, "problem": problem, "run": run}
+    leaves = list(_leaves(base))
+    rng = np.random.default_rng(20241020)
+    escaped = []
+    for _ in range(N_MUTATIONS):
+        config = base
+        picks = rng.choice(len(leaves), size=int(rng.integers(1, 3)), replace=False)
+        for leaf in picks:
+            config = _replaced(config, leaves[leaf], MUTANTS[rng.integers(len(MUTANTS))])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for cmd in COMMANDS:
+            try:
+                code = cli.main(["--config", str(path), "--cmd", cmd])
+            except Exception as exc:  # the property: nothing escapes main
+                escaped.append(f"{cmd} {config}: {type(exc).__name__}: {exc}")
+                continue
+            if type(code) is not int or code not in (0, 1, 2, 3):
+                escaped.append(f"{cmd} {config}: returned {code!r}")
+        capsys.readouterr()
+    assert escaped == []

@@ -267,41 +267,21 @@ def test_partial_moment_domains():
         kernels.partial_moment_H(_CTX, -0.5, 1.0)
     with pytest.raises(DomainError):
         kernels.partial_moment_H(_CTX, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        kernels.partial_moment_K(_CTX, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        kernels.partial_moment_K(_CTX, 1.0, -2.0)
-    with pytest.raises(DomainError):
-        kernels.partial_moment_J(_CTX, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        kernels.partial_moment_J(_CTX, 1.0, 0.0)
 
 
-def test_k_and_j_monotone_with_correct_limits():
-    grid = np.geomspace(0.05, 40.0, 120)
-    for p in [0.5, 1.0, 2.0]:
-        kv = [kernels.partial_moment_K(_CTX, p, y) for y in grid]
-        jv = [kernels.partial_moment_J(_CTX, p, y) for y in grid]
-        assert all(v >= -1e-15 for v in kv)
-        assert all(b >= a - 1e-12 for a, b in zip(kv, kv[1:]))
-        assert all(b >= a - 1e-12 for a, b in zip(jv, jv[1:]))
-        assert kv[-1] < _CTX.mean
-        assert jv[-1] < 1.0
-    assert kernels.partial_moment_K(_CTX, 1.0, math.inf) == _CTX.mean
-    assert kernels.partial_moment_J(_CTX, 1.0, math.inf) == 1.0
+def test_extended_partial_moment_is_zero_below_the_positive_levels():
+    for p in (0.0, 1.0, 2.0):
+        assert kernels.partial_moment_H_ext(_CTX, p, 0.0) == 0.0
+        assert kernels.partial_moment_H_ext(_CTX, p, -1.0) == 0.0
+        for y in (1e-3, 0.7, 3.0, math.inf):
+            want = kernels.partial_moment_H(_CTX, p, y)
+            assert kernels.partial_moment_H_ext(_CTX, p, y) == want
 
 
 def test_invert_h1_round_trip():
     for y0 in [0.3, 0.7, 0.95, 1.3, 2.5]:
         target = kernels.partial_moment_H(_CTX, 1.0, y0)
         assert kernels.invert_H1(_CTX, target) == pytest.approx(y0, rel=1e-9)
-
-
-def test_invert_k_round_trip():
-    for p in [0.5, 1.0, 2.0]:
-        for y0 in [0.4, 0.9, 1.8]:
-            target = kernels.partial_moment_K(_CTX, p, y0)
-            assert kernels.invert_K(_CTX, p, target) == pytest.approx(y0, rel=1e-9)
 
 
 def _contexts():
@@ -320,30 +300,12 @@ def _contexts():
     return [_CTX] + [market.deflator_context(m) for m in models]
 
 
-@pytest.mark.parametrize("y", [1e-170, 1e-320])
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-def test_k_and_j_stay_in_range_where_y_power_underflows(p, y):
-    # y^p is 0 or subnormal here; the quotients H_{p+1}/y^p and H_p/y^p are
-    # not, as they are bounded by H_1 and H_0
-    for ctx in _contexts():
-        kv = kernels.partial_moment_K(ctx, p, y)
-        jv = kernels.partial_moment_J(ctx, p, y)
-        assert math.isfinite(kv) and math.isfinite(jv)
-        assert 0.0 <= kv <= kernels.partial_moment_H(ctx, 1.0, y)
-        assert 0.0 <= jv <= kernels.partial_moment_H(ctx, 0.0, y)
-
-
 def test_invert_round_trip_to_rounding():
     for ctx in _contexts():
         for u in [-4.0, -2.0, -0.5, 0.0, 1.0, 2.0, 4.0]:
             y0 = math.exp(ctx.m0 + ctx.nu0 * u)
             target = kernels.partial_moment_H(ctx, 1.0, y0)
             assert kernels.invert_H1(ctx, target) == pytest.approx(y0, rel=1e-12)
-            for p in [0.5, 1.0, 2.0]:
-                target = kernels.partial_moment_K(ctx, p, y0)
-                assert kernels.invert_K(ctx, p, target) == pytest.approx(
-                    y0, rel=1e-12
-                )
 
 
 def test_invert_kernel_evaluations_per_inversion(monkeypatch):
@@ -365,10 +327,6 @@ def test_invert_kernel_evaluations_per_inversion(monkeypatch):
             calls.clear()
             kernels.invert_H1(ctx, target)
             assert 1 <= len(calls) <= 3, (ctx, frac, len(calls))  # closed-form start
-            for p in [0.5, 1.0, 2.0]:
-                calls.clear()
-                kernels.invert_K(ctx, p, target)
-                assert 2 <= len(calls) <= 20, (ctx, p, frac, len(calls))
 
 
 def test_invert_h1_where_the_start_mass_rounds_to_an_end():
@@ -390,9 +348,9 @@ def test_invert_rejects_out_of_range_targets():
     with pytest.raises(TargetOutOfRange):
         kernels.invert_H1(_CTX, _CTX.mean)
     with pytest.raises(TargetOutOfRange):
-        kernels.invert_K(_CTX, 1.0, -0.5)
+        kernels.invert_H1(_CTX, -0.5)
     with pytest.raises(TargetOutOfRange):
-        kernels.invert_K(_CTX, 2.0, _CTX.mean * 1.01)
+        kernels.invert_H1(_CTX, _CTX.mean * 1.01)
 
 
 @settings(max_examples=50, deadline=None)
@@ -420,5 +378,5 @@ def test_partial_moment_bounds(m0, nu0, p, y):
     ctx = kernels.PartialMomentContext(m0=m0, nu0=nu0)
     h1 = kernels.partial_moment_H(ctx, 1.0, y)
     assert 0.0 <= h1 <= ctx.mean * (1.0 + 1e-12)
-    j = kernels.partial_moment_J(ctx, p, y)
-    assert -1e-13 <= j <= 1.0
+    hp = kernels.partial_moment_H(ctx, p, y)
+    assert 0.0 <= hp <= kernels.partial_moment_H(ctx, p, math.inf) * (1.0 + 1e-12)

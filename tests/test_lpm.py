@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from capfolio import cvar, lpm, market, surface
+from capfolio import cvar, kernels, lpm, market, surface
 from capfolio.errors import (
     CapfolioError,
     InfeasibleBudget,
@@ -245,6 +245,30 @@ def test_wealth_at_start_recovers_budget(example1):
     for q in (0.0, 0.5, 1.0, 2.0):
         sol = lpm.solve_lpm(_problem(q), example1)
         assert surface.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-13])
+def test_wealth_on_a_short_ramp_matches_quadrature(example1, width):
+    # X falls from gamma to 0 on (delta, delta + rho], rho = width delta, as
+    # a q = 2 payoff does near d_upper: its constant and slope are of order
+    # gamma / width, so the difference of the closed-form partial moments at
+    # the branch ends must not carry their rounding
+    delta, rho = 1.0, width
+    slope = GAMMA / rho
+    pay = lpm.Payoff(
+        model=example1,
+        levels=(delta, delta + rho),
+        constants=(10.0, slope * (delta + rho)),
+        slopes=(0.0, -slope),
+    )
+
+    def ramp(s):  # z X(z) times the density of z(T), in s = (z - delta) / rho
+        z = delta + rho * s
+        return GAMMA * (1.0 - s) * math.exp(-0.5 * ((math.log(z) - M0) / NU0) ** 2)
+
+    branch, _ = quad(ramp, 0.0, 1.0)
+    want = 10.0 * _h_ref(1.0, delta) + rho * branch / (NU0 * math.sqrt(2.0 * math.pi))
+    assert surface.wealth(pay, 0.0, 1.0) == pytest.approx(want, rel=0, abs=1e-13)
 
 
 def test_wealth_approaches_terminal_payoff(example1):
@@ -577,6 +601,6 @@ def test_ramp_rule_matches_gauss_legendre():
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(8)
-    rule = np.array(lpm._RAMP_RULE)
+    rule = np.array(kernels.GAUSS_LEGENDRE_8)
     np.testing.assert_allclose(rule[:, 0], 0.5 * (nodes + 1.0), rtol=0, atol=1e-15)
     np.testing.assert_allclose(rule[:, 1], 0.5 * weights, rtol=0, atol=1e-15)

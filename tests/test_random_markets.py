@@ -1,12 +1,19 @@
-"""Seeded mean-CVaR sweep over random one-asset markets.
+"""Seeded mean-LPM and mean-CVaR sweeps over random one-asset markets.
 
-Every instance either raises a CapfolioError or solves to an alpha* that the
-independent route confirms: J(alpha*) through `cvar.j_value`, J not lower
-at alpha* +- h, and the embedded policy's budget (through the wealth surface
-at t = 0) and mean within 1e-8.  The draws: r in [-0.02, 0.1]; sigma, the
-Sharpe ratio (1e-4 to 5) and T (0.1 to 20 y) log-uniform; the cap spread
-around the safe level x0 e^{rT}; targets inside the range (safe level,
-d_upper) or within 1e-12 to 1e-3 of either end.
+The draws: r in [-0.02, 0.1]; sigma, the Sharpe ratio (1e-4 to 5) and T
+(0.1 to 20 y) log-uniform.  Every instance either raises a CapfolioError or
+solves to a policy that an independent route confirms.
+
+- LPM, q in {0, 0.3, 1, 2}: gamma and the cap spread around the risk-free
+  growth x0 e^{rT}, targets inside (d_lower, d_upper) or within 1e-12 to
+  1e-3 of the range from either bound, on both sides of d_lower.  The mean
+  `expected_terminal_wealth` meets d (equals it when the case is Regular),
+  and the wealth surface at t = 0 recovers x0 to 1e-8.
+- Mean-CVaR: the cap spread around the safe level x0 e^{rT}, targets inside
+  (safe level, d_upper) or within 1e-12 to 1e-3 of either end.  J(alpha*)
+  through `cvar.j_value`, J not lower at alpha* +- h, and the embedded
+  policy's budget (through the wealth surface at t = 0) and mean within
+  1e-8.
 """
 import math
 import random
@@ -20,10 +27,122 @@ SEED = 20241018
 N_INSTANCES = 200
 BETAS = (0.8, 0.9, 0.95, 0.99)
 GRID = 48  # delta grid points on [0, top] for the sign-change check
+LPM_SEED = 20241019
+N_LPM = 1200
+LPM_QS = (0.0, 0.3, 1.0, 2.0)
 
 
 def _log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _market(rng):
+    """(r, mu, sigma, horizon) of one random one-asset market."""
+    r = rng.uniform(-0.02, 0.1)
+    sigma = _log_uniform(rng, 0.05, 1.0)
+    mu = r + _log_uniform(rng, 1e-4, 5.0) * sigma
+    return r, mu, sigma, _log_uniform(rng, 0.1, 20.0)
+
+
+def _lpm_draws():
+    """(label, model, problem) per LPM instance; model and problem are None
+    when the market or the problem is rejected at construction."""
+    rng = random.Random(LPM_SEED)
+    out = []
+    for i in range(N_LPM):
+        r, mu, sigma, horizon = _market(rng)
+        q = LPM_QS[i % len(LPM_QS)]
+        growth = math.exp(r * horizon)
+        gamma = growth * math.exp(rng.uniform(-0.5, 0.5))
+        cap = max(gamma, growth) * (1.0 + _log_uniform(rng, 1e-2, 20.0))
+        where, off, u = rng.random(), _log_uniform(rng, 1e-12, 1e-3), rng.random()
+        label = f"r={r!r} mu={mu!r} sigma={sigma!r} T={horizon!r} q={q} gamma={gamma!r} cap={cap!r}"
+        try:
+            model = market.validate_market(horizon, r, mu, sigma)
+            probe = lpm.LpmProblem(x0=1.0, d=0.0, gamma=gamma, cap=cap, q=q, horizon=horizon)
+            lo, hi = lpm.d_bounds(probe, model)
+            span = hi - lo
+            if where < 0.2:
+                d = lo + span * off
+            elif where < 0.3:
+                d = lo - span * off
+            elif where < 0.5:
+                d = hi - span * off
+            else:
+                d = lo + span * u
+            prob = lpm.LpmProblem(x0=1.0, d=d, gamma=gamma, cap=cap, q=q, horizon=horizon)
+        except (CapfolioError, ValueError):  # d may round up to the cap
+            out.append((label, None, None))
+            continue
+        out.append((f"{label} d={d!r}", model, prob))
+    return out
+
+
+def _lpm_solve(prob, model):
+    """The solution, or the CapfolioError the solve raised."""
+    try:
+        return lpm.solve_lpm(prob, model)
+    except CapfolioError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def lpm_outcomes():
+    return [
+        (label, prob, _lpm_solve(prob, model))
+        for label, model, prob in _lpm_draws()
+        if model is not None
+    ]
+
+
+def _lpm_violations(prob, sol):
+    """Contract violations of one solved LPM instance: the mean meets d
+    (equals it when Regular) and the wealth at t = 0 is the budget."""
+    found = []
+    tol = 1e-8 * max(1.0, abs(prob.d))
+    mean = lpm.expected_terminal_wealth(sol)
+    regular = sol.multipliers.case == lpm.REGULAR
+    if mean < prob.d - tol or (regular and abs(mean - prob.d) > tol):
+        found.append(f"{sol.multipliers.case} mean {mean!r} against d {prob.d!r}")
+    budget = float(surface.wealth(lpm.payoff(sol), 0.0, 1.0))
+    if abs(budget - prob.x0) > 1e-8 * max(1.0, prob.x0):
+        found.append(f"budget {budget!r} against x0 {prob.x0}")
+    return found
+
+
+def test_lpm_sweep_solves_or_raises_a_documented_error(lpm_outcomes):
+    failures = []
+    for label, prob, sol in lpm_outcomes:
+        if not isinstance(sol, CapfolioError):
+            failures += [f"{label}: {v}" for v in _lpm_violations(prob, sol)]
+    assert failures == []
+
+
+def test_lpm_draws_cover_every_case_and_order(lpm_outcomes):
+    kinds = {
+        (prob.q, sol.multipliers.case)
+        for _, prob, sol in lpm_outcomes
+        if not isinstance(sol, CapfolioError)
+    }
+    cases = (lpm.REGULAR, lpm.DEGENERATE_LOW_TARGET, lpm.DEGENERATE_RICH)
+    assert {(q, case) for q in LPM_QS for case in cases} <= kinds
+
+
+def test_lpm_target_at_the_low_end_of_the_budget_curve():
+    # d lies 1.1e-14 below the mean at the low end of the curve, but above a
+    # d_lower taken from a separate closed form: classified Regular, the
+    # mean gap then had no sign change on [0, delta_bar]
+    horizon = 0.22041487189640696
+    model = market.validate_market(
+        horizon, -0.013017615084703532, -0.012837736830200166, 0.0361710353477578
+    )
+    prob = lpm.LpmProblem(
+        x0=1.0, d=0.9971379043875338, gamma=1.5599522867678428,
+        cap=5.769080557087617, q=2.0, horizon=horizon,
+    )
+    sol = lpm.solve_lpm(prob, model)
+    assert sol.multipliers.case == lpm.DEGENERATE_LOW_TARGET
+    assert _lpm_violations(prob, sol) == []
 
 
 def _draws():
@@ -32,10 +151,7 @@ def _draws():
     rng = random.Random(SEED)
     out = []
     for i in range(N_INSTANCES):
-        r = rng.uniform(-0.02, 0.1)
-        sigma = _log_uniform(rng, 0.05, 1.0)
-        mu = r + _log_uniform(rng, 1e-4, 5.0) * sigma
-        horizon = _log_uniform(rng, 0.1, 20.0)
+        r, mu, sigma, horizon = _market(rng)
         beta = BETAS[i % len(BETAS)]
         xbar = math.exp(r * horizon)
         cap = xbar * (1.0 + _log_uniform(rng, 1e-2, 20.0))
