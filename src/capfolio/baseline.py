@@ -27,8 +27,8 @@ cut already: the master then holds the exact value at its point, so the
 bounds agree up to rounding.  There are finitely many tails, so this
 happens after finitely many cuts, at the exact LP optimum.  The master is
 solved through its dual, which has n_assets + 3 rows and a column per cut:
-a new cut appends a column, so the last optimal basis warm-starts the next
-round.
+a new cut appends a column, so one live simplex program resumes from the
+last optimal basis each round.
 
 The box starts at 100 x0 (wider if the mean floor needs more leverage) and
 grows 100-fold while the best portfolio touches it.  The boxed optimum is
@@ -213,25 +213,30 @@ def _cut_rounds(lp, master, box):
 
 
 class _Master:
-    """Dual of the master LP, one column per cut, warm-started each round.
+    """Dual of the master LP, one column per cut, kept live across rounds.
 
     Rows are w_1..w_n, alpha and theta.  Columns are the budget multiplier
     (free), the mean-floor multiplier, the multipliers of w_j <= box and of
     -w_j <= box, the slack of sum(y) <= 1/(1-beta), then y_i >= 0 per cut.
+    A cut appends a column and a box change sets costs, so each round
+    resumes from the last optimal basis.
     """
 
     def __init__(self, lp: RuCvarLp):
         r = lp.returns
         n = r.shape[1]
         self.lp = lp
-        self.a = np.zeros((n + 2, 2 * n + 3))
-        self.a[:n, : 2 * n + 2] = np.column_stack(
+        a = np.zeros((n + 2, 2 * n + 3))
+        a[:n, : 2 * n + 2] = np.column_stack(
             [np.ones(n), r.mean(axis=0), -np.eye(n), np.eye(n)]
         )
-        self.a[n + 1, 2 * n + 2] = 1.0
-        self.b = np.append(np.zeros(n), (1.0, 1.0 / (1.0 - lp.beta)))
-        self.cost = np.append((-lp.x0, -lp.d), np.zeros(2 * n + 1))
-        self.basis = None
+        a[n + 1, 2 * n + 2] = 1.0
+        b = np.append(np.zeros(n), (1.0, 1.0 / (1.0 - lp.beta)))
+        cost = np.append((-lp.x0, -lp.d), np.zeros(2 * n + 1))
+        lower = np.append(-math.inf, np.zeros(2 * n + 2))
+        self.program = simplex.Program(
+            simplex.LinearProgram(cost, a, b, lower, np.full(2 * n + 3, math.inf))
+        )
         self.tails = set()
         self.add_cut(np.ones(r.shape[0], dtype=bool))  # bounds alpha
 
@@ -245,23 +250,16 @@ class _Master:
         n_scen = self.lp.returns.shape[0]
         share = np.count_nonzero(tail) / n_scen
         column = np.append(tail @ self.lp.returns / n_scen, (share, 1.0))
-        self.a = np.column_stack([self.a, column])
-        self.cost = np.append(self.cost, -self.lp.xbar * share)
+        self.program.add_column(column, -self.lp.xbar * share)
         return True
 
     def solve(self, box):
         """(weights, alpha, lower bound) at the master optimum, or None."""
-        n = self.a.shape[0] - 2
-        self.cost[2 : 2 * n + 2] = box
-        lower = np.append(-math.inf, np.zeros(self.cost.size - 1))
-        upper = np.full(self.cost.size, math.inf)
-        result = simplex.solve_dense(
-            simplex.LinearProgram(self.cost, self.a, self.b, lower, upper),
-            basis=self.basis,
-        )
+        n = self.program.m - 2
+        self.program.set_cost(slice(2, 2 * n + 2), box)
+        result = self.program.solve()
         if result.status != OPTIMAL:
             return None  # an unbounded dual: no portfolio meets the rows
-        self.basis = result.basis
         return -result.duals[:n], -float(result.duals[n]), -result.objective
 
 

@@ -432,7 +432,15 @@ def _branch_width(ctx, problem, delta):
     def price_gap(x):
         return ramp(ctx, 1.0, delta, math.exp(x)) / left - 1.0
 
-    x = find_root_1d(price_gap, math.log(flat), math.log(most), tol=1e-13).root
+    try:
+        x = find_root_1d(price_gap, math.log(flat), math.log(most), tol=1e-13).root
+    except NoSignChange:
+        # within ulps of delta_bar the ramp prices a branch a few ulps wide
+        # at more than the budget left even at the flat width: the branch is
+        # below resolution, and the flat width is the width
+        if price_gap(math.log(flat)) < 0.0:
+            raise
+        return flat
     return math.exp(x)
 
 

@@ -11,9 +11,11 @@ Bland's rule while the objective stalls (which protects against cycling on
 the heavily degenerate LPs this package feeds in) and reverting to
 Dantzig as soon as the value moves again.
 
-A warm start from a given basis skips phase 1: appending columns or
-changing costs leaves an optimal basis feasible, which is how the cutting-
-plane master of `baseline` is re-solved after each cut.
+A `Program` keeps the tableau live after its first solve.  Appending a
+column at its lower bound or changing costs leaves the optimal basis
+feasible, so the next solve resumes phase 2 from it, and the duals come
+from its last pricing pass; this is how the cutting-plane master of
+`baseline` is re-solved after each cut.  `solve_dense` is one cold solve.
 
 Every iteration solves with the basis matrix afresh: the programs here
 have a handful of rows, where that costs less than keeping a factorization
@@ -83,46 +85,134 @@ class SimplexResult:
     objective: float
     duals: np.ndarray | None
     iterations: int
-    basis: np.ndarray | None = None  # basic columns at the optimum, if all structural
 
 
-class _Tableau:
-    """Mutable working state shared by the two phases."""
+class Program:
+    """A LinearProgram kept live between solves.
 
-    def __init__(self, a, b, lo, up):
-        self.a, self.b, self.lo, self.up = a, b, lo, up
-        self.m, self.n = a.shape
-        self.status = np.where(
-            np.isfinite(lo), AT_LO, np.where(np.isfinite(up), AT_UP, FREE_ZERO)
-        ).astype(np.int8)
-        self.basis = np.empty(0, dtype=int)
+    The first `solve` runs both phases.  When it leaves no artificial in the
+    basis, the artificials are dropped and the basis is kept: `add_column`
+    appends a column at its lower bound 0 and `set_cost` changes costs,
+    neither of which moves the basic values, so the next `solve` resumes
+    phase 2 from that basis.  While an artificial stays basic, each `solve`
+    starts cold.  Columns live in buffers that double when full, so
+    appending a column does not copy the matrix each time.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.m, self.n = m, n = lp.a_eq.shape
+        self.b = lp.b_eq
+        self._a = np.empty((m, 2 * (n + m)))
+        self._cost, self._lo, self._up = (np.empty(2 * (n + m)) for _ in range(3))
+        self._status = np.empty(2 * (n + m), dtype=np.int8)
+        self._a[:, :n] = lp.a_eq
+        self._cost[:n], self._lo[:n], self._up[:n] = lp.cost, lp.lower, lp.upper
+        self.basis = None  # the live basis, None while the next solve starts cold
+        self._use(n)
+
+    def add_column(self, column, cost: float) -> None:
+        """Append a column x_j >= 0 with these row coefficients and cost."""
+        j = self.n
+        if j == self._cost.size:
+            self._grow(2 * j)
+        self._a[:, j] = column
+        self._cost[j], self._lo[j], self._up[j] = cost, 0.0, math.inf
+        self._status[j] = AT_LO
+        self.n = j + 1
+        self._use(self.n)
+
+    def set_cost(self, index, value) -> None:
+        """cost[index] = value, as numpy assignment does."""
+        self.cost[index] = value
+
+    def solve(self) -> SimplexResult:
+        """Optimize from the live basis, or from the two-phase start."""
+        m, n = self.m, self.n
+        max_iter = 2000 + 50 * (m + n)
         self.iterations = 0
+        if self.basis is None:
+            cost = self._cold_start(max_iter)
+            if cost is None:
+                return SimplexResult(INFEASIBLE, None, math.nan, None, self.iterations)
+        else:
+            cost = self.cost
+        status = self._run_phase(cost, max_iter, allow_unbounded=True)
+        x = self.x[:n].copy()
+        if self.status.size > n:
+            if (self.basis < n).all():
+                self._use(n)  # drop the artificials: the basis is structural
+            else:
+                self.basis = None
+        if status == UNBOUNDED:
+            return SimplexResult(UNBOUNDED, None, -math.inf, None, self.iterations)
+        return SimplexResult(OPTIMAL, x, float(self.cost @ x), self.duals, self.iterations)
 
-    def bound_values(self):
+    def _use(self, width):
+        """Point the working views at the first `width` columns."""
+        self.cost = self._cost[: self.n]
+        self.a, self.lo, self.up = self._a[:, :width], self._lo[:width], self._up[:width]
+        self.status = self._status[:width]
+
+    def _grow(self, size):
+        for name in ("_cost", "_lo", "_up", "_status"):
+            old = getattr(self, name)
+            setattr(self, name, np.concatenate([old, np.empty(size - old.size, old.dtype)]))
+        self._a = np.concatenate([self._a, np.empty((self.m, size - self._a.shape[1]))], axis=1)
+
+    def _cold_start(self, max_iter):
+        """Phase 1 over signed artificials, then freeze them at zero.  Returns
+        the phase-2 cost over the widened columns, or None if infeasible."""
+        m, n = self.m, self.n
+        if self._cost.size < n + m:
+            self._grow(2 * (n + m))
+        self._lo[n : n + m], self._up[n : n + m] = 0.0, math.inf
+        self._use(n + m)
+        self.status[:] = np.where(
+            np.isfinite(self.lo), AT_LO, np.where(np.isfinite(self.up), AT_UP, FREE_ZERO)
+        )
+        # phase 1: signed artificials make the start feasible
+        self.a[:, n:] = np.diag(
+            np.where(self.b >= self.a[:, :n] @ self._bound_values()[:n], 1.0, -1.0)
+        )
+        self.basis = np.arange(n, n + m)
+        self.status[n:] = IN_BASIS
+        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+        self._run_phase(phase1_cost, max_iter, allow_unbounded=False)
+        scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
+        if float(phase1_cost @ self.x) > 1e-7 * scale:
+            self.basis = None
+            return None
+        # freeze artificials at zero; any still basic are degenerate and harmless
+        self.up[n:] = 0.0
+        self.status[n:][self.status[n:] != IN_BASIS] = AT_LO
+        return np.concatenate([self.cost, np.zeros(m)])
+
+    def _bound_values(self):
         """Every column on the bound its status names (0 for free and basic)."""
         x = np.where(self.status == AT_LO, self.lo, 0.0)
         return np.where(self.status == AT_UP, self.up, x)
 
-    def solve(self, rhs, trans=False):
+    def _solve_basis(self, rhs, trans=False):
         """B^-1 rhs, or B^-T rhs, for the basis matrix B."""
         mat = self.a[:, self.basis]
         try:
             out = np.linalg.solve(mat.T if trans else mat, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"singular basis: {exc}") from exc
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalBreakdown("singular basis: non-finite basic values")
         return out
 
-    def refresh(self):
+    def _refresh(self):
         """Nonbasic columns on their bounds, basic values solved from the rows."""
-        x = self.bound_values()
+        x = self._bound_values()
         x[self.basis] = 0.0
-        x[self.basis] = self.solve(self.b - self.a @ x)
+        x[self.basis] = self._solve_basis(self.b - self.a @ x)
         self.x = x
 
-    def run_phase(self, cost, max_iter, allow_unbounded):
-        """Iterate to optimality of `cost`; returns UNBOUNDED or OPTIMAL."""
+    def _run_phase(self, cost, max_iter, allow_unbounded):
+        """Iterate to optimality of `cost`; returns UNBOUNDED or OPTIMAL.  The
+        duals of the last pricing pass stay in `duals`."""
         bland, stall, best = False, 0, math.inf
         while True:
             self.iterations += 1
@@ -130,7 +220,7 @@ class _Tableau:
                 raise NumericalBreakdown(
                     f"simplex exceeded {max_iter} iterations (degenerate cycling?)"
                 )
-            self.refresh()
+            self._refresh()
             value = float(cost @ self.x)
             if value < best - 1e-12 * max(1.0, abs(best)):
                 # progress resumed, so drop back to the fast Dantzig pricing
@@ -138,9 +228,11 @@ class _Tableau:
             else:
                 stall += 1
                 bland = stall > _STALL_LIMIT
-            rc = cost - self.solve(cost[self.basis], trans=True) @ self.a
+            basic_cost = cost[self.basis]
+            self.duals = self._solve_basis(basic_cost, trans=True)
+            rc = cost - self.duals @ self.a
             # reduced costs carry rounding on the scale of the basic costs
-            tol = _COST_TOL * max(1.0, float(np.max(np.abs(cost[self.basis]), initial=0.0)))
+            tol = _COST_TOL * max(1.0, float(np.abs(basic_cost).max(initial=0.0)))
             entering, direction = self._pick_entering(rc, bland, tol)
             if entering < 0:
                 return OPTIMAL
@@ -156,9 +248,9 @@ class _Tableau:
         gain_dn = np.where((self.status == AT_UP) | free, rc, -math.inf)
         gain = np.maximum(gain_up, gain_dn)
         if bland:
-            j = int(np.argmax(gain > tol))  # first profitable index
+            j = int((gain > tol).argmax())  # first profitable index
         else:
-            j = int(np.argmax(gain))
+            j = int(gain.argmax())
         if gain[j] <= tol:
             return -1, 0
         return j, 1 if gain_up[j] >= gain_dn[j] else -1
@@ -167,22 +259,22 @@ class _Tableau:
         """Move variable j in +-1 `direction` until a bound stops it: a basic
         variable leaves, or j flips to its other bound.  False if no bound
         stops it."""
-        d = self.solve(self.a[:, j]) * direction
+        d = self._solve_basis(self.a[:, j]) * direction
         x_b = self.x[self.basis]
         lo_b, up_b = self.lo[self.basis], self.up[self.basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = np.where(d > _PIVOT_TOL, (x_b - lo_b) / d, math.inf)
-            t_up = np.where(d < -_PIVOT_TOL, (up_b - x_b) / (-d), math.inf)
+        # ratios only where the pivot element is large enough; inf elsewhere
+        t_lo = np.divide(x_b - lo_b, d, out=np.full(d.size, math.inf), where=d > _PIVOT_TOL)
+        t_up = np.divide(up_b - x_b, -d, out=np.full(d.size, math.inf), where=d < -_PIVOT_TOL)
         t_basic = np.minimum(t_lo, t_up)
         span = self.up[j] - self.lo[j]  # may be inf
         if t_basic.size and t_basic.min() < span:
             ties = np.flatnonzero(t_basic <= t_basic.min() + 1e-12)
             if bland:
                 # Bland breaks ratio ties by smallest variable index
-                i = int(ties[np.argmin(self.basis[ties])])
+                i = int(ties[self.basis[ties].argmin()])
             else:
                 # otherwise prefer the largest pivot element for stability
-                i = int(ties[np.argmax(np.abs(d[ties]))])
+                i = int(ties[np.abs(d[ties]).argmax()])
             self.status[self.basis[i]] = AT_LO if t_lo[i] <= t_up[i] else AT_UP
             self.status[j] = IN_BASIS
             self.basis[i] = j
@@ -193,65 +285,6 @@ class _Tableau:
         return True
 
 
-def solve_dense(lp: LinearProgram, basis=None) -> SimplexResult:
-    """Two-phase bounded-variable revised simplex on dense arrays.
-
-    `basis` optionally names m structural columns to start phase 2 from,
-    with every nonbasic column at its default bound: an earlier
-    `SimplexResult.basis` stays a valid warm start after columns are
-    appended or costs change.  A start that is singular or infeasible falls
-    back to the cold two-phase start.
-    """
-    a, b = lp.a_eq, lp.b_eq
-    m, n = a.shape
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-    max_iter = 2000 + 50 * (m + n)
-
-    tab = None if basis is None else _warm_tableau(lp, basis, scale)
-    if tab is None:
-        # phase 1: signed artificials make the start feasible
-        tab = _Tableau(
-            np.hstack([a, np.zeros((m, m))]),
-            b,
-            np.concatenate([lp.lower, np.zeros(m)]),
-            np.concatenate([lp.upper, np.full(m, math.inf)]),
-        )
-        tab.a[:, n:] = np.diag(np.where(b >= a @ tab.bound_values()[:n], 1.0, -1.0))
-        tab.basis = np.arange(n, n + m)
-        tab.status[n:] = IN_BASIS
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-        tab.run_phase(phase1_cost, max_iter, allow_unbounded=False)
-        if float(phase1_cost @ tab.x) > 1e-7 * scale:
-            return SimplexResult(INFEASIBLE, None, math.nan, None, tab.iterations)
-
-        # freeze artificials at zero; any still basic are degenerate and harmless
-        tab.up[n:] = 0.0
-        tab.status[n:][tab.status[n:] != IN_BASIS] = AT_LO
-
-    phase2_cost = np.concatenate([lp.cost, np.zeros(tab.n - n)])
-    status = tab.run_phase(phase2_cost, max_iter, allow_unbounded=True)
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, -math.inf, None, tab.iterations)
-    x = tab.x[:n].copy()
-    duals = tab.solve(phase2_cost[tab.basis], trans=True)
-    final = tab.basis.copy() if np.all(tab.basis < n) else None
-    return SimplexResult(OPTIMAL, x, float(lp.cost @ x), duals, tab.iterations, final)
-
-
-def _warm_tableau(lp, basis, scale):
-    """Tableau at `basis` without artificials, or None if that start fails."""
-    m, n = lp.a_eq.shape
-    basis = np.array(basis, dtype=int)
-    if basis.shape != (m,) or np.any((basis < 0) | (basis >= n)):
-        raise DimensionMismatch(f"basis must hold {m} column indices below {n}")
-    tab = _Tableau(lp.a_eq, lp.b_eq, lp.lower, lp.upper)
-    tab.basis = basis
-    tab.status[basis] = IN_BASIS
-    try:
-        tab.refresh()
-    except NumericalBreakdown:
-        return None
-    x_b, tol = tab.x[basis], 1e-9 * scale
-    if np.any(x_b < lp.lower[basis] - tol) or np.any(x_b > lp.upper[basis] + tol):
-        return None
-    return tab
+def solve_dense(lp: LinearProgram) -> SimplexResult:
+    """Two-phase bounded-variable revised simplex on dense arrays."""
+    return Program(lp).solve()

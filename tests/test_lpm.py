@@ -597,6 +597,23 @@ def test_q2_budget_left_below_rounding_of_room_solves_or_raises():
     _assert_constraints(sol, prob, model)
 
 
+def test_q2_branch_below_resolution_takes_the_flat_width():
+    # the outer root probes delta within ulps of delta_bar, where the flat
+    # width is a branch one ulp wide that the ramp already over-prices, so
+    # the width bracket has no sign change
+    horizon = 2.593118337087994
+    model = market.validate_market(
+        horizon, 0.09646121699896933, 0.09686115310387704, 0.8659002891643023
+    )
+    prob = lpm.LpmProblem(
+        x0=1.0, d=1.2848845961309585, gamma=0.9867934462200764,
+        cap=2.4735350900983075, q=2.0, horizon=horizon,
+    )
+    sol = lpm.solve_lpm(prob, model)
+    assert sol.multipliers.case == lpm.REGULAR
+    _assert_constraints(sol, prob, model, tol=1e-13)
+
+
 def test_ramp_rule_matches_gauss_legendre():
     from numpy.polynomial.legendre import leggauss
 

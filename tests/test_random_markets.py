@@ -1,4 +1,5 @@
-"""Seeded mean-LPM and mean-CVaR sweeps over random one-asset markets.
+"""Seeded mean-LPM, mean-CVaR and mean-variance sweeps over random one-asset
+markets.
 
 The draws: r in [-0.02, 0.1]; sigma, the Sharpe ratio (1e-4 to 5) and T
 (0.1 to 20 y) log-uniform.  Every instance either raises a CapfolioError or
@@ -14,13 +15,17 @@ solves to a policy that an independent route confirms.
   through `cvar.j_value`, J not lower at alpha* +- h, and the embedded
   policy's budget (through the wealth surface at t = 0) and mean within
   1e-8.
+- Mean-variance: targets x0 e^{rT} (1 + eps), eps log-uniform on
+  [1e-12, 1).  The budget through the wealth surface at t = 0 and the mean
+  as the first moment of the payoff's branches under the lognormal law of
+  z(T), both within 1e-8.
 """
 import math
 import random
 
 import pytest
 
-from capfolio import cvar, lpm, market, surface
+from capfolio import cvar, lpm, market, meanvar, surface
 from capfolio.errors import CapfolioError, TargetTooHigh
 
 SEED = 20241018
@@ -30,6 +35,8 @@ GRID = 48  # delta grid points on [0, top] for the sign-change check
 LPM_SEED = 20241019
 N_LPM = 1200
 LPM_QS = (0.0, 0.3, 1.0, 2.0)
+MV_SEED = 20241020
+N_MV = 300
 
 
 def _log_uniform(rng, lo, hi):
@@ -280,3 +287,62 @@ def test_cap_probe_reproducer_meets_the_contract(beta):
         beta=beta, horizon=horizon,
     )
     assert _violations(prob, model, cvar.solve_cvar(prob, model)) == []
+
+
+def _mv_draws():
+    """(label, model, problem) per mean-variance instance; model is None
+    when the market is rejected at construction."""
+    rng = random.Random(MV_SEED)
+    out = []
+    for _ in range(N_MV):
+        r, mu, sigma, horizon = _market(rng)
+        d = math.exp(r * horizon) * (1.0 + _log_uniform(rng, 1e-12, 1.0))
+        label = f"r={r!r} mu={mu!r} sigma={sigma!r} T={horizon!r} d={d!r}"
+        try:
+            model = market.validate_market(horizon, r, mu, sigma)
+        except CapfolioError:
+            out.append((label, None, None))
+            continue
+        out.append((label, model, meanvar.MvProblem(x0=1.0, d=d, horizon=horizon)))
+    return out
+
+
+def _first_moment(payoff):
+    """E[X] of a payoff, branch by branch, from the normal law of ln z(T)."""
+    ctx = market.deflator_context(payoff.model)
+
+    def below(shift, y):  # P(ln z <= ln y) under the law shifted by -shift
+        if y <= 0.0:
+            return 0.0
+        if y == math.inf:
+            return 1.0
+        return 0.5 * math.erfc(-((math.log(y) - ctx.m0) / ctx.nu0 - shift) / math.sqrt(2.0))
+
+    total, lo = 0.0, 0.0
+    for hi, a, b in zip(payoff.levels, payoff.constants, payoff.slopes):
+        total += a * (below(0.0, hi) - below(0.0, lo))
+        total += b * ctx.mean * (below(ctx.nu0, hi) - below(ctx.nu0, lo))
+        lo = hi
+    return total
+
+
+def test_mv_sweep_solves_or_raises_a_documented_error():
+    failures, solved = [], 0
+    for label, model, prob in _mv_draws():
+        if model is None:
+            continue
+        try:
+            mult = meanvar.solve_mv(prob, model)
+        except CapfolioError:
+            continue
+        solved += 1
+        payoff = meanvar.mv_payoff(mult, model)
+        tol = 1e-8 * max(1.0, prob.d)
+        budget = float(surface.wealth(payoff, 0.0, 1.0))
+        if abs(budget - prob.x0) > 1e-8 * max(1.0, prob.x0):
+            failures.append(f"{label}: budget {budget!r} against x0 {prob.x0}")
+        mean = _first_moment(payoff)
+        if abs(mean - prob.d) > tol:
+            failures.append(f"{label}: mean {mean!r} against d {prob.d!r}")
+    assert failures == []
+    assert solved >= 250

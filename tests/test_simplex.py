@@ -1,4 +1,4 @@
-"""Bounded-variable simplex: hand-checked toys, random sweep, warm starts."""
+"""Bounded-variable simplex: hand-checked toys, random sweep, live programs."""
 import math
 
 import numpy as np
@@ -180,50 +180,67 @@ def test_random_sweep_against_reference_solver():
     assert checked >= 25
 
 
-def test_warm_start_after_appending_columns():
-    # a cutting-plane master: the optimal basis of the smaller program is a
-    # feasible start once columns are appended, so phase 1 is skipped
+def _resumed_rounds(rng, redundant=False):
+    """A cutting-plane-like sequence on one live Program: each round appends
+    a column x_j >= 0 and changes two costs, past the initial column
+    capacity 2 (m + n).  Yields (program, result, lp) per round, lp being
+    the same program built from scratch."""
+    m, n, k = 3, 6, 14
+    a = rng.normal(size=(m, n + k))
+    if redundant:
+        a[2] = a[0] + a[1]  # a dependent row keeps an artificial basic at zero
+    upper = np.where(rng.random(n + k) < 0.5, rng.uniform(0.5, 2.0, n + k), math.inf)
+    upper[n:] = math.inf
+    b = a[:, :n] @ (rng.random(n) * np.minimum(upper[:n], 1.0))
+    cost = rng.uniform(0.1, 2.0, n + k) * rng.choice([-1.0, 1.0], n + k)
+    lp = simplex.make_lp(cost[:n], a[:, :n], b, upper=upper[:n])
+    program = simplex.Program(lp)
+    yield program, program.solve(), lp
+    for j in range(n, n + k):
+        program.add_column(a[:, j], cost[j])
+        cost[:2] = rng.uniform(-2.0, 2.0, 2)
+        program.set_cost(slice(0, 2), cost[:2])
+        lp = simplex.make_lp(cost[: j + 1], a[:, : j + 1], b, upper=upper[: j + 1])
+        yield program, program.solve(), lp
+
+
+@pytest.mark.parametrize("redundant", [False, True])
+def test_program_resumes_to_the_cold_optimum(redundant):
+    # appending a column at its lower bound or changing costs leaves the
+    # basis feasible: every resumed solve must reach the cold solve's optimum
     rng = np.random.default_rng(99)
-    for _ in range(10):
-        m, n = 3, 8
-        a = rng.normal(size=(m, n + 4))
-        lower = np.zeros(n + 4)
-        upper = np.where(rng.random(n + 4) < 0.5, rng.uniform(0.5, 2.0, n + 4), math.inf)
-        anchor = rng.random(n) * np.minimum(upper[:n], 1.0)
-        cost = rng.uniform(0.1, 2.0, n + 4) * rng.choice([-1.0, 1.0], n + 4)
-        small = simplex.make_lp(cost[:n], a[:, :n], a[:, :n] @ anchor, lower[:n], upper[:n])
-        first = simplex.solve_dense(small)
-        if first.status != simplex.OPTIMAL or first.basis is None:
-            continue
-        big = simplex.make_lp(cost, a, small.b_eq, lower, upper)
-        cold = simplex.solve_dense(big)
-        warm = simplex.solve_dense(big, basis=first.basis)
-        assert warm.status == cold.status
-        if cold.status == simplex.OPTIMAL:
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
-            np.testing.assert_allclose(a @ warm.x, big.b_eq, atol=1e-8)
+    optimal = 0
+    for _ in range(20):
+        for program, res, lp in _resumed_rounds(rng, redundant):
+            cold = simplex.solve_dense(lp)
+            assert res.status == cold.status
+            if cold.status != simplex.OPTIMAL:
+                continue
+            optimal += 1
+            assert res.objective == pytest.approx(cold.objective, abs=1e-8)
+            np.testing.assert_allclose(lp.a_eq @ res.x, lp.b_eq, atol=1e-8)
+            assert np.all(res.x >= lp.lower - 1e-9) and np.all(res.x <= lp.upper + 1e-9)
+            assert res.x.shape == (program.n,)
+    assert optimal >= 40
 
 
-def test_warm_start_falls_back_on_a_bad_basis():
-    lp = simplex.make_lp([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0]], [1.0])
-    cold = simplex.solve_dense(lp)
-    assert cold.status == simplex.OPTIMAL and cold.basis is not None
-    # the optimal basis needs only the final pricing pass; starts at x_0 = 1
-    # or x_1 = 1 are feasible but not optimal
-    assert simplex.solve_dense(lp, basis=cold.basis).iterations == 1 < cold.iterations
-    for start in ([0], [1], [2]):
-        res = simplex.solve_dense(lp, basis=start)
-        assert res.status == simplex.OPTIMAL
-        assert res.objective == pytest.approx(cold.objective, abs=1e-12)
-    # here basis [0] puts x_0 = -1 below its bound, so the cold start runs
-    flipped = simplex.make_lp([1.0, 2.0, 0.0], [[1.0, -1.0, 1.0]], [-1.0])
-    assert simplex.solve_dense(flipped, basis=[0]).objective == pytest.approx(
-        simplex.solve_dense(flipped).objective, abs=1e-12
-    )
-    with pytest.raises(DimensionMismatch):
-        simplex.solve_dense(lp, basis=[0, 1])
-    with pytest.raises(DimensionMismatch):
-        simplex.solve_dense(lp, basis=[3])
+def test_program_duals_solve_the_final_basis():
+    # the duals of the last pricing pass are B^-T c_B of the final basis
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(20):
+        for program, res, lp in _resumed_rounds(rng):
+            if res.status != simplex.OPTIMAL:
+                continue
+            basis = program.basis
+            fresh = np.linalg.solve(lp.a_eq[:, basis].T, lp.cost[basis])
+            np.testing.assert_array_equal(res.duals, fresh)
+            rc = lp.cost - res.duals @ lp.a_eq
+            # priced out: no column can move into its box and lower the cost
+            assert np.all((rc > -1e-8) | (res.x >= lp.upper - 1e-9))
+            assert np.all((rc < 1e-8) | (res.x <= lp.lower + 1e-9))
+            checked += 1
+    assert checked >= 40
 
 
 def test_iteration_count_reported():
