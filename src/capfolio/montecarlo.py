@@ -5,9 +5,14 @@ so only the controlled wealth carries Euler discretization error.  Noise is
 counter-based: step k draws from a Philox stream keyed (seed, k), and path
 i reads row i of that step's block, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
-`run_policy` is one loop over running state: each step draws its block once
-and advances the vectors ln z and x, so memory is O(n_paths) whatever
-n_steps is, and only the terminal values are kept.
+`run_policy` is one loop over running state in two legs.  The deflator leg
+draws step k's block once and advances ln z; it depends on the seed and the
+market alone, so a worker thread runs it one step ahead of the wealth leg,
+which evaluates the policy and advances x on the caller's thread.  Every
+array operation is the one a single loop would make, on the same arrays in
+the same order, so the results are the same bits.  Only the running vectors
+and the next step's are held, so memory is O(n_paths) whatever n_steps is,
+and only the terminal values are kept.
 """
 
 from __future__ import annotations
@@ -55,6 +60,20 @@ def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt:
     return gen.standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
 
 
+def _deflator_leg(model: MarketModel, seed: int, k: int, t: float, dt: float, thetas, log_z):
+    """Step k of the deflator from time t: (segment, increments, z_k, ln z_{k+1}).
+
+    It runs on a worker thread, so it calls private helpers, `MarketModel`
+    methods and numpy only: the benchmark's tracer keeps one span stack per
+    process, which a public function of the package called here would corrupt.
+    """
+    s = model.segment_index(t)
+    theta = thetas[s]
+    dw = _step_increments(model, seed, k, log_z.size, dt)
+    drift = -(model.rate[s] + 0.5 * float(theta @ theta)) * dt
+    return s, dw, np.exp(log_z), log_z + drift - dw @ theta
+
+
 def _policy_evaluator(policy, x0):
     """Adapt a payoff or a policy callable to (t, z_vector) -> allocations."""
     if isinstance(policy, Payoff):
@@ -82,7 +101,17 @@ def run_policy(
     -(r + ||theta||^2 / 2) dt and variance ||theta||^2 dt (coefficients at
     the left endpoint, so z itself has no Euler bias), and the wealth by
     dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at the left
-    endpoint from z there.  Memory is O(n_paths) whatever n_steps is.
+    endpoint from z there.
+
+    The step runs in two legs.  The deflator leg (segment lookup, draw,
+    z = exp(ln z) and the ln z step) needs only the seed and the market; a
+    worker thread runs it one step ahead, so step k + 1's leg is submitted
+    before the wealth leg of step k starts on the caller's thread, and the
+    two overlap inside numpy and scipy, which release the interpreter lock.
+    Each array operation is the same one on the same arrays as in a single
+    loop, so the results are bit-identical to it.  The worker is joined
+    before `run_policy` returns or raises.  Memory is O(n_paths) whatever
+    n_steps is.
 
     policy is either an `lpm.Payoff` -- `lpm.payoff(solution)` of a
     shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated through
@@ -94,6 +123,10 @@ def run_policy(
     the L1 error of the terminal wealth against the closed form shrinks like
     about sqrt(dt): doubling the steps divides it by about sqrt(2), not 2.
     """
+    # imported here so that importing the module (as `baseline` does) does
+    # not load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     evaluate, start = _policy_evaluator(policy, x0)
     if n_paths < 1 or n_steps < 1:
         raise DomainError(
@@ -105,29 +138,29 @@ def run_policy(
     final_policy_time = model.horizon - dt
     # the market's coefficient tuples as arrays, once per run
     drifts, vols, thetas = np.asarray(model.drift), np.asarray(model.vol), np.asarray(model.theta)
-    log_z = np.zeros(n_paths)
     x = np.full(n_paths, float(start))
-    for k in range(n_steps):
-        t = times[k]
-        s = model.segment_index(t)
-        theta = thetas[s]
-        rate = model.rate[s]
-        dw = _step_increments(model, seed, k, n_paths, dt)
-        pi = np.atleast_2d(evaluate(min(t, final_policy_time), np.exp(log_z)))
-        if pi.shape != (n_paths, model.n_assets):
-            raise DimensionMismatch(
-                f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
-            )
-        vol = vols[s]
-        # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
-        # same bits, without its per-call cost
-        noise = 0.0
-        for j in range(model.n_assets):
-            for i in range(model.n_assets):
-                noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
-        x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
-        drift = -(rate + 0.5 * float(theta @ theta)) * dt
-        log_z = log_z + drift - dw @ theta
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        leg = ahead.submit(_deflator_leg, model, seed, 0, times[0], dt, thetas, np.zeros(n_paths))
+        for k in range(n_steps):
+            s, dw, z, log_z = leg.result()
+            if k + 1 < n_steps:
+                leg = ahead.submit(
+                    _deflator_leg, model, seed, k + 1, times[k + 1], dt, thetas, log_z
+                )
+            pi = np.atleast_2d(evaluate(min(times[k], final_policy_time), z))
+            if pi.shape != (n_paths, model.n_assets):
+                raise DimensionMismatch(
+                    f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
+                )
+            rate = model.rate[s]
+            vol = vols[s]
+            # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
+            # same bits, without its per-call cost
+            noise = 0.0
+            for j in range(model.n_assets):
+                for i in range(model.n_assets):
+                    noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
+            x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
     return PathEnsemble(
         n_paths=n_paths,
         n_steps=n_steps,

@@ -8,9 +8,13 @@ serves only the array kernels, which import it inside the function, so the
 commands that evaluate no surface never load it. numpy serves only the array
 path (`surface`, `montecarlo`, `baseline`, `simplex`), which the CLI imports
 inside the commands that use it (`tests/test_cli.py` checks in a fresh
-interpreter that `solve` and `frontier` never load it).
+interpreter that `solve` and `frontier` never load it).  `montecarlo` imports
+its thread pool inside `run_policy`, so importing the CLI or `baseline` does
+not load `concurrent.futures`.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +151,16 @@ def test_scalar_modules_import_no_numpy_at_module_level(name):
 def test_checker_flags_module_level_numpy():
     source = "import math\nfrom numpy.polynomial.legendre import leggauss\n"
     assert "numpy" in [name for _, name in _module_level_imports(source)]
+
+
+def test_cli_and_baseline_imports_load_no_thread_pool():
+    src = str(Path(capfolio.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import capfolio.cli, capfolio.baseline; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.split() == ["False"]

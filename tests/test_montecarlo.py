@@ -1,5 +1,8 @@
 """Path simulation, policy replication, and risk estimators."""
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -247,6 +250,96 @@ def test_run_policy_matches_two_pass_reference_bit_for_bit(example1, example2):
         z_ref, x_ref = _two_pass_reference(model, payoff, 257, 24, 19)
         np.testing.assert_array_equal(out.z_terminal, z_ref[:, -1])
         np.testing.assert_array_equal(out.x_terminal, x_ref[:, -1])
+
+
+def test_run_policy_matches_two_pass_reference_across_segments():
+    # breaks at 0.3, between the step times k / 16, and at 0.5 = 8 / 16,
+    # exactly on one; rate and theta change at each
+    model = market.validate_market(
+        1.0, [0.03, 0.06, 0.045], [0.09, 0.10, 0.12], [0.2, 0.15, 0.25],
+        breakpoints=[0.0, 0.3, 0.5],
+    )
+    assert 0.5 in np.linspace(0.0, 1.0, 17) and 0.3 not in np.linspace(0.0, 1.0, 17)
+    prob = lpm.LpmProblem(x0=1.0, d=1.2, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
+    payoff = lpm.payoff(lpm.solve_lpm(prob, model))
+    out = montecarlo.run_policy(model, payoff, 257, 16, seed=23)
+    z_ref, x_ref = _two_pass_reference(model, payoff, 257, 16, 23)
+    np.testing.assert_array_equal(out.z_terminal, z_ref[:, -1])
+    np.testing.assert_array_equal(out.x_terminal, x_ref[:, -1])
+
+
+def _record_draws(monkeypatch, delay=0.0):
+    """Log the step of every block draw, sleeping delay seconds on odd steps."""
+    calls = []
+    draw = montecarlo._step_increments
+
+    def recorded(*args):
+        calls.append(args[2])
+        if delay and args[2] % 2:
+            time.sleep(delay)
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_step_increments", recorded)
+    return calls
+
+
+def test_run_policy_results_do_not_depend_on_timing(example1, example2, monkeypatch):
+    # the deflator leg runs ahead on a worker: slowing its draws on alternate
+    # steps changes which leg waits, never the bits or the draw order
+    runs = [(m, p, montecarlo.run_policy(m, p, 64, 12, seed=29))
+            for m, p in _example_payoffs(example1, example2)]
+    calls = _record_draws(monkeypatch, delay=0.003)
+    for model, payoff, want in runs:
+        calls.clear()
+        out = montecarlo.run_policy(model, payoff, 64, 12, seed=29)
+        np.testing.assert_array_equal(out.z_terminal, want.z_terminal)
+        np.testing.assert_array_equal(out.x_terminal, want.x_terminal)
+        assert calls == list(range(12))
+
+
+def test_concurrent_runs_match_sequential_ones(example1, example2):
+    # four callers with a worker each, eight threads on a 10 us switch
+    # interval: no run reads or moves another's state
+    jobs = _example_payoffs(example1, example2) * 2
+    wants = [montecarlo.run_policy(m, p, 64, 12, seed=31) for m, p in jobs]
+    results = [None] * len(jobs)
+
+    def run(i, model, payoff):
+        results[i] = montecarlo.run_policy(model, payoff, 64, 12, seed=31)
+
+    threads = [threading.Thread(target=run, args=(i, *job)) for i, job in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, wants):
+        np.testing.assert_array_equal(got.z_terminal, want.z_terminal)
+        np.testing.assert_array_equal(got.x_terminal, want.x_terminal)
+
+
+def test_run_policy_leaves_no_worker_behind(example1, monkeypatch):
+    calls = _record_draws(monkeypatch)
+    threads = threading.active_count()
+    montecarlo.run_policy(example1, _zero, 16, 8, seed=2, x0=1.0)
+    assert threading.active_count() == threads
+
+    def bad_at_step_3(t, z):
+        bad_at_step_3.calls += 1
+        return np.zeros((z.size, 2 if bad_at_step_3.calls > 3 else 1))
+
+    bad_at_step_3.calls = 0
+    calls.clear()
+    with pytest.raises(DimensionMismatch):
+        montecarlo.run_policy(example1, bad_at_step_3, 16, 8, seed=2, x0=1.0)
+    assert threading.active_count() == threads
+    # step 4's block was drawn ahead of the failing wealth step 3, no later one
+    assert calls == list(range(5))
 
 
 def test_run_policy_memory_does_not_grow_with_steps(example1):
