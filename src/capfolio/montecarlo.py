@@ -103,15 +103,12 @@ def run_policy(
     dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at the left
     endpoint from z there.
 
-    The step runs in two legs.  The deflator leg (segment lookup, draw,
-    z = exp(ln z) and the ln z step) needs only the seed and the market; a
-    worker thread runs it one step ahead, so step k + 1's leg is submitted
-    before the wealth leg of step k starts on the caller's thread, and the
-    two overlap inside numpy and scipy, which release the interpreter lock.
-    Each array operation is the same one on the same arrays as in a single
-    loop, so the results are bit-identical to it.  The worker is joined
-    before `run_policy` returns or raises.  Memory is O(n_paths) whatever
-    n_steps is.
+    Step k + 1's deflator leg (segment lookup, draw, z = exp(ln z), the
+    ln z step) goes to a one-worker pool before the wealth leg of step k
+    starts on the caller's thread; the two overlap inside numpy and scipy,
+    which release the interpreter lock, and the results are bit-identical
+    to a single loop.  The worker is joined before `run_policy` returns or
+    raises.  Memory is O(n_paths) whatever n_steps is.
 
     policy is either an `lpm.Payoff` -- `lpm.payoff(solution)` of a
     shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated through
