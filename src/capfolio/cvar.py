@@ -13,10 +13,9 @@ The minimizer is one root in the cap threshold delta.  The q=1 solution
 pays B on {z <= delta}, gamma up to delta + rho and 0 beyond, with
 multipliers eta = 1/rho and lam = delta/rho, so J'(alpha) = 0 reads
 beta = H_0(delta) + lpm.ramp(delta, rho), free of gamma.  Below delta_beta,
-H_0(delta_beta) = beta, the ramp rises in rho from 0 to 1 - H_0(delta), so
-rho(delta) is one root in ln rho, and ramp(delta, rho) <= H_0(delta + rho)
-- H_0(delta) makes the flat width delta_beta - delta its lower end.  The
-budget fixes gamma = (x0 - B H_1(delta)) / (H_1(delta + rho) - H_1(delta)),
+H_0(delta_beta) = beta, rho(delta) is the width of the sloped branch that
+funds beta - H_0(delta), `lpm.branch_width` with p = 0.  The budget fixes
+gamma = (x0 - B H_1(delta)) / (H_1(delta + rho) - H_1(delta)),
 and the mean gap B H_0(delta) + gamma (H_0(delta + rho) - H_0(delta)) - d
 rises in delta on [0, min(delta_beta, delta_bar)], H_1(delta_bar) = x0/B
 (tests/test_random_markets.py checks its signs on random markets).  At the
@@ -195,27 +194,13 @@ def j_derivative(problem: CvarProblem, model: MarketModel, alpha) -> float:
 
 def _reduction(problem: CvarProblem, ctx):
     """(curve, top): curve(delta) is (mean gap, gamma) where J'(alpha) = 0 at
-    the cap threshold delta in [0, top] (module docstring).
-
-    The ramp weight is at least 1 - s on the first s of the branch, so with
-    s = (room - need) / (room + need) the width w / s, H_0(delta + w) =
-    (1 + beta) / 2, funds at least need = beta - H_0(delta): the upper end.
-    """
+    the cap threshold delta in [0, top] (module docstring)."""
     x0, cap, beta = problem.x0, problem.cap, problem.beta
-    delta_beta, far = (
-        math.exp(ctx.m0 + ctx.nu0 * std_normal_quantile(p)) for p in (beta, 0.5 + 0.5 * beta)
-    )
+    delta_beta = math.exp(ctx.m0 + ctx.nu0 * std_normal_quantile(beta))
 
     def curve(delta):
         h0, h1 = (partial_moment_H_ext(ctx, p, delta) for p in (0.0, 1.0))
-        need, room = beta - h0, 1.0 - h0
-        rho = 0.0
-        if need > 0.0 and delta < delta_beta:
-            s = (room - need) / (room + need)
-            rho = math.exp(find_root_1d(
-                lambda x: lpm.ramp(ctx, 0.0, delta, math.exp(x)) / need - 1.0,
-                math.log(delta_beta - delta), math.log((far - delta) / s), tol=1e-13,
-            ).root)
+        rho = lpm.branch_width(ctx, 0.0, delta, h0, beta - h0, True)
         dh1 = partial_moment_H_ext(ctx, 1.0, delta + rho) - h1
         spare = x0 - cap * h1
         if not dh1 > 0.0:  # the delta_beta limit

@@ -18,15 +18,15 @@ The optimal X takes at most three values/branches in the deflator z:
 
 where (lam, eta) are the multipliers of the mean and budget constraints.
 Internally the solve runs in the thresholds delta = lam/eta and
-rho = (upper threshold) - delta. Given delta, the budget equation fixes rho
-(in closed form for q <= 1, as a root bracketed in closed form for q = 2):
-this is the budget curve, and the mean of its payoff rises with delta from
-its low end, the rich threshold (or delta = 0), to delta_bar =
-H_1^{-1}(x0/cap). Both bounds of the target are read off the curve: d_lower
-is the mean at the low end and d_upper the mean at delta_bar, where rho = 0.
-So every Regular instance is one bracketed root in delta with a guaranteed
-sign change, and the DegenerateLowTarget solution is the low end itself;
-for q = 2 a damped Newton on (ln delta, ln rho) runs first.
+rho = (upper threshold) - delta. Given delta, the budget equation fixes rho,
+the width of a flat (q <= 1) or sloped (q = 2) branch (`branch_width`, which
+`cvar` shares): this is the budget curve, and the mean of its payoff rises
+with delta from its low end, the rich threshold (or delta = 0), to
+delta_bar = H_1^{-1}(x0/cap). Both bounds of the target are read off the
+curve: d_lower is the mean at the low end and d_upper the mean at delta_bar,
+where rho = 0. So every Regular instance is one bracketed root in ln delta
+with a guaranteed sign change, and the DegenerateLowTarget solution is the
+low end itself; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
 
 `payoff` turns a solution into a piecewise-linear Payoff. The closed-form
 wealth process x*(t, z) and dollar policy pi*(t, z) that replicate any
@@ -58,6 +58,7 @@ from .kernels import (
     PartialMomentContext,
     partial_moment_H_ext,
     std_normal_pdf,
+    std_normal_quantile,
     truncated_exp_moment,
 )
 from .market import MarketModel, deflator_context, expected_deflator
@@ -77,6 +78,7 @@ __all__ = [
     "solve_lpm",
     "payoff",
     "ramp",
+    "branch_width",
     "expected_terminal_wealth",
     "hit_probability",
     "wealth_envelope",
@@ -396,75 +398,88 @@ def _solve_regular_newton(ctx, problem, delta0):
     return delta, rho
 
 
-def _branch_width(ctx, problem, delta):
-    """rho such that the middle branch spends the budget the cap branch
-    {z <= delta} leaves, E[z X] = x0: 0 at delta_bar, unbounded at the rich
-    threshold.
+def branch_width(
+    ctx: PartialMomentContext, p: float, delta: float, h: float, need: float, sloped: bool
+) -> float:
+    """Width w of a branch (delta, delta + w] that funds need, for p in {0, 1}
+    and h = H_p(delta); 0 when need <= 0.
 
-    The flat branch (q <= 1) inverts H_1 in closed form. The ramp (q = 2)
-    funds more as rho grows, and two closed-form widths bracket its root:
-    X* < gamma on the ramp, so the flat width funds at most the budget left;
-    X* >= gamma (1 - s) on the first s of the ramp, so the width w / s funds
-    at least it when gamma (1 - s) (H_1(delta + w) - H_1(delta)) is the
-    budget left.
-    """
-    x0, cap, gamma = problem.x0, problem.cap, problem.gamma
-    h1 = partial_moment_H_ext(ctx, 1.0, delta)
-    left = (x0 - cap * h1) / gamma
-    if left <= 0.0:
+    A flat branch funds H_p(delta + w) - h, inverted in closed form and
+    stopped 1e-15 of the supremum of H_p short of it, where the inverse is
+    still defined after rounding. A sloped branch funds ramp(p, delta, w),
+    unbounded once need reaches that room. Its weight lies in [1 - s, 1] on
+    the first s of the branch, so the flat width and w / s, where the flat
+    width w funds need / (1 - s), bracket its root in ln w."""
+
+    def inverse(target):  # y with H_p(y) = target
+        if p == 1.0:
+            return kernels.invert_H1(ctx, target)
+        return math.exp(ctx.m0 + ctx.nu0 * std_normal_quantile(target))
+
+    if need <= 0.0:
         return 0.0
-    # H_1 stops 1e-15 E[z] short of its supremum here, where its inverse is
-    # still defined after rounding; a flat branch that would reach further
-    # ends there, a ramp is unbounded
-    room = ctx.mean * (1.0 - 1e-15) - h1
-    if left >= room:
-        if problem.q == 2.0:
+    room = (ctx.mean if p == 1.0 else 1.0) * (1.0 - 1e-15) - h
+    if need >= room:
+        if sloped:
             return math.inf
-        left = room
-    flat = kernels.invert_H1(ctx, h1 + left) - delta
-    if problem.q != 2.0 or flat <= 0.0:
+        need = room
+    flat = inverse(h + need) - delta
+    if not sloped or flat <= 0.0:
         return max(flat, 0.0)
-    # s puts left / (1 - s) = (room + left) / 2 midway to room; the quotient
-    # is taken in that form, since 1 - s rounds to 0 when left < eps room / 2
-    s = (room - left) / (room + left)
-    most = (kernels.invert_H1(ctx, h1 + 0.5 * (room + left)) - delta) / s
+    # s puts need / (1 - s) = (room + need) / 2 midway to room; the quotient
+    # is taken in that form, since 1 - s rounds to 0 when need < eps room / 2
+    s = (room - need) / (room + need)
+    most = (inverse(h + 0.5 * (room + need)) - delta) / s
 
-    def price_gap(x):
-        return ramp(ctx, 1.0, delta, math.exp(x)) / left - 1.0
+    def gap(x):
+        return ramp(ctx, p, delta, math.exp(x)) / need - 1.0
 
     try:
-        x = find_root_1d(price_gap, math.log(flat), math.log(most), tol=1e-13).root
+        x = find_root_1d(gap, math.log(flat), math.log(most), tol=1e-13).root
     except NoSignChange:
-        # within ulps of delta_bar the ramp prices a branch a few ulps wide
-        # at more than the budget left even at the flat width: the branch is
+        # within ulps of the end of the curve the ramp prices a branch a few
+        # ulps wide at more than need even at the flat width: the branch is
         # below resolution, and the flat width is the width
-        if price_gap(math.log(flat)) < 0.0:
+        if gap(math.log(flat)) < 0.0:
             raise
         return flat
     return math.exp(x)
+
+
+def _branch_width(ctx, problem, delta):
+    """rho such that the middle branch spends the budget the cap branch
+    {z <= delta} leaves, E[z X] = x0: flat for q <= 1, a ramp for q = 2."""
+    h1 = partial_moment_H_ext(ctx, 1.0, delta)
+    left = (problem.x0 - problem.cap * h1) / problem.gamma
+    return branch_width(ctx, 1.0, delta, h1, left, problem.q == 2.0)
 
 
 def _solve_regular_nested(ctx, problem, curve):
     """Exact 1-D reduction of the Regular system, for every q.
 
     _branch_width pins rho given delta through the budget equation, and the
-    mean gap E[X] - d is bracketed in delta on [delta_low, delta_bar], the
-    ends of the budget curve. At delta_bar the cap branch spends the whole
-    budget (rho = 0) and the gap is d_upper - d > 0; at delta_low it is
-    d_lower - d < 0, the same value the classification compared. Along the
-    curve the multiplier lam = delta eta rises with delta, so the root is
-    unique.
-    """
+    mean gap E[X] - d is bracketed in x = ln delta, which spans decades at
+    large nu0, on [low, ln delta_bar]. The gap is d_upper - d > 0 at
+    delta_bar (rho = 0) and is taken as d_lower - d < 0, the value the
+    classification compared, at low: ln delta_low, or when delta_low = 0 a
+    level where H_0 and H_1 vanish (z-score -40) and, for the q = 2 ramp
+    whose shape is that of delta / rho, delta < eps rho_low. lam = delta eta
+    rises along the curve, so the root is unique."""
+    if curve.delta_low > 0.0:
+        low = math.log(curve.delta_low)
+    else:
+        low = min(math.log(curve.rho_low) - 37.0, ctx.m0 - 40.0 * ctx.nu0)
+    widths = {low: curve.rho_low}  # so the root's own width is not solved again
 
-    def mean_gap(delta):
-        if delta == curve.delta_low:
-            rho = curve.rho_low
-        else:
-            rho = _branch_width(ctx, problem, delta)
+    def mean_gap(x):
+        if x == low:
+            return curve.d_lower - problem.d
+        delta = math.exp(x)
+        widths[x] = rho = _branch_width(ctx, problem, delta)
         return _payoff_moment(ctx, problem, 0.0, delta, rho) - problem.d
 
-    delta = find_root_1d(mean_gap, curve.delta_low, curve.delta_bar, tol=0.0).root
-    return delta, _branch_width(ctx, problem, delta)
+    x = find_root_1d(mean_gap, low, math.log(curve.delta_bar), tol=0.0).root
+    return math.exp(x), widths[x]
 
 
 def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
@@ -472,12 +487,11 @@ def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
 
     Regular instances are solved by one exact monotone 1-D reduction for
     every q: the budget equation pins the width rho of the middle branch
-    given the cap threshold delta (closed form for q <= 1, a root bracketed
-    in closed form for q = 2), and the mean equation is bracketed in delta
-    between the thresholds of d_lower and d_upper. For q = 2 a damped Newton
-    on (ln delta, ln rho) from delta = H_1^{-1}(x0 / cap), rho = 1 runs
-    first and the reduction is its fallback. Degenerate instances have
-    one-line closed forms.
+    given the cap threshold delta (`branch_width`), and the mean equation
+    is bracketed in ln delta between the thresholds of d_lower and d_upper.
+    For q = 2 a damped Newton on (ln delta, ln rho) from
+    delta = H_1^{-1}(x0 / cap), rho = 1 runs first and the reduction is its
+    fallback. Degenerate instances have one-line closed forms.
 
     Raises SolverDiverged when the Regular solve fails.
     """

@@ -614,6 +614,78 @@ def test_q2_branch_below_resolution_takes_the_flat_width():
     _assert_constraints(sol, prob, model, tol=1e-13)
 
 
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_target_at_high_nu0_solves(q):
+    # nu0 = 15.16 puts delta_bar at 9.3e36 and the root at 7.6e-40: a
+    # bracket linear in delta ran out of Brent's 200 iterations before it
+    # reached the scale of the root
+    horizon = 15.38
+    model = market.validate_market(horizon, 0.0793, 0.3882, 0.0799)
+    prob = lpm.LpmProblem(x0=1.0, d=109.61, gamma=6.978, cap=114.19, q=q, horizon=horizon)
+    sol = lpm.solve_lpm(prob, model)
+    assert sol.multipliers.case == lpm.REGULAR
+    _assert_constraints(sol, prob, model)
+
+
+def test_embedded_cvar_instance_at_high_nu0_solves():
+    # the q = 1 instance a random-market CVaR check embeds at alpha* + h,
+    # on a market with nu0 = 14.25
+    horizon = 8.854489739267022
+    model = market.validate_market(
+        horizon, 0.05139994420418603, 1.285238214998207, 0.2576165927902846
+    )
+    prob = lpm.LpmProblem(
+        x0=1.0, d=1.6629376213616962, gamma=1.6627799850657043,
+        cap=1.6629376213631335, q=1.0, horizon=horizon,
+    )
+    sol = lpm.solve_lpm(prob, model)
+    assert sol.multipliers.case == lpm.REGULAR
+    _assert_constraints(sol, prob, model)
+
+
+@pytest.mark.parametrize("sloped", [False, True])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_branch_width_funds_the_need(example1, p, sloped):
+    ctx = market.deflator_context(example1)
+    sup = ctx.mean if p == 1.0 else 1.0
+    for delta in (0.3, 0.8, 1.5):
+        h = kernels.partial_moment_H_ext(ctx, p, delta)
+        for frac in (1e-9, 1e-3, 0.5, 0.999):
+            need = frac * (sup - h)
+            width = lpm.branch_width(ctx, p, delta, h, need, sloped)
+            if sloped:
+                assert lpm.ramp(ctx, p, delta, width) == pytest.approx(need, rel=1e-13)
+            else:  # the inverse's own equation, free of the cancellation
+                # in H_p(delta + width) - h
+                reached = kernels.partial_moment_H_ext(ctx, p, delta + width)
+                assert reached == pytest.approx(h + need, rel=1e-13)
+        for need in (0.0, -0.1):
+            assert lpm.branch_width(ctx, p, delta, h, need, sloped) == 0.0
+        # at or beyond the room under the supremum of H_p a ramp is
+        # unbounded, and a flat branch stops short of the supremum
+        widest = lpm.branch_width(ctx, p, delta, h, sup - h, sloped)
+        if sloped:
+            assert widest == math.inf
+        else:
+            assert math.isfinite(widest)
+            assert lpm.branch_width(ctx, p, delta, h, 10.0 * sup, sloped) == widest
+            assert widest > lpm.branch_width(ctx, p, delta, h, 0.999 * (sup - h), sloped)
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.95, 0.99])
+def test_branch_width_just_below_delta_beta(example2, beta):
+    # the CVaR condition beta = H_0(delta) + ramp(0, delta, rho) where the
+    # need beta - H_0(delta) is a few 1e-9: a short sloped branch
+    ctx = market.deflator_context(example2)
+    delta = math.exp(ctx.m0 + ctx.nu0 * kernels.std_normal_quantile(beta)) * (1.0 - 1e-8)
+    h = kernels.partial_moment_H_ext(ctx, 0.0, delta)
+    need = beta - h
+    assert 0.0 < need < 1e-8
+    width = lpm.branch_width(ctx, 0.0, delta, h, need, True)
+    assert 0.0 < width < 1e-6 * delta
+    assert lpm.ramp(ctx, 0.0, delta, width) == pytest.approx(need, rel=1e-13)
+
+
 def test_ramp_rule_matches_gauss_legendre():
     from numpy.polynomial.legendre import leggauss
 

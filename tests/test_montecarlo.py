@@ -352,6 +352,9 @@ def test_run_policy_memory_does_not_grow_with_steps(example1):
         )
     )
     n_paths = 2000
+    # a short run first, so that the imports and caches of the first policy
+    # evaluation are not counted as the run's memory
+    montecarlo.run_policy(example1, payoff, 10, 2, seed=1)
     tracemalloc.start()
     try:
         montecarlo.run_policy(example1, payoff, n_paths, 512, seed=1)

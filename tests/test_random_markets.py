@@ -26,7 +26,7 @@ import random
 import pytest
 
 from capfolio import cvar, lpm, market, meanvar, surface
-from capfolio.errors import CapfolioError, TargetTooHigh
+from capfolio.errors import CapfolioError, SolverDiverged, TargetTooHigh
 
 SEED = 20241018
 N_INSTANCES = 200
@@ -96,7 +96,7 @@ def _lpm_solve(prob, model):
 @pytest.fixture(scope="module")
 def lpm_outcomes():
     return [
-        (label, prob, _lpm_solve(prob, model))
+        (label, model, prob, _lpm_solve(prob, model))
         for label, model, prob in _lpm_draws()
         if model is not None
     ]
@@ -119,16 +119,28 @@ def _lpm_violations(prob, sol):
 
 def test_lpm_sweep_solves_or_raises_a_documented_error(lpm_outcomes):
     failures = []
-    for label, prob, sol in lpm_outcomes:
+    for label, _, prob, sol in lpm_outcomes:
         if not isinstance(sol, CapfolioError):
             failures += [f"{label}: {v}" for v in _lpm_violations(prob, sol)]
     assert failures == []
 
 
+def test_lpm_sweep_diverges_only_near_a_bound_at_low_nu0(lpm_outcomes):
+    # the documented errors: targets within 5e-11 of the range below d_upper
+    # on markets whose nu0 is below 2e-3
+    diverged = [
+        (market.deflator_context(model).nu0, label)
+        for label, model, _, sol in lpm_outcomes
+        if isinstance(sol, SolverDiverged)
+    ]
+    assert len(diverged) <= 10
+    assert [item for item in diverged if not item[0] < 2e-3] == []
+
+
 def test_lpm_draws_cover_every_case_and_order(lpm_outcomes):
     kinds = {
         (prob.q, sol.multipliers.case)
-        for _, prob, sol in lpm_outcomes
+        for _, _, prob, sol in lpm_outcomes
         if not isinstance(sol, CapfolioError)
     }
     cases = (lpm.REGULAR, lpm.DEGENERATE_LOW_TARGET, lpm.DEGENERATE_RICH)
