@@ -173,6 +173,10 @@ def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None
             raise ConfigError(
                 f"run.z_grid.{name} must be a positive number, got {window[name]!r}"
             )
+    if "points" not in window and ("lo" in window or "hi" in window):
+        lo, hi = _z_window(run, model)
+        if hi < lo:
+            raise ConfigError(f"run.z_grid window [{lo}, {hi}] has lo above hi")
     count, (low, high) = window.get("count", 400), _Z_GRID_COUNT
     if isinstance(count, bool) or not isinstance(count, int) or not low <= count <= high:
         raise ConfigError(
@@ -375,27 +379,31 @@ def load_solution(path):
     return model, lambda t, z: surface.wealth(payoff, t, z)
 
 
-def _policy_time(config: RunConfig) -> float:
-    return float(config.run.get("t", 0.5 * config.model.horizon))
+def _policy_time(run: dict, model: market.MarketModel) -> float:
+    return float(run.get("t", 0.5 * model.horizon))
 
 
-def _z_grid(config: RunConfig, t: float):
+def _z_window(run: dict, model: market.MarketModel):
+    """The z_grid window: run.z_grid.lo and .hi, else ln z(t) +- 4 sd."""
+    window = run.get("z_grid") or {}
+    full = market.deflator_moments(model, 0.0)
+    rest = market.deflator_moments(model, _policy_time(run, model))
+    mean_t = full.m - rest.m
+    sd_t = math.sqrt(max(full.nu**2 - rest.nu**2, 0.0))
+    lo = float(window.get("lo", math.exp(mean_t - 4.0 * sd_t)))
+    hi = float(window.get("hi", math.exp(mean_t + 4.0 * sd_t)))
+    return lo, hi
+
+
+def _z_grid(config: RunConfig):
     """The ascending deflator levels of the policy table, an ndarray."""
     import numpy as np
 
     window = config.run.get("z_grid") or {}
     if "points" in window:
         return np.asarray(window["points"], dtype=float)
-    # default window: +-4 standard deviations of ln z(t)
-    full = market.deflator_moments(config.model, 0.0)
-    rest = market.deflator_moments(config.model, t)
-    mean_t = full.m - rest.m
-    sd_t = math.sqrt(max(full.nu**2 - rest.nu**2, 0.0))
-    lo = float(window.get("lo", math.exp(mean_t - 4.0 * sd_t)))
-    hi = float(window.get("hi", math.exp(mean_t + 4.0 * sd_t)))
+    lo, hi = _z_window(config.run, config.model)
     count = window.get("count", 400)
-    if hi < lo:
-        raise ConfigError(f"bad z_grid window [{lo}, {hi}]")
     if hi == lo or count == 1:
         return np.array([lo])
     if window.get("spacing", "log") == "log":
@@ -409,8 +417,8 @@ def cmd_policy_table(config: RunConfig) -> int:
 
     from . import surface
 
-    t = _policy_time(config)
-    curve = surface.feedback_curve(_solved_policy(config), t, _z_grid(config, t))
+    t = _policy_time(config.run, config.model)
+    curve = surface.feedback_curve(_solved_policy(config), t, _z_grid(config))
     n = curve.pi.shape[1]
     header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
     table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
@@ -435,24 +443,14 @@ def cmd_frontier(config: RunConfig) -> int:
     return 0
 
 
-def _lpm_payoff(problem, model) -> lpm.Payoff:
-    return lpm.payoff(lpm.solve_lpm(problem, model))
-
-
-def _cvar_payoff(problem, model) -> lpm.Payoff:
-    return lpm.payoff(cvar.solve_cvar(problem, model).policy)
-
-
-def _mv_payoff(problem, model) -> lpm.Payoff:
-    return meanvar.mv_payoff(meanvar.solve_mv(problem, model), model)
-
-
-_PAYOFFS = {"lpm": _lpm_payoff, "cvar": _cvar_payoff, "mv": _mv_payoff}
-
-
 def _solved_policy(config: RunConfig) -> lpm.Payoff:
     """Solve the configured problem down to its optimal terminal payoff."""
-    return _PAYOFFS[config.kind](config.instance, config.model)
+    problem, model = config.instance, config.model
+    if config.kind == "lpm":
+        return lpm.payoff(lpm.solve_lpm(problem, model))
+    if config.kind == "cvar":
+        return lpm.payoff(cvar.solve_cvar(problem, model).policy)
+    return meanvar.mv_payoff(meanvar.solve_mv(problem, model), model)
 
 
 def cmd_simulate(config: RunConfig) -> int:

@@ -28,9 +28,9 @@ where rho = 0. So every Regular instance is one bracketed root in ln delta
 with a guaranteed sign change, and the DegenerateLowTarget solution is the
 low end itself; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
 
-`payoff` turns a solution into a piecewise-linear Payoff. The closed-form
-wealth process x*(t, z) and dollar policy pi*(t, z) that replicate any
-Payoff (Cox & Huang 1989), the mean-variance one of `meanvar.mv_payoff`
+`payoff` turns a solution into a piecewise-linear Payoff of end values, free
+of the multipliers. The wealth x*(t, z) and policy pi*(t, z) that replicate
+any Payoff (Cox & Huang 1989), the mean-variance one of `meanvar.mv_payoff`
 included, are evaluated over arrays of deflator levels by `surface`.
 
 Case tags: Regular (both multipliers positive), DegenerateLowTarget (mean
@@ -80,7 +80,6 @@ __all__ = [
     "ramp",
     "branch_width",
     "expected_terminal_wealth",
-    "hit_probability",
     "wealth_envelope",
 ]
 
@@ -164,8 +163,10 @@ class PolicySolution:
     `delta` and `rho` are the solved thresholds in z: the cap branch is
     {z <= delta} and the benchmark branch ends at delta + rho. For
     DegenerateRich, `delta` is the cap-branch threshold of the canonical
-    solution and `rho` is None. `multiple_solutions` flags the rich case
-    where the optimum is not unique.
+    solution and `rho` is None. `hit_prob` is P(X* = cap): P(z <= delta)
+    when Regular, 0 when the mean multiplier vanishes (DegenerateLowTarget)
+    and the cap mass of the canonical solution when rich, where
+    `multiple_solutions` flags that the optimum is not unique.
     """
 
     problem: LpmProblem
@@ -185,18 +186,20 @@ class PolicySolution:
 class Payoff:
     """Piecewise-linear terminal wealth in the terminal deflator z.
 
-    X(z) = constants[k] + slopes[k] z on (levels[k-1], levels[k]], with the
-    first branch starting at 0, and X(z) = 0 beyond the last level, which
-    may be +inf. Levels ascend; an empty branch repeats its lower level.
-    The wealth surface, policy and feedback curve of every solved problem
-    are read off this one type (`payoff`, `meanvar.mv_payoff`) by the
-    functions of `surface`.
+    On branch k, (levels[k-1], levels[k]] with the first from 0, X runs
+    linearly from starts[k] just above the lower level to ends[k] at the
+    upper one; a branch to +inf is flat, and X(z) = 0 beyond the last
+    level. Levels ascend; an empty branch repeats its lower level and falls
+    there from its start. End values keep the size of X where a line's
+    constant and slope grow like one over a short branch's width. The
+    wealth surface, policy and feedback curve of every solved problem are
+    read off this one type (`payoff`, `meanvar.mv_payoff`) by `surface`.
     """
 
     model: MarketModel
     levels: tuple
-    constants: tuple
-    slopes: tuple
+    starts: tuple
+    ends: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -593,22 +596,17 @@ def payoff(solution: PolicySolution) -> Payoff:
 
     Both branches start at the cap threshold delta: the cap branch
     {z <= delta} pays the cap, and the benchmark branch pays gamma up to
-    delta + rho for q <= 1, or falls from gamma at delta with slope -eta/2
-    for q = 2. The rich case pays gamma on every z > delta, and delta = 0
-    (DegenerateLowTarget) leaves the cap branch empty.
+    delta + rho for q <= 1, or falls from gamma at delta to 0 at
+    delta + rho for q = 2. The rich case pays gamma on every z > delta, and
+    delta = 0 (DegenerateLowTarget) leaves the cap branch empty.
     """
     prob, delta = solution.problem, solution.delta
-    if solution.multipliers.case == DEGENERATE_RICH:
-        hi = math.inf
-    else:
-        hi = delta + solution.rho
-    # the rich case has eta = 0, so its q = 2 branch is flat as well
-    half_eta = 0.5 * solution.multipliers.budget if prob.q == 2.0 else 0.0
+    rich = solution.multipliers.case == DEGENERATE_RICH
     return Payoff(
         model=solution.model,
-        levels=(delta, hi),
-        constants=(prob.cap, prob.gamma + half_eta * delta),
-        slopes=(0.0, -half_eta),
+        levels=(delta, math.inf if rich else delta + solution.rho),
+        starts=(prob.cap, prob.gamma),
+        ends=(prob.cap, 0.0 if prob.q == 2.0 and not rich else prob.gamma),
     )
 
 
@@ -621,16 +619,6 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
         below = partial_moment_H_ext(ctx, 0.0, delta)
         return (prob.cap - prob.gamma) * below + prob.gamma
     return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
-
-
-def hit_probability(solution: PolicySolution) -> float:
-    """P(X* = cap) of the solved terminal wealth.
-
-    For Regular cases this is the CDF of z at the threshold delta = lam/eta;
-    zero when the mean multiplier vanishes (DegenerateLowTarget); for the
-    rich case it is the cap mass of the canonical solution.
-    """
-    return solution.hit_prob
 
 
 def wealth_envelope(problem: LpmProblem, model: MarketModel, t):

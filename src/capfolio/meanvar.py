@@ -129,14 +129,14 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
 
 
 def mv_payoff(mult: Multipliers, model: MarketModel) -> Payoff:
-    """Optimal terminal payoff (lam - eta z)^+ / 2 as one branch below
-    lam / eta; `surface.wealth`, `surface.policy` and `surface.feedback_curve`
-    replicate it."""
+    """Optimal terminal payoff (lam - eta z)^+ / 2 as one branch that falls
+    from lam / 2 at z = 0 to 0 at lam / eta; `surface.wealth`,
+    `surface.policy` and `surface.feedback_curve` replicate it."""
     return Payoff(
         model=model,
         levels=(mult.mean / mult.budget,),
-        constants=(0.5 * mult.mean,),
-        slopes=(-0.5 * mult.budget,),
+        starts=(0.5 * mult.mean,),
+        ends=(0.0,),
     )
 
 

@@ -87,11 +87,21 @@ class FeedbackCurve:
 def terminal_wealth(payoff: Payoff, z) -> np.ndarray:
     """Terminal wealth X(z) of the payoff, an array of the shape of z."""
     z = np.asarray(z, dtype=float)
+    lows, slopes = _lines(payoff)
     return np.select(
         [z <= level for level in payoff.levels],
-        [a + b * z for a, b in zip(payoff.constants, payoff.slopes)],
+        [s + b * (z - lo) for lo, s, b in zip(lows, payoff.starts, slopes)],
         default=0.0,
     )
+
+
+def _lines(payoff: Payoff):
+    """Each branch's lower level, and X's slope on it (0 if empty or to +inf)."""
+    lows = (0.0, *payoff.levels[:-1])
+    return lows, [
+        (end - start) / (hi - lo) if lo < hi < math.inf else 0.0
+        for lo, hi, start, end in zip(lows, payoff.levels, payoff.starts, payoff.ends)
+    ]
 
 
 def _branch_sum(payoff: Payoff, a, m, nu, log_z, weights, factor):
@@ -121,7 +131,7 @@ def _short_mass(a, m, nu, log_z, lo, hi):
     """dG_a between the levels lo <= hi of a short branch: the normal density
     integrated over the z-score interval the branch spans, by eight-point
     Gauss-Legendre."""
-    width = math.log(hi / lo) / nu
+    width = math.log1p((hi - lo) / lo) / nu  # log(hi / lo) rounds by eps / 2
     start = (math.log(lo) - log_z - m) / nu - a * nu
     total = 0.0
     for s, w in GAUSS_LEGENDRE_8:
@@ -133,10 +143,10 @@ def wealth(payoff: Payoff, t, z) -> np.ndarray:
     """Wealth x(t, z) that replicates the payoff, an array of the shape of z.
 
     x(t, z) = E[X(z Y) Y] with Y = z(T)/z(t), lognormal with log-moments
-    (m, nu) of the remaining horizon, and branch k contributes
-    a_k dG_1 + b_k z dG_2 (see _branch_sum). Within TERMINAL_NU of the
-    horizon the formula degenerates to the terminal payoff and that limit
-    is returned.
+    (m, nu) of the remaining horizon, and branch k, where X = a_k + b_k z,
+    contributes a_k dG_1 + b_k z dG_2 (see _branch_sum). Within TERMINAL_NU
+    of the horizon the formula degenerates to the terminal payoff and that
+    limit is returned.
     """
     z = np.asarray(z, dtype=float)
     mom = deflator_moments(payoff.model, t)
@@ -144,8 +154,10 @@ def wealth(payoff: Payoff, t, z) -> np.ndarray:
         return terminal_wealth(payoff, z)
     with np.errstate(divide="ignore"):
         log_z = np.log(z)
-    flat = _branch_sum(payoff, 1.0, mom.m, mom.nu, log_z, payoff.constants, 1.0)
-    return flat + _branch_sum(payoff, 2.0, mom.m, mom.nu, log_z, payoff.slopes, z)
+    lows, slopes = _lines(payoff)
+    constants = [s - b * lo for lo, s, b in zip(lows, payoff.starts, slopes)]
+    flat = _branch_sum(payoff, 1.0, mom.m, mom.nu, log_z, constants, 1.0)
+    return flat + _branch_sum(payoff, 2.0, mom.m, mom.nu, log_z, slopes, z)
 
 
 def policy(payoff: Payoff, t, z):
@@ -156,8 +168,9 @@ def policy(payoff: Payoff, t, z):
         -z dx/dz = (c1 / nu) sum_k J_k phi(u_k - nu) - z sum_k b_k dG_2
 
     in closed form: J_k is the downward jump of X at the finite level y_k,
-    c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu. Raises
-    PolicyUndefinedAtTerminal once the remaining volatility is below
+    the end of branch k (its start if empty) less the start of the next,
+    b_k its slope, c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu.
+    Raises PolicyUndefinedAtTerminal once the remaining volatility is below
     TERMINAL_NU.
     """
     z = np.asarray(z, dtype=float)
@@ -167,14 +180,14 @@ def policy(payoff: Payoff, t, z):
         raise PolicyUndefinedAtTerminal(
             f"policy has no limit at t = {t} (remaining nu = {nu:.2e})"
         )
-    constants, slopes = payoff.constants, payoff.slopes
     with np.errstate(divide="ignore"):
         log_z = np.log(z)
-    beyond = [*zip(constants[1:], slopes[1:]), (0.0, 0.0)]
+    lows, slopes = _lines(payoff)
+    nexts = (*payoff.starts[1:], 0.0)
     jumps = np.zeros_like(z)
-    for y, a, b, (a_next, b_next) in zip(payoff.levels, constants, slopes, beyond):
+    for lo, y, start, end, nxt in zip(lows, payoff.levels, payoff.starts, payoff.ends, nexts):
         if 0.0 < y < math.inf:  # phi vanishes at y = 0
-            jump = a + b * y - (a_next + b_next * y)
+            jump = (end if lo < y else start) - nxt
             u = (math.log(y) - log_z - m) / nu
             jumps = jumps + jump * std_normal_pdf_array(u - nu)
     scale = (math.exp(m + 0.5 * nu * nu) / nu) * jumps

@@ -83,7 +83,7 @@ def test_criterion_03_hit_probabilities(example1, criterion):
     def check():
         reference = {10.0: (0.022, 0.032, 0.003), 30.0: (0.007, 0.009, 0.002)}
         hits = {
-            (cap, q): lpm.hit_probability(lpm.solve_lpm(_problem1(q, cap=cap), example1))
+            (cap, q): lpm.solve_lpm(_problem1(q, cap=cap), example1).hit_prob
             for cap in (10.0, 15.0, 20.0, 30.0)
             for q in (1.0, 2.0)
         }

@@ -484,6 +484,8 @@ def test_riskless_last_segment_still_solves(tmp_path):
         (["--paths", str(2**63)], {}),
         (["--scenarios", str(10**400)], {}),
         (["--scenarios", str(2**63)], {}),
+        ([], {"z_grid": {"lo": 2.0, "hi": 1.0}}),
+        ([], {"z_grid": {"lo": 1e6}}),  # above the default hi
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):
@@ -496,6 +498,16 @@ def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):
         assert err.startswith("config error: run")
         assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_inverted_z_window_is_rejected_before_the_solve(tmp_path, capsys):
+    # d = 50 lies above d_upper, so a solve would end in exit 2
+    out = tmp_path / "out"
+    run = {"out": str(out), "z_grid": {"lo": 2.0, "hi": 1.0}}
+    cfg = _cfg(tmp_path, EX2_MARKET, {**CVAR2, "d": 50.0}, run=run)
+    assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 3
+    assert capsys.readouterr().err.startswith("config error: run.z_grid window")
+    assert not out.exists()
 
 
 def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):

@@ -250,16 +250,15 @@ def test_wealth_at_start_recovers_budget(example1):
 @pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-13])
 def test_wealth_on_a_short_ramp_matches_quadrature(example1, width):
     # X falls from gamma to 0 on (delta, delta + rho], rho = width delta, as
-    # a q = 2 payoff does near d_upper: its constant and slope are of order
-    # gamma / width, so the difference of the closed-form partial moments at
-    # the branch ends must not carry their rounding
+    # a q = 2 payoff does near d_upper: the line's constant and slope are of
+    # order gamma / width, so the difference of the closed-form partial
+    # moments at the branch ends must not carry their rounding
     delta, rho = 1.0, width
-    slope = GAMMA / rho
     pay = lpm.Payoff(
         model=example1,
         levels=(delta, delta + rho),
-        constants=(10.0, slope * (delta + rho)),
-        slopes=(0.0, -slope),
+        starts=(10.0, GAMMA),
+        ends=(10.0, 0.0),
     )
 
     def ramp(s):  # z X(z) times the density of z(T), in s = (z - delta) / rho
@@ -269,6 +268,23 @@ def test_wealth_on_a_short_ramp_matches_quadrature(example1, width):
     branch, _ = quad(ramp, 0.0, 1.0)
     want = 10.0 * _h_ref(1.0, delta) + rho * branch / (NU0 * math.sqrt(2.0 * math.pi))
     assert surface.wealth(pay, 0.0, 1.0) == pytest.approx(want, rel=0, abs=1e-13)
+
+
+def test_empty_sloped_branch_is_a_jump_at_its_level(example1):
+    # an empty branch falls at its level from its start, so the cap branch
+    # followed by an empty ramp from gamma to 0 is one jump from the cap to 0
+    empty = lpm.Payoff(
+        model=example1, levels=(1.0, 1.0), starts=(10.0, GAMMA), ends=(10.0, 0.0)
+    )
+    jump = lpm.Payoff(model=example1, levels=(1.0,), starts=(10.0,), ends=(10.0,))
+    z = np.geomspace(0.2, 5.0, 9)
+    for t in (0.0, 0.5):
+        np.testing.assert_allclose(
+            surface.wealth(empty, t, z), surface.wealth(jump, t, z), rtol=1e-15
+        )
+        np.testing.assert_allclose(
+            surface.policy(empty, t, z), surface.policy(jump, t, z), rtol=1e-15
+        )
 
 
 def test_wealth_approaches_terminal_payoff(example1):
@@ -331,6 +347,44 @@ def test_policy_matches_finite_difference(example1, case, t):
     # atol covers the roundoff floor of the central difference, about
     # eps * wealth / (2 h); the relative part is the real check
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-8)
+
+
+# Solved q = 2 instances whose middle branch is 2 or 8 ulps of delta wide,
+# (r, mu, sigma, T, gamma, cap, d) with x0 = 1: a policy that took its jumps
+# from a constant and a slope of order gamma / rho was 0.32 %, 8.8 % and
+# 1.3 % off the slope of the wealth surface at t = 0.
+SHORT_RAMPS = {
+    "2-ulps-nu0-0.002": (
+        0.03791422568642712, 0.038471819698842176, 0.10498259944534709,
+        0.18104710082658118, 0.9782513260200765, 1.0766256821184126,
+        1.0071950191694117,
+    ),
+    "8-ulps-nu0-6.4": (
+        -0.005076020483861092, 0.13863157088306577, 0.05051637247316044,
+        5.109758545016932, 0.8649717677397273, 0.9897922757704818,
+        0.9897922757704809,
+    ),
+    "8-ulps-nu0-6.9": (
+        0.06509815514857069, 1.8517264057844476, 0.8868827134919545,
+        11.82046732130346, 1.6033985583489656, 2.2735871715240505,
+        2.27358717152405,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHORT_RAMPS)
+def test_policy_on_an_ulps_wide_ramp_matches_finite_difference(name):
+    r, mu, sigma, horizon, gamma, cap, d = SHORT_RAMPS[name]
+    model = market.validate_market(horizon, r, mu, sigma)
+    prob = lpm.LpmProblem(x0=1.0, d=d, gamma=gamma, cap=cap, q=2.0, horizon=horizon)
+    pay = lpm.payoff(lpm.solve_lpm(prob, model))
+    for t in (0.0, 0.5 * horizon):
+        # a central difference in ln z with a step of 1e-4 of the remaining
+        # deflator volatility
+        h = 1e-4 * market.deflator_moments(model, t).nu
+        up, down = (float(surface.wealth(pay, t, math.exp(s))) for s in (h, -h))
+        fd = (down - up) / (2.0 * h) * (mu - r) / sigma**2
+        assert float(surface.policy(pay, t, 1.0)[0]) == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
 def test_policy_undefined_at_horizon(example1):
@@ -466,7 +520,6 @@ def test_solution_carries_bounds(example1):
     lo, hi = lpm.d_bounds(sol.problem, example1)
     assert sol.d_lower == lo
     assert sol.d_upper == hi
-    assert lpm.hit_probability(sol) == sol.hit_prob
 
 
 # The three markets of the benchmark sweep: the two calibrated examples and a

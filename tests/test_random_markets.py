@@ -19,6 +19,10 @@ solves to a policy that an independent route confirms.
   [1e-12, 1).  The budget through the wealth surface at t = 0 and the mean
   as the first moment of the payoff's branches under the lognormal law of
   z(T), both within 1e-8.
+
+Every payoff that solves is also held to the surface contract: at z = 1
+and t in {0, T/2}, `surface.policy` matches a central difference of
+`surface.wealth` in ln z.
 """
 import math
 import random
@@ -227,10 +231,7 @@ def _violations(prob, model, sol):
     for alpha in (sol.alpha_star - h, sol.alpha_star + h):
         if not lo <= alpha <= hi:
             continue
-        try:  # the check route may raise where the embedded solve does
-            j = cvar.j_value(prob, model, alpha)
-        except CapfolioError:
-            continue
+        j = cvar.j_value(prob, model, alpha)
         if j < sol.cvar:
             found.append(f"J({alpha!r}) = {j!r} below J(alpha*) = {sol.cvar!r}")
     budget = float(surface.wealth(lpm.payoff(sol.policy), 0.0, 1.0))
@@ -331,24 +332,37 @@ def _first_moment(payoff):
         return 0.5 * math.erfc(-((math.log(y) - ctx.m0) / ctx.nu0 - shift) / math.sqrt(2.0))
 
     total, lo = 0.0, 0.0
-    for hi, a, b in zip(payoff.levels, payoff.constants, payoff.slopes):
-        total += a * (below(0.0, hi) - below(0.0, lo))
-        total += b * ctx.mean * (below(ctx.nu0, hi) - below(ctx.nu0, lo))
+    for hi, start, end in zip(payoff.levels, payoff.starts, payoff.ends):
+        # X = start + slope (z - lo) on (lo, hi]
+        slope = (end - start) / (hi - lo) if lo < hi < math.inf else 0.0
+        total += (start - slope * lo) * (below(0.0, hi) - below(0.0, lo))
+        total += slope * ctx.mean * (below(ctx.nu0, hi) - below(ctx.nu0, lo))
         lo = hi
     return total
 
 
-def test_mv_sweep_solves_or_raises_a_documented_error():
-    failures, solved = [], 0
+@pytest.fixture(scope="module")
+def mv_outcomes():
+    """(label, problem, payoff or the CapfolioError the solve raised) per
+    mean-variance draw whose market is accepted."""
+    out = []
     for label, model, prob in _mv_draws():
         if model is None:
             continue
         try:
-            mult = meanvar.solve_mv(prob, model)
-        except CapfolioError:
+            payoff = meanvar.mv_payoff(meanvar.solve_mv(prob, model), model)
+        except CapfolioError as exc:
+            payoff = exc
+        out.append((label, prob, payoff))
+    return out
+
+
+def test_mv_sweep_solves_or_raises_a_documented_error(mv_outcomes):
+    failures, solved = [], 0
+    for label, prob, payoff in mv_outcomes:
+        if isinstance(payoff, CapfolioError):
             continue
         solved += 1
-        payoff = meanvar.mv_payoff(mult, model)
         tol = 1e-8 * max(1.0, prob.d)
         budget = float(surface.wealth(payoff, 0.0, 1.0))
         if abs(budget - prob.x0) > 1e-8 * max(1.0, prob.x0):
@@ -358,3 +372,34 @@ def test_mv_sweep_solves_or_raises_a_documented_error():
             failures.append(f"{label}: mean {mean!r} against d {prob.d!r}")
     assert failures == []
     assert solved >= 250
+
+
+def _surface_violations(payoff):
+    """Where `surface.policy` leaves a central difference of `surface.wealth`
+    in ln z at z = 1 and t in {0, T/2}: the step is 1e-4 of the remaining
+    deflator volatility nu(t), where the truncation error is of order
+    (h / nu)^2 = 1e-8 relative, and the tolerance is 1e-4 relative to the
+    larger of 1 and the two readings."""
+    found = []
+    model = payoff.model
+    for t in (0.0, 0.5 * model.horizon):
+        h = 1e-4 * market.deflator_moments(model, t).nu
+        up, down = (float(surface.wealth(payoff, t, math.exp(s))) for s in (h, -h))
+        fd = (down - up) / (2.0 * h) * market.gram_inverse_excess(model, t)[0]
+        pi = float(surface.policy(payoff, t, 1.0)[0])
+        if not abs(pi - fd) <= 1e-4 * max(1.0, abs(fd), abs(pi)):
+            found.append(f"policy {pi!r} against a central difference {fd!r} at t = {t!r}")
+    return found
+
+
+def test_policy_is_the_slope_of_the_wealth_surface(lpm_outcomes, outcomes, mv_outcomes):
+    payoffs = [
+        *((label, lpm.payoff(sol)) for label, _, _, sol in lpm_outcomes
+          if not isinstance(sol, CapfolioError)),
+        *((label, lpm.payoff(sol.policy)) for label, _, _, sol in outcomes
+          if not isinstance(sol, CapfolioError)),
+        *((label, payoff) for label, _, payoff in mv_outcomes
+          if not isinstance(payoff, CapfolioError)),
+    ]
+    failures = [f"{label}: {v}" for label, payoff in payoffs for v in _surface_violations(payoff)]
+    assert failures == []
