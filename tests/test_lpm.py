@@ -350,9 +350,9 @@ def test_policy_matches_finite_difference(example1, case, t):
 
 
 # Solved q = 2 instances whose middle branch is 2 or 8 ulps of delta wide,
-# (r, mu, sigma, T, gamma, cap, d) with x0 = 1: a policy that took its jumps
-# from a constant and a slope of order gamma / rho was 0.32 %, 8.8 % and
-# 1.3 % off the slope of the wealth surface at t = 0.
+# (r, mu, sigma, T, gamma, cap, d) with x0 = 1. The line of that branch has a
+# constant and a slope of order gamma / rho; a jump of X taken from them
+# moves the policy by up to 9 % off the slope of the wealth surface.
 SHORT_RAMPS = {
     "2-ulps-nu0-0.002": (
         0.03791422568642712, 0.038471819698842176, 0.10498259944534709,
