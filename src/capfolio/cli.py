@@ -26,7 +26,10 @@ Commands and their artifacts, all written under run.out:
     compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar
 
 run.paths, run.steps, run.scenarios and run.z_grid.count are integers from
-1 to 10**9.
+1 to 10**9.  With problem.kind "cvar", every run.d_grid target must lie
+below problem.cap, as problem.d must.  run.betas or run.z_grid set to
+null takes its default; any other value of the wrong type is a config
+error.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -121,12 +124,14 @@ def _number_list(value) -> bool:
     return isinstance(value, list) and all(map(market.is_number, value))
 
 
-def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None:
+def _validate_run(run: dict, model: market.MarketModel, instance, cmd: str | None) -> None:
     """Reject run-block values no command can use, before any solve starts.
 
     The policy needs deflator volatility left before the horizon at run.t
     and, for a command `cmd`, at the last time it evaluates the policy: the
     last Euler step for simulate, the default t = T/2 for policy_table.
+    Every run.d_grid target of a mean-CVaR instance must lie below its cap.
+    run.betas and run.z_grid take their defaults when absent or null only.
     """
     for name, (low, high) in _RUN_INTEGERS.items():
         value = run[name]
@@ -157,10 +162,14 @@ def _validate_run(run: dict, model: market.MarketModel, cmd: str | None) -> None
     d_grid = run.get("d_grid", [])
     if not _number_list(d_grid):
         raise ConfigError(f"run.d_grid must be a list of finite numbers, got {d_grid!r}")
-    betas = run.get("betas") or []
+    if isinstance(instance, cvar.CvarProblem) and any(d >= instance.cap for d in d_grid):
+        raise ConfigError(
+            f"run.d_grid targets must lie below problem.cap = {instance.cap}, got {d_grid!r}"
+        )
+    betas = [] if run.get("betas") is None else run["betas"]
     if not (_number_list(betas) and all(0.0 < b < 1.0 for b in betas)):
         raise ConfigError(f"run.betas must be a list of levels in (0, 1), got {betas!r}")
-    window = run.get("z_grid") or {}
+    window = {} if run.get("z_grid") is None else run["z_grid"]
     if not isinstance(window, dict):
         raise ConfigError(f"run.z_grid must be an object, got {window!r}")
     points = window.get("points", [])
@@ -225,7 +234,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"invalid config: {exc!r}") from exc
     if all(mu == r for r, drift in zip(model.rate, model.drift) for mu in drift):
         raise ConfigError("market has mu = r in every segment: no risk premium to price")
-    _validate_run(run, model, overrides.get("cmd"))
+    _validate_run(run, model, instance, overrides.get("cmd"))
     return RunConfig(
         market_block=raw["market"],
         problem_block=problem_block,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from . import lpm
 from .errors import DomainError, InfeasibleBudget, TargetTooHigh
-from .kernels import invert_H1, partial_moment_H_ext, std_normal_quantile
+from .kernels import invert_H, partial_moment_H_ext
 from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d
 
@@ -196,7 +196,7 @@ def _reduction(problem: CvarProblem, ctx):
     """(curve, top): curve(delta) is (mean gap, gamma) where J'(alpha) = 0 at
     the cap threshold delta in [0, top] (module docstring)."""
     x0, cap, beta = problem.x0, problem.cap, problem.beta
-    delta_beta = math.exp(ctx.m0 + ctx.nu0 * std_normal_quantile(beta))
+    delta_beta = invert_H(ctx, 0.0, beta)
 
     def curve(delta):
         h0, h1 = (partial_moment_H_ext(ctx, p, delta) for p in (0.0, 1.0))
@@ -208,7 +208,7 @@ def _reduction(problem: CvarProblem, ctx):
         dh0 = partial_moment_H_ext(ctx, 0.0, delta + rho) - h0
         return cap * h0 + spare * dh0 / dh1 - problem.d, spare / dh1
 
-    return curve, min(delta_beta, invert_H1(ctx, x0 / cap))
+    return curve, min(delta_beta, invert_H(ctx, 1.0, x0 / cap))
 
 
 def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:

@@ -11,9 +11,9 @@ and the partial moments of z(T) built from it,
 
     H_p(y) = E[z^p 1_{z <= y}],
 
-with the inverse of H_1 and the eight-point Gauss-Legendre rule that
-integrates a partial moment over a branch too short for the difference of
-two closed-form values.
+with their inverse for p in {0, 1}, one normal quantile, and the
+eight-point Gauss-Legendre rule that integrates a partial moment over a
+branch too short for the difference of two closed-form values.
 
 Every function here takes and returns floats and runs on `math` and the
 standard library's `statistics.NormalDist` (the quantile, Wichura's AS241);
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import DomainError, MaxIterations, TargetOutOfRange
+from .errors import DomainError, TargetOutOfRange
 
 __all__ = [
     "PartialMomentContext",
@@ -38,16 +38,14 @@ __all__ = [
     "truncated_exp_moment",
     "partial_moment_H",
     "partial_moment_H_ext",
-    "invert_H1",
+    "invert_H",
     "GAUSS_LEGENDRE_8",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
-#: Newton iterations of one inversion before it gives up
-_MAX_NEWTON = 100
-#: |ln y| beyond which an inversion iterate is not taken; e^700 ~ 1e304
+#: |ln y| beyond which an inverse is clamped; e^700 ~ 1e304
 _MAX_LOG_LEVEL = 700.0
 
 #: eight-point Gauss-Legendre (node, weight) pairs on [0, 1]: the nodes and
@@ -163,76 +161,27 @@ def partial_moment_H_ext(ctx: PartialMomentContext, p: float, y: float) -> float
     return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
 
 
-def _h1_start(ctx: PartialMomentContext, target: float) -> float:
-    """ln y with H_1(y) = target in closed form, H_1(y) = E[z] Phi(F(y) - nu0).
+def invert_H(ctx: PartialMomentContext, p: float, target: float) -> float:
+    """Unique y with H_p(y) = target, for p in {0, 1} and target in (0, E[z^p]).
 
-    The quantile is taken of the smaller tail mass, so it keeps its accuracy
-    near both ends of the range. A tail mass that rounds to 0 has an
-    infinite quantile, which the caller clamps to the level range.
+    H_p(y) = E[z^p] Phi(F(y) - p nu0), so y = exp(m0 + nu0 (p nu0 + w)) with
+    w the standard normal quantile of target / E[z^p]. The quantile is taken
+    of the smaller tail mass, (E[z^p] - target) / E[z^p] above the midpoint,
+    whose difference is exact, so it keeps its accuracy near both ends of the
+    range. A tail mass that rounds to 0 has w = -inf, and ln y is clamped to
+    the level range.
+
+    Raises DomainError for other p and TargetOutOfRange outside (0, E[z^p]).
     """
-    mass = target / ctx.mean
-    tail = min(mass, 1.0 - mass)
-    w = _STD_NORMAL.inv_cdf(tail) if tail > 0.0 else -math.inf
-    return ctx.m0 + ctx.nu0 * (ctx.nu0 + (w if mass <= 0.5 else -w))
-
-
-def invert_H1(ctx: PartialMomentContext, target: float) -> float:
-    """Unique y with H_1(y) = target, for target in (0, E[z(T)]).
-
-    The solve is Newton in x = ln y, on ln H_1 for targets up to half the
-    range and on -ln(E[z] - H_1) above, each close to linear or quadratic
-    in the tail it serves; both are computed without cancellation, and
-    dH_1/dy = phi(F(y)) / nu0. It starts from the closed form, so it mostly
-    stops after one evaluation, at the root of H_1 as partial_moment_H
-    computes it. Every evaluation narrows a bracket [lo, hi] that starts as
-    the whole axis, which is safe because H_1 runs from 0 to E[z]. A Newton
-    step that leaves the bracket falls back to bisection in x; while one
-    side is still open, steps are capped by a stride that starts at nu0 and
-    doubles, the geometric bracket expansion. Stops when the Newton step or
-    the bracket is below 1e-12 in x, i.e. 1e-12 relative in y.
-
-    Raises TargetOutOfRange outside (0, E[z]) and MaxIterations when the
-    iteration budget runs out.
-    """
-    m0, nu0, sup = ctx.m0, ctx.nu0, ctx.mean
+    if p not in (0.0, 1.0):
+        raise DomainError(f"invert_H needs p in {{0, 1}}, got {p}")
+    sup = ctx.mean if p == 1.0 else 1.0
     if not 0.0 < target < sup:
         raise TargetOutOfRange(
-            f"invert_H1 target {target} outside the open range (0, {sup})"
+            f"invert_H target {target} outside the open range (0, {sup})"
         )
     upper = target > 0.5 * sup
-    level = math.log(sup - target) if upper else math.log(target)
-    lo, hi = -math.inf, math.inf
-    x = min(max(_h1_start(ctx, target), -_MAX_LOG_LEVEL), _MAX_LOG_LEVEL)
-    stride = nu0
-    for _ in range(_MAX_NEWTON):
-        w = (x - m0) / nu0 - nu0
-        # y H_1'(y) = y phi(F(y)) / nu0 = E[z] phi(F(y) - nu0) / nu0
-        s = sup * _INV_SQRT_2PI * math.exp(-0.5 * w * w) / nu0
-        if upper:  # E[z] - H_1(y) = E[z 1{z > y}]
-            g = truncated_exp_moment(-1.0, -m0, nu0, -x)
-        else:
-            g = truncated_exp_moment(1.0, m0, nu0, x)
-        if g > 0.0:
-            h = level - math.log(g) if upper else math.log(g) - level
-            step = -h * g / s if s > 0.0 else math.nan  # dh/dx = s / g
-        else:  # g underflowed: far left of the root (far right if upper)
-            h = math.inf if upper else -math.inf
-            step = math.nan
-        if h < 0.0:
-            lo = x
-        else:
-            hi = x
-        if abs(step) <= 1e-12:
-            return math.exp(x + step)
-        if math.isinf(lo) or math.isinf(hi):
-            if not abs(step) <= stride:
-                step = stride if h < 0.0 else -stride
-                stride *= 2.0
-            x = min(max(x + step, -_MAX_LOG_LEVEL), _MAX_LOG_LEVEL)
-        elif lo < x + step < hi:
-            x += step
-        else:
-            x = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
-            return math.exp(x)
-    raise MaxIterations(f"invert_H1: no convergence for target {target}")
+    tail = (sup - target if upper else target) / sup
+    w = _STD_NORMAL.inv_cdf(tail) if tail > 0.0 else -math.inf
+    log_y = ctx.m0 + ctx.nu0 * (p * ctx.nu0 + (-w if upper else w))
+    return math.exp(min(max(log_y, -_MAX_LOG_LEVEL), _MAX_LOG_LEVEL))

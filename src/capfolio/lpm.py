@@ -58,7 +58,6 @@ from .kernels import (
     PartialMomentContext,
     partial_moment_H_ext,
     std_normal_pdf,
-    std_normal_quantile,
     truncated_exp_moment,
 )
 from .market import MarketModel, deflator_context, expected_deflator
@@ -250,7 +249,7 @@ def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
         raise InfeasibleBudget(
             f"x0 = {x0} cannot stay under the cap: cap * E[z] = {cap * ctx.mean}"
         )
-    delta_bar = kernels.invert_H1(ctx, x0 / cap)
+    delta_bar = kernels.invert_H(ctx, 1.0, x0 / cap)
     delta_low = _rich_threshold(ctx, problem)
     rho_low = _branch_width(ctx, problem, delta_low)
     return _Curve(
@@ -268,7 +267,7 @@ def _rich_threshold(ctx: PartialMomentContext, problem: LpmProblem) -> float:
     x0, gamma, ez = problem.x0, problem.gamma, ctx.mean
     if x0 <= gamma * ez:
         return 0.0
-    return kernels.invert_H1(ctx, (x0 - gamma * ez) / (problem.cap - gamma))
+    return kernels.invert_H(ctx, 1.0, (x0 - gamma * ez) / (problem.cap - gamma))
 
 
 def classify(problem: LpmProblem, model: MarketModel) -> str:
@@ -407,17 +406,13 @@ def branch_width(
     """Width w of a branch (delta, delta + w] that funds need, for p in {0, 1}
     and h = H_p(delta); 0 when need <= 0.
 
-    A flat branch funds H_p(delta + w) - h, inverted in closed form and
-    stopped 1e-15 of the supremum of H_p short of it, where the inverse is
-    still defined after rounding. A sloped branch funds ramp(p, delta, w),
-    unbounded once need reaches that room. Its weight lies in [1 - s, 1] on
-    the first s of the branch, so the flat width and w / s, where the flat
-    width w funds need / (1 - s), bracket its root in ln w."""
-
-    def inverse(target):  # y with H_p(y) = target
-        if p == 1.0:
-            return kernels.invert_H1(ctx, target)
-        return math.exp(ctx.m0 + ctx.nu0 * std_normal_quantile(target))
+    A flat branch funds H_p(delta + w) - h, inverted in closed form by
+    kernels.invert_H and stopped 1e-15 of the supremum of H_p short of it,
+    where the inverse is still defined after rounding. A sloped branch funds
+    ramp(p, delta, w), unbounded once need reaches that room. Its weight
+    lies in [1 - s, 1] on the first s of the branch, so the flat width and
+    w / s, where the flat width w funds need / (1 - s), bracket its root in
+    ln w; both ends come from the same closed-form inverse."""
 
     if need <= 0.0:
         return 0.0
@@ -426,13 +421,13 @@ def branch_width(
         if sloped:
             return math.inf
         need = room
-    flat = inverse(h + need) - delta
+    flat = kernels.invert_H(ctx, p, h + need) - delta
     if not sloped or flat <= 0.0:
         return max(flat, 0.0)
     # s puts need / (1 - s) = (room + need) / 2 midway to room; the quotient
     # is taken in that form, since 1 - s rounds to 0 when need < eps room / 2
     s = (room - need) / (room + need)
-    most = (inverse(h + 0.5 * (room + need)) - delta) / s
+    most = (kernels.invert_H(ctx, p, h + 0.5 * (room + need)) - delta) / s
 
     def gap(x):
         return ramp(ctx, p, delta, math.exp(x)) / need - 1.0

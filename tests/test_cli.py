@@ -486,6 +486,18 @@ def test_riskless_last_segment_still_solves(tmp_path):
         (["--scenarios", str(2**63)], {}),
         ([], {"z_grid": {"lo": 2.0, "hi": 1.0}}),
         ([], {"z_grid": {"lo": 1e6}}),  # above the default hi
+        # a target at or above the cap, as problem.d there would be
+        ([], {"d_grid": [150.0]}),
+        ([], {"d_grid": [100.0]}),
+        # only an absent key or null takes the default
+        ([], {"betas": 0}),
+        ([], {"betas": False}),
+        ([], {"betas": ""}),
+        ([], {"betas": {}}),
+        ([], {"z_grid": 0}),
+        ([], {"z_grid": False}),
+        ([], {"z_grid": ""}),
+        ([], {"z_grid": []}),
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):

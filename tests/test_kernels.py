@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from capfolio import kernels, market, surface
-from capfolio.errors import CapfolioError, DomainError, TargetOutOfRange
+from capfolio.errors import DomainError, TargetOutOfRange
 
 # Standard normal CDF at 64 fixed probes, frozen from a 50-digit
 # arbitrary-precision evaluation and rounded to the nearest double.
@@ -281,7 +281,7 @@ def test_extended_partial_moment_is_zero_below_the_positive_levels():
 def test_invert_h1_round_trip():
     for y0 in [0.3, 0.7, 0.95, 1.3, 2.5]:
         target = kernels.partial_moment_H(_CTX, 1.0, y0)
-        assert kernels.invert_H1(_CTX, target) == pytest.approx(y0, rel=1e-9)
+        assert kernels.invert_H(_CTX, 1.0, target) == pytest.approx(y0, rel=1e-9)
 
 
 def _contexts():
@@ -300,12 +300,32 @@ def _contexts():
     return [_CTX] + [market.deflator_context(m) for m in models]
 
 
+def _fractions():
+    """Shares of the range of H_p, log-spaced toward both of its ends."""
+    return np.concatenate(
+        [np.geomspace(1e-6, 0.5, 25), 1.0 - np.geomspace(0.5, 1e-9, 25)[1:]]
+    ).tolist()
+
+
 def test_invert_round_trip_to_rounding():
+    # the error of H_p(y) relative to the smaller tail mass: below the
+    # midpoint H_p(y) itself, above it the upper moment E[z^p 1{z > y}]
     for ctx in _contexts():
-        for u in [-4.0, -2.0, -0.5, 0.0, 1.0, 2.0, 4.0]:
-            y0 = math.exp(ctx.m0 + ctx.nu0 * u)
-            target = kernels.partial_moment_H(ctx, 1.0, y0)
-            assert kernels.invert_H1(ctx, target) == pytest.approx(y0, rel=1e-12)
+        for p in (0.0, 1.0):
+            sup = ctx.mean if p == 1.0 else 1.0
+            for u in [-4.0, -2.0, -0.5, 0.0, 1.0, 2.0, 4.0]:
+                y0 = math.exp(ctx.m0 + ctx.nu0 * u)
+                target = kernels.partial_moment_H(ctx, p, y0)
+                assert kernels.invert_H(ctx, p, target) == pytest.approx(y0, rel=1e-12)
+            for frac in _fractions():
+                target = frac * sup
+                x = math.log(kernels.invert_H(ctx, p, target))
+                if frac <= 0.5:
+                    err = kernels.truncated_exp_moment(p, ctx.m0, ctx.nu0, x) / target - 1.0
+                else:
+                    upper = kernels.truncated_exp_moment(-p, -ctx.m0, ctx.nu0, -x)
+                    err = upper / (sup - target) - 1.0
+                assert abs(err) <= 1e-13, (ctx, p, frac, err)
 
 
 def test_invert_kernel_evaluations_per_inversion(monkeypatch):
@@ -316,41 +336,33 @@ def test_invert_kernel_evaluations_per_inversion(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    # every H_p evaluation of the inverses runs through this kernel
+    # every H_p evaluation runs through this kernel; the closed-form inverse
+    # evaluates none
     monkeypatch.setattr(kernels, "truncated_exp_moment", counted)
-    fractions = np.concatenate(
-        [np.geomspace(1e-6, 0.5, 25), 1.0 - np.geomspace(0.5, 1e-9, 25)[1:]]
-    )
     for ctx in _contexts()[1:]:
-        for frac in fractions:
-            target = frac * ctx.mean
-            calls.clear()
-            kernels.invert_H1(ctx, target)
-            assert 1 <= len(calls) <= 3, (ctx, frac, len(calls))  # closed-form start
+        for p in (0.0, 1.0):
+            for frac in _fractions():
+                kernels.invert_H(ctx, p, frac * (ctx.mean if p == 1.0 else 1.0))
+    assert calls == []
 
 
 def test_invert_h1_where_the_start_mass_rounds_to_an_end():
-    # E[z] = 3.08: the mass 5e-324 / E[z] of the closed-form start rounds to 0,
-    # where the quantile is infinite; the start is clamped, not an error
+    # E[z] = 3.08: the tail mass 5e-324 / E[z] rounds to 0, where the
+    # quantile is infinite; ln y is clamped to the level range, not an error
     ctx = kernels.PartialMomentContext(m0=1.0, nu0=0.5)
     assert ctx.mean >= 2.0
     for target in (5e-324, math.nextafter(ctx.mean, 0.0)):
-        try:
-            y = kernels.invert_H1(ctx, target)
-        except CapfolioError:
-            continue
+        y = kernels.invert_H(ctx, 1.0, target)
         assert 0.0 < y < math.inf, target
 
 
 def test_invert_rejects_out_of_range_targets():
-    with pytest.raises(TargetOutOfRange):
-        kernels.invert_H1(_CTX, 0.0)
-    with pytest.raises(TargetOutOfRange):
-        kernels.invert_H1(_CTX, _CTX.mean)
-    with pytest.raises(TargetOutOfRange):
-        kernels.invert_H1(_CTX, -0.5)
-    with pytest.raises(TargetOutOfRange):
-        kernels.invert_H1(_CTX, _CTX.mean * 1.01)
+    for p, sup in ((0.0, 1.0), (1.0, _CTX.mean)):
+        for target in (0.0, sup, -0.5, sup * 1.01, math.nan):
+            with pytest.raises(TargetOutOfRange):
+                kernels.invert_H(_CTX, p, target)
+    with pytest.raises(DomainError):
+        kernels.invert_H(_CTX, 2.0, 0.5)
 
 
 @settings(max_examples=50, deadline=None)

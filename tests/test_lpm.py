@@ -730,7 +730,7 @@ def test_branch_width_just_below_delta_beta(example2, beta):
     # the CVaR condition beta = H_0(delta) + ramp(0, delta, rho) where the
     # need beta - H_0(delta) is a few 1e-9: a short sloped branch
     ctx = market.deflator_context(example2)
-    delta = math.exp(ctx.m0 + ctx.nu0 * kernels.std_normal_quantile(beta)) * (1.0 - 1e-8)
+    delta = kernels.invert_H(ctx, 0.0, beta) * (1.0 - 1e-8)
     h = kernels.partial_moment_H_ext(ctx, 0.0, delta)
     need = beta - h
     assert 0.0 < need < 1e-8
