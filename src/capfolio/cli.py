@@ -25,8 +25,9 @@ Commands and their artifacts, all written under run.out:
     simulate        simulation.json summary + simulation.csv terminal rows
     compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar
 
-run.paths, run.steps, run.scenarios and run.z_grid.count are integers from
-1 to 10**9.  With problem.kind "cvar", every run.d_grid target must lie
+run.paths is an integer from 2 (a standard error needs two samples) and
+run.steps, run.scenarios and run.z_grid.count are integers from 1, all up to
+10**9.  With problem.kind "cvar", every run.d_grid target must lie
 below problem.cap, as problem.d must.  run.betas or run.z_grid set to
 null takes its default; any other value of the wrong type is a config
 error.
@@ -70,7 +71,7 @@ _PROBLEM_KINDS = ("lpm", "cvar", "mv")
 #: path vectors, the time grid, the scenario matrix), 8 GB at the bound
 _RUN_INTEGERS = {
     "seed": (0, 2**64 - 1),
-    "paths": (1, 10**9),
+    "paths": (2, 10**9),
     "steps": (1, 10**9),
     "scenarios": (1, 10**9),
 }
@@ -521,7 +522,8 @@ def cmd_compare_static(config: RunConfig) -> int:
     )
     cells = []
     for beta in betas:
-        for d in d_grid:
+        dynamic = cvar.frontier(config.instance, config.model, d_grid, float(beta))
+        for d, row in zip(d_grid, dynamic):
             notes = []
             static_value = math.nan
             try:
@@ -536,15 +538,9 @@ def cmd_compare_static(config: RunConfig) -> int:
                     notes.append(f"static {static.status}")
             except CapfolioError as exc:
                 notes.append(f"static {type(exc).__name__}")
-            dynamic_value = math.nan
-            try:
-                instance = dataclasses.replace(
-                    config.instance, d=float(d), beta=float(beta)
-                )
-                dynamic_value = cvar.solve_cvar(instance, config.model).cvar
-            except (TargetTooHigh, InfeasibleBudget) as exc:
-                notes.append(f"dynamic {type(exc).__name__}")
-            cells += [d, beta, static_value, dynamic_value, "; ".join(notes) or "ok"]
+            if row.status != "ok":
+                notes.append(f"dynamic {row.status}")
+            cells += [d, beta, static_value, row.cvar, "; ".join(notes) or "ok"]
     _write_csv(
         _out_dir(config) / "compare_static.csv",
         ["d", "beta", "static_cvar", "dynamic_cvar", "status"],

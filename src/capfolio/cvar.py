@@ -149,31 +149,15 @@ def _shortfall_slope(sol: lpm.PolicySolution) -> float:
 
 
 def _evaluate(problem: CvarProblem, model: MarketModel, xbar: float, alpha: float):
-    """(J, J', embedded solution) at alpha; the solution is None at or above xbar.
+    """(J, embedded solution) at alpha; the solution is None at or above xbar.
 
     Raises TargetTooHigh when the mean target is unattainable.
     """
     if alpha >= xbar:
-        return alpha, 1.0, None
+        return alpha, None
     sol = lpm.solve_lpm(_embedded(problem, xbar - alpha), model)
-    scale = 1.0 / (1.0 - problem.beta)
-    return (
-        alpha + sol.objective_value * scale,
-        1.0 - _shortfall_slope(sol) * scale,
-        sol,
-    )
-
-
-def underline_d_of_alpha(problem: CvarProblem, model: MarketModel, alpha) -> float:
-    """Smallest binding mean target of the embedded problem at this alpha.
-
-    Returns 0 once the benchmark xbar - alpha is nonpositive, where no
-    shortfall is possible and the mean constraint never conflicts.
-    """
-    xbar = safe_level(problem, model)
-    if alpha >= xbar:
-        return 0.0
-    return lpm.d_bounds(_embedded(problem, xbar - alpha), model)[0]
+    # times the reciprocal, as in j_derivative: a division rounds J differently
+    return alpha + sol.objective_value * (1.0 / (1.0 - problem.beta)), sol
 
 
 def j_value(problem: CvarProblem, model: MarketModel, alpha) -> float:
@@ -189,7 +173,10 @@ def j_derivative(problem: CvarProblem, model: MarketModel, alpha) -> float:
 
     Raises TargetTooHigh when the mean target is unattainable.
     """
-    return _evaluate(problem, model, safe_level(problem, model), float(alpha))[1]
+    sol = _evaluate(problem, model, safe_level(problem, model), float(alpha))[1]
+    if sol is None:
+        return 1.0
+    return 1.0 - _shortfall_slope(sol) * (1.0 / (1.0 - problem.beta))
 
 
 def _reduction(problem: CvarProblem, ctx):
@@ -233,7 +220,7 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     if gap < 0.0:
         gamma = curve(find_root_1d(lambda x: curve(x)[0], 0.0, top, tol=0.0).root)[1]
     alpha_star = xbar - min(gamma, problem.cap)
-    j_star, _, embedded = _evaluate(problem, model, xbar, alpha_star)
+    j_star, embedded = _evaluate(problem, model, xbar, alpha_star)
     if embedded is None:
         raise DomainError(f"reduction returned alpha={alpha_star} at or above the safe level")
     return CvarSolution(

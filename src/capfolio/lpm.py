@@ -27,6 +27,8 @@ curve: d_lower is the mean at the low end and d_upper the mean at delta_bar,
 where rho = 0. So every Regular instance is one bracketed root in ln delta
 with a guaranteed sign change, and the DegenerateLowTarget solution is the
 low end itself; for q = 2 a damped Newton on (ln delta, ln rho) runs first.
+`solve_lpm` is the one solve: it places the target against the curve's
+bounds once and returns the case, multipliers, thresholds and objective.
 
 `payoff` turns a solution into a piecewise-linear Payoff of end values, free
 of the multipliers. The wealth x*(t, z) and policy pi*(t, z) that replicate
@@ -72,8 +74,6 @@ __all__ = [
     "PolicySolution",
     "Payoff",
     "d_bounds",
-    "classify",
-    "solve_multipliers",
     "solve_lpm",
     "payoff",
     "ramp",
@@ -270,25 +270,6 @@ def _rich_threshold(ctx: PartialMomentContext, problem: LpmProblem) -> float:
     return kernels.invert_H(ctx, 1.0, (x0 - gamma * ez) / (problem.cap - gamma))
 
 
-def classify(problem: LpmProblem, model: MarketModel) -> str:
-    """Case tag for the instance; raises TargetTooHigh when d >= d_upper."""
-    _check_horizon(problem, model)
-    ctx = deflator_context(model)
-    return _classify(ctx, problem, _budget_curve(ctx, problem))
-
-
-def _classify(ctx: PartialMomentContext, problem: LpmProblem, curve: _Curve) -> str:
-    if problem.d >= curve.d_upper:
-        raise TargetTooHigh(
-            f"target d = {problem.d} is not below d_upper = {curve.d_upper}"
-        )
-    if problem.d > curve.d_lower:
-        return REGULAR
-    if problem.x0 < problem.gamma * ctx.mean:
-        return DEGENERATE_LOW_TARGET
-    return DEGENERATE_RICH
-
-
 def ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float:
     """E[z^p (delta + rho - z) 1{delta < z <= delta + rho}] / rho, p in {0, 1}.
 
@@ -480,27 +461,11 @@ def _solve_regular_nested(ctx, problem, curve):
     return math.exp(x), widths[x]
 
 
-def solve_multipliers(problem: LpmProblem, model: MarketModel) -> Multipliers:
-    """Solve for the Lagrange pair of the classified instance.
-
-    Regular instances are solved by one exact monotone 1-D reduction for
-    every q: the budget equation pins the width rho of the middle branch
-    given the cap threshold delta (`branch_width`), and the mean equation
-    is bracketed in ln delta between the thresholds of d_lower and d_upper.
-    For q = 2 a damped Newton on (ln delta, ln rho) from
-    delta = H_1^{-1}(x0 / cap), rho = 1 runs first and the reduction is its
-    fallback. Degenerate instances have one-line closed forms.
-
-    Raises SolverDiverged when the Regular solve fails.
-    """
-    _check_horizon(problem, model)
-    ctx = deflator_context(model)
-    mult, _, _ = _solve_case(problem, ctx, _budget_curve(ctx, problem))
-    return mult
-
-
 def _solve_regular(ctx, problem, curve):
-    """(delta, rho) of a Regular instance."""
+    """(delta, rho) of a Regular instance, through the residual gate.
+
+    Raises SolverDiverged when the reduction fails or misses the gate.
+    """
     if problem.q == 2.0:
         try:
             delta, rho = _solve_regular_newton(ctx, problem, curve.delta_bar)
@@ -508,26 +473,8 @@ def _solve_regular(ctx, problem, curve):
                 return delta, rho
         except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange):
             pass
-    return _solve_regular_nested(ctx, problem, curve)
-
-
-def _solve_case(problem, ctx, curve):
-    """(multipliers, delta, rho) for any case; rho None for DegenerateRich.
-
-    Both degenerate cases sit at the low end of the budget curve: the rich
-    threshold, and delta = 0 with the width rho_low for DegenerateLowTarget.
-    """
-    case = _classify(ctx, problem, curve)
-
-    if case == DEGENERATE_RICH:
-        return Multipliers(0.0, 0.0, case), curve.delta_low, None
-
-    if case == DEGENERATE_LOW_TARGET:
-        _, budget_mult = _thresholds_to_multipliers(problem, 0.0, curve.rho_low)
-        return Multipliers(0.0, budget_mult, case), 0.0, curve.rho_low
-
     try:
-        delta, rho = _solve_regular(ctx, problem, curve)
+        delta, rho = _solve_regular_nested(ctx, problem, curve)
     except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
         raise SolverDiverged(
             f"multiplier solve failed for {problem}: {exc}",
@@ -535,8 +482,7 @@ def _solve_case(problem, ctx, curve):
         ) from exc
     if not _residuals_ok(ctx, problem, delta, rho):
         raise SolverDiverged(f"residuals too large for {problem}")
-    mean_mult, budget_mult = _thresholds_to_multipliers(problem, delta, rho)
-    return Multipliers(mean_mult, budget_mult, case), delta, rho
+    return delta, rho
 
 
 def _residuals_ok(ctx, problem, delta, rho, tol=1e-8):
@@ -547,29 +493,49 @@ def _residuals_ok(ctx, problem, delta, rho, tol=1e-8):
 
 
 def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
-    """Full solve: bounds, classification, multipliers, objective, hit
-    probability, assembled into an immutable PolicySolution."""
+    """Solve one instance: its case, Lagrange pair, thresholds, objective
+    and hit probability, assembled into an immutable PolicySolution.
+
+    A target above d_lower is Regular and is solved by one exact monotone
+    1-D reduction for every q: the budget equation pins the width rho of the
+    middle branch given the cap threshold delta (`branch_width`), and the
+    mean equation is bracketed in ln delta between the thresholds of d_lower
+    and d_upper. For q = 2 a damped Newton on (ln delta, ln rho) from
+    delta = H_1^{-1}(x0 / cap), rho = 1 runs first and the reduction is its
+    fallback. Both degenerate cases sit at the low end of the budget curve:
+    delta = 0 with the width rho_low for DegenerateLowTarget, and the rich
+    threshold for DegenerateRich.
+
+    Raises TargetTooHigh when d >= d_upper, InfeasibleBudget when
+    x0 >= cap E[z(T)], and SolverDiverged when the Regular solve fails.
+    """
     _check_horizon(problem, model)
     ctx = deflator_context(model)
     curve = _budget_curve(ctx, problem)
-    mult, delta, rho = _solve_case(problem, ctx, curve)
     gamma, q = problem.gamma, problem.q
-
-    if mult.case == DEGENERATE_RICH:
-        objective = 0.0
-        hit = partial_moment_H_ext(ctx, 0.0, delta)
-        multiple = problem.x0 > gamma * ctx.mean
+    if problem.d >= curve.d_upper:
+        raise TargetTooHigh(
+            f"target d = {problem.d} is not below d_upper = {curve.d_upper}"
+        )
+    if problem.d > curve.d_lower:
+        case, (delta, rho) = REGULAR, _solve_regular(ctx, problem, curve)
+    elif problem.x0 < gamma * ctx.mean:
+        case, delta, rho = DEGENERATE_LOW_TARGET, 0.0, curve.rho_low
     else:
-        hi = delta + rho
-        tail = 1.0 - partial_moment_H_ext(ctx, 0.0, hi)
+        case, delta, rho = DEGENERATE_RICH, curve.delta_low, None
+
+    if rho is None:
+        mult, objective = Multipliers(0.0, 0.0, case), 0.0
+    else:
+        # delta = 0 gives a zero mean multiplier and hit probability
+        mult = Multipliers(*_thresholds_to_multipliers(problem, delta, rho), case)
+        tail = 1.0 - partial_moment_H_ext(ctx, 0.0, delta + rho)
         if q == 2.0:
             half_eta = 0.5 * mult.budget
             branch = half_eta * half_eta * _branch_square(ctx, delta, rho)
             objective = branch + gamma * gamma * tail
         else:
             objective = gamma**q * tail
-        hit = partial_moment_H_ext(ctx, 0.0, delta) if mult.mean > 0.0 else 0.0
-        multiple = False
 
     return PolicySolution(
         problem=problem,
@@ -579,10 +545,10 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         delta=delta,
         rho=rho,
         objective_value=objective,
-        hit_prob=hit,
+        hit_prob=partial_moment_H_ext(ctx, 0.0, delta),
         d_lower=curve.d_lower,
         d_upper=curve.d_upper,
-        multiple_solutions=multiple,
+        multiple_solutions=rho is None and problem.x0 > gamma * ctx.mean,
     )
 
 

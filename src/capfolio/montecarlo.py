@@ -176,15 +176,6 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
-def _jackknife_se_of_mean(values: np.ndarray) -> float:
-    """Leave-one-out jackknife standard error of the sample mean."""
-    n = values.size
-    total = values.sum()
-    loo_means = (total - values) / (n - 1)
-    center = loo_means.mean()
-    return math.sqrt((n - 1) / n * np.sum((loo_means - center) ** 2))
-
-
 def estimate_mean(samples) -> RiskEstimate:
     arr = _as_samples(samples)
     return RiskEstimate(
@@ -196,7 +187,8 @@ def estimate_mean(samples) -> RiskEstimate:
 
 
 def estimate_lpm(samples, gamma: float, q: float) -> RiskEstimate:
-    """Sample lower partial moment E[(gamma - x)_+^q] with jackknife SE."""
+    """Sample lower partial moment E[(gamma - x)_+^q] with the standard error
+    of its sample mean."""
     arr = _as_samples(samples)
     shortfall = np.maximum(gamma - arr, 0.0)
     if q == 0.0:
@@ -205,7 +197,7 @@ def estimate_lpm(samples, gamma: float, q: float) -> RiskEstimate:
         powered = shortfall**q
     return RiskEstimate(
         value=float(powered.mean()),
-        std_error=float(_jackknife_se_of_mean(powered)),
+        std_error=float(powered.std(ddof=1) / math.sqrt(arr.size)),
         n=int(arr.size),
         measure=f"LPM(q={q:g}, gamma={gamma:g})",
     )

@@ -53,7 +53,7 @@ def test_criterion_01_multiplier_reproduction(example1, criterion):
                     meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1
                 )
             else:
-                mult = lpm.solve_multipliers(_problem1(q), example1)
+                mult = lpm.solve_lpm(_problem1(q), example1).multipliers
             elapsed = time.perf_counter() - t0
             rel = max(
                 abs(mult.mean - want[0]) / abs(want[0]),

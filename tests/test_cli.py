@@ -311,6 +311,22 @@ def test_compare_static_dominance(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.0652, abs=2e-4)
 
 
+def test_compare_static_keeps_an_unattainable_dynamic_row(tmp_path):
+    # d = 50 lies below the cap but above the dynamic d_upper on example 2;
+    # the static LP still solves there
+    cfg = _cfg(
+        tmp_path, EX2_MARKET, CVAR2,
+        run={"out": str(tmp_path), "d_grid": [11.0, 50.0], "betas": [0.9],
+             "scenarios": 3000, "seed": 20240817},
+    )
+    assert cli.main(["--config", cfg, "--cmd", "compare_static"]) == 0
+    _, rows = _read_csv(tmp_path / "compare_static.csv")
+    assert [row[4] for row in rows] == ["ok", "dynamic TargetTooHigh"]
+    assert math.isnan(float(rows[1][3]))
+    assert all(math.isfinite(float(row[2])) for row in rows)
+    assert math.isfinite(float(rows[0][3]))
+
+
 def test_artifacts_are_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -498,6 +514,8 @@ def test_riskless_last_segment_still_solves(tmp_path):
         ([], {"z_grid": False}),
         ([], {"z_grid": ""}),
         ([], {"z_grid": []}),
+        # a standard error needs two samples, so no command can use one path
+        (["--paths", "1"], {}),
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):

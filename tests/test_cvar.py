@@ -146,16 +146,26 @@ def test_j_linear_once_the_mean_constraint_goes_slack(example2):
         )
 
 
+def _underline_d(prob, model, alpha):
+    """Smallest binding mean target of the embedded q=1 instance at alpha,
+    whose benchmark is xbar - alpha."""
+    gamma = cvar.safe_level(prob, model) - alpha
+    embedded = lpm.LpmProblem(
+        x0=prob.x0, d=prob.d, gamma=gamma, cap=prob.cap, q=1.0, horizon=prob.horizon
+    )
+    return lpm.d_bounds(embedded, model)[0]
+
+
 def test_underline_d_increases_toward_the_cap_bound(example2):
     prob = _problem()
     grid = [0.0, 0.5, 1.0, 2.0, 9.0]
-    lows = [cvar.underline_d_of_alpha(prob, example2, a) for a in grid]
+    lows = [_underline_d(prob, example2, a) for a in grid]
     assert all(b > a for a, b in zip(lows, lows[1:]))
     # alpha = 0 sits exactly on the rich boundary (x0 = xbar E[z]), where the
     # minimal attainable mean is the safe level itself
     assert lows[0] == pytest.approx(FROZEN_XBAR, abs=2e-6)
     # and the limit alpha -> xbar approaches the attainable-mean supremum
-    near = cvar.underline_d_of_alpha(prob, example2, FROZEN_XBAR - 1e-6)
+    near = _underline_d(prob, example2, FROZEN_XBAR - 1e-6)
     assert near == pytest.approx(FROZEN_D_UPPER, abs=1e-3)
 
 

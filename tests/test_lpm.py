@@ -97,7 +97,7 @@ def _payoff_kinks(sol):
 
 @pytest.mark.parametrize("cap,q", sorted(FROZEN_MULT))
 def test_multipliers_match_frozen_probe(example1, cap, q):
-    mult = lpm.solve_multipliers(_problem(q, cap=cap), example1)
+    mult = lpm.solve_lpm(_problem(q, cap=cap), example1).multipliers
     want_mean, want_budget = FROZEN_MULT[(cap, q)]
     tol = 2e-6 if cap == 10.0 else 1e-4
     assert mult.mean == pytest.approx(want_mean, abs=tol)
@@ -473,7 +473,7 @@ def test_target_too_high(example1):
     # the bound itself is excluded: d must be strictly below d_upper
     _, hi = lpm.d_bounds(_problem(1.0), example1)
     with pytest.raises(TargetTooHigh):
-        lpm.classify(_problem(1.0, d=hi), example1)
+        lpm.solve_lpm(_problem(1.0, d=hi), example1)
 
 
 def test_infeasible_budget(example1):

@@ -10,11 +10,14 @@ path (`surface`, `montecarlo`, `baseline`, `simplex`), which the CLI imports
 inside the commands that use it (`tests/test_cli.py` checks in a fresh
 interpreter that `solve` and `frontier` never load it).  `montecarlo` imports
 its thread pool inside `run_policy`, so importing the CLI or `baseline` does
-not load `concurrent.futures`.
+not load `concurrent.futures`.  Every name a module lists in `__all__`
+exists, so a deletion cannot leave a stale export behind.
 """
 import ast
+import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -164,3 +167,21 @@ def test_cli_and_baseline_imports_load_no_thread_pool():
         [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True, timeout=120
     )
     assert proc.stdout.split() == ["False"]
+
+
+def _stale_exports(module) -> list[str]:
+    """Names in the module's `__all__` that it does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_name_in_all_resolves(path):
+    name = PACKAGE if path.stem == "__init__" else f"{PACKAGE}.{path.stem}"
+    assert _stale_exports(importlib.import_module(name)) == []
+
+
+def test_checker_flags_a_stale_export():
+    module = types.ModuleType("probe")
+    module.solve = print
+    module.__all__ = ["solve", "classify"]
+    assert _stale_exports(module) == ["classify"]

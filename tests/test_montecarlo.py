@@ -129,7 +129,7 @@ def test_estimate_lpm_hand_values():
     assert est2.value == pytest.approx((0.25 + 0.04) / 4.0, rel=1e-14)
 
 
-def test_lpm_jackknife_matches_classic_se_of_mean():
+def test_lpm_std_error_is_the_se_of_the_sample_mean():
     rng = np.random.default_rng(0)
     samples = rng.uniform(0.0, 2.0, size=200)
     est = montecarlo.estimate_lpm(samples, gamma=1.0, q=1.0)
