@@ -19,16 +19,20 @@ seen so far,
     s.t. budget, mean floor, |w_j| <= box,
          theta >= (|S|/N)(xbar - alpha) - (sum_{k in S} R_k / N)'w  per cut,
 
-whose value bounds the optimum from below, while the LP objective at the
-master point bounds it from above; each round adds the cut of that point's
-tail.  The all-scenario cut seeds the master and bounds alpha.  Rounds stop
-when the bounds meet to 1e-12 relative, or when the point's tail has its
-cut already: the master then holds the exact value at its point, so the
-bounds agree up to rounding.  There are finitely many tails, so this
-happens after finitely many cuts, at the exact LP optimum.  The master is
-solved through its dual, which has n_assets + 3 rows and a column per cut:
-a new cut appends a column, so one live simplex program resumes from the
-last optimal basis each round.
+whose value bounds the optimum from below.  The master portfolio w is
+priced at its own VaR, the ceil(beta N)-th smallest loss, where the LP
+objective is the exact CVaR of w (Rockafellar-Uryasev, Thm 1): an upper
+bound.  Each round adds the cut of that portfolio's tail beyond its VaR,
+the supporting cut of CVaR at w; only when the master holds it already
+does the round add the tail of the master's own alpha.  The all-scenario
+cut seeds the master and bounds alpha.  Rounds stop when the bounds meet
+to 1e-12 relative, or when the master holds both cuts: it was then solved
+with the exact objective at its own point, so the bounds agree up to
+rounding.  There are finitely many tails, so this happens after finitely
+many cuts, at the exact LP optimum.  The master is solved through its dual,
+which has n_assets + 3 rows and a column per cut: a new cut appends a
+column, so one live simplex program resumes from the last optimal basis
+each round.
 
 The box starts at 100 x0 (wider if the mean floor needs more leverage) and
 grows 100-fold while the best portfolio touches it.  The boxed optimum is
@@ -97,7 +101,9 @@ class RuCvarLp:
 @dataclass(frozen=True, slots=True)
 class LpSolution:
     """weights are dollar allocations (risky assets then bond); alpha is the
-    VaR level of the optimum, NaN when the LP has no optimum."""
+    VaR of the optimum exactly, the ceil(beta N)-th smallest of the losses
+    xbar - R'weights, and objective their CVaR there; alpha is NaN when the
+    LP has no optimum."""
 
     weights: np.ndarray | None
     alpha: float
@@ -191,10 +197,21 @@ def simplex_solve(lp: RuCvarLp) -> LpSolution:
 
 
 def _cut_rounds(lp, master, box):
-    """Kelley's method at a fixed box: (weights, alpha, cvar) of the best
+    """Kelley's method at a fixed box: (weights, VaR, cvar) of the best
     portfolio seen once it meets the master's lower bound, or None when the
-    budget and mean rows admit no portfolio in the box."""
+    budget and mean rows admit no portfolio in the box.
+
+    Each round prices the master portfolio w at its own VaR, the
+    ceil(beta N)-th smallest loss, where the RU objective equals the exact
+    CVaR of w: an upper bound on the optimum.  Its tail {L > VaR} is the
+    supporting cut of CVaR at w and is added first.  Only when the master
+    holds that cut already is the master point's tail {L > alpha} added;
+    when it holds both, it was solved with the exact objective at its own
+    point, so its lower bound is the CVaR of w and w is optimal.  No cut
+    may enter before these tests: a held cut certifies the optimum only if
+    the master held it when it was last solved."""
     r = lp.returns
+    k = math.ceil(lp.beta * r.shape[0]) - 1
     best = None
     for _ in range(_MAX_ROUNDS):
         found = master.solve(box)
@@ -202,12 +219,14 @@ def _cut_rounds(lp, master, box):
             return None
         weights, alpha, lower = found
         losses = lp.xbar - r @ weights
-        tail = losses > alpha
-        # the LP objective at the master point bounds the optimum from above
-        upper = alpha + float((losses[tail] - alpha).sum()) / ((1.0 - lp.beta) * losses.size)
+        var = float(np.partition(losses, k)[k])
+        tail = losses > var
+        upper = var + float((losses[tail] - var).sum()) / ((1.0 - lp.beta) * losses.size)
         if best is None or upper < best[2]:
-            best = (weights, alpha, upper)
-        if best[2] - lower <= _GAP * max(1.0, abs(best[2])) or not master.add_cut(tail):
+            best = (weights, var, upper)
+        if best[2] - lower <= _GAP * max(1.0, abs(best[2])):
+            return best
+        if not (master.add_cut(tail) or master.add_cut(losses > alpha)):
             return best
     raise NumericalBreakdown(f"cutting planes left a gap after {_MAX_ROUNDS} rounds")
 

@@ -515,7 +515,7 @@ def cmd_compare_static(config: RunConfig) -> int:
     from . import baseline
 
     run = config.run
-    betas = run.get("betas") or [config.instance.beta]
+    betas = [config.instance.beta] if run.get("betas") is None else run["betas"]
     d_grid = run.get("d_grid", [])
     scenarios = baseline.generate_scenarios(
         config.model, int(run["scenarios"]), int(run["seed"])

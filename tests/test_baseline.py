@@ -179,6 +179,69 @@ def test_cuts_match_highs_on_criterion_grid(example2, beta):
         np.testing.assert_allclose(sol.weights, ref.x[:4], rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("beta", [0.90, 0.95, 0.99])
+def test_var_tail_cuts_on_criterion_grid(example2, beta, monkeypatch):
+    # cutting at each master portfolio's own VaR tail needs at most 28
+    # master solves per cell, and the reported alpha is the returned
+    # portfolio's VaR exactly
+    solves = []
+    solve = baseline.simplex.Program.solve
+
+    def counted(program):
+        solves.append(1)
+        return solve(program)
+
+    monkeypatch.setattr(baseline.simplex.Program, "solve", counted)
+    scen = baseline.generate_scenarios(example2, 2000, seed=12345)
+    k = math.ceil(beta * scen.n_scenarios) - 1
+    for d in (11.0, 12.0, 13.0):
+        solves.clear()
+        lp = baseline.build_ru_lp(scen, beta=beta, d=d, x0=10.0)
+        sol = baseline.simplex_solve(lp)
+        assert sol.status == baseline.OPTIMAL
+        assert len(solves) <= 28
+        assert sol.alpha == np.sort(lp.xbar - scen.returns @ sol.weights)[k]
+
+
+def test_cuts_match_highs_on_random_markets(monkeypatch):
+    # seeded draws of 1-3 lognormal assets plus a bond, targets from below
+    # the bond's mean to above the best asset's; the status and the optimum
+    # must agree with HiGHS on the primal program
+    refused = []
+    add_cut = baseline._Master.add_cut
+
+    def recorded(master, tail):
+        added = add_cut(master, tail)
+        refused.append(not added)
+        return added
+
+    monkeypatch.setattr(baseline._Master, "add_cut", recorded)
+    status = {0: baseline.OPTIMAL, 2: baseline.INFEASIBLE, 3: baseline.UNBOUNDED}
+    rng = np.random.default_rng(2000)
+    for _ in range(40):
+        n_risky = int(rng.integers(1, 4))
+        n_scen = round(math.exp(rng.uniform(math.log(100), math.log(2000))))
+        beta = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99]))
+        bond = 1.0 + rng.uniform(0.0, 0.05)
+        vol = rng.uniform(0.05, 0.3, n_risky)
+        factor = rng.standard_normal((n_scen, 1))
+        shocks = 0.6 * factor + 0.8 * rng.standard_normal((n_scen, n_risky))
+        risky = bond * np.exp(rng.uniform(0.0, 0.12, n_risky) - 0.5 * vol**2 + vol * shocks)
+        returns = np.column_stack([risky, np.full(n_scen, bond)])
+        means = returns.mean(axis=0)
+        d = rng.uniform(bond - 0.05, means.max() + 0.1)
+        scen = baseline.ScenarioSet(
+            returns=returns, probabilities=np.full(n_scen, 1 / n_scen), seed=0
+        )
+        lp = baseline.build_ru_lp(scen, beta=beta, d=d, x0=1.0)
+        sol = baseline.simplex_solve(lp)
+        ref = _primal_reference(lp)
+        assert sol.status == status[ref.status]
+        if ref.status == 0:
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert any(refused)  # some round fell back to the master point's tail
+
+
 def _hedge_scenarios(n, spread_mean, spread_sd):
     """Bond 1.02, a risky asset, and a near copy that beats it by a small
     noisy spread: the cheapest tail risk is a large long-short position."""

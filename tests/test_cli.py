@@ -311,6 +311,18 @@ def test_compare_static_dominance(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.0652, abs=2e-4)
 
 
+def test_compare_static_empty_betas_writes_header_only(tmp_path):
+    # run.betas takes problem.beta only when absent or null, like run.d_grid
+    cfg = _cfg(
+        tmp_path, EX2_MARKET, CVAR2,
+        run={"out": str(tmp_path), "d_grid": [11.0], "betas": [],
+             "scenarios": 100, "seed": 1},
+    )
+    assert cli.main(["--config", cfg, "--cmd", "compare_static"]) == 0
+    text = (tmp_path / "compare_static.csv").read_text()
+    assert text == "d,beta,static_cvar,dynamic_cvar,status\n"
+
+
 def test_compare_static_keeps_an_unattainable_dynamic_row(tmp_path):
     # d = 50 lies below the cap but above the dynamic d_upper on example 2;
     # the static LP still solves there
