@@ -6,11 +6,18 @@ counter-based: step k draws from a Philox stream keyed (seed, k), and path
 i reads row i of that step's block, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
 `run_policy` is one loop over running state in two legs.  The deflator leg
-draws step k's block once and advances ln z; it depends on the seed and the
-market alone, so a worker thread runs it one step ahead of the wealth leg,
-which evaluates the policy and advances x on the caller's thread.  Every
-array operation is the one a single loop would make, on the same arrays in
-the same order, so the results are the same bits.  Only the running vectors
+draws step k's block once, contracts it to theta' dW and advances ln z; it
+depends on the seed and the market alone, so a worker thread runs it one
+step ahead of the wealth leg.  That leg advances x on the caller's thread
+on the same shock: every closed-form policy is a scalar -z dx/dz times the
+direction (sigma sigma')^{-1}(mu - r 1), so in a complete market with
+square sigma the Euler step is
+
+    dx = (r x + scale ||theta||^2) dt + scale theta' dW,
+
+and only the scalar factor is evaluated (Cox & Huang 1989).  Every array
+operation is the one a single loop would make, on the same arrays in the
+same order, so the results are the same bits.  Only the running vectors
 and the next step's are held, so memory is O(n_paths) whatever n_steps is,
 and only the terminal values are kept.
 """
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface
-from .errors import DimensionMismatch, DomainError, EmptySample
+from .errors import DomainError, EmptySample
 from .lpm import Payoff
 from .market import MarketModel
 
@@ -61,59 +68,48 @@ def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt:
 
 
 def _deflator_leg(model: MarketModel, seed: int, k: int, t: float, dt: float, thetas, log_z):
-    """Step k of the deflator from time t: (segment, increments, z_k, ln z_{k+1}).
+    """Step k of the deflator from time t: (segment, theta' dW, z_k, ln z_{k+1}).
 
-    It runs on a worker thread, so it calls private helpers, `MarketModel`
-    methods and numpy only: the benchmark's tracer keeps one span stack per
-    process, which a public function of the package called here would corrupt.
+    theta' dW is the one scalar shock per path that both ln z and the
+    wealth step take. It runs on a worker thread, so it calls private
+    helpers, `MarketModel` methods and numpy only: the benchmark's tracer
+    keeps one span stack per process, which a public function of the
+    package called here would corrupt.
     """
     s = model.segment_index(t)
     theta = thetas[s]
-    dw = _step_increments(model, seed, k, log_z.size, dt)
+    shock = _step_increments(model, seed, k, log_z.size, dt) @ theta
     drift = -(model.rate[s] + 0.5 * float(theta @ theta)) * dt
-    return s, dw, np.exp(log_z), log_z + drift - dw @ theta
-
-
-def _policy_evaluator(policy, x0):
-    """Adapt a payoff or a policy callable to (t, z_vector) -> allocations."""
-    if isinstance(policy, Payoff):
-        start = float(surface.wealth(policy, 0.0, 1.0)) if x0 is None else x0
-
-        def evaluate(t, z):
-            return surface.policy(policy, t, z)
-
-        return evaluate, start
-    if callable(policy):
-        if x0 is None:
-            raise DomainError("a bare policy callable needs an explicit x0")
-        return policy, x0
-    raise DomainError(f"unsupported policy carrier {type(policy).__name__}")
+    return s, shock, np.exp(log_z), log_z + drift - shock
 
 
 def run_policy(
-    model: MarketModel, policy, n_paths: int, n_steps: int, seed: int, x0: float | None = None
+    model: MarketModel, payoff: Payoff, n_paths: int, n_steps: int, seed: int
 ) -> PathEnsemble:
-    """Simulate the deflator and Euler-integrate wealth under a policy to T.
+    """Simulate the deflator and Euler-integrate the payoff's wealth to T.
 
-    One loop carries the running vectors ln z and x over a uniform n_steps
-    grid on [0, horizon].  Each step draws its increment block once; from
-    it, ln z moves by its exact Gaussian step, with mean
+    payoff is an `lpm.Payoff` -- `lpm.payoff(solution)` of a shortfall or
+    CVaR solution, or `meanvar.mv_payoff` -- and the run starts from its
+    wealth x(0, 1).  One loop carries the running vectors ln z and x over a
+    uniform n_steps grid on [0, horizon].  Each step draws its increment
+    block once and contracts it to the shock theta' dW per path.  From it,
+    ln z moves by its exact Gaussian step, with mean
     -(r + ||theta||^2 / 2) dt and variance ||theta||^2 dt (coefficients at
     the left endpoint, so z itself has no Euler bias), and the wealth by
-    dx = (r x + excess'pi) dt + pi' sigma dW with pi evaluated at the left
-    endpoint from z there.
 
-    Step k + 1's deflator leg (segment lookup, draw, z = exp(ln z), the
-    ln z step) goes to a one-worker pool before the wealth leg of step k
-    starts on the caller's thread; the two overlap inside numpy and scipy,
-    which release the interpreter lock, and the results are bit-identical
-    to a single loop.  The worker is joined before `run_policy` returns or
+        dx = (r x + scale ||theta||^2) dt + scale theta' dW,
+
+    with scale = `surface.policy_scale` = -z dx/dz at the left endpoint.
+    This is dx = (r x + pi'(mu - r 1)) dt + pi' sigma dW for the policy
+    pi = scale (sigma sigma')^{-1}(mu - r 1) of `surface.policy`, since
+    sigma' (sigma sigma')^{-1}(mu - r 1) = theta for a square sigma.
+
+    Step k + 1's deflator leg (segment lookup, draw, theta' dW,
+    z = exp(ln z), the ln z step) goes to a one-worker pool before the
+    wealth leg of step k starts on the caller's thread; the two overlap
+    inside numpy and scipy, which release the interpreter lock, and the
+    results are bit-identical to a single loop.  The worker is joined before `run_policy` returns or
     raises.  Memory is O(n_paths) whatever n_steps is.
-
-    policy is either an `lpm.Payoff` -- `lpm.payoff(solution)` of a
-    shortfall or CVaR solution, or `meanvar.mv_payoff` -- replicated through
-    `surface.policy` from its wealth x(0, 1) unless x0 is given, or a callable
-    (t, z_vector) -> (n_paths, n) allocation matrix, which needs x0.
 
     The stepping is Euler-Maruyama, which has strong order 1/2.  For capped
     payoffs, whose terminal wealth jumps from the cap to gamma at z = delta,
@@ -124,7 +120,6 @@ def run_policy(
     # not load concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
-    evaluate, start = _policy_evaluator(policy, x0)
     if n_paths < 1 or n_steps < 1:
         raise DomainError(
             f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
@@ -133,31 +128,19 @@ def run_policy(
     dt = model.horizon / n_steps
     # the closed-form policies are undefined exactly at the horizon
     final_policy_time = model.horizon - dt
-    # the market's coefficient tuples as arrays, once per run
-    drifts, vols, thetas = np.asarray(model.drift), np.asarray(model.vol), np.asarray(model.theta)
-    x = np.full(n_paths, float(start))
+    thetas = np.asarray(model.theta)
+    x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     with ThreadPoolExecutor(max_workers=1) as ahead:
         leg = ahead.submit(_deflator_leg, model, seed, 0, times[0], dt, thetas, np.zeros(n_paths))
         for k in range(n_steps):
-            s, dw, z, log_z = leg.result()
+            s, shock, z, log_z = leg.result()
             if k + 1 < n_steps:
                 leg = ahead.submit(
                     _deflator_leg, model, seed, k + 1, times[k + 1], dt, thetas, log_z
                 )
-            pi = np.atleast_2d(evaluate(min(times[k], final_policy_time), z))
-            if pi.shape != (n_paths, model.n_assets):
-                raise DimensionMismatch(
-                    f"policy returned shape {pi.shape}, expected {(n_paths, model.n_assets)}"
-                )
+            scale = surface.policy_scale(payoff, min(times[k], final_policy_time), z)
             rate = model.rate[s]
-            vol = vols[s]
-            # pi' sigma dW in the order einsum("ij,jk,ik->i") sums it, so the
-            # same bits, without its per-call cost
-            noise = 0.0
-            for j in range(model.n_assets):
-                for i in range(model.n_assets):
-                    noise = noise + pi[:, j] * vol[j, i] * dw[:, i]
-            x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
+            x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
     return PathEnsemble(
         n_paths=n_paths,
         n_steps=n_steps,

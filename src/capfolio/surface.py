@@ -3,13 +3,14 @@
 This is the array path. A solved problem is a piecewise-linear `lpm.Payoff`
 in the terminal deflator; the functions here replicate it (Cox & Huang
 1989): the terminal wealth X(z), the wealth surface x(t, z), the dollar
-policy pi(t, z) and the feedback curve, each evaluated elementwise over an
-array of deflator levels z on numpy. The array kernels they rest on are the
-elementwise counterparts of the scalar ones in `kernels`, on numpy and
-scipy's erfc. scipy is imported by `std_normal_cdf_array` on its first call,
-not with this module. The solvers (`lpm`, `cvar`, `meanvar`) and the market
-run on floats and never import this module, so a command that evaluates no
-surface loads neither numpy nor scipy.
+policy pi(t, z) and its scalar factor, and the feedback curve, each
+evaluated elementwise over an array of deflator levels z on numpy. The
+array kernels they rest on are the elementwise counterparts of the scalar
+ones in `kernels`, on numpy and scipy's erfc. scipy is imported by
+`std_normal_cdf_array` on its first call, not with this module. The
+solvers (`lpm`, `cvar`, `meanvar`) and the market run on floats and never
+import this module, so a command that evaluates no surface loads neither
+numpy nor scipy.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ __all__ = [
     "truncated_exp_moment_array",
     "terminal_wealth",
     "wealth",
+    "policy_scale",
     "policy",
     "feedback_curve",
 ]
@@ -160,17 +162,17 @@ def wealth(payoff: Payoff, t, z) -> np.ndarray:
     return flat + _branch_sum(payoff, 2.0, mom.m, mom.nu, log_z, slopes, z)
 
 
-def policy(payoff: Payoff, t, z):
-    """Dollar allocation pi(t, z) to the risky assets, shape z.shape + (n,).
+def policy_scale(payoff: Payoff, t, z) -> np.ndarray:
+    """Scalar factor -z dx/dz of the policy, an array of the shape of z.
 
-    Equals -z dx/dz (sigma sigma')^{-1}(mu - r 1), with the scalar factor
+    In closed form,
 
         -z dx/dz = (c1 / nu) sum_k J_k phi(u_k - nu) - z sum_k b_k dG_2
 
-    in closed form: J_k is the downward jump of X at the finite level y_k,
-    the end of branch k (its start if empty) less the start of the next,
-    b_k its slope, c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu.
-    Raises PolicyUndefinedAtTerminal once the remaining volatility is below
+    where J_k is the downward jump of X at the finite level y_k, the end of
+    branch k (its start if empty) less the start of the next, b_k its slope,
+    c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu. Raises
+    PolicyUndefinedAtTerminal once the remaining volatility is below
     TERMINAL_NU.
     """
     z = np.asarray(z, dtype=float)
@@ -191,7 +193,18 @@ def policy(payoff: Payoff, t, z):
             u = (math.log(y) - log_z - m) / nu
             jumps = jumps + jump * std_normal_pdf_array(u - nu)
     scale = (math.exp(m + 0.5 * nu * nu) / nu) * jumps
-    scale = scale - _branch_sum(payoff, 2.0, m, nu, log_z, slopes, z)
+    return scale - _branch_sum(payoff, 2.0, m, nu, log_z, slopes, z)
+
+
+def policy(payoff: Payoff, t, z):
+    """Dollar allocation pi(t, z) to the risky assets, shape z.shape + (n,).
+
+    Every policy of a deterministic market has one shape: the scalar
+    `policy_scale` -z dx/dz times the direction (sigma sigma')^{-1}(mu - r 1)
+    of the segment holding t. Raises PolicyUndefinedAtTerminal once the
+    remaining volatility is below TERMINAL_NU.
+    """
+    scale = policy_scale(payoff, t, z)
     direction = gram_inverse_excess(payoff.model, t)
     # filled column by column: the same products as an outer product, in a
     # quarter of its time

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from capfolio import cvar, lpm, market, meanvar, montecarlo, surface
-from capfolio.errors import DimensionMismatch, DomainError, EmptySample
+from capfolio.errors import DomainError, EmptySample
 
 GAMMA = math.exp(0.06)
 
@@ -19,19 +19,29 @@ def _flat_market():
     return market.validate_market(1.0, 0.04, 0.04, 0.2)
 
 
-def _zero(t, z):
-    return np.zeros((z.size, 1))
+def _flat(model, x0):
+    """The payoff that pays x0 / E[z(T)] everywhere: worth x0 at t = 0, with
+    policy exactly 0, so its wealth only compounds at the short rate."""
+    c = x0 / market.expected_deflator(model, 0.0, model.horizon)
+    return lpm.Payoff(model, (math.inf,), (c,), (c,))
 
 
 def _deflator(model, n_paths, n_steps, seed):
     """Terminal deflator of a bond-only run, which carries z unchanged."""
-    return montecarlo.run_policy(model, _zero, n_paths, n_steps, seed, x0=1.0).z_terminal
+    return montecarlo.run_policy(model, _flat(model, 1.0), n_paths, n_steps, seed).z_terminal
 
 
 def test_deflator_deterministic_when_theta_zero():
-    np.testing.assert_allclose(
-        _deflator(_flat_market(), 50, 16, seed=3), math.exp(-0.04), rtol=1e-13
-    )
+    # nu = 0 on this market, where every policy raises
+    # PolicyUndefinedAtTerminal, so the deflator leg is stepped alone
+    model = _flat_market()
+    times = np.linspace(0.0, 1.0, 17)
+    log_z = np.zeros(50)
+    for k in range(16):
+        log_z = montecarlo._deflator_leg(
+            model, 3, k, times[k], 1.0 / 16, np.asarray(model.theta), log_z
+        )[3]
+    np.testing.assert_allclose(np.exp(log_z), math.exp(-0.04), rtol=1e-13)
 
 
 def test_deflator_mean_matches_discount(example1):
@@ -66,28 +76,11 @@ def test_simulate_validates_sizes(example1):
 
 
 def test_bond_only_policy_compounds_at_short_rate(example1):
-    out = montecarlo.run_policy(example1, _zero, 20, 32, seed=2, x0=1.0)
+    out = montecarlo.run_policy(example1, _flat(example1, 1.0), 20, 32, seed=2)
     dt = 1.0 / 32
     want = (1.0 + 0.06 * dt) ** 32
     np.testing.assert_allclose(out.x_terminal, want, rtol=1e-13)
     assert want == pytest.approx(math.exp(0.06), rel=2e-4)
-
-
-def test_callable_policy_requires_budget(example1):
-    with pytest.raises(DomainError):
-        montecarlo.run_policy(example1, lambda t, z: np.zeros((4, 1)), 4, 4, seed=2)
-
-
-def test_policy_shape_checked(example1):
-    with pytest.raises(DimensionMismatch):
-        montecarlo.run_policy(
-            example1, lambda t, z: np.zeros((3, 2)), 4, 4, seed=2, x0=1.0
-        )
-
-
-def test_unsupported_carrier_rejected(example1):
-    with pytest.raises(DomainError):
-        montecarlo.run_policy(example1, object(), 4, 4, seed=2)
 
 
 def test_shortfall_policy_replicates_target_mean(example1):
@@ -179,7 +172,7 @@ def test_estimators_reject_degenerate_samples():
 
 
 def test_ensemble_summary_fields(example1):
-    out = montecarlo.run_policy(example1, _zero, 50, 8, seed=4, x0=2.0)
+    out = montecarlo.run_policy(example1, _flat(example1, 2.0), 50, 8, seed=4)
     summary = montecarlo.ensemble_summary(out)
     assert summary["n_paths"] == 50
     assert summary["n_steps"] == 8
@@ -192,23 +185,46 @@ def test_ensemble_summary_fields(example1):
     )
 
 
-def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
-    """Deflator loop first, then a wealth loop that draws every block again
-    and contracts pi' sigma dW with einsum; returns (z, x), path-major."""
+def _reference_deflator(model, n_paths, n_steps, seed):
+    """z on the step grid, path-major, from a loop that draws every block."""
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     dt = model.horizon / n_steps
     log_z = np.zeros((n_paths, n_steps + 1))
-    drifts, vols = np.asarray(model.drift), np.asarray(model.vol)
     for k in range(n_steps):
         theta = np.asarray(market.market_price_of_risk(model, times[k]))
         rate = model.rate[model.segment_index(times[k])]
         dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
         drift = -(rate + 0.5 * float(theta @ theta)) * dt
         log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
-    z = np.exp(log_z)
+    return times, dt, np.exp(log_z)
+
+
+def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
+    """Deflator loop first, then a wealth loop that draws every block again
+    and forms theta' dW and the policy scale itself; returns (z, x),
+    path-major."""
+    times, dt, z = _reference_deflator(model, n_paths, n_steps, seed)
     x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     x_paths = np.empty((n_paths, n_steps + 1))
     x_paths[:, 0] = x
+    for k in range(n_steps):
+        s = model.segment_index(times[k])
+        rate = model.rate[s]
+        scale = surface.policy_scale(payoff, min(times[k], model.horizon - dt), z[:, k])
+        dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
+        shock = dw @ np.asarray(model.theta[s])
+        x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
+        x_paths[:, k + 1] = x
+    return z, x_paths
+
+
+def _full_policy_reference(model, payoff, n_paths, n_steps, seed):
+    """The Euler step on the dollar policy itself: pi from `surface.policy`,
+    dx = (r x + pi'(mu - r 1)) dt + pi' sigma dW with pi' sigma dW by einsum;
+    returns (z(T), x(T))."""
+    times, dt, z = _reference_deflator(model, n_paths, n_steps, seed)
+    x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
+    drifts, vols = np.asarray(model.drift), np.asarray(model.vol)
     for k in range(n_steps):
         s = model.segment_index(times[k])
         rate = model.rate[s]
@@ -216,8 +232,36 @@ def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
         dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
         noise = np.einsum("ij,jk,ik->i", pi, vols[s], dw)
         x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
-        x_paths[:, k + 1] = x
-    return z, x_paths
+    return z[:, -1], x
+
+
+def _three_segments():
+    """One asset; breaks at 0.3, between the step times k / 16, and at
+    0.5 = 8 / 16, exactly on one; rate and theta change at each."""
+    model = market.validate_market(
+        1.0, [0.03, 0.06, 0.045], [0.09, 0.10, 0.12], [0.2, 0.15, 0.25],
+        breakpoints=[0.0, 0.3, 0.5],
+    )
+    prob = lpm.LpmProblem(x0=1.0, d=1.2, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
+    return model, lpm.payoff(lpm.solve_lpm(prob, model))
+
+
+def _two_assets_three_segments():
+    """Two assets with an asymmetric sigma that changes with r and mu at
+    0.25 and 0.6."""
+    model = market.validate_market(
+        1.0,
+        [0.02, 0.05, 0.035],
+        [[0.08, 0.06], [0.09, 0.11], [0.07, 0.05]],
+        [
+            [[0.20, 0.05], [-0.03, 0.15]],
+            [[0.25, 0.00], [0.10, 0.18]],
+            [[0.18, -0.06], [0.02, 0.12]],
+        ],
+        breakpoints=[0.0, 0.25, 0.6],
+    )
+    prob = lpm.LpmProblem(x0=1.0, d=1.15, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
+    return model, lpm.payoff(lpm.solve_lpm(prob, model))
 
 
 def _example_payoffs(example1, example2):
@@ -253,19 +297,29 @@ def test_run_policy_matches_two_pass_reference_bit_for_bit(example1, example2):
 
 
 def test_run_policy_matches_two_pass_reference_across_segments():
-    # breaks at 0.3, between the step times k / 16, and at 0.5 = 8 / 16,
-    # exactly on one; rate and theta change at each
-    model = market.validate_market(
-        1.0, [0.03, 0.06, 0.045], [0.09, 0.10, 0.12], [0.2, 0.15, 0.25],
-        breakpoints=[0.0, 0.3, 0.5],
-    )
+    model, payoff = _three_segments()
     assert 0.5 in np.linspace(0.0, 1.0, 17) and 0.3 not in np.linspace(0.0, 1.0, 17)
-    prob = lpm.LpmProblem(x0=1.0, d=1.2, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
-    payoff = lpm.payoff(lpm.solve_lpm(prob, model))
     out = montecarlo.run_policy(model, payoff, 257, 16, seed=23)
     z_ref, x_ref = _two_pass_reference(model, payoff, 257, 16, 23)
     np.testing.assert_array_equal(out.z_terminal, z_ref[:, -1])
     np.testing.assert_array_equal(out.x_terminal, x_ref[:, -1])
+
+
+def test_run_policy_matches_the_dollar_policy_step(example1, example2):
+    # the scalar step on theta' dW is the Euler step on pi = surface.policy
+    # up to rounding, and the deflator is the same bits
+    cases = [
+        *((model, payoff, 24) for model, payoff in _example_payoffs(example1, example2)),
+        (*_three_segments(), 16),
+        (*_two_assets_three_segments(), 20),
+    ]
+    for model, payoff, n_steps in cases:
+        out = montecarlo.run_policy(model, payoff, 257, n_steps, seed=19)
+        z_ref, x_ref = _full_policy_reference(model, payoff, 257, n_steps, 19)
+        np.testing.assert_array_equal(out.z_terminal, z_ref)
+        np.testing.assert_allclose(
+            out.x_terminal, x_ref, rtol=0.0, atol=1e-13 * np.abs(x_ref).max()
+        )
 
 
 def _record_draws(monkeypatch, delay=0.0):
@@ -326,39 +380,40 @@ def test_concurrent_runs_match_sequential_ones(example1, example2):
 def test_run_policy_leaves_no_worker_behind(example1, monkeypatch):
     calls = _record_draws(monkeypatch)
     threads = threading.active_count()
-    montecarlo.run_policy(example1, _zero, 16, 8, seed=2, x0=1.0)
+    payoff = _flat(example1, 1.0)
+    montecarlo.run_policy(example1, payoff, 16, 8, seed=2)
     assert threading.active_count() == threads
+    scale = surface.policy_scale
 
-    def bad_at_step_3(t, z):
+    def bad_at_step_3(payoff, t, z):
         bad_at_step_3.calls += 1
-        return np.zeros((z.size, 2 if bad_at_step_3.calls > 3 else 1))
+        if bad_at_step_3.calls > 3:
+            raise ArithmeticError("wealth step 3")
+        return scale(payoff, t, z)
 
     bad_at_step_3.calls = 0
+    monkeypatch.setattr(montecarlo.surface, "policy_scale", bad_at_step_3)
     calls.clear()
-    with pytest.raises(DimensionMismatch):
-        montecarlo.run_policy(example1, bad_at_step_3, 16, 8, seed=2, x0=1.0)
+    with pytest.raises(ArithmeticError, match="wealth step 3"):
+        montecarlo.run_policy(example1, payoff, 16, 8, seed=2)
     assert threading.active_count() == threads
     # step 4's block was drawn ahead of the failing wealth step 3, no later one
     assert calls == list(range(5))
 
 
-def test_run_policy_memory_does_not_grow_with_steps(example1):
+def test_run_policy_memory_does_not_grow_with_steps(example1, example2):
     # running state only: the peak stays a few floats per path at 512 steps,
-    # where storing the paths would take (n_steps + 1) floats per path each
-    payoff = lpm.payoff(
-        lpm.solve_lpm(
-            lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0),
-            example1,
-        )
-    )
+    # where storing the paths would take (n_steps + 1) floats per path each;
+    # one bound for one asset and three, as the wealth leg forms no per-asset block
     n_paths = 2000
-    # a short run first, so that the imports and caches of the first policy
-    # evaluation are not counted as the run's memory
-    montecarlo.run_policy(example1, payoff, 10, 2, seed=1)
-    tracemalloc.start()
-    try:
-        montecarlo.run_policy(example1, payoff, n_paths, 512, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * n_paths * 8
+    for model, payoff in _example_payoffs(example1, example2):
+        # a short run first, so that the imports and caches of the first
+        # policy evaluation are not counted as the run's memory
+        montecarlo.run_policy(model, payoff, 10, 2, seed=1)
+        tracemalloc.start()
+        try:
+            montecarlo.run_policy(model, payoff, n_paths, 512, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n_paths * 8, (model.n_assets, peak / (n_paths * 8))

@@ -1,5 +1,5 @@
 """Seeded mean-LPM, mean-CVaR and mean-variance sweeps over random one-asset
-markets.
+markets, and one sweep over the paper's whole class of deterministic markets.
 
 The draws: r in [-0.02, 0.1]; sigma, the Sharpe ratio (1e-4 to 5) and T
 (0.1 to 20 y) log-uniform.  Every instance either raises a CapfolioError or
@@ -23,13 +23,27 @@ solves to a policy that an independent route confirms.
 Every payoff that solves is also held to the surface contract: at z = 1
 and t in {0, T/2}, `surface.policy` matches a central difference of
 `surface.wealth` in ln z.
+
+The market-class sweep draws 1 to 4 assets and 1 to 4 coefficient segments
+at random breakpoints, T log-uniform on [0.2, 10], and per segment r, a
+random sigma and a random theta (mu = r 1 + sigma theta), with the kinds
+rotating through LPM q in {0, 0.5, 1, 2}, mean-CVaR and mean-variance at
+interior targets.  Every draw solves with budget x(0, 1) = x0 to 1e-8;
+`surface.policy_scale` matches the central difference at t = 0, at each
+breakpoint and at T/2; and there `surface.policy` is the scale times
+(sigma sigma')^{-1}(mu - r 1) solved by numpy from the drawn coefficients,
+the one check of the direction that is independent of the market's own
+solve.  On the first multi-asset, multi-segment draws the Euler
+replication gap E|x(T) - X(z(T))| of `montecarlo.run_policy` falls at
+least 1.5 times from 64 to 256 steps on one seed.
 """
 import math
 import random
 
+import numpy as np
 import pytest
 
-from capfolio import cvar, lpm, market, meanvar, surface
+from capfolio import cvar, lpm, market, meanvar, montecarlo, surface
 from capfolio.errors import CapfolioError, SolverDiverged, TargetTooHigh
 
 SEED = 20241018
@@ -41,6 +55,9 @@ N_LPM = 1200
 LPM_QS = (0.0, 0.3, 1.0, 2.0)
 MV_SEED = 20241020
 N_MV = 300
+CLASS_SEED = 20241021
+N_CLASS = 400
+CLASS_KINDS = (0.0, 0.5, 1.0, 2.0, "cvar", "mv")
 
 
 def _log_uniform(rng, lo, hi):
@@ -403,3 +420,126 @@ def test_policy_is_the_slope_of_the_wealth_surface(lpm_outcomes, outcomes, mv_ou
     ]
     failures = [f"{label}: {v}" for label, payoff in payoffs for v in _surface_violations(payoff)]
     assert failures == []
+
+
+def _class_market(rng):
+    """(horizon, breakpoints, rate, drift, vol) of one random market with
+    1 to 4 assets and 1 to 4 segments."""
+    n, n_seg = rng.randint(1, 4), rng.randint(1, 4)
+    horizon = _log_uniform(rng, 0.2, 10.0)
+    breakpoints = [0.0, *sorted(rng.uniform(0.0, horizon) for _ in range(n_seg - 1))]
+    rate, drift, vol = [], [], []
+    for _ in range(n_seg):
+        r = rng.uniform(-0.02, 0.1)
+        sigma = [
+            [_log_uniform(rng, 0.05, 0.5) if i == j else rng.uniform(-0.1, 0.1) for j in range(n)]
+            for i in range(n)
+        ]
+        theta = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        size = _log_uniform(rng, 0.05, 1.0) / math.sqrt(sum(v * v for v in theta))
+        rate.append(r)
+        drift.append([r + size * sum(a * b for a, b in zip(row, theta)) for row in sigma])
+        vol.append(sigma)
+    return horizon, breakpoints, rate, drift, vol
+
+
+def _class_payoff(kind, model, u, beta):
+    """The solved payoff of one kind at an interior target; u holds three
+    uniforms on [0, 1)."""
+    horizon = model.horizon
+    growth = 1.0 / market.expected_deflator(model, 0.0, horizon)
+    if kind == "mv":
+        d = growth * (1.0 + 1e-3 * 500.0 ** u[0])
+        return meanvar.mv_payoff(meanvar.solve_mv(meanvar.MvProblem(1.0, d, horizon), model), model)
+    if kind == "cvar":
+        cap = growth * (1.0 + 0.05 * 100.0 ** u[0])
+        probe = lpm.LpmProblem(x0=1.0, d=0.0, gamma=cap, cap=cap, q=1.0, horizon=horizon)
+        d = growth + (lpm.d_bounds(probe, model)[1] - growth) * (0.05 + 0.9 * u[1])
+        prob = cvar.CvarProblem(x0=1.0, d=d, cap=cap, beta=beta, horizon=horizon)
+        return lpm.payoff(cvar.solve_cvar(prob, model).policy)
+    gamma = growth * math.exp(0.6 * u[0] - 0.3)
+    cap = max(gamma, growth) * (1.0 + 0.05 * 100.0 ** u[1])
+    probe = lpm.LpmProblem(x0=1.0, d=0.0, gamma=gamma, cap=cap, q=kind, horizon=horizon)
+    lo, hi = lpm.d_bounds(probe, model)
+    d = lo + (hi - lo) * (0.05 + 0.9 * u[2])
+    prob = lpm.LpmProblem(x0=1.0, d=d, gamma=gamma, cap=cap, q=kind, horizon=horizon)
+    return lpm.payoff(lpm.solve_lpm(prob, model))
+
+
+@pytest.fixture(scope="module")
+def class_outcomes():
+    """(label, raw coefficients, payoff or the CapfolioError the solve raised)
+    per draw of the market-class sweep."""
+    rng = random.Random(CLASS_SEED)
+    out = []
+    for i in range(N_CLASS):
+        raw = _class_market(rng)
+        kind, beta = CLASS_KINDS[i % len(CLASS_KINDS)], BETAS[i % len(BETAS)]
+        u = (rng.random(), rng.random(), rng.random())
+        label = f"draw {i} kind={kind} n={len(raw[3][0])} segments={len(raw[1])}"
+        try:
+            horizon, breakpoints, rate, drift, vol = raw
+            model = market.validate_market(horizon, rate, drift, vol, breakpoints=breakpoints)
+            payoff = _class_payoff(kind, model, u, beta)
+        except CapfolioError as exc:
+            payoff = exc
+        out.append((label, raw, payoff))
+    return out
+
+
+def _class_violations(raw, payoff):
+    """Budget, surface-contract and direction violations of one draw."""
+    horizon, breakpoints, rate, drift, vol = raw
+    found = []
+    budget = float(surface.wealth(payoff, 0.0, 1.0))
+    if abs(budget - 1.0) > 1e-8:
+        found.append(f"budget {budget!r} against x0 1")
+    for t in sorted({*breakpoints, 0.5 * horizon}):
+        h = 1e-4 * market.deflator_moments(payoff.model, t).nu
+        up, down = (float(surface.wealth(payoff, t, math.exp(s))) for s in (h, -h))
+        fd = (down - up) / (2.0 * h)
+        scale = float(surface.policy_scale(payoff, t, 1.0))
+        if not abs(scale - fd) <= 1e-4 * max(1.0, abs(fd), abs(scale)):
+            found.append(f"scale {scale!r} against a central difference {fd!r} at t = {t!r}")
+        s = payoff.model.segment_index(t)
+        sigma = np.array(vol[s])
+        want = scale * np.linalg.solve(sigma @ sigma.T, np.array(drift[s]) - rate[s])
+        pi = surface.policy(payoff, t, 1.0)
+        if not np.abs(pi - want).max() <= 1e-9 * np.abs(want).max():
+            found.append(f"policy {pi.tolist()} against {want.tolist()} at t = {t!r}")
+    return found
+
+
+def test_market_class_sweep_meets_the_contract(class_outcomes):
+    failures = [
+        f"{label}: {type(payoff).__name__}: {payoff}"
+        for label, _, payoff in class_outcomes
+        if isinstance(payoff, CapfolioError)
+    ]
+    failures += [
+        f"{label}: {v}"
+        for label, raw, payoff in class_outcomes
+        if not isinstance(payoff, CapfolioError)
+        for v in _class_violations(raw, payoff)
+    ]
+    assert failures == []
+    covered = {(len(raw[3][0]), len(raw[1])) for _, raw, _ in class_outcomes}
+    assert covered == {(n, segs) for n in range(1, 5) for segs in range(1, 5)}
+
+
+def test_market_class_replication_gap_shrinks_with_steps(class_outcomes):
+    # the pathwise Euler error on one seed: strong order 1/2 divides it by
+    # about 2 from 64 to 256 steps; the mean is not gated, since the Euler
+    # bias near a digital jump is not small at these step counts
+    picked = [
+        (label, payoff)
+        for label, raw, payoff in class_outcomes
+        if len(raw[3][0]) >= 2 and len(raw[1]) >= 2 and not isinstance(payoff, CapfolioError)
+    ][:2]
+    for label, payoff in picked:
+        gaps = []
+        for n_steps in (64, 256):
+            run = montecarlo.run_policy(payoff.model, payoff, 2000, n_steps, seed=7)
+            gap = np.abs(run.x_terminal - surface.terminal_wealth(payoff, run.z_terminal))
+            gaps.append(float(gap.mean()))
+        assert gaps[0] >= 1.5 * gaps[1], (label, gaps)
