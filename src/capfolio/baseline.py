@@ -1,10 +1,12 @@
 """Static buy-and-hold CVaR baseline solved as a scenario linear program.
 
-Gross returns over [0, horizon] are sampled from the exact lognormal law of
-the asset prices, a bond column is appended, and the CVaR of the terminal
-loss L_k = xbar - R_k'w against the safe level is minimized over dollar
-allocations w subject to the budget and a mean-return floor
-(Rockafellar-Uryasev form):
+`generate_scenarios` samples gross returns over [0, horizon] from the exact
+lognormal law of the asset prices and appends a bond column.  The one
+solve, `solve_static_cvar`, minimizes the CVaR of the terminal loss
+L_k = xbar - R_k'w, every scenario equally likely, against a safe level
+xbar the caller supplies (a comparison with the dynamic problem passes its
+`cvar.safe_level`), over dollar allocations w subject to the budget and a
+mean-return floor (Rockafellar-Uryasev form):
 
     min  alpha + E[(L - alpha)+] / (1 - beta)
     s.t. sum_j w_j = x0,   (1/N) sum_k R_k'w >= d,   w and alpha free.
@@ -70,13 +72,11 @@ _MAX_ROUNDS = 1000
 class ScenarioSet:
     """Sampled gross returns over the full horizon, bond column last.
 
-    returns has shape (n_scenarios, n_assets + 1); probabilities are the
-    uniform scenario weights.
+    returns has shape (n_scenarios, n_assets + 1); every scenario is equally
+    likely.
     """
 
     returns: np.ndarray
-    probabilities: np.ndarray
-    seed: int
 
     @property
     def n_scenarios(self) -> int:
@@ -88,8 +88,8 @@ class ScenarioSet:
 
 
 @dataclass(frozen=True, slots=True)
-class RuCvarLp:
-    """Structured Rockafellar-Uryasev CVaR LP; never materialized densely."""
+class _Lp:
+    """The Rockafellar-Uryasev CVaR LP; never materialized densely."""
 
     returns: np.ndarray  # (N, n_assets+1) gross returns incl. bond
     beta: float
@@ -142,32 +142,19 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     returns = np.empty((n, n_assets + 1))
     returns[:, :n_assets] = np.exp(log_gross)
     returns[:, n_assets] = math.exp(log_bond)
-    return ScenarioSet(
-        returns=returns, probabilities=np.full(n, 1.0 / n), seed=seed
-    )
+    return ScenarioSet(returns)
 
 
-def build_ru_lp(
-    scenarios: ScenarioSet,
-    beta: float,
-    d: float,
-    x0: float,
-    xbar: float | None = None,
-) -> RuCvarLp:
-    """Assemble the CVaR LP; xbar defaults to the bond-grown budget."""
+def solve_static_cvar(
+    scenarios: ScenarioSet, beta: float, d: float, x0: float, xbar: float
+) -> LpSolution:
+    """Minimize the CVaR of xbar - R'w subject to sum(w) = x0 and
+    mean(R'w) >= d by cutting planes, growing the box while it binds."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"confidence level must lie in (0,1), got {beta}")
     if x0 <= 0.0:
         raise DomainError(f"initial budget must be positive, got {x0}")
-    if xbar is None:
-        xbar = x0 * float(scenarios.returns[0, -1])
-    return RuCvarLp(
-        returns=scenarios.returns, beta=beta, d=float(d), x0=float(x0), xbar=float(xbar)
-    )
-
-
-def simplex_solve(lp: RuCvarLp) -> LpSolution:
-    """Solve the CVaR LP by cutting planes, growing the box while it binds."""
+    lp = _Lp(scenarios.returns, beta, float(d), float(x0), float(xbar))
     col_mean = lp.returns.mean(axis=0)
     spread = float(col_mean.max() - col_mean.min())
     # leverage t on the best-minus-worst mean spread meets the mean floor
@@ -186,7 +173,7 @@ def simplex_solve(lp: RuCvarLp) -> LpSolution:
                 best = previous  # a wider box did not help: this is the optimum
                 break
             # the homogeneous program; w = 0 is feasible, so it never fails
-            cone = RuCvarLp(returns=lp.returns, beta=lp.beta, d=0.0, x0=0.0, xbar=0.0)
+            cone = _Lp(lp.returns, lp.beta, 0.0, 0.0, 0.0)
             if _cut_rounds(cone, _Master(cone), box)[2] < -1e-9 * box:
                 return LpSolution(None, math.nan, -math.inf, UNBOUNDED)
         previous = best
@@ -241,7 +228,7 @@ class _Master:
     resumes from the last optimal basis.
     """
 
-    def __init__(self, lp: RuCvarLp):
+    def __init__(self, lp: _Lp):
         r = lp.returns
         n = r.shape[1]
         self.lp = lp
@@ -297,20 +284,9 @@ def _check_primal(lp, weights, alpha, cvar):
         )
 
 
-def solve_static_cvar(
-    model: MarketModel, beta: float, d: float, x0: float, n_scenarios: int, seed: int
-) -> LpSolution:
-    """Sample scenarios, build the CVaR LP, and solve it."""
-    scenarios = generate_scenarios(model, n_scenarios, seed)
-    return simplex_solve(build_ru_lp(scenarios, beta, d, x0))
-
-
 __all__ = [
     "LpSolution",
-    "RuCvarLp",
     "ScenarioSet",
-    "build_ru_lp",
     "generate_scenarios",
-    "simplex_solve",
     "solve_static_cvar",
 ]

@@ -23,14 +23,16 @@ Commands and their artifacts, all written under run.out:
     policy_table    policy_table.csv with columns z,x,pi_i,w_i at time t
     frontier        frontier.csv, one mean-CVaR solve per d_grid entry
     simulate        simulation.json summary + simulation.csv terminal rows
-    compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar
+    compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar,
+                    both columns at the problem's cvar.safe_level
 
-run.paths is an integer from 2 (a standard error needs two samples) and
-run.steps, run.scenarios and run.z_grid.count are integers from 1, all up to
-10**9.  With problem.kind "cvar", every run.d_grid target must lie
-below problem.cap, as problem.d must.  run.betas or run.z_grid set to
-null takes its default; any other value of the wrong type is a config
-error.
+Every problem number must be finite (not a string or boolean); a "cvar"
+safe level must lie below problem.cap.  run.paths is an integer from 2 (a
+standard error needs two samples) and run.steps, run.scenarios and
+run.z_grid.count are integers from 1, all up to 10**9.  With problem.kind
+"cvar", every run.d_grid target must lie below problem.cap, as problem.d
+must.  run.betas or run.z_grid set to null takes its default; any other
+value of the wrong type is a config error.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -64,7 +66,12 @@ _RUN_DEFAULTS = {
     "out": ".",
 }
 
-_PROBLEM_KINDS = ("lpm", "cvar", "mv")
+#: the numbers each problem kind reads; a "cvar" problem may add "xbar"
+_PROBLEM_FIELDS = {
+    "lpm": ("x0", "d", "gamma", "cap", "q"),
+    "cvar": ("x0", "d", "cap", "beta"),
+    "mv": ("x0", "d"),
+}
 
 #: inclusive ranges of the run block's integers: the seed keys a Philox stream
 #: of uint64 words; paths, steps and scenarios each size a float array (the
@@ -92,33 +99,25 @@ class RunConfig:
 
 
 def _build_problem(block: dict, model: market.MarketModel):
+    kinds = tuple(_PROBLEM_FIELDS)
     kind = block.get("kind")
-    if kind not in _PROBLEM_KINDS:
-        raise ConfigError(
-            f"problem.kind must be one of {_PROBLEM_KINDS}, got {kind!r}"
-        )
+    if kind not in kinds:
+        raise ConfigError(f"problem.kind must be one of {kinds}, got {kind!r}")
+    names = _PROBLEM_FIELDS[kind]
+    if kind == "cvar" and block.get("xbar") is not None:
+        names += ("xbar",)
+    numbers = {}
+    for name in names:
+        if not market.is_number(block[name]):
+            raise ConfigError(f"problem.{name} must be a finite number, got {block[name]!r}")
+        numbers[name] = float(block[name])
     if kind == "lpm":
-        return lpm.LpmProblem(
-            x0=float(block["x0"]),
-            d=float(block["d"]),
-            gamma=float(block["gamma"]),
-            cap=float(block["cap"]),
-            q=float(block["q"]),
-            horizon=model.horizon,
-        )
-    if kind == "cvar":
-        xbar = block.get("xbar")
-        return cvar.CvarProblem(
-            x0=float(block["x0"]),
-            d=float(block["d"]),
-            cap=float(block["cap"]),
-            beta=float(block["beta"]),
-            horizon=model.horizon,
-            xbar=None if xbar is None else float(xbar),
-        )
-    return meanvar.MvProblem(
-        x0=float(block["x0"]), d=float(block["d"]), horizon=model.horizon
-    )
+        return lpm.LpmProblem(**numbers, horizon=model.horizon)
+    if kind == "mv":
+        return meanvar.MvProblem(**numbers, horizon=model.horizon)
+    problem = cvar.CvarProblem(**numbers, horizon=model.horizon)
+    cvar.safe_level(problem, model)  # raises when the cap is at or below it
+    return problem
 
 
 def _number_list(value) -> bool:
@@ -517,6 +516,7 @@ def cmd_compare_static(config: RunConfig) -> int:
     run = config.run
     betas = [config.instance.beta] if run.get("betas") is None else run["betas"]
     d_grid = run.get("d_grid", [])
+    xbar = cvar.safe_level(config.instance, config.model)
     scenarios = baseline.generate_scenarios(
         config.model, int(run["scenarios"]), int(run["seed"])
     )
@@ -527,10 +527,8 @@ def cmd_compare_static(config: RunConfig) -> int:
             notes = []
             static_value = math.nan
             try:
-                static = baseline.simplex_solve(
-                    baseline.build_ru_lp(
-                        scenarios, float(beta), float(d), config.instance.x0
-                    )
+                static = baseline.solve_static_cvar(
+                    scenarios, float(beta), float(d), config.instance.x0, xbar
                 )
                 if static.status == "Optimal":
                     static_value = static.objective

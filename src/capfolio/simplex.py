@@ -15,7 +15,7 @@ A `Program` keeps the tableau live after its first solve.  Appending a
 column at its lower bound or changing costs leaves the optimal basis
 feasible, so the next solve resumes phase 2 from it, and the duals come
 from its last pricing pass; this is how the cutting-plane master of
-`baseline` is re-solved after each cut.  `solve_dense` is one cold solve.
+`baseline` is re-solved after each cut.
 
 Every iteration solves with the basis matrix afresh: the programs here
 have a handful of rows, where that costs less than keeping a factorization
@@ -65,17 +65,6 @@ class LinearProgram:
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, want ({want},)")
         if np.any(self.lower > self.upper):
             raise DimensionMismatch("some lower bound exceeds its upper bound")
-
-
-def make_lp(cost, a_eq, b_eq, lower=None, upper=None) -> LinearProgram:
-    """Assemble a LinearProgram from array-likes; bounds default to [0, inf)."""
-    cost = np.asarray(cost, dtype=float)
-    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    b_eq = np.asarray(b_eq, dtype=float)
-    n = cost.shape[0]
-    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-    upper = np.full(n, math.inf) if upper is None else np.asarray(upper, dtype=float)
-    return LinearProgram(cost, a_eq, b_eq, lower, upper)
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,7 +273,3 @@ class Program:
         self.status[j] = AT_UP if direction > 0 else AT_LO
         return True
 
-
-def solve_dense(lp: LinearProgram) -> SimplexResult:
-    """Two-phase bounded-variable revised simplex on dense arrays."""
-    return Program(lp).solve()

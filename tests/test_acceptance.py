@@ -262,10 +262,10 @@ def test_criterion_08_static_baseline(example2, criterion):
         cells = [(11.0, 0.90, 1.129), (12.0, 0.95, 2.849)]
         ok = True
         parts = []
+        scenarios = baseline.generate_scenarios(example2, 20_000, 20240817)
+        xbar = 10.0 * scenarios.returns[0, -1]
         for d, beta, ref in cells:
-            static = baseline.solve_static_cvar(
-                example2, beta=beta, d=d, x0=10.0, n_scenarios=20_000, seed=20240817
-            )
+            static = baseline.solve_static_cvar(scenarios, beta=beta, d=d, x0=10.0, xbar=xbar)
             dynamic = cvar.solve_cvar(_problem2(d=d, beta=beta), example2).cvar
             rel = (static.objective - ref) / ref
             parts.append(

@@ -16,7 +16,6 @@ def test_scenario_moments_single_asset(example1):
     assert scen.returns.shape == (40_000, 2)
     assert scen.n_assets == 1
     assert scen.n_scenarios == 40_000
-    assert scen.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     # bond column is deterministic compounding
     np.testing.assert_allclose(scen.returns[:, 1], math.exp(0.06), rtol=1e-13)
     # log gross return of the asset is N((mu - sigma^2/2) T, sigma^2 T)
@@ -53,24 +52,18 @@ def test_scenario_count_validated(example1):
 
 def test_build_lp_defaults_and_validation(example1):
     scen = baseline.generate_scenarios(example1, 50, seed=1)
-    lp = baseline.build_ru_lp(scen, beta=0.9, d=1.09, x0=1.0)
-    assert lp.xbar == pytest.approx(math.exp(0.06), rel=1e-12)
-    assert lp.beta == 0.9
-    assert lp.d == 1.09
-    lp2 = baseline.build_ru_lp(scen, beta=0.9, d=1.09, x0=1.0, xbar=1.25)
-    assert lp2.xbar == 1.25
     with pytest.raises(DomainError):
-        baseline.build_ru_lp(scen, beta=1.0, d=1.09, x0=1.0)
+        baseline.solve_static_cvar(scen, beta=1.0, d=1.09, x0=1.0, xbar=1.25)
     with pytest.raises(DomainError):
-        baseline.build_ru_lp(scen, beta=0.9, d=1.09, x0=0.0)
+        baseline.solve_static_cvar(scen, beta=0.9, d=1.09, x0=0.0, xbar=1.25)
 
 
-def _primal_reference(lp):
+def _primal_reference(scen, beta, d, x0, xbar):
     """Solve the scenario CVaR program in its natural primal variables
     (w, alpha, u) with an independent solver."""
-    r = lp.returns
+    r = scen.returns
     n_scen, n_cols = r.shape
-    load = 1.0 / ((1.0 - lp.beta) * n_scen)
+    load = 1.0 / ((1.0 - beta) * n_scen)
     cost = np.concatenate([np.zeros(n_cols), [1.0], np.full(n_scen, load)])
     # tail rows: -R_k'w - alpha - u_k <= -xbar; mean row: -mean(R)'w <= -d
     a_ub = np.zeros((n_scen + 1, n_cols + 1 + n_scen))
@@ -78,12 +71,12 @@ def _primal_reference(lp):
     a_ub[:n_scen, n_cols] = -1.0
     a_ub[:n_scen, n_cols + 1 :] = -np.eye(n_scen)
     a_ub[n_scen, :n_cols] = -r.mean(axis=0)
-    b_ub = np.concatenate([np.full(n_scen, -lp.xbar), [-lp.d]])
+    b_ub = np.concatenate([np.full(n_scen, -xbar), [-d]])
     a_eq = np.zeros((1, n_cols + 1 + n_scen))
     a_eq[0, :n_cols] = 1.0
     bounds = [(None, None)] * (n_cols + 1) + [(0.0, None)] * n_scen
     res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[lp.x0],
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[x0],
         bounds=bounds, method="highs",
     )
     return res
@@ -91,10 +84,10 @@ def _primal_reference(lp):
 
 def test_dual_route_matches_primal_small(example1):
     scen = baseline.generate_scenarios(example1, 64, seed=5)
-    lp = baseline.build_ru_lp(scen, beta=0.9, d=1.09, x0=1.0)
-    sol = baseline.simplex_solve(lp)
+    cell = dict(beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.OPTIMAL
-    ref = _primal_reference(lp)
+    ref = _primal_reference(scen, **cell)
     assert ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
     np.testing.assert_allclose(sol.weights, ref.x[:2], atol=1e-6)
@@ -106,10 +99,10 @@ def test_dual_route_matches_primal_small(example1):
 
 def test_dual_route_matches_primal_wide(example2):
     scen = baseline.generate_scenarios(example2, 500, seed=6)
-    lp = baseline.build_ru_lp(scen, beta=0.95, d=11.0, x0=10.0)
-    sol = baseline.simplex_solve(lp)
+    cell = dict(beta=0.95, d=11.0, x0=10.0, xbar=10.0 * scen.returns[0, -1])
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.OPTIMAL
-    ref = _primal_reference(lp)
+    ref = _primal_reference(scen, **cell)
     assert ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
     assert sol.weights.sum() == pytest.approx(10.0, abs=1e-8)
@@ -119,11 +112,8 @@ def test_tail_arbitrage_reported_unbounded():
     # the asset beats the bond in every scenario, so shorting the bond
     # without limit drives the loss, and its CVaR, to minus infinity
     returns = np.array([[1.20, 1.05], [1.30, 1.05], [1.10, 1.05]])
-    scen = baseline.ScenarioSet(
-        returns=returns, probabilities=np.full(3, 1 / 3), seed=0
-    )
-    lp = baseline.build_ru_lp(scen, beta=0.6, d=1.0, x0=1.0)
-    sol = baseline.simplex_solve(lp)
+    scen = baseline.ScenarioSet(returns)
+    sol = baseline.solve_static_cvar(scen, beta=0.6, d=1.0, x0=1.0, xbar=1.05)
     assert sol.status == baseline.UNBOUNDED
     assert sol.weights is None
     assert sol.objective == -math.inf
@@ -133,27 +123,22 @@ def test_unreachable_mean_reported_infeasible():
     # identical columns pin the portfolio mean at x0 * mean(R), so a floor
     # above that level cannot be met by any allocation of the budget
     returns = np.array([[1.00, 1.00], [1.10, 1.10], [0.95, 0.95]])
-    scen = baseline.ScenarioSet(
-        returns=returns, probabilities=np.full(3, 1 / 3), seed=0
-    )
-    lp = baseline.build_ru_lp(scen, beta=0.6, d=5.0, x0=1.0, xbar=1.0)
-    sol = baseline.simplex_solve(lp)
+    scen = baseline.ScenarioSet(returns)
+    sol = baseline.solve_static_cvar(scen, beta=0.6, d=5.0, x0=1.0, xbar=1.0)
     assert sol.status == baseline.INFEASIBLE
     assert sol.weights is None
     assert math.isnan(sol.objective)
 
 
 def test_solve_static_end_to_end(example1):
-    sol = baseline.solve_static_cvar(
-        example1, beta=0.9, d=1.09, x0=1.0, n_scenarios=2000, seed=12
-    )
+    scen = baseline.generate_scenarios(example1, 2000, seed=12)
+    cell = dict(beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.OPTIMAL
     # the mean floor exceeds the bond return, so tail risk must be taken on
     assert sol.objective > 0.0
     assert sol.weights.sum() == pytest.approx(1.0, abs=1e-8)
-    scen = baseline.generate_scenarios(example1, 2000, seed=12)
-    lp = baseline.build_ru_lp(scen, beta=0.9, d=1.09, x0=1.0)
-    ref = _primal_reference(lp)
+    ref = _primal_reference(scen, **cell)
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
@@ -171,9 +156,9 @@ def test_single_asset_market_promotion():
 def test_cuts_match_highs_on_criterion_grid(example2, beta):
     scen = baseline.generate_scenarios(example2, 2000, seed=12345)
     for d in (11.0, 12.0, 13.0):
-        lp = baseline.build_ru_lp(scen, beta=beta, d=d, x0=10.0)
-        sol = baseline.simplex_solve(lp)
-        ref = _primal_reference(lp)
+        cell = dict(beta=beta, d=d, x0=10.0, xbar=10.0 * scen.returns[0, -1])
+        sol = baseline.solve_static_cvar(scen, **cell)
+        ref = _primal_reference(scen, **cell)
         assert sol.status == baseline.OPTIMAL and ref.status == 0
         assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
         np.testing.assert_allclose(sol.weights, ref.x[:4], rtol=0, atol=1e-6)
@@ -194,13 +179,13 @@ def test_var_tail_cuts_on_criterion_grid(example2, beta, monkeypatch):
     monkeypatch.setattr(baseline.simplex.Program, "solve", counted)
     scen = baseline.generate_scenarios(example2, 2000, seed=12345)
     k = math.ceil(beta * scen.n_scenarios) - 1
+    xbar = 10.0 * scen.returns[0, -1]
     for d in (11.0, 12.0, 13.0):
         solves.clear()
-        lp = baseline.build_ru_lp(scen, beta=beta, d=d, x0=10.0)
-        sol = baseline.simplex_solve(lp)
+        sol = baseline.solve_static_cvar(scen, beta=beta, d=d, x0=10.0, xbar=xbar)
         assert sol.status == baseline.OPTIMAL
         assert len(solves) <= 28
-        assert sol.alpha == np.sort(lp.xbar - scen.returns @ sol.weights)[k]
+        assert sol.alpha == np.sort(xbar - scen.returns @ sol.weights)[k]
 
 
 def test_cuts_match_highs_on_random_markets(monkeypatch):
@@ -230,12 +215,10 @@ def test_cuts_match_highs_on_random_markets(monkeypatch):
         returns = np.column_stack([risky, np.full(n_scen, bond)])
         means = returns.mean(axis=0)
         d = rng.uniform(bond - 0.05, means.max() + 0.1)
-        scen = baseline.ScenarioSet(
-            returns=returns, probabilities=np.full(n_scen, 1 / n_scen), seed=0
-        )
-        lp = baseline.build_ru_lp(scen, beta=beta, d=d, x0=1.0)
-        sol = baseline.simplex_solve(lp)
-        ref = _primal_reference(lp)
+        scen = baseline.ScenarioSet(returns)
+        cell = dict(beta=beta, d=d, x0=1.0, xbar=bond)
+        sol = baseline.solve_static_cvar(scen, **cell)
+        ref = _primal_reference(scen, **cell)
         assert sol.status == status[ref.status]
         if ref.status == 0:
             assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
@@ -249,7 +232,7 @@ def _hedge_scenarios(n, spread_mean, spread_sd):
     risky = 1.02 + rng.normal(0.05, 0.2, n)
     copy = risky + rng.normal(spread_mean, spread_sd, n)
     returns = np.column_stack([risky, copy, np.full(n, 1.02)])
-    return baseline.ScenarioSet(returns=returns, probabilities=np.full(n, 1 / n), seed=0)
+    return baseline.ScenarioSet(returns)
 
 
 def _record_boxes(monkeypatch):
@@ -266,12 +249,13 @@ def _record_boxes(monkeypatch):
 
 def test_box_grows_to_an_optimum_beyond_it(monkeypatch):
     boxes = _record_boxes(monkeypatch)
-    lp = baseline.build_ru_lp(_hedge_scenarios(400, 1e-3, 2e-3), beta=0.9, d=1.52, x0=1.0)
-    sol = baseline.simplex_solve(lp)
+    scen = _hedge_scenarios(400, 1e-3, 2e-3)
+    cell = dict(beta=0.9, d=1.52, x0=1.0, xbar=1.02)
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.OPTIMAL
-    assert np.max(np.abs(sol.weights)) > 100.0 * lp.x0
-    assert max(boxes) > 100.0 * lp.x0
-    ref = _primal_reference(lp)
+    assert np.max(np.abs(sol.weights)) > 100.0
+    assert max(boxes) > 100.0
+    ref = _primal_reference(scen, **cell)
     assert ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
     np.testing.assert_allclose(sol.weights, ref.x[:3], rtol=1e-8)
@@ -282,12 +266,12 @@ def test_tail_arbitrage_reported_after_the_box_grew(monkeypatch):
     scen = _hedge_scenarios(400, 1e-3, 2e-4)
     assert np.min(scen.returns[:, 1] - scen.returns[:, 0]) > 3e-4
     boxes = _record_boxes(monkeypatch)
-    lp = baseline.build_ru_lp(scen, beta=0.9, d=1.52, x0=1.0)
-    sol = baseline.simplex_solve(lp)
+    cell = dict(beta=0.9, d=1.52, x0=1.0, xbar=1.02)
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.UNBOUNDED
     assert sol.weights is None and sol.objective == -math.inf
-    assert boxes[0] == 100.0 * lp.x0 and max(boxes) > boxes[0]
-    assert _primal_reference(lp).status == 3
+    assert boxes[0] == 100.0 and max(boxes) > boxes[0]
+    assert _primal_reference(scen, **cell).status == 3
 
 
 def test_duplicate_asset_keeps_the_first_box_optimum(monkeypatch):
@@ -295,28 +279,28 @@ def test_duplicate_asset_keeps_the_first_box_optimum(monkeypatch):
     # binds, a wider one gives the same value, and the narrower is kept
     risky = 1.02 + np.random.default_rng(3).normal(0.05, 0.2, 50)
     returns = np.column_stack([risky, risky, np.full(50, 1.02)])
-    scen = baseline.ScenarioSet(returns=returns, probabilities=np.full(50, 1 / 50), seed=0)
+    scen = baseline.ScenarioSet(returns)
     boxes = _record_boxes(monkeypatch)
-    lp = baseline.build_ru_lp(scen, beta=0.5, d=1.1, x0=1.0)
-    sol = baseline.simplex_solve(lp)
+    cell = dict(beta=0.5, d=1.1, x0=1.0, xbar=1.02)
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.OPTIMAL
     assert boxes == [100.0, 10000.0]
     assert np.max(np.abs(sol.weights)) <= 100.0 * (1 + 1e-12)
-    assert sol.objective == pytest.approx(_primal_reference(lp).fun, rel=1e-9)
+    assert sol.objective == pytest.approx(_primal_reference(scen, **cell).fun, rel=1e-9)
 
 
 def test_non_unique_var_level(example1):
     # (1 - beta) N = 100 scenarios exactly: every alpha between the 300th
     # and 301st smallest loss is optimal, so only the value is pinned
     scen = baseline.generate_scenarios(example1, 400, seed=9)
-    lp = baseline.build_ru_lp(scen, beta=0.75, d=1.09, x0=1.0)
-    assert (1.0 - lp.beta) * scen.n_scenarios == 100.0
-    sol = baseline.simplex_solve(lp)
+    cell = dict(beta=0.75, d=1.09, x0=1.0, xbar=scen.returns[0, -1])
+    assert (1.0 - cell["beta"]) * scen.n_scenarios == 100.0
+    sol = baseline.solve_static_cvar(scen, **cell)
     assert sol.status == baseline.OPTIMAL
-    ref = _primal_reference(lp)
+    ref = _primal_reference(scen, **cell)
     assert ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
     assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (scen.returns @ sol.weights).mean() >= 1.09 - 1e-12
-    losses = np.sort(lp.xbar - scen.returns @ sol.weights)
+    losses = np.sort(cell["xbar"] - scen.returns @ sol.weights)
     assert losses[299] - 1e-9 <= sol.alpha <= losses[300] + 1e-9

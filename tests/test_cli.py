@@ -311,6 +311,26 @@ def test_compare_static_dominance(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.0652, abs=2e-4)
 
 
+def test_compare_static_prices_both_columns_at_the_safe_level(tmp_path):
+    # the static column takes problem.xbar as the dynamic one does; the CVaR
+    # of xbar - X moves one for one with xbar, so each static value is the
+    # default-level one shifted by xbar - x0 e^{rT}
+    run = {"d_grid": [11.0, 12.0], "betas": [0.90], "scenarios": 3000, "seed": 20240817}
+    tables = []
+    for name, problem in (("default", CVAR2), ("xbar", {**CVAR2, "xbar": 12.0})):
+        out = tmp_path / name
+        cfg = _cfg(tmp_path, EX2_MARKET, problem, run={**run, "out": str(out)}, name=f"{name}.json")
+        assert cli.main(["--config", cfg, "--cmd", "compare_static"]) == 0
+        tables.append(_read_csv(out / "compare_static.csv")[1])
+    shift = 12.0 - 10.0 * math.exp(0.016)
+    assert len(tables[1]) == 2
+    for default, row in zip(*tables):
+        assert row[4] == "ok"
+        static, dynamic = float(row[2]), float(row[3])
+        assert dynamic <= static
+        assert static == pytest.approx(float(default[2]) + shift, rel=1e-9)
+
+
 def test_compare_static_empty_betas_writes_header_only(tmp_path):
     # run.betas takes problem.beta only when absent or null, like run.d_grid
     cfg = _cfg(
@@ -468,6 +488,39 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# problem numbers no solve can use: each is rejected before any solve starts
+BAD_PROBLEMS = {
+    "cvar_d_nan": (EX2_MARKET, {**CVAR2, "d": math.nan}, []),
+    "cvar_d_flag_nan": (EX2_MARKET, CVAR2, ["--d", "nan"]),
+    "cvar_xbar_nan": (EX2_MARKET, {**CVAR2, "xbar": math.nan}, []),
+    "mv_d_inf": (EX1_MARKET, {**MV1, "d": math.inf}, []),
+    "lpm_cap_inf": (EX1_MARKET, {**LPM1, "cap": math.inf}, []),
+    "cvar_cap_inf": (EX2_MARKET, {**CVAR2, "cap": math.inf}, []),
+    "lpm_d_minus_inf": (EX1_MARKET, {**LPM1, "d": -math.inf}, []),
+    "lpm_q_string": (EX1_MARKET, {**LPM1, "q": "2"}, []),
+    "lpm_x0_bool": (EX1_MARKET, {**LPM1, "x0": True}, []),
+    # the default safe level x0 e^{rT} = 1.0618 lies above the cap
+    "cvar_cap_below_safe_level": (
+        EX1_MARKET, {"kind": "cvar", "x0": 1.0, "d": 1.04, "cap": 1.05, "beta": 0.9}, []
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))
+def test_exit_code_bad_problem_numbers(tmp_path, capsys, case):
+    market, problem, flags = BAD_PROBLEMS[case]
+    out = tmp_path / "out"
+    run = {"out": str(out), "paths": 16, "steps": 4, "scenarios": 64,
+           "z_grid": {"count": 5}, "d_grid": [1.04], "betas": [0.9]}
+    cfg = _cfg(tmp_path, market, problem, run=run)
+    for cmd in COMMANDS:
+        assert cli.main(["--config", cfg, "--cmd", cmd, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_riskless_last_segment_still_solves(tmp_path):

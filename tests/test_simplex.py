@@ -9,15 +9,28 @@ from capfolio import simplex
 from capfolio.errors import DimensionMismatch
 
 
+def _lp(cost, a_eq, b_eq, lower=None, upper=None):
+    """A LinearProgram from array-likes; bounds default to [0, inf)."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    return simplex.LinearProgram(
+        cost,
+        np.atleast_2d(np.asarray(a_eq, dtype=float)),
+        np.asarray(b_eq, dtype=float),
+        np.zeros(n) if lower is None else np.asarray(lower, dtype=float),
+        np.full(n, math.inf) if upper is None else np.asarray(upper, dtype=float),
+    )
+
+
 def test_two_variable_assignment():
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[-1.0, -2.0],
         a_eq=[[1.0, 1.0]],
         b_eq=[1.0],
         lower=[0.0, 0.0],
         upper=[1.0, 1.0],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.OPTIMAL
     np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-10)
     assert res.objective == pytest.approx(-2.0, abs=1e-10)
@@ -26,52 +39,52 @@ def test_two_variable_assignment():
 def test_three_variable_blend():
     # cheapest mix meeting two linear balances; solved by hand: eliminating
     # x2 = 8 - 2 x3 and x1 = 2 + x3 leaves objective 28 + x3, so x3 = 0
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[2.0, 3.0, 5.0],
         a_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]],
         b_eq=[10.0, 8.0],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(28.0, abs=1e-9)
     np.testing.assert_allclose(res.x, [2.0, 8.0, 0.0], atol=1e-9)
 
 
 def test_infeasible_detected():
-    lp = simplex.make_lp(cost=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[-1.0])
-    res = simplex.solve_dense(lp)
+    lp = _lp(cost=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[-1.0])
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.INFEASIBLE
     assert res.x is None
 
 
 def test_unbounded_detected():
-    lp = simplex.make_lp(cost=[-1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0])
-    res = simplex.solve_dense(lp)
+    lp = _lp(cost=[-1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0])
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.UNBOUNDED
 
 
 def test_free_variable():
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[1.0, 0.0],
         a_eq=[[1.0, 1.0]],
         b_eq=[3.0],
         lower=[-math.inf, 0.0],
         upper=[math.inf, 1.0],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.OPTIMAL
     np.testing.assert_allclose(res.x, [2.0, 1.0], atol=1e-10)
 
 
 def test_negative_lower_bounds():
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[1.0, 1.0],
         a_eq=[[1.0, 1.0]],
         b_eq=[0.0],
         lower=[-2.0, -3.0],
         upper=[5.0, 5.0],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-10)
     assert res.x.sum() == pytest.approx(0.0, abs=1e-10)
@@ -79,25 +92,25 @@ def test_negative_lower_bounds():
 
 def test_upper_bounds_bind():
     # maximize x1 + x2 under a shared resource: both saturate their boxes
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[-1.0, -1.0, 0.0],
         a_eq=[[1.0, 1.0, 1.0]],
         b_eq=[10.0],
         lower=[0.0, 0.0, 0.0],
         upper=[3.0, 4.0, math.inf],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     assert res.objective == pytest.approx(-7.0, abs=1e-10)
     np.testing.assert_allclose(res.x[:2], [3.0, 4.0], atol=1e-10)
 
 
 def test_complementary_slackness_of_duals():
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[3.0, 1.0, 4.0, 1.0],
         a_eq=[[1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0]],
         b_eq=[4.0, 3.0],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     assert res.status == simplex.OPTIMAL
     rc = lp.cost - res.duals @ lp.a_eq
     for j in range(4):
@@ -108,14 +121,14 @@ def test_complementary_slackness_of_duals():
 
 
 def test_fixed_variables():
-    lp = simplex.make_lp(
+    lp = _lp(
         cost=[1.0, 2.0],
         a_eq=[[1.0, 1.0]],
         b_eq=[4.0],
         lower=[1.5, 0.0],
         upper=[1.5, 10.0],
     )
-    res = simplex.solve_dense(lp)
+    res = simplex.Program(lp).solve()
     np.testing.assert_allclose(res.x, [1.5, 2.5], atol=1e-10)
 
 
@@ -129,7 +142,7 @@ def test_program_shape_validation():
             upper=np.ones(2),
         )
     with pytest.raises(DimensionMismatch):
-        simplex.make_lp([1.0], [[1.0]], [1.0], lower=[2.0], upper=[1.0])
+        _lp([1.0], [[1.0]], [1.0], lower=[2.0], upper=[1.0])
 
 
 def _random_instance(rng):
@@ -149,7 +162,7 @@ def _random_instance(rng):
     cost = rng.normal(size=n).round(3)
     if rng.random() < 0.15:
         b = b + rng.normal(size=m)  # allow genuinely infeasible cases too
-    return simplex.make_lp(cost, a, b, lower, upper)
+    return _lp(cost, a, b, lower, upper)
 
 
 def test_random_sweep_against_reference_solver():
@@ -157,7 +170,7 @@ def test_random_sweep_against_reference_solver():
     checked = 0
     for _ in range(60):
         lp = _random_instance(rng)
-        res = simplex.solve_dense(lp)
+        res = simplex.Program(lp).solve()
         ref = linprog(
             lp.cost,
             A_eq=lp.a_eq,
@@ -193,14 +206,14 @@ def _resumed_rounds(rng, redundant=False):
     upper[n:] = math.inf
     b = a[:, :n] @ (rng.random(n) * np.minimum(upper[:n], 1.0))
     cost = rng.uniform(0.1, 2.0, n + k) * rng.choice([-1.0, 1.0], n + k)
-    lp = simplex.make_lp(cost[:n], a[:, :n], b, upper=upper[:n])
+    lp = _lp(cost[:n], a[:, :n], b, upper=upper[:n])
     program = simplex.Program(lp)
     yield program, program.solve(), lp
     for j in range(n, n + k):
         program.add_column(a[:, j], cost[j])
         cost[:2] = rng.uniform(-2.0, 2.0, 2)
         program.set_cost(slice(0, 2), cost[:2])
-        lp = simplex.make_lp(cost[: j + 1], a[:, : j + 1], b, upper=upper[: j + 1])
+        lp = _lp(cost[: j + 1], a[:, : j + 1], b, upper=upper[: j + 1])
         yield program, program.solve(), lp
 
 
@@ -212,7 +225,7 @@ def test_program_resumes_to_the_cold_optimum(redundant):
     optimal = 0
     for _ in range(20):
         for program, res, lp in _resumed_rounds(rng, redundant):
-            cold = simplex.solve_dense(lp)
+            cold = simplex.Program(lp).solve()
             assert res.status == cold.status
             if cold.status != simplex.OPTIMAL:
                 continue
@@ -244,6 +257,6 @@ def test_program_duals_solve_the_final_basis():
 
 
 def test_iteration_count_reported():
-    lp = simplex.make_lp([-1.0, -2.0], [[1.0, 1.0]], [1.0], upper=[1.0, 1.0])
-    res = simplex.solve_dense(lp)
+    lp = _lp([-1.0, -2.0], [[1.0, 1.0]], [1.0], upper=[1.0, 1.0])
+    res = simplex.Program(lp).solve()
     assert res.iterations >= 1
