@@ -26,15 +26,15 @@ priced at its own VaR, the ceil(beta N)-th smallest loss, where the LP
 objective is the exact CVaR of w (Rockafellar-Uryasev, Thm 1): an upper
 bound.  Each round adds the cut of that portfolio's tail beyond its VaR,
 the supporting cut of CVaR at w; only when the master holds it already
-does the round add the tail of the master's own alpha.  The all-scenario
-cut seeds the master and bounds alpha.  Rounds stop when the bounds meet
-to 1e-12 relative, or when the master holds both cuts: it was then solved
-with the exact objective at its own point, so the bounds agree up to
-rounding.  There are finitely many tails, so this happens after finitely
-many cuts, at the exact LP optimum.  The master is solved through its dual,
-which has n_assets + 3 rows and a column per cut: a new cut appends a
-column, so one live simplex program resumes from the last optimal basis
-each round.
+does the round add the tail of the master's own alpha.  Rounds stop when
+the bounds meet to 1e-12 relative, or when the master holds both cuts: it
+was then solved with the exact objective at its own point, so the bounds
+agree up to rounding.  There are finitely many tails, so this happens after
+finitely many cuts, at the exact LP optimum.  The master is solved through
+its dual, which has n_assets + 3 rows and a column per cut.  It starts at
+the all-scenario cut, which bounds alpha and gives the dual a feasible
+basis in closed form; a new cut appends a column, so one live simplex
+program resumes from the last optimal basis each round.
 
 The box starts at 100 x0 (wider if the mean floor needs more leverage) and
 grows 100-fold while the best portfolio touches it.  The boxed optimum is
@@ -59,7 +59,7 @@ from .market import MarketModel
 from .montecarlo import estimate_cvar
 
 OPTIMAL = simplex.OPTIMAL
-INFEASIBLE = simplex.INFEASIBLE
+INFEASIBLE = "Infeasible"
 UNBOUNDED = simplex.UNBOUNDED
 
 _BOX = 100.0  # the master starts in the box |w_j| <= _BOX * x0
@@ -223,46 +223,58 @@ class _Master:
 
     Rows are w_1..w_n, alpha and theta.  Columns are the budget multiplier
     (free), the mean-floor multiplier, the multipliers of w_j <= box and of
-    -w_j <= box, the slack of sum(y) <= 1/(1-beta), then y_i >= 0 per cut.
-    A cut appends a column and a box change sets costs, so each round
-    resumes from the last optimal basis.
+    -w_j <= box, the slack of sum(y) <= 1/(1-beta), then y_i >= 0 per cut,
+    starting with the all-scenario cut.  The first basis is written down:
+    that cut at y = 1 meets the alpha row, the theta slack takes the rest
+    of 1/(1-beta), and on row w_j the box multiplier whose sign matches
+    mean(R_j) cancels it.  A cut appends a column and a box change sets
+    costs, so each round resumes from the last optimal basis.
     """
 
     def __init__(self, lp: _Lp):
         r = lp.returns
         n = r.shape[1]
         self.lp = lp
-        a = np.zeros((n + 2, 2 * n + 3))
+        everyone = np.ones(r.shape[0], dtype=bool)  # this cut bounds alpha
+        self.tails = {np.packbits(everyone).tobytes()}
+        cut, cut_cost = self._cut(everyone)
+        a = np.zeros((n + 2, 2 * n + 4))
         a[:n, : 2 * n + 2] = np.column_stack(
             [np.ones(n), r.mean(axis=0), -np.eye(n), np.eye(n)]
         )
         a[n + 1, 2 * n + 2] = 1.0
+        a[:, 2 * n + 3] = cut
         b = np.append(np.zeros(n), (1.0, 1.0 / (1.0 - lp.beta)))
-        cost = np.append((-lp.x0, -lp.d), np.zeros(2 * n + 1))
-        lower = np.append(-math.inf, np.zeros(2 * n + 2))
+        cost = np.append((-lp.x0, -lp.d), np.zeros(2 * n + 2))
+        cost[-1] = cut_cost
+        lower = np.append(-math.inf, np.zeros(2 * n + 3))
+        boxes = np.where(cut[:n] >= 0.0, 2, n + 2) + np.arange(n)
         self.program = simplex.Program(
-            simplex.LinearProgram(cost, a, b, lower, np.full(2 * n + 3, math.inf))
+            cost, a, b, lower, np.full(2 * n + 4, math.inf),
+            np.append(boxes, (2 * n + 3, 2 * n + 2)),
         )
-        self.tails = set()
-        self.add_cut(np.ones(r.shape[0], dtype=bool))  # bounds alpha
+
+    def _cut(self, tail):
+        """(column, cost) of theta >= (|S|/N)(xbar - alpha)
+        - (sum_{k in S} R_k / N)'w for the tail S."""
+        n_scen = self.lp.returns.shape[0]
+        share = np.count_nonzero(tail) / n_scen
+        column = np.append(tail @ self.lp.returns / n_scen, (share, 1.0))
+        return column, -self.lp.xbar * share
 
     def add_cut(self, tail):
-        """Add theta >= (|S|/N)(xbar - alpha) - (sum_{k in S} R_k / N)'w for
-        the tail S; False when S has its cut already."""
+        """Add the cut of the tail S; False when S has its cut already."""
         key = np.packbits(tail).tobytes()
         if key in self.tails:
             return False
         self.tails.add(key)
-        n_scen = self.lp.returns.shape[0]
-        share = np.count_nonzero(tail) / n_scen
-        column = np.append(tail @ self.lp.returns / n_scen, (share, 1.0))
-        self.program.add_column(column, -self.lp.xbar * share)
+        self.program.add_column(*self._cut(tail))
         return True
 
     def solve(self, box):
         """(weights, alpha, lower bound) at the master optimum, or None."""
         n = self.program.m - 2
-        self.program.set_cost(slice(2, 2 * n + 2), box)
+        self.program.cost[2 : 2 * n + 2] = box
         result = self.program.solve()
         if result.status != OPTIMAL:
             return None  # an unbounded dual: no portfolio meets the rows

@@ -522,7 +522,8 @@ def cmd_compare_static(config: RunConfig) -> int:
     )
     cells = []
     for beta in betas:
-        dynamic = cvar.frontier(config.instance, config.model, d_grid, float(beta))
+        instance = dataclasses.replace(config.instance, beta=float(beta))
+        dynamic = cvar.frontier(instance, config.model, d_grid)
         for d, row in zip(d_grid, dynamic):
             notes = []
             static_value = math.nan

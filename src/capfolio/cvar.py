@@ -236,18 +236,11 @@ class FrontierRow:
     status: str
 
 
-def frontier(
-    problem: CvarProblem,
-    model: MarketModel,
-    d_grid,
-    beta: float | None = None,
-) -> list[FrontierRow]:
+def frontier(problem: CvarProblem, model: MarketModel, d_grid) -> list[FrontierRow]:
     """One solve per mean target; infeasible rows keep a status, NaN values."""
     rows = []
     for d in d_grid:
-        instance = dataclasses.replace(
-            problem, d=float(d), beta=problem.beta if beta is None else beta
-        )
+        instance = dataclasses.replace(problem, d=float(d))
         try:
             solved = solve_cvar(instance, model)
         except (TargetTooHigh, InfeasibleBudget) as exc:

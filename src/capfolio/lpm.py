@@ -47,6 +47,7 @@ from typing import Optional
 
 from . import kernels
 from .errors import (
+    DomainError,
     InfeasibleBudget,
     MaxIterations,
     NoSignChange,
@@ -121,22 +122,22 @@ class LpmProblem:
 
     def __post_init__(self):
         if not self.x0 > 0.0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
+            raise DomainError(f"x0 must be positive, got {self.x0}")
         if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+            raise DomainError(f"gamma must be positive, got {self.gamma}")
         if not self.cap > 0.0:
-            raise ValueError(f"cap must be positive, got {self.cap}")
+            raise DomainError(f"cap must be positive, got {self.cap}")
         if self.cap < self.gamma:
-            raise ValueError(
+            raise DomainError(
                 f"cap {self.cap} below the benchmark {self.gamma}"
             )
         if not self.cap > self.d:
-            raise ValueError(f"cap {self.cap} must exceed the target {self.d}")
+            raise DomainError(f"cap {self.cap} must exceed the target {self.d}")
         if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise DomainError(f"horizon must be positive, got {self.horizon}")
         ok_q = self.q == 0.0 or 0.0 < self.q <= 1.0 or self.q == 2.0
         if not ok_q:
-            raise ValueError(
+            raise DomainError(
                 f"q must lie in {{0}} union (0,1] union {{2}}, got {self.q}"
             )
 
@@ -216,7 +217,7 @@ class _Curve:
 
 def _check_horizon(problem, model):
     if abs(problem.horizon - model.horizon) > 1e-12:
-        raise ValueError(
+        raise DomainError(
             f"problem horizon {problem.horizon} != market horizon {model.horizon}"
         )
 

@@ -37,7 +37,6 @@ __all__ = [
     "is_number",
     "validate_market",
     "market_from_config",
-    "market_price_of_risk",
     "deflator_moments",
     "deflator_context",
     "expected_deflator",
@@ -363,11 +362,6 @@ def market_from_config(block: dict) -> MarketModel:
         vol,
         breakpoints=[s.get("t_start", 0.0) for s in segs],
     )
-
-
-def market_price_of_risk(model: MarketModel, t: float) -> tuple:
-    """theta(t) = sigma(t)^{-1} (mu(t) - r(t) 1), solved at validation."""
-    return model.theta[model.segment_index(t)]
 
 
 def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:

@@ -1,21 +1,17 @@
 """Dense bounded-variable revised simplex.
 
-Solves   min c'x   s.t.   A x = b,   lo <= x <= up   (entries may be +-inf).
+Solves   min c'x   s.t.   A x = b,   lo <= x <= up   (entries may be +-inf)
 
-Two phases: phase 1 adds one signed artificial per row (coefficient
-sign(residual), cost 1) so the artificial block starts feasible at the
-absolute row residuals; artificials that remain basic at zero are frozen to
-the [0, 0] box for phase 2 instead of being pivoted out, which keeps the
-logic short and the basis nonsingular.  Pricing is Dantzig, falling back to
-Bland's rule while the objective stalls (which protects against cycling on
-the heavily degenerate LPs this package feeds in) and reverting to
-Dantzig as soon as the value moves again.
+by one phase from a feasible basis the caller supplies, as the cutting-plane
+master of `baseline` can write its own down.  Pricing is Dantzig, falling
+back to Bland's rule while the objective stalls (which protects against
+cycling on the heavily degenerate LPs this package feeds in) and reverting
+to Dantzig as soon as the value moves again.
 
-A `Program` keeps the tableau live after its first solve.  Appending a
-column at its lower bound or changing costs leaves the optimal basis
-feasible, so the next solve resumes phase 2 from it, and the duals come
-from its last pricing pass; this is how the cutting-plane master of
-`baseline` is re-solved after each cut.
+A `Program` keeps the tableau live between solves.  Appending a column at
+its lower bound or changing costs leaves the optimal basis feasible, so the
+next solve resumes from it, and the duals come from its last pricing pass;
+this is how the master is re-solved after each cut.
 
 Every iteration solves with the basis matrix afresh: the programs here
 have a handful of rows, where that costs less than keeping a factorization
@@ -34,37 +30,12 @@ from .errors import DimensionMismatch, NumericalBreakdown
 AT_LO, AT_UP, FREE_ZERO, IN_BASIS = range(4)  # column status in the tableau
 
 OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-12
 # consecutive non-improving iterations before pricing falls back to Bland
 _STALL_LIMIT = 100
-
-
-@dataclass(frozen=True, slots=True)
-class LinearProgram:
-    """min cost'x subject to a_eq x = b_eq and box bounds on x."""
-
-    cost: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        m, n = self.a_eq.shape
-        for name, arr, want in (
-            ("cost", self.cost, n),
-            ("b_eq", self.b_eq, m),
-            ("lower", self.lower, n),
-            ("upper", self.upper, n),
-        ):
-            if arr.shape != (want,):
-                raise DimensionMismatch(f"{name} has shape {arr.shape}, want ({want},)")
-        if np.any(self.lower > self.upper):
-            raise DimensionMismatch("some lower bound exceeds its upper bound")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,27 +48,47 @@ class SimplexResult:
 
 
 class Program:
-    """A LinearProgram kept live between solves.
+    """min cost'x subject to a_eq x = b_eq and box bounds on x, kept live
+    between solves.
 
-    The first `solve` runs both phases.  When it leaves no artificial in the
-    basis, the artificials are dropped and the basis is kept: `add_column`
-    appends a column at its lower bound 0 and `set_cost` changes costs,
-    neither of which moves the basic values, so the next `solve` resumes
-    phase 2 from that basis.  While an artificial stays basic, each `solve`
-    starts cold.  Columns live in buffers that double when full, so
+    `basis` names m columns whose basic values, with every other column on
+    its finite lower bound (else its finite upper bound, else zero), lie
+    within their bounds; the constructor checks this.  `add_column` appends
+    a column at its lower bound 0 and costs may be assigned through `cost`,
+    neither of which moves the basic values, so each `solve` resumes from
+    the last basis.  Columns live in buffers that double when full, so
     appending a column does not copy the matrix each time.
     """
 
-    def __init__(self, lp: LinearProgram):
-        self.m, self.n = m, n = lp.a_eq.shape
-        self.b = lp.b_eq
-        self._a = np.empty((m, 2 * (n + m)))
-        self._cost, self._lo, self._up = (np.empty(2 * (n + m)) for _ in range(3))
-        self._status = np.empty(2 * (n + m), dtype=np.int8)
-        self._a[:, :n] = lp.a_eq
-        self._cost[:n], self._lo[:n], self._up[:n] = lp.cost, lp.lower, lp.upper
-        self.basis = None  # the live basis, None while the next solve starts cold
-        self._use(n)
+    def __init__(self, cost, a_eq, b_eq, lower, upper, basis):
+        self.m, self.n = m, n = a_eq.shape
+        for name, arr, want in (
+            ("cost", cost, n),
+            ("b_eq", b_eq, m),
+            ("lower", lower, n),
+            ("upper", upper, n),
+            ("basis", basis, m),
+        ):
+            if arr.shape != (want,):
+                raise DimensionMismatch(f"{name} has shape {arr.shape}, want ({want},)")
+        if np.any(lower > upper):
+            raise DimensionMismatch("some lower bound exceeds its upper bound")
+        self.b = b_eq
+        self._a = np.empty((m, 2 * n))
+        self._cost, self._lo, self._up = (np.empty(2 * n) for _ in range(3))
+        self._status = np.empty(2 * n, dtype=np.int8)
+        self._a[:, :n] = a_eq
+        self._cost[:n], self._lo[:n], self._up[:n] = cost, lower, upper
+        self._use()
+        self.status[:] = np.where(
+            np.isfinite(self.lo), AT_LO, np.where(np.isfinite(self.up), AT_UP, FREE_ZERO)
+        )
+        self.basis = np.array(basis, dtype=np.intp)
+        self.status[self.basis] = IN_BASIS
+        self._refresh()
+        x_b = self.x[self.basis]
+        if np.any(x_b < self.lo[self.basis] - 1e-9) or np.any(x_b > self.up[self.basis] + 1e-9):
+            raise NumericalBreakdown("starting basis is infeasible")
 
     def add_column(self, column, cost: float) -> None:
         """Append a column x_j >= 0 with these row coefficients and cost."""
@@ -108,73 +99,27 @@ class Program:
         self._cost[j], self._lo[j], self._up[j] = cost, 0.0, math.inf
         self._status[j] = AT_LO
         self.n = j + 1
-        self._use(self.n)
-
-    def set_cost(self, index, value) -> None:
-        """cost[index] = value, as numpy assignment does."""
-        self.cost[index] = value
+        self._use()
 
     def solve(self) -> SimplexResult:
-        """Optimize from the live basis, or from the two-phase start."""
-        m, n = self.m, self.n
-        max_iter = 2000 + 50 * (m + n)
+        """Optimize from the live basis."""
         self.iterations = 0
-        if self.basis is None:
-            cost = self._cold_start(max_iter)
-            if cost is None:
-                return SimplexResult(INFEASIBLE, None, math.nan, None, self.iterations)
-        else:
-            cost = self.cost
-        status = self._run_phase(cost, max_iter, allow_unbounded=True)
-        x = self.x[:n].copy()
-        if self.status.size > n:
-            if (self.basis < n).all():
-                self._use(n)  # drop the artificials: the basis is structural
-            else:
-                self.basis = None
-        if status == UNBOUNDED:
+        if not self._iterate(2000 + 50 * (self.m + self.n)):
             return SimplexResult(UNBOUNDED, None, -math.inf, None, self.iterations)
+        x = self.x.copy()
         return SimplexResult(OPTIMAL, x, float(self.cost @ x), self.duals, self.iterations)
 
-    def _use(self, width):
-        """Point the working views at the first `width` columns."""
-        self.cost = self._cost[: self.n]
-        self.a, self.lo, self.up = self._a[:, :width], self._lo[:width], self._up[:width]
-        self.status = self._status[:width]
+    def _use(self):
+        """Point the working views at the first n columns."""
+        n = self.n
+        self.cost, self.lo, self.up = self._cost[:n], self._lo[:n], self._up[:n]
+        self.a, self.status = self._a[:, :n], self._status[:n]
 
     def _grow(self, size):
         for name in ("_cost", "_lo", "_up", "_status"):
             old = getattr(self, name)
             setattr(self, name, np.concatenate([old, np.empty(size - old.size, old.dtype)]))
         self._a = np.concatenate([self._a, np.empty((self.m, size - self._a.shape[1]))], axis=1)
-
-    def _cold_start(self, max_iter):
-        """Phase 1 over signed artificials, then freeze them at zero.  Returns
-        the phase-2 cost over the widened columns, or None if infeasible."""
-        m, n = self.m, self.n
-        if self._cost.size < n + m:
-            self._grow(2 * (n + m))
-        self._lo[n : n + m], self._up[n : n + m] = 0.0, math.inf
-        self._use(n + m)
-        self.status[:] = np.where(
-            np.isfinite(self.lo), AT_LO, np.where(np.isfinite(self.up), AT_UP, FREE_ZERO)
-        )
-        # phase 1: signed artificials make the start feasible
-        self.a[:, n:] = np.diag(
-            np.where(self.b >= self.a[:, :n] @ self._bound_values()[:n], 1.0, -1.0)
-        )
-        self.basis = np.arange(n, n + m)
-        self.status[n:] = IN_BASIS
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-        self._run_phase(phase1_cost, max_iter, allow_unbounded=False)
-        scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
-        if float(phase1_cost @ self.x) > 1e-7 * scale:
-            self.basis = None
-            return None
-        # freeze artificials at zero; any still basic are degenerate and harmless
-        self.up[n:] = 0.0
-        self.status[n:][self.status[n:] != IN_BASIS] = AT_LO
-        return np.concatenate([self.cost, np.zeros(m)])
 
     def _bound_values(self):
         """Every column on the bound its status names (0 for free and basic)."""
@@ -199,9 +144,10 @@ class Program:
         x[self.basis] = self._solve_basis(self.b - self.a @ x)
         self.x = x
 
-    def _run_phase(self, cost, max_iter, allow_unbounded):
-        """Iterate to optimality of `cost`; returns UNBOUNDED or OPTIMAL.  The
-        duals of the last pricing pass stay in `duals`."""
+    def _iterate(self, max_iter):
+        """Pivot to optimality; False if the objective is unbounded below.
+        The duals of the last pricing pass stay in `duals`."""
+        cost = self.cost
         bland, stall, best = False, 0, math.inf
         while True:
             self.iterations += 1
@@ -224,11 +170,9 @@ class Program:
             tol = _COST_TOL * max(1.0, float(np.abs(basic_cost).max(initial=0.0)))
             entering, direction = self._pick_entering(rc, bland, tol)
             if entering < 0:
-                return OPTIMAL
+                return True
             if not self._move(entering, direction, bland):
-                if allow_unbounded:
-                    return UNBOUNDED
-                raise NumericalBreakdown("phase-1 objective unbounded; inconsistent data")
+                return False
 
     def _pick_entering(self, rc, bland, tol):
         # gain > 0 marks a profitable move; direction +1 raises the variable

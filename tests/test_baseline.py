@@ -130,6 +130,26 @@ def test_unreachable_mean_reported_infeasible():
     assert math.isnan(sol.objective)
 
 
+def test_negative_mean_column_starts_at_the_other_box_multiplier():
+    # a column with a negative mean and returns of both signs: the master's
+    # first basis cancels it on row w_1 with the multiplier of -w_1 <= box
+    rng = np.random.default_rng(4)
+    n = 500
+    returns = np.column_stack(
+        [1.02 + rng.normal(0.05, 0.2, n), rng.normal(-0.05, 1.0, n), np.full(n, 1.02)]
+    )
+    assert returns[:, 1].mean() < 0.0 < returns[:, 1].max() and returns[:, 1].min() < 0.0
+    scen = baseline.ScenarioSet(returns)
+    cell = dict(beta=0.9, d=1.05, x0=1.0, xbar=1.02)
+    master = baseline._Master(baseline._Lp(returns, **cell))
+    np.testing.assert_array_equal(master.program.basis, [2, 6, 4, 9, 8])
+    sol = baseline.solve_static_cvar(scen, **cell)
+    ref = _primal_reference(scen, **cell)
+    assert sol.status == baseline.OPTIMAL and ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert sol.objective == pytest.approx(0.0172579372043, rel=1e-9)
+
+
 def test_solve_static_end_to_end(example1):
     scen = baseline.generate_scenarios(example1, 2000, seed=12)
     cell = dict(beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])

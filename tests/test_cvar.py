@@ -1,4 +1,5 @@
 """Mean-CVaR reduction: embedded shortfall family, exact J', one root for alpha*, frontier."""
+import dataclasses
 import math
 
 import numpy as np
@@ -179,7 +180,8 @@ def test_frontier_matches_frozen_columns(example2):
 
 
 def test_frontier_beta_override_and_failure_rows(example2):
-    rows = cvar.frontier(_problem(beta=0.95), example2, [31.0, 32.0], beta=0.90)
+    problem = dataclasses.replace(_problem(beta=0.95), beta=0.90)
+    rows = cvar.frontier(problem, example2, [31.0, 32.0])
     assert rows[0].status == "ok"
     assert rows[1].status == "TargetTooHigh"
     assert math.isnan(rows[1].cvar) and math.isnan(rows[1].alpha_star)

@@ -10,6 +10,7 @@ from scipy.special import erfc
 from capfolio import cvar, kernels, lpm, market, surface
 from capfolio.errors import (
     CapfolioError,
+    DomainError,
     InfeasibleBudget,
     PolicyUndefinedAtTerminal,
     SolverDiverged,
@@ -484,7 +485,7 @@ def test_infeasible_budget(example1):
 
 def test_horizon_mismatch_rejected(example1):
     prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         lpm.solve_lpm(prob, example1)
 
 
@@ -504,7 +505,7 @@ def test_horizon_mismatch_rejected(example1):
 def test_problem_validation(kwargs):
     base = dict(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         lpm.LpmProblem(**base)
 
 

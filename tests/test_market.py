@@ -90,14 +90,14 @@ def test_degenerate_volatility_rejected():
 
 def test_market_price_of_risk_example1(example1):
     # by hand: (0.12 - 0.06) / 0.15 = 0.4 exactly
-    theta = market.market_price_of_risk(example1, 0.0)
+    theta = example1.theta[example1.segment_index(0.0)]
     assert len(theta) == 1
     assert theta[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_market_price_of_risk_example2(example2):
     # frozen independent route: dense solve of sigma theta = mu - r 1 at r = 0.016
-    theta = market.market_price_of_risk(example2, 0.5)
+    theta = example2.theta[example2.segment_index(0.5)]
     np.testing.assert_allclose(
         theta, [0.48575847, 0.42630011, 0.45136197], atol=1e-7
     )

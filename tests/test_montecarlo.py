@@ -191,7 +191,7 @@ def _reference_deflator(model, n_paths, n_steps, seed):
     dt = model.horizon / n_steps
     log_z = np.zeros((n_paths, n_steps + 1))
     for k in range(n_steps):
-        theta = np.asarray(market.market_price_of_risk(model, times[k]))
+        theta = np.asarray(model.theta[model.segment_index(times[k])])
         rate = model.rate[model.segment_index(times[k])]
         dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
         drift = -(rate + 0.5 * float(theta @ theta)) * dt

@@ -99,7 +99,7 @@ def _lpm_draws():
             else:
                 d = lo + span * u
             prob = lpm.LpmProblem(x0=1.0, d=d, gamma=gamma, cap=cap, q=q, horizon=horizon)
-        except (CapfolioError, ValueError):  # d may round up to the cap
+        except CapfolioError:  # d may round up to the cap
             out.append((label, None, None))
             continue
         out.append((f"{label} d={d!r}", model, prob))
