@@ -29,10 +29,8 @@ Three corners:
   where the gamma branch buys mean at the price delta.
 
 One `lpm.solve_lpm` at alpha* supplies the policy and J*, and its residual
-gate checks the reduction.  `j_value` and `j_derivative` stay as the
-independent check route: they solve the embedded instance at any alpha, and
-J' = 1 - V'(gamma) / (1 - beta) follows from the envelope theorem
-(`_shortfall_slope`); J' = 1 where that instance is DegenerateRich.
+gate checks the reduction.  `j_value` is the independent check route: it
+solves the embedded instance at any alpha.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 
 from . import lpm
 from .errors import DomainError, InfeasibleBudget, TargetTooHigh
-from .kernels import invert_H, partial_moment_H_ext
+from .kernels import invert_H, partial_moment_H
 from .market import MarketModel, deflator_context, expected_deflator
 from .solvers import find_root_1d
 
@@ -130,24 +128,6 @@ def _embedded(problem: CvarProblem, gamma: float) -> lpm.LpmProblem:
     )
 
 
-def _shortfall_slope(sol: lpm.PolicySolution) -> float:
-    """dV/dgamma of the optimal shortfall V(gamma) = E[(gamma - X*)_+].
-
-    Envelope theorem on the q=1 Lagrangian: the tail {z > h} pays 1 per
-    unit of gamma, and the middle branch X* = gamma on {delta < z <= h}
-    shifts the mean and budget constraints, priced by lam and eta.
-    """
-    if sol.multipliers.case == lpm.DEGENERATE_RICH:
-        return 0.0
-    ctx = sol.context
-    lo, hi = sol.delta, sol.delta + sol.rho
-    h0_lo, h1_lo, h0_hi, h1_hi = (
-        partial_moment_H_ext(ctx, p, y) for y in (lo, hi) for p in (0.0, 1.0)
-    )
-    lam, eta = sol.multipliers.mean, sol.multipliers.budget
-    return 1.0 - h0_hi + eta * (h1_hi - h1_lo) - lam * (h0_hi - h0_lo)
-
-
 def _evaluate(problem: CvarProblem, model: MarketModel, xbar: float, alpha: float):
     """(J, embedded solution) at alpha; the solution is None at or above xbar.
 
@@ -156,7 +136,7 @@ def _evaluate(problem: CvarProblem, model: MarketModel, xbar: float, alpha: floa
     if alpha >= xbar:
         return alpha, None
     sol = lpm.solve_lpm(_embedded(problem, xbar - alpha), model)
-    # times the reciprocal, as in j_derivative: a division rounds J differently
+    # times the reciprocal, not a division, which rounds J differently
     return alpha + sol.objective_value * (1.0 / (1.0 - problem.beta)), sol
 
 
@@ -168,17 +148,6 @@ def j_value(problem: CvarProblem, model: MarketModel, alpha) -> float:
         return math.inf
 
 
-def j_derivative(problem: CvarProblem, model: MarketModel, alpha) -> float:
-    """Exact J'(alpha) from the embedded solution (`_shortfall_slope`).
-
-    Raises TargetTooHigh when the mean target is unattainable.
-    """
-    sol = _evaluate(problem, model, safe_level(problem, model), float(alpha))[1]
-    if sol is None:
-        return 1.0
-    return 1.0 - _shortfall_slope(sol) * (1.0 / (1.0 - problem.beta))
-
-
 def _reduction(problem: CvarProblem, ctx):
     """(curve, top): curve(delta) is (mean gap, gamma) where J'(alpha) = 0 at
     the cap threshold delta in [0, top] (module docstring)."""
@@ -186,13 +155,13 @@ def _reduction(problem: CvarProblem, ctx):
     delta_beta = invert_H(ctx, 0.0, beta)
 
     def curve(delta):
-        h0, h1 = (partial_moment_H_ext(ctx, p, delta) for p in (0.0, 1.0))
+        h0, h1 = (partial_moment_H(ctx, p, delta) for p in (0.0, 1.0))
         rho = lpm.branch_width(ctx, 0.0, delta, h0, beta - h0, True)
-        dh1 = partial_moment_H_ext(ctx, 1.0, delta + rho) - h1
+        dh1 = partial_moment_H(ctx, 1.0, delta + rho) - h1
         spare = x0 - cap * h1
         if not dh1 > 0.0:  # the delta_beta limit
             return cap * h0 + spare / delta - problem.d, math.inf
-        dh0 = partial_moment_H_ext(ctx, 0.0, delta + rho) - h0
+        dh0 = partial_moment_H(ctx, 0.0, delta + rho) - h0
         return cap * h0 + spare * dh0 / dh1 - problem.d, spare / dh1
 
     return curve, min(delta_beta, invert_H(ctx, 1.0, x0 / cap))

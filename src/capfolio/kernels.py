@@ -9,14 +9,14 @@ normal CDF, its inverse, the truncated exponential moment
 
 and the partial moments of z(T) built from it,
 
-    H_p(y) = E[z^p 1_{z <= y}],
+    H_p(y) = E[z^p 1_{z <= y}],   0 for y <= 0 since z(T) > 0,
 
-with their inverse for p in {0, 1}, one normal quantile, and the
-eight-point Gauss-Legendre rule that integrates a partial moment over a
-branch too short for the difference of two closed-form values.
+with their inverse for p in {0, 1}, and the eight-point Gauss-Legendre rule
+that integrates a partial moment over a branch too short for the difference
+of two closed-form values.
 
-Every function here takes and returns floats and runs on `math` and the
-standard library's `statistics.NormalDist` (the quantile, Wichura's AS241);
+Every function here takes and returns floats and runs on `math`, and
+`invert_H` on the standard library's `statistics.NormalDist` (AS241);
 the multiplier solves, the inverses and every other quantity of one
 instance call them, and none of them needs numpy. Their elementwise
 counterparts over arrays of deflator levels, which only the wealth and
@@ -33,11 +33,9 @@ from .errors import DomainError, TargetOutOfRange
 __all__ = [
     "PartialMomentContext",
     "std_normal_cdf",
-    "std_normal_quantile",
     "std_normal_pdf",
     "truncated_exp_moment",
     "partial_moment_H",
-    "partial_moment_H_ext",
     "invert_H",
     "GAUSS_LEGENDRE_8",
 ]
@@ -74,17 +72,6 @@ def std_normal_cdf(y: float) -> float:
 def std_normal_pdf(y: float) -> float:
     """Standard normal density."""
     return _INV_SQRT_2PI * math.exp(-0.5 * y * y)
-
-
-def std_normal_quantile(p) -> float:
-    """Inverse of std_normal_cdf on (0, 1).
-
-    Raises DomainError outside the open interval.
-    """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile needs p in (0, 1), got {p}")
-    return _STD_NORMAL.inv_cdf(p)
 
 
 def truncated_exp_moment(a: float, mu: float, v: float, dcut: float) -> float:
@@ -143,19 +130,9 @@ class PartialMomentContext:
 def partial_moment_H(ctx: PartialMomentContext, p: float, y: float) -> float:
     """H_p(y) = E[z^p 1_{z <= y}] = truncated_exp_moment(p, m0, nu0, ln y).
 
-    H_0 is the CDF of z(T). Requires y > 0 (DomainError otherwise); y = +inf
-    gives the full moment.
+    H_0 is the CDF of z(T). As z(T) > 0, H_p(y) = 0 for y <= 0, a level at
+    which payoff branches may start; y = +inf gives the full moment.
     """
-    if p < 0.0:
-        raise DomainError(f"partial moment order must be >= 0, got {p}")
-    if not y > 0.0:
-        raise DomainError(f"partial moment level must be positive, got {y}")
-    return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))
-
-
-def partial_moment_H_ext(ctx: PartialMomentContext, p: float, y: float) -> float:
-    """H_p(y) extended by H_p(y) = 0 for y <= 0, the form the payoff moments
-    take, whose branches may start at the level 0."""
     if y <= 0.0:
         return 0.0
     return truncated_exp_moment(p, ctx.m0, ctx.nu0, math.log(y))

@@ -59,7 +59,7 @@ from .errors import (
 from .kernels import (
     GAUSS_LEGENDRE_8,
     PartialMomentContext,
-    partial_moment_H_ext,
+    partial_moment_H,
     std_normal_pdf,
     truncated_exp_moment,
 )
@@ -258,7 +258,7 @@ def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
         rho_low=rho_low,
         delta_bar=delta_bar,
         d_lower=_payoff_moment(ctx, problem, 0.0, delta_low, rho_low),
-        d_upper=cap * partial_moment_H_ext(ctx, 0.0, delta_bar),
+        d_upper=cap * partial_moment_H(ctx, 0.0, delta_bar),
     )
 
 
@@ -290,7 +290,7 @@ def ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float
         return _branch_rule(ctx, p, delta, rho, lambda s: 1.0 - s)
     hi = delta + rho
     dh, dh_next = (
-        partial_moment_H_ext(ctx, a, hi) - partial_moment_H_ext(ctx, a, delta)
+        partial_moment_H(ctx, a, hi) - partial_moment_H(ctx, a, delta)
         for a in (p, p + 1.0)
     )
     return (hi * dh - dh_next) / rho
@@ -308,7 +308,7 @@ def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float
         return rho * rho * _branch_rule(ctx, 0.0, delta, rho, lambda s: s * s)
     hi = delta + rho
     dh0, dh1, dh2 = (
-        partial_moment_H_ext(ctx, p, hi) - partial_moment_H_ext(ctx, p, delta)
+        partial_moment_H(ctx, p, hi) - partial_moment_H(ctx, p, delta)
         for p in (0.0, 1.0, 2.0)
     )
     return dh2 - 2.0 * delta * dh1 + delta * delta * dh0
@@ -343,10 +343,10 @@ def _payoff_moment(ctx, problem, p, delta, rho):
     Regular payoff with cap branch {z <= delta} and middle branch
     {delta < z <= delta + rho}."""
     cap, gamma = problem.cap, problem.gamma
-    below = partial_moment_H_ext(ctx, p, delta)
+    below = partial_moment_H(ctx, p, delta)
     if problem.q == 2.0:
         return cap * below + gamma * ramp(ctx, p, delta, rho)
-    return (cap - gamma) * below + gamma * partial_moment_H_ext(ctx, p, delta + rho)
+    return (cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho)
 
 
 def _regular_residuals(ctx, problem, delta, rho):
@@ -429,7 +429,7 @@ def branch_width(
 def _branch_width(ctx, problem, delta):
     """rho such that the middle branch spends the budget the cap branch
     {z <= delta} leaves, E[z X] = x0: flat for q <= 1, a ramp for q = 2."""
-    h1 = partial_moment_H_ext(ctx, 1.0, delta)
+    h1 = partial_moment_H(ctx, 1.0, delta)
     left = (problem.x0 - problem.cap * h1) / problem.gamma
     return branch_width(ctx, 1.0, delta, h1, left, problem.q == 2.0)
 
@@ -530,7 +530,7 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     else:
         # delta = 0 gives a zero mean multiplier and hit probability
         mult = Multipliers(*_thresholds_to_multipliers(problem, delta, rho), case)
-        tail = 1.0 - partial_moment_H_ext(ctx, 0.0, delta + rho)
+        tail = 1.0 - partial_moment_H(ctx, 0.0, delta + rho)
         if q == 2.0:
             half_eta = 0.5 * mult.budget
             branch = half_eta * half_eta * _branch_square(ctx, delta, rho)
@@ -546,7 +546,7 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         delta=delta,
         rho=rho,
         objective_value=objective,
-        hit_prob=partial_moment_H_ext(ctx, 0.0, delta),
+        hit_prob=partial_moment_H(ctx, 0.0, delta),
         d_lower=curve.d_lower,
         d_upper=curve.d_upper,
         multiple_solutions=rho is None and problem.x0 > gamma * ctx.mean,
@@ -578,7 +578,7 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
     prob = solution.problem
     delta = solution.delta
     if solution.multipliers.case == DEGENERATE_RICH:
-        below = partial_moment_H_ext(ctx, 0.0, delta)
+        below = partial_moment_H(ctx, 0.0, delta)
         return (prob.cap - prob.gamma) * below + prob.gamma
     return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
 

@@ -110,7 +110,6 @@ class DeflatorMoments:
 
     m: float
     nu: float
-    t: float
 
 
 def is_number(value) -> bool:
@@ -179,20 +178,6 @@ def _above(gram, shift) -> bool:
             dot = sum(x * y for x, y in zip(low[i][:j], low[j][:j]))
             low[i][j] = (gram[i][j] - dot) / low[j][j]
     return True
-
-
-def _min_eigenvalue(gram) -> float:
-    """Smallest eigenvalue of the positive semidefinite gram, for an error
-    message: bisection on the Cholesky test from the Gershgorin bound down."""
-    lo = -max(sum(abs(v) for v in row) for row in gram) - MIN_GRAM_EIGENVALUE
-    hi = MIN_GRAM_EIGENVALUE
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if _above(gram, mid):
-            lo = mid
-        else:
-            hi = mid
-    return max(0.5 * (lo + hi), 0.0)
 
 
 def validate_market(horizon, rate, drift, vol, breakpoints=None):
@@ -275,8 +260,8 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
         gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in sigma] for ri in sigma]
         if not _above(gram, MIN_GRAM_EIGENVALUE):
             raise DegenerateVolatility(
-                f"segment {s}: min eigenvalue of vol vol' is {_min_eigenvalue(gram):.3e}, "
-                f"below the floor {MIN_GRAM_EIGENVALUE:.3e}"
+                f"segment {s}: the smallest eigenvalue of vol vol' is not above "
+                f"the floor {MIN_GRAM_EIGENVALUE:.3e}"
             )
         th = _solve(sigma, [v - r for v in mu], s)
         theta.append(th)
@@ -376,7 +361,7 @@ def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
             continue
         m -= length * (rate + 0.5 * theta_sq)
         nu_sq += length * theta_sq
-    return DeflatorMoments(m=m, nu=math.sqrt(nu_sq), t=t)
+    return DeflatorMoments(m=m, nu=math.sqrt(nu_sq))
 
 
 def deflator_context(model: MarketModel) -> PartialMomentContext:

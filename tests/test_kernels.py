@@ -1,5 +1,6 @@
 """Special-function kernels against high-precision and quadrature oracles."""
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -105,10 +106,14 @@ def test_normal_cdf_deep_tail_relative_accuracy():
             assert abs(kernels.std_normal_cdf(y) / ref - 1.0) < 1e-12
 
 
+# The normal quantile `kernels.invert_H` takes: the standard library's.
+_QUANTILE = NormalDist().inv_cdf
+
+
 def test_quantile_round_trip():
     for y in np.linspace(-5.0, 5.0, 41):
         p = kernels.std_normal_cdf(y)
-        assert kernels.std_normal_quantile(p) == pytest.approx(y, abs=1e-9)
+        assert _QUANTILE(p) == pytest.approx(y, abs=1e-9)
 
 
 def test_quantile_matches_ndtri_into_both_tails():
@@ -117,13 +122,7 @@ def test_quantile_matches_ndtri_into_both_tails():
     upper = 1.0 - lower
     for p in np.concatenate([lower, upper[upper < 1.0]]).tolist():
         want = float(ndtri(p))
-        assert abs(kernels.std_normal_quantile(p) - want) <= 2e-15 * abs(want), p
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4, math.nan])
-def test_quantile_domain(p):
-    with pytest.raises(DomainError):
-        kernels.std_normal_quantile(p)
+        assert abs(_QUANTILE(p) - want) <= 2e-15 * abs(want), p
 
 
 def test_pdf_values():
@@ -262,20 +261,13 @@ def test_partial_moment_h_against_quadrature():
             assert abs(got - want) <= max(1e-11, 20.0 * err)
 
 
-def test_partial_moment_domains():
-    with pytest.raises(DomainError):
-        kernels.partial_moment_H(_CTX, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        kernels.partial_moment_H(_CTX, 1.0, 0.0)
-
-
 def test_extended_partial_moment_is_zero_below_the_positive_levels():
     for p in (0.0, 1.0, 2.0):
-        assert kernels.partial_moment_H_ext(_CTX, p, 0.0) == 0.0
-        assert kernels.partial_moment_H_ext(_CTX, p, -1.0) == 0.0
+        assert kernels.partial_moment_H(_CTX, p, 0.0) == 0.0
+        assert kernels.partial_moment_H(_CTX, p, -1.0) == 0.0
         for y in (1e-3, 0.7, 3.0, math.inf):
-            want = kernels.partial_moment_H(_CTX, p, y)
-            assert kernels.partial_moment_H_ext(_CTX, p, y) == want
+            want = kernels.truncated_exp_moment(p, _CTX.m0, _CTX.nu0, math.log(y))
+            assert kernels.partial_moment_H(_CTX, p, y) == want
 
 
 def test_invert_h1_round_trip():

@@ -703,7 +703,7 @@ def test_branch_width_funds_the_need(example1, p, sloped):
     ctx = market.deflator_context(example1)
     sup = ctx.mean if p == 1.0 else 1.0
     for delta in (0.3, 0.8, 1.5):
-        h = kernels.partial_moment_H_ext(ctx, p, delta)
+        h = kernels.partial_moment_H(ctx, p, delta)
         for frac in (1e-9, 1e-3, 0.5, 0.999):
             need = frac * (sup - h)
             width = lpm.branch_width(ctx, p, delta, h, need, sloped)
@@ -711,7 +711,7 @@ def test_branch_width_funds_the_need(example1, p, sloped):
                 assert lpm.ramp(ctx, p, delta, width) == pytest.approx(need, rel=1e-13)
             else:  # the inverse's own equation, free of the cancellation
                 # in H_p(delta + width) - h
-                reached = kernels.partial_moment_H_ext(ctx, p, delta + width)
+                reached = kernels.partial_moment_H(ctx, p, delta + width)
                 assert reached == pytest.approx(h + need, rel=1e-13)
         for need in (0.0, -0.1):
             assert lpm.branch_width(ctx, p, delta, h, need, sloped) == 0.0
@@ -732,7 +732,7 @@ def test_branch_width_just_below_delta_beta(example2, beta):
     # need beta - H_0(delta) is a few 1e-9: a short sloped branch
     ctx = market.deflator_context(example2)
     delta = kernels.invert_H(ctx, 0.0, beta) * (1.0 - 1e-8)
-    h = kernels.partial_moment_H_ext(ctx, 0.0, delta)
+    h = kernels.partial_moment_H(ctx, 0.0, delta)
     need = beta - h
     assert 0.0 < need < 1e-8
     width = lpm.branch_width(ctx, 0.0, delta, h, need, True)

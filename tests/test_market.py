@@ -79,8 +79,10 @@ def test_nonfinite_coefficient_rejected():
 
 
 def test_degenerate_volatility_rejected():
-    with pytest.raises(DegenerateVolatility):
+    with pytest.raises(DegenerateVolatility) as err:
         market.validate_market(1.0, 0.05, 0.1, 0.0)
+    assert "segment 0" in str(err.value)
+    assert "1.000e-10" in str(err.value)
     # rank-deficient 2x2: second row is a multiple of the first
     with pytest.raises(DegenerateVolatility):
         market.validate_market(
