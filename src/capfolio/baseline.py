@@ -31,10 +31,11 @@ the bounds meet to 1e-12 relative, or when the master holds both cuts: it
 was then solved with the exact objective at its own point, so the bounds
 agree up to rounding.  There are finitely many tails, so this happens after
 finitely many cuts, at the exact LP optimum.  The master is solved through
-its dual, which has n_assets + 3 rows and a column per cut.  It starts at
-the all-scenario cut, which bounds alpha and gives the dual a feasible
-basis in closed form; a new cut appends a column, so one live simplex
-program resumes from the last optimal basis each round.
+its dual, which has n_assets + 3 rows and a column per cut, every column
+nonnegative but the budget multiplier's, which is free.  It starts at the
+all-scenario cut, which bounds alpha and gives the dual a feasible basis in
+closed form; a new cut appends a column, so one live simplex program
+resumes from the last optimal basis each round.
 
 The box starts at 100 x0 (wider if the mean floor needs more leverage) and
 grows 100-fold while the best portfolio touches it.  The boxed optimum is
@@ -152,7 +153,10 @@ def solve_static_cvar(
     mean(R'w) >= d by cutting planes, growing the box while it binds."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"confidence level must lie in (0,1), got {beta}")
-    if x0 <= 0.0:
+    for name, value in (("d", d), ("x0", x0), ("xbar", xbar)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if not x0 > 0.0:
         raise DomainError(f"initial budget must be positive, got {x0}")
     lp = _Lp(scenarios.returns, beta, float(d), float(x0), float(xbar))
     col_mean = lp.returns.mean(axis=0)
@@ -247,11 +251,9 @@ class _Master:
         b = np.append(np.zeros(n), (1.0, 1.0 / (1.0 - lp.beta)))
         cost = np.append((-lp.x0, -lp.d), np.zeros(2 * n + 2))
         cost[-1] = cut_cost
-        lower = np.append(-math.inf, np.zeros(2 * n + 3))
         boxes = np.where(cut[:n] >= 0.0, 2, n + 2) + np.arange(n)
         self.program = simplex.Program(
-            cost, a, b, lower, np.full(2 * n + 4, math.inf),
-            np.append(boxes, (2 * n + 3, 2 * n + 2)),
+            cost, a, b, np.arange(2 * n + 4) == 0, np.append(boxes, (2 * n + 3, 2 * n + 2))
         )
 
     def _cut(self, tail):

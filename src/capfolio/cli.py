@@ -531,7 +531,7 @@ def cmd_compare_static(config: RunConfig) -> int:
                 static = baseline.solve_static_cvar(
                     scenarios, float(beta), float(d), config.instance.x0, xbar
                 )
-                if static.status == "Optimal":
+                if static.status == baseline.OPTIMAL:
                     static_value = static.objective
                 else:
                     notes.append(f"static {static.status}")

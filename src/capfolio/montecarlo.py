@@ -6,20 +6,16 @@ counter-based: step k draws from a Philox stream keyed (seed, k), and path
 i reads row i of that step's block, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
 `run_policy` is one loop over running state in two legs.  The deflator leg
-draws step k's block once, contracts it to theta' dW and advances ln z; it
-depends on the seed and the market alone, so a worker thread runs it one
-step ahead of the wealth leg.  That leg advances x on the caller's thread
-on the same shock: every closed-form policy is a scalar -z dx/dz times the
-direction (sigma sigma')^{-1}(mu - r 1), so in a complete market with
-square sigma the Euler step is
+draws step k's block once, contracts it to theta' dW and advances ln z.
+The wealth leg advances x on the same shock: every closed-form policy is a
+scalar -z dx/dz times the direction (sigma sigma')^{-1}(mu - r 1), so in a
+complete market with square sigma the Euler step is
 
     dx = (r x + scale ||theta||^2) dt + scale theta' dW,
 
-and only the scalar factor is evaluated (Cox & Huang 1989).  Every array
-operation is the one a single loop would make, on the same arrays in the
-same order, so the results are the same bits.  Only the running vectors
-and the next step's are held, so memory is O(n_paths) whatever n_steps is,
-and only the terminal values are kept.
+and only the scalar factor is evaluated (Cox & Huang 1989).  Only the
+running vectors are held, so memory is O(n_paths) whatever n_steps is, and
+only the terminal values are kept.
 """
 
 from __future__ import annotations
@@ -71,10 +67,7 @@ def _deflator_leg(model: MarketModel, seed: int, k: int, t: float, dt: float, th
     """Step k of the deflator from time t: (segment, theta' dW, z_k, ln z_{k+1}).
 
     theta' dW is the one scalar shock per path that both ln z and the
-    wealth step take. It runs on a worker thread, so it calls private
-    helpers, `MarketModel` methods and numpy only: the benchmark's tracer
-    keeps one span stack per process, which a public function of the
-    package called here would corrupt.
+    wealth step take.
     """
     s = model.segment_index(t)
     theta = thetas[s]
@@ -103,23 +96,13 @@ def run_policy(
     This is dx = (r x + pi'(mu - r 1)) dt + pi' sigma dW for the policy
     pi = scale (sigma sigma')^{-1}(mu - r 1) of `surface.policy`, since
     sigma' (sigma sigma')^{-1}(mu - r 1) = theta for a square sigma.
-
-    Step k + 1's deflator leg (segment lookup, draw, theta' dW,
-    z = exp(ln z), the ln z step) goes to a one-worker pool before the
-    wealth leg of step k starts on the caller's thread; the two overlap
-    inside numpy and scipy, which release the interpreter lock, and the
-    results are bit-identical to a single loop.  The worker is joined before `run_policy` returns or
-    raises.  Memory is O(n_paths) whatever n_steps is.
+    Memory is O(n_paths) whatever n_steps is.
 
     The stepping is Euler-Maruyama, which has strong order 1/2.  For capped
     payoffs, whose terminal wealth jumps from the cap to gamma at z = delta,
     the L1 error of the terminal wealth against the closed form shrinks like
     about sqrt(dt): doubling the steps divides it by about sqrt(2), not 2.
     """
-    # imported here so that importing the module (as `baseline` does) does
-    # not load concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-
     if n_paths < 1 or n_steps < 1:
         raise DomainError(
             f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
@@ -130,17 +113,12 @@ def run_policy(
     final_policy_time = model.horizon - dt
     thetas = np.asarray(model.theta)
     x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        leg = ahead.submit(_deflator_leg, model, seed, 0, times[0], dt, thetas, np.zeros(n_paths))
-        for k in range(n_steps):
-            s, shock, z, log_z = leg.result()
-            if k + 1 < n_steps:
-                leg = ahead.submit(
-                    _deflator_leg, model, seed, k + 1, times[k + 1], dt, thetas, log_z
-                )
-            scale = surface.policy_scale(payoff, min(times[k], final_policy_time), z)
-            rate = model.rate[s]
-            x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
+    log_z = np.zeros(n_paths)
+    for k in range(n_steps):
+        s, shock, z, log_z = _deflator_leg(model, seed, k, times[k], dt, thetas, log_z)
+        scale = surface.policy_scale(payoff, min(times[k], final_policy_time), z)
+        rate = model.rate[s]
+        x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
     return PathEnsemble(
         n_paths=n_paths,
         n_steps=n_steps,

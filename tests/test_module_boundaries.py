@@ -8,10 +8,10 @@ serves only the array kernels, which import it inside the function, so the
 commands that evaluate no surface never load it. numpy serves only the array
 path (`surface`, `montecarlo`, `baseline`, `simplex`), which the CLI imports
 inside the commands that use it (`tests/test_cli.py` checks in a fresh
-interpreter that `solve` and `frontier` never load it).  `montecarlo` imports
-its thread pool inside `run_policy`, so importing the CLI or `baseline` does
-not load `concurrent.futures`.  Every name a module lists in `__all__`
-exists, so a deletion cannot leave a stale export behind.
+interpreter that `solve` and `frontier` never load it).  No module runs
+work on a thread pool, so importing the CLI or `baseline` does not load
+`concurrent.futures`.  Every name a module lists in `__all__` exists, so a
+deletion cannot leave a stale export behind.
 """
 import ast
 import importlib

@@ -2,7 +2,6 @@
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -273,15 +272,21 @@ def _example_payoffs(example1, example2):
     ]
 
 
-def test_run_policy_draws_each_step_once(example1, example2, monkeypatch):
+def _record_draws(monkeypatch):
+    """Log the step of every block draw."""
     calls = []
     draw = montecarlo._step_increments
 
-    def counted(*args):
+    def recorded(*args):
         calls.append(args[2])
         return draw(*args)
 
-    monkeypatch.setattr(montecarlo, "_step_increments", counted)
+    monkeypatch.setattr(montecarlo, "_step_increments", recorded)
+    return calls
+
+
+def test_run_policy_draws_each_step_once(example1, example2, monkeypatch):
+    calls = _record_draws(monkeypatch)
     for model, payoff in _example_payoffs(example1, example2):
         calls.clear()
         montecarlo.run_policy(model, payoff, 40, 12, seed=3)
@@ -322,38 +327,9 @@ def test_run_policy_matches_the_dollar_policy_step(example1, example2):
         )
 
 
-def _record_draws(monkeypatch, delay=0.0):
-    """Log the step of every block draw, sleeping delay seconds on odd steps."""
-    calls = []
-    draw = montecarlo._step_increments
-
-    def recorded(*args):
-        calls.append(args[2])
-        if delay and args[2] % 2:
-            time.sleep(delay)
-        return draw(*args)
-
-    monkeypatch.setattr(montecarlo, "_step_increments", recorded)
-    return calls
-
-
-def test_run_policy_results_do_not_depend_on_timing(example1, example2, monkeypatch):
-    # the deflator leg runs ahead on a worker: slowing its draws on alternate
-    # steps changes which leg waits, never the bits or the draw order
-    runs = [(m, p, montecarlo.run_policy(m, p, 64, 12, seed=29))
-            for m, p in _example_payoffs(example1, example2)]
-    calls = _record_draws(monkeypatch, delay=0.003)
-    for model, payoff, want in runs:
-        calls.clear()
-        out = montecarlo.run_policy(model, payoff, 64, 12, seed=29)
-        np.testing.assert_array_equal(out.z_terminal, want.z_terminal)
-        np.testing.assert_array_equal(out.x_terminal, want.x_terminal)
-        assert calls == list(range(12))
-
-
 def test_concurrent_runs_match_sequential_ones(example1, example2):
-    # four callers with a worker each, eight threads on a 10 us switch
-    # interval: no run reads or moves another's state
+    # four callers on their own threads with a 10 us switch interval: no
+    # run reads or moves another's state
     jobs = _example_payoffs(example1, example2) * 2
     wants = [montecarlo.run_policy(m, p, 64, 12, seed=31) for m, p in jobs]
     results = [None] * len(jobs)
@@ -377,12 +353,9 @@ def test_concurrent_runs_match_sequential_ones(example1, example2):
         np.testing.assert_array_equal(got.x_terminal, want.x_terminal)
 
 
-def test_run_policy_leaves_no_worker_behind(example1, monkeypatch):
+def test_run_policy_stops_drawing_at_a_failing_step(example1, monkeypatch):
     calls = _record_draws(monkeypatch)
-    threads = threading.active_count()
     payoff = _flat(example1, 1.0)
-    montecarlo.run_policy(example1, payoff, 16, 8, seed=2)
-    assert threading.active_count() == threads
     scale = surface.policy_scale
 
     def bad_at_step_3(payoff, t, z):
@@ -393,12 +366,11 @@ def test_run_policy_leaves_no_worker_behind(example1, monkeypatch):
 
     bad_at_step_3.calls = 0
     monkeypatch.setattr(montecarlo.surface, "policy_scale", bad_at_step_3)
-    calls.clear()
     with pytest.raises(ArithmeticError, match="wealth step 3"):
         montecarlo.run_policy(example1, payoff, 16, 8, seed=2)
-    assert threading.active_count() == threads
-    # step 4's block was drawn ahead of the failing wealth step 3, no later one
-    assert calls == list(range(5))
+    # each step draws its block just before its wealth step, so the failing
+    # step 3 is the last to draw
+    assert calls == list(range(4))
 
 
 def test_run_policy_memory_does_not_grow_with_steps(example1, example2):
