@@ -56,7 +56,7 @@ import numpy as np
 
 from . import simplex
 from .errors import DomainError, NumericalBreakdown
-from .market import MarketModel
+from .market import MarketModel, is_number
 from .montecarlo import estimate_cvar
 
 OPTIMAL = simplex.OPTIMAL
@@ -151,11 +151,11 @@ def solve_static_cvar(
 ) -> LpSolution:
     """Minimize the CVaR of xbar - R'w subject to sum(w) = x0 and
     mean(R'w) >= d by cutting planes, growing the box while it binds."""
+    for name, value in (("beta", beta), ("d", d), ("x0", x0), ("xbar", xbar)):
+        if not is_number(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not 0.0 < beta < 1.0:
         raise DomainError(f"confidence level must lie in (0,1), got {beta}")
-    for name, value in (("d", d), ("x0", x0), ("xbar", xbar)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
     if not x0 > 0.0:
         raise DomainError(f"initial budget must be positive, got {x0}")
     lp = _Lp(scenarios.returns, beta, float(d), float(x0), float(xbar))

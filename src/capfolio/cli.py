@@ -26,13 +26,14 @@ Commands and their artifacts, all written under run.out:
     compare_static  compare_static.csv rows d,beta,static_cvar,dynamic_cvar,
                     both columns at the problem's cvar.safe_level
 
-Every problem number must be finite (not a string or boolean); a "cvar"
-safe level must lie below problem.cap.  run.paths is an integer from 2 (a
-standard error needs two samples) and run.steps, run.scenarios and
-run.z_grid.count are integers from 1, all up to 10**9.  With problem.kind
-"cvar", every run.d_grid target must lie below problem.cap, as problem.d
-must.  run.betas or run.z_grid set to null takes its default; any other
-value of the wrong type is a config error.
+Three tables state the config rules once each.  _PROBLEM_TYPES maps
+problem.kind to its problem type, whose fields but horizon the problem block
+gives as finite numbers (not strings or booleans); a field that defaults to
+None (a "cvar" xbar) is read only when set.  _RUN_INTEGERS holds the default
+and range of each run-block integer, _OVERRIDES the block and type of each
+flag override.  A "cvar" safe level and every run.d_grid target must lie
+below problem.cap, as problem.d must.  run.betas or run.z_grid set to null
+takes its default; any other value of the wrong type is a config error.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -58,32 +59,33 @@ from .errors import (
     TargetTooHigh,
 )
 
-_RUN_DEFAULTS = {
-    "seed": 1,
-    "paths": 10000,
-    "steps": 128,
-    "scenarios": 20000,
-    "out": ".",
-}
+#: the problem type each problem.kind builds
+_PROBLEM_TYPES = {"lpm": lpm.LpmProblem, "cvar": cvar.CvarProblem, "mv": meanvar.MvProblem}
 
-#: the numbers each problem kind reads; a "cvar" problem may add "xbar"
-_PROBLEM_FIELDS = {
-    "lpm": ("x0", "d", "gamma", "cap", "q"),
-    "cvar": ("x0", "d", "cap", "beta"),
-    "mv": ("x0", "d"),
-}
-
-#: inclusive ranges of the run block's integers: the seed keys a Philox stream
-#: of uint64 words; paths, steps and scenarios each size a float array (the
-#: path vectors, the time grid, the scenario matrix), 8 GB at the bound
+#: (default, low, high) of each run-block integer, the range inclusive: the
+#: seed keys a Philox stream of uint64 words; paths, steps and scenarios each
+#: size a float array (the path vectors, the time grid, the scenario matrix),
+#: 8 GB at the bound, and a standard error needs two paths; z_grid.count is
+#: the rows of the policy table
 _RUN_INTEGERS = {
-    "seed": (0, 2**64 - 1),
-    "paths": (2, 10**9),
-    "steps": (1, 10**9),
-    "scenarios": (1, 10**9),
+    "seed": (1, 0, 2**64 - 1),
+    "paths": (10000, 2, 10**9),
+    "steps": (128, 1, 10**9),
+    "scenarios": (20000, 1, 10**9),
+    "z_grid.count": (400, 1, 10**9),
 }
-#: inclusive range of run.z_grid.count, the rows of the policy table
-_Z_GRID_COUNT = (1, 10**9)
+
+#: the config block and type of each flag override --name
+_OVERRIDES = {
+    "q": ("problem", float),
+    "beta": ("problem", float),
+    "d": ("problem", float),
+    "seed": ("run", int),
+    "paths": ("run", int),
+    "steps": ("run", int),
+    "scenarios": ("run", int),
+    "out": ("run", str),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,25 +101,27 @@ class RunConfig:
 
 
 def _build_problem(block: dict, model: market.MarketModel):
-    kinds = tuple(_PROBLEM_FIELDS)
     kind = block.get("kind")
-    if kind not in kinds:
-        raise ConfigError(f"problem.kind must be one of {kinds}, got {kind!r}")
-    names = _PROBLEM_FIELDS[kind]
-    if kind == "cvar" and block.get("xbar") is not None:
-        names += ("xbar",)
-    numbers = {}
-    for name in names:
+    if kind not in _PROBLEM_TYPES:
+        raise ConfigError(f"problem.kind must be one of {tuple(_PROBLEM_TYPES)}, got {kind!r}")
+    numbers = {"horizon": model.horizon}
+    for field in dataclasses.fields(_PROBLEM_TYPES[kind]):
+        name = field.name
+        if name == "horizon" or (field.default is None and block.get(name) is None):
+            continue
         if not market.is_number(block[name]):
             raise ConfigError(f"problem.{name} must be a finite number, got {block[name]!r}")
         numbers[name] = float(block[name])
-    if kind == "lpm":
-        return lpm.LpmProblem(**numbers, horizon=model.horizon)
-    if kind == "mv":
-        return meanvar.MvProblem(**numbers, horizon=model.horizon)
-    problem = cvar.CvarProblem(**numbers, horizon=model.horizon)
-    cvar.safe_level(problem, model)  # raises when the cap is at or below it
+    problem = _PROBLEM_TYPES[kind](**numbers)
+    if kind == "cvar":
+        cvar.safe_level(problem, model)  # raises when the cap is at or below it
     return problem
+
+
+def _check_integer(name: str, value) -> None:
+    _, low, high = _RUN_INTEGERS[name]
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ConfigError(f"run.{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def _number_list(value) -> bool:
@@ -133,10 +137,9 @@ def _validate_run(run: dict, model: market.MarketModel, instance, cmd: str | Non
     Every run.d_grid target of a mean-CVaR instance must lie below its cap.
     run.betas and run.z_grid take their defaults when absent or null only.
     """
-    for name, (low, high) in _RUN_INTEGERS.items():
-        value = run[name]
-        if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-            raise ConfigError(f"run.{name} must be an integer in [{low}, {high}], got {value!r}")
+    for name in _RUN_INTEGERS:
+        if "." not in name:  # run.z_grid.count is checked with its block
+            _check_integer(name, run[name])
     if not isinstance(run["out"], str):
         raise ConfigError(f"run.out must be a directory path, got {run['out']!r}")
     policy_times = {}
@@ -186,11 +189,7 @@ def _validate_run(run: dict, model: market.MarketModel, instance, cmd: str | Non
         lo, hi = _z_window(run, model)
         if hi < lo:
             raise ConfigError(f"run.z_grid window [{lo}, {hi}] has lo above hi")
-    count, (low, high) = window.get("count", 400), _Z_GRID_COUNT
-    if isinstance(count, bool) or not isinstance(count, int) or not low <= count <= high:
-        raise ConfigError(
-            f"run.z_grid.count must be an integer in [{low}, {high}], got {count!r}"
-        )
+    _check_integer("z_grid.count", window.get("count", _RUN_INTEGERS["z_grid.count"][0]))
     if window.get("spacing", "log") not in ("log", "linear"):
         raise ConfigError(
             f"run.z_grid.spacing must be 'log' or 'linear', got {window['spacing']!r}"
@@ -216,14 +215,13 @@ def load_config(path, overrides: dict) -> RunConfig:
         if not isinstance(raw.get(name, {}), dict):
             raise ConfigError(f"{name} must be an object, got {raw[name]!r}")
 
+    defaults = {name: row[0] for name, row in _RUN_INTEGERS.items() if "." not in name}
     problem_block = dict(raw["problem"])
-    run = {**_RUN_DEFAULTS, **raw.get("run", {})}
-    for name in ("q", "beta", "d"):
+    run = {**defaults, "out": ".", **raw.get("run", {})}
+    blocks = {"problem": problem_block, "run": run}
+    for name, (block, _) in _OVERRIDES.items():
         if overrides.get(name) is not None:
-            problem_block[name] = overrides[name]
-    for name in ("seed", "paths", "steps", "scenarios", "out"):
-        if overrides.get(name) is not None:
-            run[name] = overrides[name]
+            blocks[block][name] = overrides[name]
 
     try:
         model = market.market_from_config(raw["market"])
@@ -366,13 +364,8 @@ def load_solution(path):
     if sol["kind"] == "mv":
         payoff = meanvar.mv_payoff(mult, model)
         return model, lambda t, z: surface.wealth(payoff, t, z)
-    pb = sol["problem"]
-    problem = lpm.LpmProblem(
-        x0=pb["x0"], d=pb["d"], gamma=pb["gamma"], cap=pb["cap"], q=pb["q"],
-        horizon=pb["horizon"],
-    )
     rebuilt = lpm.PolicySolution(
-        problem=problem,
+        problem=lpm.LpmProblem(**sol["problem"]),
         model=model,
         context=market.deflator_context(model),
         multipliers=mult,
@@ -412,7 +405,7 @@ def _z_grid(config: RunConfig):
     if "points" in window:
         return np.asarray(window["points"], dtype=float)
     lo, hi = _z_window(config.run, config.model)
-    count = window.get("count", 400)
+    count = window.get("count", _RUN_INTEGERS["z_grid.count"][0])
     if hi == lo or count == 1:
         return np.array([lo])
     if window.get("spacing", "log") == "log":
@@ -468,11 +461,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
     run = config.run
     ensemble = montecarlo.run_policy(
-        config.model,
-        _solved_policy(config),
-        int(run["paths"]),
-        int(run["steps"]),
-        int(run["seed"]),
+        config.model, _solved_policy(config), run["paths"], run["steps"], run["seed"]
     )
     z_t, x_t = ensemble.z_terminal, ensemble.x_terminal
     estimates = {"terminal_mean": dataclasses.asdict(montecarlo.estimate_mean(x_t))}
@@ -517,9 +506,7 @@ def cmd_compare_static(config: RunConfig) -> int:
     betas = [config.instance.beta] if run.get("betas") is None else run["betas"]
     d_grid = run.get("d_grid", [])
     xbar = cvar.safe_level(config.instance, config.model)
-    scenarios = baseline.generate_scenarios(
-        config.model, int(run["scenarios"]), int(run["seed"])
-    )
+    scenarios = baseline.generate_scenarios(config.model, run["scenarios"], run["seed"])
     cells = []
     for beta in betas:
         instance = dataclasses.replace(config.instance, beta=float(beta))
@@ -573,23 +560,14 @@ _PARSER = _Parser(
 )
 _PARSER.add_argument("--config", required=True, help="path to the JSON config")
 _PARSER.add_argument("--cmd", required=True, choices=sorted(_COMMANDS))
-_PARSER.add_argument("--q", type=float, help="override problem.q")
-_PARSER.add_argument("--beta", type=float, help="override problem.beta")
-_PARSER.add_argument("--d", type=float, help="override problem.d")
-_PARSER.add_argument("--seed", type=int, help="override run.seed")
-_PARSER.add_argument("--paths", type=int, help="override run.paths")
-_PARSER.add_argument("--steps", type=int, help="override run.steps")
-_PARSER.add_argument("--scenarios", type=int, help="override run.scenarios")
-_PARSER.add_argument("--out", help="override run.out (artifact directory)")
-
-
-def _parse_args(argv):
-    return _PARSER.parse_args(argv)
+for _name, (_block, _type) in _OVERRIDES.items():
+    _note = " (artifact directory)" if _name == "out" else ""
+    _PARSER.add_argument(f"--{_name}", type=_type, help=f"override {_block}.{_name}{_note}")
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _PARSER.parse_args(argv)
         config = load_config(args.config, vars(args))
         return _COMMANDS[args.cmd](config)
     except ConfigError as exc:

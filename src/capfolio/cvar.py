@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from . import lpm
 from .errors import DomainError, InfeasibleBudget, TargetTooHigh
 from .kernels import invert_H, partial_moment_H
-from .market import MarketModel, deflator_context, expected_deflator
+from .market import MarketModel, deflator_context, expected_deflator, require_numbers
 from .solvers import find_root_1d
 
 
@@ -68,17 +68,18 @@ class CvarProblem:
     xbar: float | None = None
 
     def __post_init__(self):
-        if self.x0 <= 0.0:
+        require_numbers(self)
+        if not self.x0 > 0.0:
             raise DomainError(f"initial budget must be positive, got {self.x0}")
         if not 0.0 < self.beta < 1.0:
             raise DomainError(f"confidence level must lie in (0,1), got {self.beta}")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
-        if self.cap <= self.d:
+        if not self.cap > self.d:
             raise DomainError(
                 f"wealth cap {self.cap} must exceed the mean target {self.d}"
             )
-        if self.xbar is not None and self.cap <= self.xbar:
+        if self.xbar is not None and not self.cap > self.xbar:
             raise DomainError(
                 f"wealth cap {self.cap} must exceed the safe level {self.xbar}"
             )

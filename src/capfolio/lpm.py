@@ -63,7 +63,7 @@ from .kernels import (
     std_normal_pdf,
     truncated_exp_moment,
 )
-from .market import MarketModel, deflator_context, expected_deflator
+from .market import MarketModel, deflator_context, expected_deflator, require_numbers
 from .solvers import find_root_1d, solve_2d
 
 __all__ = [
@@ -121,13 +121,12 @@ class LpmProblem:
     horizon: float
 
     def __post_init__(self):
+        require_numbers(self)
         if not self.x0 > 0.0:
             raise DomainError(f"x0 must be positive, got {self.x0}")
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not self.cap > 0.0:
-            raise DomainError(f"cap must be positive, got {self.cap}")
-        if self.cap < self.gamma:
+        if self.cap < self.gamma:  # cap >= gamma > 0 from here on
             raise DomainError(
                 f"cap {self.cap} below the benchmark {self.gamma}"
             )
@@ -465,7 +464,9 @@ def _solve_regular_nested(ctx, problem, curve):
 def _solve_regular(ctx, problem, curve):
     """(delta, rho) of a Regular instance, through the residual gate.
 
-    Raises SolverDiverged when the reduction fails or misses the gate.
+    Raises TargetTooHigh at the top of the curve (delta_bar, rho = 0), where
+    d is within rounding of d_upper and eta = 1/rho is unbounded, and
+    SolverDiverged when the reduction fails or misses the gate.
     """
     if problem.q == 2.0:
         try:
@@ -481,6 +482,10 @@ def _solve_regular(ctx, problem, curve):
             f"multiplier solve failed for {problem}: {exc}",
             report=getattr(exc, "report", None),
         ) from exc
+    if delta == curve.delta_bar and rho == 0.0:
+        raise TargetTooHigh(
+            f"target d = {problem.d} is within rounding of d_upper = {curve.d_upper}"
+        )
     if not _residuals_ok(ctx, problem, delta, rho):
         raise SolverDiverged(f"residuals too large for {problem}")
     return delta, rho
@@ -507,8 +512,9 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     delta = 0 with the width rho_low for DegenerateLowTarget, and the rich
     threshold for DegenerateRich.
 
-    Raises TargetTooHigh when d >= d_upper, InfeasibleBudget when
-    x0 >= cap E[z(T)], and SolverDiverged when the Regular solve fails.
+    Raises TargetTooHigh when d >= d_upper or lies within rounding of it,
+    InfeasibleBudget when x0 >= cap E[z(T)], and SolverDiverged when the
+    Regular solve fails.
     """
     _check_horizon(problem, model)
     ctx = deflator_context(model)

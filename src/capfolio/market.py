@@ -17,9 +17,10 @@ scalar path (solve, frontier) needs a few sums over segments and no arrays.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     ConfigError,
@@ -35,6 +36,7 @@ __all__ = [
     "MarketModel",
     "DeflatorMoments",
     "is_number",
+    "require_numbers",
     "validate_market",
     "market_from_config",
     "deflator_moments",
@@ -114,12 +116,20 @@ class DeflatorMoments:
 
 def is_number(value) -> bool:
     """A finite real number within the float range (booleans excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy's too
         return False
     try:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def require_numbers(problem) -> None:
+    """Raise DomainError unless each field of a problem is_number or a None default."""
+    for field in fields(problem):
+        value = getattr(problem, field.name)
+        if not (is_number(value) or (value is None and field.default is None)):
+            raise DomainError(f"{field.name} must be a finite number, got {value!r}")
 
 
 def _as_floats(value, name):

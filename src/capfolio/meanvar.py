@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, SolverDiverged
 from .kernels import partial_moment_H
 from .lpm import Multipliers, Payoff
-from .market import MarketModel, deflator_context
+from .market import MarketModel, deflator_context, require_numbers
 from .solvers import find_root_1d
 
 MEAN_VARIANCE = "MeanVariance"
@@ -35,11 +35,12 @@ class MvProblem:
     horizon: float
 
     def __post_init__(self):
-        if self.x0 <= 0.0:
+        require_numbers(self)
+        if not self.x0 > 0.0:
             raise DomainError(f"initial budget must be positive, got {self.x0}")
-        if self.d <= 0.0:
+        if not self.d > 0.0:
             raise DomainError(f"mean target must be positive, got {self.d}")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
 
 

@@ -188,8 +188,8 @@ def policy_scale(payoff: Payoff, t, z) -> np.ndarray:
     nexts = (*payoff.starts[1:], 0.0)
     jumps = np.zeros_like(z)
     for lo, y, start, end, nxt in zip(lows, payoff.levels, payoff.starts, payoff.ends, nexts):
-        if 0.0 < y < math.inf:  # phi vanishes at y = 0
-            jump = (end if lo < y else start) - nxt
+        jump = (end if lo < y else start) - nxt
+        if jump != 0.0 and 0.0 < y < math.inf:  # phi vanishes at y = 0
             u = (math.log(y) - log_z - m) / nu
             jumps = jumps + jump * std_normal_pdf_array(u - nu)
     scale = (math.exp(m + 0.5 * nu * nu) / nu) * jumps

@@ -58,8 +58,8 @@ def test_build_lp_defaults_and_validation(example1):
         baseline.solve_static_cvar(scen, beta=0.9, d=1.09, x0=0.0, xbar=1.25)
     # a non-finite input is named up front, not met later as a singular basis
     cell = dict(beta=0.9, d=1.09, x0=1.0, xbar=1.25)
-    for name in ("d", "x0", "xbar"):
-        for bad in (math.nan, math.inf, -math.inf):
+    for name in ("beta", "d", "x0", "xbar"):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, "0.9"):
             with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 baseline.solve_static_cvar(scen, **{**cell, name: bad})
 

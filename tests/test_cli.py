@@ -669,6 +669,33 @@ def test_scalar_commands_load_neither_numpy_nor_scipy(tmp_path, problem, command
     assert _modules_after(_cfg(tmp_path, EX1_MARKET, problem, run=run), *commands) == []
 
 
+@pytest.mark.parametrize(
+    "flag, text, block, value",
+    [
+        ("q", "1", "problem", 1.0),
+        ("beta", "0.9", "problem", 0.9),
+        ("d", "12.5", "problem", 12.5),
+        ("seed", "7", "run", 7),
+        ("paths", "64", "run", 64),
+        ("steps", "16", "run", 16),
+        ("scenarios", "300", "run", 300),
+        ("out", "elsewhere", "run", "elsewhere"),
+    ],
+)
+def test_override_flag_lands_in_its_block_with_its_type(tmp_path, flag, text, block, value):
+    problem = LPM1 if flag == "q" else CVAR2
+    market = EX1_MARKET if flag == "q" else EX2_MARKET
+    cfg = _cfg(tmp_path, market, problem, run={"out": str(tmp_path)})
+    args = cli._PARSER.parse_args(["--config", cfg, "--cmd", "solve", f"--{flag}", text])
+    config = cli.load_config(args.config, vars(args))
+    blocks = {"problem": config.problem_block, "run": config.run}
+    landed = blocks.pop(block)[flag]
+    assert landed == value and type(landed) is type(value)
+    assert flag not in blocks.popitem()[1]  # nor in the other block
+    if block == "problem":
+        assert getattr(config.instance, flag) == value
+
+
 def test_out_flag_redirects_artifacts(tmp_path):
     cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path / "ignored")})
     target = tmp_path / "chosen"

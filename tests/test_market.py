@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capfolio import market
+from capfolio import cvar, lpm, market, meanvar
 from capfolio.errors import (
     DegenerateVolatility,
     DimensionMismatch,
+    DomainError,
     NonpositiveHorizon,
 )
 
@@ -239,3 +240,25 @@ def test_deflator_moment_identity_single_segment(r, mu, sigma, t):
     rem = 1.0 - t
     assert mom.nu**2 == pytest.approx(theta**2 * rem, abs=1e-12)
     assert mom.m == pytest.approx(-(r + 0.5 * theta**2) * rem, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, numbers",
+    [
+        (lpm.LpmProblem, dict(x0=1.0, d=1.3, gamma=1.06, cap=10.0, q=2.0, horizon=1.0)),
+        (cvar.CvarProblem, dict(x0=1.0, d=1.3, cap=10.0, beta=0.95, horizon=1.0, xbar=1.06)),
+        (meanvar.MvProblem, dict(x0=1.0, d=1.3, horizon=1.0)),
+    ],
+    ids=["lpm", "cvar", "mv"],
+)
+def test_problem_types_take_only_finite_numbers(kind, numbers):
+    # NaN passes every x <= 0 test and an int beyond the float range
+    # overflows only inside the solve, so both are named at construction
+    for name in numbers:
+        for bad in (math.nan, math.inf, -math.inf, 10**400, True, "1.0"):
+            with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+                kind(**{**numbers, name: bad})
+    for good in (1, np.int64(1), np.float32(1.0)):  # ints and numpy scalars are numbers
+        assert kind(**{**numbers, "x0": good}).x0 == 1.0
+    if kind is cvar.CvarProblem:
+        assert kind(**{**numbers, "xbar": None}).xbar is None

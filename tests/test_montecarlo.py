@@ -272,6 +272,24 @@ def _example_payoffs(example1, example2):
     ]
 
 
+def test_policy_scale_skips_the_zero_jump_of_a_q2_payoff(example1, monkeypatch):
+    # the q = 2 payoff jumps from cap to gamma at its first level and falls
+    # to 0 continuously at its second: one pdf term, not two
+    prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
+    payoff = lpm.payoff(lpm.solve_lpm(prob, example1))
+    calls = []
+    pdf = surface.std_normal_pdf_array
+
+    def counted(y):
+        calls.append(np.shape(y))
+        return pdf(y)
+
+    monkeypatch.setattr(surface, "std_normal_pdf_array", counted)
+    for t in (0.0, 0.5):
+        surface.policy_scale(payoff, t, np.geomspace(0.2, 5.0, 64))
+    assert calls == [(64,), (64,)]
+
+
 def _record_draws(monkeypatch):
     """Log the step of every block draw."""
     calls = []

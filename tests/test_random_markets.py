@@ -146,16 +146,18 @@ def test_lpm_sweep_solves_or_raises_a_documented_error(lpm_outcomes):
     assert failures == []
 
 
-def test_lpm_sweep_diverges_only_near_a_bound_at_low_nu0(lpm_outcomes):
-    # the documented errors: targets within 5e-11 of the range below d_upper
-    # on markets whose nu0 is below 2e-3
-    diverged = [
-        (market.deflator_context(model).nu0, label)
-        for label, model, _, sol in lpm_outcomes
-        if isinstance(sol, SolverDiverged)
+def test_lpm_sweep_top_of_the_curve_is_target_too_high_at_low_nu0(lpm_outcomes):
+    # no instance diverges: the 10 whose root is the top of the budget curve
+    # (delta_bar, rho = 0) have targets within 5e-14 of d_upper, relative,
+    # on markets whose nu0 is below 2e-3, and raise TargetTooHigh
+    assert [label for label, _, _, sol in lpm_outcomes if isinstance(sol, SolverDiverged)] == []
+    top = [
+        (market.deflator_context(model).nu0, (lpm.d_bounds(prob, model)[1] - prob.d) / prob.d)
+        for _, model, prob, sol in lpm_outcomes
+        if isinstance(sol, TargetTooHigh) and "within rounding" in str(sol)
     ]
-    assert len(diverged) <= 10
-    assert [item for item in diverged if not item[0] < 2e-3] == []
+    assert len(top) == 10
+    assert [item for item in top if not (item[0] < 2e-3 and 0.0 < item[1] < 5e-14)] == []
 
 
 def test_lpm_draws_cover_every_case_and_order(lpm_outcomes):
