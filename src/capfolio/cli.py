@@ -13,8 +13,9 @@ The interface is one JSON config file plus flag overrides.  Config shape::
                  "d_grid": [11.0, 12.0], "betas": [0.90, 0.95]}}
 
 problem.kind selects the solver: "lpm" (capped shortfall), "cvar"
-(mean-CVaR via the embedded shortfall family), or "mv" (mean-variance).
-The horizon always comes from the market block.
+(mean-CVaR via the embedded shortfall family), or "mv" (mean-variance), and
+_solve solves it for solve, policy_table and simulate alike.  The horizon
+always comes from the market block.
 
 Commands and their artifacts, all written under run.out:
 
@@ -27,13 +28,14 @@ Commands and their artifacts, all written under run.out:
                     both columns at the problem's cvar.safe_level
 
 Three tables state the config rules once each.  _PROBLEM_TYPES maps
-problem.kind to its problem type, whose fields but horizon the problem block
-gives as finite numbers (not strings or booleans); a field that defaults to
-None (a "cvar" xbar) is read only when set.  _RUN_INTEGERS holds the default
-and range of each run-block integer, _OVERRIDES the block and type of each
-flag override.  A "cvar" safe level and every run.d_grid target must lie
-below problem.cap, as problem.d must.  run.betas or run.z_grid set to null
-takes its default; any other value of the wrong type is a config error.
+problem.kind to its problem type; the problem block gives each of its fields
+but horizon as a finite number (not a string or boolean), which the type
+itself checks, and a field that defaults to None (a "cvar" xbar) only when
+set.  _RUN_INTEGERS holds the default and range of each run-block integer,
+_OVERRIDES the block and type of each flag override.  A "cvar" safe level
+and every run.d_grid target must lie below problem.cap, as problem.d must.
+run.betas or run.z_grid set to null takes its default; any other value of
+the wrong type is a config error.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -104,15 +106,12 @@ def _build_problem(block: dict, model: market.MarketModel):
     kind = block.get("kind")
     if kind not in _PROBLEM_TYPES:
         raise ConfigError(f"problem.kind must be one of {tuple(_PROBLEM_TYPES)}, got {kind!r}")
-    numbers = {"horizon": model.horizon}
-    for field in dataclasses.fields(_PROBLEM_TYPES[kind]):
-        name = field.name
-        if name == "horizon" or (field.default is None and block.get(name) is None):
-            continue
-        if not market.is_number(block[name]):
-            raise ConfigError(f"problem.{name} must be a finite number, got {block[name]!r}")
-        numbers[name] = float(block[name])
-    problem = _PROBLEM_TYPES[kind](**numbers)
+    numbers = {
+        field.name: block[field.name]
+        for field in dataclasses.fields(_PROBLEM_TYPES[kind])
+        if field.name != "horizon" and not (field.default is None and block.get(field.name) is None)
+    }
+    problem = _PROBLEM_TYPES[kind](horizon=model.horizon, **numbers)
     if kind == "cvar":
         cvar.safe_level(problem, model)  # raises when the cap is at or below it
     return problem
@@ -303,19 +302,17 @@ def _policy_record(sol: lpm.PolicySolution) -> dict:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_solve(config: RunConfig) -> int:
-    """Solve the configured problem and write solution.json."""
-    payload = {"config": _config_echo(config)}
+def _solve(config: RunConfig):
+    """Solve the configured problem: (its solution.json record, its optimal
+    terminal payoff)."""
+    problem, model = config.instance, config.model
     if config.kind == "lpm":
-        sol = lpm.solve_lpm(config.instance, config.model)
-        payload["solution"] = {
-            "kind": "lpm",
-            "objective": _maybe(sol.objective_value),
-            **_policy_record(sol),
-        }
-    elif config.kind == "cvar":
-        csol = cvar.solve_cvar(config.instance, config.model)
-        payload["solution"] = {
+        sol = lpm.solve_lpm(problem, model)
+        record = {"kind": "lpm", "objective": _maybe(sol.objective_value), **_policy_record(sol)}
+        return record, lpm.payoff(sol)
+    if config.kind == "cvar":
+        csol = cvar.solve_cvar(problem, model)
+        record = {
             "kind": "cvar",
             "objective": _maybe(csol.cvar),
             "cvar": _maybe(csol.cvar),
@@ -323,23 +320,25 @@ def cmd_solve(config: RunConfig) -> int:
             "xbar": _maybe(csol.xbar),
             **_policy_record(csol.policy),
         }
-    else:
-        mult = meanvar.solve_mv(config.instance, config.model)
-        moments = market.deflator_moments(config.model, 0.0)
-        floor = config.instance.x0 / market.expected_deflator(
-            config.model, 0.0, config.model.horizon
-        )
-        payload["solution"] = {
-            "kind": "mv",
-            "case": mult.case,
-            "multipliers": {"mean": _maybe(mult.mean), "budget": _maybe(mult.budget)},
-            "objective": _maybe(
-                meanvar.mv_variance(mult, config.model, config.instance.d)
-            ),
-            "second_moment": _maybe(meanvar.mv_second_moment(mult, config.model)),
-            "d_bounds": {"lower": _maybe(floor), "upper": None},
-            "deflator_moments": {"m": _maybe(moments.m), "nu": _maybe(moments.nu)},
-        }
+        return record, lpm.payoff(csol.policy)
+    mult = meanvar.solve_mv(problem, model)
+    moments = market.deflator_moments(model, 0.0)
+    floor = problem.x0 / market.expected_deflator(model, 0.0, model.horizon)
+    record = {
+        "kind": "mv",
+        "case": mult.case,
+        "multipliers": {"mean": _maybe(mult.mean), "budget": _maybe(mult.budget)},
+        "objective": _maybe(meanvar.mv_variance(mult, model, problem.d)),
+        "second_moment": _maybe(meanvar.mv_second_moment(mult, model)),
+        "d_bounds": {"lower": _maybe(floor), "upper": None},
+        "deflator_moments": {"m": _maybe(moments.m), "nu": _maybe(moments.nu)},
+    }
+    return record, meanvar.mv_payoff(mult, model)
+
+
+def cmd_solve(config: RunConfig) -> int:
+    """Solve the configured problem and write solution.json."""
+    payload = {"config": _config_echo(config), "solution": _solve(config)[0]}
     _write_json(_out_dir(config) / "solution.json", payload)
     return 0
 
@@ -420,7 +419,7 @@ def cmd_policy_table(config: RunConfig) -> int:
     from . import surface
 
     t = _policy_time(config.run, config.model)
-    curve = surface.feedback_curve(_solved_policy(config), t, _z_grid(config))
+    curve = surface.feedback_curve(_solve(config)[1], t, _z_grid(config))
     n = curve.pi.shape[1]
     header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
     table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
@@ -445,23 +444,13 @@ def cmd_frontier(config: RunConfig) -> int:
     return 0
 
 
-def _solved_policy(config: RunConfig) -> lpm.Payoff:
-    """Solve the configured problem down to its optimal terminal payoff."""
-    problem, model = config.instance, config.model
-    if config.kind == "lpm":
-        return lpm.payoff(lpm.solve_lpm(problem, model))
-    if config.kind == "cvar":
-        return lpm.payoff(cvar.solve_cvar(problem, model).policy)
-    return meanvar.mv_payoff(meanvar.solve_mv(problem, model), model)
-
-
 def cmd_simulate(config: RunConfig) -> int:
     """Monte-Carlo replication: deflator paths, Euler wealth, estimates."""
     from . import montecarlo
 
     run = config.run
     ensemble = montecarlo.run_policy(
-        config.model, _solved_policy(config), run["paths"], run["steps"], run["seed"]
+        config.model, _solve(config)[1], run["paths"], run["steps"], run["seed"]
     )
     z_t, x_t = ensemble.z_terminal, ensemble.x_terminal
     estimates = {"terminal_mean": dataclasses.asdict(montecarlo.estimate_mean(x_t))}
@@ -509,7 +498,7 @@ def cmd_compare_static(config: RunConfig) -> int:
     scenarios = baseline.generate_scenarios(config.model, run["scenarios"], run["seed"])
     cells = []
     for beta in betas:
-        instance = dataclasses.replace(config.instance, beta=float(beta))
+        instance = dataclasses.replace(config.instance, beta=beta)
         dynamic = cvar.frontier(instance, config.model, d_grid)
         for d, row in zip(d_grid, dynamic):
             notes = []

@@ -210,7 +210,7 @@ def frontier(problem: CvarProblem, model: MarketModel, d_grid) -> list[FrontierR
     """One solve per mean target; infeasible rows keep a status, NaN values."""
     rows = []
     for d in d_grid:
-        instance = dataclasses.replace(problem, d=float(d))
+        instance = dataclasses.replace(problem, d=d)
         try:
             solved = solve_cvar(instance, model)
         except (TargetTooHigh, InfeasibleBudget) as exc:

@@ -125,10 +125,13 @@ def is_number(value) -> bool:
 
 
 def require_numbers(problem) -> None:
-    """Raise DomainError unless each field of a problem is_number or a None default."""
+    """Raise DomainError unless each field of a frozen problem is_number or a
+    None default; store each number as a float."""
     for field in fields(problem):
         value = getattr(problem, field.name)
-        if not (is_number(value) or (value is None and field.default is None)):
+        if is_number(value):
+            object.__setattr__(problem, field.name, float(value))
+        elif not (value is None and field.default is None):
             raise DomainError(f"{field.name} must be a finite number, got {value!r}")
 
 
@@ -213,9 +216,9 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
     overflows. That last check is the ceiling nu(0)^2 <= ln(max float) / 2
     - m(0), about 354.9 - m(0).
     """
+    if not (is_number(horizon) and horizon > 0.0):
+        raise NonpositiveHorizon(f"horizon must be a positive finite number, got {horizon!r}")
     horizon = float(horizon)
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise NonpositiveHorizon(f"horizon must be positive, got {horizon}")
 
     rate, shape = _as_floats(rate, "rate")
     if not shape:
@@ -339,8 +342,6 @@ def market_from_config(block: dict) -> MarketModel:
     if not isinstance(block, dict):
         raise ConfigError(f"market must be an object, got {block!r}")
     horizon, segs = block["horizon"], block["segments"]
-    if not is_number(horizon):
-        raise ConfigError(f"market.horizon must be a finite number, got {horizon!r}")
     if not (isinstance(segs, list) and segs and all(isinstance(s, dict) for s in segs)):
         raise ConfigError(f"market.segments must be a non-empty list of objects, got {segs!r}")
     drift, vol = [], []

@@ -97,13 +97,13 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
 
     def weighted_mean_gap(u):
         delta = math.exp(u)
-        below = shortfall(delta)
+        h0, h1, h2 = (partial_moment_H(ctx, p, delta) for p in (0.0, 1.0, 2.0))
+        below = delta * h0 - h1
         if not below > 0.0:
             raise SolverDiverged(
                 f"mean-variance truncation point {delta:.3e} lies where E[(delta - z)+] underflows"
             )
-        z_below = delta * partial_moment_H(ctx, 1.0, delta) - partial_moment_H(ctx, 2.0, delta)
-        return z_below / below - ratio
+        return (delta * h1 - h2) / below - ratio
 
     report = find_root_1d(
         weighted_mean_gap,

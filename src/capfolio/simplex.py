@@ -54,9 +54,7 @@ class Program:
     checks this.  A free column that enters the basis stays in it, and one
     outside the basis sits at zero.  `add_column` appends a column x_j >= 0
     and costs may be assigned through `cost`, neither of which moves the
-    basic values, so each `solve` resumes from the last basis.  Columns
-    live in buffers that double when full, so appending a column does not
-    copy the matrix each time.
+    basic values, so each `solve` resumes from the last basis.
     """
 
     def __init__(self, cost, a_eq, b_eq, free, basis):
@@ -69,12 +67,8 @@ class Program:
         ):
             if arr.shape != (want,):
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, want ({want},)")
-        self.b = b_eq
-        self._a = np.empty((m, 2 * n))
-        self._cost = np.empty(2 * n)
-        self._free = np.empty(2 * n, dtype=bool)
-        self._a[:, :n], self._cost[:n], self._free[:n] = a_eq, cost, free
-        self._use()
+        self.a, self.b, self.free = a_eq, b_eq, free
+        self.cost = cost.copy()  # the caller's array stays its own
         self.basis = np.array(basis, dtype=np.intp)
         self._refresh()
         x_b = self.x[self.basis]
@@ -83,12 +77,10 @@ class Program:
 
     def add_column(self, column, cost: float) -> None:
         """Append a column x_j >= 0 with these row coefficients and cost."""
-        j = self.n
-        if j == self._cost.size:
-            self._grow(2 * j)
-        self._a[:, j], self._cost[j], self._free[j] = column, cost, False
-        self.n = j + 1
-        self._use()
+        self.a = np.column_stack([self.a, column])
+        self.cost = np.append(self.cost, cost)
+        self.free = np.append(self.free, False)
+        self.n += 1
 
     def solve(self) -> SimplexResult:
         """Optimize from the live basis."""
@@ -97,17 +89,6 @@ class Program:
             return SimplexResult(UNBOUNDED, None, -math.inf, None, self.iterations)
         x = self.x.copy()
         return SimplexResult(OPTIMAL, x, float(self.cost @ x), self.duals, self.iterations)
-
-    def _use(self):
-        """Point the working views at the first n columns."""
-        n = self.n
-        self.cost, self.free, self.a = self._cost[:n], self._free[:n], self._a[:, :n]
-
-    def _grow(self, size):
-        for name in ("_cost", "_free"):
-            old = getattr(self, name)
-            setattr(self, name, np.concatenate([old, np.empty(size - old.size, old.dtype)]))
-        self._a = np.concatenate([self._a, np.empty((self.m, size - self._a.shape[1]))], axis=1)
 
     def _solve_basis(self, rhs, trans=False):
         """B^-1 rhs, or B^-T rhs, for the basis matrix B."""

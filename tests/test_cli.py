@@ -696,6 +696,40 @@ def test_override_flag_lands_in_its_block_with_its_type(tmp_path, flag, text, bl
         assert getattr(config.instance, flag) == value
 
 
+@pytest.mark.parametrize("cmd", ["solve", "policy_table", "simulate"])
+def test_each_solving_command_solves_once(tmp_path, monkeypatch, cmd):
+    solves = []
+    solve_lpm = lpm.solve_lpm
+
+    def counted(problem, model):
+        solves.append(problem)
+        return solve_lpm(problem, model)
+
+    monkeypatch.setattr(lpm, "solve_lpm", counted)
+    run = {"out": str(tmp_path), "paths": 16, "steps": 4, "z_grid": {"count": 5}}
+    assert cli.main(["--config", _cfg(tmp_path, EX1_MARKET, LPM1, run=run), "--cmd", cmd]) == 0
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize(
+    "problem, whole",
+    [(LPM1, ("x0", "cap", "q")), (CVAR2, ("x0", "d", "cap")), (MV1, ("x0",))],
+    ids=["lpm", "cvar", "mv"],
+)
+def test_int_problem_numbers_solve_as_their_floats(tmp_path, problem, whole):
+    market = EX2_MARKET if problem is CVAR2 else EX1_MARKET
+    ints = {**problem, **{name: int(problem[name]) for name in whole}}
+    written = {}
+    for label, block in (("floats", problem), ("ints", ints)):
+        out = tmp_path / label
+        cfg = _cfg(tmp_path, market, block, run={"out": str(out)}, name=f"{label}.json")
+        assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+        written[label] = json.loads((out / "solution.json").read_text())
+    echo = written["ints"]["config"]["problem"]
+    assert all(type(echo[name]) is int for name in whole)  # the echo keeps the config
+    assert written["ints"]["solution"] == written["floats"]["solution"]
+
+
 def test_out_flag_redirects_artifacts(tmp_path):
     cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path / "ignored")})
     target = tmp_path / "chosen"

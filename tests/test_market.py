@@ -40,7 +40,18 @@ def test_arrays_are_frozen(example1):
         example1.rate = (0.0,)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+# a string, a boolean, bytes or an int beyond the float range is no horizon,
+# even where float() would take it
+@pytest.mark.parametrize(
+    "horizon",
+    [
+        0.0, -1.0, math.nan, math.inf,
+        pytest.param("1.0", id="str"),
+        pytest.param(True, id="bool"),
+        pytest.param(b"1", id="bytes"),
+        pytest.param(10**400, id="int_1e400"),
+    ],
+)
 def test_bad_horizon(horizon):
     with pytest.raises(NonpositiveHorizon):
         market.validate_market(horizon, 0.06, 0.12, 0.15)
@@ -258,7 +269,11 @@ def test_problem_types_take_only_finite_numbers(kind, numbers):
         for bad in (math.nan, math.inf, -math.inf, 10**400, True, "1.0"):
             with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
                 kind(**{**numbers, name: bad})
-    for good in (1, np.int64(1), np.float32(1.0)):  # ints and numpy scalars are numbers
-        assert kind(**{**numbers, "x0": good}).x0 == 1.0
+    # ints and numpy scalars are numbers, each stored as the Python float
+    # that float() gives
+    for name, good in [*((name, np.float32(v)) for name, v in numbers.items()),
+                       ("x0", 1), ("x0", np.int64(1)), ("horizon", 1), ("horizon", np.int64(1))]:
+        value = getattr(kind(**{**numbers, name: good}), name)
+        assert type(value) is float and value == float(good)
     if kind is cvar.CvarProblem:
         assert kind(**{**numbers, "xbar": None}).xbar is None

@@ -44,6 +44,21 @@ def test_multipliers_match_frozen_probe(example1):
     assert mult.case == meanvar.MEAN_VARIANCE
 
 
+def test_root_takes_three_partial_moments_per_evaluation(example1, monkeypatch):
+    # each root evaluation takes H_0, H_1 and H_2 once, and the solve adds
+    # E[z^2], E[(delta - z)+] at the root and the three of the residuals
+    orders = []
+    kernel = meanvar.partial_moment_H
+
+    def counted(ctx, p, y):
+        orders.append(p)
+        return kernel(ctx, p, y)
+
+    monkeypatch.setattr(meanvar, "partial_moment_H", counted)
+    meanvar.solve_mv(_problem(), example1)
+    assert [orders.count(p) for p in (0.0, 1.0, 2.0)] == [13, 13, 13]
+
+
 def test_constraints_hold_by_quadrature(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     pay = meanvar.mv_payoff(mult, example1)

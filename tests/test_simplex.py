@@ -234,8 +234,7 @@ def test_random_sweep_against_reference_solver_under_bland(monkeypatch):
 
 def _resumed_rounds(rng):
     """A cutting-plane-like sequence on one live Program: each round appends
-    a column x_j >= 0 and changes two costs, past the initial column
-    capacity 2 n.  The first m columns are a unit block at values in
+    a column x_j >= 0 and changes two costs.  The first m columns are a unit block at values in
     (0.1, 0.5), some at zero, the start; about a third of the other n - m
     are free.  Costs are priced by a random dual point as in
     `_random_instance`, and a changed cost may fall below it, which can
