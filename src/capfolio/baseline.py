@@ -57,7 +57,7 @@ import numpy as np
 from . import simplex
 from .errors import DomainError, NumericalBreakdown
 from .market import MarketModel, is_number
-from .montecarlo import estimate_cvar
+from .montecarlo import estimate_cvar, require_seed_and_sizes, stream
 
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = "Infeasible"
@@ -118,10 +118,10 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     Each piecewise-constant segment [t_s, t_{s+1}) contributes a factor
     exp((mu - diag(Sigma)/2) dt + sigma G sqrt(dt)) with G standard normal,
     Sigma = sigma sigma'; segment s draws from a Philox stream keyed
-    (seed, s) so scenario i is reproducible independently of n.
+    (seed, s) so scenario i is reproducible independently of n.  Raises
+    DomainError unless seed is an integer in [0, 2**64) and n one >= 1.
     """
-    if n < 1:
-        raise DomainError(f"need at least one scenario, got {n}")
+    require_seed_and_sizes(seed, n=n)
     # the market's coefficient tuples as arrays, once per call
     edges = np.append(model.breakpoints, model.horizon)
     vols, drifts = np.asarray(model.vol), np.asarray(model.drift)
@@ -135,9 +135,7 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
         vol = vols[s]
         diag_cov = np.einsum("ij,ij->i", vol, vol)
         drift = (drifts[s] - 0.5 * diag_cov) * dt
-        key = np.array([seed, s], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        shocks = gen.standard_normal((n, n_assets)) * math.sqrt(dt)
+        shocks = stream(seed, s).standard_normal((n, n_assets)) * math.sqrt(dt)
         log_gross += drift + shocks @ vol.T
         log_bond += model.rate[s] * dt
     returns = np.empty((n, n_assets + 1))

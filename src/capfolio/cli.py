@@ -35,7 +35,9 @@ set.  _RUN_INTEGERS holds the default and range of each run-block integer,
 _OVERRIDES the block and type of each flag override.  A "cvar" safe level
 and every run.d_grid target must lie below problem.cap, as problem.d must.
 run.betas or run.z_grid set to null takes its default; any other value of
-the wrong type is a config error.
+the wrong type is a config error.  _resolve_run is the one reader of the
+run block: it checks each value and stores it, default filled in, so the
+commands read run.t, run.d_grid, run.betas and run.z_grid as they stand.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -49,6 +51,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,20 +130,28 @@ def _number_list(value) -> bool:
     return isinstance(value, list) and all(map(market.is_number, value))
 
 
-def _validate_run(run: dict, model: market.MarketModel, instance, cmd: str | None) -> None:
-    """Reject run-block values no command can use, before any solve starts.
+def _resolve_run(run: dict, model: market.MarketModel, instance, cmd: str | None) -> None:
+    """Reject run-block values no command can use, before any solve starts,
+    and store in `run` each value a command reads, defaults filled in.
 
     The policy needs deflator volatility left before the horizon at run.t
     and, for a command `cmd`, at the last time it evaluates the policy: the
     last Euler step for simulate, the default t = T/2 for policy_table.
-    Every run.d_grid target of a mean-CVaR instance must lie below its cap.
-    run.betas and run.z_grid take their defaults when absent or null only.
+    run.out must not name a file or a path below one.  Every run.d_grid
+    target of a mean-CVaR instance must lie below its cap.  run.betas
+    ([beta]) and run.z_grid default when absent or null only; the window
+    lo, hi (ln z(t) +- 4 sd) is filled in where policy_table may read it.
     """
     for name in _RUN_INTEGERS:
         if "." not in name:  # run.z_grid.count is checked with its block
             _check_integer(name, run[name])
-    if not isinstance(run["out"], str):
+    if not isinstance(run["out"], str) or "\0" in run["out"]:
         raise ConfigError(f"run.out must be a directory path, got {run['out']!r}")
+    nearest = run["out"]
+    while nearest and not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest or "."):
+        raise ConfigError(f"run.out = {run['out']!r} cannot be a directory: {nearest!r} is not one")
     policy_times = {}
     if "t" in run:
         t = run["t"]
@@ -161,19 +172,24 @@ def _validate_run(run: dict, model: market.MarketModel, instance, cmd: str | Non
                 f"{what} leaves deflator volatility {nu:.2e} before the horizon, "
                 f"below {lpm.TERMINAL_NU:g}: the policy is undefined there"
             )
-    d_grid = run.get("d_grid", [])
+    run["t"] = float(run.get("t", 0.5 * model.horizon))
+    d_grid = run.setdefault("d_grid", [])
     if not _number_list(d_grid):
         raise ConfigError(f"run.d_grid must be a list of finite numbers, got {d_grid!r}")
-    if isinstance(instance, cvar.CvarProblem) and any(d >= instance.cap for d in d_grid):
+    is_cvar = isinstance(instance, cvar.CvarProblem)
+    if is_cvar and any(d >= instance.cap for d in d_grid):
         raise ConfigError(
             f"run.d_grid targets must lie below problem.cap = {instance.cap}, got {d_grid!r}"
         )
-    betas = [] if run.get("betas") is None else run["betas"]
+    if run.get("betas") is None:
+        run["betas"] = [instance.beta] if is_cvar else []
+    betas = run["betas"]
     if not (_number_list(betas) and all(0.0 < b < 1.0 for b in betas)):
         raise ConfigError(f"run.betas must be a list of levels in (0, 1), got {betas!r}")
     window = {} if run.get("z_grid") is None else run["z_grid"]
     if not isinstance(window, dict):
         raise ConfigError(f"run.z_grid must be an object, got {window!r}")
+    run["z_grid"] = window = {"count": _RUN_INTEGERS["z_grid.count"][0], "spacing": "log", **window}
     points = window.get("points", [])
     if not (_number_list(points) and all(z > 0.0 for z in points)):
         raise ConfigError(f"run.z_grid.points must be positive numbers, got {points!r}")
@@ -184,12 +200,17 @@ def _validate_run(run: dict, model: market.MarketModel, instance, cmd: str | Non
             raise ConfigError(
                 f"run.z_grid.{name} must be a positive number, got {window[name]!r}"
             )
-    if "points" not in window and ("lo" in window or "hi" in window):
-        lo, hi = _z_window(run, model)
+    if "points" not in window and ({"lo", "hi"} & window.keys() or cmd in (None, "policy_table")):
+        full = market.deflator_moments(model, 0.0)
+        rest = market.deflator_moments(model, run["t"])
+        mean_t = full.m - rest.m
+        sd_t = math.sqrt(max(full.nu**2 - rest.nu**2, 0.0))
+        lo = window["lo"] = float(window.get("lo", math.exp(mean_t - 4.0 * sd_t)))
+        hi = window["hi"] = float(window.get("hi", math.exp(mean_t + 4.0 * sd_t)))
         if hi < lo:
             raise ConfigError(f"run.z_grid window [{lo}, {hi}] has lo above hi")
-    _check_integer("z_grid.count", window.get("count", _RUN_INTEGERS["z_grid.count"][0]))
-    if window.get("spacing", "log") not in ("log", "linear"):
+    _check_integer("z_grid.count", window["count"])
+    if window["spacing"] not in ("log", "linear"):
         raise ConfigError(
             f"run.z_grid.spacing must be 'log' or 'linear', got {window['spacing']!r}"
         )
@@ -200,7 +221,7 @@ def load_config(path, overrides: dict) -> RunConfig:
 
     Raises ConfigError for anything wrong with the file or its contents.
     overrides["cmd"], when given, names the command whose policy times are
-    checked (see _validate_run).
+    checked (see _resolve_run).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -231,7 +252,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"invalid config: {exc!r}") from exc
     if all(mu == r for r, drift in zip(model.rate, model.drift) for mu in drift):
         raise ConfigError("market has mu = r in every segment: no risk premium to price")
-    _validate_run(run, model, instance, overrides.get("cmd"))
+    _resolve_run(run, model, instance, overrides.get("cmd"))
     return RunConfig(
         market_block=raw["market"],
         problem_block=problem_block,
@@ -324,12 +345,13 @@ def _solve(config: RunConfig):
     mult = meanvar.solve_mv(problem, model)
     moments = market.deflator_moments(model, 0.0)
     floor = problem.x0 / market.expected_deflator(model, 0.0, model.horizon)
+    second = meanvar.mv_second_moment(mult, model)
     record = {
         "kind": "mv",
         "case": mult.case,
         "multipliers": {"mean": _maybe(mult.mean), "budget": _maybe(mult.budget)},
-        "objective": _maybe(meanvar.mv_variance(mult, model, problem.d)),
-        "second_moment": _maybe(meanvar.mv_second_moment(mult, model)),
+        "objective": _maybe(second - problem.d * problem.d),
+        "second_moment": _maybe(second),
         "d_bounds": {"lower": _maybe(floor), "upper": None},
         "deflator_moments": {"m": _maybe(moments.m), "nu": _maybe(moments.nu)},
     }
@@ -380,34 +402,17 @@ def load_solution(path):
     return model, lambda t, z: surface.wealth(payoff, t, z)
 
 
-def _policy_time(run: dict, model: market.MarketModel) -> float:
-    return float(run.get("t", 0.5 * model.horizon))
-
-
-def _z_window(run: dict, model: market.MarketModel):
-    """The z_grid window: run.z_grid.lo and .hi, else ln z(t) +- 4 sd."""
-    window = run.get("z_grid") or {}
-    full = market.deflator_moments(model, 0.0)
-    rest = market.deflator_moments(model, _policy_time(run, model))
-    mean_t = full.m - rest.m
-    sd_t = math.sqrt(max(full.nu**2 - rest.nu**2, 0.0))
-    lo = float(window.get("lo", math.exp(mean_t - 4.0 * sd_t)))
-    hi = float(window.get("hi", math.exp(mean_t + 4.0 * sd_t)))
-    return lo, hi
-
-
-def _z_grid(config: RunConfig):
-    """The ascending deflator levels of the policy table, an ndarray."""
+def _z_grid(window: dict):
+    """The ascending deflator levels of the policy table, an ndarray, from
+    the resolved run.z_grid."""
     import numpy as np
 
-    window = config.run.get("z_grid") or {}
     if "points" in window:
         return np.asarray(window["points"], dtype=float)
-    lo, hi = _z_window(config.run, config.model)
-    count = window.get("count", _RUN_INTEGERS["z_grid.count"][0])
+    lo, hi, count = window["lo"], window["hi"], window["count"]
     if hi == lo or count == 1:
         return np.array([lo])
-    if window.get("spacing", "log") == "log":
+    if window["spacing"] == "log":
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
 
@@ -418,8 +423,7 @@ def cmd_policy_table(config: RunConfig) -> int:
 
     from . import surface
 
-    t = _policy_time(config.run, config.model)
-    curve = surface.feedback_curve(_solve(config)[1], t, _z_grid(config))
+    curve = surface.feedback_curve(_solve(config)[1], config.run["t"], _z_grid(config.run["z_grid"]))
     n = curve.pi.shape[1]
     header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
     table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
@@ -432,8 +436,7 @@ def cmd_frontier(config: RunConfig) -> int:
     """One mean-CVaR solve per d_grid entry; rows keep per-solve status."""
     if config.kind != "cvar":
         raise ConfigError("frontier needs problem.kind = 'cvar'")
-    d_grid = config.run.get("d_grid", [])
-    rows = cvar.frontier(config.instance, config.model, d_grid)
+    rows = cvar.frontier(config.instance, config.model, config.run["d_grid"])
     beta = config.instance.beta
     _write_csv(
         _out_dir(config) / "frontier.csv",
@@ -492,15 +495,13 @@ def cmd_compare_static(config: RunConfig) -> int:
     from . import baseline
 
     run = config.run
-    betas = [config.instance.beta] if run.get("betas") is None else run["betas"]
-    d_grid = run.get("d_grid", [])
     xbar = cvar.safe_level(config.instance, config.model)
     scenarios = baseline.generate_scenarios(config.model, run["scenarios"], run["seed"])
     cells = []
-    for beta in betas:
+    for beta in run["betas"]:
         instance = dataclasses.replace(config.instance, beta=beta)
-        dynamic = cvar.frontier(instance, config.model, d_grid)
-        for d, row in zip(d_grid, dynamic):
+        dynamic = cvar.frontier(instance, config.model, run["d_grid"])
+        for d, row in zip(run["d_grid"], dynamic):
             notes = []
             static_value = math.nan
             try:

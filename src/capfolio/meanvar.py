@@ -150,8 +150,3 @@ def mv_second_moment(mult: Multipliers, model: MarketModel) -> float:
     h2 = partial_moment_H(ctx, 2.0, delta)
     lam, eta = mult.mean, mult.budget
     return 0.25 * (lam * lam * h0 - 2.0 * lam * eta * h1 + eta * eta * h2)
-
-
-def mv_variance(mult: Multipliers, model: MarketModel, d: float) -> float:
-    """Objective value Var[X*] = E[(X*)^2] - d^2 at the solved multipliers."""
-    return mv_second_moment(mult, model) - d * d

@@ -21,6 +21,7 @@ only the terminal values are kept.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,29 @@ class RiskEstimate:
     measure: str
 
 
+def require_seed_and_sizes(seed, **sizes) -> None:
+    """Raise DomainError unless seed is an integer in [0, 2**64), one uint64
+    word of a `stream` key, and each named size an integer >= 1.  Booleans
+    are not integers here."""
+
+    def integer(value) -> bool:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+    if not (integer(seed) and 0 <= int(seed) < 2**64):
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    for name, size in sizes.items():
+        if not (integer(size) and size >= 1):
+            raise DomainError(f"{name} must be an integer >= 1, got {size!r}")
+
+
+def stream(seed: int, index: int) -> np.random.Generator:
+    """The Philox stream keyed (seed, index)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt: float):
     """Brownian increments for one step, shape (n_paths, n_assets)."""
-    key = np.array([seed, step], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
+    return stream(seed, step).standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
 
 
 def _deflator_leg(model: MarketModel, seed: int, k: int, t: float, dt: float, thetas, log_z):
@@ -102,11 +121,11 @@ def run_policy(
     payoffs, whose terminal wealth jumps from the cap to gamma at z = delta,
     the L1 error of the terminal wealth against the closed form shrinks like
     about sqrt(dt): doubling the steps divides it by about sqrt(2), not 2.
+
+    Raises DomainError unless seed is an integer in [0, 2**64) and n_paths
+    and n_steps are integers >= 1.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise DomainError(
-            f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"
-        )
+    require_seed_and_sizes(seed, n_paths=n_paths, n_steps=n_steps)
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     dt = model.horizon / n_steps
     # the closed-form policies are undefined exactly at the horizon

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capfolio import cli, lpm, surface
+from capfolio import cli, lpm, market, meanvar, surface
 from capfolio.market import validate_market
 
 EX1_MARKET = {
@@ -581,6 +581,7 @@ def test_riskless_last_segment_still_solves(tmp_path):
         ([], {"z_grid": []}),
         # a standard error needs two samples, so no command can use one path
         (["--paths", "1"], {}),
+        ([], {"out": "a\0b"}),  # no path the OS can make
     ],
 )
 def test_exit_code_bad_run_block(tmp_path, capsys, monkeypatch, flags, run):
@@ -603,6 +604,50 @@ def test_inverted_z_window_is_rejected_before_the_solve(tmp_path, capsys):
     assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 3
     assert capsys.readouterr().err.startswith("config error: run.z_grid window")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_a_file"])
+def test_out_through_a_file_is_rejected_before_the_solve(tmp_path, capsys, below):
+    # d = 50 lies above d_upper, so a solve would end in exit 2
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    run = {"out": str(blocker / below), "d_grid": [11.0], "paths": 16, "steps": 4, "scenarios": 64}
+    cfg = _cfg(tmp_path, EX2_MARKET, {**CVAR2, "d": 50.0}, run=run)
+    for cmd in ("solve", "policy_table", "frontier", "simulate", "compare_static"):
+        assert cli.main(["--config", cfg, "--cmd", cmd]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.out") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+    assert blocker.read_text() == "kept"
+
+
+def test_load_config_resolves_every_run_default(tmp_path):
+    # a mean-CVaR run block with no t, d_grid, betas or z_grid: the window is
+    # ln z(T/2) +- 4 sd, filled in only where a command may build the table
+    cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run={"out": str(tmp_path)})
+    configs = {cmd: cli.load_config(cfg, {"cmd": cmd}) for cmd in (None, "policy_table", "solve")}
+    resolved = {cmd: config.run for cmd, config in configs.items()}
+    model = configs[None].model
+    full, rest = market.deflator_moments(model, 0.0), market.deflator_moments(model, 0.5)
+    mean, sd = full.m - rest.m, math.sqrt(full.nu**2 - rest.nu**2)
+    window = {"count": 400, "spacing": "log", "lo": math.exp(mean - 4 * sd), "hi": math.exp(mean + 4 * sd)}
+    for run in resolved.values():
+        assert (run["t"], run["d_grid"], run["betas"]) == (0.5, [], [0.95])
+        assert type(run["t"]) is float
+    assert resolved[None]["z_grid"] == resolved["policy_table"]["z_grid"] == window
+    assert resolved["solve"]["z_grid"] == {"count": 400, "spacing": "log"}
+
+
+def test_policy_table_default_grid_is_the_stated_one(tmp_path):
+    stated = cli.load_config(_cfg(tmp_path, EX1_MARKET, LPM1), {"cmd": "policy_table"}).run["z_grid"]
+    assert set(stated) == {"count", "spacing", "lo", "hi"}
+    written = []
+    for label, run in (("default", {}), ("stated", {"t": 0.5, "z_grid": stated})):
+        out = tmp_path / label
+        cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(out), **run}, name=f"{label}.json")
+        assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 0
+        written.append((out / "policy_table.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
@@ -709,6 +754,22 @@ def test_each_solving_command_solves_once(tmp_path, monkeypatch, cmd):
     run = {"out": str(tmp_path), "paths": 16, "steps": 4, "z_grid": {"count": 5}}
     assert cli.main(["--config", _cfg(tmp_path, EX1_MARKET, LPM1, run=run), "--cmd", cmd]) == 0
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("cmd", ["solve", "policy_table"])
+def test_mean_variance_command_takes_the_second_moment_once(tmp_path, monkeypatch, cmd):
+    # 39 partial moments for the solve and H_0, H_1, H_2 once for the record
+    calls = []
+    kernel = meanvar.partial_moment_H
+
+    def counted(ctx, p, y):
+        calls.append(p)
+        return kernel(ctx, p, y)
+
+    monkeypatch.setattr(meanvar, "partial_moment_H", counted)
+    run = {"out": str(tmp_path), "z_grid": {"count": 5}}
+    assert cli.main(["--config", _cfg(tmp_path, EX1_MARKET, MV1, run=run), "--cmd", cmd]) == 0
+    assert len(calls) == 42
 
 
 @pytest.mark.parametrize(

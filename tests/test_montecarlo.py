@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capfolio import cvar, lpm, market, meanvar, montecarlo, surface
+from capfolio import baseline, cvar, lpm, market, meanvar, montecarlo, surface
 from capfolio.errors import DomainError, EmptySample
 
 GAMMA = math.exp(0.06)
@@ -407,3 +407,45 @@ def test_run_policy_memory_does_not_grow_with_steps(example1, example2):
         finally:
             tracemalloc.stop()
         assert peak < 24 * n_paths * 8, (model.n_assets, peak / (n_paths * 8))
+
+
+def _draw(model, fn, seed, n_paths=4, n_steps=2, n=4):
+    """One call of a seeded generator: run_policy or generate_scenarios."""
+    if fn == "run_policy":
+        return montecarlo.run_policy(model, _flat(model, 1.0), n_paths, n_steps, seed).z_terminal
+    return baseline.generate_scenarios(model, n, seed).returns
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 2**64, 1.5, True, "3", None, np.float64(3.0)],
+    ids=["negative", "2_64", "float", "bool", "str", "none", "np_float"],
+)
+@pytest.mark.parametrize("fn", ["run_policy", "generate_scenarios"])
+def test_seed_must_be_a_philox_key_word(example1, fn, seed):
+    # a seed keys a Philox stream of uint64 words: an integer in [0, 2**64)
+    with pytest.raises(DomainError, match="seed"):
+        _draw(example1, fn, seed)
+
+
+@pytest.mark.parametrize(
+    "size", [0, 2.5, True, "4", np.float64(4.0)], ids=["zero", "float", "bool", "str", "np_float"]
+)
+@pytest.mark.parametrize(
+    "fn, name", [("run_policy", "n_paths"), ("run_policy", "n_steps"), ("generate_scenarios", "n")]
+)
+def test_sizes_must_be_positive_integers(example1, fn, name, size):
+    with pytest.raises(DomainError, match=name):
+        _draw(example1, fn, 3, **{name: size})
+
+
+@pytest.mark.parametrize("fn", ["run_policy", "generate_scenarios"])
+def test_valid_seeds_draw_the_stream_keyed_by_their_value(example1, fn):
+    # numpy integers draw the Python int's stream, and the top key word works
+    want = _draw(example1, fn, 7)
+    for seed in (np.int64(7), np.uint64(7)):
+        np.testing.assert_array_equal(_draw(example1, fn, seed), want)
+    top = np.random.Generator(np.random.Philox(key=np.array([2**64 - 1, 0], dtype=np.uint64)))
+    np.testing.assert_array_equal(
+        montecarlo.stream(2**64 - 1, 0).standard_normal(8), top.standard_normal(8)
+    )
+    assert np.all(np.isfinite(_draw(example1, fn, 2**64 - 1)))
