@@ -13,9 +13,10 @@ The interface is one JSON config file plus flag overrides.  Config shape::
                  "d_grid": [11.0, 12.0], "betas": [0.90, 0.95]}}
 
 problem.kind selects the solver: "lpm" (capped shortfall), "cvar"
-(mean-CVaR via the embedded shortfall family), or "mv" (mean-variance), and
-_solve solves it for solve, policy_table and simulate alike.  The horizon
-always comes from the market block.
+(mean-CVaR via the embedded shortfall family), or "mv" (mean-variance).
+_solve solves it once for solve, policy_table and simulate and returns the
+solution and its payoff; only solve turns the solution into a record.  The
+horizon always comes from the market block.
 
 Commands and their artifacts, all written under run.out:
 
@@ -33,11 +34,12 @@ but horizon as a finite number (not a string or boolean), which the type
 itself checks, and a field that defaults to None (a "cvar" xbar) only when
 set.  _RUN_INTEGERS holds the default and range of each run-block integer,
 _OVERRIDES the block and type of each flag override.  A "cvar" safe level
-and every run.d_grid target must lie below problem.cap, as problem.d must.
-run.betas or run.z_grid set to null takes its default; any other value of
-the wrong type is a config error.  _resolve_run is the one reader of the
-run block: it checks each value and stores it, default filled in, so the
-commands read run.t, run.d_grid, run.betas and run.z_grid as they stand.
+and every run.d_grid target must lie below problem.cap, as problem.d must;
+an "mv" d must exceed x0/E[z(T)].  run.betas or run.z_grid set to null
+takes its default; any other value of the wrong type is a config error.
+_resolve_run is the one reader of the run block: it checks each value and
+stores it, default filled in, so the commands read run.t, run.d_grid,
+run.betas and run.z_grid as they stand.
 
 Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
 error.  Every artifact is a pure function of (config, seed): no clocks, no
@@ -117,6 +119,8 @@ def _build_problem(block: dict, model: market.MarketModel):
     problem = _PROBLEM_TYPES[kind](horizon=model.horizon, **numbers)
     if kind == "cvar":
         cvar.safe_level(problem, model)  # raises when the cap is at or below it
+    elif kind == "mv":
+        meanvar.checked_context(problem, model)  # raises when d is at or below x0/E[z(T)]
     return problem
 
 
@@ -324,43 +328,49 @@ def _policy_record(sol: lpm.PolicySolution) -> dict:
 
 
 def _solve(config: RunConfig):
-    """Solve the configured problem: (its solution.json record, its optimal
-    terminal payoff)."""
+    """Solve the configured problem: (its solution, its optimal terminal
+    payoff).  The solution is an lpm.PolicySolution, a cvar.CvarSolution or
+    the mean-variance lpm.Multipliers."""
     problem, model = config.instance, config.model
     if config.kind == "lpm":
         sol = lpm.solve_lpm(problem, model)
-        record = {"kind": "lpm", "objective": _maybe(sol.objective_value), **_policy_record(sol)}
-        return record, lpm.payoff(sol)
+        return sol, lpm.payoff(sol)
     if config.kind == "cvar":
-        csol = cvar.solve_cvar(problem, model)
-        record = {
-            "kind": "cvar",
-            "objective": _maybe(csol.cvar),
-            "cvar": _maybe(csol.cvar),
-            "alpha_star": _maybe(csol.alpha_star),
-            "xbar": _maybe(csol.xbar),
-            **_policy_record(csol.policy),
-        }
-        return record, lpm.payoff(csol.policy)
-    mult = meanvar.solve_mv(problem, model)
-    moments = market.deflator_moments(model, 0.0)
-    floor = problem.x0 / market.expected_deflator(model, 0.0, model.horizon)
-    second = meanvar.mv_second_moment(mult, model)
-    record = {
-        "kind": "mv",
-        "case": mult.case,
-        "multipliers": {"mean": _maybe(mult.mean), "budget": _maybe(mult.budget)},
-        "objective": _maybe(second - problem.d * problem.d),
-        "second_moment": _maybe(second),
-        "d_bounds": {"lower": _maybe(floor), "upper": None},
-        "deflator_moments": {"m": _maybe(moments.m), "nu": _maybe(moments.nu)},
-    }
-    return record, meanvar.mv_payoff(mult, model)
+        sol = cvar.solve_cvar(problem, model)
+        return sol, lpm.payoff(sol.policy)
+    sol = meanvar.solve_mv(problem, model)
+    return sol, meanvar.mv_payoff(sol, model)
 
 
 def cmd_solve(config: RunConfig) -> int:
-    """Solve the configured problem and write solution.json."""
-    payload = {"config": _config_echo(config), "solution": _solve(config)[0]}
+    """Solve the configured problem and write its record to solution.json."""
+    problem, model = config.instance, config.model
+    sol = _solve(config)[0]
+    if config.kind == "lpm":
+        record = {"kind": "lpm", "objective": _maybe(sol.objective_value), **_policy_record(sol)}
+    elif config.kind == "cvar":
+        record = {
+            "kind": "cvar",
+            "objective": _maybe(sol.cvar),
+            "cvar": _maybe(sol.cvar),
+            "alpha_star": _maybe(sol.alpha_star),
+            "xbar": _maybe(sol.xbar),
+            **_policy_record(sol.policy),
+        }
+    else:
+        moments = market.deflator_moments(model, 0.0)
+        floor = problem.x0 / market.expected_deflator(model, 0.0, model.horizon)
+        second = meanvar.mv_second_moment(sol, model)
+        record = {
+            "kind": "mv",
+            "case": sol.case,
+            "multipliers": {"mean": _maybe(sol.mean), "budget": _maybe(sol.budget)},
+            "objective": _maybe(second - problem.d * problem.d),
+            "second_moment": _maybe(second),
+            "d_bounds": {"lower": _maybe(floor), "upper": None},
+            "deflator_moments": {"m": _maybe(moments.m), "nu": _maybe(moments.nu)},
+        }
+    payload = {"config": _config_echo(config), "solution": record}
     _write_json(_out_dir(config) / "solution.json", payload)
     return 0
 
@@ -403,8 +413,8 @@ def load_solution(path):
 
 
 def _z_grid(window: dict):
-    """The ascending deflator levels of the policy table, an ndarray, from
-    the resolved run.z_grid."""
+    """The strictly ascending deflator levels of the policy table, an ndarray,
+    from the resolved run.z_grid; ConfigError for a window too narrow for them."""
     import numpy as np
 
     if "points" in window:
@@ -412,9 +422,10 @@ def _z_grid(window: dict):
     lo, hi, count = window["lo"], window["hi"], window["count"]
     if hi == lo or count == 1:
         return np.array([lo])
-    if window["spacing"] == "log":
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    grid = (np.geomspace if window["spacing"] == "log" else np.linspace)(lo, hi, count)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(f"run.z_grid window [{lo}, {hi}] is too narrow for {count} levels")
+    return grid
 
 
 def cmd_policy_table(config: RunConfig) -> int:
@@ -423,7 +434,8 @@ def cmd_policy_table(config: RunConfig) -> int:
 
     from . import surface
 
-    curve = surface.feedback_curve(_solve(config)[1], config.run["t"], _z_grid(config.run["z_grid"]))
+    z_grid = _z_grid(config.run["z_grid"])
+    curve = surface.feedback_curve(_solve(config)[1], config.run["t"], z_grid)
     n = curve.pi.shape[1]
     header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
     table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
@@ -452,9 +464,8 @@ def cmd_simulate(config: RunConfig) -> int:
     from . import montecarlo
 
     run = config.run
-    ensemble = montecarlo.run_policy(
-        config.model, _solve(config)[1], run["paths"], run["steps"], run["seed"]
-    )
+    sol, payoff = _solve(config)
+    ensemble = montecarlo.run_policy(config.model, payoff, run["paths"], run["steps"], run["seed"])
     z_t, x_t = ensemble.z_terminal, ensemble.x_terminal
     estimates = {"terminal_mean": dataclasses.asdict(montecarlo.estimate_mean(x_t))}
     if config.kind == "lpm":
@@ -462,9 +473,8 @@ def cmd_simulate(config: RunConfig) -> int:
             montecarlo.estimate_lpm(x_t, config.instance.gamma, config.instance.q)
         )
     elif config.kind == "cvar":
-        xbar = cvar.safe_level(config.instance, config.model)
         estimates["cvar"] = dataclasses.asdict(
-            montecarlo.estimate_cvar(x_t, config.instance.beta, xbar)
+            montecarlo.estimate_cvar(x_t, config.instance.beta, sol.xbar)
         )
     else:
         estimates["sample_variance"] = {

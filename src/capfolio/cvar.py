@@ -172,10 +172,10 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     """Solve the mean-CVaR problem end to end (module docstring).
 
     The policy is the embedded shortfall solution at alpha*.  Raises
-    TargetTooHigh when d is unattainable at the cap, InfeasibleBudget when
-    the budget already exceeds the capped payoff, NoSignChange when d lies
-    within rounding of that bound, and SolverDiverged when the embedded
-    solve misses its residual gate.
+    TargetTooHigh when d is unattainable at the cap or within rounding of it
+    (the root at the top of the curve, gamma <= 0 and alpha* >= xbar),
+    InfeasibleBudget when the budget already exceeds the capped payoff, and
+    SolverDiverged when the embedded solve misses its residual gate.
     """
     xbar = safe_level(problem, model)
     probe = _embedded(problem, problem.cap)
@@ -192,7 +192,7 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     alpha_star = xbar - min(gamma, problem.cap)
     j_star, embedded = _evaluate(problem, model, xbar, alpha_star)
     if embedded is None:
-        raise DomainError(f"reduction returned alpha={alpha_star} at or above the safe level")
+        raise TargetTooHigh(f"mean target {problem.d} is within rounding of d_upper = {d_high}")
     return CvarSolution(
         problem=problem, xbar=xbar, alpha_star=alpha_star, cvar=j_star, policy=embedded
     )

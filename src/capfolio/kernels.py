@@ -82,21 +82,19 @@ def truncated_exp_moment(a: float, mu: float, v: float, dcut: float) -> float:
     a : float
         Exponential tilt.
     mu, v : float
-        Mean and standard deviation of Y, v >= 0.
+        Mean and standard deviation of Y, v > 0.
     dcut : float
         Truncation point; +inf gives the untruncated moment
         e^{a mu + a^2 v^2/2}, -inf gives 0.
 
     Notes
     -----
-    At v = 0 the law is a point mass, so the value is e^{a mu} if mu <= dcut
-    and 0 otherwise. The upper moment E[e^{aY} 1_{Y > dcut}] is
+    v <= 0 raises DomainError: every caller passes the nu0 > 0 of a
+    `PartialMomentContext`. The upper moment E[e^{aY} 1_{Y > dcut}] is
     truncated_exp_moment(-a, -mu, v, -dcut), the lower moment of -Y.
     """
-    if v < 0.0:
-        raise DomainError(f"standard deviation must be >= 0, got {v}")
-    if v == 0.0:
-        return math.exp(a * mu) if mu <= dcut else 0.0
+    if not v > 0.0:
+        raise DomainError(f"standard deviation must be positive, got {v}")
     full = math.exp(a * mu + 0.5 * a * a * v * v)
     # (dcut - mu)/v - a*v evaluates fine at +-inf and the CDF saturates
     return full * std_normal_cdf((dcut - mu) / v - a * v)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverDiverged
-from .kernels import partial_moment_H
+from .kernels import PartialMomentContext, partial_moment_H
 from .lpm import Multipliers, Payoff
 from .market import MarketModel, deflator_context, require_numbers
 from .solvers import find_root_1d
@@ -26,8 +26,8 @@ MEAN_VARIANCE = "MeanVariance"
 class MvProblem:
     """Mean-variance problem data: budget x0, mean target d, horizon.
 
-    Requires d strictly above the risk-free growth of the budget, which is
-    checked against the market in solve_mv (the model is not known here).
+    Requires d strictly above the risk-free growth of the budget, which
+    checked_context tests against the market (the model is not known here).
     """
 
     x0: float
@@ -54,6 +54,20 @@ def _residuals(ctx, x0, d, lam, eta):
     return mean_gap / max(1.0, abs(d)), budget_gap / max(1.0, x0)
 
 
+def checked_context(problem: MvProblem, model: MarketModel) -> PartialMomentContext:
+    """The law of z(T) in the market; DomainError unless the horizons agree
+    and d exceeds x0 / ctx.mean, the risk-free growth of the budget."""
+    if abs(problem.horizon - model.horizon) > 1e-12:
+        raise DomainError(f"problem horizon {problem.horizon} != market horizon {model.horizon}")
+    ctx = deflator_context(model)
+    if problem.d * ctx.mean <= problem.x0:
+        raise DomainError(
+            "mean target d must exceed the risk-free growth of the budget "
+            f"(d={problem.d}, x0/E[z]={problem.x0 / ctx.mean:.6g})"
+        )
+    return ctx
+
+
 def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     """Find the multipliers (lam, eta) of the truncated linear payoff.
 
@@ -74,20 +88,11 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
 
     Raises SolverDiverged if the multipliers overflow (a truncation point so
     deep in the lower tail of z(T) that E[(delta - z)+] is below the float
-    range) or the residuals end above 1e-8, and DomainError when d does not
-    exceed risk-free growth of the budget.
+    range) or the residuals end above 1e-8, and DomainError where
+    checked_context does.
     """
-    if abs(problem.horizon - model.horizon) > 1e-12:
-        raise DomainError(
-            f"problem horizon {problem.horizon} != market horizon {model.horizon}"
-        )
-    ctx = deflator_context(model)
+    ctx = checked_context(problem, model)
     a_mom = ctx.mean
-    if problem.d * a_mom <= problem.x0:
-        raise DomainError(
-            "mean target d must exceed the risk-free growth of the budget "
-            f"(d={problem.d}, x0/E[z]={problem.x0 / a_mom:.6g})"
-        )
     x0, d = problem.x0, problem.d
     ratio = x0 / d
     c_mom = partial_moment_H(ctx, 2.0, math.inf)

@@ -60,30 +60,22 @@ def std_normal_pdf_array(y) -> np.ndarray:
 
 
 def truncated_exp_moment_array(a: float, mu: float, v: float, dcut) -> np.ndarray:
-    """truncated_exp_moment elementwise over an array of truncation points."""
-    if v < 0.0:
-        raise DomainError(f"standard deviation must be >= 0, got {v}")
-    dcut = np.asarray(dcut, dtype=float)
-    if v == 0.0:
-        return np.where(mu <= dcut, math.exp(a * mu), 0.0)
+    """truncated_exp_moment elementwise over an array of truncation points,
+    v > 0."""
+    if not v > 0.0:
+        raise DomainError(f"standard deviation must be positive, got {v}")
     full = math.exp(a * mu + 0.5 * a * a * v * v)
-    return full * std_normal_cdf_array((dcut - mu) / v - a * v)
+    return full * std_normal_cdf_array((np.asarray(dcut, dtype=float) - mu) / v - a * v)
 
 
 @dataclass(frozen=True, slots=True)
 class FeedbackCurve:
-    """Rows of (z, x, pi, weights) sorted by wealth x.
-
-    `monotone_warning` is True when x*(t, .) failed to be strictly monotone
-    on the supplied grid, in which case the x-sorted rows interleave grid
-    points and the curve is not a function of x.
-    """
+    """Rows of (z, x, pi, weights) sorted by wealth x."""
 
     z: np.ndarray
     x: np.ndarray
     pi: np.ndarray
     weights: np.ndarray
-    monotone_warning: bool
 
 
 def terminal_wealth(payoff: Payoff, z) -> np.ndarray:
@@ -215,11 +207,11 @@ def policy(payoff: Payoff, t, z):
 
 
 def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
-    """Wealth/policy/weight rows over a z grid, sorted by wealth.
+    """Wealth/policy/weight rows over a strictly ascending z grid, sorted by
+    wealth.
 
-    Weights are pi / x per asset (NaN where x is zero). A monotonicity
-    warning is flagged when x(t, .) is not strictly decreasing in z on the
-    grid, since only then is the policy a function of wealth.
+    Weights are pi / x per asset (NaN where x is zero). Raises ValueError
+    for a grid that does not ascend strictly.
     """
     z = np.asarray(z_grid, dtype=float).ravel()
     if z.size and np.any(np.diff(z) <= 0.0):
@@ -228,12 +220,5 @@ def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
     pi = np.atleast_2d(policy(payoff, t, z))
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(x[:, None] != 0.0, pi / x[:, None], np.nan)
-    monotone_warning = bool(z.size > 1 and np.any(np.diff(x) >= 0.0))
     order = np.argsort(x, kind="stable")
-    return FeedbackCurve(
-        z=z[order],
-        x=x[order],
-        pi=pi[order],
-        weights=weights[order],
-        monotone_warning=monotone_warning,
-    )
+    return FeedbackCurve(z=z[order], x=x[order], pi=pi[order], weights=weights[order])

@@ -253,6 +253,21 @@ def test_frontier_keeps_failure_rows(tmp_path):
     assert math.isnan(float(rows[1][2]))
 
 
+def test_cvar_target_within_rounding_of_d_upper_is_infeasible(tmp_path, capsys):
+    # one ulp below d_upper = 1.367049666810857: solve exits 2, and the
+    # frontier keeps the row as TargetTooHigh next to the good 1.2 row
+    problem = {"kind": "cvar", "x0": 1.0, "cap": 2.0, "beta": 0.95, "d": 1.3670496668108567}
+    run = {"out": str(tmp_path), "d_grid": [1.2, problem["d"]]}
+    cfg = _cfg(tmp_path, EX1_MARKET, problem, run=run)
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: target exceeds d_upper") and "Traceback" not in err
+    assert cli.main(["--config", cfg, "--cmd", "frontier"]) == 0
+    _, rows = _read_csv(tmp_path / "frontier.csv")
+    assert [row[4] for row in rows] == ["ok", "TargetTooHigh"]
+    assert float(rows[0][3]) > 0.0
+
+
 def test_frontier_empty_grid(tmp_path):
     cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run={"out": str(tmp_path), "d_grid": []})
     assert cli.main(["--config", cfg, "--cmd", "frontier"]) == 0
@@ -413,6 +428,8 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "huge_nu0_mv",
         "z_grid_count_beyond_float",
         "z_grid_count_above_bound",
+        "z_grid_window_narrow",
+        "mv_target_at_risk_free_growth",
         *(f"market_{name}" for name in BAD_MARKETS),
     ],
 )
@@ -478,6 +495,14 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         count = 10**400 if breakage.endswith("beyond_float") else 10**9 + 1
         run = {"out": str(tmp_path), "z_grid": {"count": count}}
         argv = ["--config", _cfg(tmp_path, EX1_MARKET, LPM1, run=run), "--cmd", "policy_table"]
+    elif breakage == "z_grid_window_narrow":
+        # two floats apart: np.geomspace repeats levels, so no table can be made
+        run = {"out": str(tmp_path), "z_grid": {"lo": 1.0, "hi": 1.0000000000000002, "count": 5}}
+        argv = ["--config", _cfg(tmp_path, EX1_MARKET, LPM1, run=run), "--cmd", "policy_table"]
+    elif breakage == "mv_target_at_risk_free_growth":
+        # d = 1 lies below x0 e^{rT} = 1.0618, so no payoff meets the mean
+        cfg = _cfg(tmp_path, EX1_MARKET, {**MV1, "d": 1.0}, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "solve"]
     elif breakage.startswith("market_"):
         bad = BAD_MARKETS[breakage.removeprefix("market_")]
         cfg = _cfg(tmp_path, bad, LPM1, run={"out": str(tmp_path)})
@@ -756,9 +781,10 @@ def test_each_solving_command_solves_once(tmp_path, monkeypatch, cmd):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("cmd", ["solve", "policy_table"])
+@pytest.mark.parametrize("cmd", ["solve", "policy_table", "simulate"])
 def test_mean_variance_command_takes_the_second_moment_once(tmp_path, monkeypatch, cmd):
-    # 39 partial moments for the solve and H_0, H_1, H_2 once for the record
+    # 39 partial moments for the solve, and H_0, H_1, H_2 once for the record
+    # that only solve writes
     calls = []
     kernel = meanvar.partial_moment_H
 
@@ -767,9 +793,9 @@ def test_mean_variance_command_takes_the_second_moment_once(tmp_path, monkeypatc
         return kernel(ctx, p, y)
 
     monkeypatch.setattr(meanvar, "partial_moment_H", counted)
-    run = {"out": str(tmp_path), "z_grid": {"count": 5}}
+    run = {"out": str(tmp_path), "paths": 16, "steps": 4, "z_grid": {"count": 5}}
     assert cli.main(["--config", _cfg(tmp_path, EX1_MARKET, MV1, run=run), "--cmd", cmd]) == 0
-    assert len(calls) == 42
+    assert len(calls) == (42 if cmd == "solve" else 39)
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,16 @@ def test_target_too_high_is_alpha_independent(example2):
         assert f"{FROZEN_D_UPPER:.4f}"[:6] in str(exc)
 
 
+def test_target_within_rounding_of_d_upper_is_too_high(example1):
+    # one ulp below d_upper = 1.367049666810857: the root lands at the top of
+    # the curve, where gamma <= 0 puts alpha* at the safe level
+    prob = cvar.CvarProblem(x0=1.0, d=1.3670496668108567, cap=2.0, beta=0.95, horizon=1.0)
+    with pytest.raises(TargetTooHigh, match="within rounding of d_upper"):
+        cvar.solve_cvar(prob, example1)
+    rows = cvar.frontier(prob, example1, [1.2, prob.d])
+    assert [row.status for row in rows] == ["ok", "TargetTooHigh"]
+
+
 def test_solve_makes_one_embedded_solve(example2, monkeypatch):
     calls = []
     solve_lpm = cvar.lpm.solve_lpm

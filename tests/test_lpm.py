@@ -397,9 +397,10 @@ def test_policy_undefined_at_horizon(example1):
 def test_feedback_curve_sorted_and_weighted(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
     pay = lpm.payoff(sol)
-    curve = surface.feedback_curve(pay, 0.5, np.geomspace(0.05, 5.0, 80))
+    grid = np.geomspace(0.05, 5.0, 80)
+    curve = surface.feedback_curve(pay, 0.5, grid)
     assert np.all(np.diff(curve.x) > 0.0)
-    assert not curve.monotone_warning
+    assert np.all(np.diff(surface.wealth(pay, 0.5, grid)) < 0.0)  # strictly falling in z
     finite = curve.x != 0.0
     np.testing.assert_allclose(
         curve.weights[finite, 0], curve.pi[finite, 0] / curve.x[finite], rtol=1e-12
