@@ -41,9 +41,11 @@ _resolve_run is the one reader of the run block: it checks each value and
 stores it, default filled in, so the commands read run.t, run.d_grid,
 run.betas and run.z_grid as they stand.
 
-Exit codes: 0 success, 1 solver failure, 2 infeasible instance, 3 config
-error.  Every artifact is a pure function of (config, seed): no clocks, no
-hostnames, keys sorted, floats at 12 significant digits in CSV.
+Exit codes: 0 success, 1 solver failure or out of memory (run.paths,
+run.steps, run.scenarios and run.z_grid.count size arrays), 2 infeasible
+instance, 3 config error.  Every artifact is a pure function of (config,
+seed): no clocks, no hostnames, keys sorted, floats at 12 significant digits
+in CSV.
 """
 
 from __future__ import annotations
@@ -581,6 +583,9 @@ def main(argv=None) -> int:
         return 2
     except CapfolioError as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("out of memory: lower the array sizes of the run block", file=sys.stderr)
         return 1
 
 

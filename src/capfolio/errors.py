@@ -1,7 +1,7 @@
 """Exception types raised across the solver suite.
 
 Everything derives from CapfolioError so callers can catch the whole family
-with one clause. Solver failures carry the final report when one exists.
+with one clause. MaxIterations carries the final iterate's report.
 """
 
 
@@ -58,11 +58,7 @@ class TargetTooHigh(CapfolioError):
 
 
 class SolverDiverged(CapfolioError):
-    """Multiplier solve failed to converge; the last report is attached."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Multiplier solve failed to converge or missed its residual gate."""
 
 
 class PolicyUndefinedAtTerminal(CapfolioError):

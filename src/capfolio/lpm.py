@@ -478,10 +478,7 @@ def _solve_regular(ctx, problem, curve):
     try:
         delta, rho = _solve_regular_nested(ctx, problem, curve)
     except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
-        raise SolverDiverged(
-            f"multiplier solve failed for {problem}: {exc}",
-            report=getattr(exc, "report", None),
-        ) from exc
+        raise SolverDiverged(f"multiplier solve failed for {problem}: {exc}") from exc
     if delta == curve.delta_bar and rho == 0.0:
         raise TargetTooHigh(
             f"target d = {problem.d} is within rounding of d_upper = {curve.d_upper}"

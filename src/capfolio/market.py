@@ -13,6 +13,8 @@ theta = sigma^{-1}(mu - r 1), so ln(z(T)/z(t)) is normal with
 Both are evaluated exactly here. The model holds tuples of floats and does
 its linear algebra on them, once per segment when it is validated: the
 scalar path (solve, frontier) needs a few sums over segments and no arrays.
+validate_market reads the coefficients under one shape rule, segment by
+segment; the config block reaches it as per-segment lists.
 """
 from __future__ import annotations
 
@@ -135,24 +137,43 @@ def require_numbers(problem) -> None:
             raise DomainError(f"{field.name} must be a finite number, got {value!r}")
 
 
-def _as_floats(value, name):
-    """(value as nested tuples of floats, its shape); a number has shape ().
+def _plain(value):
+    """value, with a numpy array or scalar read through its `tolist`."""
+    return value.tolist() if hasattr(value, "tolist") else value
 
-    numpy arrays and scalars come in through their `tolist`. Raises
-    DimensionMismatch for ragged nesting, non-numbers and non-finite values.
-    """
-    if hasattr(value, "tolist"):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        items = [_as_floats(v, name) for v in value]
-        shapes = {shape for _, shape in items}
-        if len(shapes) > 1:
-            raise DimensionMismatch(f"{name} is ragged")
-        inner = shapes.pop() if shapes else ()
-        return tuple(v for v, _ in items), (len(items), *inner)
+
+def _per_segment(value, name, n_seg, read):
+    """read(entry, where) of each entry of a list with one entry per segment."""
+    value = _plain(value)
+    if not (isinstance(value, (list, tuple)) and len(value) == n_seg):
+        raise DimensionMismatch(f"{name} needs one entry per segment ({n_seg}), got {value!r}")
+    return tuple(read(v, f"segment {s}: {name}") for s, v in enumerate(value))
+
+
+def _float(value, where):
+    value = _plain(value)
     if not is_number(value):
-        raise DimensionMismatch(f"non-finite value or non-number {value!r} in {name}")
-    return float(value), ()
+        raise DimensionMismatch(f"{where}: non-finite value or non-number {value!r}")
+    return float(value)
+
+
+def _segment_drift(value, where):
+    """mu of a segment: a list of n numbers, or one number when n = 1."""
+    value = _plain(value)
+    mu = value if isinstance(value, (list, tuple)) else [value]
+    if not mu:
+        raise DimensionMismatch(f"{where} names no asset")
+    return tuple(_float(v, where) for v in mu)
+
+
+def _segment_vol(value, where, n):
+    """sigma of a segment: an n x n list of numbers, or one number when n = 1."""
+    value = _plain(value)
+    rows = [_plain(row) for row in value] if isinstance(value, (list, tuple)) else [[value]]
+    square = len(rows) == n and all(isinstance(r, (list, tuple)) and len(r) == n for r in rows)
+    if not square:
+        raise DimensionMismatch(f"{where} must be {n} x {n}, got {value!r}")
+    return tuple(tuple(_float(v, where) for v in row) for row in rows)
 
 
 def _solve(a, b, s):
@@ -196,10 +217,14 @@ def _above(gram, shift) -> bool:
 def validate_market(horizon, rate, drift, vol, breakpoints=None):
     """Validate raw coefficients and return an immutable MarketModel.
 
-    Scalar or single-segment input is promoted: ``validate_market(1.0, 0.06,
-    0.12, 0.15)`` builds a one-asset constant-coefficient market. Multi
-    segment input passes nested lists whose leading axis indexes segments
-    together with `breakpoints` (sorted, starting at 0).
+    A number `rate` is one segment: `drift` is its mu, a list of n numbers
+    or, when n = 1, one number; `vol` its sigma, an n x n list or, when
+    n = 1, one number; `breakpoints` None or [0.0]. So
+    ``validate_market(1.0, 0.06, 0.12, 0.15)`` is a one-asset market. A
+    list `rate` of S numbers gives `drift`, `vol` and `breakpoints` (from 0,
+    increasing) S entries, each spelled as in the one-segment case;
+    `breakpoints` may be left out only when S = 1. numpy arrays and scalars
+    are read through their `tolist` at every level.
 
     Per segment it checks that vol vol' - MIN_GRAM_EIGENVALUE I has a
     Cholesky factor, which holds exactly when the smallest eigenvalue of
@@ -207,62 +232,35 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
     the policy direction vol'^{-1} theta by elimination with partial
     pivoting.
 
-    Raises NonpositiveHorizon, DimensionMismatch (malformed or non-finite
-    coefficients), DegenerateVolatility when the smallest eigenvalue of
-    vol vol' is below MIN_GRAM_EIGENVALUE, and DomainError when the law of
-    the terminal deflator is not representable: E[z(T)] is not a positive
-    normal float, m(0) or nu(0) is not finite, or E[z(T)^2] =
-    e^{2 m(0) + 2 nu(0)^2}, the highest partial moment a solve takes,
-    overflows. That last check is the ceiling nu(0)^2 <= ln(max float) / 2
-    - m(0), about 354.9 - m(0).
+    Raises NonpositiveHorizon, DimensionMismatch (a misshapen or non-finite
+    coefficient; the message names its segment), DegenerateVolatility when
+    the smallest eigenvalue of vol vol' is below MIN_GRAM_EIGENVALUE, and
+    DomainError when the law of the terminal deflator is not representable:
+    E[z(T)] is not a positive normal float, m(0) or nu(0) is not finite, or
+    E[z(T)^2] = e^{2 m(0) + 2 nu(0)^2}, the highest partial moment a solve
+    takes, overflows. That last check is the ceiling nu(0)^2 <= ln(max
+    float) / 2 - m(0), about 354.9 - m(0).
     """
     if not (is_number(horizon) and horizon > 0.0):
         raise NonpositiveHorizon(f"horizon must be a positive finite number, got {horizon!r}")
     horizon = float(horizon)
 
-    rate, shape = _as_floats(rate, "rate")
-    if not shape:
-        rate = (rate,)
-    elif len(shape) != 1:
-        raise DimensionMismatch(f"rate must be a number per segment, got shape {shape}")
+    rate = _plain(rate)
+    if not isinstance(rate, (list, tuple)):  # one segment, spelled bare
+        rate, drift, vol = [rate], [drift], [vol]
     n_seg = len(rate)
     if n_seg == 0:
         raise DimensionMismatch("the market needs at least one segment")
-
-    drift, shape = _as_floats(drift, "drift")
-    if not shape:
-        drift = ((drift,),)
-    elif len(shape) == 1:
-        # ambiguous: one segment with n assets when n_seg == 1, else
-        # n_seg scalars for a single asset
-        drift = (drift,) if n_seg == 1 else tuple((v,) for v in drift)
-    elif len(shape) != 2:
-        raise DimensionMismatch(f"drift must be segments x assets, got shape {shape}")
-    if len(drift) != n_seg:
-        raise DimensionMismatch(f"drift has {len(drift)} segments, rate has {n_seg}")
+    if breakpoints is None and n_seg == 1:
+        breakpoints = [0.0]
+    rate = _per_segment(rate, "rate", n_seg, _float)
+    drift = _per_segment(drift, "drift", n_seg, _segment_drift)
     n = len(drift[0])
-    if n == 0:
-        raise DimensionMismatch("the market needs at least one asset")
-
-    vol, shape = _as_floats(vol, "vol")
-    if not shape:
-        vol, shape = (((vol,),),), (1, 1, 1)
-    elif len(shape) == 2 and n_seg == 1:
-        vol, shape = (vol,), (1, *shape)
-    elif len(shape) == 1 and n == 1:
-        vol, shape = tuple(((v,),) for v in vol), (shape[0], 1, 1)
-    if shape != (n_seg, n, n):
-        raise DimensionMismatch(
-            f"vol shape {shape} does not match {n_seg} segments x {n} assets"
-        )
-
-    if breakpoints is None:
-        if n_seg != 1:
-            raise DimensionMismatch("multi-segment coefficients need breakpoints")
-        breakpoints = (0.0,)
-    breakpoints, shape = _as_floats(breakpoints, "breakpoints")
-    if shape != (n_seg,):
-        raise DimensionMismatch(f"breakpoints of shape {shape} for {n_seg} segments")
+    for s, mu in enumerate(drift):
+        if len(mu) != n:
+            raise DimensionMismatch(f"segment {s}: drift has {len(mu)} assets, segment 0 has {n}")
+    vol = _per_segment(vol, "vol", n_seg, lambda sigma, where: _segment_vol(sigma, where, n))
+    breakpoints = _per_segment(breakpoints, "breakpoints", n_seg, _float)
     if breakpoints[0] != 0.0 or any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
         raise DimensionMismatch("breakpoints must start at 0 and increase")
     if breakpoints[-1] >= horizon:
@@ -302,27 +300,6 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
     return model
 
 
-def _config_vector(value, where):
-    """mu of a config segment: a list of finite numbers, or one number."""
-    value = [value] if is_number(value) else value
-    if not (isinstance(value, list) and value and all(map(is_number, value))):
-        raise ConfigError(f"{where}.mu must be a non-empty list of finite numbers, got {value!r}")
-    return value
-
-
-def _config_matrix(value, n, where):
-    """sigma of a config segment: an n x n list of finite numbers, or one
-    number when n = 1."""
-    value = [[value]] if is_number(value) else value
-    if not (
-        isinstance(value, list)
-        and len(value) == n
-        and all(isinstance(row, list) and len(row) == n and all(map(is_number, row)) for row in value)
-    ):
-        raise ConfigError(f"{where}.sigma must be a {n} x {n} list of finite numbers, got {value!r}")
-    return value
-
-
 def market_from_config(block: dict) -> MarketModel:
     """Build a MarketModel from the config schema.
 
@@ -331,31 +308,25 @@ def market_from_config(block: dict) -> MarketModel:
         {"horizon": 1.0,
          "segments": [{"t_start": 0.0, "r": 0.06, "mu": [...], "sigma": [[...]]}]}
 
-    `segments` is a non-empty list of objects. In each, `r` is a finite
-    number, `mu` a list of n finite numbers and `sigma` an n x n list of
-    them; a bare number stands for a one-asset `mu` or `sigma`. A segment
-    without "t_start" starts at 0, so a lone one covers [0, T].
+    `segments` is a non-empty list of objects, whose `r`, `mu`, `sigma` and
+    `t_start` lists go to validate_market as one entry per segment, so each
+    is spelled as a segment's entry there. A segment without "t_start"
+    starts at 0, so a lone one covers [0, T].
 
-    Raises ConfigError for a malformed block and the errors of
-    validate_market for coefficients it rejects.
+    Raises ConfigError when the block or `segments` is not so structured,
+    and the errors of validate_market, DimensionMismatch among them for a
+    coefficient of the wrong shape.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"market must be an object, got {block!r}")
     horizon, segs = block["horizon"], block["segments"]
     if not (isinstance(segs, list) and segs and all(isinstance(s, dict) for s in segs)):
         raise ConfigError(f"market.segments must be a non-empty list of objects, got {segs!r}")
-    drift, vol = [], []
-    for i, seg in enumerate(segs):
-        where = f"market.segments[{i}]"
-        if not is_number(seg["r"]):
-            raise ConfigError(f"{where}.r must be a finite number, got {seg['r']!r}")
-        drift.append(_config_vector(seg["mu"], where))
-        vol.append(_config_matrix(seg["sigma"], len(drift[-1]), where))
     return validate_market(
         horizon,
         [s["r"] for s in segs],
-        drift,
-        vol,
+        [s["mu"] for s in segs],
+        [s["sigma"] for s in segs],
         breakpoints=[s.get("t_start", 0.0) for s in segs],
     )
 

@@ -121,15 +121,13 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     if not math.isfinite(eta):
         raise SolverDiverged(
             f"mean-variance multipliers overflow: E[(delta - z)+] = {shortfall(delta):.3e} "
-            f"at the truncation point {delta:.6g} is below the float range",
-            report=report,
+            f"at the truncation point {delta:.6g} is below the float range"
         )
     lam = delta * eta
     r1, r2 = _residuals(ctx, x0, d, lam, eta)
     if not max(abs(r1), abs(r2)) <= 1e-8:  # NaN residuals fail too
         raise SolverDiverged(
-            f"mean-variance multiplier solve stalled at residuals ({r1:.3e}, {r2:.3e})",
-            report=report,
+            f"mean-variance multiplier solve stalled at residuals ({r1:.3e}, {r2:.3e})"
         )
     return Multipliers(mean=lam, budget=eta, case=MEAN_VARIANCE)
 

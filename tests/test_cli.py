@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capfolio import cli, lpm, market, meanvar, surface
+from capfolio import baseline, cli, lpm, market, meanvar, montecarlo, surface
 from capfolio.market import validate_market
 
 EX1_MARKET = {
@@ -512,6 +512,35 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bad_market_error_names_its_segment(tmp_path, capsys):
+    cfg = _cfg(tmp_path, BAD_MARKETS["sigma_flat"], LPM1, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 3
+    assert "segment 0: vol must be 1 x 1" in capsys.readouterr().err
+
+
+# the run block admits array sizes up to 10**9, which need not fit in memory;
+# each command's allocating call is made to raise instead of allocating
+@pytest.mark.parametrize(
+    "cmd, module, name",
+    [
+        ("simulate", montecarlo, "run_policy"),
+        ("compare_static", baseline, "generate_scenarios"),
+        ("policy_table", surface, "feedback_curve"),
+    ],
+    ids=["simulate", "compare_static", "policy_table"],
+)
+def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch, cmd, module, name):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhausted)
+    run = {"out": str(tmp_path), "d_grid": [12.0], "z_grid": {"count": 5}}
+    assert cli.main(["--config", _cfg(tmp_path, EX2_MARKET, CVAR2, run=run), "--cmd", cmd]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
-"""Market validation, promotion rules, and deflator moment integrals."""
+"""Market validation, its shape rule, and deflator moment integrals."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,98 @@ def test_vector_promotion_single_segment(example2):
     assert example2.n_assets == 3
     assert [len(mu) for mu in example2.drift] == [3]
     assert [[len(row) for row in sigma] for sigma in example2.vol] == [[3, 3, 3]]
+
+
+EX2_MU = [0.1346, 0.0530, 0.1722]
+EX2_SIGMA = [
+    [0.1428, 0.0094, 0.1002],
+    [0.0094, 0.0728, 0.0031],
+    [0.1002, 0.0031, 0.2353],
+]
+# the canonical spelling: one entry per segment in every coefficient, mu a
+# list and sigma a matrix in each
+CANONICAL = {
+    "scalars": (1.0, [0.06], [[0.12]], [[[0.15]]], [0.0]),
+    "vector_matrix": (1.0, [0.016], [EX2_MU], [EX2_SIGMA], [0.0]),
+    "segments": (2.0, [0.03, 0.07], [[0.10], [0.09]], [[[0.2]], [[0.25]]], [0.0, 0.8]),
+}
+# each accepted spelling and the canonical one it must build
+SPELLINGS = {
+    "scalars": ("scalars", (1.0, 0.06, 0.12, 0.15, None)),
+    "scalars_with_breakpoint": ("scalars", (1.0, 0.06, 0.12, 0.15, [0.0])),
+    "numpy_scalars": (
+        "scalars", (1.0, np.float64(0.06), np.float64(0.12), np.array(0.15), None)
+    ),
+    "vector_matrix": ("vector_matrix", (1.0, 0.016, EX2_MU, EX2_SIGMA, None)),
+    "vector_matrix_numpy": (
+        "vector_matrix", (1.0, 0.016, np.array(EX2_MU), np.array(EX2_SIGMA), None)
+    ),
+    "numpy_rows": (
+        "vector_matrix", (1.0, 0.016, EX2_MU, [np.array(row) for row in EX2_SIGMA], None)
+    ),
+    "one_segment_list": ("vector_matrix", (1.0, [0.016], [EX2_MU], [EX2_SIGMA], None)),
+    "one_segment_numpy": (
+        "vector_matrix",
+        (1.0, np.array([0.016]), np.array([EX2_MU]), np.array([EX2_SIGMA]), np.array([0.0])),
+    ),
+    "one_segment_numpy_entries": (
+        "vector_matrix", (1.0, [0.016], [np.array(EX2_MU)], [np.array(EX2_SIGMA)], None)
+    ),
+    "segments_numbers": ("segments", (2.0, [0.03, 0.07], [0.10, 0.09], [0.2, 0.25], [0.0, 0.8])),
+    "segments_numpy": (
+        "segments", (2.0, *(np.array(v) for v in CANONICAL["segments"][1:]))
+    ),
+    "segments_tuples": (
+        "segments", (2.0, (0.03, 0.07), ((0.10,), (0.09,)), (((0.2,),), ((0.25,),)), (0.0, 0.8))
+    ),
+    "segments_mixed": (
+        "segments", (2.0, [0.03, np.float64(0.07)], [0.10, [0.09]], [[[0.2]], 0.25], [0.0, 0.8])
+    ),
+}
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_each_spelling_builds_the_canonical_model(name):
+    canonical, spelling = SPELLINGS[name]
+    model = market.validate_market(*spelling)
+    assert model == market.validate_market(*CANONICAL[canonical])
+    coefficients = (model.breakpoints, model.rate, model.drift, model.vol)
+    assert {type(v) for v in _leaves(coefficients)} == {float}
+
+
+M2 = [[0.2, 0.0], [0.0, 0.2]]
+# a number rate is one segment, so drift and vol carry no segment axis; a
+# rate list gives every coefficient one, entry by entry
+MISSHAPEN = {
+    "drift_segment_axis_on_number_rate": ((0.05, [[0.1]], 0.2, None), "segment 0: drift"),
+    "vol_list_on_number_rate": ((0.05, 0.1, [0.2], None), "segment 0: vol must be 1 x 1"),
+    "vol_segment_axis_on_number_rate": ((0.05, 0.1, [[[0.2]]], None), "segment 0: vol"),
+    "vector_drift_on_rate_list": (
+        ([0.05], [0.1, 0.2], M2, None), "drift needs one entry per segment (1)"
+    ),
+    "number_vol_on_rate_list": (
+        ([0.05], [0.1], 0.2, None), "vol needs one entry per segment (1)"
+    ),
+    "asset_count_changes": (
+        ([0.03, 0.07], [0.1, [0.1, 0.2]], [0.2, M2], [0.0, 0.5]),
+        "segment 1: drift has 2 assets, segment 0 has 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSHAPEN))
+def test_misshapen_coefficients_name_their_segment(name):
+    (rate, drift, vol, breakpoints), message = MISSHAPEN[name]
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}"):
+        market.validate_market(1.0, rate, drift, vol, breakpoints=breakpoints)
 
 
 def test_arrays_are_frozen(example1):
