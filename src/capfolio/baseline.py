@@ -130,8 +130,6 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     log_bond = 0.0
     for s in range(len(model.breakpoints)):
         dt = edges[s + 1] - edges[s]
-        if dt <= 0.0:
-            continue
         vol = vols[s]
         diag_cov = np.einsum("ij,ij->i", vol, vol)
         drift = (drifts[s] - 0.5 * diag_cov) * dt

@@ -278,21 +278,53 @@ def ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float
     q = 1, `cvar` pins rho by it. rho = inf gives E[z^p 1{z > delta}], and
     rho <= 0 gives 0. The closed form ((delta + rho) dH_p - dH_{p+1}) / rho
     loses about eps (delta + rho) / rho to cancellation, so a short branch
-    (see `_short_branch`) is integrated by Gauss-Legendre instead.
+    (see `_Start.short`) is integrated by Gauss-Legendre instead. A long
+    branch evaluates H_p and H_{p+1} once at each end.
     """
-    if rho <= 0.0:
-        return 0.0
-    if rho == math.inf:  # E[z^p 1{z > delta}], without cancellation
-        cut = -math.log(delta) if delta > 0.0 else math.inf
-        return truncated_exp_moment(-p, -ctx.m0, ctx.nu0, cut)
-    if _short_branch(ctx, delta, rho):
-        return _branch_rule(ctx, p, delta, rho, lambda s: 1.0 - s)
-    hi = delta + rho
-    dh, dh_next = (
-        partial_moment_H(ctx, a, hi) - partial_moment_H(ctx, a, delta)
-        for a in (p, p + 1.0)
-    )
-    return (hi * dh - dh_next) / rho
+    return _Start(ctx, delta).ramps((p,), rho)[0]
+
+
+class _Start:
+    """Branches (delta, delta + rho] of one residual or one root: they share
+    H_a(delta), evaluated at most once per order a, and F(delta)."""
+
+    def __init__(self, ctx, delta, h=None):
+        self.ctx, self.delta, self.h = ctx, delta, h or {}
+        self.scale = 1.0 + (1.0 + abs(ctx.standardize(delta))) / ctx.nu0 if delta > 0.0 else None
+
+    def H(self, a):
+        if a not in self.h:
+            self.h[a] = partial_moment_H(self.ctx, a, self.delta)
+        return self.h[a]
+
+    def short(self, rho):
+        """Whether (delta, delta + rho] is short on the scale of the deflator
+        law: rho (1 + (1 + |F(delta)|) / nu0) <= delta.  There the log of the
+        density of z(T) has a slope below 2 in the branch fraction s, which
+        eight Gauss-Legendre nodes integrate to rounding; outside it the closed
+        forms amplify rounding by less than 2 + (1 + |F(delta)|) / nu0, squared
+        for `_branch_square`.
+        """
+        return self.delta > 0.0 and rho * self.scale <= self.delta
+
+    def ramps(self, ps, rho):
+        """ramp(ctx, p, delta, rho) for each p of ps, ascending consecutive
+        orders; a long branch evaluates H_a(delta + rho) once per order a."""
+        ctx, delta = self.ctx, self.delta
+        if rho <= 0.0:
+            return [0.0] * len(ps)
+        if rho == math.inf:  # E[z^p 1{z > delta}], without cancellation
+            cut = -math.log(delta) if delta > 0.0 else math.inf
+            return [truncated_exp_moment(-p, -ctx.m0, ctx.nu0, cut) for p in ps]
+        if self.short(rho):
+            return [_branch_rule(ctx, p, delta, rho, lambda s: 1.0 - s) for p in ps]
+        hi = delta + rho
+        out, dh = [], partial_moment_H(ctx, ps[0], hi) - self.H(ps[0])
+        for p in ps:  # dH_{p+1} of one order is dH_p of the next
+            dh_next = partial_moment_H(ctx, p + 1.0, hi) - self.H(p + 1.0)
+            out.append((hi * dh - dh_next) / rho)
+            dh = dh_next
+        return out
 
 
 def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float:
@@ -303,27 +335,12 @@ def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float
     eps (delta / rho)^2 to cancellation, so a short branch is integrated by
     Gauss-Legendre instead.
     """
-    if _short_branch(ctx, delta, rho):
+    start = _Start(ctx, delta)
+    if start.short(rho):
         return rho * rho * _branch_rule(ctx, 0.0, delta, rho, lambda s: s * s)
     hi = delta + rho
-    dh0, dh1, dh2 = (
-        partial_moment_H(ctx, p, hi) - partial_moment_H(ctx, p, delta)
-        for p in (0.0, 1.0, 2.0)
-    )
+    dh0, dh1, dh2 = (partial_moment_H(ctx, p, hi) - start.H(p) for p in (0.0, 1.0, 2.0))
     return dh2 - 2.0 * delta * dh1 + delta * delta * dh0
-
-
-def _short_branch(ctx: PartialMomentContext, delta: float, rho: float) -> bool:
-    """Whether (delta, delta + rho] is short on the scale of the deflator law:
-    rho (1 + (1 + |F(delta)|) / nu0) <= delta.  There the log of the density
-    of z(T) has a slope below 2 in the branch fraction s, which eight
-    Gauss-Legendre nodes integrate to rounding; outside it the closed forms
-    amplify rounding by less than 2 + (1 + |F(delta)|) / nu0, squared for
-    `_branch_square`.
-    """
-    return delta > 0.0 and (
-        rho * (1.0 + (1.0 + abs(ctx.standardize(delta))) / ctx.nu0) <= delta
-    )
 
 
 def _branch_rule(ctx, p, delta, rho, weight):
@@ -342,27 +359,25 @@ def _payoff_moment(ctx, problem, p, delta, rho):
     Regular payoff with cap branch {z <= delta} and middle branch
     {delta < z <= delta + rho}."""
     cap, gamma = problem.cap, problem.gamma
-    below = partial_moment_H(ctx, p, delta)
     if problem.q == 2.0:
-        return cap * below + gamma * ramp(ctx, p, delta, rho)
+        start = _Start(ctx, delta)
+        return cap * start.H(p) + gamma * start.ramps((p,), rho)[0]
+    below = partial_moment_H(ctx, p, delta)
     return (cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho)
 
 
 def _regular_residuals(ctx, problem, delta, rho):
-    """Mean and budget residuals of the thresholds (delta, rho), scaled."""
-    mean = _payoff_moment(ctx, problem, 0.0, delta, rho)
-    price = _payoff_moment(ctx, problem, 1.0, delta, rho)
-    return (
-        (mean - problem.d) / max(1.0, abs(problem.d)),
-        (price - problem.x0) / max(1.0, problem.x0),
-    )
-
-
-def _thresholds_to_multipliers(problem, delta, rho):
-    gamma, q = problem.gamma, problem.q
-    width = 2.0 * gamma if q == 2.0 else gamma ** (q - 1.0)
-    budget_mult = width / rho
-    return budget_mult * delta, budget_mult
+    """Mean and budget residuals of the thresholds (delta, rho), scaled; for
+    q = 2 on a long branch, from H_0, H_1 and H_2 once at each end."""
+    cap, gamma = problem.cap, problem.gamma
+    if problem.q == 2.0:
+        start = _Start(ctx, delta)
+        ramp0, ramp1 = start.ramps((0.0, 1.0), rho)
+        mean, price = cap * start.H(0.0) + gamma * ramp0, cap * start.H(1.0) + gamma * ramp1
+    else:
+        mean, price = (_payoff_moment(ctx, problem, p, delta, rho) for p in (0.0, 1.0))
+    d, x0 = problem.d, problem.x0
+    return (mean - d) / max(1.0, abs(d)), (price - x0) / max(1.0, x0)
 
 
 def _solve_regular_newton(ctx, problem, delta0):
@@ -393,7 +408,9 @@ def branch_width(
     ramp(p, delta, w), unbounded once need reaches that room. Its weight
     lies in [1 - s, 1] on the first s of the branch, so the flat width and
     w / s, where the flat width w funds need / (1 - s), bracket its root in
-    ln w; both ends come from the same closed-form inverse."""
+    ln w; both ends come from the same closed-form inverse. Its trials share
+    h, H_{p+1}(delta) and F(delta), each evaluated once, so a trial on a long
+    branch evaluates H_p and H_{p+1} at its upper end only."""
 
     if need <= 0.0:
         return 0.0
@@ -409,9 +426,10 @@ def branch_width(
     # is taken in that form, since 1 - s rounds to 0 when need < eps room / 2
     s = (room - need) / (room + need)
     most = (kernels.invert_H(ctx, p, h + 0.5 * (room + need)) - delta) / s
+    start = _Start(ctx, delta, {p: h})
 
     def gap(x):
-        return ramp(ctx, p, delta, math.exp(x)) / need - 1.0
+        return start.ramps((p,), math.exp(x))[0] / need - 1.0
 
     try:
         x = find_root_1d(gap, math.log(flat), math.log(most), tol=1e-13).root
@@ -532,7 +550,8 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         mult, objective = Multipliers(0.0, 0.0, case), 0.0
     else:
         # delta = 0 gives a zero mean multiplier and hit probability
-        mult = Multipliers(*_thresholds_to_multipliers(problem, delta, rho), case)
+        eta = (2.0 * gamma if q == 2.0 else gamma ** (q - 1.0)) / rho
+        mult = Multipliers(eta * delta, eta, case)
         tail = 1.0 - partial_moment_H(ctx, 0.0, delta + rho)
         if q == 2.0:
             half_eta = 0.5 * mult.budget

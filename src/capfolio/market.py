@@ -313,22 +313,21 @@ def market_from_config(block: dict) -> MarketModel:
     is spelled as a segment's entry there. A segment without "t_start"
     starts at 0, so a lone one covers [0, T].
 
-    Raises ConfigError when the block or `segments` is not so structured,
-    and the errors of validate_market, DimensionMismatch among them for a
-    coefficient of the wrong shape.
+    Raises ConfigError when the block or `segments` is not so structured or
+    lacks a key, and the errors of validate_market, DimensionMismatch among
+    them for a coefficient of the wrong shape.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"market must be an object, got {block!r}")
-    horizon, segs = block["horizon"], block["segments"]
-    if not (isinstance(segs, list) and segs and all(isinstance(s, dict) for s in segs)):
-        raise ConfigError(f"market.segments must be a non-empty list of objects, got {segs!r}")
-    return validate_market(
-        horizon,
-        [s["r"] for s in segs],
-        [s["mu"] for s in segs],
-        [s["sigma"] for s in segs],
-        breakpoints=[s.get("t_start", 0.0) for s in segs],
-    )
+    try:
+        horizon, segs = block["horizon"], block["segments"]
+        if not (isinstance(segs, list) and segs and all(isinstance(s, dict) for s in segs)):
+            raise ConfigError(f"market.segments must be a non-empty list of objects, got {segs!r}")
+        rate, drift, vol = ([s[key] for s in segs] for key in ("r", "mu", "sigma"))
+    except KeyError as exc:
+        raise ConfigError(f"market or one of its segments is missing the key {exc}") from None
+    breakpoints = [s.get("t_start", 0.0) for s in segs]
+    return validate_market(horizon, rate, drift, vol, breakpoints=breakpoints)
 
 
 def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:

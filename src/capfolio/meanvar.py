@@ -84,7 +84,8 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     u = (E[z^2] - E[z] x0/d) / (E[z] - x0/d): as E[(delta - z)+] <= delta,
     E_w[z] - x0/d is at least (E[z] - x0/d) / 2 at delta = 2u, a margin the
     cancellation in u cannot erase.  A bracketed root in ln delta solves it
-    to rounding.
+    to rounding.  Where 2u overflows, the upper end is clamped to
+    ln delta = 700 - ln max(1, E[z]), where the gap is still finite.
 
     Raises SolverDiverged if the multipliers overflow (a truncation point so
     deep in the lower tail of z(T) that E[(delta - z)+] is below the float
@@ -110,10 +111,11 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
             )
         return (delta * h1 - h2) / below - ratio
 
+    top = 700.0 - max(0.0, math.log(a_mom))  # delta H_1 <= delta E[z] stays finite
     report = find_root_1d(
         weighted_mean_gap,
         math.log(ratio),
-        math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)),
+        min(math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)), top),
         tol=0.0,
     )
     delta = math.exp(report.root)

@@ -741,6 +741,42 @@ def test_branch_width_just_below_delta_beta(example2, beta):
     assert lpm.ramp(ctx, 0.0, delta, width) == pytest.approx(need, rel=1e-13)
 
 
+def test_long_branches_evaluate_each_partial_moment_once(example1, monkeypatch):
+    # the q = 2 residuals read H_0, H_1 and H_2 once at each end of a long
+    # branch, and each trial width of the sloped root reads H_p and H_{p+1}
+    # at its upper end only: the lower end's values are evaluated once
+    ctx = market.deflator_context(example1)
+    kernel, root = kernels.truncated_exp_moment, lpm.find_root_1d
+    evaluations, trials = [], []
+
+    def counted(*args):
+        evaluations.append(args)
+        return kernel(*args)
+
+    def traced_root(f, lo, hi, **kw):
+        def trial(x):
+            trials.append(math.exp(x))
+            return f(x)
+
+        return root(trial, lo, hi, **kw)
+
+    monkeypatch.setattr(kernels, "truncated_exp_moment", counted)
+    monkeypatch.setattr(lpm, "find_root_1d", traced_root)
+    delta, rho = 0.4, 5.0
+    start = lpm._Start(ctx, delta)
+    assert not start.short(rho)
+    problem = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
+    lpm._regular_residuals(ctx, problem, delta, rho)
+    assert len(evaluations) == 6
+    for p, sup in ((0.0, 1.0), (1.0, ctx.mean)):
+        h = kernels.partial_moment_H(ctx, p, delta)
+        evaluations.clear()
+        trials.clear()
+        lpm.branch_width(ctx, p, delta, h, 0.5 * (sup - h), True)
+        assert len(trials) > 3 and not any(start.short(w) for w in trials)
+        assert len(evaluations) == 1 + 2 * len(trials)
+
+
 def test_ramp_rule_matches_gauss_legendre():
     from numpy.polynomial.legendre import leggauss
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from capfolio import cvar, lpm, market, meanvar
 from capfolio.errors import (
+    ConfigError,
     DegenerateVolatility,
     DimensionMismatch,
     DomainError,
@@ -311,6 +312,19 @@ def test_market_from_config_multi_segment():
     assert market.deflator_moments(model, 0.3).m == pytest.approx(
         market.deflator_moments(hand, 0.3).m, rel=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"horizon": 1.0, "segments": [{"r": 0.06, "sigma": 0.15}]}, "'mu'"),
+        ({"segments": [{"r": 0.06, "mu": 0.12, "sigma": 0.15}]}, "'horizon'"),
+        ({"horizon": 1.0}, "'segments'"),
+    ],
+)
+def test_market_from_config_names_a_missing_key(block, key):
+    with pytest.raises(ConfigError, match=key):
+        market.market_from_config(block)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from capfolio import meanvar, surface
 from capfolio.errors import DomainError
+from capfolio.market import deflator_context, validate_market
 
 M0, NU0 = -0.14, 0.4
 
@@ -148,6 +149,20 @@ def test_target_must_beat_riskfree_growth(example1):
         meanvar.solve_mv(_problem(d=math.exp(0.06)), example1)
     mult = meanvar.solve_mv(_problem(d=math.exp(0.06) + 1e-4), example1)
     assert mult.budget > 0.0
+
+
+@pytest.mark.parametrize(
+    "theta_sq_t, d", [(700.0, 1.000001), (708.0, 1.001), (709.7, 1.0 + 1e-15)]
+)
+def test_overflowing_upper_bracket_is_clamped(theta_sq_t, d):
+    # theta^2 T near the top of the float range: the closed-form upper end
+    # 2 (E[z^2] - E[z] x0/d) / (E[z] - x0/d) overflows, and the gap there
+    # is NaN; the root itself lies far below the clamp
+    model = validate_market(20.0, 0.0, 0.1 * math.sqrt(theta_sq_t / 20.0), 0.1)
+    mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=d, horizon=20.0), model)
+    assert 300.0 < math.log(mult.mean / mult.budget) < 650.0
+    ctx = deflator_context(model)
+    assert all(abs(r) <= 1e-8 for r in meanvar._residuals(ctx, 1.0, d, mult.mean, mult.budget))
 
 
 def test_variance_grows_with_target(example1):
