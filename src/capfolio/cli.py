@@ -44,15 +44,14 @@ run.betas and run.z_grid as they stand.
 Exit codes: 0 success, 1 solver failure or out of memory (run.paths,
 run.steps, run.scenarios and run.z_grid.count size arrays), 2 infeasible
 instance, 3 config error.  Every artifact is a pure function of (config,
-seed): no clocks, no hostnames, keys sorted, floats at 12 significant digits
-in CSV.
+seed): no clocks, no hostnames, keys sorted, CSV floats at 12 significant
+digits, written _BLOCK_ROWS rows per % operation.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -95,6 +94,9 @@ _OVERRIDES = {
     "scenarios": ("run", int),
     "out": ("run", str),
 }
+
+#: rows per % operation when _write_csv writes an array; bounds what it holds
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,16 +280,24 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], conversions: list[str], cells) -> None:
-    """Write row-major cells as CSV with one % operation.
-
+def _write_csv(path: Path, header: list[str], conversions: list[str], blocks) -> None:
+    """Write the header, then each block of row-major cells by one % operation;
     conversions holds one per column: "%.12g" for floats (the text of
-    format(float(v), ".12g")), "%d" for integers, "%s" for strings.
-    """
+    format(float(v), ".12g")), "%d" for integers, "%s" for strings."""
     row = ",".join(conversions) + "\n"
-    body = (row * (len(cells) // len(header))) % tuple(cells)
-    path.write_text(",".join(header) + "\n" + body)
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for cells in blocks:
+            out.write((row * (len(cells) // len(header))) % tuple(cells))
     print(f"wrote {path}")
+
+
+def _row_blocks(*columns):
+    """Row-major cell lists of equal-length 1-D/2-D columns, _BLOCK_ROWS rows each."""
+    import numpy as np
+
+    for i in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield np.column_stack([c[i : i + _BLOCK_ROWS] for c in columns]).ravel().tolist()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -432,17 +442,14 @@ def _z_grid(window: dict):
 
 def cmd_policy_table(config: RunConfig) -> int:
     """Write the feedback table z,x,pi_i,w_i at one policy time."""
-    import numpy as np
-
     from . import surface
 
     z_grid = _z_grid(config.run["z_grid"])
     curve = surface.feedback_curve(_solve(config)[1], config.run["t"], z_grid)
     n = curve.pi.shape[1]
     header = ["z", "x", *(f"pi_{i + 1}" for i in range(n)), *(f"w_{i + 1}" for i in range(n))]
-    table = np.column_stack([curve.z, curve.x, curve.pi, curve.weights])
-    path = _out_dir(config) / "policy_table.csv"
-    _write_csv(path, header, ["%.12g"] * len(header), table.ravel().tolist())
+    blocks = _row_blocks(curve.z, curve.x, curve.pi, curve.weights)
+    _write_csv(_out_dir(config) / "policy_table.csv", header, ["%.12g"] * len(header), blocks)
     return 0
 
 
@@ -456,7 +463,7 @@ def cmd_frontier(config: RunConfig) -> int:
         _out_dir(config) / "frontier.csv",
         ["d", "beta", "alpha_star", "cvar", "status"],
         ["%.12g"] * 4 + ["%s"],
-        [cell for r in rows for cell in (r.d, beta, r.alpha_star, r.cvar, r.status)],
+        [[cell for r in rows for cell in (r.d, beta, r.alpha_star, r.cvar, r.status)]],
     )
     return 0
 
@@ -495,7 +502,7 @@ def cmd_simulate(config: RunConfig) -> int:
         out / "simulation.csv",
         ["path", "z_terminal", "x_terminal"],
         ["%d", "%.12g", "%.12g"],
-        list(itertools.chain.from_iterable(zip(range(x_t.size), z_t.tolist(), x_t.tolist()))),
+        _row_blocks(range(x_t.size), z_t, x_t),
     )
     return 0
 
@@ -533,7 +540,7 @@ def cmd_compare_static(config: RunConfig) -> int:
         _out_dir(config) / "compare_static.csv",
         ["d", "beta", "static_cvar", "dynamic_cvar", "status"],
         ["%.12g"] * 4 + ["%s"],
-        cells,
+        [cells],
     )
     return 0
 

@@ -96,11 +96,13 @@ class MarketModel:
     def segment_index(self, t: float) -> int:
         """Index of the segment containing time t (last segment at t = T)."""
         if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
+            raise DomainError(f"time {t} outside [0, {self.horizon}]")
         return bisect_right(self.breakpoints, t) - 1
 
     def segment_lengths_between(self, t0: float, t1: float) -> tuple:
-        """Overlap of [t0, t1] with each coefficient segment, in years."""
+        """Overlap of [t0, t1] with each segment, in years; needs 0 <= t0 <= t1 <= T."""
+        if not 0.0 <= t0 <= t1 <= self.horizon:
+            raise DomainError(f"need 0 <= t0 <= t1 <= horizon, got ({t0}, {t1})")
         edges = (*self.breakpoints, self.horizon)
         return tuple(
             max(min(max(hi, t0), t1) - min(max(lo, t0), t1), 0.0)
@@ -332,8 +334,6 @@ def market_from_config(block: dict) -> MarketModel:
 
 def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
     """Exact (m(t), nu(t)) of ln(z(T)/z(t)) by segment sums."""
-    if not 0.0 <= t <= model.horizon:
-        raise ValueError(f"time {t} outside [0, {model.horizon}]")
     lengths = model.segment_lengths_between(t, model.horizon)
     m = 0.0
     nu_sq = 0.0
@@ -358,7 +358,5 @@ def gram_inverse_excess(model: MarketModel, t: float) -> tuple:
 
 def expected_deflator(model: MarketModel, t0: float, t1: float) -> float:
     """e^{-int_{t0}^{t1} r(s) ds}; equals E[z(t1)/z(t0)]."""
-    if not 0.0 <= t0 <= t1 <= model.horizon:
-        raise ValueError(f"need 0 <= t0 <= t1 <= horizon, got ({t0}, {t1})")
     lengths = model.segment_lengths_between(t0, t1)
     return math.exp(-sum(length * rate for length, rate in zip(lengths, model.rate)))

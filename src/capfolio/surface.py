@@ -210,12 +210,12 @@ def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
     """Wealth/policy/weight rows over a strictly ascending z grid, sorted by
     wealth.
 
-    Weights are pi / x per asset (NaN where x is zero). Raises ValueError
+    Weights are pi / x per asset (NaN where x is zero). Raises DomainError
     for a grid that does not ascend strictly.
     """
     z = np.asarray(z_grid, dtype=float).ravel()
     if z.size and np.any(np.diff(z) <= 0.0):
-        raise ValueError("z_grid must be strictly ascending")
+        raise DomainError("z_grid must be strictly ascending")
     x = np.atleast_1d(wealth(payoff, t, z))
     pi = np.atleast_2d(policy(payoff, t, z))
     with np.errstate(divide="ignore", invalid="ignore"):

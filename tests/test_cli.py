@@ -4,12 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capfolio import baseline, cli, lpm, market, meanvar, montecarlo, surface
+from capfolio import baseline, cli, cvar, lpm, market, meanvar, montecarlo, surface
 from capfolio.market import validate_market
 
 EX1_MARKET = {
@@ -855,7 +856,7 @@ def test_out_flag_redirects_artifacts(tmp_path):
 
 
 def _reference_csv(header, rows):
-    """The per-cell writer the one-format-call writer must reproduce."""
+    """The per-cell writer the block writer must reproduce."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -876,9 +877,63 @@ def test_csv_writer_matches_per_cell_format(tmp_path, capsys, n_rows):
     rows = [(k, a, b, f"s{k}; ok") for k, (a, b) in enumerate(zip(floats, floats[::-1]))]
     header = ["path", "a", "b", "status"]
     cells = [cell for row in rows for cell in row]
-    cli._write_csv(tmp_path / "t.csv", header, ["%d", "%.12g", "%.12g", "%s"], cells)
+    cli._write_csv(tmp_path / "t.csv", header, ["%d", "%.12g", "%.12g", "%s"], [cells])
     assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, rows)
     assert capsys.readouterr().out == f"wrote {tmp_path / 't.csv'}\n"
+
+
+def _one_shot_csv(header, conversions, cells):
+    """A whole table rendered by one % operation, as a block of every row."""
+    row = ",".join(conversions) + "\n"
+    return (",".join(header) + "\n" + (row * (len(cells) // len(header))) % tuple(cells)).encode()
+
+
+@pytest.mark.parametrize("count", [1, cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS + 1])
+def test_policy_table_bytes_do_not_depend_on_the_blocks(tmp_path, count):
+    cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run={"out": str(tmp_path), "z_grid": {"count": count}})
+    assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 0
+    config = cli.load_config(cfg, {"cmd": "policy_table"})
+    window = config.run["z_grid"]
+    grid = np.geomspace(window["lo"], window["hi"], count)
+    if count == 1:  # the one-point grid is the window's low end
+        grid = np.array([window["lo"]])
+    payoff = lpm.payoff(cvar.solve_cvar(config.instance, config.model).policy)
+    curve = surface.feedback_curve(payoff, config.run["t"], grid)
+    cells = np.column_stack([curve.z, curve.x, curve.pi, curve.weights]).ravel().tolist()
+    header = ["z", "x", "pi_1", "pi_2", "pi_3", "w_1", "w_2", "w_3"]
+    expected = _one_shot_csv(header, ["%.12g"] * 8, cells)
+    assert (tmp_path / "policy_table.csv").read_bytes() == expected
+    assert expected.count(b"\n") == count + 1
+
+
+def test_simulation_bytes_do_not_depend_on_the_blocks(tmp_path):
+    paths = cli._BLOCK_ROWS + 1
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path), "paths": paths, "steps": 2})
+    assert cli.main(["--config", cfg, "--cmd", "simulate"]) == 0
+    config = cli.load_config(cfg, {"cmd": "simulate"})
+    payoff = lpm.payoff(lpm.solve_lpm(config.instance, config.model))
+    ensemble = montecarlo.run_policy(config.model, payoff, paths, 2, config.run["seed"])
+    cells = [
+        cell
+        for k, z, x in zip(range(paths), ensemble.z_terminal.tolist(), ensemble.x_terminal.tolist())
+        for cell in (k, z, x)
+    ]
+    expected = _one_shot_csv(["path", "z_terminal", "x_terminal"], ["%d", "%.12g", "%.12g"], cells)
+    assert (tmp_path / "simulation.csv").read_bytes() == expected
+
+
+def test_csv_writer_holds_a_block_not_the_file(tmp_path, capsys):
+    table = np.random.default_rng(3).standard_normal((20000, 4))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, ["a", "b", "c", "d"], ["%.12g"] * 4, cli._row_blocks(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _one_shot_csv(["a", "b", "c", "d"], ["%.12g"] * 4, table.ravel().tolist())
+    assert path.read_bytes() == expected
+    assert peak < len(expected) / 4, (peak, len(expected))
 
 
 #: values a mutated leaf takes: out of range, beyond float, of the wrong type,

@@ -231,6 +231,7 @@ def test_solve_makes_one_embedded_solve(example2, monkeypatch):
         {"horizon": -1.0},
         {"cap": 11.0, "d": 12.0},
         {"cap": 10.5, "xbar": 10.8},
+        {"cap": 13.0, "xbar": 13.5},  # cap above d, at or below the safe level
     ],
 )
 def test_problem_validation(kwargs):

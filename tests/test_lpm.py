@@ -405,8 +405,14 @@ def test_feedback_curve_sorted_and_weighted(example1):
     np.testing.assert_allclose(
         curve.weights[finite, 0], curve.pi[finite, 0] / curve.x[finite], rtol=1e-12
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         surface.feedback_curve(pay, 0.5, [1.0, 0.5])
+
+
+def test_wealth_after_the_horizon_is_a_domain_error(example1):
+    pay = lpm.payoff(lpm.solve_lpm(_problem(1.0), example1))
+    with pytest.raises(DomainError):
+        surface.wealth(pay, 1.5, np.array([0.5, 1.0]))
 
 
 def test_degenerate_low_target_case(example1):
@@ -501,6 +507,7 @@ def test_horizon_mismatch_rejected(example1):
         {"q": 1.5},
         {"q": -0.5},
         {"q": 3.0},
+        {"horizon": 0.0},
     ],
 )
 def test_problem_validation(kwargs):

@@ -115,6 +115,7 @@ MISSHAPEN = {
         ([0.03, 0.07], [0.1, [0.1, 0.2]], [0.2, M2], [0.0, 0.5]),
         "segment 1: drift has 2 assets, segment 0 has 1",
     ),
+    "no_segment": (([], [], [], None), "the market needs at least one segment"),
 }
 
 
@@ -263,7 +264,7 @@ def test_expected_deflator_piecewise():
         math.exp(-(0.8 * 0.03 + 1.2 * 0.07)), rel=1e-14
     )
     assert market.expected_deflator(model, 0.5, 0.5) == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         market.expected_deflator(model, 1.0, 0.5)
 
 
@@ -279,10 +280,22 @@ def test_segment_index_boundaries():
     assert model.segment_index(0.79) == 0
     assert model.segment_index(0.8) == 1
     assert model.segment_index(2.0) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         model.segment_index(2.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         model.segment_index(-0.1)
+
+
+@pytest.mark.parametrize("t", [-0.1, 2.1, math.nan])
+def test_deflator_moments_outside_the_horizon_is_a_domain_error(t):
+    with pytest.raises(DomainError, match=r"need 0 <= t0 <= t1 <= horizon"):
+        market.deflator_moments(_two_segment_model(), t)
+
+
+@pytest.mark.parametrize("block", [None, 1.0, "market", [{"horizon": 1.0}]])
+def test_market_from_config_needs_an_object(block):
+    with pytest.raises(ConfigError, match="market must be an object"):
+        market.market_from_config(block)
 
 
 def test_market_from_config_single_segment(example1):
