@@ -146,7 +146,9 @@ def solve_static_cvar(
     scenarios: ScenarioSet, beta: float, d: float, x0: float, xbar: float
 ) -> LpSolution:
     """Minimize the CVaR of xbar - R'w subject to sum(w) = x0 and
-    mean(R'w) >= d by cutting planes, growing the box while it binds."""
+    mean(R'w) >= d by cutting planes, growing the box while it binds. Raises
+    exactly DomainError for a non-finite input, beta outside (0, 1) or
+    x0 <= 0, and NumericalBreakdown when the cuts or the simplex fail."""
     for name, value in (("beta", beta), ("d", d), ("x0", x0), ("xbar", xbar)):
         if not is_number(value):
             raise DomainError(f"{name} must be finite, got {value}")

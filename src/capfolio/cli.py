@@ -215,8 +215,8 @@ def _resolve_run(run: dict, model: market.MarketModel, instance, cmd: str | None
         sd_t = math.sqrt(max(full.nu**2 - rest.nu**2, 0.0))
         lo = window["lo"] = float(window.get("lo", math.exp(mean_t - 4.0 * sd_t)))
         hi = window["hi"] = float(window.get("hi", math.exp(mean_t + 4.0 * sd_t)))
-        if hi < lo:
-            raise ConfigError(f"run.z_grid window [{lo}, {hi}] has lo above hi")
+        if not 0.0 < lo <= hi:  # a default end may underflow to 0
+            raise ConfigError(f"run.z_grid window [{lo}, {hi}] is not positive and ascending")
     _check_integer("z_grid.count", window["count"])
     if window["spacing"] not in ("log", "linear"):
         raise ConfigError(
@@ -431,9 +431,8 @@ def _z_grid(window: dict):
 
     if "points" in window:
         return np.asarray(window["points"], dtype=float)
-    lo, hi, count = window["lo"], window["hi"], window["count"]
-    if hi == lo or count == 1:
-        return np.array([lo])
+    lo, hi = window["lo"], window["hi"]
+    count = 1 if hi == lo else window["count"]  # a window of no width, as at t = 0
     grid = (np.geomspace if window["spacing"] == "log" else np.linspace)(lo, hi, count)
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError(f"run.z_grid window [{lo}, {hi}] is too narrow for {count} levels")

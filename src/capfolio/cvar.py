@@ -12,10 +12,10 @@ the optimal loss (Rockafellar & Uryasev 2000, Thm 1).  J is convex.
 The minimizer is one root in the cap threshold delta.  The q=1 solution
 pays B on {z <= delta}, gamma up to delta + rho and 0 beyond, with
 multipliers eta = 1/rho and lam = delta/rho, so J'(alpha) = 0 reads
-beta = H_0(delta) + lpm.ramp(delta, rho), free of gamma.  Below delta_beta,
-H_0(delta_beta) = beta, rho(delta) is the width of the sloped branch that
-funds beta - H_0(delta), `lpm.branch_width` with p = 0.  The budget fixes
-gamma = (x0 - B H_1(delta)) / (H_1(delta + rho) - H_1(delta)),
+beta = H_0(delta) + E[(delta + rho - z) 1{delta < z <= delta + rho}] / rho,
+free of gamma.  Below delta_beta, H_0(delta_beta) = beta, rho(delta) is the
+width of the sloped branch that funds beta - H_0(delta), `lpm.branch_width`
+with p = 0.  The budget fixes gamma = (x0 - B H_1(delta)) / (H_1(delta + rho) - H_1(delta)),
 and the mean gap B H_0(delta) + gamma (H_0(delta + rho) - H_0(delta)) - d
 rises in delta on [0, min(delta_beta, delta_bar)], H_1(delta_bar) = x0/B
 (tests/test_random_markets.py checks its signs on random markets).  At the
@@ -40,7 +40,9 @@ import math
 from dataclasses import dataclass
 
 from . import lpm
-from .errors import DomainError, InfeasibleBudget, TargetTooHigh
+from .errors import (
+    DomainError, InfeasibleBudget, MaxIterations, NoSignChange, SolverDiverged, TargetTooHigh,
+)
 from .kernels import invert_H, partial_moment_H
 from .market import MarketModel, deflator_context, expected_deflator, require_numbers
 from .solvers import find_root_1d
@@ -171,11 +173,12 @@ def _reduction(problem: CvarProblem, ctx):
 def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     """Solve the mean-CVaR problem end to end (module docstring).
 
-    The policy is the embedded shortfall solution at alpha*.  Raises
+    The policy is the embedded shortfall solution at alpha*.  Raises exactly
+    DomainError where safe_level or the embedded shortfall problem does,
     TargetTooHigh when d is unattainable at the cap or within rounding of it
-    (the root at the top of the curve, gamma <= 0 and alpha* >= xbar),
-    InfeasibleBudget when the budget already exceeds the capped payoff, and
-    SolverDiverged when the embedded solve misses its residual gate.
+    (the root at the top of the curve, gamma <= 0 and alpha* >= xbar, or a
+    gap negative there too), InfeasibleBudget when the budget already exceeds
+    the capped payoff, and SolverDiverged when a root or the gate fails.
     """
     xbar = safe_level(problem, model)
     probe = _embedded(problem, problem.cap)
@@ -188,7 +191,12 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
     curve, top = _reduction(problem, deflator_context(model))
     gap, gamma = curve(0.0)
     if gap < 0.0:
-        gamma = curve(find_root_1d(lambda x: curve(x)[0], 0.0, top, tol=0.0).root)[1]
+        try:
+            gamma = curve(find_root_1d(lambda x: curve(x)[0], 0.0, top, tol=0.0).root)[1]
+        except NoSignChange:  # negative at the top too, where it is at least
+            gamma = 0.0  # d_upper - d: d is within rounding of d_upper (raised below)
+        except MaxIterations as exc:
+            raise SolverDiverged(f"CVaR reduction failed for {problem}: {exc}") from exc
     alpha_star = xbar - min(gamma, problem.cap)
     j_star, embedded = _evaluate(problem, model, xbar, alpha_star)
     if embedded is None:

@@ -13,16 +13,8 @@ class DimensionMismatch(CapfolioError):
     """Coefficients are malformed or disagree on the number of assets or segments."""
 
 
-class NonpositiveHorizon(CapfolioError):
-    """The horizon is zero or negative."""
-
-
 class DegenerateVolatility(CapfolioError):
-    """sigma(t) sigma(t)' has an eigenvalue below the nondegeneracy floor."""
-
-
-class SingularVolatility(CapfolioError):
-    """The linear solve against sigma(t) failed."""
+    """sigma(t) cannot be inverted: sigma sigma' is below its eigenvalue floor or a pivot is 0."""
 
 
 class DomainError(CapfolioError):

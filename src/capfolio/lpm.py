@@ -77,7 +77,6 @@ __all__ = [
     "d_bounds",
     "solve_lpm",
     "payoff",
-    "ramp",
     "branch_width",
     "expected_terminal_wealth",
     "wealth_envelope",
@@ -122,14 +121,14 @@ class LpmProblem:
 
     def __post_init__(self):
         require_numbers(self)
-        if not self.x0 > 0.0:
-            raise DomainError(f"x0 must be positive, got {self.x0}")
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
         if self.cap < self.gamma:  # cap >= gamma > 0 from here on
             raise DomainError(
                 f"cap {self.cap} below the benchmark {self.gamma}"
             )
+        if not self.x0 / self.cap > 0.0:  # x0 > 0, and x0 / cap within the float range
+            raise DomainError(f"x0 must be positive, and x0 / cap above 0, got {self.x0}")
         if not self.cap > self.d:
             raise DomainError(f"cap {self.cap} must exceed the target {self.d}")
         if not self.horizon > 0.0:
@@ -230,7 +229,7 @@ def d_bounds(problem: LpmProblem, model: MarketModel):
     optimum delivers, at the low end of the curve; targets at or below it
     leave the mean constraint slack.
 
-    Raises InfeasibleBudget when x0 >= cap * E[z(T)].
+    Raises DomainError, InfeasibleBudget and SolverDiverged as solve_lpm does.
     """
     _check_horizon(problem, model)
     curve = _budget_curve(deflator_context(model), problem)
@@ -245,9 +244,9 @@ def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
     the benchmark outright.
     """
     x0, cap = problem.x0, problem.cap
-    if x0 >= cap * ctx.mean:
+    if x0 >= cap * ctx.mean or x0 / cap >= ctx.mean:  # either rounding of x0 >= cap E[z]
         raise InfeasibleBudget(
-            f"x0 = {x0} cannot stay under the cap: cap * E[z] = {cap * ctx.mean}"
+            f"x0 = {x0} cannot stay under the cap {cap}: E[z] = {ctx.mean}"
         )
     delta_bar = kernels.invert_H(ctx, 1.0, x0 / cap)
     delta_low = _rich_threshold(ctx, problem)
@@ -262,26 +261,12 @@ def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
 
 
 def _rich_threshold(ctx: PartialMomentContext, problem: LpmProblem) -> float:
-    """delta with (cap - gamma) H_1(delta) + gamma E[z] = x0: the cap branch
-    of the payoff that is gamma everywhere else; 0 when x0 <= gamma E[z]."""
-    x0, gamma, ez = problem.x0, problem.gamma, ctx.mean
+    """delta <= delta_bar with (cap - gamma) H_1(delta) + gamma E[z] = x0, the
+    cap branch of the payoff that is gamma elsewhere; 0 when x0 <= gamma E[z]."""
+    x0, cap, gamma, ez = problem.x0, problem.cap, problem.gamma, ctx.mean
     if x0 <= gamma * ez:
         return 0.0
-    return kernels.invert_H(ctx, 1.0, (x0 - gamma * ez) / (problem.cap - gamma))
-
-
-def ramp(ctx: PartialMomentContext, p: float, delta: float, rho: float) -> float:
-    """E[z^p (delta + rho - z) 1{delta < z <= delta + rho}] / rho, p in {0, 1}.
-
-    On the q = 2 middle branch X* falls linearly from gamma at delta to 0 at
-    delta + rho, so gamma times this is the branch's share of E[z^p X*]; for
-    q = 1, `cvar` pins rho by it. rho = inf gives E[z^p 1{z > delta}], and
-    rho <= 0 gives 0. The closed form ((delta + rho) dH_p - dH_{p+1}) / rho
-    loses about eps (delta + rho) / rho to cancellation, so a short branch
-    (see `_Start.short`) is integrated by Gauss-Legendre instead. A long
-    branch evaluates H_p and H_{p+1} once at each end.
-    """
-    return _Start(ctx, delta).ramps((p,), rho)[0]
+    return kernels.invert_H(ctx, 1.0, min((x0 - gamma * ez) / (cap - gamma), x0 / cap))
 
 
 class _Start:
@@ -308,8 +293,14 @@ class _Start:
         return self.delta > 0.0 and rho * self.scale <= self.delta
 
     def ramps(self, ps, rho):
-        """ramp(ctx, p, delta, rho) for each p of ps, ascending consecutive
-        orders; a long branch evaluates H_a(delta + rho) once per order a."""
+        """The ramp E[z^p (delta + rho - z) 1{delta < z <= delta + rho}] / rho
+        for each p of ps, ascending consecutive orders in {0, 1}: gamma times it
+        is the q = 2 middle branch's share of E[z^p X*], and `cvar` pins rho by
+        it. rho = inf gives E[z^p 1{z > delta}], and rho <= 0 gives 0. The
+        closed form ((delta + rho) dH_p - dH_{p+1}) / rho loses about
+        eps (delta + rho) / rho to cancellation, so a short branch is integrated
+        by Gauss-Legendre; a long one evaluates H_a(delta + rho) once per order a.
+        """
         ctx, delta = self.ctx, self.delta
         if rho <= 0.0:
             return [0.0] * len(ps)
@@ -405,10 +396,10 @@ def branch_width(
     A flat branch funds H_p(delta + w) - h, inverted in closed form by
     kernels.invert_H and stopped 1e-15 of the supremum of H_p short of it,
     where the inverse is still defined after rounding. A sloped branch funds
-    ramp(p, delta, w), unbounded once need reaches that room. Its weight
-    lies in [1 - s, 1] on the first s of the branch, so the flat width and
-    w / s, where the flat width w funds need / (1 - s), bracket its root in
-    ln w; both ends come from the same closed-form inverse. Its trials share
+    its ramp (`_Start.ramps`), unbounded once need reaches that room. Its
+    weight lies in [1 - s, 1] on the first s of the branch, so the flat width
+    and w / s, where the flat width w funds need / (1 - s), bracket its root
+    in ln w; both ends come from the same closed-form inverse. Its trials share
     h, H_{p+1}(delta) and F(delta), each evaluated once, so a trial on a long
     branch evaluates H_p and H_{p+1} at its upper end only."""
 
@@ -433,13 +424,13 @@ def branch_width(
 
     try:
         x = find_root_1d(gap, math.log(flat), math.log(most), tol=1e-13).root
-    except NoSignChange:
+    except (MaxIterations, NoSignChange) as exc:
         # within ulps of the end of the curve the ramp prices a branch a few
         # ulps wide at more than need even at the flat width: the branch is
         # below resolution, and the flat width is the width
-        if gap(math.log(flat)) < 0.0:
-            raise
-        return flat
+        if isinstance(exc, NoSignChange) and not gap(math.log(flat)) < 0.0:
+            return flat
+        raise SolverDiverged(f"sloped branch width for need {need}: {exc}") from exc
     return math.exp(x)
 
 
@@ -527,9 +518,9 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     delta = 0 with the width rho_low for DegenerateLowTarget, and the rich
     threshold for DegenerateRich.
 
-    Raises TargetTooHigh when d >= d_upper or lies within rounding of it,
-    InfeasibleBudget when x0 >= cap E[z(T)], and SolverDiverged when the
-    Regular solve fails.
+    Raises exactly DomainError (horizons differ, or nu0 = 0), InfeasibleBudget
+    when x0 >= cap E[z(T)] in either rounding, TargetTooHigh when d >= d_upper
+    or lies within rounding of it, and SolverDiverged when a root fails.
     """
     _check_horizon(problem, model)
     ctx = deflator_context(model)

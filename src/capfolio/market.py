@@ -29,8 +29,6 @@ from .errors import (
     DegenerateVolatility,
     DimensionMismatch,
     DomainError,
-    NonpositiveHorizon,
-    SingularVolatility,
 )
 from .kernels import PartialMomentContext
 
@@ -44,7 +42,6 @@ __all__ = [
     "deflator_moments",
     "deflator_context",
     "expected_deflator",
-    "gram_inverse_excess",
 ]
 
 #: floor on the smallest eigenvalue of vol vol' in every segment
@@ -185,7 +182,7 @@ def _solve(a, b, s):
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(rows[i][k]))
         if rows[p][k] == 0.0:
-            raise SingularVolatility(f"segment {s}: singular volatility matrix")
+            raise DegenerateVolatility(f"segment {s}: singular volatility matrix")
         rows[k], rows[p] = rows[p], rows[k]
         pivot = rows[k]
         for i in range(k + 1, n):
@@ -196,7 +193,7 @@ def _solve(a, b, s):
         row = rows[k]
         x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
     if not all(map(math.isfinite, x)):
-        raise SingularVolatility(f"segment {s}: non-finite market price of risk")
+        raise DomainError(f"segment {s}: non-finite market price of risk")
     return tuple(x)
 
 
@@ -229,22 +226,23 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
     are read through their `tolist` at every level.
 
     Per segment it checks that vol vol' - MIN_GRAM_EIGENVALUE I has a
-    Cholesky factor, which holds exactly when the smallest eigenvalue of
-    vol vol' is above the floor, and solves theta = vol^{-1}(mu - r 1) and
-    the policy direction vol'^{-1} theta by elimination with partial
-    pivoting.
+    Cholesky factor, which holds, up to rounding, when the smallest
+    eigenvalue of vol vol' is above the floor, and solves theta =
+    vol^{-1}(mu - r 1) and the policy direction vol'^{-1} theta by
+    elimination with partial pivoting.
 
-    Raises NonpositiveHorizon, DimensionMismatch (a misshapen or non-finite
-    coefficient; the message names its segment), DegenerateVolatility when
-    the smallest eigenvalue of vol vol' is below MIN_GRAM_EIGENVALUE, and
-    DomainError when the law of the terminal deflator is not representable:
-    E[z(T)] is not a positive normal float, m(0) or nu(0) is not finite, or
-    E[z(T)^2] = e^{2 m(0) + 2 nu(0)^2}, the highest partial moment a solve
-    takes, overflows. That last check is the ceiling nu(0)^2 <= ln(max
-    float) / 2 - m(0), about 354.9 - m(0).
+    Raises exactly DimensionMismatch for a misshapen or non-finite
+    coefficient (the message names its segment), DegenerateVolatility when
+    vol fails the floor test or, singular yet past it by rounding, meets a
+    zero pivot, and DomainError for a horizon that is not a positive finite
+    number, or when theta, the direction or the law of the terminal deflator
+    is not representable: E[z(T)] is not a positive normal float, m(0) or
+    nu(0) is not finite, or E[z(T)^2] = e^{2 m(0) + 2 nu(0)^2}, the highest
+    partial moment a solve takes, overflows. That last check is the ceiling
+    nu(0)^2 <= ln(max float) / 2 - m(0), about 354.9 - m(0).
     """
     if not (is_number(horizon) and horizon > 0.0):
-        raise NonpositiveHorizon(f"horizon must be a positive finite number, got {horizon!r}")
+        raise DomainError(f"horizon must be a positive finite number, got {horizon!r}")
     horizon = float(horizon)
 
     rate = _plain(rate)
@@ -263,10 +261,9 @@ def validate_market(horizon, rate, drift, vol, breakpoints=None):
             raise DimensionMismatch(f"segment {s}: drift has {len(mu)} assets, segment 0 has {n}")
     vol = _per_segment(vol, "vol", n_seg, lambda sigma, where: _segment_vol(sigma, where, n))
     breakpoints = _per_segment(breakpoints, "breakpoints", n_seg, _float)
-    if breakpoints[0] != 0.0 or any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
-        raise DimensionMismatch("breakpoints must start at 0 and increase")
-    if breakpoints[-1] >= horizon:
-        raise DimensionMismatch("last breakpoint must lie before the horizon")
+    edges = (*breakpoints, horizon)
+    if breakpoints[0] != 0.0 or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise DimensionMismatch("breakpoints must start at 0 and increase below the horizon")
 
     theta, theta_sq, direction = [], [], []
     for s, (r, mu, sigma) in enumerate(zip(rate, drift, vol)):
@@ -338,8 +335,6 @@ def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
     m = 0.0
     nu_sq = 0.0
     for length, rate, theta_sq in zip(lengths, model.rate, model.theta_sq):
-        if length == 0.0:
-            continue
         m -= length * (rate + 0.5 * theta_sq)
         nu_sq += length * theta_sq
     return DeflatorMoments(m=m, nu=math.sqrt(nu_sq))
@@ -349,11 +344,6 @@ def deflator_context(model: MarketModel) -> PartialMomentContext:
     """Partial-moment context of the terminal deflator, ln z(T) ~ N(m(0), nu(0)^2)."""
     mom = deflator_moments(model, 0.0)
     return PartialMomentContext(m0=mom.m, nu0=mom.nu)
-
-
-def gram_inverse_excess(model: MarketModel, t: float) -> tuple:
-    """(sigma sigma')^{-1} (mu - r 1) at time t, the direction of every policy."""
-    return model.direction[model.segment_index(t)]
 
 
 def expected_deflator(model: MarketModel, t0: float, t1: float) -> float:

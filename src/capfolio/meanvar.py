@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverDiverged
+from .errors import DomainError, MaxIterations, NoSignChange, SolverDiverged
 from .kernels import PartialMomentContext, partial_moment_H
 from .lpm import Multipliers, Payoff
 from .market import MarketModel, deflator_context, require_numbers
@@ -87,10 +87,10 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     to rounding.  Where 2u overflows, the upper end is clamped to
     ln delta = 700 - ln max(1, E[z]), where the gap is still finite.
 
-    Raises SolverDiverged if the multipliers overflow (a truncation point so
-    deep in the lower tail of z(T) that E[(delta - z)+] is below the float
-    range) or the residuals end above 1e-8, and DomainError where
-    checked_context does.
+    Raises exactly SolverDiverged if the multipliers overflow (a truncation
+    point so deep in the lower tail of z(T) that E[(delta - z)+] is below the
+    float range), the root fails or the residuals end above 1e-8, and
+    DomainError where checked_context does.
     """
     ctx = checked_context(problem, model)
     a_mom = ctx.mean
@@ -112,13 +112,11 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
         return (delta * h1 - h2) / below - ratio
 
     top = 700.0 - max(0.0, math.log(a_mom))  # delta H_1 <= delta E[z] stays finite
-    report = find_root_1d(
-        weighted_mean_gap,
-        math.log(ratio),
-        min(math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)), top),
-        tol=0.0,
-    )
-    delta = math.exp(report.root)
+    bracket = (math.log(ratio), min(math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)), top))
+    try:
+        delta = math.exp(find_root_1d(weighted_mean_gap, *bracket, tol=0.0).root)
+    except (MaxIterations, NoSignChange) as exc:
+        raise SolverDiverged(f"mean-variance root failed for {problem}: {exc}") from exc
     eta = 2.0 * d / shortfall(delta)
     if not math.isfinite(eta):
         raise SolverDiverged(

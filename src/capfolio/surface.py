@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, PolicyUndefinedAtTerminal
 from .kernels import GAUSS_LEGENDRE_8
 from .lpm import TERMINAL_NU, Payoff
-from .market import deflator_moments, gram_inverse_excess
+from .market import deflator_moments
 
 __all__ = [
     "FeedbackCurve",
@@ -197,7 +197,7 @@ def policy(payoff: Payoff, t, z):
     remaining volatility is below TERMINAL_NU.
     """
     scale = policy_scale(payoff, t, z)
-    direction = gram_inverse_excess(payoff.model, t)
+    direction = payoff.model.direction[payoff.model.segment_index(t)]
     # filled column by column: the same products as an outer product, in a
     # quarter of its time
     out = np.empty(scale.shape + (len(direction),))

@@ -1,13 +1,14 @@
 """Scenario sampling and the static CVaR program, checked against a
 directly-formulated primal solved by an off-the-shelf LP solver."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from capfolio import baseline
-from capfolio.errors import DomainError
+from capfolio.errors import DomainError, NumericalBreakdown
 from capfolio.market import validate_market
 
 
@@ -333,3 +334,22 @@ def test_non_unique_var_level(example1):
     assert (scen.returns @ sol.weights).mean() >= 1.09 - 1e-12
     losses = np.sort(cell["xbar"] - scen.returns @ sol.weights)
     assert losses[299] - 1e-9 <= sol.alpha <= losses[300] + 1e-9
+
+
+def test_cut_rounds_out_of_rounds_is_a_breakdown(example1, monkeypatch):
+    monkeypatch.setattr(baseline, "_MAX_ROUNDS", 0)
+    scen = baseline.generate_scenarios(example1, 200, seed=12)
+    with pytest.raises(NumericalBreakdown, match="cutting planes left a gap"):
+        baseline.solve_static_cvar(scen, beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])
+
+
+def test_optimum_failing_its_primal_check_is_a_breakdown(example1, monkeypatch):
+    # the recomputed CVaR of the recovered portfolio disagrees by 1
+    estimate = baseline.estimate_cvar
+    monkeypatch.setattr(
+        baseline, "estimate_cvar",
+        lambda *args: SimpleNamespace(value=estimate(*args).value + 1.0),
+    )
+    scen = baseline.generate_scenarios(example1, 200, seed=12)
+    with pytest.raises(NumericalBreakdown, match="fails primal checks"):
+        baseline.solve_static_cvar(scen, beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capfolio import baseline, cli, cvar, lpm, market, meanvar, montecarlo, surface
+from capfolio.errors import NumericalBreakdown
 from capfolio.market import validate_market
 
 EX1_MARKET = {
@@ -373,6 +376,68 @@ def test_compare_static_keeps_an_unattainable_dynamic_row(tmp_path):
     assert math.isnan(float(rows[1][3]))
     assert all(math.isfinite(float(row[2])) for row in rows)
     assert math.isfinite(float(rows[0][3]))
+
+
+def test_compare_static_notes_a_static_solve_that_raises(tmp_path, monkeypatch):
+    def breaks(*args):
+        raise NumericalBreakdown("simplex exceeded 0 iterations")
+
+    monkeypatch.setattr(baseline, "solve_static_cvar", breaks)
+    cfg = _cfg(
+        tmp_path, EX2_MARKET, CVAR2,
+        run={"out": str(tmp_path), "d_grid": [11.0, 50.0], "betas": [0.9], "scenarios": 10},
+    )
+    assert cli.main(["--config", cfg, "--cmd", "compare_static"]) == 0
+    _, rows = _read_csv(tmp_path / "compare_static.csv")
+    statuses = ["static NumericalBreakdown", "static NumericalBreakdown; dynamic TargetTooHigh"]
+    assert [row[4] for row in rows] == statuses
+    assert all(math.isnan(float(row[2])) for row in rows)
+
+
+def test_degenerate_rich_solve_writes_a_null_rho(tmp_path):
+    # d = 0.5 lies below d_lower = 1.304: the budget alone funds X >= gamma
+    problem = {"kind": "lpm", "x0": 1.0, "d": 0.5, "gamma": 0.9, "cap": 10.0, "q": 2.0}
+    cfg = _cfg(tmp_path, EX1_MARKET, problem, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+    sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+    assert sol["case"] == "DegenerateRich"
+    assert sol["rho"] is None
+    assert sol["multiple_solutions"] is True
+    assert sol["d_bounds"]["lower"] == pytest.approx(1.304, abs=1e-3)
+
+
+def test_policy_table_linear_spacing(tmp_path):
+    window = {"lo": 0.5, "hi": 1.5, "count": 7, "spacing": "linear"}
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path), "z_grid": window})
+    assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 0
+    _, rows = _read_csv(tmp_path / "policy_table.csv")
+    z = sorted(float(row[0]) for row in rows)  # rows are sorted by wealth
+    assert z == [float("%.12g" % v) for v in np.linspace(0.5, 1.5, 7)]
+
+
+def test_policy_table_at_time_zero_is_one_row(tmp_path):
+    # z(0) = 1: the default window ln z(0) +- 4 sd has no width
+    cfg = _cfg(tmp_path, EX1_MARKET, LPM1, run={"out": str(tmp_path), "t": 0.0})
+    assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 0
+    _, rows = _read_csv(tmp_path / "policy_table.csv")
+    assert [row[0] for row in rows] == ["1"]
+
+
+def test_default_z_window_underflowing_to_zero_is_a_config_error(tmp_path, capsys):
+    # ln z(t) +- 4 sd at t = 19.99 is about -856 and -645: the default lo
+    # underflows to 0, where np.geomspace raised a ValueError out of main
+    market_block = {
+        "horizon": 20.0,
+        "segments": [{"r": 20.0, "mu": [20.591607978309962], "sigma": [[0.1]]}],
+    }
+    out = tmp_path / "out"
+    cfg = _cfg(
+        tmp_path, market_block, {"kind": "mv", "x0": 1.0, "d": 1e200},
+        run={"out": str(out), "t": 19.99, "z_grid": {"count": 3}},
+    )
+    assert cli.main(["--config", cfg, "--cmd", "policy_table"]) == 3
+    assert capsys.readouterr().err.startswith("config error: run.z_grid window [0.0, ")
+    assert not out.exists()
 
 
 def test_artifacts_are_deterministic(tmp_path):
@@ -998,3 +1063,68 @@ def test_mutated_configs_exit_with_a_code(tmp_path, capsys, monkeypatch, market,
                 escaped.append(f"{cmd} {config}: returned {code!r}")
         capsys.readouterr()
     assert escaped == []
+
+
+TWO_SEGMENT_MARKET = {
+    "horizon": 1.0,
+    "segments": [
+        {"t_start": 0.0, "r": 0.06, "mu": [0.12, 0.08], "sigma": [[0.15, 0.0], [0.03, 0.1]]},
+        {"t_start": 0.5, "r": 0.04, "mu": [0.1, 0.09], "sigma": [[0.2, 0.02], [0.0, 0.12]]},
+    ],
+}
+#: valid configs of each kind on the two-segment market, sized in tens; every
+#: command exits 0 on the cvar one, and frontier and compare_static exit 3 on
+#: the other two
+FUZZ_BASES = {
+    kind: {
+        "market": TWO_SEGMENT_MARKET,
+        "problem": problem,
+        "run": {
+            "seed": 1, "paths": 16, "steps": 4, "scenarios": 32, "t": 0.5,
+            "z_grid": {"count": 5, "spacing": "log"}, "d_grid": [1.1, 1.2], "betas": [0.9],
+        },
+    }
+    for kind, problem in (
+        ("lpm", {"kind": "lpm", "x0": 1.0, "d": 1.2, "gamma": 1.05, "cap": 3.0, "q": 2.0}),
+        ("cvar", {"kind": "cvar", "x0": 1.0, "d": 1.15, "cap": 3.0, "beta": 0.95}),
+        ("mv", {"kind": "mv", "x0": 1.0, "d": 1.2}),
+    )
+}
+FUZZ_VALUES = (None, True, math.nan, math.inf, -math.inf, 10**400, "x", [], [[]])
+FUZZ_LEAVES = {kind: list(_leaves(base)) for kind, base in FUZZ_BASES.items()}
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.sampled_from(sorted(FUZZ_BASES)),
+    cmd=st.sampled_from(COMMANDS),
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3
+    ),
+)
+def test_fuzzed_configs_exit_with_a_code(tmp_path, capsys, kind, cmd, edits):
+    # 1-3 leaves of a valid config set to an adversarial value: main returns
+    # 0-3 and raises nothing; run.out is never a leaf, so artifacts stay in
+    # tmp_path
+    config = FUZZ_BASES[kind]
+    leaves = FUZZ_LEAVES[kind]
+    for index, value in edits:
+        config = _replaced(config, leaves[index % len(leaves)], value)
+    config["run"] = {**config["run"], "out": str(tmp_path / "out")}
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["--config", str(path), "--cmd", cmd])
+    capsys.readouterr()
+    assert type(code) is int and code in (0, 1, 2, 3), (config, cmd, code)
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_BASES))
+def test_fuzz_bases_are_valid(tmp_path, capsys, kind):
+    config = {**FUZZ_BASES[kind], "run": {**FUZZ_BASES[kind]["run"], "out": str(tmp_path)}}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(config))
+    codes = [cli.main(["--config", str(path), "--cmd", cmd]) for cmd in COMMANDS]
+    assert codes == ([0] * 5 if kind == "cvar" else [0, 0, 3, 0, 3])

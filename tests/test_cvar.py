@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capfolio import cvar, lpm, market, surface
-from capfolio.errors import CapfolioError, DomainError, TargetTooHigh
+from capfolio.errors import CapfolioError, DomainError, MaxIterations, SolverDiverged, TargetTooHigh
 
 import reference
 
@@ -269,3 +269,21 @@ def test_cap_probe_that_rounds_above_the_cap_still_solves():
     h = 1e-4 * max(1.0, abs(sol.xbar))
     for alpha in (sol.alpha_star - h, sol.alpha_star + h):
         assert cvar.j_value(prob, model, alpha) >= sol.cvar - 1e-12 * max(1.0, sol.cvar)
+
+
+def test_reduction_root_out_of_iterations_is_solver_diverged(example2, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MaxIterations("injected")
+
+    monkeypatch.setattr(cvar, "find_root_1d", fail)
+    prob = cvar.CvarProblem(x0=X0, d=12.0, cap=CAP, beta=0.95, horizon=1.0)
+    with pytest.raises(SolverDiverged, match="CVaR reduction failed"):
+        cvar.solve_cvar(prob, example2)
+
+
+def test_budget_below_the_float_range_of_the_cap_is_a_domain_error(example2):
+    # x0 / cap underflows to 0, where delta_bar = H_1^{-1}(x0 / cap) does not
+    # exist: the solve raised TargetOutOfRange, outside its raise set
+    prob = cvar.CvarProblem(x0=1e-300, d=1e-299, cap=1e100, beta=0.95, horizon=1.0)
+    with pytest.raises(DomainError, match="x0 / cap"):
+        cvar.solve_cvar(prob, example2)

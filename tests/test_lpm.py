@@ -12,8 +12,11 @@ from capfolio.errors import (
     CapfolioError,
     DomainError,
     InfeasibleBudget,
+    MaxIterations,
+    NoSignChange,
     PolicyUndefinedAtTerminal,
     SolverDiverged,
+    TargetOutOfRange,
     TargetTooHigh,
 )
 
@@ -508,6 +511,7 @@ def test_horizon_mismatch_rejected(example1):
         {"q": -0.5},
         {"q": 3.0},
         {"horizon": 0.0},
+        {"x0": 1e-300, "gamma": 1e50, "cap": 1e100},  # x0 / cap underflows to 0
     ],
 )
 def test_problem_validation(kwargs):
@@ -558,6 +562,32 @@ def _assert_constraints(sol, prob, model, tol=1e-8):
     # surface at t = 0, whose formulas the solver does not use
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(prob.d, abs=tol)
     assert surface.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(prob.x0, abs=tol)
+
+
+@pytest.mark.parametrize("gamma, q", [(16.35, 1.0), (8.175, 0.0)])
+def test_budget_one_ulp_below_the_cap_price_is_infeasible(example1, gamma, q):
+    # x0 is one ulp below cap * E[z], but x0 / cap rounds to E[z]: delta_bar
+    # = H_1^{-1}(x0 / cap) does not exist in floats, and the solve raised
+    # TargetOutOfRange, outside its raise set
+    prob = lpm.LpmProblem(
+        x0=15.397850124102467, d=14.715, gamma=gamma, cap=16.35, q=q, horizon=1.0
+    )
+    assert prob.x0 < prob.cap * market.deflator_context(example1).mean
+    with pytest.raises(InfeasibleBudget):
+        lpm.solve_lpm(prob, example1)
+
+
+def test_rich_threshold_past_delta_bar_by_rounding_is_clamped(example1):
+    # x0 a few ulps below cap * E[z]: the rich threshold's H_1,
+    # (x0 - gamma E[z]) / (cap - gamma), rounds up to E[z], past x0 / cap, the
+    # H_1 of delta_bar, and the solve raised TargetOutOfRange
+    prob = lpm.LpmProblem(
+        x0=0.9700174695917761, d=0.9785, gamma=0.2575, cap=1.03, q=1.0, horizon=1.0
+    )
+    sol = lpm.solve_lpm(prob, example1)
+    assert sol.multipliers.case == lpm.DEGENERATE_RICH
+    assert lpm.expected_terminal_wealth(sol) >= prob.d
+    assert surface.wealth(lpm.payoff(sol), 0.0, 1.0) == pytest.approx(prob.x0, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "stress"])
@@ -716,7 +746,8 @@ def test_branch_width_funds_the_need(example1, p, sloped):
             need = frac * (sup - h)
             width = lpm.branch_width(ctx, p, delta, h, need, sloped)
             if sloped:
-                assert lpm.ramp(ctx, p, delta, width) == pytest.approx(need, rel=1e-13)
+                funded = lpm._Start(ctx, delta).ramps((p,), width)[0]
+                assert funded == pytest.approx(need, rel=1e-13)
             else:  # the inverse's own equation, free of the cancellation
                 # in H_p(delta + width) - h
                 reached = kernels.partial_moment_H(ctx, p, delta + width)
@@ -736,7 +767,7 @@ def test_branch_width_funds_the_need(example1, p, sloped):
 
 @pytest.mark.parametrize("beta", [0.9, 0.95, 0.99])
 def test_branch_width_just_below_delta_beta(example2, beta):
-    # the CVaR condition beta = H_0(delta) + ramp(0, delta, rho) where the
+    # the CVaR condition beta = H_0(delta) + ramp_0(delta, rho) where the
     # need beta - H_0(delta) is a few 1e-9: a short sloped branch
     ctx = market.deflator_context(example2)
     delta = kernels.invert_H(ctx, 0.0, beta) * (1.0 - 1e-8)
@@ -745,7 +776,7 @@ def test_branch_width_just_below_delta_beta(example2, beta):
     assert 0.0 < need < 1e-8
     width = lpm.branch_width(ctx, 0.0, delta, h, need, True)
     assert 0.0 < width < 1e-6 * delta
-    assert lpm.ramp(ctx, 0.0, delta, width) == pytest.approx(need, rel=1e-13)
+    assert lpm._Start(ctx, delta).ramps((0.0,), width)[0] == pytest.approx(need, rel=1e-13)
 
 
 def test_long_branches_evaluate_each_partial_moment_once(example1, monkeypatch):
@@ -791,3 +822,37 @@ def test_ramp_rule_matches_gauss_legendre():
     rule = np.array(kernels.GAUSS_LEGENDRE_8)
     np.testing.assert_allclose(rule[:, 0], 0.5 * (nodes + 1.0), rtol=0, atol=1e-15)
     np.testing.assert_allclose(rule[:, 1], 0.5 * weights, rtol=0, atol=1e-15)
+
+
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    return fail
+
+
+@pytest.mark.parametrize("exc", [MaxIterations, NoSignChange, TargetOutOfRange])
+def test_failed_reduction_root_is_solver_diverged(example1, monkeypatch, exc):
+    monkeypatch.setattr(lpm, "find_root_1d", _raises(exc))
+    with pytest.raises(SolverDiverged, match="multiplier solve failed"):
+        lpm.solve_lpm(_problem(1.0), example1)
+
+
+@pytest.mark.parametrize("exc", [MaxIterations, NoSignChange])
+def test_failed_sloped_width_root_is_solver_diverged(example1, monkeypatch, exc):
+    # at the flat width a ramp funds less than need, so a root without a sign
+    # change is a failure, not a branch below resolution
+    ctx = market.deflator_context(example1)
+    h = kernels.partial_moment_H(ctx, 0.0, 0.8)
+    monkeypatch.setattr(lpm, "find_root_1d", _raises(exc))
+    with pytest.raises(SolverDiverged, match="sloped branch width"):
+        lpm.branch_width(ctx, 0.0, 0.8, h, 0.5 * (1.0 - h), True)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_wealth_at_the_horizon_is_the_terminal_payoff(example1, q):
+    pay = lpm.payoff(lpm.solve_lpm(_problem(q), example1))
+    z = np.array([0.1, 0.5, 0.9, 1.0, 2.0, 5.0])
+    np.testing.assert_array_equal(
+        surface.wealth(pay, example1.horizon, z), surface.terminal_wealth(pay, z)
+    )

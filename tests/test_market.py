@@ -13,7 +13,6 @@ from capfolio.errors import (
     DegenerateVolatility,
     DimensionMismatch,
     DomainError,
-    NonpositiveHorizon,
 )
 
 
@@ -148,7 +147,7 @@ def test_arrays_are_frozen(example1):
     ],
 )
 def test_bad_horizon(horizon):
-    with pytest.raises(NonpositiveHorizon):
+    with pytest.raises(DomainError):
         market.validate_market(horizon, 0.06, 0.12, 0.15)
 
 
@@ -195,6 +194,25 @@ def test_degenerate_volatility_rejected():
         market.validate_market(
             1.0, 0.05, [0.1, 0.1], [[0.2, 0.1], [0.4, 0.2]]
         )
+
+
+@pytest.mark.parametrize("sigma", [[[1000.0, 3000.0], [1000.0, 3000.0]], [[1e8, 1e8], [1e8, 1e8]]])
+def test_singular_volatility_past_the_floor_is_degenerate(sigma):
+    # exactly singular, yet the Cholesky test of the eigenvalue floor passes
+    # by rounding; elimination then meets a zero pivot
+    with pytest.raises(DegenerateVolatility, match="singular volatility matrix"):
+        market.validate_market(1.0, 0.0, [0.1, 0.1], sigma)
+
+
+@pytest.mark.parametrize(
+    "mu, sigma",
+    [(1e308, 1e-4), (1e300, 1.1e-5)],
+    ids=["theta", "direction"],
+)
+def test_overflowing_market_price_of_risk_is_a_domain_error(mu, sigma):
+    # theta = mu / sigma, or the direction theta / sigma, overflows
+    with pytest.raises(DomainError, match="non-finite market price of risk"):
+        market.validate_market(1.0, 0.0, mu, sigma)
 
 
 def test_market_price_of_risk_example1(example1):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from capfolio import meanvar, surface
-from capfolio.errors import DomainError
+from capfolio.errors import DomainError, MaxIterations, NoSignChange, SolverDiverged
 from capfolio.market import deflator_context, validate_market
 
 M0, NU0 = -0.14, 0.4
@@ -188,3 +188,19 @@ def test_problem_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(DomainError):
         meanvar.MvProblem(**base)
+
+
+def test_residuals_above_the_gate_are_solver_diverged(example1, monkeypatch):
+    monkeypatch.setattr(meanvar, "_residuals", lambda *args: (1e-7, 0.0))
+    with pytest.raises(SolverDiverged, match="stalled at residuals"):
+        meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
+
+
+@pytest.mark.parametrize("exc", [MaxIterations, NoSignChange])
+def test_failed_root_is_solver_diverged(example1, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(meanvar, "find_root_1d", fail)
+    with pytest.raises(SolverDiverged, match="root failed"):
+        meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)

@@ -312,3 +312,18 @@ def test_iteration_count_reported():
     res = _program(lp, [0]).solve()
     # one pivot brings x2 in for x1, then a pricing pass finds no gain
     assert res.iterations == 2
+
+
+def test_non_finite_basic_values_are_a_breakdown():
+    # B^-1 b = 1e308 / 1e-308 overflows
+    lp = _lp(cost=[1.0], a_eq=[[1e-308]], b_eq=[1e308])
+    with pytest.raises(NumericalBreakdown, match="non-finite basic values"):
+        _program(lp, [0])
+
+
+def test_iteration_budget_exhausted_is_a_breakdown():
+    lp = _lp(cost=[-1.0, -2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    program = _program(lp, [0])
+    program.iterations = 0
+    with pytest.raises(NumericalBreakdown, match="exceeded 0 iterations"):
+        program._iterate(0)
