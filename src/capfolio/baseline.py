@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .errors import DomainError, NumericalBreakdown
+from .errors import DomainError, SolverDiverged
 from .market import MarketModel, is_number
 from .montecarlo import estimate_cvar, require_seed_and_sizes, stream
 
@@ -148,7 +148,7 @@ def solve_static_cvar(
     """Minimize the CVaR of xbar - R'w subject to sum(w) = x0 and
     mean(R'w) >= d by cutting planes, growing the box while it binds. Raises
     exactly DomainError for a non-finite input, beta outside (0, 1) or
-    x0 <= 0, and NumericalBreakdown when the cuts or the simplex fail."""
+    x0 <= 0, and SolverDiverged when the cuts or the simplex fail."""
     for name, value in (("beta", beta), ("d", d), ("x0", x0), ("xbar", xbar)):
         if not is_number(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -217,7 +217,7 @@ def _cut_rounds(lp, master, box):
             return best
         if not (master.add_cut(tail) or master.add_cut(losses > alpha)):
             return best
-    raise NumericalBreakdown(f"cutting planes left a gap after {_MAX_ROUNDS} rounds")
+    raise SolverDiverged(f"cutting planes left a gap after {_MAX_ROUNDS} rounds")
 
 
 class _Master:
@@ -289,7 +289,7 @@ def _check_primal(lp, weights, alpha, cvar):
     recomputed = estimate_cvar(portfolio, lp.beta, lp.xbar).value
     cvar_gap = abs(recomputed - cvar)
     if budget_gap > 1e-8 * scale or mean_gap > 1e-8 * scale or cvar_gap > 1e-8 * scale:
-        raise NumericalBreakdown(
+        raise SolverDiverged(
             "recovered portfolio fails primal checks: "
             f"|budget|={budget_gap:.2e}, mean shortfall={mean_gap:.2e}, "
             f"|cvar-recomputed|={cvar_gap:.2e}"

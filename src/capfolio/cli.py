@@ -410,7 +410,7 @@ def load_solution(path):
     rebuilt = lpm.PolicySolution(
         problem=lpm.LpmProblem(**sol["problem"]),
         model=model,
-        context=market.deflator_context(model),
+        context=market.deflator_context(model, sol["problem"]["horizon"]),
         multipliers=mult,
         delta=sol["delta"],
         rho=sol["rho"],

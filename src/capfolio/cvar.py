@@ -188,7 +188,7 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
             f"mean target {problem.d} is not attainable below the cap "
             f"{problem.cap} (supremum {d_high:.6g})"
         )
-    curve, top = _reduction(problem, deflator_context(model))
+    curve, top = _reduction(problem, deflator_context(model, problem.horizon))
     gap, gamma = curve(0.0)
     if gap < 0.0:
         try:

@@ -1,7 +1,8 @@
 """Exception types raised across the solver suite.
 
 Everything derives from CapfolioError so callers can catch the whole family
-with one clause. MaxIterations carries the final iterate's report.
+with one clause, and each fault has one type. MaxIterations carries the
+final iterate's report.
 """
 
 
@@ -18,7 +19,8 @@ class DegenerateVolatility(CapfolioError):
 
 
 class DomainError(CapfolioError):
-    """Argument outside the mathematical domain of the function."""
+    """Argument outside the domain of the function: a horizon not the market's,
+    a time outside [0, T] or where the policy has no limit, too few samples."""
 
 
 class TargetOutOfRange(CapfolioError):
@@ -50,19 +52,8 @@ class TargetTooHigh(CapfolioError):
 
 
 class SolverDiverged(CapfolioError):
-    """Multiplier solve failed to converge or missed its residual gate."""
-
-
-class PolicyUndefinedAtTerminal(CapfolioError):
-    """The portfolio policy has no limit at t = T; evaluate wealth instead."""
-
-
-class EmptySample(CapfolioError):
-    """An estimator was fed an empty sample array."""
-
-
-class NumericalBreakdown(CapfolioError):
-    """The simplex could not recover a stable basis."""
+    """A numerical solve failed: a root or its residual gate, the simplex's basis
+    or iteration budget, or the cutting planes' gap or primal checks."""
 
 
 class ConfigError(CapfolioError):

@@ -89,6 +89,7 @@ DEGENERATE_RICH = "DegenerateRich"
 #: below this remaining deflator volatility the wealth formulas switch to
 #: their terminal limit and the policy is reported undefined
 TERMINAL_NU = 1e-8
+_RESIDUAL_TOL = 1e-8  # largest scaled mean and budget residual a Regular solve accepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,13 +214,6 @@ class _Curve:
     d_upper: float
 
 
-def _check_horizon(problem, model):
-    if abs(problem.horizon - model.horizon) > 1e-12:
-        raise DomainError(
-            f"problem horizon {problem.horizon} != market horizon {model.horizon}"
-        )
-
-
 def d_bounds(problem: LpmProblem, model: MarketModel):
     """Feasible range (d_lower, d_upper) of the expected-wealth target.
 
@@ -231,8 +225,7 @@ def d_bounds(problem: LpmProblem, model: MarketModel):
 
     Raises DomainError, InfeasibleBudget and SolverDiverged as solve_lpm does.
     """
-    _check_horizon(problem, model)
-    curve = _budget_curve(deflator_context(model), problem)
+    curve = _budget_curve(deflator_context(model, problem.horizon), problem)
     return curve.d_lower, curve.d_upper
 
 
@@ -497,11 +490,11 @@ def _solve_regular(ctx, problem, curve):
     return delta, rho
 
 
-def _residuals_ok(ctx, problem, delta, rho, tol=1e-8):
+def _residuals_ok(ctx, problem, delta, rho):
     if not (delta > 0.0 and rho > 0.0 and math.isfinite(delta + rho)):
         return False
     r1, r2 = _regular_residuals(ctx, problem, delta, rho)
-    return abs(r1) <= tol and abs(r2) <= tol
+    return abs(r1) <= _RESIDUAL_TOL and abs(r2) <= _RESIDUAL_TOL
 
 
 def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
@@ -522,8 +515,7 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
     when x0 >= cap E[z(T)] in either rounding, TargetTooHigh when d >= d_upper
     or lies within rounding of it, and SolverDiverged when a root fails.
     """
-    _check_horizon(problem, model)
-    ctx = deflator_context(model)
+    ctx = deflator_context(model, problem.horizon)
     curve = _budget_curve(ctx, problem)
     gamma, q = problem.gamma, problem.q
     if problem.d >= curve.d_upper:

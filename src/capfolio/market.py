@@ -340,8 +340,11 @@ def deflator_moments(model: MarketModel, t: float) -> DeflatorMoments:
     return DeflatorMoments(m=m, nu=math.sqrt(nu_sq))
 
 
-def deflator_context(model: MarketModel) -> PartialMomentContext:
-    """Partial-moment context of the terminal deflator, ln z(T) ~ N(m(0), nu(0)^2)."""
+def deflator_context(model: MarketModel, horizon: float) -> PartialMomentContext:
+    """Partial-moment context of the terminal deflator, ln z(T) ~ N(m(0), nu(0)^2),
+    for a problem posed on `horizon`: DomainError unless it is the market's to 1e-12."""
+    if abs(horizon - model.horizon) > 1e-12:
+        raise DomainError(f"problem horizon {horizon} != market horizon {model.horizon}")
     mom = deflator_moments(model, 0.0)
     return PartialMomentContext(m0=mom.m, nu0=mom.nu)
 

@@ -44,22 +44,22 @@ class MvProblem:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
 
 
+def _moments(ctx, delta):
+    """(H_0, H_1, H_2) at the truncation point delta."""
+    return tuple(partial_moment_H(ctx, p, delta) for p in (0.0, 1.0, 2.0))
+
+
 def _residuals(ctx, x0, d, lam, eta):
-    delta = lam / eta
-    h0 = partial_moment_H(ctx, 0.0, delta)
-    h1 = partial_moment_H(ctx, 1.0, delta)
-    h2 = partial_moment_H(ctx, 2.0, delta)
+    h0, h1, h2 = _moments(ctx, lam / eta)
     mean_gap = 0.5 * (lam * h0 - eta * h1) - d
     budget_gap = 0.5 * (lam * h1 - eta * h2) - x0
     return mean_gap / max(1.0, abs(d)), budget_gap / max(1.0, x0)
 
 
 def checked_context(problem: MvProblem, model: MarketModel) -> PartialMomentContext:
-    """The law of z(T) in the market; DomainError unless the horizons agree
-    and d exceeds x0 / ctx.mean, the risk-free growth of the budget."""
-    if abs(problem.horizon - model.horizon) > 1e-12:
-        raise DomainError(f"problem horizon {problem.horizon} != market horizon {model.horizon}")
-    ctx = deflator_context(model)
+    """The law of z(T) in the market; DomainError unless `deflator_context`
+    accepts the horizon and d exceeds x0 / ctx.mean, the budget's risk-free growth."""
+    ctx = deflator_context(model, problem.horizon)
     if problem.d * ctx.mean <= problem.x0:
         raise DomainError(
             "mean target d must exceed the risk-free growth of the budget "
@@ -103,7 +103,7 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
 
     def weighted_mean_gap(u):
         delta = math.exp(u)
-        h0, h1, h2 = (partial_moment_H(ctx, p, delta) for p in (0.0, 1.0, 2.0))
+        h0, h1, h2 = _moments(ctx, delta)
         below = delta * h0 - h1
         if not below > 0.0:
             raise SolverDiverged(
@@ -146,10 +146,6 @@ def mv_payoff(mult: Multipliers, model: MarketModel) -> Payoff:
 
 def mv_second_moment(mult: Multipliers, model: MarketModel) -> float:
     """E[(X*)^2] in closed form from partial moments of order 0, 1, 2."""
-    ctx = deflator_context(model)
-    delta = mult.mean / mult.budget
-    h0 = partial_moment_H(ctx, 0.0, delta)
-    h1 = partial_moment_H(ctx, 1.0, delta)
-    h2 = partial_moment_H(ctx, 2.0, delta)
+    h0, h1, h2 = _moments(deflator_context(model, model.horizon), mult.mean / mult.budget)
     lam, eta = mult.mean, mult.budget
     return 0.25 * (lam * lam * h0 - 2.0 * lam * eta * h1 + eta * eta * h2)

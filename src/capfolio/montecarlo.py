@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface
-from .errors import DomainError, EmptySample
+from .errors import DomainError
 from .lpm import Payoff
 from .market import MarketModel
 
@@ -149,10 +149,8 @@ def run_policy(
 
 def _as_samples(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size == 0:
-        raise EmptySample("no samples")
     if arr.size < 2:
-        raise EmptySample("need at least 2 samples for a standard error")
+        raise DomainError(f"need at least 2 samples for a standard error, got {arr.size}")
     return arr
 
 

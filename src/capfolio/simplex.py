@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import DimensionMismatch, SolverDiverged
 
 OPTIMAL = "Optimal"
 UNBOUNDED = "Unbounded"
@@ -73,7 +73,7 @@ class Program:
         self._refresh()
         x_b = self.x[self.basis]
         if np.any(x_b[~self.free[self.basis]] < -1e-9):
-            raise NumericalBreakdown("starting basis is infeasible")
+            raise SolverDiverged("starting basis is infeasible")
 
     def add_column(self, column, cost: float) -> None:
         """Append a column x_j >= 0 with these row coefficients and cost."""
@@ -96,9 +96,9 @@ class Program:
         try:
             out = np.linalg.solve(mat.T if trans else mat, rhs)
         except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown(f"singular basis: {exc}") from exc
+            raise SolverDiverged(f"singular basis: {exc}") from exc
         if not np.isfinite(out).all():
-            raise NumericalBreakdown("singular basis: non-finite basic values")
+            raise SolverDiverged("singular basis: non-finite basic values")
         return out
 
     def _refresh(self):
@@ -114,7 +114,7 @@ class Program:
         while True:
             self.iterations += 1
             if self.iterations > max_iter:
-                raise NumericalBreakdown(
+                raise SolverDiverged(
                     f"simplex exceeded {max_iter} iterations (degenerate cycling?)"
                 )
             self._refresh()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PolicyUndefinedAtTerminal
+from .errors import DomainError
 from .kernels import GAUSS_LEGENDRE_8
 from .lpm import TERMINAL_NU, Payoff
 from .market import deflator_moments
@@ -164,15 +164,15 @@ def policy_scale(payoff: Payoff, t, z) -> np.ndarray:
     where J_k is the downward jump of X at the finite level y_k, the end of
     branch k (its start if empty) less the start of the next, b_k its slope,
     c1 = e^{m + nu^2 / 2} and u_k = (ln(y_k / z) - m) / nu. Raises
-    PolicyUndefinedAtTerminal once the remaining volatility is below
-    TERMINAL_NU.
+    DomainError once the remaining volatility is below TERMINAL_NU, where the
+    policy has no limit.
     """
     z = np.asarray(z, dtype=float)
     mom = deflator_moments(payoff.model, t)
     m, nu = mom.m, mom.nu
     if nu < TERMINAL_NU:
-        raise PolicyUndefinedAtTerminal(
-            f"policy has no limit at t = {t} (remaining nu = {nu:.2e})"
+        raise DomainError(
+            f"policy has no limit at t = {t} (remaining nu = {nu:.2e}); evaluate wealth instead"
         )
     with np.errstate(divide="ignore"):
         log_z = np.log(z)
@@ -193,8 +193,8 @@ def policy(payoff: Payoff, t, z):
 
     Every policy of a deterministic market has one shape: the scalar
     `policy_scale` -z dx/dz times the direction (sigma sigma')^{-1}(mu - r 1)
-    of the segment holding t. Raises PolicyUndefinedAtTerminal once the
-    remaining volatility is below TERMINAL_NU.
+    of the segment holding t. Raises DomainError once the remaining
+    volatility is below TERMINAL_NU, where the policy has no limit.
     """
     scale = policy_scale(payoff, t, z)
     direction = payoff.model.direction[payoff.model.segment_index(t)]
@@ -216,8 +216,8 @@ def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
     z = np.asarray(z_grid, dtype=float).ravel()
     if z.size and np.any(np.diff(z) <= 0.0):
         raise DomainError("z_grid must be strictly ascending")
-    x = np.atleast_1d(wealth(payoff, t, z))
-    pi = np.atleast_2d(policy(payoff, t, z))
+    x = wealth(payoff, t, z)
+    pi = policy(payoff, t, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(x[:, None] != 0.0, pi / x[:, None], np.nan)
     order = np.argsort(x, kind="stable")

@@ -9,7 +9,6 @@ from capfolio.errors import (
     DimensionMismatch,
     DomainError,
     InfeasibleBudget,
-    NumericalBreakdown,
     SolverDiverged,
     TargetTooHigh,
 )
@@ -20,5 +19,5 @@ RAISES = {
     "lpm.solve_lpm": {DomainError, InfeasibleBudget, TargetTooHigh, SolverDiverged},
     "cvar.solve_cvar": {DomainError, InfeasibleBudget, TargetTooHigh, SolverDiverged},
     "meanvar.solve_mv": {DomainError, SolverDiverged},
-    "baseline.solve_static_cvar": {DomainError, NumericalBreakdown},
+    "baseline.solve_static_cvar": {DomainError, SolverDiverged},
 }

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from capfolio import baseline
-from capfolio.errors import DomainError, NumericalBreakdown
+from capfolio.errors import DomainError, SolverDiverged
 from capfolio.market import validate_market
 
 
@@ -336,10 +336,23 @@ def test_non_unique_var_level(example1):
     assert losses[299] - 1e-9 <= sol.alpha <= losses[300] + 1e-9
 
 
+def test_cuts_held_without_the_gap_test_give_the_optimum(example1, monkeypatch):
+    # a negative gap tolerance never passes, so the rounds run until the master
+    # holds both cuts of its point; that return alone leaves a status Optimal
+    scen = baseline.generate_scenarios(example1, 200, seed=12)
+    cell = dict(beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])
+    want = baseline.solve_static_cvar(scen, **cell)
+    monkeypatch.setattr(baseline, "_GAP", -1.0)
+    got = baseline.solve_static_cvar(scen, **cell)
+    assert got.status == want.status == baseline.OPTIMAL
+    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9)
+
+
 def test_cut_rounds_out_of_rounds_is_a_breakdown(example1, monkeypatch):
     monkeypatch.setattr(baseline, "_MAX_ROUNDS", 0)
     scen = baseline.generate_scenarios(example1, 200, seed=12)
-    with pytest.raises(NumericalBreakdown, match="cutting planes left a gap"):
+    with pytest.raises(SolverDiverged, match="cutting planes left a gap"):
         baseline.solve_static_cvar(scen, beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])
 
 
@@ -351,5 +364,5 @@ def test_optimum_failing_its_primal_check_is_a_breakdown(example1, monkeypatch):
         lambda *args: SimpleNamespace(value=estimate(*args).value + 1.0),
     )
     scen = baseline.generate_scenarios(example1, 200, seed=12)
-    with pytest.raises(NumericalBreakdown, match="fails primal checks"):
+    with pytest.raises(SolverDiverged, match="fails primal checks"):
         baseline.solve_static_cvar(scen, beta=0.9, d=1.09, x0=1.0, xbar=scen.returns[0, -1])

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capfolio import baseline, cli, cvar, lpm, market, meanvar, montecarlo, surface
-from capfolio.errors import NumericalBreakdown
+from capfolio.errors import SolverDiverged
 from capfolio.market import validate_market
 
 EX1_MARKET = {
@@ -380,7 +380,7 @@ def test_compare_static_keeps_an_unattainable_dynamic_row(tmp_path):
 
 def test_compare_static_notes_a_static_solve_that_raises(tmp_path, monkeypatch):
     def breaks(*args):
-        raise NumericalBreakdown("simplex exceeded 0 iterations")
+        raise SolverDiverged("simplex exceeded 0 iterations")
 
     monkeypatch.setattr(baseline, "solve_static_cvar", breaks)
     cfg = _cfg(
@@ -389,7 +389,7 @@ def test_compare_static_notes_a_static_solve_that_raises(tmp_path, monkeypatch):
     )
     assert cli.main(["--config", cfg, "--cmd", "compare_static"]) == 0
     _, rows = _read_csv(tmp_path / "compare_static.csv")
-    statuses = ["static NumericalBreakdown", "static NumericalBreakdown; dynamic TargetTooHigh"]
+    statuses = ["static SolverDiverged", "static SolverDiverged; dynamic TargetTooHigh"]
     assert [row[4] for row in rows] == statuses
     assert all(math.isnan(float(row[2])) for row in rows)
 

@@ -291,7 +291,7 @@ def _contexts():
         market.validate_market(1.0, 0.016, ex2_mu, ex2_sigma),
         market.validate_market(1.0, 0.02, 0.6, 0.2),
     ]
-    return [_CTX] + [market.deflator_context(m) for m in models]
+    return [_CTX] + [market.deflator_context(m, m.horizon) for m in models]
 
 
 def _fractions():

@@ -14,7 +14,6 @@ from capfolio.errors import (
     InfeasibleBudget,
     MaxIterations,
     NoSignChange,
-    PolicyUndefinedAtTerminal,
     SolverDiverged,
     TargetOutOfRange,
     TargetTooHigh,
@@ -393,7 +392,7 @@ def test_policy_on_an_ulps_wide_ramp_matches_finite_difference(name):
 
 def test_policy_undefined_at_horizon(example1):
     sol = lpm.solve_lpm(_problem(1.0), example1)
-    with pytest.raises(PolicyUndefinedAtTerminal):
+    with pytest.raises(DomainError, match="no limit at t = 1.0"):
         surface.policy(lpm.payoff(sol), 1.0, 1.0)
 
 
@@ -493,12 +492,6 @@ def test_infeasible_budget(example1):
         lpm.d_bounds(_problem(1.0, x0=9.5), example1)
 
 
-def test_horizon_mismatch_rejected(example1):
-    prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=2.0)
-    with pytest.raises(DomainError):
-        lpm.solve_lpm(prob, example1)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -572,7 +565,7 @@ def test_budget_one_ulp_below_the_cap_price_is_infeasible(example1, gamma, q):
     prob = lpm.LpmProblem(
         x0=15.397850124102467, d=14.715, gamma=gamma, cap=16.35, q=q, horizon=1.0
     )
-    assert prob.x0 < prob.cap * market.deflator_context(example1).mean
+    assert prob.x0 < prob.cap * market.deflator_context(example1, prob.horizon).mean
     with pytest.raises(InfeasibleBudget):
         lpm.solve_lpm(prob, example1)
 
@@ -738,7 +731,7 @@ def test_embedded_cvar_instance_at_high_nu0_solves():
 @pytest.mark.parametrize("sloped", [False, True])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_branch_width_funds_the_need(example1, p, sloped):
-    ctx = market.deflator_context(example1)
+    ctx = market.deflator_context(example1, example1.horizon)
     sup = ctx.mean if p == 1.0 else 1.0
     for delta in (0.3, 0.8, 1.5):
         h = kernels.partial_moment_H(ctx, p, delta)
@@ -769,7 +762,7 @@ def test_branch_width_funds_the_need(example1, p, sloped):
 def test_branch_width_just_below_delta_beta(example2, beta):
     # the CVaR condition beta = H_0(delta) + ramp_0(delta, rho) where the
     # need beta - H_0(delta) is a few 1e-9: a short sloped branch
-    ctx = market.deflator_context(example2)
+    ctx = market.deflator_context(example2, example2.horizon)
     delta = kernels.invert_H(ctx, 0.0, beta) * (1.0 - 1e-8)
     h = kernels.partial_moment_H(ctx, 0.0, delta)
     need = beta - h
@@ -783,7 +776,7 @@ def test_long_branches_evaluate_each_partial_moment_once(example1, monkeypatch):
     # the q = 2 residuals read H_0, H_1 and H_2 once at each end of a long
     # branch, and each trial width of the sloped root reads H_p and H_{p+1}
     # at its upper end only: the lower end's values are evaluated once
-    ctx = market.deflator_context(example1)
+    ctx = market.deflator_context(example1, example1.horizon)
     kernel, root = kernels.truncated_exp_moment, lpm.find_root_1d
     evaluations, trials = [], []
 
@@ -842,7 +835,7 @@ def test_failed_reduction_root_is_solver_diverged(example1, monkeypatch, exc):
 def test_failed_sloped_width_root_is_solver_diverged(example1, monkeypatch, exc):
     # at the flat width a ramp funds less than need, so a root without a sign
     # change is a failure, not a branch below resolution
-    ctx = market.deflator_context(example1)
+    ctx = market.deflator_context(example1, example1.horizon)
     h = kernels.partial_moment_H(ctx, 0.0, 0.8)
     monkeypatch.setattr(lpm, "find_root_1d", _raises(exc))
     with pytest.raises(SolverDiverged, match="sloped branch width"):

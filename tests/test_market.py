@@ -310,6 +310,25 @@ def test_deflator_moments_outside_the_horizon_is_a_domain_error(t):
         market.deflator_moments(_two_segment_model(), t)
 
 
+_LPM = dict(x0=1.0, d=1.3, gamma=1.05, cap=10.0, q=1.0)
+
+
+@pytest.mark.parametrize(
+    "solve, problem",
+    [
+        (lpm.d_bounds, lpm.LpmProblem(**_LPM, horizon=2.0)),
+        (lpm.solve_lpm, lpm.LpmProblem(**_LPM, horizon=2.0)),
+        (cvar.solve_cvar, cvar.CvarProblem(x0=1.0, d=1.2, cap=10.0, beta=0.95, horizon=2.0)),
+        (meanvar.solve_mv, meanvar.MvProblem(x0=1.0, d=1.3, horizon=0.5)),
+    ],
+    ids=["lpm.d_bounds", "lpm.solve_lpm", "cvar.solve_cvar", "meanvar.solve_mv"],
+)
+def test_horizon_mismatch_is_a_domain_error(example1, solve, problem):
+    # every solve builds its deflator context through the one horizon check
+    with pytest.raises(DomainError, match=r"problem horizon \S+ != market horizon 1\.0"):
+        solve(problem, example1)
+
+
 @pytest.mark.parametrize("block", [None, 1.0, "market", [{"horizon": 1.0}]])
 def test_market_from_config_needs_an_object(block):
     with pytest.raises(ConfigError, match="market must be an object"):

@@ -161,7 +161,7 @@ def test_overflowing_upper_bracket_is_clamped(theta_sq_t, d):
     model = validate_market(20.0, 0.0, 0.1 * math.sqrt(theta_sq_t / 20.0), 0.1)
     mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=d, horizon=20.0), model)
     assert 300.0 < math.log(mult.mean / mult.budget) < 650.0
-    ctx = deflator_context(model)
+    ctx = deflator_context(model, model.horizon)
     assert all(abs(r) <= 1e-8 for r in meanvar._residuals(ctx, 1.0, d, mult.mean, mult.budget))
 
 
@@ -173,11 +173,6 @@ def test_variance_grows_with_target(example1):
     ]
     assert all(v > 0.0 for v in variances)
     assert all(b > a for a, b in zip(variances, variances[1:]))
-
-
-def test_horizon_mismatch_rejected(example1):
-    with pytest.raises(DomainError):
-        meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=0.5), example1)
 
 
 @pytest.mark.parametrize(

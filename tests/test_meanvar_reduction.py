@@ -6,7 +6,8 @@ import pytest
 from capfolio import meanvar, surface
 from capfolio.errors import SolverDiverged
 from capfolio.kernels import partial_moment_H
-from capfolio.market import deflator_context, validate_market
+from capfolio.market import deflator_context, expected_deflator, validate_market
+from reference import mv_oracle
 
 STRESS = validate_market(1.0, 0.02, 0.6, 0.2)  # Sharpe ratio 2.9
 
@@ -18,7 +19,7 @@ def _solve(d, market=STRESS):
 def test_stress_market_grid_solves():
     # a 2-D Newton overflowed math.exp on 24 of these 200 targets, at d near
     # 4.5-7.7 and 16.7-17.9
-    ctx = deflator_context(STRESS)
+    ctx = deflator_context(STRESS, STRESS.horizon)
     for d in np.linspace(1.0, 40.0, 200)[1:]:  # d = 1 is below x0 / E[z]
         mult = _solve(float(d))
         cut = mult.mean / mult.budget
@@ -41,7 +42,7 @@ def test_target_just_above_riskfree_growth_solves():
     # the untruncated end (E[z^2] - E[z] x0/d) / (E[z] - x0/d) cancels as d
     # nears x0 e^{rT} = 1.0618365; its gap rounded to -1.1e-16 at d = 1.06201
     example1 = validate_market(1.0, 0.06, 0.12, 0.15)
-    ctx = deflator_context(example1)
+    ctx = deflator_context(example1, example1.horizon)
     for d in (1.06201, 1.061862, 1.062449):
         mult = _solve(d, example1)
         cut = mult.mean / mult.budget
@@ -57,3 +58,24 @@ def test_multiplier_overflow_names_its_cause():
     low_vol = validate_market(horizon, -0.0034, 0.0105, 0.183)
     with pytest.raises(SolverDiverged, match="multipliers overflow"):
         meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=4.708, horizon=horizon), low_vol)
+
+
+#: forward error of lam and eta against the 40-digit root, in units of eps kappa
+ORACLE_C = 4.0
+
+
+def test_forward_error_against_the_oracle(example1, example2):
+    # kappa (reference.mv_oracle) grows like 2 / excess toward the risk-free
+    # growth, where the root's weighted mean flattens
+    pytest.importorskip("mpmath")
+    worst = 0.0
+    for model in (example1, example2, STRESS):
+        ctx = deflator_context(model, model.horizon)
+        for excess in (1e-6, 1e-3, 0.1, 0.5):
+            d = (1.0 + excess) / expected_deflator(model, 0.0, model.horizon)
+            mult = meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=d, horizon=model.horizon), model)
+            lam, eta, kappa = mv_oracle(ctx, 1.0, d)
+            error = max(float(abs(mult.mean / lam - 1)), float(abs(mult.budget / eta - 1)))
+            worst = max(worst, error / (np.finfo(float).eps * kappa))
+    print(f"worst forward error / (eps kappa) = {worst:.3f}, C = {ORACLE_C}")
+    assert worst <= ORACLE_C

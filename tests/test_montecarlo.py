@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from capfolio import baseline, cvar, lpm, market, meanvar, montecarlo, surface
-from capfolio.errors import DomainError, EmptySample
+from capfolio.errors import DomainError
 
 GAMMA = math.exp(0.06)
 
@@ -31,8 +31,8 @@ def _deflator(model, n_paths, n_steps, seed):
 
 
 def test_deflator_deterministic_when_theta_zero():
-    # nu = 0 on this market, where every policy raises
-    # PolicyUndefinedAtTerminal, so the deflator leg is stepped alone
+    # nu = 0 on this market, where every policy raises DomainError (no
+    # limit), so the deflator leg is stepped alone
     model = _flat_market()
     times = np.linspace(0.0, 1.0, 17)
     log_z = np.zeros(50)
@@ -162,11 +162,11 @@ def test_estimate_cvar_validates_beta():
 
 
 def test_estimators_reject_degenerate_samples():
-    with pytest.raises(EmptySample):
+    with pytest.raises(DomainError, match="at least 2 samples"):
         montecarlo.estimate_mean([])
-    with pytest.raises(EmptySample):
+    with pytest.raises(DomainError, match="at least 2 samples"):
         montecarlo.estimate_mean([1.0])
-    with pytest.raises(EmptySample):
+    with pytest.raises(DomainError, match="at least 2 samples"):
         montecarlo.estimate_cvar([], beta=0.9, xbar=0.0)
 
 

@@ -163,7 +163,7 @@ def test_lpm_sweep_top_of_the_curve_is_target_too_high_at_low_nu0(lpm_outcomes):
     # on markets whose nu0 is below 2e-3, and raise TargetTooHigh
     assert [label for label, _, _, sol in lpm_outcomes if isinstance(sol, SolverDiverged)] == []
     top = [
-        (market.deflator_context(model).nu0, (lpm.d_bounds(prob, model)[1] - prob.d) / prob.d)
+        (market.deflator_context(model, prob.horizon).nu0, (lpm.d_bounds(prob, model)[1] - prob.d) / prob.d)
         for _, model, prob, sol in lpm_outcomes
         if isinstance(sol, TargetTooHigh) and "within rounding" in str(sol)
     ]
@@ -295,7 +295,7 @@ def test_outer_gap_changes_sign_once(outcomes):
         if isinstance(sol, TargetTooHigh):
             continue
         try:
-            curve, top = cvar._reduction(prob, market.deflator_context(model))
+            curve, top = cvar._reduction(prob, market.deflator_context(model, prob.horizon))
             grid = [top * k / GRID for k in range(GRID)] + [top]
             signs = [curve(delta)[0] > 0.0 for delta in grid]
         except CapfolioError as exc:
@@ -366,7 +366,7 @@ def _mv_draws():
 
 def _first_moment(payoff):
     """E[X] of a payoff, branch by branch, from the normal law of ln z(T)."""
-    ctx = market.deflator_context(payoff.model)
+    ctx = market.deflator_context(payoff.model, payoff.model.horizon)
 
     def below(shift, y):  # P(ln z <= ln y) under the law shifted by -shift
         if y <= 0.0:

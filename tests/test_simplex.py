@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from capfolio import simplex
-from capfolio.errors import DimensionMismatch, NumericalBreakdown
+from capfolio.errors import DimensionMismatch, SolverDiverged
 
 
 def _lp(cost, a_eq, b_eq, free=()):
@@ -140,19 +140,19 @@ def test_program_shape_validation():
 def test_infeasible_start_rejected():
     # x1 = -1 with x2 at zero breaks x1 >= 0, but not once x1 is free
     lp = _lp([1.0, 1.0], [[1.0, 1.0]], [-1.0])
-    with pytest.raises(NumericalBreakdown, match="infeasible"):
+    with pytest.raises(SolverDiverged, match="infeasible"):
         _program(lp, [0])
     _program(_lp([1.0, 1.0], [[1.0, 1.0]], [-1.0], free=[0]), [0])
     # x2 = 3 leaves the slack of x2 <= 2 at -1
     lp = _lp([1.0, 1.0, 0.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [3.0, 2.0])
-    with pytest.raises(NumericalBreakdown, match="infeasible"):
+    with pytest.raises(SolverDiverged, match="infeasible"):
         _program(lp, [1, 2])
     _program(lp, [0, 2])  # x = (3, 0, 2) is a feasible start of the same program
 
 
 def test_singular_start_rejected():
     lp = _lp([1.0, 1.0, 1.0], [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]], [1.0, 2.0])
-    with pytest.raises(NumericalBreakdown, match="singular"):
+    with pytest.raises(SolverDiverged, match="singular"):
         _program(lp, [0, 1])
 
 
@@ -317,7 +317,7 @@ def test_iteration_count_reported():
 def test_non_finite_basic_values_are_a_breakdown():
     # B^-1 b = 1e308 / 1e-308 overflows
     lp = _lp(cost=[1.0], a_eq=[[1e-308]], b_eq=[1e308])
-    with pytest.raises(NumericalBreakdown, match="non-finite basic values"):
+    with pytest.raises(SolverDiverged, match="non-finite basic values"):
         _program(lp, [0])
 
 
@@ -325,5 +325,5 @@ def test_iteration_budget_exhausted_is_a_breakdown():
     lp = _lp(cost=[-1.0, -2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     program = _program(lp, [0])
     program.iterations = 0
-    with pytest.raises(NumericalBreakdown, match="exceeded 0 iterations"):
+    with pytest.raises(SolverDiverged, match="exceeded 0 iterations"):
         program._iterate(0)
