@@ -57,7 +57,7 @@ import numpy as np
 from . import simplex
 from .errors import DomainError, SolverDiverged
 from .market import MarketModel, is_number
-from .montecarlo import estimate_cvar, require_seed_and_sizes, stream
+from .montecarlo import estimate_cvar, increments, require_seed_and_sizes
 
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = "Infeasible"
@@ -117,8 +117,9 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
 
     Each piecewise-constant segment [t_s, t_{s+1}) contributes a factor
     exp((mu - diag(Sigma)/2) dt + sigma G sqrt(dt)) with G standard normal,
-    Sigma = sigma sigma'; segment s draws from a Philox stream keyed
-    (seed, s) so scenario i is reproducible independently of n.  Raises
+    Sigma = sigma sigma'; segment s draws G sqrt(dt) as block s of
+    `montecarlo.increments`, the Philox stream keyed (seed, s), so scenario i
+    is reproducible independently of n.  Raises
     DomainError unless seed is an integer in [0, 2**64) and n one >= 1.
     """
     require_seed_and_sizes(seed, n=n)
@@ -133,8 +134,7 @@ def generate_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
         vol = vols[s]
         diag_cov = np.einsum("ij,ij->i", vol, vol)
         drift = (drifts[s] - 0.5 * diag_cov) * dt
-        shocks = stream(seed, s).standard_normal((n, n_assets)) * math.sqrt(dt)
-        log_gross += drift + shocks @ vol.T
+        log_gross += drift + increments(model, seed, s, n, dt) @ vol.T
         log_bond += model.rate[s] * dt
     returns = np.empty((n, n_assets + 1))
     returns[:, :n_assets] = np.exp(log_gross)

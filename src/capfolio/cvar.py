@@ -36,6 +36,7 @@ solves the embedded instance at any alpha.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,10 +154,12 @@ def j_value(problem: CvarProblem, model: MarketModel, alpha) -> float:
 
 def _reduction(problem: CvarProblem, ctx):
     """(curve, top): curve(delta) is (mean gap, gamma) where J'(alpha) = 0 at
-    the cap threshold delta in [0, top] (module docstring)."""
+    the cap threshold delta in [0, top] (module docstring), priced once per
+    delta."""
     x0, cap, beta = problem.x0, problem.cap, problem.beta
     delta_beta = invert_H(ctx, 0.0, beta)
 
+    @functools.cache
     def curve(delta):
         h0, h1 = (partial_moment_H(ctx, p, delta) for p in (0.0, 1.0))
         rho = lpm.branch_width(ctx, 0.0, delta, h0, beta - h0, True)

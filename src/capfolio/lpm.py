@@ -248,7 +248,7 @@ def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
         delta_low=delta_low,
         rho_low=rho_low,
         delta_bar=delta_bar,
-        d_lower=_payoff_moment(ctx, problem, 0.0, delta_low, rho_low),
+        d_lower=_payoff_moments(ctx, problem, delta_low, rho_low, (0.0,))[0],
         d_upper=cap * partial_moment_H(ctx, 0.0, delta_bar),
     )
 
@@ -338,28 +338,30 @@ def _branch_rule(ctx, p, delta, rho, weight):
     return rho * total / ctx.nu0
 
 
-def _payoff_moment(ctx, problem, p, delta, rho):
-    """E[z^p X] for p in {0, 1}, the mean (p = 0) or the price (p = 1) of the
-    Regular payoff with cap branch {z <= delta} and middle branch
-    {delta < z <= delta + rho}."""
+def _payoff_moments(ctx, problem, delta, rho, ps):
+    """E[z^p X] for each p of ps, ascending consecutive orders in {0, 1}: the
+    mean (p = 0) and the price (p = 1) of the Regular payoff with cap branch
+    {z <= delta} and middle branch {delta < z <= delta + rho}. For q = 2 every
+    order comes from one `_Start.ramps`, so on a long branch H_0, H_1 and H_2
+    are evaluated once at each end."""
+    # loops, not comprehensions, whose own frames add a third to a q <= 1
+    # call (Python 3.11)
     cap, gamma = problem.cap, problem.gamma
+    moments = []
     if problem.q == 2.0:
         start = _Start(ctx, delta)
-        return cap * start.H(p) + gamma * start.ramps((p,), rho)[0]
-    below = partial_moment_H(ctx, p, delta)
-    return (cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho)
+        for p, ramp in zip(ps, start.ramps(ps, rho)):
+            moments.append(cap * start.H(p) + gamma * ramp)
+        return moments
+    for p in ps:
+        below = partial_moment_H(ctx, p, delta)
+        moments.append((cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho))
+    return moments
 
 
 def _regular_residuals(ctx, problem, delta, rho):
-    """Mean and budget residuals of the thresholds (delta, rho), scaled; for
-    q = 2 on a long branch, from H_0, H_1 and H_2 once at each end."""
-    cap, gamma = problem.cap, problem.gamma
-    if problem.q == 2.0:
-        start = _Start(ctx, delta)
-        ramp0, ramp1 = start.ramps((0.0, 1.0), rho)
-        mean, price = cap * start.H(0.0) + gamma * ramp0, cap * start.H(1.0) + gamma * ramp1
-    else:
-        mean, price = (_payoff_moment(ctx, problem, p, delta, rho) for p in (0.0, 1.0))
+    """Mean and budget residuals of the thresholds (delta, rho), scaled."""
+    mean, price = _payoff_moments(ctx, problem, delta, rho, (0.0, 1.0))
     d, x0 = problem.d, problem.x0
     return (mean - d) / max(1.0, abs(d)), (price - x0) / max(1.0, x0)
 
@@ -457,7 +459,7 @@ def _solve_regular_nested(ctx, problem, curve):
             return curve.d_lower - problem.d
         delta = math.exp(x)
         widths[x] = rho = _branch_width(ctx, problem, delta)
-        return _payoff_moment(ctx, problem, 0.0, delta, rho) - problem.d
+        return _payoff_moments(ctx, problem, delta, rho, (0.0,))[0] - problem.d
 
     x = find_root_1d(mean_gap, low, math.log(curve.delta_bar), tol=0.0).root
     return math.exp(x), widths[x]
@@ -585,7 +587,7 @@ def expected_terminal_wealth(solution: PolicySolution) -> float:
     if solution.multipliers.case == DEGENERATE_RICH:
         below = partial_moment_H(ctx, 0.0, delta)
         return (prob.cap - prob.gamma) * below + prob.gamma
-    return _payoff_moment(ctx, prob, 0.0, delta, solution.rho)
+    return _payoff_moments(ctx, prob, delta, solution.rho, (0.0,))[0]
 
 
 def wealth_envelope(problem: LpmProblem, model: MarketModel, t):

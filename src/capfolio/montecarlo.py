@@ -5,9 +5,9 @@ so only the controlled wealth carries Euler discretization error.  Noise is
 counter-based: step k draws from a Philox stream keyed (seed, k), and path
 i reads row i of that step's block, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
-`run_policy` is one loop over running state in two legs.  The deflator leg
-draws step k's block once, contracts it to theta' dW and advances ln z.
-The wealth leg advances x on the same shock: every closed-form policy is a
+`run_policy` is one loop over running state.  Step k draws its block of
+`increments` once, contracts it to the shock theta' dW per path, and
+advances ln z and x on that one shock: every closed-form policy is a
 scalar -z dx/dz times the direction (sigma sigma')^{-1}(mu - r 1), so in a
 complete market with square sigma the Euler step is
 
@@ -77,22 +77,10 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _step_increments(model: MarketModel, seed: int, step: int, n_paths: int, dt: float):
-    """Brownian increments for one step, shape (n_paths, n_assets)."""
+def increments(model: MarketModel, seed: int, step: int, n_paths: int, dt: float):
+    """Brownian increments over a time step dt, shape (n_paths, n_assets):
+    block `step` of the stream keyed seed, row i for path (or scenario) i."""
     return stream(seed, step).standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
-
-
-def _deflator_leg(model: MarketModel, seed: int, k: int, t: float, dt: float, thetas, log_z):
-    """Step k of the deflator from time t: (segment, theta' dW, z_k, ln z_{k+1}).
-
-    theta' dW is the one scalar shock per path that both ln z and the
-    wealth step take.
-    """
-    s = model.segment_index(t)
-    theta = thetas[s]
-    shock = _step_increments(model, seed, k, log_z.size, dt) @ theta
-    drift = -(model.rate[s] + 0.5 * float(theta @ theta)) * dt
-    return s, shock, np.exp(log_z), log_z + drift - shock
 
 
 def run_policy(
@@ -134,9 +122,11 @@ def run_policy(
     x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     log_z = np.zeros(n_paths)
     for k in range(n_steps):
-        s, shock, z, log_z = _deflator_leg(model, seed, k, times[k], dt, thetas, log_z)
+        s = model.segment_index(times[k])
+        theta, rate = thetas[s], model.rate[s]
+        shock = increments(model, seed, k, n_paths, dt) @ theta
+        z, log_z = np.exp(log_z), log_z - (rate + 0.5 * float(theta @ theta)) * dt - shock
         scale = surface.policy_scale(payoff, min(times[k], final_policy_time), z)
-        rate = model.rate[s]
         x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
     return PathEnsemble(
         n_paths=n_paths,

@@ -1,7 +1,8 @@
 """Check-only references that no command runs, kept beside the tests that use them.
 
-`mv_oracle` solves the mean-variance reduction E_w[z] = x0/d to 40 digits
-with mpmath, on the same float law (m0, nu0) of ln z(T) the solve reads.
+`mv_oracle` solves the mean-variance reduction E_w[z] = x0/d, and
+`cvar_oracle` the mean-CVaR reduction, to 40 digits with mpmath, on the same
+float law (m0, nu0) of ln z(T) the solves read.
 
 J'(alpha), the slope of the mean-CVaR objective
 J(alpha) = alpha + V(xbar - alpha) / (1 - beta), with V(gamma) the optimal
@@ -97,3 +98,96 @@ def mv_oracle(ctx: PartialMomentContext, x0: float, d: float):
         scale = delta * h0 / below
         kappa = scale * (1 + (delta * h1 / above + scale) * (ratio / slope))
         return delta * eta, eta, float(kappa)
+
+
+def cvar_oracle(ctx: PartialMomentContext, problem: cvar.CvarProblem, xbar: float):
+    """40-digit (alpha, delta, kappa) of the mean-CVaR reduction's root.
+
+    The reduction of `cvar._reduction`, with dH_p = H_p(delta + rho) - H_p(delta).
+    At the cap threshold delta the width rho of the sloped branch solves
+
+        R = ((delta + rho) dH_0 - dH_1) / rho - (beta - H_0(delta)) = 0
+
+    in ln rho, bracketed as `lpm.branch_width` brackets it for p = 0: from
+    the flat width delta_beta - delta, H_0(delta_beta) = beta, to
+    (H_0^{-1}((1 + beta) / 2) - delta) / s with s = (1 - beta) / (1 + beta - 2 H_0(delta)).
+    The mean gap G = B H_0(delta) + (x0 - B H_1(delta)) dH_0 / dH_1 - d is
+    solved in delta on [0, min(delta_beta, delta_bar)], H_1(delta_bar) = x0/B,
+    and alpha = xbar - gamma with gamma = (x0 - B H_1(delta)) / dH_1.  Only
+    an interior root below delta_bar < delta_beta is covered, G(0) < 0 and
+    gamma < B, as on every criterion-07 cell; elsewhere ValueError.
+
+    kappa is the first-order relative condition of alpha on relative errors
+    e of the four partial moments the reduction reads, a_p = H_p(delta) and
+    b_p = H_p(delta + rho), plus 1 for the rounding of xbar - gamma.  With
+    x = (ln delta, ln rho) and F = (R, G), dx/de = -(dF/dx)^{-1} dF/de, so
+
+        kappa = 1 + sum_e |dgamma/de| / |alpha|,
+        dgamma/de = (dgamma/dx)(dx/de) + (partial dgamma/de at fixed x),
+
+    with every partial derivative taken by `mpmath.diff` at 40 digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        m0, nu0 = mpf(ctx.m0), mpf(ctx.nu0)
+        x0, d, cap, beta = (mpf(v) for v in (problem.x0, problem.d, problem.cap, problem.beta))
+        mean = mpmath.exp(m0 + nu0 * nu0 / 2)
+
+        def moments(y):  # (H_0(y), H_1(y))
+            if y <= 0:
+                return mpf(0), mpf(0)
+            x = (mpmath.log(y) - m0) / nu0
+            return mpmath.ncdf(x), mean * mpmath.ncdf(x - nu0)
+
+        def level(p, frac):  # y with H_p(y) = frac H_p(inf)
+            return mpmath.exp(m0 + nu0 * (mpmath.sqrt(2) * mpmath.erfinv(2 * frac - 1) + p * nu0))
+
+        def equations(delta, rho, a, b):  # (R, G, gamma), a = moments(delta), b at delta + rho
+            ramp = ((delta + rho) * (b[0] - a[0]) - (b[1] - a[1])) / rho
+            spare = x0 - cap * a[1]
+            gamma = spare / (b[1] - a[1])
+            return ramp - (beta - a[0]), cap * a[0] + gamma * (b[0] - a[0]) - d, gamma
+
+        delta_beta = level(0, beta)
+
+        def width(delta):
+            a = moments(delta)
+            s = (1 - beta) / (1 + beta - 2 * a[0])
+            ends = (delta_beta - delta, (level(0, (1 + beta) / 2) - delta) / s)
+
+            def ramp_gap(v):
+                rho = mpmath.exp(v)
+                return equations(delta, rho, a, moments(delta + rho))[0]
+
+            bracket = [mpmath.log(end) for end in ends]
+            return mpmath.exp(mpmath.findroot(ramp_gap, bracket, solver="anderson"))
+
+        def point(delta):
+            rho = width(delta)
+            return rho, equations(delta, rho, moments(delta), moments(delta + rho))
+
+        delta_bar = level(1, x0 / (cap * mean))
+        if not (delta_bar < delta_beta and point(mpf(0))[1][1] < 0):
+            raise ValueError("the root is not interior to the reduction's bracket")
+        delta = mpmath.findroot(lambda y: point(y)[1][1], (mpf(0), delta_bar), solver="anderson")
+        rho, (_, _, gamma) = point(delta)
+        if not gamma < cap:
+            raise ValueError("gamma reaches the cap")
+
+        def perturbed(k, u, v, *e):  # equation k with the moments scaled by 1 + e
+            lo, hi = moments(mpmath.exp(u)), moments(mpmath.exp(u) + mpmath.exp(v))
+            scaled = [m * (1 + ej) for m, ej in zip((*lo, *hi), e)]
+            return equations(mpmath.exp(u), mpmath.exp(v), scaled[:2], scaled[2:])[k]
+
+        at = (mpmath.log(delta), mpmath.log(rho), 0, 0, 0, 0)
+        jac = mpmath.matrix([
+            [mpmath.diff(lambda *x: perturbed(k, *x), at, tuple(int(j == i) for j in range(6)))
+             for i in range(6)]
+            for k in range(3)
+        ])
+        dx = -mpmath.inverse(jac[0:2, 0:2]) * jac[0:2, 2:6]
+        dgamma = [jac[2, 0] * dx[0, j] + jac[2, 1] * dx[1, j] + jac[2, 2 + j] for j in range(4)]
+        alpha = mpf(xbar) - gamma
+        return alpha, delta, float(1 + sum(abs(g) for g in dgamma) / abs(alpha))

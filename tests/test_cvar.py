@@ -287,3 +287,27 @@ def test_budget_below_the_float_range_of_the_cap_is_a_domain_error(example2):
     prob = cvar.CvarProblem(x0=1e-300, d=1e-299, cap=1e100, beta=0.95, horizon=1.0)
     with pytest.raises(DomainError, match="x0 / cap"):
         cvar.solve_cvar(prob, example2)
+
+
+#: forward error of alpha* against the 40-digit root, in units of eps kappa,
+#: as in the mean-variance test
+ORACLE_C = 4.0
+
+
+def test_forward_error_against_the_oracle(example2):
+    # the nine criterion-07 cells; kappa (reference.cvar_oracle) grows like
+    # gamma / |alpha*| where the VaR nears 0, at (d, beta) = (11, 0.9)
+    pytest.importorskip("mpmath")
+    ctx = market.deflator_context(example2, example2.horizon)
+    worst = worst_delta = 0.0
+    for beta in (0.90, 0.95, 0.99):
+        for d in (11.0, 12.0, 13.0):
+            problem = _problem(d=d, beta=beta)
+            solved = cvar.solve_cvar(problem, example2)
+            alpha, delta, kappa = reference.cvar_oracle(ctx, problem, solved.xbar)
+            error = float(abs(solved.alpha_star / alpha - 1))
+            worst = max(worst, error / (np.finfo(float).eps * kappa))
+            worst_delta = max(worst_delta, float(abs(solved.policy.delta / delta - 1)))
+    print(f"worst forward error / (eps kappa) = {worst:.3f}, C = {ORACLE_C}; "
+          f"worst relative error of delta = {worst_delta:.2e}")
+    assert worst <= ORACLE_C

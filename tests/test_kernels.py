@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from capfolio import kernels, market, surface
+from capfolio import cvar, kernels, lpm, market, meanvar, surface
 from capfolio.errors import DomainError, TargetOutOfRange
 
 # Standard normal CDF at 64 fixed probes, frozen from a 50-digit
@@ -338,6 +338,45 @@ def test_invert_kernel_evaluations_per_inversion(monkeypatch):
             for frac in _fractions():
                 kernels.invert_H(ctx, p, frac * (ctx.mean if p == 1.0 else 1.0))
     assert calls == []
+
+
+def _lpm_example1(d, q):
+    return lpm.LpmProblem(x0=1.0, d=d, gamma=math.exp(0.06), cap=10.0, q=q, horizon=1.0)
+
+
+@pytest.mark.parametrize(
+    "problem, expected",
+    [
+        (_lpm_example1(1.3, 1.0), 70),
+        (_lpm_example1(1.3, 2.0), 203),
+        (_lpm_example1(1.0627595, 2.0), 667),
+        (cvar.CvarProblem(x0=10.0, d=12.0, cap=100.0, beta=0.95, horizon=1.0), 395),
+        (meanvar.MvProblem(x0=1.0, d=1.1, horizon=1.0), 39),
+    ],
+    ids=["lpm q=1", "lpm q=2", "lpm q=2 near d_lower", "cvar", "mv"],
+)
+def test_kernel_evaluations_per_solve(problem, expected, example1, example2, monkeypatch):
+    # calls of truncated_exp_moment and invert_H in one solve on example 1
+    # (example 2 for cvar), pinned so that a partial moment or a curve point
+    # evaluated a second time shows as a changed count
+    solve = {
+        lpm.LpmProblem: lpm.solve_lpm,
+        cvar.CvarProblem: cvar.solve_cvar,
+        meanvar.MvProblem: meanvar.solve_mv,
+    }[type(problem)]
+    calls = []
+    # wrapped at every binding site, so a call through any module is counted
+    for module in (kernels, lpm, cvar, meanvar, market):
+        for attr in ("truncated_exp_moment", "invert_H"):
+            if attr in vars(module):
+
+                def counted(*args, _original=vars(module)[attr]):
+                    calls.append(args)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, attr, counted)
+    solve(problem, example2 if type(problem) is cvar.CvarProblem else example1)
+    assert len(calls) == expected
 
 
 def test_invert_h1_where_the_start_mass_rounds_to_an_end():

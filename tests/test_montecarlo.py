@@ -30,17 +30,13 @@ def _deflator(model, n_paths, n_steps, seed):
     return montecarlo.run_policy(model, _flat(model, 1.0), n_paths, n_steps, seed).z_terminal
 
 
-def test_deflator_deterministic_when_theta_zero():
+def test_deflator_deterministic_when_theta_zero(monkeypatch):
     # nu = 0 on this market, where every policy raises DomainError (no
-    # limit), so the deflator leg is stepped alone
+    # limit), so the run steps the deflator under a policy scale held at 0
     model = _flat_market()
-    times = np.linspace(0.0, 1.0, 17)
-    log_z = np.zeros(50)
-    for k in range(16):
-        log_z = montecarlo._deflator_leg(
-            model, 3, k, times[k], 1.0 / 16, np.asarray(model.theta), log_z
-        )[3]
-    np.testing.assert_allclose(np.exp(log_z), math.exp(-0.04), rtol=1e-13)
+    monkeypatch.setattr(surface, "policy_scale", lambda payoff, t, z: np.zeros_like(z))
+    z_t = montecarlo.run_policy(model, _flat(model, 1.0), 50, 16, seed=3).z_terminal
+    np.testing.assert_allclose(z_t, math.exp(-0.04), rtol=1e-13)
 
 
 def test_deflator_mean_matches_discount(example1):
@@ -192,7 +188,7 @@ def _reference_deflator(model, n_paths, n_steps, seed):
     for k in range(n_steps):
         theta = np.asarray(model.theta[model.segment_index(times[k])])
         rate = model.rate[model.segment_index(times[k])]
-        dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
+        dw = montecarlo.increments(model, seed, k, n_paths, dt)
         drift = -(rate + 0.5 * float(theta @ theta)) * dt
         log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
     return times, dt, np.exp(log_z)
@@ -210,7 +206,7 @@ def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
         s = model.segment_index(times[k])
         rate = model.rate[s]
         scale = surface.policy_scale(payoff, min(times[k], model.horizon - dt), z[:, k])
-        dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
+        dw = montecarlo.increments(model, seed, k, n_paths, dt)
         shock = dw @ np.asarray(model.theta[s])
         x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
         x_paths[:, k + 1] = x
@@ -228,7 +224,7 @@ def _full_policy_reference(model, payoff, n_paths, n_steps, seed):
         s = model.segment_index(times[k])
         rate = model.rate[s]
         pi = surface.policy(payoff, min(times[k], model.horizon - dt), z[:, k])
-        dw = montecarlo._step_increments(model, seed, k, n_paths, dt)
+        dw = montecarlo.increments(model, seed, k, n_paths, dt)
         noise = np.einsum("ij,jk,ik->i", pi, vols[s], dw)
         x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
     return z[:, -1], x
@@ -293,13 +289,13 @@ def test_policy_scale_skips_the_zero_jump_of_a_q2_payoff(example1, monkeypatch):
 def _record_draws(monkeypatch):
     """Log the step of every block draw."""
     calls = []
-    draw = montecarlo._step_increments
+    draw = montecarlo.increments
 
     def recorded(*args):
         calls.append(args[2])
         return draw(*args)
 
-    monkeypatch.setattr(montecarlo, "_step_increments", recorded)
+    monkeypatch.setattr(montecarlo, "increments", recorded)
     return calls
 
 
