@@ -26,7 +26,7 @@ Three corners:
   embedded case is DegenerateLowTarget), and gamma comes from the budget;
 - gamma >= B: alpha* = xbar - B, where J'(xbar - B) >= 0;
 - at delta_beta, rho = 0: the gap is not evaluated but taken at its limit,
-  where the gamma branch buys mean at the price delta.
+  where the gamma branch buys mean at the price delta (+inf at delta = 0).
 
 One `lpm.solve_lpm` at alpha* supplies the policy and J*, and its residual
 gate checks the reduction.  `j_value` is the independent check route: it
@@ -53,7 +53,7 @@ from .solvers import find_root_1d
 class CvarProblem:
     """Mean-CVaR problem data.
 
-    x0      initial budget (> 0)
+    x0      initial budget
     d       mean target for terminal wealth
     cap     upper bound B on terminal wealth, cap > max(d, safe level)
     beta    CVaR confidence level in (0, 1)
@@ -61,6 +61,10 @@ class CvarProblem:
     xbar    safe level the loss is measured against; None means the
             risk-free growth of the budget, resolved against the market
             by safe_level().
+
+    x0, d, cap and horizon obey `lpm.LpmProblem`'s rules, checked by
+    building the embedded problem at gamma = cap, so every embedded problem
+    a solve builds (gamma in (0, cap]) constructs.
     """
 
     x0: float
@@ -72,16 +76,9 @@ class CvarProblem:
 
     def __post_init__(self):
         require_numbers(self)
-        if not self.x0 > 0.0:
-            raise DomainError(f"initial budget must be positive, got {self.x0}")
+        _embedded(self, self.cap)
         if not 0.0 < self.beta < 1.0:
             raise DomainError(f"confidence level must lie in (0,1), got {self.beta}")
-        if not self.horizon > 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
-        if not self.cap > self.d:
-            raise DomainError(
-                f"wealth cap {self.cap} must exceed the mean target {self.d}"
-            )
         if self.xbar is not None and not self.cap > self.xbar:
             raise DomainError(
                 f"wealth cap {self.cap} must exceed the safe level {self.xbar}"
@@ -165,8 +162,8 @@ def _reduction(problem: CvarProblem, ctx):
         rho = lpm.branch_width(ctx, 0.0, delta, h0, beta - h0, True)
         dh1 = partial_moment_H(ctx, 1.0, delta + rho) - h1
         spare = x0 - cap * h1
-        if not dh1 > 0.0:  # the delta_beta limit
-            return cap * h0 + spare / delta - problem.d, math.inf
+        if not dh1 > 0.0:  # the delta_beta limit; at delta = 0, spare = x0 > 0
+            return cap * h0 + (spare / delta if delta else math.inf) - problem.d, math.inf
         dh0 = partial_moment_H(ctx, 0.0, delta + rho) - h0
         return cap * h0 + spare * dh0 / dh1 - problem.d, spare / dh1
 

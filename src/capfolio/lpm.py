@@ -99,14 +99,14 @@ class LpmProblem:
     Attributes
     ----------
     x0 : float
-        Initial capital, > 0.
+        Initial capital, > 0, with x0 / cap above 0 in floats.
     d : float
-        Minimum expected terminal wealth.
+        Minimum expected terminal wealth, below cap.
     gamma : float
-        Benchmark level of the shortfall (gamma - X)_+, > 0.
+        Benchmark level of the shortfall (gamma - X)_+, in (0, cap]; the
+        CVaR layer's problems take gamma = cap at alpha = xbar - cap.
     cap : float
-        Upper bound B on terminal wealth; must exceed d and gamma may equal
-        it only in the limit the CVaR layer probes.
+        Upper bound B on terminal wealth, > 0.
     q : float
         Shortfall moment order, in {0} union (0, 1] union {2}.
     horizon : float
@@ -122,14 +122,12 @@ class LpmProblem:
 
     def __post_init__(self):
         require_numbers(self)
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if self.cap < self.gamma:  # cap >= gamma > 0 from here on
-            raise DomainError(
-                f"cap {self.cap} below the benchmark {self.gamma}"
-            )
+        if not self.cap > 0.0:
+            raise DomainError(f"cap must be positive, got {self.cap}")
         if not self.x0 / self.cap > 0.0:  # x0 > 0, and x0 / cap within the float range
             raise DomainError(f"x0 must be positive, and x0 / cap above 0, got {self.x0}")
+        if not 0.0 < self.gamma <= self.cap:
+            raise DomainError(f"gamma must lie in (0, cap {self.cap}], got {self.gamma}")
         if not self.cap > self.d:
             raise DomainError(f"cap {self.cap} must exceed the target {self.d}")
         if not self.horizon > 0.0:

@@ -123,11 +123,11 @@ def run_policy(
     log_z = np.zeros(n_paths)
     for k in range(n_steps):
         s = model.segment_index(times[k])
-        theta, rate = thetas[s], model.rate[s]
-        shock = increments(model, seed, k, n_paths, dt) @ theta
-        z, log_z = np.exp(log_z), log_z - (rate + 0.5 * float(theta @ theta)) * dt - shock
+        rate, theta_sq = model.rate[s], model.theta_sq[s]
+        shock = increments(model, seed, k, n_paths, dt) @ thetas[s]
+        z, log_z = np.exp(log_z), log_z - (rate + 0.5 * theta_sq) * dt - shock
         scale = surface.policy_scale(payoff, min(times[k], final_policy_time), z)
-        x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
+        x = x + (rate * x + scale * theta_sq) * dt + scale * shock
     return PathEnsemble(
         n_paths=n_paths,
         n_steps=n_steps,
@@ -144,31 +144,26 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
-def estimate_mean(samples) -> RiskEstimate:
-    arr = _as_samples(samples)
+def _estimate(values: np.ndarray, measure: str) -> RiskEstimate:
+    """The sample mean of values with its standard error."""
     return RiskEstimate(
-        value=float(arr.mean()),
-        std_error=float(arr.std(ddof=1) / math.sqrt(arr.size)),
-        n=int(arr.size),
-        measure=MEASURE_MEAN,
+        value=float(values.mean()),
+        std_error=float(values.std(ddof=1) / math.sqrt(values.size)),
+        n=int(values.size),
+        measure=measure,
     )
+
+
+def estimate_mean(samples) -> RiskEstimate:
+    return _estimate(_as_samples(samples), MEASURE_MEAN)
 
 
 def estimate_lpm(samples, gamma: float, q: float) -> RiskEstimate:
     """Sample lower partial moment E[(gamma - x)_+^q] with the standard error
     of its sample mean."""
-    arr = _as_samples(samples)
-    shortfall = np.maximum(gamma - arr, 0.0)
-    if q == 0.0:
-        powered = (shortfall > 0.0).astype(float)
-    else:
-        powered = shortfall**q
-    return RiskEstimate(
-        value=float(powered.mean()),
-        std_error=float(powered.std(ddof=1) / math.sqrt(arr.size)),
-        n=int(arr.size),
-        measure=f"LPM(q={q:g}, gamma={gamma:g})",
-    )
+    shortfall = np.maximum(gamma - _as_samples(samples), 0.0)
+    powered = (shortfall > 0.0).astype(float) if q == 0.0 else shortfall**q
+    return _estimate(powered, f"LPM(q={q:g}, gamma={gamma:g})")
 
 
 def estimate_cvar(samples, beta: float, xbar: float) -> RiskEstimate:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from capfolio import baseline, cli, cvar, lpm, market, meanvar, montecarlo, surface
@@ -492,6 +492,8 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "huge_nu0_lpm",
         "huge_nu0_cvar",
         "huge_nu0_mv",
+        "cvar_x0_subnormal",
+        "cvar_cap_negative",
         "z_grid_count_beyond_float",
         "z_grid_count_above_bound",
         "z_grid_window_narrow",
@@ -555,6 +557,16 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
         # mu = 1e6 gives nu0 = 6.7e6: E[z(T)] and m0 are fine, E[z(T)^2] overflows
         problem = {"lpm": LPM1, "cvar": CVAR2, "mv": MV1}[breakage.removeprefix("huge_nu0_")]
         cfg = _cfg(tmp_path, _ex1_with(mu=[1e6]), problem, run={"out": str(tmp_path)})
+        argv = ["--config", cfg, "--cmd", "solve"]
+    elif breakage.startswith("cvar_"):
+        # CvarProblem states the embedded shortfall problem's rules: x0 / cap
+        # underflows to 0, or the cap is not positive (here under an explicit
+        # safe level below it); each failed mid-solve before
+        problem = {
+            "cvar_x0_subnormal": {**CVAR2, "x0": 5e-324},
+            "cvar_cap_negative": {**CVAR2, "cap": -1.0, "d": -2.0, "xbar": -5.0},
+        }[breakage]
+        cfg = _cfg(tmp_path, EX2_MARKET, problem, run={"out": str(tmp_path)})
         argv = ["--config", cfg, "--cmd", "solve"]
     elif breakage.startswith("z_grid_count_"):
         # rejected at load: neither size reaches np.geomspace or allocates
@@ -1119,6 +1131,82 @@ def test_fuzzed_configs_exit_with_a_code(tmp_path, capsys, kind, cmd, edits):
     code = cli.main(["--config", str(path), "--cmd", cmd])
     capsys.readouterr()
     assert type(code) is int and code in (0, 1, 2, 3), (config, cmd, code)
+
+
+def _leaf(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+#: the numeric leaves of each fuzz base, which the numeric fuzz edits
+NUMERIC_LEAVES = {
+    kind: [path for path in leaves if type(_leaf(FUZZ_BASES[kind], path)) in (int, float)]
+    for kind, leaves in FUZZ_LEAVES.items()
+}
+#: (operation, argument) edits of one number: a few ulps off, scaled by
+#: 10^+-12, set to an edge value or a small integer, negated, or shifted
+NUMERIC_EDITS = st.one_of(
+    st.tuples(st.just("ulps"), st.integers(-4, 4)),
+    st.tuples(st.just("scale"), st.sampled_from((1e-12, 1e12))),
+    st.tuples(st.just("set"), st.sampled_from((5e-324, 1e-300, 1e300, 0.0))),
+    st.tuples(st.just("set"), st.integers(-3, 10)),
+    st.tuples(st.just("negate"), st.none()),
+    st.tuples(st.just("shift"), st.floats(-1.0, 1.0)),
+)
+
+
+def _edited(value, edit):
+    """value after one NUMERIC_EDITS edit; an integer leaf stays an integer."""
+    op, arg = edit
+    new = float(value)
+    if op == "ulps":
+        for _ in range(abs(arg)):
+            new = math.nextafter(new, math.copysign(math.inf, arg))
+    elif op == "scale":
+        new *= arg
+    elif op == "negate":
+        new = -new
+    elif op == "shift":
+        new += arg
+    else:
+        new = arg
+    return int(new) if type(value) is int else new
+
+
+@settings(
+    max_examples=150, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.sampled_from(sorted(FUZZ_BASES)),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), NUMERIC_EDITS), min_size=1, max_size=2),
+)
+# the cvar reduction divided by delta = 0 (ZeroDivisionError) on this config:
+# r shifted to 0.05634446190740555, which 0.06 + (that - 0.06) gives exactly
+@example(
+    kind="cvar",
+    edits=[
+        (NUMERIC_LEAVES["cvar"].index(("market", "segments", 0, "r")),
+         ("shift", 0.05634446190740555 - 0.06)),
+        (NUMERIC_LEAVES["cvar"].index(("problem", "beta")), ("set", 5e-324)),
+    ],
+)
+def test_numeric_fuzzed_configs_exit_with_a_code(tmp_path, capsys, kind, edits):
+    # 1-2 numeric leaves of a valid config moved to a valid-typed value, which
+    # reaches the solves: main returns 0-3 on every command and raises nothing
+    config = FUZZ_BASES[kind]
+    leaves = NUMERIC_LEAVES[kind]
+    for index, edit in edits:
+        path = leaves[index % len(leaves)]
+        config = _replaced(config, path, _edited(_leaf(config, path), edit))
+    config["run"] = {**config["run"], "out": str(tmp_path / "out")}
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(config))
+    for cmd in COMMANDS:
+        code = cli.main(["--config", str(path), "--cmd", cmd])
+        capsys.readouterr()
+        assert type(code) is int and code in (0, 1, 2, 3), (config, cmd, code)
 
 
 @pytest.mark.parametrize("kind", sorted(FUZZ_BASES))

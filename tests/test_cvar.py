@@ -281,12 +281,35 @@ def test_reduction_root_out_of_iterations_is_solver_diverged(example2, monkeypat
         cvar.solve_cvar(prob, example2)
 
 
-def test_budget_below_the_float_range_of_the_cap_is_a_domain_error(example2):
+def test_budget_below_the_float_range_of_the_cap_is_a_domain_error():
     # x0 / cap underflows to 0, where delta_bar = H_1^{-1}(x0 / cap) does not
-    # exist: the solve raised TargetOutOfRange, outside its raise set
-    prob = cvar.CvarProblem(x0=1e-300, d=1e-299, cap=1e100, beta=0.95, horizon=1.0)
+    # exist: the solve raised TargetOutOfRange, outside its raise set; the
+    # embedded shortfall problem's rule now rejects it at construction
     with pytest.raises(DomainError, match="x0 / cap"):
-        cvar.solve_cvar(prob, example2)
+        cvar.CvarProblem(x0=1e-300, d=1e-299, cap=1e100, beta=0.95, horizon=1.0)
+
+
+def test_beta_whose_width_holds_no_budget_is_the_slack_corner():
+    # test_cli.TWO_SEGMENT_MARKET with the first segment's r moved: at
+    # beta = 5e-324 the sloped width at delta = 0 is so thin that H_1 across
+    # it rounds to 0, so curve(0) takes its delta_beta limit there and
+    # divided spare / 0 (ZeroDivisionError, outside the raise set); the limit
+    # is +inf, the slack corner beta = 1e-300 reaches
+    model = market.validate_market(
+        1.0,
+        [0.05634446190740555, 0.04],
+        [[0.12, 0.08], [0.1, 0.09]],
+        [[[0.15, 0.0], [0.03, 0.1]], [[0.2, 0.02], [0.0, 0.12]]],
+        breakpoints=[0.0, 0.5],
+    )
+    tiny, small = (
+        cvar.solve_cvar(cvar.CvarProblem(x0=1.0, d=1.15, cap=3.0, beta=beta, horizon=1.0), model)
+        for beta in (5e-324, 1e-300)
+    )
+    assert tiny.policy.multipliers.case == lpm.DEGENERATE_LOW_TARGET
+    assert (tiny.alpha_star, tiny.cvar) == (small.alpha_star, small.cvar)
+    assert tiny.alpha_star == pytest.approx(-1.950648629451035, rel=1e-12)
+    assert tiny.cvar == pytest.approx(-0.5451636715624351, rel=1e-12)
 
 
 #: forward error of alpha* against the 40-digit root, in units of eps kappa,

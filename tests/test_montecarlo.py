@@ -186,10 +186,10 @@ def _reference_deflator(model, n_paths, n_steps, seed):
     dt = model.horizon / n_steps
     log_z = np.zeros((n_paths, n_steps + 1))
     for k in range(n_steps):
-        theta = np.asarray(model.theta[model.segment_index(times[k])])
-        rate = model.rate[model.segment_index(times[k])]
+        s = model.segment_index(times[k])
+        theta = np.asarray(model.theta[s])
         dw = montecarlo.increments(model, seed, k, n_paths, dt)
-        drift = -(rate + 0.5 * float(theta @ theta)) * dt
+        drift = -(model.rate[s] + 0.5 * model.theta_sq[s]) * dt
         log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
     return times, dt, np.exp(log_z)
 
