@@ -370,8 +370,7 @@ def cmd_solve(config: RunConfig) -> int:
             **_policy_record(sol.policy),
         }
     else:
-        moments = market.deflator_moments(model, 0.0)
-        floor = problem.x0 / market.expected_deflator(model, 0.0, model.horizon)
+        ctx = meanvar.checked_context(problem, model)  # the law whose E[z] the solve enforced
         second = meanvar.mv_second_moment(sol, model)
         record = {
             "kind": "mv",
@@ -379,8 +378,8 @@ def cmd_solve(config: RunConfig) -> int:
             "multipliers": {"mean": _maybe(sol.mean), "budget": _maybe(sol.budget)},
             "objective": _maybe(second - problem.d * problem.d),
             "second_moment": _maybe(second),
-            "d_bounds": {"lower": _maybe(floor), "upper": None},
-            "deflator_moments": {"m": _maybe(moments.m), "nu": _maybe(moments.nu)},
+            "d_bounds": {"lower": _maybe(problem.x0 / ctx.mean), "upper": None},
+            "deflator_moments": {"m": _maybe(ctx.m0), "nu": _maybe(ctx.nu0)},
         }
     payload = {"config": _config_echo(config), "solution": record}
     _write_json(_out_dir(config) / "solution.json", payload)

@@ -89,7 +89,7 @@ DEGENERATE_RICH = "DegenerateRich"
 #: below this remaining deflator volatility the wealth formulas switch to
 #: their terminal limit and the policy is reported undefined
 TERMINAL_NU = 1e-8
-_RESIDUAL_TOL = 1e-8  # largest scaled mean and budget residual a Regular solve accepts
+RESIDUAL_TOL = 1e-8  # largest scaled mean and budget residual a multiplier solve accepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,7 +494,7 @@ def _residuals_ok(ctx, problem, delta, rho):
     if not (delta > 0.0 and rho > 0.0 and math.isfinite(delta + rho)):
         return False
     r1, r2 = _regular_residuals(ctx, problem, delta, rho)
-    return abs(r1) <= _RESIDUAL_TOL and abs(r2) <= _RESIDUAL_TOL
+    return abs(r1) <= RESIDUAL_TOL and abs(r2) <= RESIDUAL_TOL
 
 
 def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, MaxIterations, NoSignChange, SolverDiverged
 from .kernels import PartialMomentContext, partial_moment_H
-from .lpm import Multipliers, Payoff
+from .lpm import RESIDUAL_TOL, Multipliers, Payoff
 from .market import MarketModel, deflator_context, require_numbers
 from .solvers import find_root_1d
 
@@ -58,7 +58,8 @@ def _residuals(ctx, x0, d, lam, eta):
 
 def checked_context(problem: MvProblem, model: MarketModel) -> PartialMomentContext:
     """The law of z(T) in the market; DomainError unless `deflator_context`
-    accepts the horizon and d exceeds x0 / ctx.mean, the budget's risk-free growth."""
+    accepts the horizon and d exceeds x0 / ctx.mean, the budget's risk-free
+    growth, which the `solve` command writes as the floor d_bounds.lower."""
     ctx = deflator_context(model, problem.horizon)
     if problem.d * ctx.mean <= problem.x0:
         raise DomainError(
@@ -89,8 +90,8 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
 
     Raises exactly SolverDiverged if the multipliers overflow (a truncation
     point so deep in the lower tail of z(T) that E[(delta - z)+] is below the
-    float range), the root fails or the residuals end above 1e-8, and
-    DomainError where checked_context does.
+    float range), the root fails or a scaled residual is not within
+    lpm.RESIDUAL_TOL, and DomainError where checked_context does.
     """
     ctx = checked_context(problem, model)
     a_mom = ctx.mean
@@ -125,7 +126,7 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
         )
     lam = delta * eta
     r1, r2 = _residuals(ctx, x0, d, lam, eta)
-    if not max(abs(r1), abs(r2)) <= 1e-8:  # NaN residuals fail too
+    if not (abs(r1) <= RESIDUAL_TOL and abs(r2) <= RESIDUAL_TOL):  # NaN residuals fail too
         raise SolverDiverged(
             f"mean-variance multiplier solve stalled at residuals ({r1:.3e}, {r2:.3e})"
         )

@@ -1,13 +1,16 @@
 """Shared fixtures for the test suite.
 
-Provides the two calibrated markets most tests solve against, plus the
-acceptance-report plumbing: acceptance tests record one verdict line per
-criterion and a terminal-summary hook replays every line after the run, so
-the pass/fail map is visible even for criteria whose checks all passed.
+Provides the two calibrated markets most tests solve against, built from
+the config blocks in `markets.py`, plus the acceptance-report plumbing:
+acceptance tests record one verdict line per criterion and a
+terminal-summary hook replays every line after the run, so the pass/fail
+map is visible even for criteria whose checks all passed.
 """
 import pytest
 
-from capfolio import market
+from capfolio.market import market_from_config
+
+import markets
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -15,19 +18,13 @@ ACCEPTANCE_LINES: list[str] = []
 @pytest.fixture(scope="session")
 def example1():
     """Single risky asset, constant coefficients: r=0.06, mu=0.12, sigma=0.15, T=1."""
-    return market.validate_market(1.0, 0.06, 0.12, 0.15)
+    return market_from_config(markets.EXAMPLE1)
 
 
 @pytest.fixture(scope="session")
 def example2():
     """Three risky assets, T=1, r=0.016 backed out of the quoted market price of risk."""
-    mu = [0.1346, 0.0530, 0.1722]
-    sigma = [
-        [0.1428, 0.0094, 0.1002],
-        [0.0094, 0.0728, 0.0031],
-        [0.1002, 0.0031, 0.2353],
-    ]
-    return market.validate_market(1.0, 0.016, mu, sigma)
+    return market_from_config(markets.EXAMPLE2)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Check-only references that no command runs, kept beside the tests that use them.
 
+`expect` integrates under example 1's law of z(T) by adaptive quadrature.
+
 `mv_oracle` solves the mean-variance reduction E_w[z] = x0/d, and
 `cvar_oracle` the mean-CVaR reduction, to 40 digits with mpmath, on the same
 float law (m0, nu0) of ln z(T) the solves read.
@@ -12,8 +14,38 @@ instance is DegenerateRich or alpha is at or above the safe level.
 """
 from __future__ import annotations
 
+import math
+
+from scipy.integrate import quad
+
 from capfolio import cvar, lpm
 from capfolio.kernels import PartialMomentContext, partial_moment_H
+
+
+#: ln z(T) ~ N(M0, NU0^2) on example 1: m0 = -(r + theta^2 / 2) T, nu0 = theta sqrt(T)
+M0, NU0 = -0.14, 0.4
+
+
+def expect(g, kinks=()):
+    """E[g(z)] under ln z ~ N(M0, NU0^2) by adaptive quadrature.
+
+    `kinks` lists z levels where the integrand may lose smoothness; they are
+    mapped to the standardized axis and handed to quad as split points.
+    """
+    pts = sorted(
+        (math.log(k) - M0) / NU0 for k in kinks if k > 0.0 and math.isfinite(k)
+    )
+    val, err = quad(
+        lambda u: g(math.exp(M0 + NU0 * u))
+        * math.exp(-0.5 * u * u)
+        / math.sqrt(2.0 * math.pi),
+        -14.0,
+        14.0,
+        limit=500,
+        points=[p for p in pts if -14.0 < p < 14.0] or None,
+    )
+    assert err < 5e-8
+    return val
 
 
 def shortfall_slope(sol: lpm.PolicySolution) -> float:

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from capfolio import baseline, cli, cvar, kernels, lpm, meanvar, montecarlo, surface
+
+import markets
 from test_kernels import _PHI_TABLE
 
 GAMMA1 = math.exp(0.06)
@@ -370,33 +372,12 @@ def test_criterion_11_kernel_accuracy(criterion):
 
 def test_criterion_12_determinism(tmp_path, criterion):
     def check():
-        market1 = {
-            "horizon": 1.0,
-            "segments": [
-                {"t_start": 0.0, "r": 0.06, "mu": [0.12], "sigma": [[0.15]]}
-            ],
-        }
-        market2 = {
-            "horizon": 1.0,
-            "segments": [
-                {
-                    "t_start": 0.0,
-                    "r": 0.016,
-                    "mu": [0.1346, 0.0530, 0.1722],
-                    "sigma": [
-                        [0.1428, 0.0094, 0.1002],
-                        [0.0094, 0.0728, 0.0031],
-                        [0.1002, 0.0031, 0.2353],
-                    ],
-                }
-            ],
-        }
         outs = []
         for tag in ("first", "second"):
             out = tmp_path / tag
             lpm_cfg = tmp_path / f"lpm_{tag}.json"
             lpm_cfg.write_text(json.dumps({
-                "market": market1,
+                "market": markets.EXAMPLE1,
                 "problem": {"kind": "lpm", "x0": 1.0, "d": 1.3,
                             "gamma": GAMMA1, "cap": 10.0, "q": 2.0},
                 "run": {"out": str(out), "t": 0.5, "z_grid": {"count": 40},
@@ -404,7 +385,7 @@ def test_criterion_12_determinism(tmp_path, criterion):
             }))
             cvar_cfg = tmp_path / f"cvar_{tag}.json"
             cvar_cfg.write_text(json.dumps({
-                "market": market2,
+                "market": markets.EXAMPLE2,
                 "problem": {"kind": "cvar", "x0": 10.0, "d": 12.0,
                             "cap": 100.0, "beta": 0.95},
                 "run": {"out": str(out), "d_grid": [11.0], "betas": [0.90],

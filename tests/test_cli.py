@@ -14,27 +14,9 @@ from hypothesis import strategies as st
 
 from capfolio import baseline, cli, cvar, lpm, market, meanvar, montecarlo, surface
 from capfolio.errors import SolverDiverged
-from capfolio.market import validate_market
 
-EX1_MARKET = {
-    "horizon": 1.0,
-    "segments": [{"t_start": 0.0, "r": 0.06, "mu": [0.12], "sigma": [[0.15]]}],
-}
-EX2_MARKET = {
-    "horizon": 1.0,
-    "segments": [
-        {
-            "t_start": 0.0,
-            "r": 0.016,
-            "mu": [0.1346, 0.0530, 0.1722],
-            "sigma": [
-                [0.1428, 0.0094, 0.1002],
-                [0.0094, 0.0728, 0.0031],
-                [0.1002, 0.0031, 0.2353],
-            ],
-        }
-    ],
-}
+from markets import EXAMPLE1 as EX1_MARKET, EXAMPLE2 as EX2_MARKET, STRESS as STRESS_MARKET
+
 LPM1 = {"kind": "lpm", "x0": 1.0, "d": 1.3, "gamma": math.exp(0.06), "cap": 10.0, "q": 2.0}
 CVAR2 = {"kind": "cvar", "x0": 10.0, "d": 12.0, "cap": 100.0, "beta": 0.95}
 MV1 = {"kind": "mv", "x0": 1.0, "d": 1.3}
@@ -151,16 +133,19 @@ def test_solve_mean_variance(tmp_path):
 
 
 def test_solve_mean_variance_on_stress_market(tmp_path, capsys):
-    # d = 5 lies where a Newton step on (ln lam, ln eta) overflowed math.exp
-    stress = {
-        "horizon": 1.0,
-        "segments": [{"t_start": 0.0, "r": 0.02, "mu": [0.6], "sigma": [[0.2]]}],
-    }
-    cfg = _cfg(tmp_path, stress, {"kind": "mv", "x0": 1.0, "d": 5.0}, run={"out": str(tmp_path)})
-    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    model, evaluate = cli.load_solution(tmp_path / "solution.json")
-    assert float(evaluate(0.0, 1.0)) == pytest.approx(1.0, abs=1e-8)
+    # d = 5 lies where a Newton step on (ln lam, ln eta) overflowed math.exp;
+    # d = 1.0202013400267556 clears x0 / E[z] as the solve computes E[z], but
+    # lies one ulp below the float x0 / e^{-rT}, so the floor written must be
+    # the former
+    for d in (5.0, 1.0202013400267556):
+        problem = {"kind": "mv", "x0": 1.0, "d": d}
+        cfg = _cfg(tmp_path, STRESS_MARKET, problem, run={"out": str(tmp_path)})
+        assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+        assert sol["d_bounds"]["lower"] < d
+        model, evaluate = cli.load_solution(tmp_path / "solution.json")
+        assert float(evaluate(0.0, 1.0)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_solve_cvar_cell(tmp_path):
@@ -176,7 +161,7 @@ def test_solve_cvar_cell(tmp_path):
     assert float(evaluate(0.0, 1.0)) == pytest.approx(10.0, abs=1e-6)
 
 
-def test_policy_table_matches_library_curve(tmp_path):
+def test_policy_table_matches_library_curve(tmp_path, example1):
     points = [0.5, 0.8, 1.0, 1.2, 1.5]
     cfg = _cfg(
         tmp_path, EX1_MARKET, LPM1,
@@ -187,8 +172,7 @@ def test_policy_table_matches_library_curve(tmp_path):
     assert header == ["z", "x", "pi_1", "w_1"]
     assert len(rows) == len(points)
     got = np.array([[float(cell) for cell in row] for row in rows])
-    model = validate_market(1.0, 0.06, 0.12, 0.15)
-    sol = lpm.solve_lpm(lpm.LpmProblem(**{k: LPM1[k] for k in ("x0", "d", "gamma", "cap", "q")}, horizon=1.0), model)
+    sol = lpm.solve_lpm(lpm.LpmProblem(**{k: LPM1[k] for k in ("x0", "d", "gamma", "cap", "q")}, horizon=1.0), example1)
     curve = surface.feedback_curve(lpm.payoff(sol), 0.5, np.asarray(points))
     np.testing.assert_allclose(got[:, 0], curve.z, rtol=1e-10)
     np.testing.assert_allclose(got[:, 1], curve.x, rtol=1e-10)

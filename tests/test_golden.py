@@ -23,28 +23,19 @@ import scipy
 
 from capfolio import cli
 
+import markets
+
 GOLDEN = Path(__file__).with_name("golden.json")
 
-SEGMENT_EX1 = {"t_start": 0.0, "r": 0.06, "mu": [0.12], "sigma": [[0.15]]}
-SEGMENT_EX2 = {
-    "t_start": 0.0,
-    "r": 0.016,
-    "mu": [0.1346, 0.0530, 0.1722],
-    "sigma": [
-        [0.1428, 0.0094, 0.1002],
-        [0.0094, 0.0728, 0.0031],
-        [0.1002, 0.0031, 0.2353],
-    ],
-}
 # (market block, problem numbers, frontier and compare_static targets)
 MARKETS = {
     "example1": (
-        {"horizon": 1.0, "segments": [SEGMENT_EX1]},
+        markets.EXAMPLE1,
         {"x0": 1.0, "d": 1.3, "gamma": math.exp(0.06), "cap": 10.0, "beta": 0.95},
         [1.1, 1.2, 1.3],
     ),
     "example2": (
-        {"horizon": 1.0, "segments": [SEGMENT_EX2]},
+        markets.EXAMPLE2,
         {"x0": 10.0, "d": 12.0, "gamma": 10.5, "cap": 100.0, "beta": 0.95},
         [11.0, 12.0, 13.0],
     ),

@@ -12,6 +12,8 @@ from scipy.special import ndtri
 from capfolio import cvar, kernels, lpm, market, meanvar, surface
 from capfolio.errors import DomainError, TargetOutOfRange
 
+import markets
+
 # Standard normal CDF at 64 fixed probes, frozen from a 50-digit
 # arbitrary-precision evaluation and rounded to the nearest double.
 _PHI_TABLE = [
@@ -280,17 +282,8 @@ def test_invert_h1_round_trip():
 
 def _contexts():
     """Deflator laws of examples 1 and 2 and of the high-Sharpe stress market."""
-    ex2_mu = [0.1346, 0.0530, 0.1722]
-    ex2_sigma = [
-        [0.1428, 0.0094, 0.1002],
-        [0.0094, 0.0728, 0.0031],
-        [0.1002, 0.0031, 0.2353],
-    ]
-    models = [
-        market.validate_market(1.0, 0.06, 0.12, 0.15),
-        market.validate_market(1.0, 0.016, ex2_mu, ex2_sigma),
-        market.validate_market(1.0, 0.02, 0.6, 0.2),
-    ]
+    blocks = (markets.EXAMPLE1, markets.EXAMPLE2, markets.STRESS)
+    models = [market.market_from_config(b) for b in blocks]
     return [_CTX] + [market.deflator_context(m, m.horizon) for m in models]
 
 

@@ -19,10 +19,12 @@ from capfolio.errors import (
     TargetTooHigh,
 )
 
+import markets
+from reference import M0, NU0, expect
+
 # Calibrated single-asset instance: r=0.06, mu=0.12, sigma=0.15, T=1,
 # x0=1, benchmark gamma = e^{0.06}, target d=1.3.
 GAMMA = math.exp(0.06)
-M0, NU0 = -0.14, 0.4
 
 # Multiplier pairs (mean, budget) frozen from an independent
 # quadrature probe of the constraint system, run before this package existed.
@@ -68,28 +70,6 @@ def _h_ref(p, y, m=M0, nu=NU0):
     return math.exp(p * m + 0.5 * p * p * nu * nu) * _phi(
         (math.log(y) - m) / nu - p * nu
     )
-
-
-def _expect(g, kinks=()):
-    """E[g(z)] under ln z ~ N(M0, NU0^2) by adaptive quadrature.
-
-    `kinks` lists z levels where the integrand may lose smoothness; they are
-    mapped to the standardized axis and handed to quad as split points.
-    """
-    pts = sorted(
-        (math.log(k) - M0) / NU0 for k in kinks if k > 0.0 and math.isfinite(k)
-    )
-    val, err = quad(
-        lambda u: g(math.exp(M0 + NU0 * u))
-        * math.exp(-0.5 * u * u)
-        / math.sqrt(2.0 * math.pi),
-        -14.0,
-        14.0,
-        limit=500,
-        points=[p for p in pts if -14.0 < p < 14.0] or None,
-    )
-    assert err < 5e-8
-    return val
 
 
 def _payoff_kinks(sol):
@@ -179,8 +159,8 @@ def test_constraints_hold_by_quadrature(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
     pay = lpm.payoff(sol)
     kinks = _payoff_kinks(sol)
-    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), kinks)
-    mean = _expect(lambda z: surface.terminal_wealth(pay, z), kinks)
+    budget = expect(lambda z: z * surface.terminal_wealth(pay, z), kinks)
+    mean = expect(lambda z: surface.terminal_wealth(pay, z), kinks)
     assert budget == pytest.approx(1.0, abs=1e-8)
     assert mean == pytest.approx(1.3, abs=1e-8)
 
@@ -191,11 +171,11 @@ def test_objective_matches_quadrature(example1, q):
     pay = lpm.payoff(sol)
     kinks = _payoff_kinks(sol)
     if q == 0.0:
-        want = _expect(
+        want = expect(
             lambda z: 1.0 if surface.terminal_wealth(pay, z) < GAMMA else 0.0, kinks
         )
     else:
-        want = _expect(
+        want = expect(
             lambda z: max(GAMMA - surface.terminal_wealth(pay, z), 0.0) ** q, kinks
         )
     assert sol.objective_value == pytest.approx(want, abs=1e-7)
@@ -205,7 +185,7 @@ def test_objective_matches_quadrature(example1, q):
 def test_expected_terminal_wealth_closed_form(example1, q):
     sol = lpm.solve_lpm(_problem(q), example1)
     pay = lpm.payoff(sol)
-    want = _expect(lambda z: surface.terminal_wealth(pay, z), _payoff_kinks(sol))
+    want = expect(lambda z: surface.terminal_wealth(pay, z), _payoff_kinks(sol))
     assert lpm.expected_terminal_wealth(sol) == pytest.approx(want, abs=1e-9)
 
 
@@ -430,10 +410,10 @@ def test_degenerate_low_target_case(example1):
     assert not sol.multiple_solutions
     # the solution ignores d and delivers the minimal-mean optimum d_lower
     kinks = _payoff_kinks(sol)
-    mean = _expect(lambda z: surface.terminal_wealth(pay, z), kinks)
+    mean = expect(lambda z: surface.terminal_wealth(pay, z), kinks)
     assert mean == pytest.approx(sol.d_lower, abs=1e-8)
     assert mean > prob.d
-    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), kinks)
+    budget = expect(lambda z: z * surface.terminal_wealth(pay, z), kinks)
     assert budget == pytest.approx(1.0, abs=1e-8)
 
 
@@ -449,7 +429,7 @@ def test_degenerate_rich_case(example1):
     assert sol.objective_value == 0.0
     assert sol.rho is None
     # the canonical representative still prices back to the budget
-    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), (sol.delta,))
+    budget = expect(lambda z: z * surface.terminal_wealth(pay, z), (sol.delta,))
     assert budget == pytest.approx(1.0, abs=1e-8)
     x = surface.terminal_wealth(pay, np.array([sol.delta * 0.9, sol.delta * 1.1]))
     assert x[0] == 10.0 and x[1] == 0.9
@@ -536,7 +516,7 @@ GRID_PAIRS = ((1.0, 1.2), (1.05, 2.0), (1.1, 10.0), (0.95, 3.0))  # (gamma, cap)
 
 @pytest.fixture(scope="module")
 def grid_markets(example1, example2):
-    stress = market.validate_market(1.0, 0.02, 0.6, 0.2)
+    stress = market.market_from_config(markets.STRESS)
     return {"example1": example1, "example2": example2, "stress": stress}
 
 
@@ -829,6 +809,15 @@ def test_failed_reduction_root_is_solver_diverged(example1, monkeypatch, exc):
     monkeypatch.setattr(lpm, "find_root_1d", _raises(exc))
     with pytest.raises(SolverDiverged, match="multiplier solve failed"):
         lpm.solve_lpm(_problem(1.0), example1)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_residuals_above_the_gate_are_solver_diverged(example1, monkeypatch, q):
+    # a mean residual of 1e-7 lies above lpm.RESIDUAL_TOL, so every route's
+    # answer (for q = 2 the Newton's, then the reduction's) fails the gate
+    monkeypatch.setattr(lpm, "_regular_residuals", lambda *args: (1e-7, 0.0))
+    with pytest.raises(SolverDiverged, match="residuals too large"):
+        lpm.solve_lpm(_problem(q), example1)
 
 
 @pytest.mark.parametrize("exc", [MaxIterations, NoSignChange])

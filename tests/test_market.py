@@ -15,6 +15,8 @@ from capfolio.errors import (
     DomainError,
 )
 
+import markets
+
 
 def test_scalar_promotion_builds_single_segment_model():
     model = market.validate_market(1.0, 0.06, 0.12, 0.15)
@@ -32,12 +34,7 @@ def test_vector_promotion_single_segment(example2):
     assert [[len(row) for row in sigma] for sigma in example2.vol] == [[3, 3, 3]]
 
 
-EX2_MU = [0.1346, 0.0530, 0.1722]
-EX2_SIGMA = [
-    [0.1428, 0.0094, 0.1002],
-    [0.0094, 0.0728, 0.0031],
-    [0.1002, 0.0031, 0.2353],
-]
+EX2_MU, EX2_SIGMA = (markets.EXAMPLE2["segments"][0][key] for key in ("mu", "sigma"))
 # the canonical spelling: one entry per segment in every coefficient, mu a
 # list and sigma a matrix in each
 CANONICAL = {

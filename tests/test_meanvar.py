@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from capfolio import meanvar, surface
 from capfolio.errors import DomainError, MaxIterations, NoSignChange, SolverDiverged
 from capfolio.market import deflator_context, validate_market
 
-M0, NU0 = -0.14, 0.4
+from reference import expect
 
 # Multiplier pair for x0=1, d=1.3 on the calibrated single-asset market,
 # frozen from the independent probe of the 2x2 moment system.
@@ -21,21 +20,6 @@ FROZEN_VARIANCE = 0.34807900451214846
 
 def _problem(d=1.3, x0=1.0):
     return meanvar.MvProblem(x0=x0, d=d, horizon=1.0)
-
-
-def _expect(g, kinks=()):
-    pts = sorted((math.log(k) - M0) / NU0 for k in kinks if k > 0.0)
-    val, err = quad(
-        lambda u: g(math.exp(M0 + NU0 * u))
-        * math.exp(-0.5 * u * u)
-        / math.sqrt(2.0 * math.pi),
-        -14.0,
-        14.0,
-        limit=500,
-        points=[p for p in pts if -14.0 < p < 14.0] or None,
-    )
-    assert err < 5e-8
-    return val
 
 
 def test_multipliers_match_frozen_probe(example1):
@@ -64,8 +48,8 @@ def test_constraints_hold_by_quadrature(example1):
     mult = meanvar.solve_mv(_problem(), example1)
     pay = meanvar.mv_payoff(mult, example1)
     cut = mult.mean / mult.budget
-    mean = _expect(lambda z: surface.terminal_wealth(pay, z), (cut,))
-    budget = _expect(lambda z: z * surface.terminal_wealth(pay, z), (cut,))
+    mean = expect(lambda z: surface.terminal_wealth(pay, z), (cut,))
+    budget = expect(lambda z: z * surface.terminal_wealth(pay, z), (cut,))
     assert mean == pytest.approx(1.3, abs=1e-8)
     assert budget == pytest.approx(1.0, abs=1e-8)
 
@@ -80,7 +64,7 @@ def test_second_moment_and_variance(example1):
     )
     cut = mult.mean / mult.budget
     pay = meanvar.mv_payoff(mult, example1)
-    want = _expect(lambda z: surface.terminal_wealth(pay, z) ** 2, (cut,))
+    want = expect(lambda z: surface.terminal_wealth(pay, z) ** 2, (cut,))
     assert meanvar.mv_second_moment(mult, example1) == pytest.approx(want, abs=1e-8)
 
 
@@ -186,9 +170,11 @@ def test_problem_validation(kwargs):
 
 
 def test_residuals_above_the_gate_are_solver_diverged(example1, monkeypatch):
-    monkeypatch.setattr(meanvar, "_residuals", lambda *args: (1e-7, 0.0))
-    with pytest.raises(SolverDiverged, match="stalled at residuals"):
-        meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
+    # a NaN in either residual fails the gate too: max(0.0, nan) is 0.0
+    for residuals in ((1e-7, 0.0), (0.0, math.nan), (math.nan, 0.0)):
+        monkeypatch.setattr(meanvar, "_residuals", lambda *args: residuals)
+        with pytest.raises(SolverDiverged, match="stalled at residuals"):
+            meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
 
 
 @pytest.mark.parametrize("exc", [MaxIterations, NoSignChange])

@@ -6,10 +6,12 @@ import pytest
 from capfolio import meanvar, surface
 from capfolio.errors import SolverDiverged
 from capfolio.kernels import partial_moment_H
-from capfolio.market import deflator_context, expected_deflator, validate_market
+from capfolio.market import deflator_context, expected_deflator, market_from_config, validate_market
+
+import markets
 from reference import mv_oracle
 
-STRESS = validate_market(1.0, 0.02, 0.6, 0.2)  # Sharpe ratio 2.9
+STRESS = market_from_config(markets.STRESS)  # Sharpe ratio 2.9
 
 
 def _solve(d, market=STRESS):
@@ -29,19 +31,17 @@ def test_stress_market_grid_solves():
         assert float(surface.wealth(meanvar.mv_payoff(mult, STRESS), 0.0, 1.0)) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_unrepresentable_truncation_point_raises():
+def test_unrepresentable_truncation_point_raises(example1):
     # d = 1e12 puts lam / eta near 1e-12, far below where E[(delta - z)+]
     # underflows on this market; the solve reports it instead of dividing by 0
-    example1 = validate_market(1.0, 0.06, 0.12, 0.15)
     assert _solve(1e6, example1).budget > 1e268
     with pytest.raises(SolverDiverged):
         _solve(1e12, example1)
 
 
-def test_target_just_above_riskfree_growth_solves():
+def test_target_just_above_riskfree_growth_solves(example1):
     # the untruncated end (E[z^2] - E[z] x0/d) / (E[z] - x0/d) cancels as d
     # nears x0 e^{rT} = 1.0618365; its gap rounded to -1.1e-16 at d = 1.06201
-    example1 = validate_market(1.0, 0.06, 0.12, 0.15)
     ctx = deflator_context(example1, example1.horizon)
     for d in (1.06201, 1.061862, 1.062449):
         mult = _solve(d, example1)

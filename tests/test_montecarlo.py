@@ -132,6 +132,8 @@ def test_estimate_cvar_hand_case():
     est = montecarlo.estimate_cvar(samples, beta=0.7, xbar=0.0)
     assert est.value == pytest.approx(9.0, rel=1e-14)
     assert est.n == 10
+    # std([0] * 7 + [1, 2, 3], ddof=1) / ((1 - beta) sqrt(n)); sqrt(n - 1) gives 1.1944...
+    assert est.std_error == pytest.approx(1.1331154474650633, rel=1e-12)
 
 
 def test_estimate_cvar_point_mass():
