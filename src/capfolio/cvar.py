@@ -41,9 +41,7 @@ import math
 from dataclasses import dataclass
 
 from . import lpm
-from .errors import (
-    DomainError, InfeasibleBudget, MaxIterations, NoSignChange, SolverDiverged, TargetTooHigh,
-)
+from .errors import DomainError, InfeasibleBudget, NoSignChange, TargetTooHigh
 from .kernels import invert_H, partial_moment_H
 from .market import MarketModel, deflator_context, expected_deflator, require_numbers
 from .solvers import find_root_1d
@@ -195,8 +193,6 @@ def solve_cvar(problem: CvarProblem, model: MarketModel) -> CvarSolution:
             gamma = curve(find_root_1d(lambda x: curve(x)[0], 0.0, top, tol=0.0).root)[1]
         except NoSignChange:  # negative at the top too, where it is at least
             gamma = 0.0  # d_upper - d: d is within rounding of d_upper (raised below)
-        except MaxIterations as exc:
-            raise SolverDiverged(f"CVaR reduction failed for {problem}: {exc}") from exc
     alpha_star = xbar - min(gamma, problem.cap)
     j_star, embedded = _evaluate(problem, model, xbar, alpha_star)
     if embedded is None:

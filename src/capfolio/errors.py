@@ -1,8 +1,8 @@
 """Exception types raised across the solver suite.
 
 Everything derives from CapfolioError so callers can catch the whole family
-with one clause, and each fault has one type. MaxIterations carries the
-final iterate's report.
+with one clause, and each fault has one type. A spent iteration budget is
+SolverDiverged where it happens; no solve re-wraps it.
 """
 
 
@@ -31,18 +31,6 @@ class NoSignChange(CapfolioError):
     """Root bracket endpoints have the same sign."""
 
 
-class MaxIterations(CapfolioError):
-    """Iteration budget exhausted before convergence."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class SingularJacobian(CapfolioError):
-    """Newton step hit a numerically singular Jacobian."""
-
-
 class InfeasibleBudget(CapfolioError):
     """Initial capital cannot be carried to the cap: x0 >= B * E[z(T)]."""
 
@@ -52,8 +40,10 @@ class TargetTooHigh(CapfolioError):
 
 
 class SolverDiverged(CapfolioError):
-    """A numerical solve failed: a root or its residual gate, the simplex's basis
-    or iteration budget, or the cutting planes' gap or primal checks."""
+    """A numerical solve failed: a root or Newton iteration budget spent, a
+    singular or non-finite Newton step or a stalled line search, a bracket
+    without a sign change, a residual gate missed, the simplex's basis or
+    iteration budget, or the cutting planes' gap or primal checks."""
 
 
 class ConfigError(CapfolioError):

@@ -49,9 +49,7 @@ from . import kernels
 from .errors import (
     DomainError,
     InfeasibleBudget,
-    MaxIterations,
     NoSignChange,
-    SingularJacobian,
     SolverDiverged,
     TargetOutOfRange,
     TargetTooHigh,
@@ -417,11 +415,11 @@ def branch_width(
 
     try:
         x = find_root_1d(gap, math.log(flat), math.log(most), tol=1e-13).root
-    except (MaxIterations, NoSignChange) as exc:
+    except NoSignChange as exc:
         # within ulps of the end of the curve the ramp prices a branch a few
         # ulps wide at more than need even at the flat width: the branch is
         # below resolution, and the flat width is the width
-        if isinstance(exc, NoSignChange) and not gap(math.log(flat)) < 0.0:
+        if not gap(math.log(flat)) < 0.0:
             return flat
         raise SolverDiverged(f"sloped branch width for need {need}: {exc}") from exc
     return math.exp(x)
@@ -475,11 +473,11 @@ def _solve_regular(ctx, problem, curve):
             delta, rho = _solve_regular_newton(ctx, problem, curve.delta_bar)
             if _residuals_ok(ctx, problem, delta, rho):
                 return delta, rho
-        except (MaxIterations, SingularJacobian, TargetOutOfRange, NoSignChange):
+        except SolverDiverged:  # its residuals make no root or inversion
             pass
     try:
         delta, rho = _solve_regular_nested(ctx, problem, curve)
-    except (MaxIterations, TargetOutOfRange, NoSignChange) as exc:
+    except (TargetOutOfRange, NoSignChange) as exc:
         raise SolverDiverged(f"multiplier solve failed for {problem}: {exc}") from exc
     if delta == curve.delta_bar and rho == 0.0:
         raise TargetTooHigh(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, MaxIterations, NoSignChange, SolverDiverged
+from .errors import DomainError, NoSignChange, SolverDiverged
 from .kernels import PartialMomentContext, partial_moment_H
 from .lpm import RESIDUAL_TOL, Multipliers, Payoff
 from .market import MarketModel, deflator_context, require_numbers
@@ -58,13 +58,15 @@ def _residuals(ctx, x0, d, lam, eta):
 
 def checked_context(problem: MvProblem, model: MarketModel) -> PartialMomentContext:
     """The law of z(T) in the market; DomainError unless `deflator_context`
-    accepts the horizon and d exceeds x0 / ctx.mean, the budget's risk-free
-    growth, which the `solve` command writes as the floor d_bounds.lower."""
+    accepts the horizon and d exceeds the float x0 / ctx.mean, the budget's
+    risk-free growth, which the `solve` command writes as the floor
+    d_bounds.lower: the floor itself is rejected, the next float accepted."""
     ctx = deflator_context(model, problem.horizon)
-    if problem.d * ctx.mean <= problem.x0:
+    floor = problem.x0 / ctx.mean
+    if problem.d <= floor:
         raise DomainError(
             "mean target d must exceed the risk-free growth of the budget "
-            f"(d={problem.d}, x0/E[z]={problem.x0 / ctx.mean:.6g})"
+            f"(d={problem.d}, x0/E[z]={floor:.6g})"
         )
     return ctx
 
@@ -78,14 +80,15 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     is the mean of z under the weight (delta - z)+.  E_w[z] rises from 0 at
     delta = 0 to E[z] as delta grows (its derivative is
     (H_0 H_2 - H_1^2) / E[(delta - z)+]^2 > 0 by Cauchy-Schwarz, H_p at
-    delta), so d E[z] > x0 gives exactly one root,
+    delta), so d > x0/E[z] gives exactly one root,
     bracketed in closed form: E_w[z] < delta puts the root above x0/d, and
     E[(delta - z)(z - x0/d)] <= E[(delta - z)+ (z - x0/d)] for delta >= x0/d
     puts it below twice the untruncated solution
     u = (E[z^2] - E[z] x0/d) / (E[z] - x0/d): as E[(delta - z)+] <= delta,
     E_w[z] - x0/d is at least (E[z] - x0/d) / 2 at delta = 2u, a margin the
     cancellation in u cannot erase.  A bracketed root in ln delta solves it
-    to rounding.  Where 2u overflows, the upper end is clamped to
+    to rounding.  Where 2u overflows, or within ulps of the floor x0/d rounds
+    to E[z] or E[z] x0/d to E[z^2] or above, the upper end is the clamp
     ln delta = 700 - ln max(1, E[z]), where the gap is still finite.
 
     Raises exactly SolverDiverged if the multipliers overflow (a truncation
@@ -113,10 +116,11 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
         return (delta * h1 - h2) / below - ratio
 
     top = 700.0 - max(0.0, math.log(a_mom))  # delta H_1 <= delta E[z] stays finite
-    bracket = (math.log(ratio), min(math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)), top))
+    if ratio < a_mom and a_mom * ratio < c_mom:
+        top = min(math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)), top)
     try:
-        delta = math.exp(find_root_1d(weighted_mean_gap, *bracket, tol=0.0).root)
-    except (MaxIterations, NoSignChange) as exc:
+        delta = math.exp(find_root_1d(weighted_mean_gap, math.log(ratio), top, tol=0.0).root)
+    except NoSignChange as exc:
         raise SolverDiverged(f"mean-variance root failed for {problem}: {exc}") from exc
     eta = 2.0 * d / shortfall(delta)
     if not math.isfinite(eta):

@@ -1,6 +1,7 @@
 """Generic numeric kernels on floats: 1-D bracketed roots and damped 2-D
 Newton. Nothing in here knows about portfolios; the policy modules feed in
-their residual functions.
+their residual functions. Every routine returns only a converged answer and
+raises SolverDiverged where it fails, so no caller re-wraps a spent budget.
 """
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import MaxIterations, NoSignChange, SingularJacobian
+from .errors import NoSignChange, SolverDiverged
 
 __all__ = ["SolveReport", "find_root_1d", "solve_2d"]
 
@@ -17,14 +18,11 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True, slots=True)
 class SolveReport:
-    """Outcome of a solve. `root` is a float for the 1-D routines and a
-    pair of floats for solve_2d. `converged` means the stopping rule of the
-    routine was met (residual small, or bracket narrower than tolerance)."""
+    """A converged solve: `root` is a float for find_root_1d and a pair of
+    floats for solve_2d, reached after `iterations` steps."""
 
     root: object
-    residual_norm: float
     iterations: int
-    converged: bool
 
 
 def find_root_1d(f, bracket_lo, bracket_hi, tol=1e-12, max_iter=200):
@@ -33,15 +31,15 @@ def find_root_1d(f, bracket_lo, bracket_hi, tol=1e-12, max_iter=200):
     Stops when |f(x)| <= tol or the bracket width falls below
     tol * max(1, |x|). The iterate never leaves [bracket_lo, bracket_hi].
 
-    Raises NoSignChange if f has the same sign at both ends, MaxIterations
+    Raises NoSignChange if f has the same sign at both ends, SolverDiverged
     if the budget runs out.
     """
     a, b = float(bracket_lo), float(bracket_hi)
     fa, fb = f(a), f(b)
     if fa == 0.0:
-        return SolveReport(a, 0.0, 0, True)
+        return SolveReport(a, 0)
     if fb == 0.0:
-        return SolveReport(b, 0.0, 0, True)
+        return SolveReport(b, 0)
     if (fa > 0.0) == (fb > 0.0):
         raise NoSignChange(
             f"f({a}) = {fa} and f({b}) = {fb} have the same sign"
@@ -59,7 +57,7 @@ def find_root_1d(f, bracket_lo, bracket_hi, tol=1e-12, max_iter=200):
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol * max(1.0, abs(b))
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0 or abs(fb) <= tol:
-            return SolveReport(b, abs(fb), it, True)
+            return SolveReport(b, it)
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             # interpolation step: secant, or inverse quadratic when a, b, c
             # are distinct
@@ -89,10 +87,7 @@ def find_root_1d(f, bracket_lo, bracket_hi, tol=1e-12, max_iter=200):
         else:
             b += tol1 if xm > 0.0 else -tol1
         fb = f(b)
-    raise MaxIterations(
-        f"no root after {max_iter} iterations, last |f| = {abs(fb):.3e}",
-        report=SolveReport(b, abs(fb), max_iter, False),
-    )
+    raise SolverDiverged(f"no root after {max_iter} iterations, last |f| = {abs(fb):.3e}")
 
 
 def _sup_norm(f) -> float:
@@ -128,23 +123,22 @@ def solve_2d(F, x_init, tol=1e-10, max_iter=100):
     times) until the residual sup-norm drops; converged when
     ||F||_inf <= tol.
 
-    Raises SingularJacobian on a zero or non-finite Jacobian determinant or
-    a non-finite step, and MaxIterations when the budget runs out (best
-    iterate in the report).
+    Raises SolverDiverged on a zero or non-finite Jacobian determinant, a
+    non-finite step, a stalled line search, or when the budget runs out.
     """
     x = (float(x_init[0]), float(x_init[1]))
     fx = _evaluate(F, x)
     norm = _sup_norm(fx)
     for it in range(1, max_iter + 1):
         if norm <= tol:
-            return SolveReport(x, norm, it - 1, True)
+            return SolveReport(x, it - 1)
         a, b, c, d = _fd_jacobian(F, x)
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
-            raise SingularJacobian(f"Jacobian determinant {det} at iterate {list(x)}")
+            raise SolverDiverged(f"singular Jacobian: determinant {det} at iterate {list(x)}")
         step = ((b * fx[1] - d * fx[0]) / det, (c * fx[0] - a * fx[1]) / det)
         if not (math.isfinite(step[0]) and math.isfinite(step[1])):
-            raise SingularJacobian(f"non-finite Newton step at {list(x)}")
+            raise SolverDiverged(f"non-finite Newton step at {list(x)}")
         scale = 1.0
         for _ in range(30):
             trial = (x[0] + scale * step[0], x[1] + scale * step[1])
@@ -154,14 +148,8 @@ def solve_2d(F, x_init, tol=1e-10, max_iter=100):
                 break
             scale *= 0.5
         else:
-            raise MaxIterations(
-                f"line search stalled at residual {norm:.3e}",
-                report=SolveReport(x, norm, it, False),
-            )
+            raise SolverDiverged(f"line search stalled at residual {norm:.3e}")
         x, fx, norm = trial, f_trial, trial_norm
     if norm <= tol:
-        return SolveReport(x, norm, max_iter, True)
-    raise MaxIterations(
-        f"residual {norm:.3e} > {tol} after {max_iter} iterations",
-        report=SolveReport(x, norm, max_iter, False),
-    )
+        return SolveReport(x, max_iter)
+    raise SolverDiverged(f"residual {norm:.3e} > {tol} after {max_iter} iterations")

@@ -148,6 +148,25 @@ def test_solve_mean_variance_on_stress_market(tmp_path, capsys):
         assert float(evaluate(0.0, 1.0)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_solve_mean_variance_one_float_above_the_floor(tmp_path, capsys):
+    # x0 / d rounds to E[z] although d is one float above the floor x0 / E[z]
+    # the command writes: the bracket's upper end divided by E[z] - x0 / d = 0
+    # (ZeroDivisionError, a traceback and exit 1) before it took the clamp
+    mkt = {
+        "horizon": 7.131508894011119,
+        "segments": [{
+            "t_start": 0.0, "r": 0.08991933764282617,
+            "mu": [0.1374619979546788], "sigma": [[0.5120501691054772]],
+        }],
+    }
+    problem = {"kind": "mv", "x0": 78.52627118638533, "d": 149.11141672110378}
+    cfg = _cfg(tmp_path, mkt, problem, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+    assert math.nextafter(sol["d_bounds"]["lower"], math.inf) == problem["d"]
+
+
 def test_solve_cvar_cell(tmp_path):
     cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run={"out": str(tmp_path)})
     assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0

@@ -1,12 +1,13 @@
 """Mean-CVaR reduction: embedded shortfall family, exact J', one root for alpha*, frontier."""
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from capfolio import cvar, lpm, market, surface
-from capfolio.errors import CapfolioError, DomainError, MaxIterations, SolverDiverged, TargetTooHigh
+from capfolio import cvar, lpm, market, solvers, surface
+from capfolio.errors import CapfolioError, DomainError, SolverDiverged, TargetTooHigh
 
 import reference
 
@@ -272,12 +273,9 @@ def test_cap_probe_that_rounds_above_the_cap_still_solves():
 
 
 def test_reduction_root_out_of_iterations_is_solver_diverged(example2, monkeypatch):
-    def fail(*args, **kwargs):
-        raise MaxIterations("injected")
-
-    monkeypatch.setattr(cvar, "find_root_1d", fail)
+    monkeypatch.setattr(cvar, "find_root_1d", functools.partial(solvers.find_root_1d, max_iter=1))
     prob = cvar.CvarProblem(x0=X0, d=12.0, cap=CAP, beta=0.95, horizon=1.0)
-    with pytest.raises(SolverDiverged, match="CVaR reduction failed"):
+    with pytest.raises(SolverDiverged, match="no root after 1 iterations"):
         cvar.solve_cvar(prob, example2)
 
 

@@ -1,4 +1,5 @@
 """Shortfall solver: frozen reference values, quadrature cross-checks, cases."""
+import functools
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from capfolio import cvar, kernels, lpm, market, surface
+from capfolio import cvar, kernels, lpm, market, solvers, surface
 from capfolio.errors import (
     CapfolioError,
     DomainError,
     InfeasibleBudget,
-    MaxIterations,
     NoSignChange,
     SolverDiverged,
     TargetOutOfRange,
@@ -804,10 +804,20 @@ def _raises(exc):
     return fail
 
 
-@pytest.mark.parametrize("exc", [MaxIterations, NoSignChange, TargetOutOfRange])
+# the real root finder, out of budget after one iteration
+_ONE_ITERATION = functools.partial(solvers.find_root_1d, max_iter=1)
+
+
+@pytest.mark.parametrize("exc", [NoSignChange, TargetOutOfRange])
 def test_failed_reduction_root_is_solver_diverged(example1, monkeypatch, exc):
     monkeypatch.setattr(lpm, "find_root_1d", _raises(exc))
     with pytest.raises(SolverDiverged, match="multiplier solve failed"):
+        lpm.solve_lpm(_problem(1.0), example1)
+
+
+def test_spent_reduction_root_is_solver_diverged(example1, monkeypatch):
+    monkeypatch.setattr(lpm, "find_root_1d", _ONE_ITERATION)
+    with pytest.raises(SolverDiverged, match="no root after 1 iterations"):
         lpm.solve_lpm(_problem(1.0), example1)
 
 
@@ -820,14 +830,18 @@ def test_residuals_above_the_gate_are_solver_diverged(example1, monkeypatch, q):
         lpm.solve_lpm(_problem(q), example1)
 
 
-@pytest.mark.parametrize("exc", [MaxIterations, NoSignChange])
-def test_failed_sloped_width_root_is_solver_diverged(example1, monkeypatch, exc):
+@pytest.mark.parametrize(
+    "root, message",
+    [(_raises(NoSignChange), "sloped branch width"), (_ONE_ITERATION, "no root after 1 iterations")],
+    ids=["NoSignChange", "spent"],
+)
+def test_failed_sloped_width_root_is_solver_diverged(example1, monkeypatch, root, message):
     # at the flat width a ramp funds less than need, so a root without a sign
     # change is a failure, not a branch below resolution
     ctx = market.deflator_context(example1, example1.horizon)
     h = kernels.partial_moment_H(ctx, 0.0, 0.8)
-    monkeypatch.setattr(lpm, "find_root_1d", _raises(exc))
-    with pytest.raises(SolverDiverged, match="sloped branch width"):
+    monkeypatch.setattr(lpm, "find_root_1d", root)
+    with pytest.raises(SolverDiverged, match=message):
         lpm.branch_width(ctx, 0.0, 0.8, h, 0.5 * (1.0 - h), True)
 
 

@@ -1,11 +1,12 @@
 """Mean-variance solver: frozen multipliers, moment identities, policy FD."""
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from capfolio import meanvar, surface
-from capfolio.errors import DomainError, MaxIterations, NoSignChange, SolverDiverged
+from capfolio import meanvar, solvers, surface
+from capfolio.errors import DomainError, NoSignChange, SolverDiverged
 from capfolio.market import deflator_context, validate_market
 
 from reference import expect
@@ -149,6 +150,22 @@ def test_overflowing_upper_bracket_is_clamped(theta_sq_t, d):
     assert all(abs(r) <= 1e-8 for r in meanvar._residuals(ctx, 1.0, d, mult.mean, mult.budget))
 
 
+@pytest.mark.parametrize("x0", [1.0, 10.0, 78.52627118638533])
+def test_closed_form_end_lost_to_rounding_takes_the_clamp(x0):
+    # a Sharpe ratio of 1e-12 leaves E[z^2] within rounding of E[z]^2, so on
+    # the first floats above the floor E[z] x0/d can round to E[z^2] or above:
+    # the log of the closed-form upper end raised ValueError (outside the
+    # raise set) before it took the clamp; a solve or SolverDiverged passes
+    model = validate_market(1.0, 0.05, 0.05 + 2e-13, 0.2)
+    d = x0 / deflator_context(model, 1.0).mean
+    for _ in range(5):
+        d = math.nextafter(d, math.inf)
+        try:
+            meanvar.solve_mv(meanvar.MvProblem(x0=x0, d=d, horizon=1.0), model)
+        except SolverDiverged:
+            pass
+
+
 def test_variance_grows_with_target(example1):
     targets = [1.15, 1.3, 1.5, 1.8]
     variances = [
@@ -177,11 +194,19 @@ def test_residuals_above_the_gate_are_solver_diverged(example1, monkeypatch):
             meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)
 
 
-@pytest.mark.parametrize("exc", [MaxIterations, NoSignChange])
-def test_failed_root_is_solver_diverged(example1, monkeypatch, exc):
-    def fail(*args, **kwargs):
-        raise exc("injected")
+def _raises_no_sign_change(*args, **kwargs):
+    raise NoSignChange("injected")
 
-    monkeypatch.setattr(meanvar, "find_root_1d", fail)
-    with pytest.raises(SolverDiverged, match="root failed"):
+
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        (_raises_no_sign_change, "root failed"),
+        (functools.partial(solvers.find_root_1d, max_iter=1), "no root after 1 iterations"),
+    ],
+    ids=["NoSignChange", "spent"],
+)
+def test_failed_root_is_solver_diverged(example1, monkeypatch, root, message):
+    monkeypatch.setattr(meanvar, "find_root_1d", root)
+    with pytest.raises(SolverDiverged, match=message):
         meanvar.solve_mv(meanvar.MvProblem(x0=1.0, d=1.3, horizon=1.0), example1)

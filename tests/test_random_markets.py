@@ -19,7 +19,9 @@ independent route confirms.
 - Mean-variance: targets x0 e^{rT} (1 + eps), eps log-uniform on
   [1e-12, 1).  The budget through the wealth surface at t = 0 and the mean
   as the first moment of the payoff's branches under the lognormal law of
-  z(T), both within 1e-8.
+  z(T), both within 1e-8.  Floor-edge draws on the same market law, x0 in
+  {1, 10, 78.53}: d at the written floor x0 / E[z(T)] raises DomainError,
+  and the next float up is held to the same contract, never DomainError.
 
 Every payoff that solves is also held to the surface contract: at z = 1
 and t in {0, T/2}, `surface.policy` matches a central difference of
@@ -45,7 +47,7 @@ import numpy as np
 import pytest
 
 from capfolio import cvar, lpm, market, meanvar, montecarlo, surface
-from capfolio.errors import CapfolioError, SolverDiverged, TargetTooHigh
+from capfolio.errors import CapfolioError, DomainError, SolverDiverged, TargetTooHigh
 from raise_sets import RAISES
 
 SEED = 20241018
@@ -57,6 +59,9 @@ N_LPM = 1200
 LPM_QS = (0.0, 0.3, 1.0, 2.0)
 MV_SEED = 20241020
 N_MV = 300
+MV_FLOOR_SEED = 20241022
+N_MV_FLOOR = 300
+MV_FLOOR_X0 = (1.0, 10.0, 78.52627118638533)
 CLASS_SEED = 20241021
 N_CLASS = 400
 CLASS_KINDS = (0.0, 0.5, 1.0, 2.0, "cvar", "mv")
@@ -401,22 +406,57 @@ def mv_outcomes():
     return out
 
 
+def _mv_violations(label, prob, payoff):
+    """Failure lines of one mean-variance outcome: an error outside the raise
+    set, or a payoff whose budget or mean misses x0 or d by 1e-8."""
+    if isinstance(payoff, CapfolioError):
+        return _undocumented(label, payoff, "meanvar.solve_mv")
+    found = []
+    budget = float(surface.wealth(payoff, 0.0, 1.0))
+    if abs(budget - prob.x0) > 1e-8 * max(1.0, prob.x0):
+        found.append(f"{label}: budget {budget!r} against x0 {prob.x0}")
+    mean = _first_moment(payoff)
+    if abs(mean - prob.d) > 1e-8 * max(1.0, prob.d):
+        found.append(f"{label}: mean {mean!r} against d {prob.d!r}")
+    return found
+
+
 def test_mv_sweep_solves_or_raises_a_documented_error(mv_outcomes):
     failures, solved = [], 0
     for label, prob, payoff in mv_outcomes:
-        failures += _undocumented(label, payoff, "meanvar.solve_mv")
-        if isinstance(payoff, CapfolioError):
-            continue
-        solved += 1
-        tol = 1e-8 * max(1.0, prob.d)
-        budget = float(surface.wealth(payoff, 0.0, 1.0))
-        if abs(budget - prob.x0) > 1e-8 * max(1.0, prob.x0):
-            failures.append(f"{label}: budget {budget!r} against x0 {prob.x0}")
-        mean = _first_moment(payoff)
-        if abs(mean - prob.d) > tol:
-            failures.append(f"{label}: mean {mean!r} against d {prob.d!r}")
+        failures += _mv_violations(label, prob, payoff)
+        solved += not isinstance(payoff, CapfolioError)
     assert failures == []
     assert solved >= 250
+
+
+def test_mv_floor_is_rejected_and_the_next_float_is_in_range():
+    # floor-edge draws on the sweep's market law: the floor x0 / E[z(T)] that
+    # `solve` writes raises DomainError, and the next float up is in range,
+    # so it solves or raises SolverDiverged; x0 / d may round to E[z] there
+    rng = random.Random(MV_FLOOR_SEED)
+    failures = []
+    for i in range(N_MV_FLOOR):
+        r, mu, sigma, horizon = _market(rng)
+        x0 = MV_FLOOR_X0[i % len(MV_FLOOR_X0)]
+        try:
+            model = market.validate_market(horizon, r, mu, sigma)
+        except CapfolioError:
+            continue
+        floor = x0 / market.deflator_context(model, horizon).mean
+        label = f"r={r!r} mu={mu!r} sigma={sigma!r} T={horizon!r} x0={x0!r}"
+        with pytest.raises(DomainError):
+            meanvar.solve_mv(meanvar.MvProblem(x0=x0, d=floor, horizon=horizon), model)
+        prob = meanvar.MvProblem(x0=x0, d=math.nextafter(floor, math.inf), horizon=horizon)
+        try:
+            payoff = meanvar.mv_payoff(meanvar.solve_mv(prob, model), model)
+        except DomainError as exc:
+            failures.append(f"{label} d={prob.d!r}: DomainError: {exc}")
+            continue
+        except CapfolioError as exc:
+            payoff = exc
+        failures += _mv_violations(f"{label} d={prob.d!r}", prob, payoff)
+    assert failures == []
 
 
 def _surface_violations(payoff):
