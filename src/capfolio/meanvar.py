@@ -78,32 +78,31 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
     eta = 2 d / E[(delta - z)+], and the budget equation becomes the single
     equation E_w[z] = x0/d, where E_w[z] = E[z (delta - z)+] / E[(delta - z)+]
     is the mean of z under the weight (delta - z)+.  E_w[z] rises from 0 at
-    delta = 0 to E[z] as delta grows (its derivative is
-    (H_0 H_2 - H_1^2) / E[(delta - z)+]^2 > 0 by Cauchy-Schwarz, H_p at
-    delta), so d > x0/E[z] gives exactly one root,
-    bracketed in closed form: E_w[z] < delta puts the root above x0/d, and
-    E[(delta - z)(z - x0/d)] <= E[(delta - z)+ (z - x0/d)] for delta >= x0/d
-    puts it below twice the untruncated solution
+    delta = 0 to E[z] as delta grows (its derivative is (H_0 H_2 - H_1^2) /
+    E[(delta - z)+]^2 > 0 by Cauchy-Schwarz, H_p at delta), so d > x0/E[z]
+    gives exactly one root, bracketed in closed form: E_w[z] < delta puts the
+    root above x0/d, and E[(delta - z)(z - x0/d)] <= E[(delta - z)+ (z - x0/d)]
+    for delta >= x0/d puts it below twice the untruncated solution
     u = (E[z^2] - E[z] x0/d) / (E[z] - x0/d): as E[(delta - z)+] <= delta,
     E_w[z] - x0/d is at least (E[z] - x0/d) / 2 at delta = 2u, a margin the
-    cancellation in u cannot erase.  A bracketed root in ln delta solves it
-    to rounding.  Where 2u overflows, or within ulps of the floor x0/d rounds
-    to E[z] or E[z] x0/d to E[z^2] or above, the upper end is the clamp
-    ln delta = 700 - ln max(1, E[z]), where the gap is still finite.
+    cancellation in u cannot erase.  A bracketed root in ln delta solves it to
+    rounding.  Where 2u overflows, or within ulps of the floor x0/d rounds to
+    E[z] or E[z] x0/d to E[z^2] or above, the upper end is the clamp
+    ln delta = 700 - ln max(1, E[z]), where the gap is still finite.  Near the
+    floor the root runs toward +inf, the untruncated payoff; where the gap at
+    the upper end rounds to 0 or below, the solve takes that end and the
+    residual gate decides.
 
     Raises exactly SolverDiverged if the multipliers overflow (a truncation
     point so deep in the lower tail of z(T) that E[(delta - z)+] is below the
-    float range), the root fails or a scaled residual is not within
-    lpm.RESIDUAL_TOL, and DomainError where checked_context does.
+    float range), the root's budget runs out or a scaled residual is not
+    within lpm.RESIDUAL_TOL, and DomainError where checked_context does.
     """
     ctx = checked_context(problem, model)
     a_mom = ctx.mean
     x0, d = problem.x0, problem.d
     ratio = x0 / d
     c_mom = partial_moment_H(ctx, 2.0, math.inf)
-
-    def shortfall(delta):  # E[(delta - z)+]
-        return delta * partial_moment_H(ctx, 0.0, delta) - partial_moment_H(ctx, 1.0, delta)
 
     def weighted_mean_gap(u):
         delta = math.exp(u)
@@ -120,12 +119,13 @@ def solve_mv(problem: MvProblem, model: MarketModel) -> Multipliers:
         top = min(math.log(2.0 * (c_mom - a_mom * ratio) / (a_mom - ratio)), top)
     try:
         delta = math.exp(find_root_1d(weighted_mean_gap, math.log(ratio), top, tol=0.0).root)
-    except NoSignChange as exc:
-        raise SolverDiverged(f"mean-variance root failed for {problem}: {exc}") from exc
-    eta = 2.0 * d / shortfall(delta)
+    except NoSignChange:  # the gap never rises above 0: the untruncated limit, for the gate
+        delta = math.exp(top)
+    shortfall = delta * partial_moment_H(ctx, 0.0, delta) - partial_moment_H(ctx, 1.0, delta)
+    eta = 2.0 * d / shortfall
     if not math.isfinite(eta):
         raise SolverDiverged(
-            f"mean-variance multipliers overflow: E[(delta - z)+] = {shortfall(delta):.3e} "
+            f"mean-variance multipliers overflow: E[(delta - z)+] = {shortfall:.3e} "
             f"at the truncation point {delta:.6g} is below the float range"
         )
     lam = delta * eta

@@ -6,6 +6,8 @@ block of a CLI config; `market.market_from_config` builds its MarketModel.
   market price of risk.
 - STRESS: one risky asset with Sharpe ratio 2.9 (r = 0.02, mu = 0.6,
   sigma = 0.2, so nu0 = 2.9), where a 2-D Newton on the multipliers stalls.
+- TWO_SEGMENT: two risky assets over T = 2 with one coefficient breakpoint
+  at t = 0.7, the golden digests' time-dependent market.
 
 Tests read these blocks and must not mutate them.
 """
@@ -32,4 +34,11 @@ EXAMPLE2 = {
 STRESS = {
     "horizon": 1.0,
     "segments": [{"t_start": 0.0, "r": 0.02, "mu": [0.6], "sigma": [[0.2]]}],
+}
+TWO_SEGMENT = {
+    "horizon": 2.0,
+    "segments": [
+        {"t_start": 0.0, "r": 0.03, "mu": [0.08, 0.11], "sigma": [[0.2, 0.0], [0.05, 0.25]]},
+        {"t_start": 0.7, "r": 0.05, "mu": [0.1, 0.09], "sigma": [[0.15, 0.02], [0.0, 0.3]]},
+    ],
 }

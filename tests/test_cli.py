@@ -149,22 +149,34 @@ def test_solve_mean_variance_on_stress_market(tmp_path, capsys):
 
 
 def test_solve_mean_variance_one_float_above_the_floor(tmp_path, capsys):
-    # x0 / d rounds to E[z] although d is one float above the floor x0 / E[z]
-    # the command writes: the bracket's upper end divided by E[z] - x0 / d = 0
-    # (ZeroDivisionError, a traceback and exit 1) before it took the clamp
-    mkt = {
-        "horizon": 7.131508894011119,
-        "segments": [{
-            "t_start": 0.0, "r": 0.08991933764282617,
-            "mu": [0.1374619979546788], "sigma": [[0.5120501691054772]],
-        }],
-    }
-    problem = {"kind": "mv", "x0": 78.52627118638533, "d": 149.11141672110378}
-    cfg = _cfg(tmp_path, mkt, problem, run={"out": str(tmp_path)})
-    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
-    assert math.nextafter(sol["d_bounds"]["lower"], math.inf) == problem["d"]
+    # d one float above the floor x0 / E[z] the command writes. On the first
+    # market x0 / d rounds to E[z]: the bracket's upper end divided by
+    # E[z] - x0 / d = 0 (ZeroDivisionError, a traceback and exit 1) before it
+    # took the clamp. On the second the weighted-mean gap at the upper end
+    # rounds to -2.2e-16: no sign change raised "root failed" before the
+    # residual gate judged that end, where both residuals are 0
+    cases = [
+        ((7.131508894011119, 0.08991933764282617, 0.1374619979546788, 0.5120501691054772),
+         78.52627118638533, 149.11141672110378),
+        ((1.0680649838265273, -0.019717092233677534, 0.39182588162149895, 0.340590287272886),
+         1.0, 0.9791610593870488),
+    ]
+    for (horizon, r, mu, sigma), x0, d in cases:
+        model = market.validate_market(horizon, r, mu, sigma)
+        mult = meanvar.solve_mv(meanvar.MvProblem(x0=x0, d=d, horizon=horizon), model)
+        ctx = market.deflator_context(model, horizon)
+        residuals = meanvar._residuals(ctx, x0, d, mult.mean, mult.budget)
+        assert all(abs(res) <= lpm.RESIDUAL_TOL for res in residuals)
+        mkt = {
+            "horizon": horizon,
+            "segments": [{"t_start": 0.0, "r": r, "mu": [mu], "sigma": [[sigma]]}],
+        }
+        problem = {"kind": "mv", "x0": x0, "d": d}
+        cfg = _cfg(tmp_path, mkt, problem, run={"out": str(tmp_path)})
+        assert cli.main(["--config", cfg, "--cmd", "solve"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+        assert math.nextafter(sol["d_bounds"]["lower"], math.inf) == d
 
 
 def test_solve_cvar_cell(tmp_path):

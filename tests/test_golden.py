@@ -40,13 +40,7 @@ MARKETS = {
         [11.0, 12.0, 13.0],
     ),
     "two_segment": (
-        {
-            "horizon": 2.0,
-            "segments": [
-                {"t_start": 0.0, "r": 0.03, "mu": [0.08, 0.11], "sigma": [[0.2, 0.0], [0.05, 0.25]]},
-                {"t_start": 0.7, "r": 0.05, "mu": [0.1, 0.09], "sigma": [[0.15, 0.02], [0.0, 0.3]]},
-            ],
-        },
+        markets.TWO_SEGMENT,
         {"x0": 1.0, "d": 1.3, "gamma": 1.05, "cap": 5.0, "beta": 0.9},
         [1.2, 1.3, 1.4],
     ),
