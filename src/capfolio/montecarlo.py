@@ -3,19 +3,17 @@
 The deflator is stepped in log space with its exact per-step Gaussian law,
 so only the controlled wealth carries Euler discretization error.  Noise is
 counter-based: step k draws from a Philox stream keyed (seed, k), and path
-i reads row i of that step's block, so (seed, path, step) pins down every
+i reads entry i of that step's draw, so (seed, path, step) pins down every
 variate no matter how many paths are requested or how work is split.
-`run_policy` is one loop over running state.  Step k draws its block of
-`increments` once, contracts it to the shock theta' dW per path, and
-advances ln z and x on that one shock: every closed-form policy is a
+`run_policy` is one loop over running state.  Every closed-form policy is a
 scalar -z dx/dz times the direction (sigma sigma')^{-1}(mu - r 1), so in a
-complete market with square sigma the Euler step is
+complete market with square sigma the state moves only through theta' dW,
 
     dx = (r x + scale ||theta||^2) dt + scale theta' dW,
 
-and only the scalar factor is evaluated (Cox & Huang 1989).  Only the
-running vectors are held, so memory is O(n_paths) whatever n_steps is, and
-only the terminal values are kept.
+and step k draws that one factor, one normal per path (Cox & Huang 1989).
+Only the running vectors are held, so memory is O(n_paths) whatever n_steps
+is, and only the terminal values are kept.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ def stream(seed: int, index: int) -> np.random.Generator:
 
 def increments(model: MarketModel, seed: int, step: int, n_paths: int, dt: float):
     """Brownian increments over a time step dt, shape (n_paths, n_assets):
-    block `step` of the stream keyed seed, row i for path (or scenario) i."""
+    block `step` of the stream keyed seed, row i for static scenario i."""
     return stream(seed, step).standard_normal((n_paths, model.n_assets)) * math.sqrt(dt)
 
 
@@ -91,9 +89,11 @@ def run_policy(
     payoff is an `lpm.Payoff` -- `lpm.payoff(solution)` of a shortfall or
     CVaR solution, or `meanvar.mv_payoff` -- and the run starts from its
     wealth x(0, 1).  One loop carries the running vectors ln z and x over a
-    uniform n_steps grid on [0, horizon].  Each step draws its increment
-    block once and contracts it to the shock theta' dW per path.  From it,
-    ln z moves by its exact Gaussian step, with mean
+    uniform n_steps grid on [0, horizon].  Step k draws one normal g per
+    path from the stream keyed (seed, k): for a square sigma, theta' dW is
+    N(0, ||theta||^2 dt) and independent across steps, so the shock
+    g sqrt(dt) ||theta|| has its law (for one asset with theta > 0, its
+    bits).  ln z moves by its exact Gaussian step, with mean
     -(r + ||theta||^2 / 2) dt and variance ||theta||^2 dt (coefficients at
     the left endpoint, so z itself has no Euler bias), and the wealth by
 
@@ -118,13 +118,12 @@ def run_policy(
     dt = model.horizon / n_steps
     # the closed-form policies are undefined exactly at the horizon
     final_policy_time = model.horizon - dt
-    thetas = np.asarray(model.theta)
     x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     log_z = np.zeros(n_paths)
     for k in range(n_steps):
         s = model.segment_index(times[k])
         rate, theta_sq = model.rate[s], model.theta_sq[s]
-        shock = increments(model, seed, k, n_paths, dt) @ thetas[s]
+        shock = (stream(seed, k).standard_normal(n_paths) * math.sqrt(dt)) * math.sqrt(theta_sq)
         z, log_z = np.exp(log_z), log_z - (rate + 0.5 * theta_sq) * dt - shock
         scale = surface.policy_scale(payoff, min(times[k], final_policy_time), z)
         x = x + (rate * x + scale * theta_sq) * dt + scale * shock

@@ -157,6 +157,72 @@ MUTANTS = (
            'print(f"infeasible: {exc}", file=sys.stderr)\n        return 2',
            'print(f"infeasible: {exc}", file=sys.stderr)\n        return 1',
            "an infeasible budget exits 1 instead of 2"),
+    # the one normal per path per step of the simulation
+    Mutant("shock_variance", "montecarlo",
+           "* math.sqrt(dt)) * math.sqrt(theta_sq)", "* math.sqrt(dt)) * theta_sq",
+           "the shock has variance ||theta||^4 dt, not ||theta||^2 dt"),
+    Mutant("shock_stream", "montecarlo",
+           "shock = (stream(seed, k).standard_normal", "shock = (stream(seed, k + 1).standard_normal",
+           "step k draws the stream keyed (seed, k + 1)"),
+    # each branch test of the case split
+    Mutant("case_too_high", "lpm",
+           "    if problem.d >= curve.d_upper:\n", "    if problem.d > curve.d_upper:\n",
+           "a target exactly at d_upper is solved instead of raising TargetTooHigh"),
+    Mutant("case_regular", "lpm",
+           "    if problem.d > curve.d_lower:\n", "    if problem.d >= curve.d_lower:\n",
+           "a target exactly at d_lower is solved as Regular, not degenerate"),
+    Mutant("case_low_target", "lpm",
+           "    elif problem.x0 < gamma * ctx.mean:\n", "    elif problem.x0 > gamma * ctx.mean:\n",
+           "DegenerateLowTarget and DegenerateRich swap their budgets"),
+    Mutant("case_budget_rounding", "lpm",
+           "if x0 >= cap * ctx.mean or x0 / cap >= ctx.mean:", "if x0 >= cap * ctx.mean:",
+           "the infeasible budget reads one rounding of x0 >= cap E[z]"),
+    # the segment read of each time-dependent quantity
+    Mutant("segment_at_breakpoint", "market",
+           "return bisect_right(self.breakpoints, t) - 1",
+           "return max(bisect_right(self.breakpoints, t - 1e-12) - 1, 0)",
+           "a time on a breakpoint reads the segment before it"),
+    Mutant("moments_segments", "market",
+           "zip(lengths, model.rate, model.theta_sq)", "zip(lengths, model.rate, model.theta_sq[::-1])",
+           "ln z's moments pair each segment's length with another's ||theta||^2"),
+    Mutant("simulated_rate_segment", "montecarlo",
+           "rate, theta_sq = model.rate[s], model.theta_sq[s]",
+           "rate, theta_sq = model.rate[0], model.theta_sq[s]",
+           "the simulation steps at the first segment's short rate"),
+    Mutant("simulated_theta_segment", "montecarlo",
+           "rate, theta_sq = model.rate[s], model.theta_sq[s]",
+           "rate, theta_sq = model.rate[s], model.theta_sq[0]",
+           "the simulation steps at the first segment's ||theta||^2"),
+    Mutant("scenario_vol_segment", "baseline",
+           "        vol = vols[s]\n", "        vol = vols[0]\n",
+           "every static segment draws with the first segment's sigma"),
+    Mutant("scenario_bond_segment", "baseline",
+           "log_bond += model.rate[s] * dt", "log_bond += model.rate[0] * dt",
+           "the static bond grows at the first segment's rate throughout"),
+    # each remaining exit-code mapping of cli.main
+    Mutant("exit_config", "cli",
+           'print(f"config error: {exc}", file=sys.stderr)\n        return 3',
+           'print(f"config error: {exc}", file=sys.stderr)\n        return 1',
+           "a config error exits 1 instead of 3"),
+    Mutant("exit_too_high", "cli",
+           'target exceeds d_upper: {exc}", file=sys.stderr)\n        return 2',
+           'target exceeds d_upper: {exc}", file=sys.stderr)\n        return 1',
+           "a target above d_upper exits 1 instead of 2"),
+    Mutant("exit_solver", "cli",
+           'print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)\n        return 1',
+           'print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)\n        return 2',
+           "a solver failure exits 2 instead of 1"),
+    Mutant("exit_memory", "cli",
+           'lower the array sizes of the run block", file=sys.stderr)\n        return 1',
+           'lower the array sizes of the run block", file=sys.stderr)\n        return 3',
+           "running out of memory exits 3 instead of 1"),
+    # the simplex ratio test and its Bland switch
+    Mutant("ratio_test", "simplex",
+           "ties = np.flatnonzero(t <= t.min() + 1e-12)", "ties = np.flatnonzero(np.isfinite(t))",
+           "the leaving row is any limiting row, not one of least ratio"),
+    Mutant("bland_switch", "simplex",
+           "bland = stall > _STALL_LIMIT", "bland = False",
+           "pricing never falls back to Bland's rule while the objective stalls"),
 )
 
 

@@ -9,7 +9,9 @@ from scipy.optimize import linprog
 
 from capfolio import baseline
 from capfolio.errors import DomainError, SolverDiverged
-from capfolio.market import validate_market
+from capfolio.market import market_from_config, validate_market
+
+import markets
 
 
 def test_scenario_moments_single_asset(example1):
@@ -34,6 +36,24 @@ def test_scenario_moments_three_assets(example2):
     mean = scen.returns[:, :3].mean(axis=0)
     expect = np.exp(example2.drift[0])
     np.testing.assert_allclose(mean, expect, rtol=1e-2)
+
+
+def test_scenario_moments_two_segments():
+    # each segment adds its own drift, covariance and short rate over its length
+    model = market_from_config(markets.TWO_SEGMENT)
+    n = 40_000
+    scen = baseline.generate_scenarios(model, n, seed=7)
+    lengths = model.segment_lengths_between(0.0, model.horizon)
+    covs = [np.asarray(v) @ np.asarray(v).T for v in model.vol]
+    cov = sum(t * c for t, c in zip(lengths, covs))
+    mean = sum(t * (np.asarray(m) - 0.5 * np.diag(c)) for t, m, c in zip(lengths, model.drift, covs))
+    bond = math.exp(sum(t * r for t, r in zip(lengths, model.rate)))
+    np.testing.assert_allclose(scen.returns[:, 2], bond, rtol=1e-13)
+    logs = np.log(scen.returns[:, :2])
+    assert np.all(np.abs(logs.mean(axis=0) - mean) < 5.0 * np.sqrt(np.diag(cov) / n))
+    # a Gaussian sample covariance has variance (c_ii c_jj + c_ij^2) / n
+    cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+    assert np.all(np.abs(np.cov(logs.T) - cov) < 5.0 * cov_se)
 
 
 def test_scenarios_reproducible_and_prefix_stable(example1):

@@ -637,6 +637,19 @@ def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch, cmd, module, nam
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_exit_code_solver_failure(tmp_path, capsys, monkeypatch):
+    # a solve that raises a CapfolioError outside the infeasible ones exits 1
+    def diverges(*args):
+        raise SolverDiverged("no root after 200 iterations")
+
+    monkeypatch.setattr(cvar, "solve_cvar", diverges)
+    cfg = _cfg(tmp_path, EX2_MARKET, CVAR2, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: SolverDiverged: no root after 200 iterations")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # problem numbers no solve can use: each is rejected before any solve starts
 BAD_PROBLEMS = {
     "cvar_d_nan": (EX2_MARKET, {**CVAR2, "d": math.nan}, []),

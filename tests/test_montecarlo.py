@@ -10,7 +10,22 @@ import pytest
 from capfolio import baseline, cvar, lpm, market, meanvar, montecarlo, surface
 from capfolio.errors import DomainError
 
+import markets
+
 GAMMA = math.exp(0.06)
+# the calibrated markets of the law tests, each with an LPM problem's
+# (x0, d, gamma, cap); two_segment breaks at 0.7 of T = 2, on the grid of
+# any multiple of 20 steps
+LAW_MARKETS = {
+    "example1": (markets.EXAMPLE1, (1.0, 1.3, GAMMA, 10.0)),
+    "example2": (markets.EXAMPLE2, (10.0, 12.0, 10.5, 100.0)),
+    "two_segment": (markets.TWO_SEGMENT, (1.0, 1.3, 1.05, 5.0)),
+}
+
+
+def _law_cases(*steps):
+    """Parametrize over LAW_MARKETS by name, with each market's step count."""
+    return pytest.mark.parametrize("name, n_steps", zip(LAW_MARKETS, steps), ids=list(LAW_MARKETS))
 
 
 def _flat_market():
@@ -39,17 +54,24 @@ def test_deflator_deterministic_when_theta_zero(monkeypatch):
     np.testing.assert_allclose(z_t, math.exp(-0.04), rtol=1e-13)
 
 
-def test_deflator_mean_matches_discount(example1):
-    z_t = _deflator(example1, 4000, 8, seed=11)
-    est = montecarlo.estimate_mean(z_t)
-    assert abs(est.value - math.exp(-0.06)) < 4.0 * est.std_error
+@_law_cases(8, 8, 20)
+def test_deflator_mean_matches_discount(name, n_steps):
+    # E[z(T)] = exp(m0 + nu0^2 / 2) = exp(-int r), with nu0 0.4, 0.788, 0.497
+    model = market.market_from_config(LAW_MARKETS[name][0])
+    moments = market.deflator_moments(model, 0.0)
+    est = montecarlo.estimate_mean(_deflator(model, 4000, n_steps, seed=11))
+    assert abs(est.value - math.exp(moments.m + 0.5 * moments.nu**2)) < 4.0 * est.std_error
 
 
-def test_deflator_lognormal_moments(example1):
-    # exact stepping: ln z(T) is N(-0.14, 0.16) regardless of the step count
-    logs = np.log(_deflator(example1, 6000, 3, seed=5))
-    assert abs(logs.mean() + 0.14) < 4.0 * logs.std(ddof=1) / math.sqrt(6000)
-    assert logs.std(ddof=1) == pytest.approx(0.4, rel=0.05)
+@_law_cases(3, 3, 20)
+def test_deflator_lognormal_moments(name, n_steps):
+    # exact stepping: ln z(T) is N(m0, nu0^2) regardless of the step count,
+    # so the one normal per step carries the variance ||theta||^2 dt
+    model = market.market_from_config(LAW_MARKETS[name][0])
+    moments = market.deflator_moments(model, 0.0)
+    logs = np.log(_deflator(model, 6000, n_steps, seed=5))
+    assert abs(logs.mean() - moments.m) < 4.0 * logs.std(ddof=1) / math.sqrt(6000)
+    assert logs.std(ddof=1) == pytest.approx(moments.nu, rel=0.05)
 
 
 def test_paths_reproducible_and_prefix_stable(example1):
@@ -78,14 +100,17 @@ def test_bond_only_policy_compounds_at_short_rate(example1):
     assert want == pytest.approx(math.exp(0.06), rel=2e-4)
 
 
-def test_shortfall_policy_replicates_target_mean(example1):
-    prob = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=1.0, horizon=1.0)
-    payoff = lpm.payoff(lpm.solve_lpm(prob, example1))
-    assert surface.wealth(payoff, 0.0, 1.0) == pytest.approx(1.0, rel=1e-7)
-    out = montecarlo.run_policy(example1, payoff, 3000, 64, seed=9)
+@_law_cases(64, 64, 80)
+def test_shortfall_policy_replicates_target_mean(name, n_steps):
+    block, (x0, d, gamma, cap) = LAW_MARKETS[name]
+    model = market.market_from_config(block)
+    prob = lpm.LpmProblem(x0=x0, d=d, gamma=gamma, cap=cap, q=1.0, horizon=model.horizon)
+    payoff = lpm.payoff(lpm.solve_lpm(prob, model))
+    assert surface.wealth(payoff, 0.0, 1.0) == pytest.approx(x0, rel=1e-7)
+    out = montecarlo.run_policy(model, payoff, 3000, n_steps, seed=9)
     assert out.x_terminal.shape == out.z_terminal.shape == (3000,)
     est = montecarlo.estimate_mean(out.x_terminal)
-    assert abs(est.value - 1.3) < 5.0 * est.std_error
+    assert abs(est.value - d) < 5.0 * est.std_error
 
 
 def test_meanvar_policy_starts_at_budget(example1):
@@ -182,25 +207,35 @@ def test_ensemble_summary_fields(example1):
     )
 
 
-def _reference_deflator(model, n_paths, n_steps, seed):
-    """z on the step grid, path-major, from a loop that draws every block."""
+def _scalar_shock(model, s, seed, k, n_paths, dt):
+    """theta_s' dW over step k as `run_policy` draws it: one normal per path
+    from the stream keyed (seed, k), times sqrt(dt) ||theta_s||."""
+    g = montecarlo.stream(seed, k).standard_normal(n_paths)
+    return (g * math.sqrt(dt)) * math.sqrt(model.theta_sq[s])
+
+
+def _contracted_shock(model, s, seed, k, n_paths, dt):
+    """theta_s' dW over step k from the per-asset block of `increments`."""
+    return montecarlo.increments(model, seed, k, n_paths, dt) @ np.asarray(model.theta[s])
+
+
+def _reference_deflator(model, n_paths, n_steps, seed, shock=_scalar_shock):
+    """z on the step grid, path-major, from a loop that draws every step."""
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     dt = model.horizon / n_steps
     log_z = np.zeros((n_paths, n_steps + 1))
     for k in range(n_steps):
         s = model.segment_index(times[k])
-        theta = np.asarray(model.theta[s])
-        dw = montecarlo.increments(model, seed, k, n_paths, dt)
         drift = -(model.rate[s] + 0.5 * model.theta_sq[s]) * dt
-        log_z[:, k + 1] = log_z[:, k] + drift - dw @ theta
+        log_z[:, k + 1] = log_z[:, k] + drift - shock(model, s, seed, k, n_paths, dt)
     return times, dt, np.exp(log_z)
 
 
-def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
-    """Deflator loop first, then a wealth loop that draws every block again
+def _two_pass_reference(model, payoff, n_paths, n_steps, seed, shock=_scalar_shock):
+    """Deflator loop first, then a wealth loop that draws every step again
     and forms theta' dW and the policy scale itself; returns (z, x),
     path-major."""
-    times, dt, z = _reference_deflator(model, n_paths, n_steps, seed)
+    times, dt, z = _reference_deflator(model, n_paths, n_steps, seed, shock)
     x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     x_paths = np.empty((n_paths, n_steps + 1))
     x_paths[:, 0] = x
@@ -208,17 +243,17 @@ def _two_pass_reference(model, payoff, n_paths, n_steps, seed):
         s = model.segment_index(times[k])
         rate = model.rate[s]
         scale = surface.policy_scale(payoff, min(times[k], model.horizon - dt), z[:, k])
-        dw = montecarlo.increments(model, seed, k, n_paths, dt)
-        shock = dw @ np.asarray(model.theta[s])
-        x = x + (rate * x + scale * model.theta_sq[s]) * dt + scale * shock
+        noise = scale * shock(model, s, seed, k, n_paths, dt)
+        x = x + (rate * x + scale * model.theta_sq[s]) * dt + noise
         x_paths[:, k + 1] = x
     return z, x_paths
 
 
 def _full_policy_reference(model, payoff, n_paths, n_steps, seed):
     """The Euler step on the dollar policy itself: pi from `surface.policy`,
-    dx = (r x + pi'(mu - r 1)) dt + pi' sigma dW with pi' sigma dW by einsum;
-    returns (z(T), x(T))."""
+    dx = (r x + pi'(mu - r 1)) dt + pi' sigma dW with pi' sigma dW by einsum,
+    on the rank-one dW = (theta / ||theta||) g sqrt(dt) of the one normal g
+    per path that `run_policy` draws; returns (z(T), x(T))."""
     times, dt, z = _reference_deflator(model, n_paths, n_steps, seed)
     x = np.full(n_paths, float(surface.wealth(payoff, 0.0, 1.0)))
     drifts, vols = np.asarray(model.drift), np.asarray(model.vol)
@@ -226,7 +261,8 @@ def _full_policy_reference(model, payoff, n_paths, n_steps, seed):
         s = model.segment_index(times[k])
         rate = model.rate[s]
         pi = surface.policy(payoff, min(times[k], model.horizon - dt), z[:, k])
-        dw = montecarlo.increments(model, seed, k, n_paths, dt)
+        g = montecarlo.stream(seed, k).standard_normal(n_paths) * math.sqrt(dt)
+        dw = np.outer(g, np.asarray(model.theta[s]) / math.sqrt(model.theta_sq[s]))
         noise = np.einsum("ij,jk,ik->i", pi, vols[s], dw)
         x = x + (rate * x + pi @ (drifts[s] - rate)) * dt + noise
     return z[:, -1], x
@@ -289,15 +325,15 @@ def test_policy_scale_skips_the_zero_jump_of_a_q2_payoff(example1, monkeypatch):
 
 
 def _record_draws(monkeypatch):
-    """Log the step of every block draw."""
+    """Log the step index of every stream `run_policy` draws from."""
     calls = []
-    draw = montecarlo.increments
+    draw = montecarlo.stream
 
-    def recorded(*args):
-        calls.append(args[2])
-        return draw(*args)
+    def recorded(seed, index):
+        calls.append(index)
+        return draw(seed, index)
 
-    monkeypatch.setattr(montecarlo, "increments", recorded)
+    monkeypatch.setattr(montecarlo, "stream", recorded)
     return calls
 
 
@@ -324,6 +360,20 @@ def test_run_policy_matches_two_pass_reference_across_segments():
     z_ref, x_ref = _two_pass_reference(model, payoff, 257, 16, 23)
     np.testing.assert_array_equal(out.z_terminal, z_ref[:, -1])
     np.testing.assert_array_equal(out.x_terminal, x_ref[:, -1])
+
+
+def test_one_asset_run_keeps_the_bits_of_the_per_asset_draw(example1, example2):
+    # sqrt(fl(theta^2)) = theta for theta > 0, so on one asset the one normal
+    # per path times sqrt(dt) ||theta|| is the per-asset block times theta,
+    # bit for bit, also where sqrt(dt) = sqrt(1/24) is not a power of two
+    thetas = np.random.default_rng(0).uniform(1e-3, 10.0, 100_000)
+    np.testing.assert_array_equal(np.sqrt(thetas * thetas), thetas)
+    for model, payoff in (_example_payoffs(example1, example2)[0], _three_segments()):
+        assert model.n_assets == 1 and all(theta > 0.0 for (theta,) in model.theta)
+        out = montecarlo.run_policy(model, payoff, 257, 24, seed=19)
+        z_ref, x_ref = _two_pass_reference(model, payoff, 257, 24, 19, _contracted_shock)
+        np.testing.assert_array_equal(out.z_terminal, z_ref[:, -1])
+        np.testing.assert_array_equal(out.x_terminal, x_ref[:, -1])
 
 
 def test_run_policy_matches_the_dollar_policy_step(example1, example2):
@@ -384,7 +434,7 @@ def test_run_policy_stops_drawing_at_a_failing_step(example1, monkeypatch):
     monkeypatch.setattr(montecarlo.surface, "policy_scale", bad_at_step_3)
     with pytest.raises(ArithmeticError, match="wealth step 3"):
         montecarlo.run_policy(example1, payoff, 16, 8, seed=2)
-    # each step draws its block just before its wealth step, so the failing
+    # each step draws its normals just before its wealth step, so the failing
     # step 3 is the last to draw
     assert calls == list(range(4))
 
