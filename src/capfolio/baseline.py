@@ -156,7 +156,9 @@ def solve_static_cvar(
         raise DomainError(f"confidence level must lie in (0,1), got {beta}")
     if not x0 > 0.0:
         raise DomainError(f"initial budget must be positive, got {x0}")
-    lp = _Lp(scenarios.returns, beta, float(d), float(x0), float(xbar))
+    # in units of 2^round(log2 x0), which scale exactly: no result depends on the unit
+    unit = 2.0 ** min(round(math.log2(x0)), 1023)
+    lp = _Lp(scenarios.returns, beta, float(d) / unit, float(x0) / unit, float(xbar) / unit)
     col_mean = lp.returns.mean(axis=0)
     spread = float(col_mean.max() - col_mean.min())
     # leverage t on the best-minus-worst mean spread meets the mean floor
@@ -182,7 +184,7 @@ def solve_static_cvar(
         box *= _GROW
     weights, alpha, cvar = best
     _check_primal(lp, weights, alpha, cvar)
-    return LpSolution(weights=weights, alpha=alpha, objective=cvar, status=OPTIMAL)
+    return LpSolution(weights * unit, alpha * unit, cvar * unit, OPTIMAL)
 
 
 def _cut_rounds(lp, master, box):

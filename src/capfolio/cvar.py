@@ -157,7 +157,7 @@ def _reduction(problem: CvarProblem, ctx):
     @functools.cache
     def curve(delta):
         h0, h1 = (partial_moment_H(ctx, p, delta) for p in (0.0, 1.0))
-        rho = lpm.branch_width(ctx, 0.0, delta, h0, beta - h0, True)
+        rho = lpm.branch_width(ctx, 0.0, delta, {0.0: h0, 1.0: h1}, beta - h0, True)
         dh1 = partial_moment_H(ctx, 1.0, delta + rho) - h1
         spare = x0 - cap * h1
         if not dh1 > 0.0:  # the delta_beta limit; at delta = 0, spare = x0 > 0

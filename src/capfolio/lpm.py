@@ -41,6 +41,7 @@ X >= gamma; objective 0, solution not unique).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -200,10 +201,10 @@ class Payoff:
 @dataclass(frozen=True, slots=True)
 class _Curve:
     """Ends of the budget curve of one instance: the mean of its payoff is
-    d_lower at the low end (delta_low, rho_low) and d_upper at delta_bar,
-    where rho = 0."""
+    d_lower at the low end, the start `low` at delta_low with width rho_low,
+    and d_upper at delta_bar, where rho = 0."""
 
-    delta_low: float
+    low: _Start
     rho_low: float
     delta_bar: float
     d_lower: float
@@ -238,13 +239,13 @@ def _budget_curve(ctx: PartialMomentContext, problem: LpmProblem) -> _Curve:
             f"x0 = {x0} cannot stay under the cap {cap}: E[z] = {ctx.mean}"
         )
     delta_bar = kernels.invert_H(ctx, 1.0, x0 / cap)
-    delta_low = _rich_threshold(ctx, problem)
-    rho_low = _branch_width(ctx, problem, delta_low)
+    low = _Start(ctx, _rich_threshold(ctx, problem))
+    rho_low = _branch_width(problem, low)
     return _Curve(
-        delta_low=delta_low,
+        low=low,
         rho_low=rho_low,
         delta_bar=delta_bar,
-        d_lower=_payoff_moments(ctx, problem, delta_low, rho_low, (0.0,))[0],
+        d_lower=_payoff_moments(problem, low, rho_low, (0.0,))[0],
         d_upper=cap * partial_moment_H(ctx, 0.0, delta_bar),
     )
 
@@ -259,12 +260,11 @@ def _rich_threshold(ctx: PartialMomentContext, problem: LpmProblem) -> float:
 
 
 class _Start:
-    """Branches (delta, delta + rho] of one residual or one root: they share
-    H_a(delta), evaluated at most once per order a, and F(delta)."""
+    """H_a(delta) at most once per order a, and F(delta) at the first `short`, for all who
+    hold the start (a nested trial's width and mean, the gate); `width` is `branch_width`."""
 
     def __init__(self, ctx, delta, h=None):
-        self.ctx, self.delta, self.h = ctx, delta, h or {}
-        self.scale = 1.0 + (1.0 + abs(ctx.standardize(delta))) / ctx.nu0 if delta > 0.0 else None
+        self.ctx, self.delta, self.h, self.scale = ctx, delta, h or {}, None
 
     def H(self, a):
         if a not in self.h:
@@ -279,16 +279,19 @@ class _Start:
         forms amplify rounding by less than 2 + (1 + |F(delta)|) / nu0, squared
         for `_branch_square`.
         """
+        if self.scale is None and self.delta > 0.0:
+            self.scale = 1.0 + (1.0 + abs(self.ctx.standardize(self.delta))) / self.ctx.nu0
         return self.delta > 0.0 and rho * self.scale <= self.delta
 
-    def ramps(self, ps, rho):
+    def ramps(self, ps, rho, end=None):
         """The ramp E[z^p (delta + rho - z) 1{delta < z <= delta + rho}] / rho
         for each p of ps, ascending consecutive orders in {0, 1}: gamma times it
         is the q = 2 middle branch's share of E[z^p X*], and `cvar` pins rho by
         it. rho = inf gives E[z^p 1{z > delta}], and rho <= 0 gives 0. The
         closed form ((delta + rho) dH_p - dH_{p+1}) / rho loses about
         eps (delta + rho) / rho to cancellation, so a short branch is integrated
-        by Gauss-Legendre; a long one evaluates H_a(delta + rho) once per order a.
+        by Gauss-Legendre; a long one reads H_a(delta + rho) from end, the
+        caller's start there, or evaluates it, once per order a.
         """
         ctx, delta = self.ctx, self.delta
         if rho <= 0.0:
@@ -299,27 +302,58 @@ class _Start:
         if self.short(rho):
             return [_branch_rule(ctx, p, delta, rho, lambda s: 1.0 - s) for p in ps]
         hi = delta + rho
-        out, dh = [], partial_moment_H(ctx, ps[0], hi) - self.H(ps[0])
+        out, dh = [], (end.H(ps[0]) if end else partial_moment_H(ctx, ps[0], hi)) - self.H(ps[0])
         for p in ps:  # dH_{p+1} of one order is dH_p of the next
-            dh_next = partial_moment_H(ctx, p + 1.0, hi) - self.H(p + 1.0)
+            top = end.H(p + 1.0) if end else partial_moment_H(ctx, p + 1.0, hi)
+            dh_next = top - self.H(p + 1.0)
             out.append((hi * dh - dh_next) / rho)
             dh = dh_next
         return out
 
+    def width(self, p, need, sloped):
+        if need <= 0.0:
+            return 0.0
+        ctx, delta, h = self.ctx, self.delta, self.H(p)
+        room = (ctx.mean if p == 1.0 else 1.0) * (1.0 - 1e-15) - h
+        if need >= room:
+            if sloped:
+                return math.inf
+            need = room
+        flat = kernels.invert_H(ctx, p, h + need) - delta
+        if not sloped or flat <= 0.0:
+            return max(flat, 0.0)
+        # s puts need / (1 - s) = (room + need) / 2 midway to room; the quotient
+        # is taken in that form, since 1 - s rounds to 0 when need < eps room / 2
+        s = (room - need) / (room + need)
+        most = (kernels.invert_H(ctx, p, h + 0.5 * (room + need)) - delta) / s
 
-def _branch_square(ctx: PartialMomentContext, delta: float, rho: float) -> float:
+        def gap(x):
+            return self.ramps((p,), math.exp(x))[0] / need - 1.0
+
+        try:
+            x = find_root_1d(gap, math.log(flat), math.log(most), tol=1e-13).root
+        except NoSignChange as exc:
+            # within ulps of the end of the curve the ramp prices a branch a few
+            # ulps wide at more than need even at the flat width: the branch is
+            # below resolution, and the flat width is the width
+            if not gap(math.log(flat)) < 0.0:
+                return flat
+            raise SolverDiverged(f"sloped branch width for need {need}: {exc}") from exc
+        return math.exp(x)
+
+
+def _branch_square(start: _Start, end: _Start, rho: float) -> float:
     """E[(z - delta)^2 1{delta < z <= delta + rho}], the q = 2 middle branch's
-    share of the objective up to (eta / 2)^2.
+    share of the objective up to (eta / 2)^2, from the starts at both ends.
 
     The closed form dH_2 - 2 delta dH_1 + delta^2 dH_0 loses about
     eps (delta / rho)^2 to cancellation, so a short branch is integrated by
     Gauss-Legendre instead.
     """
-    start = _Start(ctx, delta)
+    delta = start.delta
     if start.short(rho):
-        return rho * rho * _branch_rule(ctx, 0.0, delta, rho, lambda s: s * s)
-    hi = delta + rho
-    dh0, dh1, dh2 = (partial_moment_H(ctx, p, hi) - start.H(p) for p in (0.0, 1.0, 2.0))
+        return rho * rho * _branch_rule(start.ctx, 0.0, delta, rho, lambda s: s * s)
+    dh0, dh1, dh2 = (end.H(p) - start.H(p) for p in (0.0, 1.0, 2.0))
     return dh2 - 2.0 * delta * dh1 + delta * delta * dh0
 
 
@@ -334,103 +368,66 @@ def _branch_rule(ctx, p, delta, rho, weight):
     return rho * total / ctx.nu0
 
 
-def _payoff_moments(ctx, problem, delta, rho, ps):
+def _payoff_moments(problem, start, rho, ps, end=None):
     """E[z^p X] for each p of ps, ascending consecutive orders in {0, 1}: the
     mean (p = 0) and the price (p = 1) of the Regular payoff with cap branch
-    {z <= delta} and middle branch {delta < z <= delta + rho}. For q = 2 every
-    order comes from one `_Start.ramps`, so on a long branch H_0, H_1 and H_2
-    are evaluated once at each end."""
+    {z <= delta} and middle branch {delta < z <= delta + rho}, from the starts
+    at delta and, if given, delta + rho. For q = 2 every order comes from one
+    `_Start.ramps`, so on a long branch H_0, H_1 and H_2 are read once at each end."""
     # loops, not comprehensions, whose own frames add a third to a q <= 1
     # call (Python 3.11)
     cap, gamma = problem.cap, problem.gamma
     moments = []
     if problem.q == 2.0:
-        start = _Start(ctx, delta)
-        for p, ramp in zip(ps, start.ramps(ps, rho)):
+        for p, ramp in zip(ps, start.ramps(ps, rho, end)):
             moments.append(cap * start.H(p) + gamma * ramp)
         return moments
     for p in ps:
-        below = partial_moment_H(ctx, p, delta)
-        moments.append((cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho))
+        top = end.H(p) if end else partial_moment_H(start.ctx, p, start.delta + rho)
+        moments.append((cap - gamma) * start.H(p) + gamma * top)
     return moments
 
 
-def _regular_residuals(ctx, problem, delta, rho):
-    """Mean and budget residuals of the thresholds (delta, rho), scaled."""
-    mean, price = _payoff_moments(ctx, problem, delta, rho, (0.0, 1.0))
-    d, x0 = problem.d, problem.x0
-    return (mean - d) / max(1.0, abs(d)), (price - x0) / max(1.0, x0)
+def _regular_residuals(problem, start, rho, end=None):
+    """Mean and budget residuals of (delta, rho), relative: no unit of money."""
+    mean, price = _payoff_moments(problem, start, rho, (0.0, 1.0), end)
+    return (mean - problem.d) / abs(problem.d), (price - problem.x0) / problem.x0
 
 
 def _solve_regular_newton(ctx, problem, delta0):
     def system(u):
         # clamp so wild trial steps of the damped Newton stay finite; the
         # clamp is far outside any meaningful deflator quantile
-        return _regular_residuals(
-            ctx,
-            problem,
-            math.exp(min(max(u[0], -600.0), 600.0)),
-            math.exp(min(max(u[1], -600.0), 600.0)),
-        )
+        x, y = min(max(u[0], -600.0), 600.0), min(max(u[1], -600.0), 600.0)
+        return _regular_residuals(problem, _Start(ctx, math.exp(x)), math.exp(y))
 
-    report = solve_2d(system, [math.log(delta0), 0.0], tol=1e-11)
-    delta, rho = math.exp(report.root[0]), math.exp(report.root[1])
-    return delta, rho
+    root = solve_2d(system, [math.log(delta0), 0.0], tol=1e-11).root
+    return _Start(ctx, math.exp(root[0])), math.exp(root[1])
 
 
 def branch_width(
-    ctx: PartialMomentContext, p: float, delta: float, h: float, need: float, sloped: bool
+    ctx: PartialMomentContext, p: float, delta: float, h: dict, need: float, sloped: bool
 ) -> float:
     """Width w of a branch (delta, delta + w] that funds need, for p in {0, 1}
-    and h = H_p(delta); 0 when need <= 0.
+    and h = {a: H_a(delta)}, the moments known at delta; 0 when need <= 0.
 
-    A flat branch funds H_p(delta + w) - h, inverted in closed form by
-    kernels.invert_H and stopped 1e-15 of the supremum of H_p short of it,
+    A flat branch funds H_p(delta + w) - H_p(delta), inverted in closed form
+    by kernels.invert_H and stopped 1e-15 of the supremum of H_p short of it,
     where the inverse is still defined after rounding. A sloped branch funds
     its ramp (`_Start.ramps`), unbounded once need reaches that room. Its
     weight lies in [1 - s, 1] on the first s of the branch, so the flat width
     and w / s, where the flat width w funds need / (1 - s), bracket its root
     in ln w; both ends come from the same closed-form inverse. Its trials share
-    h, H_{p+1}(delta) and F(delta), each evaluated once, so a trial on a long
-    branch evaluates H_p and H_{p+1} at its upper end only."""
-
-    if need <= 0.0:
-        return 0.0
-    room = (ctx.mean if p == 1.0 else 1.0) * (1.0 - 1e-15) - h
-    if need >= room:
-        if sloped:
-            return math.inf
-        need = room
-    flat = kernels.invert_H(ctx, p, h + need) - delta
-    if not sloped or flat <= 0.0:
-        return max(flat, 0.0)
-    # s puts need / (1 - s) = (room + need) / 2 midway to room; the quotient
-    # is taken in that form, since 1 - s rounds to 0 when need < eps room / 2
-    s = (room - need) / (room + need)
-    most = (kernels.invert_H(ctx, p, h + 0.5 * (room + need)) - delta) / s
-    start = _Start(ctx, delta, {p: h})
-
-    def gap(x):
-        return start.ramps((p,), math.exp(x))[0] / need - 1.0
-
-    try:
-        x = find_root_1d(gap, math.log(flat), math.log(most), tol=1e-13).root
-    except NoSignChange as exc:
-        # within ulps of the end of the curve the ramp prices a branch a few
-        # ulps wide at more than need even at the flat width: the branch is
-        # below resolution, and the flat width is the width
-        if not gap(math.log(flat)) < 0.0:
-            return flat
-        raise SolverDiverged(f"sloped branch width for need {need}: {exc}") from exc
-    return math.exp(x)
+    one start, whose H_p, H_{p+1} (from h or evaluated once) and F are those at
+    delta, so a trial on a long branch evaluates H_p and H_{p+1} at its upper end only."""
+    return _Start(ctx, delta, dict(h)).width(p, need, sloped)
 
 
-def _branch_width(ctx, problem, delta):
+def _branch_width(problem, start):
     """rho such that the middle branch spends the budget the cap branch
     {z <= delta} leaves, E[z X] = x0: flat for q <= 1, a ramp for q = 2."""
-    h1 = partial_moment_H(ctx, 1.0, delta)
-    left = (problem.x0 - problem.cap * h1) / problem.gamma
-    return branch_width(ctx, 1.0, delta, h1, left, problem.q == 2.0)
+    left = (problem.x0 - problem.cap * start.H(1.0)) / problem.gamma
+    return start.width(1.0, left, problem.q == 2.0)
 
 
 def _solve_regular_nested(ctx, problem, curve):
@@ -444,55 +441,51 @@ def _solve_regular_nested(ctx, problem, curve):
     level where H_0 and H_1 vanish (z-score -40) and, for the q = 2 ramp
     whose shape is that of delta / rho, delta < eps rho_low. lam = delta eta
     rises along the curve, so the root is unique."""
-    if curve.delta_low > 0.0:
-        low = math.log(curve.delta_low)
+    if curve.low.delta > 0.0:
+        low = math.log(curve.low.delta)
     else:
         low = min(math.log(curve.rho_low) - 37.0, ctx.m0 - 40.0 * ctx.nu0)
-    widths = {low: curve.rho_low}  # so the root's own width is not solved again
+    trials = {low: (_Start(ctx, math.exp(low)), curve.rho_low)}  # kept for the gate
 
     def mean_gap(x):
         if x == low:
             return curve.d_lower - problem.d
-        delta = math.exp(x)
-        widths[x] = rho = _branch_width(ctx, problem, delta)
-        return _payoff_moments(ctx, problem, delta, rho, (0.0,))[0] - problem.d
+        start = _Start(ctx, math.exp(x))  # the width and the mean share it
+        trials[x] = start, _branch_width(problem, start)
+        return _payoff_moments(problem, *trials[x], (0.0,))[0] - problem.d
 
-    x = find_root_1d(mean_gap, low, math.log(curve.delta_bar), tol=0.0).root
-    return math.exp(x), widths[x]
+    return trials[find_root_1d(mean_gap, low, math.log(curve.delta_bar), tol=0.0).root]
 
 
 def _solve_regular(ctx, problem, curve):
-    """(delta, rho) of a Regular instance, through the residual gate.
+    """(start, end, rho) of a Regular instance, as the residual gate hands them on.
 
     Raises TargetTooHigh at the top of the curve (delta_bar, rho = 0), where
     d is within rounding of d_upper and eta = 1/rho is unbounded, and
     SolverDiverged when the reduction fails or misses the gate.
     """
-    if problem.q == 2.0:
-        try:
-            delta, rho = _solve_regular_newton(ctx, problem, curve.delta_bar)
-            if _residuals_ok(ctx, problem, delta, rho):
-                return delta, rho
-        except SolverDiverged:  # its residuals make no root or inversion
-            pass
+    if problem.q == 2.0:  # the Newton first; SolverDiverged from it falls back to the reduction
+        with contextlib.suppress(SolverDiverged):
+            return _residuals_ok(problem, *_solve_regular_newton(ctx, problem, curve.delta_bar))
     try:
-        delta, rho = _solve_regular_nested(ctx, problem, curve)
+        start, rho = _solve_regular_nested(ctx, problem, curve)
     except (TargetOutOfRange, NoSignChange) as exc:
         raise SolverDiverged(f"multiplier solve failed for {problem}: {exc}") from exc
-    if delta == curve.delta_bar and rho == 0.0:
+    if start.delta == curve.delta_bar and rho == 0.0:
         raise TargetTooHigh(
             f"target d = {problem.d} is within rounding of d_upper = {curve.d_upper}"
         )
-    if not _residuals_ok(ctx, problem, delta, rho):
-        raise SolverDiverged(f"residuals too large for {problem}")
-    return delta, rho
+    return _residuals_ok(problem, start, rho)
 
 
-def _residuals_ok(ctx, problem, delta, rho):
-    if not (delta > 0.0 and rho > 0.0 and math.isfinite(delta + rho)):
-        return False
-    r1, r2 = _regular_residuals(ctx, problem, delta, rho)
-    return abs(r1) <= RESIDUAL_TOL and abs(r2) <= RESIDUAL_TOL
+def _residuals_ok(problem, start, rho):
+    """(start, end, rho), the gate's reads at delta and delta + rho; SolverDiverged on a miss."""
+    delta, end = start.delta, _Start(start.ctx, start.delta + rho)
+    if delta > 0.0 and rho > 0.0 and math.isfinite(delta + rho):
+        r1, r2 = _regular_residuals(problem, start, rho, end)
+        if abs(r1) <= RESIDUAL_TOL and abs(r2) <= RESIDUAL_TOL:
+            return start, end, rho
+    raise SolverDiverged(f"residuals too large for {problem}")
 
 
 def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
@@ -521,11 +514,13 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
             f"target d = {problem.d} is not below d_upper = {curve.d_upper}"
         )
     if problem.d > curve.d_lower:
-        case, (delta, rho) = REGULAR, _solve_regular(ctx, problem, curve)
+        case, (start, end, rho) = REGULAR, _solve_regular(ctx, problem, curve)
     elif problem.x0 < gamma * ctx.mean:
-        case, delta, rho = DEGENERATE_LOW_TARGET, 0.0, curve.rho_low
+        case, start, rho = DEGENERATE_LOW_TARGET, curve.low, curve.rho_low
+        end = _Start(ctx, start.delta + rho)
     else:
-        case, delta, rho = DEGENERATE_RICH, curve.delta_low, None
+        case, start, rho = DEGENERATE_RICH, curve.low, None
+    delta = start.delta
 
     if rho is None:
         mult, objective = Multipliers(0.0, 0.0, case), 0.0
@@ -533,10 +528,10 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         # delta = 0 gives a zero mean multiplier and hit probability
         eta = (2.0 * gamma if q == 2.0 else gamma ** (q - 1.0)) / rho
         mult = Multipliers(eta * delta, eta, case)
-        tail = 1.0 - partial_moment_H(ctx, 0.0, delta + rho)
+        tail = 1.0 - end.H(0.0)
         if q == 2.0:
             half_eta = 0.5 * mult.budget
-            branch = half_eta * half_eta * _branch_square(ctx, delta, rho)
+            branch = half_eta * half_eta * _branch_square(start, end, rho)
             objective = branch + gamma * gamma * tail
         else:
             objective = gamma**q * tail
@@ -549,7 +544,7 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         delta=delta,
         rho=rho,
         objective_value=objective,
-        hit_prob=partial_moment_H(ctx, 0.0, delta),
+        hit_prob=start.H(0.0),
         d_lower=curve.d_lower,
         d_upper=curve.d_upper,
         multiple_solutions=rho is None and problem.x0 > gamma * ctx.mean,
@@ -577,13 +572,10 @@ def payoff(solution: PolicySolution) -> Payoff:
 
 def expected_terminal_wealth(solution: PolicySolution) -> float:
     """E[X*] in closed form (the left side of the mean equation)."""
-    ctx = solution.context
-    prob = solution.problem
-    delta = solution.delta
+    prob, start = solution.problem, _Start(solution.context, solution.delta)
     if solution.multipliers.case == DEGENERATE_RICH:
-        below = partial_moment_H(ctx, 0.0, delta)
-        return (prob.cap - prob.gamma) * below + prob.gamma
-    return _payoff_moments(ctx, prob, delta, solution.rho, (0.0,))[0]
+        return (prob.cap - prob.gamma) * start.H(0.0) + prob.gamma
+    return _payoff_moments(prob, start, solution.rho, (0.0,))[0]
 
 
 def wealth_envelope(problem: LpmProblem, model: MarketModel, t):

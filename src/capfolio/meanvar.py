@@ -53,7 +53,7 @@ def _residuals(ctx, x0, d, lam, eta):
     h0, h1, h2 = _moments(ctx, lam / eta)
     mean_gap = 0.5 * (lam * h0 - eta * h1) - d
     budget_gap = 0.5 * (lam * h1 - eta * h2) - x0
-    return mean_gap / max(1.0, abs(d)), budget_gap / max(1.0, x0)
+    return mean_gap / abs(d), budget_gap / x0  # relative: no unit of money
 
 
 def checked_context(problem: MvProblem, model: MarketModel) -> PartialMomentContext:

@@ -142,16 +142,7 @@ def wealth(payoff: Payoff, t, z) -> np.ndarray:
     of the horizon the formula degenerates to the terminal payoff and that
     limit is returned.
     """
-    z = np.asarray(z, dtype=float)
-    mom = deflator_moments(payoff.model, t)
-    if mom.nu < TERMINAL_NU:
-        return terminal_wealth(payoff, z)
-    with np.errstate(divide="ignore"):
-        log_z = np.log(z)
-    lows, slopes = _lines(payoff)
-    constants = [s - b * lo for lo, s, b in zip(lows, payoff.starts, slopes)]
-    flat = _branch_sum(payoff, 1.0, mom.m, mom.nu, log_z, constants, 1.0)
-    return flat + _branch_sum(payoff, 2.0, mom.m, mom.nu, log_z, slopes, z)
+    return _replicate(payoff, t, z, scale=False)[0]
 
 
 def policy_scale(payoff: Payoff, t, z) -> np.ndarray:
@@ -167,25 +158,39 @@ def policy_scale(payoff: Payoff, t, z) -> np.ndarray:
     DomainError once the remaining volatility is below TERMINAL_NU, where the
     policy has no limit.
     """
+    return _replicate(payoff, t, z, wealth=False)[1]
+
+
+def _replicate(payoff: Payoff, t, z, wealth=True, scale=True):
+    """(x(t, z), -z dx/dz), each None unless asked for; both read one ln z and
+    sloped branch sum z sum_k b_k dG_2, which x adds and -z dx/dz subtracts."""
     z = np.asarray(z, dtype=float)
     mom = deflator_moments(payoff.model, t)
     m, nu = mom.m, mom.nu
-    if nu < TERMINAL_NU:
+    if nu < TERMINAL_NU and scale:
         raise DomainError(
             f"policy has no limit at t = {t} (remaining nu = {nu:.2e}); evaluate wealth instead"
         )
+    if nu < TERMINAL_NU:
+        return terminal_wealth(payoff, z), None
     with np.errstate(divide="ignore"):
         log_z = np.log(z)
     lows, slopes = _lines(payoff)
-    nexts = (*payoff.starts[1:], 0.0)
-    jumps = np.zeros_like(z)
-    for lo, y, start, end, nxt in zip(lows, payoff.levels, payoff.starts, payoff.ends, nexts):
-        jump = (end if lo < y else start) - nxt
-        if jump != 0.0 and 0.0 < y < math.inf:  # phi vanishes at y = 0
-            u = (math.log(y) - log_z - m) / nu
-            jumps = jumps + jump * std_normal_pdf_array(u - nu)
-    scale = (math.exp(m + 0.5 * nu * nu) / nu) * jumps
-    return scale - _branch_sum(payoff, 2.0, m, nu, log_z, slopes, z)
+    x = jumps = None
+    if wealth:
+        constants = [s - b * lo for lo, s, b in zip(lows, payoff.starts, slopes)]
+        x = _branch_sum(payoff, 1.0, m, nu, log_z, constants, 1.0)
+    sloped = _branch_sum(payoff, 2.0, m, nu, log_z, slopes, z)
+    if scale:
+        nexts = (*payoff.starts[1:], 0.0)
+        jumps = np.zeros_like(z)
+        for lo, y, start, end, nxt in zip(lows, payoff.levels, payoff.starts, payoff.ends, nexts):
+            jump = (end if lo < y else start) - nxt
+            if jump != 0.0 and 0.0 < y < math.inf:  # phi vanishes at y = 0
+                u = (math.log(y) - log_z - m) / nu
+                jumps = jumps + jump * std_normal_pdf_array(u - nu)
+        jumps = (math.exp(m + 0.5 * nu * nu) / nu) * jumps - sloped
+    return None if x is None else x + sloped, jumps
 
 
 def policy(payoff: Payoff, t, z):
@@ -196,7 +201,10 @@ def policy(payoff: Payoff, t, z):
     of the segment holding t. Raises DomainError once the remaining
     volatility is below TERMINAL_NU, where the policy has no limit.
     """
-    scale = policy_scale(payoff, t, z)
+    return _allocation(payoff, t, policy_scale(payoff, t, z))
+
+
+def _allocation(payoff: Payoff, t, scale):
     direction = payoff.model.direction[payoff.model.segment_index(t)]
     # filled column by column: the same products as an outer product, in a
     # quarter of its time
@@ -210,14 +218,14 @@ def feedback_curve(payoff: Payoff, t, z_grid) -> FeedbackCurve:
     """Wealth/policy/weight rows over a strictly ascending z grid, sorted by
     wealth.
 
-    Weights are pi / x per asset (NaN where x is zero). Raises DomainError
-    for a grid that does not ascend strictly.
+    Weights are pi / x per asset (NaN where x is zero), x and pi from one
+    `_replicate`. Raises DomainError where `policy` does or z_grid does not ascend.
     """
     z = np.asarray(z_grid, dtype=float).ravel()
     if z.size and np.any(np.diff(z) <= 0.0):
         raise DomainError("z_grid must be strictly ascending")
-    x = wealth(payoff, t, z)
-    pi = policy(payoff, t, z)
+    x, scale = _replicate(payoff, t, z)
+    pi = _allocation(payoff, t, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(x[:, None] != 0.0, pi / x[:, None], np.nan)
     order = np.argsort(x, kind="stable")

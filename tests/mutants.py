@@ -129,9 +129,8 @@ MUTANTS = (
            "if best[2] - lower <= 1e-2 * max(1.0, abs(best[2])):",
            "the cut rounds stop at a 1e-2 relative gap"),
     Mutant("payoff_mean", "lpm",
-           "moments.append((cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho))",
-           "moments.append(((cap - gamma) * below + gamma * partial_moment_H(ctx, p, delta + rho))"
-           " * (1.0 + 1e-6 * (p == 0.0)))",
+           "moments.append((cap - gamma) * start.H(p) + gamma * top)",
+           "moments.append(((cap - gamma) * start.H(p) + gamma * top) * (1.0 + 1e-6 * (p == 0.0)))",
            "the mean of a q < 2 Regular payoff is computed 1e-6 high"),
     # the mean-variance solve's one rejection rule
     Mutant("mv_root_failed", "meanvar",
@@ -216,6 +215,26 @@ MUTANTS = (
            'lower the array sizes of the run block", file=sys.stderr)\n        return 1',
            'lower the array sizes of the run block", file=sys.stderr)\n        return 3',
            "running out of memory exits 3 instead of 1"),
+    # results that do not depend on the unit of money
+    Mutant("lpm_gate_unit", "lpm",
+           "return (mean - problem.d) / abs(problem.d), (price - problem.x0) / problem.x0",
+           "return (mean - problem.d) / max(1.0, abs(problem.d)),"
+           " (price - problem.x0) / max(1.0, problem.x0)",
+           "the LPM gate divides by max(1, |d|) and max(1, x0): absolute below a unit of 1"),
+    Mutant("mv_gate_unit", "meanvar",
+           "return mean_gap / abs(d), budget_gap / x0",
+           "return mean_gap / max(1.0, abs(d)), budget_gap / max(1.0, x0)",
+           "the mean-variance gate divides by max(1, |d|) and max(1, x0)"),
+    Mutant("static_unit", "baseline",
+           "unit = 2.0 ** min(round(math.log2(x0)), 1023)", "unit = 1.0",
+           "the static LP runs in the caller's unit of money"),
+    # the partial moments each solve hands on
+    Mutant("hit_prob_upper_end", "lpm",
+           "hit_prob=start.H(0.0),", "hit_prob=_Start(ctx, delta + (rho or 0.0)).H(0.0),",
+           "solve_lpm reads the hit probability from H_0(delta + rho), not H_0(delta)"),
+    Mutant("curve_h1", "cvar",
+           "{0.0: h0, 1.0: h1}", "{0.0: h0, 1.0: h0}",
+           "the CVaR curve hands branch_width H_0(delta) as H_1(delta)"),
     # the simplex ratio test and its Bland switch
     Mutant("ratio_test", "simplex",
            "ties = np.flatnonzero(t <= t.min() + 1e-12)", "ties = np.flatnonzero(np.isfinite(t))",

@@ -338,20 +338,25 @@ def _lpm_example1(d, q):
 
 
 @pytest.mark.parametrize(
-    "problem, expected",
+    "problem, expected, repeats",
     [
-        (_lpm_example1(1.3, 1.0), 70),
-        (_lpm_example1(1.3, 2.0), 203),
-        (_lpm_example1(1.0627595, 2.0), 667),
-        (cvar.CvarProblem(x0=10.0, d=12.0, cap=100.0, beta=0.95, horizon=1.0), 395),
-        (meanvar.MvProblem(x0=1.0, d=1.1, horizon=1.0), 39),
+        (_lpm_example1(1.3, 1.0), 66, 10),
+        (_lpm_example1(1.3, 2.0), 195, 43),
+        (_lpm_example1(1.0627595, 2.0), 644, 100),
+        (cvar.CvarProblem(x0=10.0, d=12.0, cap=100.0, beta=0.95, horizon=1.0), 379, 103),
+        (meanvar.MvProblem(x0=1.0, d=1.1, horizon=1.0), 39, 5),
     ],
     ids=["lpm q=1", "lpm q=2", "lpm q=2 near d_lower", "cvar", "mv"],
 )
-def test_kernel_evaluations_per_solve(problem, expected, example1, example2, monkeypatch):
+def test_kernel_evaluations_per_solve(problem, expected, repeats, example1, example2, monkeypatch):
     # calls of truncated_exp_moment and invert_H in one solve on example 1
-    # (example 2 for cvar), pinned so that a partial moment or a curve point
-    # evaluated a second time shows as a changed count
+    # (example 2 for cvar), pinned with the number of calls that repeat an
+    # earlier (function, arguments) pair, so that a partial moment or a curve
+    # point evaluated a second time shows as a changed count. The repeats
+    # left: the q = 2 Newton's difference steps in ln rho re-evaluate H_a at
+    # an unchanged delta, root trials so close that their levels round to one
+    # float evaluate it again, and the CVaR curve re-evaluates H_0 and H_1 at
+    # delta + rho after its width root and re-inverts the levels fixed by beta.
     solve = {
         lpm.LpmProblem: lpm.solve_lpm,
         cvar.CvarProblem: cvar.solve_cvar,
@@ -363,13 +368,13 @@ def test_kernel_evaluations_per_solve(problem, expected, example1, example2, mon
         for attr in ("truncated_exp_moment", "invert_H"):
             if attr in vars(module):
 
-                def counted(*args, _original=vars(module)[attr]):
-                    calls.append(args)
+                def counted(*args, _original=vars(module)[attr], _name=attr):
+                    calls.append((_name, args))
                     return _original(*args)
 
                 monkeypatch.setattr(module, attr, counted)
     solve(problem, example2 if type(problem) is cvar.CvarProblem else example1)
-    assert len(calls) == expected
+    assert (len(calls), len(calls) - len(set(calls))) == (expected, repeats)
 
 
 def test_invert_h1_where_the_start_mass_rounds_to_an_end():

@@ -717,7 +717,7 @@ def test_branch_width_funds_the_need(example1, p, sloped):
         h = kernels.partial_moment_H(ctx, p, delta)
         for frac in (1e-9, 1e-3, 0.5, 0.999):
             need = frac * (sup - h)
-            width = lpm.branch_width(ctx, p, delta, h, need, sloped)
+            width = lpm.branch_width(ctx, p, delta, {p: h}, need, sloped)
             if sloped:
                 funded = lpm._Start(ctx, delta).ramps((p,), width)[0]
                 assert funded == pytest.approx(need, rel=1e-13)
@@ -726,16 +726,16 @@ def test_branch_width_funds_the_need(example1, p, sloped):
                 reached = kernels.partial_moment_H(ctx, p, delta + width)
                 assert reached == pytest.approx(h + need, rel=1e-13)
         for need in (0.0, -0.1):
-            assert lpm.branch_width(ctx, p, delta, h, need, sloped) == 0.0
+            assert lpm.branch_width(ctx, p, delta, {p: h}, need, sloped) == 0.0
         # at or beyond the room under the supremum of H_p a ramp is
         # unbounded, and a flat branch stops short of the supremum
-        widest = lpm.branch_width(ctx, p, delta, h, sup - h, sloped)
+        widest = lpm.branch_width(ctx, p, delta, {p: h}, sup - h, sloped)
         if sloped:
             assert widest == math.inf
         else:
             assert math.isfinite(widest)
-            assert lpm.branch_width(ctx, p, delta, h, 10.0 * sup, sloped) == widest
-            assert widest > lpm.branch_width(ctx, p, delta, h, 0.999 * (sup - h), sloped)
+            assert lpm.branch_width(ctx, p, delta, {p: h}, 10.0 * sup, sloped) == widest
+            assert widest > lpm.branch_width(ctx, p, delta, {p: h}, 0.999 * (sup - h), sloped)
 
 
 @pytest.mark.parametrize("beta", [0.9, 0.95, 0.99])
@@ -747,7 +747,7 @@ def test_branch_width_just_below_delta_beta(example2, beta):
     h = kernels.partial_moment_H(ctx, 0.0, delta)
     need = beta - h
     assert 0.0 < need < 1e-8
-    width = lpm.branch_width(ctx, 0.0, delta, h, need, True)
+    width = lpm.branch_width(ctx, 0.0, delta, {0.0: h}, need, True)
     assert 0.0 < width < 1e-6 * delta
     assert lpm._Start(ctx, delta).ramps((0.0,), width)[0] == pytest.approx(need, rel=1e-13)
 
@@ -777,13 +777,13 @@ def test_long_branches_evaluate_each_partial_moment_once(example1, monkeypatch):
     start = lpm._Start(ctx, delta)
     assert not start.short(rho)
     problem = lpm.LpmProblem(x0=1.0, d=1.3, gamma=GAMMA, cap=10.0, q=2.0, horizon=1.0)
-    lpm._regular_residuals(ctx, problem, delta, rho)
+    lpm._regular_residuals(problem, lpm._Start(ctx, delta), rho)
     assert len(evaluations) == 6
     for p, sup in ((0.0, 1.0), (1.0, ctx.mean)):
         h = kernels.partial_moment_H(ctx, p, delta)
         evaluations.clear()
         trials.clear()
-        lpm.branch_width(ctx, p, delta, h, 0.5 * (sup - h), True)
+        lpm.branch_width(ctx, p, delta, {p: h}, 0.5 * (sup - h), True)
         assert len(trials) > 3 and not any(start.short(w) for w in trials)
         assert len(evaluations) == 1 + 2 * len(trials)
 
@@ -842,7 +842,7 @@ def test_failed_sloped_width_root_is_solver_diverged(example1, monkeypatch, root
     h = kernels.partial_moment_H(ctx, 0.0, 0.8)
     monkeypatch.setattr(lpm, "find_root_1d", root)
     with pytest.raises(SolverDiverged, match=message):
-        lpm.branch_width(ctx, 0.0, 0.8, h, 0.5 * (1.0 - h), True)
+        lpm.branch_width(ctx, 0.0, 0.8, {0.0: h}, 0.5 * (1.0 - h), True)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
