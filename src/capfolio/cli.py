@@ -35,8 +35,10 @@ itself checks, and a field that defaults to None (a "cvar" xbar) only when
 set.  _RUN_INTEGERS holds the default and range of each run-block integer,
 _OVERRIDES the block and type of each flag override.  A "cvar" safe level
 and every run.d_grid target must lie below problem.cap, as problem.d must;
-an "mv" d must exceed x0/E[z(T)].  run.betas or run.z_grid set to null
-takes its default; any other value of the wrong type is a config error.
+an "mv" d must exceed x0/E[z(T)].  The market must pass
+market.deflator_context (nu(0) > 0), as every solve's must.  run.betas or
+run.z_grid set to null takes its default; any other value of the wrong type
+is a config error.
 _resolve_run is the one reader of the run block: it checks each value and
 stores it, default filled in, so the commands read run.t, run.d_grid,
 run.betas and run.z_grid as they stand.
@@ -175,10 +177,10 @@ def _resolve_run(run: dict, model: market.MarketModel, instance, cmd: str | None
         policy_times[f"the last Euler step (t = {last:g}) of run.steps = {run['steps']}"] = last
     for what, t in policy_times.items():
         nu = market.deflator_moments(model, t).nu
-        if nu < lpm.TERMINAL_NU:
+        if nu < market.TERMINAL_NU:
             raise ConfigError(
                 f"{what} leaves deflator volatility {nu:.2e} before the horizon, "
-                f"below {lpm.TERMINAL_NU:g}: the policy is undefined there"
+                f"below {market.TERMINAL_NU:g}: the policy is undefined there"
             )
     run["t"] = float(run.get("t", 0.5 * model.horizon))
     d_grid = run.setdefault("d_grid", [])
@@ -253,13 +255,12 @@ def load_config(path, overrides: dict) -> RunConfig:
 
     try:
         model = market.market_from_config(raw["market"])
+        market.deflator_context(model, model.horizon)  # rejects what every solve rejects
         instance = _build_problem(problem_block, model)
     except ConfigError:
         raise
     except (CapfolioError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
-    if all(mu == r for r, drift in zip(model.rate, model.drift) for mu in drift):
-        raise ConfigError("market has mu = r in every segment: no risk premium to price")
     _resolve_run(run, model, instance, overrides.get("cmd"))
     return RunConfig(
         market_block=raw["market"],

@@ -104,8 +104,9 @@ def truncated_exp_moment(a: float, mu: float, v: float, dcut: float) -> float:
 class PartialMomentContext:
     """Lognormal law of z(T): ln z(T) ~ N(m0, nu0^2), nu0 > 0.
 
-    The degenerate nu0 = 0 market is rejected here; terminal-time limits are
-    handled by the policy layer, not by this context.
+    nu0 = 0, a market with no price of risk (theta = 0, or ||theta||^2 below
+    the float range, in every segment), is rejected here; terminal-time
+    limits are handled by the policy layer, not by this context.
     """
 
     m0: float
@@ -113,7 +114,7 @@ class PartialMomentContext:
 
     def __post_init__(self):
         if not self.nu0 > 0.0:
-            raise DomainError(f"nu0 must be positive, got {self.nu0}")
+            raise DomainError(f"nu0 must be positive, got {self.nu0}: no price of risk")
 
     def standardize(self, y: float) -> float:
         """F(y) = (ln y - m0) / nu0, the z-score of the deflator level y > 0."""

@@ -85,9 +85,6 @@ REGULAR = "Regular"
 DEGENERATE_LOW_TARGET = "DegenerateLowTarget"
 DEGENERATE_RICH = "DegenerateRich"
 
-#: below this remaining deflator volatility the wealth formulas switch to
-#: their terminal limit and the policy is reported undefined
-TERMINAL_NU = 1e-8
 RESIDUAL_TOL = 1e-8  # largest scaled mean and budget residual a multiplier solve accepts
 
 
@@ -461,7 +458,7 @@ def _solve_regular(ctx, problem, curve):
     """(start, end, rho) of a Regular instance, as the residual gate hands them on.
 
     Raises TargetTooHigh at the top of the curve (delta_bar, rho = 0), where
-    d is within rounding of d_upper and eta = 1/rho is unbounded, and
+    d is within RESIDUAL_TOL of d_upper and eta = 1/rho is unbounded, and
     SolverDiverged when the reduction fails or misses the gate.
     """
     if problem.q == 2.0:  # the Newton first; SolverDiverged from it falls back to the reduction
@@ -471,7 +468,9 @@ def _solve_regular(ctx, problem, curve):
         start, rho = _solve_regular_nested(ctx, problem, curve)
     except (TargetOutOfRange, NoSignChange) as exc:
         raise SolverDiverged(f"multiplier solve failed for {problem}: {exc}") from exc
-    if start.delta == curve.delta_bar and rho == 0.0:
+    if start.delta == curve.delta_bar and rho == 0.0 and (
+        abs(problem.d - curve.d_upper) <= RESIDUAL_TOL * abs(problem.d)
+    ):  # farther from d_upper, the gate rejects rho = 0
         raise TargetTooHigh(
             f"target d = {problem.d} is within rounding of d_upper = {curve.d_upper}"
         )
@@ -504,12 +503,20 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
 
     Raises exactly DomainError (horizons differ, or nu0 = 0), InfeasibleBudget
     when x0 >= cap E[z(T)] in either rounding, TargetTooHigh when d >= d_upper
-    or lies within rounding of it, and SolverDiverged when a root fails.
+    or lies within RESIDUAL_TOL of it, and SolverDiverged when a root fails
+    or the budget curve misses the budget: an answer or verdict is read off
+    the curve only where its payoff prices at x0 within RESIDUAL_TOL x0 (the
+    degenerate payoff, which must also mean at least d, and the payoff at
+    delta_bar behind d_upper). Near a point-mass z(T), nu0 below about 1e-8,
+    H_1 is a step that its inverse cannot hit, and the curve misses.
     """
     ctx = deflator_context(model, problem.horizon)
     curve = _budget_curve(ctx, problem)
     gamma, q = problem.gamma, problem.q
     if problem.d >= curve.d_upper:
+        price = problem.cap * partial_moment_H(ctx, 1.0, curve.delta_bar)
+        if abs(price - problem.x0) > RESIDUAL_TOL * problem.x0:  # d_upper is no bound then
+            raise SolverDiverged(f"the top of the budget curve prices at {price} for {problem}")
         raise TargetTooHigh(
             f"target d = {problem.d} is not below d_upper = {curve.d_upper}"
         )
@@ -519,7 +526,12 @@ def solve_lpm(problem: LpmProblem, model: MarketModel) -> PolicySolution:
         case, start, rho = DEGENERATE_LOW_TARGET, curve.low, curve.rho_low
         end = _Start(ctx, start.delta + rho)
     else:
-        case, start, rho = DEGENERATE_RICH, curve.low, None
+        case, start, end, rho = DEGENERATE_RICH, curve.low, None, None
+    if case != REGULAR:  # the gate checks a Regular payoff; a degenerate one is checked here
+        width = math.inf if rho is None else rho
+        mean, price = _payoff_moments(problem, start, width, (0.0, 1.0), end)
+        if not (abs(price - problem.x0) <= RESIDUAL_TOL * problem.x0 and mean >= problem.d):
+            raise SolverDiverged(f"{case} payoff prices at {price}, mean {mean}, for {problem}")
     delta = start.delta
 
     if rho is None:

@@ -46,6 +46,9 @@ __all__ = [
 
 #: floor on the smallest eigenvalue of vol vol' in every segment
 MIN_GRAM_EIGENVALUE = 1e-10
+#: below this remaining deflator volatility nu(t) the wealth formulas switch
+#: to their terminal limit and the policy is reported undefined
+TERMINAL_NU = 1e-8
 
 
 @dataclass(frozen=True, slots=True)

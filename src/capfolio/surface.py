@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import GAUSS_LEGENDRE_8
-from .lpm import TERMINAL_NU, Payoff
-from .market import deflator_moments
+from .lpm import Payoff
+from .market import TERMINAL_NU, deflator_moments
 
 __all__ = [
     "FeedbackCurve",

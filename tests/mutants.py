@@ -235,6 +235,21 @@ MUTANTS = (
     Mutant("curve_h1", "cvar",
            "{0.0: h0, 1.0: h1}", "{0.0: h0, 1.0: h0}",
            "the CVaR curve hands branch_width H_0(delta) as H_1(delta)"),
+    # answers and verdicts read off a budget curve only where it spends the budget
+    Mutant("degenerate_price", "lpm",
+           "abs(price - problem.x0) <= RESIDUAL_TOL * problem.x0 and mean >= problem.d",
+           "mean >= problem.d",
+           "a degenerate payoff is returned whatever it prices at"),
+    Mutant("too_high_price", "lpm",
+           "if abs(price - problem.x0) > RESIDUAL_TOL * problem.x0:", "if False:",
+           "TargetTooHigh at d >= d_upper whatever the payoff at delta_bar prices at"),
+    Mutant("rounding_verdict", "lpm",
+           "abs(problem.d - curve.d_upper) <= RESIDUAL_TOL * abs(problem.d)", "True",
+           "a root at delta_bar is TargetTooHigh however far d lies below d_upper"),
+    Mutant("cli_deflator_law", "cli",
+           "market.deflator_context(model, model.horizon)  # rejects what every solve rejects",
+           "pass",
+           "the loader accepts a market with nu0 = 0, which every solve rejects"),
     # the simplex ratio test and its Bland switch
     Mutant("ratio_test", "simplex",
            "ties = np.flatnonzero(t <= t.min() + 1e-12)", "ties = np.flatnonzero(np.isfinite(t))",

@@ -501,6 +501,10 @@ def test_exit_code_budget_above_cap(tmp_path, capsys):
         "no_risk_premium_solve",
         "no_risk_premium_simulate",
         "no_risk_premium_policy_table",
+        "theta_underflow_lpm_solve",
+        "theta_underflow_cvar_solve",
+        "theta_underflow_cvar_frontier",
+        "theta_underflow_cvar_compare_static",
         "riskless_last_segment_simulate",
         "riskless_last_segment_default_t",
         "x0_beyond_float",
@@ -557,6 +561,13 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     elif breakage.startswith("no_risk_premium_"):
         cfg = _cfg(tmp_path, RISKLESS_MARKET, LPM1, run={"out": str(tmp_path)})
         argv = ["--config", cfg, "--cmd", breakage.removeprefix("no_risk_premium_")]
+    elif breakage.startswith("theta_underflow_"):
+        # sigma = 1e200 with mu != r: ||theta||^2 underflows to 0, so nu0 = 0
+        kind, cmd = breakage.removeprefix("theta_underflow_").split("_", 1)
+        run = {"out": str(tmp_path), "d_grid": [12.0], "scenarios": 10}
+        problem = {"lpm": LPM1, "cvar": CVAR2}[kind]
+        cfg = _cfg(tmp_path, _ex1_with(sigma=[[1e200]]), problem, run=run)
+        argv = ["--config", cfg, "--cmd", cmd]
     elif breakage == "riskless_last_segment_simulate":
         # the Euler loop evaluates the policy up to T - T/steps, inside [0.4, 1]
         cfg = _cfg(tmp_path, RISKLESS_TAIL_MARKET, LPM1, run={"out": str(tmp_path)})
@@ -606,6 +617,8 @@ def test_exit_code_config_errors(tmp_path, capsys, breakage):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert err.count("\n") == 1 and "Traceback" not in err
+    if breakage.startswith(("theta_underflow_", "no_risk_premium_solve")):
+        assert "no price of risk" in err
 
 
 def test_bad_market_error_names_its_segment(tmp_path, capsys):
@@ -648,6 +661,26 @@ def test_exit_code_solver_failure(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: SolverDiverged: no root after 200 iterations")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "segment, gamma, cap, d, q",
+    [
+        ({"r": 0.0, "mu": [2e-21], "sigma": [[0.2]]}, 0.9, 2.0, 0.95, 1.0),
+        ({"r": 0.0, "mu": [2e-21], "sigma": [[0.2]]}, 1.0, 1.5, 0.9, 1.0),
+        ({"r": 0.0, "mu": [2e-21], "sigma": [[0.2]]}, 1.0, 2.0, 0.99, 1.0),
+        ({"sigma": [[1e150]]}, 1.0, 10.0, 1.3, 2.0),
+    ],
+    ids=["rich_price", "too_high_below_growth", "rounding_one_percent_off", "rich_sigma_1e150"],
+)
+def test_exit_code_budget_curve_miss(tmp_path, capsys, segment, gamma, cap, d, q):
+    # nu0 = 1e-20 or 6e-152: the budget curve misses the budget, and each
+    # answer (exit 0) or TargetTooHigh (exit 2) read off it was wrong
+    problem = {"kind": "lpm", "x0": 1.0, "d": d, "gamma": gamma, "cap": cap, "q": q}
+    cfg = _cfg(tmp_path, _ex1_with(**segment), problem, run={"out": str(tmp_path)})
+    assert cli.main(["--config", cfg, "--cmd", "solve"]) == 1
+    assert capsys.readouterr().err.startswith("solver failure: SolverDiverged")
+    assert not (tmp_path / "solution.json").exists()
 
 
 # problem numbers no solve can use: each is rejected before any solve starts

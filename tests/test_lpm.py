@@ -708,6 +708,84 @@ def test_embedded_cvar_instance_at_high_nu0_solves():
     _assert_constraints(sol, prob, model)
 
 
+# answers and verdicts read off a budget curve that misses the budget, each
+# (r, mu, sigma) of a one-asset market with T = 1, then (gamma, cap, d, q) at
+# x0 = 1: on the point mass nu0 = 1e-20 (r 0, mu 2e-21, sigma 0.2) H_1 is a
+# step that its inverse cannot hit, and on example 1 with sigma = 1e150
+# (nu0 = 6e-152) nearly so
+CURVE_MISSES = {
+    # DegenerateRich with hit probability 0.5, whose payoff prices at 1.45
+    "rich_price": ((0.0, 2e-21, 0.2), 0.9, 2.0, 0.95, 1.0),
+    # TargetTooHigh with d_upper read as 0.75, though X = 1 meets d and the budget
+    "too_high_below_growth": ((0.0, 2e-21, 0.2), 1.0, 1.5, 0.9, 1.0),
+    # TargetTooHigh "within rounding" of d_upper = 1, with d 1 % below it
+    "rounding_one_percent_off": ((0.0, 2e-21, 0.2), 1.0, 2.0, 0.99, 1.0),
+    # DegenerateRich with hit probability 1 and d_bounds (10, 10), pricing at 9.42
+    "rich_sigma_1e150": ((0.06, 0.12, 1e150), 1.0, 10.0, 1.3, 2.0),
+}
+# (gamma, cap, d) at x0 = 1 of the near-riskless grid: rich, low-target and
+# too-high targets on either side of the riskless growth e^{rT}
+NEAR_RISKLESS_TARGETS = (
+    (0.9, 2.0, 0.95), (1.0, 1.5, 0.9), (1.0, 2.0, 0.99),
+    (1.1, 2.0, 1.05), (1.0, 10.0, 1.3), (0.5, 3.0, 1.2),
+)
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_MISSES))
+def test_budget_curve_that_misses_the_budget_is_solver_diverged(name):
+    (r, mu, sigma), gamma, cap, d, q = CURVE_MISSES[name]
+    prob = lpm.LpmProblem(x0=1.0, d=d, gamma=gamma, cap=cap, q=q, horizon=1.0)
+    with pytest.raises(SolverDiverged):
+        lpm.solve_lpm(prob, market.validate_market(1.0, r, mu, sigma))
+
+
+def _price_and_mean(sol):
+    """E[z X*] and E[X*] of the solved payoff, branch by branch: X* = a + b z
+    on (lo, hi] contributes a dH_p + b dH_{p+1}, read by kernels.partial_moment_H."""
+    pay, price, mean, lo = lpm.payoff(sol), 0.0, 0.0, 0.0
+    for hi, start, end in zip(pay.levels, pay.starts, pay.ends):
+        b = 0.0 if hi == math.inf or hi == lo else (end - start) / (hi - lo)
+        dh = [
+            kernels.partial_moment_H(sol.context, p, hi)
+            - kernels.partial_moment_H(sol.context, p, lo)
+            for p in (0.0, 1.0, 2.0)
+        ]
+        price += (start - b * lo) * dh[1] + b * dh[2]
+        mean += (start - b * lo) * dh[0] + b * dh[1]
+        lo = hi
+    return price, mean
+
+
+def test_near_riskless_answers_spend_the_budget():
+    # nu0 from 1e-20, a point mass in floats, to 1e-8: every answer prices at
+    # x0 and meets d, and every TargetTooHigh lies above the riskless growth
+    # x0 e^{rT}, which X = x0 e^{rT} attains; a curve that misses the budget
+    # is SolverDiverged instead
+    outcomes = []
+    for nu0 in (1e-20, 1e-16, 1e-13, 1e-12, 1e-11, 10.0**-10.5, 1e-8):
+        for r in (0.0, 0.06):
+            if r + 0.2 * nu0 == r:
+                continue
+            model = market.validate_market(1.0, r, r + 0.2 * nu0, 0.2)
+            for q in (0.0, 1.0, 2.0):
+                for gamma, cap, d in NEAR_RISKLESS_TARGETS:
+                    prob = lpm.LpmProblem(x0=1.0, d=d, gamma=gamma, cap=cap, q=q, horizon=1.0)
+                    try:
+                        sol = lpm.solve_lpm(prob, model)
+                    except TargetTooHigh:
+                        assert d >= math.exp(r) * (1.0 - 1e-6), (nu0, r, prob)
+                        outcomes.append("TargetTooHigh")
+                    except SolverDiverged:
+                        outcomes.append("SolverDiverged")
+                    else:
+                        price, mean = _price_and_mean(sol)
+                        assert abs(price - 1.0) <= lpm.RESIDUAL_TOL, (nu0, r, prob, price)
+                        assert mean >= d * (1.0 - lpm.RESIDUAL_TOL), (nu0, r, prob, mean)
+                        outcomes.append(sol.multipliers.case)
+    assert len(outcomes) == 234
+    assert {lpm.DEGENERATE_RICH, lpm.DEGENERATE_LOW_TARGET, "TargetTooHigh"} <= set(outcomes)
+
+
 @pytest.mark.parametrize("sloped", [False, True])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_branch_width_funds_the_need(example1, p, sloped):

@@ -89,7 +89,7 @@ def test_checker_allows_public_and_own_names():
     source = (
         "from __future__ import annotations\n"
         "from . import lpm\n"
-        "from .lpm import TERMINAL_NU\n"
+        "from .market import TERMINAL_NU\n"
         "import numpy as np\n"
         "def _own(x):\n"
         "    return lpm.payoff(x)._fields, np._NoValue, lpm.__name__\n"
